@@ -3,9 +3,9 @@
 These are the maximal ideals of local Artinian dg-algebras: associative,
 graded-commutative, nilpotent, with a square-zero degree-+1 derivation.
 The module provides the axiom checker, direct and fiber products, mapping
-cones and derived inverse cones, the polynomial-differential-forms
-extension A[t,dt]_eps with its evaluation morphisms, homotopies of
-morphisms, and the factorization of surjections into small extensions.
+cones, the polynomial-differential-forms extension A[t,dt]_eps with its
+evaluation morphisms, homotopies of morphisms, and the factorization of
+surjections into small extensions.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .graded import Complex, GradedMap, GradedSpace, cohomology
-from .linalg import ONE, ZERO, Vector
-
-SparseVec = Dict[int, Fraction]
+from .linalg import ONE, ZERO, SparseVec, Vector
 
 
 def _sparse(vec: Sequence[Fraction]) -> SparseVec:
@@ -32,11 +30,53 @@ def _dense(sv: SparseVec, dim: int) -> Vector:
     return v
 
 
+LeftIndex = List[List[Tuple[int, SparseVec]]]
+
+
+def _structure_constants(space: GradedSpace, table: Dict[Tuple[int, int], SparseVec],
+                         wrong_degree: str) -> Tuple[Dict[Tuple[int, int], SparseVec], LeftIndex]:
+    """The table with Fraction entries and no zero rows, and its left index
+    i -> [(j, row of e_i e_j)].  ``wrong_degree`` % (name_i, name_j) is the
+    error for an entry whose degree is not deg e_i + deg e_j."""
+    clean: Dict[Tuple[int, int], SparseVec] = {}
+    left: LeftIndex = [[] for _ in range(space.dim)]
+    for (i, j), row in table.items():
+        row = {k: linalg.frac(c) for k, c in row.items() if c}
+        if not row:
+            continue
+        for k in row:
+            if space.degrees[k] != space.degrees[i] + space.degrees[j]:
+                raise ValueError(wrong_degree % (space.names[i], space.names[j]))
+        clean[(i, j)] = row
+        left[i].append((j, row))
+    return clean, left
+
+
+def _bilinear(left: LeftIndex, u: Sequence[Fraction], v: Sequence[Fraction],
+              dim: int) -> Vector:
+    """The sum of u_i v_j (e_i e_j), walking only the support of u."""
+    out = [ZERO] * dim
+    for i, cu in enumerate(u):
+        if not cu:
+            continue
+        for j, row in left[i]:
+            cv = v[j]
+            if not cv:
+                continue
+            c = cu * cv
+            for k, ck in row.items():
+                out[k] += c * ck
+    return out
+
+
 class NilpotentDgAlgebra:
     """Object of the category of nilpotent dg-algebras.
 
     ``mult`` maps a pair of basis indices (i, j) to the sparse coefficient
-    vector of e_i * e_j; missing pairs multiply to zero.
+    vector of e_i * e_j; missing pairs multiply to zero.  The constructor is
+    the only writer of ``mult`` and also builds its left index
+    i -> [(j, e_i * e_j)], through which products walk only the support of
+    the left factor.
     """
 
     def __init__(self, space: GradedSpace, mult: Dict[Tuple[int, int], SparseVec],
@@ -44,16 +84,8 @@ class NilpotentDgAlgebra:
         if differential.source != space or differential.degree != 1:
             raise ValueError("differential must be a degree +1 endomap")
         self.space = space
-        self.mult = {}
-        for (i, j), row in mult.items():
-            row = {k: linalg.frac(c) for k, c in row.items() if c}
-            if not row:
-                continue
-            for k in row:
-                if space.degrees[k] != space.degrees[i] + space.degrees[j]:
-                    raise ValueError("product %s*%s has an entry of wrong degree"
-                                     % (space.names[i], space.names[j]))
-            self.mult[(i, j)] = row
+        self.mult, self._left = _structure_constants(
+            space, mult, "product %s*%s has an entry of wrong degree")
         self.d = differential
 
     @classmethod
@@ -71,18 +103,18 @@ class NilpotentDgAlgebra:
         return Complex(self.space, self.d)
 
     def product(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-        out = self.space.zero_vector()
-        for (i, j), row in self.mult.items():
-            cu = u[i]
-            if not cu:
+        return _bilinear(self._left, u, v, self.dim)
+
+    def _left_mul(self, i: int, w: SparseVec) -> SparseVec:
+        """e_i * w for a sparse w."""
+        out: SparseVec = {}
+        for j, row in self._left[i]:
+            cw = w.get(j)
+            if not cw:
                 continue
-            cv = v[j]
-            if not cv:
-                continue
-            c = cu * cv
             for k, ck in row.items():
-                out[k] += c * ck
-        return out
+                out[k] = out.get(k, ZERO) + cw * ck
+        return {k: c for k, c in out.items() if c}
 
     def basis_product(self, i: int, j: int) -> Vector:
         return _dense(self.mult.get((i, j), {}), self.dim)
@@ -91,26 +123,26 @@ class NilpotentDgAlgebra:
         return not self.mult
 
     def power_ideal_bases(self) -> List[List[Vector]]:
-        """Bases of A = A^1 ⊇ A^2 ⊇ ...  down to the first zero power."""
+        """Bases of A = A^1 ⊇ A^2 ⊇ ...  down to the first zero power.
+
+        The basis of A^(n+1) is the greedy independent subset, in order, of
+        the products e_i * w over i and over the basis vectors w of A^n.
+        """
         powers = [[self.space.basis_vector(i) for i in range(self.dim)]]
-        while powers[-1]:
-            prev = powers[-1]
-            prods = []
+        prev: List[SparseVec] = [{i: ONE} for i in range(self.dim)]
+        while prev:
+            ech = linalg.Echelon()
+            nxt = []
             for i in range(self.dim):
-                ei = self.space.basis_vector(i)
                 for w in prev:
-                    p = self.product(ei, w)
-                    if not linalg.is_zero_vector(p):
-                        prods.append(p)
-            chosen = linalg.independent_subset(prods)
-            nxt = [prods[c] for c in chosen]
+                    p = self._left_mul(i, w)
+                    if p and ech.add(p):
+                        nxt.append(p)
+            powers.append([_dense(p, self.dim) for p in nxt])
             if len(nxt) == len(prev):
                 # not descending: not nilpotent; bail out (validate reports)
-                powers.append(nxt)
                 break
-            powers.append(nxt)
-            if not nxt:
-                break
+            prev = nxt
         return powers
 
     def nilpotency_index(self) -> Optional[int]:
@@ -409,15 +441,18 @@ class SmallExtension:
             errs.append("alpha ∘ iota != 0")
         if self.a.dim != self.b.dim + self.i_complex.space.dim:
             errs.append("dimensions inconsistent with exactness")
-        img = [self.iota.column(i) for i in range(self.i_complex.space.dim)]
-        for i in range(self.a.dim):
-            e = self.a.space.basis_vector(i)
-            for x in img:
-                if not linalg.is_zero_vector(self.a.product(e, x)):
-                    errs.append("A·I != 0")
-                    return errs
+        if not self.is_strictly_small():
+            errs.append("A·I != 0")
+            return errs
         errs.extend(self.alpha.violations())
         return errs
+
+    def is_strictly_small(self) -> bool:
+        """A·I = 0: every basis element of A kills the image of I."""
+        img: List[SparseVec] = [{} for _ in range(self.i_complex.space.dim)]
+        for (j, k), c in self.iota.entries.items():
+            img[k][j] = c
+        return not any(self.a._left_mul(i, x) for x in img for i in range(self.a.dim))
 
     def is_acyclic(self) -> bool:
         return cohomology(self.i_complex).total_dim() == 0
@@ -517,7 +552,7 @@ def _intersect_spans(u: Sequence[Vector], w: Sequence[Vector], dim: int) -> List
 
 
 # ---------------------------------------------------------------------------
-# mapping cone and derived inverse cone
+# mapping cone
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -591,86 +626,6 @@ def mapping_cone(a: NilpotentDgAlgebra, module_vectors: Sequence[Vector]) -> Map
     return MappingCone(cone, incl, proj, mod_space, mv)
 
 
-@dataclass
-class DerivedInverseCone:
-    algebra: NilpotentDgAlgebra
-    project: DgAlgebraMorphism     # D -> B
-    include: GradedMap             # N[-1] -> D
-
-
-def derived_inverse_cone(b: NilpotentDgAlgebra, n_complex: Complex,
-                         action: Dict[Tuple[int, int], SparseVec],
-                         h: GradedMap) -> DerivedInverseCone:
-    """D = B ⊕ N[-1] with differential lower-triangular via the derivation h.
-
-    ``action[(i, j)]`` is the sparse vector of b_i · n_j in N;
-    h: B -> N must be a degree-0 derivation commuting with differentials.
-    """
-    if h.source != b.space or h.target != n_complex.space or h.degree != 0:
-        raise ValueError("h must be a degree-0 map B -> N")
-    if h.compose(b.d) != n_complex.d.compose(h):
-        raise ValueError("h must commute with the differentials")
-    nb = b.dim
-    nn = n_complex.space.dim
-
-    def act(bv: Vector, nv: Vector) -> Vector:
-        out = [ZERO] * nn
-        for (i, j), row in action.items():
-            c = bv[i] * nv[j]
-            if c:
-                for k, ck in row.items():
-                    out[k] += c * ck
-        return out
-
-    # derivation check: h(xy) = h(x)·y + x·h(y) with the module actions
-    for i in range(nb):
-        for j in range(nb):
-            lhs = h.apply(b.basis_product(i, j))
-            ei, ej = b.space.basis_vector(i), b.space.basis_vector(j)
-            di, dj = b.space.degrees[i], b.space.degrees[j]
-            # right action n·y = (-1)^{deg n · deg y} y·n
-            hn = h.apply(ei)
-            sgn = Fraction(-1 if (di % 2 and dj % 2) else 1)
-            rhs = linalg.vec_add(linalg.vec_scale(sgn, act(ej, hn)),
-                                 act(ei, h.apply(ej)))
-            if lhs != rhs:
-                raise ValueError("h is not a derivation (fails on %s, %s)"
-                                 % (b.space.names[i], b.space.names[j]))
-
-    basis = [("b." + nm, dg) for nm, dg in b.space.basis]
-    basis += [("n." + nm, dg + 1) for nm, dg in n_complex.space.basis]
-    space = GradedSpace(basis)
-    mult: Dict[Tuple[int, int], SparseVec] = {}
-    for (i, j), row in b.mult.items():
-        mult[(i, j)] = dict(row)
-    for i in range(nb):
-        ei = b.space.basis_vector(i)
-        sgn = Fraction(-1 if b.space.degrees[i] % 2 else 1)
-        for k in range(nn):
-            nk = [ONE if t == k else ZERO for t in range(nn)]
-            p = act(ei, nk)
-            if any(p):
-                # b_i · n_k[-1] = (-1)^{deg b_i}(b_i · n_k)[-1]
-                mult[(i, nb + k)] = {nb + t: sgn * c for t, c in enumerate(p) if c}
-                # n_k[-1] · b_i = (n_k · b_i)[-1] = ±(b_i · n_k)[-1]
-                s2 = Fraction(-1 if (n_complex.space.degrees[k] % 2
-                                     and b.space.degrees[i] % 2) else 1)
-                mult[(nb + k, i)] = {nb + t: s2 * c for t, c in enumerate(p) if c}
-    d = GradedMap(space, space, 1)
-    for (j, i), c in b.d.entries.items():
-        d.set_entry(j, i, c)
-    for (j, i), c in h.entries.items():
-        d.set_entry(nb + j, i, c)
-    for (j, i), c in n_complex.d.entries.items():
-        d.set_entry(nb + j, nb + i, -c)
-    alg = NilpotentDgAlgebra(space, mult, d)
-    proj = DgAlgebraMorphism(alg, b, GradedMap(space, b.space, 0,
-                             {(i, i): ONE for i in range(nb)}), check=False)
-    nshift = GradedSpace([(nm, dg + 1) for nm, dg in n_complex.space.basis])
-    incl = GradedMap(nshift, space, 0, {(nb + k, k): ONE for k in range(nn)})
-    return DerivedInverseCone(alg, proj, incl)
-
-
 # ---------------------------------------------------------------------------
 # A[t, dt]_eps and homotopies
 # ---------------------------------------------------------------------------
@@ -713,10 +668,14 @@ class DeRhamAlgebra:
 
         basis = []
         self._elems: List[Tuple[int, bool, Vector]] = []
-        self._block_pos: Dict[Tuple[int, bool], Tuple[int, List[Vector]]] = {}
+        # (t-power, is_dt) -> (offset, echelon of the block's A-vectors)
+        self._block_pos: Dict[Tuple[int, bool], Tuple[int, linalg.Echelon]] = {}
         pos = 0
         for n, is_dt, vecs in self.blocks:
-            self._block_pos[(n, is_dt)] = (pos, vecs)
+            ech = linalg.Echelon()
+            for v in vecs:
+                ech.add(v)
+            self._block_pos[(n, is_dt)] = (pos, ech)
             for k, v in enumerate(vecs):
                 dg = a.space.vector_degree(v)
                 suffix = "" if n == 0 else ("*t%d" % n if not is_dt
@@ -726,19 +685,6 @@ class DeRhamAlgebra:
                 self._elems.append((n, is_dt, v))
                 pos += 1
         space = GradedSpace(basis)
-
-        def put(n: int, is_dt: bool, vec: Vector, out: Vector, coef: Fraction):
-            if linalg.is_zero_vector(vec) or not coef:
-                return
-            blk = self._block_pos.get((n, is_dt))
-            assert blk is not None, "nonzero coefficient beyond the exact t-cap"
-            off, vecs = blk
-            coords = linalg.solve_in_span(vecs, vec)
-            assert coords is not None, "coefficient escapes its power ideal"
-            for k, c in enumerate(coords):
-                if c:
-                    out[off + k] += coef * c
-
         dim = space.dim
         mult: Dict[Tuple[int, int], SparseVec] = {}
         for i, (n1, dt1, v1) in enumerate(self._elems):
@@ -754,7 +700,7 @@ class DeRhamAlgebra:
                     sgn = -ONE
                 nres = n1 + n2
                 if (nres, dt1 or dt2) in self._block_pos:
-                    put(nres, dt1 or dt2, p, out, sgn)
+                    self._put(nres, dt1 or dt2, p, out, sgn)
                 else:
                     # beyond the cap the power ideal is zero; product must die
                     assert linalg.is_zero_vector(p)
@@ -765,11 +711,11 @@ class DeRhamAlgebra:
         for i, (n, is_dt, v) in enumerate(self._elems):
             out = [ZERO] * dim
             dv = a.d.apply(v)
-            put(n, is_dt, dv, out, ONE)
+            self._put(n, is_dt, dv, out, ONE)
             if not is_dt and n > 0:
                 vdeg = a.space.vector_degree(v)
                 sgn = Fraction(-1 if vdeg % 2 else 1)
-                put(n, True, v, out, sgn * n)
+                self._put(n, True, v, out, sgn * n)
             for j, c in enumerate(out):
                 if c:
                     d.set_entry(j, i, c)
@@ -778,6 +724,19 @@ class DeRhamAlgebra:
             a, self.algebra,
             GradedMap(a.space, space, 0, {(i, i): ONE for i in range(a.dim)}),
             check=False)
+
+    def _put(self, n: int, is_dt: bool, vec: Vector, out: Vector, coef: Fraction):
+        """Add coef * (vec ⊗ t^n, or ⊗ t^(n-1)dt) to out, in this algebra's basis."""
+        if linalg.is_zero_vector(vec) or not coef:
+            return
+        blk = self._block_pos.get((n, is_dt))
+        assert blk is not None, "nonzero coefficient beyond the exact t-cap"
+        off, ech = blk
+        coords = ech.coords(vec)
+        assert coords is not None, "coefficient escapes its power ideal"
+        for k, c in enumerate(coords):
+            if c:
+                out[off + k] += coef * c
 
     def evaluate(self, s) -> DgAlgebraMorphism:
         """Evaluation morphism e_s: t ↦ s, dt ↦ 0."""
@@ -805,8 +764,8 @@ class DeRhamAlgebra:
                 # t^n -> (1-t)^n
                 for k in range(n + 1):
                     coef = Fraction(comb(n, k) * (-1) ** k)
-                    off, vecs = self._block_pos[(k, False)]
-                    coords = linalg.solve_in_span(vecs, v)
+                    off, ech = self._block_pos[(k, False)]
+                    coords = ech.coords(v)
                     for t, c in enumerate(coords):
                         if c:
                             out[off + t] += coef * c
@@ -814,8 +773,8 @@ class DeRhamAlgebra:
                 # t^{n-1}dt -> (1-t)^{n-1}(-dt)
                 for k in range(n):
                     coef = Fraction(-comb(n - 1, k) * (-1) ** k)
-                    off, vecs = self._block_pos[(k + 1, True)]
-                    coords = linalg.solve_in_span(vecs, v)
+                    off, ech = self._block_pos[(k + 1, True)]
+                    coords = ech.coords(v)
                     for t, c in enumerate(coords):
                         if c:
                             out[off + t] += coef * c

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import docio
 from .dgla import (Dgla, def_tangent, gauge_equivalent, mc_check, mc_lift,
-                   tensor_dgla, _is_strictly_small)
+                   tensor_dgla)
 from .graded import cohomology
 from .linfty import check_linfty, dgla_to_linfty
 from .models import h_r_tangent, is_minimal, kuranishi_prorepresent, minimalize
@@ -193,7 +193,7 @@ def cmd_obstruction(docs, args) -> Report:
     tb = tensor_dgla(l, e.b)
     x = docio.build_mc_element(_take(docs, "mc_element"), tb.space)
     rep = Report("obstruction")
-    if _is_strictly_small(e):
+    if e.is_strictly_small():
         ob = obstruction_class(e, l, x)
         rep.verdicts.append(("strictly small", "yes"))
         rep.verdicts.append(("obstruction vanishes",

@@ -16,7 +16,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebras import (DgAlgebraMorphism, NilpotentDgAlgebra, SmallExtension,
-                       SparseVec, factor_into_small_extensions)
+                       SparseVec, _bilinear, _structure_constants,
+                       factor_into_small_extensions)
 from .graded import Complex, Contraction, GradedMap, GradedSpace, cohomology
 from .linalg import ONE, ZERO, Vector
 
@@ -25,8 +26,11 @@ class Dgla:
     """Differential graded Lie algebra on a finite basis.
 
     ``bracket[(i, j)]`` holds the sparse coefficients of [e_i, e_j];
-    missing pairs bracket to zero.  ``nilpotency_class`` (optional) bounds
-    the length of nonzero iterated brackets, enabling exponentials.
+    missing pairs bracket to zero.  The constructor is the only writer of
+    ``bracket`` and also builds its left index i -> [(j, [e_i, e_j])],
+    through which brackets walk only the support of the left argument.
+    ``nilpotency_class`` (optional) bounds the length of nonzero iterated
+    brackets, enabling exponentials.
     """
 
     def __init__(self, space: GradedSpace, bracket: Dict[Tuple[int, int], SparseVec],
@@ -34,16 +38,8 @@ class Dgla:
         if differential.source != space or differential.degree != 1:
             raise ValueError("differential must be a degree +1 endomap")
         self.space = space
-        self.bracket = {}
-        for (i, j), row in bracket.items():
-            row = {k: linalg.frac(c) for k, c in row.items() if c}
-            if not row:
-                continue
-            for k in row:
-                if space.degrees[k] != space.degrees[i] + space.degrees[j]:
-                    raise ValueError("bracket [%s, %s] has an entry of wrong degree"
-                                     % (space.names[i], space.names[j]))
-            self.bracket[(i, j)] = row
+        self.bracket, self._left = _structure_constants(
+            space, bracket, "bracket [%s, %s] has an entry of wrong degree")
         self.d = differential
         self.nilpotency_class = nilpotency_class
         self._bb_cache: Dict[Tuple[int, int], Vector] = {}
@@ -65,13 +61,7 @@ class Dgla:
         return v
 
     def bracket_vec(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-        out = self.space.zero_vector()
-        for (i, j), row in self.bracket.items():
-            c = u[i] * v[j] if (u[i] and v[j]) else None
-            if c:
-                for k, ck in row.items():
-                    out[k] += c * ck
-        return out
+        return _bilinear(self._left, u, v, self.dim)
 
     def validate(self) -> "DglaReport":
         errs = []
@@ -124,10 +114,6 @@ class DglaReport:
     @property
     def ok(self) -> bool:
         return not self.errors
-
-
-def validate_dgla(l: Dgla) -> DglaReport:
-    return l.validate()
 
 
 class TensorDgla(Dgla):
@@ -345,17 +331,6 @@ def _tensor_with_kernel(l: Dgla, e: SmallExtension) -> Tuple[TensorDgla, GradedM
     return ti, emb, ta
 
 
-def _is_strictly_small(e: SmallExtension) -> bool:
-    iota_cols = [e.iota.apply(e.i_complex.space.basis_vector(k))
-                 for k in range(e.i_complex.space.dim)]
-    for i in range(e.a.dim):
-        ei = e.a.space.basis_vector(i)
-        for w in iota_cols:
-            if not linalg.is_zero_vector(e.a.product(ei, w)):
-                return False
-    return True
-
-
 def mc_lift(e: SmallExtension, l: Dgla, x: Sequence[Fraction],
             section: Optional[GradedMap] = None) -> McLiftResult:
     """Lift an MC element through a square-zero extension, or obstruct.
@@ -400,7 +375,7 @@ def mc_lift(e: SmallExtension, l: Dgla, x: Sequence[Fraction],
             v[i] = ker[pos]
         translations.append(emb.apply(v))
 
-    small = _is_strictly_small(e)
+    small = e.is_strictly_small()
     sol = linalg.solve_in_span(t_cols, linalg.vec_scale(Fraction(-1), hi))
     if sol is not None:
         xi = ti.space.zero_vector()

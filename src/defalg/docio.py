@@ -286,6 +286,8 @@ def _payload_linfty(raw) -> Dict:
             k = int(head)
         except ValueError:
             raise DocumentError("arity %r is not an integer" % head.strip(), lno)
+        if not 1 <= k <= order:
+            raise DocumentError("arity %d is outside 1..%d (the order)" % (k, order), lno)
         letters = tuple(word.split())
         if len(letters) != k:
             raise DocumentError("word length does not match arity %d" % k, lno)
@@ -358,6 +360,8 @@ def _payload_quasismooth(raw) -> Dict:
             k = int(head)
         except ValueError:
             raise DocumentError("order %r is not an integer" % head.strip(), lno)
+        if not 1 <= k <= order:
+            raise DocumentError("order %d is outside 1..%d (the order)" % (k, order), lno)
         gen = gen.strip()
         if gen not in names:
             raise DocumentError("unknown generator %r" % gen, lno)
@@ -648,10 +652,6 @@ def _map_payload(m: GradedMap, src: GradedSpace, dst: GradedSpace
         if combo:
             out[src.names[i]] = combo
     return out
-
-
-def document_of_space(v: GradedSpace) -> InputDocument:
-    return InputDocument("graded_space", {"basis": tuple(v.basis)})
 
 
 def document_of_complex(c: Complex) -> InputDocument:

@@ -1,7 +1,7 @@
 """Exact graded linear algebra over the rationals.
 
 Graded vector spaces with a finite homogeneous basis, degree-shifting linear
-maps, Koszul signs, unshuffles, shifts, tensor and graded-symmetric powers,
+maps, Koszul signs, unshuffles, shifts, graded-symmetric powers,
 complexes and their cohomology with an explicit contraction (homotopy)
 datum, quasi-isomorphism tests and connecting homomorphisms.
 
@@ -23,7 +23,7 @@ from .linalg import ONE, ZERO, Vector
 
 __all__ = [
     "GradedSpace", "GradedMap", "Complex", "Contraction", "ShortExactSequence",
-    "koszul_sign", "unshuffles", "shift", "tensor_power", "symmetric_power",
+    "koszul_sign", "unshuffles", "shift", "symmetric_power",
     "SymmetricPower", "cohomology", "is_quasiiso", "connecting_hom",
 ]
 
@@ -50,9 +50,6 @@ class GradedSpace:
 
     def degree_indices(self, k: int) -> List[int]:
         return [i for i, d in enumerate(self.degrees) if d == k]
-
-    def degrees_present(self) -> List[int]:
-        return sorted(set(self.degrees))
 
     def zero_vector(self) -> Vector:
         return [ZERO] * self.dim
@@ -88,16 +85,6 @@ class GradedSpace:
 
     def __repr__(self):
         return "GradedSpace(%s)" % (", ".join("%s:%d" % b for b in self.basis),)
-
-
-def direct_sum(*spaces: GradedSpace, tags: Optional[Sequence[str]] = None) -> GradedSpace:
-    """Direct sum; basis names are prefixed with tags to stay unique."""
-    if tags is None:
-        tags = ["s%d." % i for i in range(len(spaces))]
-    basis = []
-    for tag, sp in zip(tags, spaces):
-        basis.extend((tag + n, d) for n, d in sp.basis)
-    return GradedSpace(basis)
 
 
 class GradedMap:
@@ -318,17 +305,6 @@ def shift_space(v: GradedSpace, n: int) -> GradedSpace:
     return GradedSpace([(name, d - n) for name, d in v.basis])
 
 
-def tensor_power(v: GradedSpace, n: int) -> Tuple[GradedSpace, List[Tuple[int, ...]]]:
-    """n-fold tensor power; returns the space and the index tuples."""
-    tuples = list(itertools.product(range(v.dim), repeat=n))
-    basis = []
-    for t in tuples:
-        name = "*".join(v.names[i] for i in t)
-        deg = sum(v.degrees[i] for i in t)
-        basis.append((name, deg))
-    return GradedSpace(basis), tuples
-
-
 def canonical_monomial(indices: Sequence[int], degrees: Sequence[int]
                        ) -> Optional[Tuple[Tuple[int, ...], int]]:
     """Sort a symmetric word into canonical order, tracking the Koszul sign.
@@ -380,17 +356,6 @@ class SymmetricPower:
             return None
         mono, sign = cm
         return self._mono_index[mono], sign
-
-    def projection(self) -> GradedMap:
-        """The quotient map from the n-fold tensor power."""
-        tp, tuples = tensor_power(self.base, self.n)
-        entries = {}
-        for col, t in enumerate(tuples):
-            res = self.index(t)
-            if res is not None:
-                pos, sign = res
-                entries[(pos, col)] = Fraction(sign)
-        return GradedMap(tp, self.space, 0, entries)
 
 
 def symmetric_power(v: GradedSpace, n: int) -> SymmetricPower:

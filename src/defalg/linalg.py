@@ -1,22 +1,27 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Matrices are lists of rows, vectors are lists; every entry is a
 ``fractions.Fraction``.  All routines are exact: there is no floating-point
-mode anywhere in the package.  Pivots are chosen by a smallest-denominator
-heuristic to limit coefficient growth; correctness never depends on the
-pivot choice.
+mode anywhere in the package.  ``rref``, ``solve`` and ``nullspace``
+eliminate on dense matrices.  ``Echelon`` is an incremental sparse echelon
+form: vectors are added one at a time, each is reduced against the rows
+stored so far, and the form answers independence and span coordinates
+without refactoring; ``independent_subset`` and ``extend_basis`` are single
+passes over it.  Pivots are chosen by a smallest-denominator heuristic to
+limit coefficient growth; correctness never depends on the pivot choice.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 Vector = List[Fraction]
 Matrix = List[List[Fraction]]
+SparseVec = Dict[int, Fraction]
 
 
 def frac(x) -> Fraction:
@@ -175,37 +180,87 @@ def solve_in_span(vectors: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) 
     return solve(a, v)
 
 
+class Echelon:
+    """Incremental sparse row echelon form of the vectors added so far.
+
+    Vectors are dense sequences or sparse ``{index: Fraction}`` dicts.  The
+    stored rows are the added vectors that were independent of the ones
+    before them, reduced: each row has a 1 at its pivot column and a 0 at
+    the pivot columns of the rows stored before it, so one pass over the
+    rows in order reduces a vector.  Each row also keeps its expression in
+    the added vectors, which gives span coordinates.
+    """
+
+    def __init__(self):
+        self.count = 0        # vectors added, dependent ones included
+        # (pivot column, reduced row, row as a combination of added vectors)
+        self._rows: List[Tuple[int, SparseVec, SparseVec]] = []
+
+    def _reduce(self, v: Union[SparseVec, Sequence[Fraction]]
+                ) -> Tuple[SparseVec, List[Tuple[int, Fraction]]]:
+        """The residual of v after elimination, and the (row, multiplier)
+        pairs subtracted: v = residual + sum of multiplier * row."""
+        r = dict(v) if isinstance(v, dict) else {j: x for j, x in enumerate(v) if x}
+        used = []
+        for k, (p, row, _) in enumerate(self._rows):
+            c = r.get(p)
+            if not c:
+                continue
+            used.append((k, c))
+            for j, x in row.items():
+                y = r.get(j, ZERO) - c * x
+                if y:
+                    r[j] = y
+                else:
+                    del r[j]
+        return r, used
+
+    def add(self, v: Union[SparseVec, Sequence[Fraction]]) -> bool:
+        """Add v; True iff it is independent of the vectors added before."""
+        r, used = self._reduce(v)
+        idx = self.count
+        self.count += 1
+        if not r:
+            return False
+        p = min(r, key=lambda j: (r[j].denominator, abs(r[j].numerator), j))
+        inv = ONE / r[p]
+        row = {j: x * inv for j, x in r.items()}
+        combo = {idx: inv}
+        for k, c in used:
+            for t, x in self._rows[k][2].items():
+                combo[t] = combo.get(t, ZERO) - inv * c * x
+        self._rows.append((p, row, {t: x for t, x in combo.items() if x}))
+        return True
+
+    def coords(self, v: Union[SparseVec, Sequence[Fraction]]) -> Optional[Vector]:
+        """Coordinates of v in the added vectors, or None outside their span.
+
+        Vectors that were dependent when added get coordinate 0, so the
+        result is the one ``solve_in_span`` returns for the same list.
+        """
+        r, used = self._reduce(v)
+        if r:
+            return None
+        out = [ZERO] * self.count
+        for k, c in used:
+            for t, x in self._rows[k][2].items():
+                out[t] += c * x
+        return out
+
+
 def independent_subset(vectors: Sequence[Sequence[Fraction]]) -> List[int]:
     """Indices of a maximal linearly independent subset (greedy, in order)."""
-    chosen: List[int] = []
-    rows: Matrix = []
-    rk = 0
-    for idx, v in enumerate(vectors):
-        rows.append(list(v))
-        new_rank = rank(rows)
-        if new_rank > rk:
-            chosen.append(idx)
-            rk = new_rank
-        else:
-            rows.pop()
-    return chosen
+    ech = Echelon()
+    return [idx for idx, v in enumerate(vectors) if ech.add(v)]
 
 
 def extend_basis(base: Sequence[Sequence[Fraction]], candidates: Sequence[Sequence[Fraction]]) -> List[int]:
     """Indices into ``candidates`` extending ``base`` to a basis of
     span(base + candidates)."""
-    rows: Matrix = [list(v) for v in base]
-    rk = rank(rows) if rows else 0
-    chosen = []
-    for idx, v in enumerate(candidates):
-        rows.append(list(v))
-        new_rank = rank(rows)
-        if new_rank > rk:
-            chosen.append(idx)
-            rk = new_rank
-        else:
-            rows.pop()
-    return chosen
+    ech = Echelon()
+    for v in base:
+        ech.add(v)
+    return [idx for idx, v in enumerate(candidates) if ech.add(v)]
 
 
 def invert(a: Matrix) -> Matrix:

@@ -60,9 +60,6 @@ class SymCoalgebra:
             return None
         return self._pos[cm[0]], cm[1]
 
-    def word_degree(self, word: Sequence[int]) -> int:
-        return sum(self.shifted.degrees[i] for i in word)
-
     def coproduct(self, pos: int) -> Dict[Tuple[int, int], Fraction]:
         """Reduced coproduct of a monomial as {(left, right): coefficient}."""
         word = self.words[pos]

@@ -439,14 +439,7 @@ def _delta0(r1: QuasismoothTrunc, a1: NilpotentDgAlgebra, gpos: int,
 def _derham_put(dr: DeRhamAlgebra, n: int, is_dt: bool, vec: Vector,
                 coef: Fraction) -> Vector:
     out = dr.algebra.space.zero_vector()
-    blk = dr._block_pos.get((n, is_dt))
-    assert blk is not None
-    off, vecs = blk
-    coords = linalg.solve_in_span(vecs, vec)
-    assert coords is not None
-    for k, c in enumerate(coords):
-        if c:
-            out[off + k] = coef * c
+    dr._put(n, is_dt, vec, out, coef)
     return out
 
 

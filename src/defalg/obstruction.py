@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .algebras import (DgAlgebraMorphism, NilpotentDgAlgebra, SmallExtension,
                        SparseVec, kernel_extension, quotient_algebra)
-from .dgla import (Dgla, TensorDgla, _is_strictly_small, def_tangent,
+from .dgla import (Dgla, TensorDgla, def_tangent,
                    mc_check, mc_defect, tensor_dgla, tensor_push,
                    trivial_algebra_of_complex)
 from .graded import Complex, Contraction, GradedMap, GradedSpace, cohomology
@@ -70,7 +70,7 @@ def obstruction_class(e: SmallExtension, l: Dgla, x: Sequence[Fraction],
     the [defect, lift] term), and its class does not depend on the lift:
     two lifts differ by η ∈ (L⊗I)¹ and the defects by dη.
     """
-    if not _is_strictly_small(e):
+    if not e.is_strictly_small():
         raise ValueError("obstruction classes need a strictly small extension")
     tb = tensor_dgla(l, e.b)
     ok, _ = mc_check(tb, x)

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from defalg import linalg
 from defalg.algebras import (DgAlgebraMorphism, NilpotentDgAlgebra,
@@ -12,8 +13,10 @@ from defalg.algebras import (DgAlgebraMorphism, NilpotentDgAlgebra,
                              kernel_extension, mapping_cone, quotient_algebra)
 from defalg.graded import (Complex, GradedMap, GradedSpace, cohomology,
                            is_quasiiso)
+from defalg.dgla import Dgla, tensor_dgla
 from conftest import (counterexample_algebras, counterexample_extension,
-                      make_rng, random_algebra, random_pair_truncation)
+                      heisenberg, make_rng, random_algebra,
+                      random_pair_truncation, sl2, sl2_odd)
 
 F = Fraction
 
@@ -81,6 +84,7 @@ def test_kernel_extension_structure():
     e = counterexample_extension()
     errs = e.validate()
     assert errs == ["A·I != 0"]          # square-zero but not strictly small
+    assert not e.is_strictly_small()
     assert e.i_complex.space.dim == 2
     assert e.is_acyclic()
     sec = e.section()
@@ -96,6 +100,7 @@ def test_factor_into_small_extensions_stages():
     for stage in chain:
         errs = stage.validate()
         assert not errs, errs            # every stage is strictly small
+        assert stage.is_strictly_small()
         assert stage.i_complex.space.dim >= 1
         total += stage.i_complex.space.dim
     assert total == e.i_complex.space.dim
@@ -197,3 +202,117 @@ def test_de_rham_epsilon_half_widens_cap():
     dr2 = de_rham_truncation(a, F(1, 2))
     assert dr2.t_cap > dr1.t_cap
     assert dr2.algebra.validate().ok
+
+
+# ---------------------------------------------------------------------------
+# the sparse structure-constant index against direct sums
+
+def structure_sum(table, u, v, dim):
+    """sum over (i, j) of u_i v_j (e_i e_j), straight from the table."""
+    out = [F(0)] * dim
+    for (i, j), row in table.items():
+        for k, c in row.items():
+            out[k] += u[i] * v[j] * c
+    return out
+
+
+def naive_power_dims(a):
+    """dim A^n for n = 1, 2, ... by the dense loop: every product e_i w over
+    the previous basis, kept when it raises the rank."""
+    basis = [a.space.basis_vector(i) for i in range(a.dim)]
+    dims = [len(basis)]
+    while basis:
+        kept, rk = [], 0
+        for i in range(a.dim):
+            for w in basis:
+                p = structure_sum(a.mult, a.space.basis_vector(i), w, a.dim)
+                if linalg.rank([list(v) for v in kept] + [p]) > rk:
+                    kept.append(p)
+                    rk += 1
+        dims.append(len(kept))
+        if len(kept) == len(basis):
+            return dims, None
+        basis = kept
+    return dims, len(dims)
+
+
+coefficients = st.integers(-3, 3).map(F)
+
+
+@st.composite
+def filtered_products(draw, max_dim=7):
+    """A random product on degree-0 basis vectors.  In a random order of the
+    basis, e_i e_j has entries only after both e_i and e_j, which makes it
+    nilpotent, except that with ``loose`` the later of the two is allowed
+    too, which can make it not nilpotent.  Power ideals are defined for any
+    bilinear product, associative or not."""
+    n = draw(st.integers(0, max_dim))
+    loose = draw(st.booleans())
+    order = draw(st.permutations(range(n)))
+    mult = {}
+    for i in range(n):
+        for j in range(n):
+            lo = max(i, j) + (0 if loose else 1)
+            if lo >= n or not draw(st.booleans()):
+                continue
+            row = {order[k]: draw(coefficients) for k in
+                   draw(st.lists(st.integers(lo, n - 1), max_size=2, unique=True))}
+            mult[(order[i], order[j])] = row
+    space = GradedSpace([("e%d" % i, 0) for i in range(n)])
+    return NilpotentDgAlgebra(space, mult, GradedMap(space, space, 1))
+
+
+def check_powers_against_naive(a):
+    dims, index = naive_power_dims(a)
+    powers = a.power_ideal_bases()
+    assert [len(p) for p in powers] == dims
+    assert a.nilpotency_index() == index
+
+
+@given(filtered_products())
+@settings(max_examples=60, deadline=None)
+def test_power_ideal_bases_match_naive_on_random_products(a):
+    check_powers_against_naive(a)
+
+
+def test_power_ideal_bases_match_naive_on_fixtures():
+    rng = make_rng(23)
+    algebras = [counterexample_algebras()[0], counterexample_extension().a]
+    algebras += [random_algebra(rng) for _ in range(15)]
+    algebras += [random_pair_truncation(rng, max_gens=4, max_order=3)
+                 for _ in range(4)]
+    for a in algebras:
+        check_powers_against_naive(a)
+
+
+@given(filtered_products(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_product_matches_structure_sum(a, data):
+    vec = st.lists(st.one_of(st.just(F(0)), coefficients),
+                   min_size=a.dim, max_size=a.dim)
+    u, v = data.draw(vec), data.draw(vec)
+    assert a.product(u, v) == structure_sum(a.mult, u, v, a.dim)
+
+
+@given(st.integers(0, 7), st.data())
+@settings(max_examples=60, deadline=None)
+def test_bracket_vec_matches_structure_sum(which, data):
+    rng = make_rng(24 + which)
+    ls = [sl2(), sl2_odd(), heisenberg()]
+    if which < 3:
+        l = ls[which]
+    elif which < 6:
+        l = tensor_dgla(ls[which - 3], random_algebra(rng))
+    else:
+        # a random (not necessarily Lie) bracket table on degree-0 vectors
+        n = data.draw(st.integers(0, 6))
+        space = GradedSpace([("x%d" % i, 0) for i in range(n)])
+        table = data.draw(st.dictionaries(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            st.dictionaries(st.integers(0, n - 1), coefficients, max_size=3),
+            max_size=12)) if n else {}
+        l = Dgla(space, table, GradedMap(space, space, 1))
+    vec = st.lists(st.one_of(st.just(F(0)), coefficients),
+                   min_size=l.dim, max_size=l.dim)
+    u, v = data.draw(vec), data.draw(vec)
+    assert l.bracket_vec(u, v) == structure_sum(l.bracket, u, v, l.dim)

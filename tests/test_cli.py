@@ -171,6 +171,25 @@ def test_exit_two_on_malformed_document(capsys, tmp_path):
     assert "line 3" in err
 
 
+LINFTY_HEAD = "kind: linfty\nbasis:\n  x 0\n  y 1\norder: 2\ntaylor:\n"
+
+
+@pytest.mark.parametrize("command, text", [
+    ("minimalize", "kind: quasismooth\nbasis:\n  u 0\n  w 1\norder: 1\n"
+                   "d:\n  2 | w -> 1 w*u\n"),
+    ("linfty-check", LINFTY_HEAD + "  0 | -> 1 y\n"),
+    ("linfty-check", LINFTY_HEAD + "  3 | x x x -> 1 y\n"),
+], ids=["quasismooth-order-above-order", "linfty-arity-zero",
+        "linfty-arity-above-order"])
+def test_exit_two_on_component_order_out_of_range(capsys, tmp_path, command, text):
+    doc = tmp_path / "bad.doc"
+    doc.write_text(text)
+    code, out, err = run(capsys, command, "--in", str(doc))
+    assert code == 2
+    assert "line 7" in err and "outside 1.." in err
+    assert out == ""
+
+
 def test_exit_two_on_wrong_kind(capsys, tmp_path):
     b = tmp_path / "b.alg"
     b.write_text(B_ALGEBRA)

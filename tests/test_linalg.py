@@ -119,3 +119,73 @@ def test_solve_in_span_exactness(vectors, target):
     else:
         assert linalg.rank([list(v) for v in vectors]) < \
             linalg.rank([list(v) for v in vectors] + [list(target)])
+
+
+# ---------------------------------------------------------------------------
+# the incremental echelon against the rank / solve path
+
+@st.composite
+def vector_lists(draw, max_vectors=8):
+    """Sparse rational vectors of one length, with zero vectors and with
+    repeated, scaled and summed copies of earlier ones."""
+    n = draw(st.integers(1, 6))
+    sparse_vec = st.lists(st.one_of(st.just(F(0)), st.just(F(0)), rationals),
+                          min_size=n, max_size=n)
+    out = []
+    for _ in range(draw(st.integers(0, max_vectors))):
+        kind = draw(st.sampled_from(["fresh", "zero", "copy", "combo"]))
+        if kind == "zero" or (kind != "fresh" and not out):
+            out.append([F(0)] * n if kind == "zero" else draw(sparse_vec))
+        elif kind == "fresh":
+            out.append(draw(sparse_vec))
+        elif kind == "copy":
+            v = draw(st.sampled_from(out))
+            out.append(linalg.vec_scale(draw(rationals), v))
+        else:
+            u, w = draw(st.sampled_from(out)), draw(st.sampled_from(out))
+            out.append(linalg.vec_add(linalg.vec_scale(draw(rationals), u), w))
+    return n, out
+
+
+def greedy_by_rank(base, candidates):
+    """Indices into candidates that raise the rank of base + chosen."""
+    rows = [list(v) for v in base]
+    rk = linalg.rank(rows) if rows else 0
+    chosen = []
+    for idx, v in enumerate(candidates):
+        new_rank = linalg.rank(rows + [list(v)])
+        if new_rank > rk:
+            rows.append(list(v))
+            chosen.append(idx)
+            rk = new_rank
+    return chosen
+
+
+@given(vector_lists(), vector_lists())
+@settings(max_examples=80, deadline=None)
+def test_independent_subset_and_extend_basis_match_rank(first, second):
+    n, vecs = first
+    assert linalg.independent_subset(vecs) == greedy_by_rank([], vecs)
+    cands = [(v + [F(0)] * n)[:n] for v in second[1]]
+    assert linalg.extend_basis(vecs, cands) == greedy_by_rank(vecs, cands)
+
+
+@given(vector_lists(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_echelon_coords_match_solve_in_span(first, data):
+    n, vecs = first
+    ech = linalg.Echelon()
+    for v in vecs:
+        ech.add(v)
+    assert ech.count == len(vecs)
+    inside = [F(0)] * n
+    for v in vecs:
+        inside = linalg.vec_add(inside, linalg.vec_scale(data.draw(rationals), v))
+    anywhere = data.draw(st.lists(rationals, min_size=n, max_size=n))
+    for target in (inside, anywhere, [F(0)] * n):
+        expect = linalg.solve_in_span(vecs, target)
+        got = ech.coords(target)
+        assert got == expect
+        sparse = ech.coords({j: x for j, x in enumerate(target) if x})
+        assert sparse == expect
+    assert ech.coords(inside) is not None
