@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -443,7 +444,6 @@ class SmallExtension:
             errs.append("dimensions inconsistent with exactness")
         if not self.is_strictly_small():
             errs.append("A·I != 0")
-            return errs
         errs.extend(self.alpha.violations())
         return errs
 
@@ -456,6 +456,29 @@ class SmallExtension:
 
     def is_acyclic(self) -> bool:
         return cohomology(self.i_complex).total_dim() == 0
+
+    @cached_property
+    def _iota_echelon(self) -> linalg.Echelon:
+        ech = linalg.Echelon()
+        for k in range(self.i_complex.space.dim):
+            ech.add(self.iota.column(k))
+        return ech
+
+    def kernel_coords(self, v: Sequence[Fraction]) -> Optional[Vector]:
+        """The coordinates in I of a vector of A, or None off ι(I).
+
+        A vector of L⊗A for any L is read as its L-major blocks of dim A,
+        and the result is the matching vector of L⊗I, or None when some
+        block is off ι(I).  ι is injective, so the coordinates are unique.
+        """
+        na = self.a.dim
+        out: Vector = []
+        for start in range(0, len(v), max(na, 1)):
+            block = self._iota_echelon.coords(v[start:start + na])
+            if block is None:
+                return None
+            out.extend(block)
+        return out
 
     def section(self) -> GradedMap:
         """A set-linear degree-0 section of alpha (not a morphism)."""

@@ -21,11 +21,11 @@ from typing import Dict, List, Optional, Tuple
 
 from . import docio
 from .dgla import (Dgla, def_tangent, gauge_equivalent, mc_check, mc_lift,
-                   tensor_dgla)
+                   tensor_dgla, tensor_space)
 from .graded import cohomology
 from .linfty import check_linfty, dgla_to_linfty
 from .models import h_r_tangent, is_minimal, kuranishi_prorepresent, minimalize
-from .obstruction import cohomology_bracket, obstruction_class
+from .obstruction import cohomology_bracket
 from .algebras import factor_into_small_extensions
 
 
@@ -104,8 +104,6 @@ def cmd_validate(docs, args) -> Report:
         if d.kind in ("nilpotent_dg_algebra", "dgla"):
             r = obj.validate()
             errs = list(r.errors)
-        elif d.kind == "small_extension":
-            errs = [e for e in obj.validate() if e != "A·I != 0"]
         else:
             errs = []      # construction already validated
         ok_all = ok_all and not errs
@@ -154,12 +152,16 @@ def cmd_mc_check(docs, args) -> Report:
     return rep
 
 
-def cmd_mc_lift(docs, args) -> Report:
+def _lift_from_inputs(docs):
     l = docio.build(_take(docs, "dgla"))
     e = docio.build_small_extension(_take(docs, "small_extension"))
-    tb = tensor_dgla(l, e.b)
-    x = docio.build_mc_element(_take(docs, "mc_element"), tb.space)
-    res = mc_lift(e, l, x)
+    x = docio.build_mc_element(_take(docs, "mc_element"),
+                               tensor_space(l.space, e.b.space))
+    return mc_lift(e, l, x)
+
+
+def cmd_mc_lift(docs, args) -> Report:
+    res = _lift_from_inputs(docs)
     rep = Report("mc-lift")
     rep.verdicts.append(("lifted", "yes" if res.lifted else "obstructed"))
     if res.lifted:
@@ -188,26 +190,16 @@ def cmd_gauge(docs, args) -> Report:
 
 
 def cmd_obstruction(docs, args) -> Report:
-    l = docio.build(_take(docs, "dgla"))
-    e = docio.build_small_extension(_take(docs, "small_extension"))
-    tb = tensor_dgla(l, e.b)
-    x = docio.build_mc_element(_take(docs, "mc_element"), tb.space)
+    res = _lift_from_inputs(docs)
+    small = res.cohomology_class is not None
     rep = Report("obstruction")
-    if e.is_strictly_small():
-        ob = obstruction_class(e, l, x)
-        rep.verdicts.append(("strictly small", "yes"))
-        rep.verdicts.append(("obstruction vanishes",
-                             "yes" if ob.is_zero else "no"))
-        rep.tables["class in kernel cohomology"] = list(ob.class_coords)
-        rep.exit_status = 0 if ob.is_zero else 1
-    else:
-        res = mc_lift(e, l, x)
-        rep.verdicts.append(("strictly small", "no"))
-        rep.verdicts.append(("obstruction vanishes",
-                             "yes" if res.lifted else "no"))
-        if not res.lifted:
-            rep.tables["cokernel class"] = list(res.obstruction_class)
-        rep.exit_status = 0 if res.lifted else 1
+    rep.verdicts.append(("strictly small", "yes" if small else "no"))
+    rep.verdicts.append(("obstruction vanishes", "yes" if res.lifted else "no"))
+    if small:
+        rep.tables["class in kernel cohomology"] = list(res.cohomology_class)
+    elif not res.lifted:
+        rep.tables["cokernel class"] = list(res.obstruction_class)
+    rep.exit_status = 0 if res.lifted else 1
     return rep
 
 

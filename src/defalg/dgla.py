@@ -130,12 +130,7 @@ class TensorDgla(Dgla):
         self.l = l
         self.a = a
         nl, na = l.dim, a.dim
-        basis = []
-        for i in range(nl):
-            for p in range(na):
-                basis.append((l.space.names[i] + "@" + a.space.names[p],
-                              l.space.degrees[i] + a.space.degrees[p]))
-        space = GradedSpace(basis)
+        space = tensor_space(l.space, a.space)
 
         bracket: Dict[Tuple[int, int], SparseVec] = {}
         for (i, j), lrow in l.bracket.items():
@@ -182,6 +177,13 @@ class TensorDgla(Dgla):
                     if ca:
                         out[self.pair_index(i, p)] += cx * ca
         return out
+
+
+def tensor_space(l: GradedSpace, a: GradedSpace) -> GradedSpace:
+    """The graded space of L⊗A: basis x_i@a_p, L-major."""
+    return GradedSpace([(l.names[i] + "@" + a.names[p], l.degrees[i] + a.degrees[p])
+                        for i in range(l.dim) for p in range(a.dim)])
+
 
 def tensor_dgla(l: Dgla, a: NilpotentDgAlgebra) -> TensorDgla:
     return TensorDgla(l, a)
@@ -314,55 +316,58 @@ class McLiftResult:
     lifted: bool
     lift: Optional[Vector]                 # MC element of L⊗A when lifted
     lift_translations: List[Vector]        # basis of all lift differences, inside L⊗A
-    obstruction_rep: Optional[Vector]      # defect representative in L⊗A
+    defect: Vector                         # defect of the section lift, in L⊗I
+    correction: Optional[Vector]           # ξ ∈ (L⊗I)¹ with T(ξ) = -defect, when lifted
     obstruction_class: Optional[Vector]    # coordinates in coker(T) on (L⊗I)²
-    cohomology_class: Optional[Vector]     # coordinates in H²(L⊗I); small case only
+    cohomology_class: Optional[Vector]     # coordinates in H²(L⊗I); strictly small only
     tensor_a: TensorDgla
-    tensor_b: TensorDgla
     tensor_i: TensorDgla
     i_cohomology: Contraction
     embed_i: GradedMap                     # L⊗I -> L⊗A
-
-
-def _tensor_with_kernel(l: Dgla, e: SmallExtension) -> Tuple[TensorDgla, GradedMap, TensorDgla]:
-    ti = tensor_dgla(l, trivial_algebra_of_complex(e.i_complex))
-    ta = tensor_dgla(l, e.a)
-    emb = tensor_push(ti, ta.space, e.iota, e.a.dim)
-    return ti, emb, ta
 
 
 def mc_lift(e: SmallExtension, l: Dgla, x: Sequence[Fraction],
             section: Optional[GradedMap] = None) -> McLiftResult:
     """Lift an MC element through a square-zero extension, or obstruct.
 
+    x ∈ (L⊗B)¹ is lifted along a set-linear section s of α (default
+    ``e.section()``) to y = (1⊗s)x.  x is MC over B iff the defect
+    h = dy + ½[y, y] lies in L⊗I: α_* is a DGLA map and α∘s = id, so α_*h
+    is the defect of x.  Otherwise ValueError is raised, as for an x not
+    of degree 1.
+
     With I² = 0 the Maurer-Cartan equation for y + ξ, ξ ∈ (L⊗I)¹, is the
-    affine-linear system T(ξ) = -h with T(ξ) = dξ + [y, ξ] and h the
-    defect of any set-linear lift y; both T and the class of h modulo
-    im(T) are independent of the choice of y, so the decision is exact and
-    complete.  When the extension is strictly small (A·I = 0), T is the
-    differential of L⊗I: the translations are Z¹(L⊗I) and the obstruction
-    is the usual class in H²(L⊗I).
+    affine-linear system T(ξ) = -h with T(ξ) = dξ + [y, ξ]; both T and the
+    class of h modulo im(T) are independent of the choice of y, so the
+    decision is exact and complete.  When the extension is strictly small
+    (A·I = 0), T is the differential of L⊗I: the translations are
+    Z¹(L⊗I), and ``cohomology_class`` is the class of h in H²(L⊗I), the
+    obstruction class, which is zero exactly when x lifts.
     """
-    tb = tensor_dgla(l, e.b)
-    ok, _ = mc_check(tb, x)
-    if not ok:
-        raise ValueError("input element does not satisfy Maurer-Cartan over B")
-    ti, emb, ta = _tensor_with_kernel(l, e)
+    ti = tensor_dgla(l, trivial_algebra_of_complex(e.i_complex))
+    ta = tensor_dgla(l, e.a)
+    emb = tensor_push(ti, ta.space, e.iota, e.a.dim)
     if section is None:
         section = e.section()
-    y = tensor_push(tb, ta.space, section, e.a.dim).apply(x)
-    h = mc_defect(ta, y)
-    # the defect lives in L⊗I because its image over B vanishes
-    hi = linalg.solve(emb.matrix(), h)
-    assert hi is not None, "defect escaped L⊗I: kernel is not square-zero"
+    nb = e.b.dim
+    y = [c for i in range(l.dim) for c in section.apply(x[i * nb:(i + 1) * nb])]
+    # s is injective of degree 0, so y has the degrees of x
+    _, h = mc_check(ta, y)
+    hi = e.kernel_coords(h)
+    if hi is None:
+        raise ValueError("input element does not satisfy Maurer-Cartan over B")
     hcoh = cohomology(ti.complex())
+    ccls = None
+    if e.is_strictly_small():
+        ccls = hcoh.class_of(hi)
+        assert ccls is not None, "defect must be a cocycle"
 
     deg1 = ti.space.degree_indices(1)
     t_cols: List[Vector] = []
     for i in deg1:
         xi = emb.apply(ti.space.basis_vector(i))
         col = linalg.vec_add(ta.d.apply(xi), ta.bracket_vec(y, xi))
-        col_i = linalg.solve(emb.matrix(), col)
+        col_i = e.kernel_coords(col)
         assert col_i is not None, "lift operator escaped L⊗I: kernel is not an ideal"
         t_cols.append(col_i)
     # kernel of T: all lift translations
@@ -375,8 +380,10 @@ def mc_lift(e: SmallExtension, l: Dgla, x: Sequence[Fraction],
             v[i] = ker[pos]
         translations.append(emb.apply(v))
 
-    small = e.is_strictly_small()
-    sol = linalg.solve_in_span(t_cols, linalg.vec_scale(Fraction(-1), hi))
+    t_ech = linalg.Echelon()
+    for col in t_cols:
+        t_ech.add(col)
+    sol = t_ech.coords(linalg.vec_scale(Fraction(-1), hi))
     if sol is not None:
         xi = ti.space.zero_vector()
         for pos, i in enumerate(deg1):
@@ -384,22 +391,17 @@ def mc_lift(e: SmallExtension, l: Dgla, x: Sequence[Fraction],
         lift = linalg.vec_add(y, emb.apply(xi))
         okl, _ = mc_check(ta, lift)
         assert okl, "corrected lift fails Maurer-Cartan"
-        return McLiftResult(True, lift, translations, None, None, None,
-                            ta, tb, ti, hcoh, emb)
+        return McLiftResult(True, lift, translations, hi, xi, None, ccls,
+                            ta, ti, hcoh, emb)
     # obstruction: coordinates of h in a complement of im(T) inside (L⊗I)²
-    deg2 = ti.space.degree_indices(2)
-    candidates = [ti.space.basis_vector(i) for i in deg2]
-    chosen = linalg.extend_basis([list(c) for c in t_cols], candidates)
-    full = t_cols + [candidates[k] for k in chosen]
-    coords = linalg.solve_in_span(full, hi)
+    chosen = [k for k, i in enumerate(ti.space.degree_indices(2))
+              if t_ech.add(ti.space.basis_vector(i))]
+    coords = t_ech.coords(hi)
     assert coords is not None
-    cls = coords[len(t_cols):]
+    cls = [coords[len(t_cols) + k] for k in chosen]
     assert any(cls), "unsolvable system must have nonzero cokernel class"
-    ccls = None
-    if small and linalg.is_zero_vector(ti.d.apply(hi)):
-        ccls = hcoh.class_of(hi)
-    return McLiftResult(False, None, translations, h, cls, ccls,
-                        ta, tb, ti, hcoh, emb)
+    return McLiftResult(False, None, translations, hi, None, cls, ccls,
+                        ta, ti, hcoh, emb)
 
 
 @dataclass
@@ -471,7 +473,7 @@ def gauge_equivalent(l: Dgla, a: NilpotentDgAlgebra, x: Sequence[Fraction],
         lift_w = tensor_push(tj1, tj.space, sec, stages[j].dim).apply(witness_vec) \
             if stages[j + 1].dim else tj.space.zero_vector()
         r = linalg.vec_sub(gauge_act(tj, lift_w, xj), yj)
-        ri = linalg.solve(emb.matrix(), r)
+        ri = e.kernel_coords(r)
         assert ri is not None, "gauge residue escaped the stage kernel"
         assert linalg.is_zero_vector(tii.d.apply(ri)), "gauge residue must be closed"
         deg0 = tii.space.degree_indices(0)

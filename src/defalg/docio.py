@@ -570,7 +570,8 @@ def build_small_extension(doc: InputDocument) -> SmallExtension:
     b = build_algebra(doc.payload["b"])
     try:
         alpha = DgAlgebraMorphism(
-            a, b, _map_from_payload(a.space, b.space, 0, doc.payload["alpha"]))
+            a, b, _map_from_payload(a.space, b.space, 0, doc.payload["alpha"]),
+            check=False)
         e = kernel_extension(alpha)
     except ValueError as exc:
         raise DocumentError(str(exc))

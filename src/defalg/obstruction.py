@@ -15,10 +15,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .algebras import (DgAlgebraMorphism, NilpotentDgAlgebra, SmallExtension,
                        SparseVec, kernel_extension, quotient_algebra)
-from .dgla import (Dgla, TensorDgla, def_tangent,
-                   mc_check, mc_defect, tensor_dgla, tensor_push,
-                   trivial_algebra_of_complex)
-from .graded import Complex, Contraction, GradedMap, GradedSpace, cohomology
+from .dgla import Dgla, TensorDgla, def_tangent, mc_lift
+from .graded import Complex, Contraction, GradedMap, GradedSpace
 from .linfty import LInftyStructure, check_linfty, linfty_to_dgla
 from .linalg import ONE, ZERO, Vector
 
@@ -30,7 +28,6 @@ COMPARISON_SIGN = 1
 
 @dataclass
 class ObstructionClass:
-    extension: SmallExtension
     tensor_i: TensorDgla
     i_cohomology: Contraction
     representative: Vector            # defect, coordinates in L⊗I
@@ -44,58 +41,24 @@ class ObstructionClass:
         return linalg.is_zero_vector(self.class_coords)
 
 
-def random_section(e: SmallExtension, rng) -> GradedMap:
-    """A random set-linear section of alpha (section + arbitrary I-shift)."""
-    sec = e.section()
-    out = GradedMap(e.b.space, e.a.space, 0, dict(sec.entries))
-    for i in range(e.b.dim):
-        for k in range(e.i_complex.space.dim):
-            if e.i_complex.space.degrees[k] != e.b.space.degrees[i]:
-                continue
-            c = Fraction(rng.randint(-2, 2))
-            if not c:
-                continue
-            col = e.iota.apply(e.i_complex.space.basis_vector(k))
-            for j, cj in enumerate(col):
-                if cj:
-                    out.set_entry(j, i, out.entries.get((j, i), ZERO) + c * cj)
-    return out
-
-
 def obstruction_class(e: SmallExtension, l: Dgla, x: Sequence[Fraction],
                       section: Optional[GradedMap] = None) -> ObstructionClass:
     """The class in H²(L⊗I) obstructing an MC lift through a small extension.
 
-    The defect of any set-linear lift is a cocycle of L⊗I (smallness kills
-    the [defect, lift] term), and its class does not depend on the lift:
-    two lifts differ by η ∈ (L⊗I)¹ and the defects by dη.
+    The strictly-small view of ``mc_lift``, which raises ValueError unless
+    x is MC over B of degree 1.  The defect of any set-linear lift is a
+    cocycle of L⊗I (A·I = 0 kills the [lift, defect] term), and its class
+    does not depend on the lift: two lifts differ by η ∈ (L⊗I)¹ and the
+    defects by dη.  Here T = d, so the lift's correction ξ has dξ = -defect
+    and the certificate is -ξ.
     """
     if not e.is_strictly_small():
         raise ValueError("obstruction classes need a strictly small extension")
-    tb = tensor_dgla(l, e.b)
-    ok, _ = mc_check(tb, x)
-    if not ok:
-        raise ValueError("input element does not satisfy Maurer-Cartan over B")
-    ti = tensor_dgla(l, trivial_algebra_of_complex(e.i_complex))
-    ta = tensor_dgla(l, e.a)
-    emb = tensor_push(ti, ta.space, e.iota, e.a.dim)
-    if section is None:
-        section = e.section()
-    y = tensor_push(tb, ta.space, section, e.a.dim).apply(x)
-    h = mc_defect(ta, y)
-    hi = linalg.solve(emb.matrix(), h)
-    assert hi is not None, "defect escaped L⊗I"
-    assert linalg.is_zero_vector(ti.d.apply(hi)), "defect must be a cocycle"
-    hcoh = cohomology(ti.complex())
-    cls = hcoh.class_of(hi)
-    lift = None
-    cert = None
-    if linalg.is_zero_vector(cls):
-        cert = hcoh.is_boundary(hi)
-        lift = linalg.vec_sub(y, emb.apply(cert))
-        okl, _ = mc_check(ta, lift)
-        assert okl, "corrected lift fails Maurer-Cartan"
-    return ObstructionClass(e, ti, hcoh, hi, cls, lift, cert, emb)
+    res = mc_lift(e, l, x, section)
+    cert = None if res.correction is None \
+        else linalg.vec_scale(Fraction(-1), res.correction)
+    return ObstructionClass(res.tensor_i, res.i_cohomology, res.defect,
+                            res.cohomology_class, res.lift, cert, res.embed_i)
 
 
 def is_dg_morphism_to_shifted_kernel(e: SmallExtension, phi: GradedMap,
@@ -160,7 +123,6 @@ def lifting_defect(e: SmallExtension) -> LiftingDefect:
     null-homotopic the corrected lift d - ιφα squares to zero.
     """
     a, b = e.a, e.b
-    iota_mat = e.iota.matrix()
     # sanity: d restricts to the kernel differential and projects to d_B
     for k in range(e.i_complex.space.dim):
         lhs = a.d.apply(e.iota.apply(e.i_complex.space.basis_vector(k)))
@@ -174,7 +136,7 @@ def lifting_defect(e: SmallExtension) -> LiftingDefect:
     delta = GradedMap(b.space, e.i_complex.space, 2)
     for i in range(b.dim):
         v = d2.apply(sec.apply(b.space.basis_vector(i)))
-        coords = linalg.solve(iota_mat, v)
+        coords = e.kernel_coords(v)
         assert coords is not None, "d² escaped the kernel"
         for k, c in enumerate(coords):
             if c:
@@ -259,13 +221,13 @@ def prop_cone(e: SmallExtension) -> Tuple[NilpotentDgAlgebra, DgAlgebraMorphism]
         for k in range(ni):
             # a · m[1] = (-1)^{deg a} (a m)[1];  m[1] · a = (m a)[1]
             am = a.product(ei, iota_cols[k])
-            left = linalg.solve(e.iota.matrix(), am)
+            left = e.kernel_coords(am)
             assert left is not None, "kernel must be an ideal"
             row = {na + t: sgn * c for t, c in enumerate(left) if c}
             if row:
                 mult[(i, na + k)] = row
             ma = a.product(iota_cols[k], ei)
-            right = linalg.solve(e.iota.matrix(), ma)
+            right = e.kernel_coords(ma)
             assert right is not None
             row = {na + t: c for t, c in enumerate(right) if c}
             if row:
@@ -276,7 +238,7 @@ def prop_cone(e: SmallExtension) -> Tuple[NilpotentDgAlgebra, DgAlgebraMorphism]
         d.set_entry(j, i, c)
     for i in range(na):
         v = d2.apply(a.space.basis_vector(i))
-        coords = linalg.solve(e.iota.matrix(), v)
+        coords = e.kernel_coords(v)
         assert coords is not None, "d² escaped the kernel"
         for k, c in enumerate(coords):
             if c:
@@ -329,10 +291,8 @@ def primary_obstruction(l: Dgla, i: int, j: int, x: Sequence[Fraction],
         if not linalg.is_zero_vector(l.d.apply(v)):
             raise ValueError("representatives must be cocycles")
     e = primary_obstruction_extension(i, j)
-    tb = tensor_dgla(l, e.b)
-    xv = tb.elem(x, [ONE, ZERO])
-    yv = tb.elem(y, [ZERO, ONE])
-    ob = obstruction_class(e, l, linalg.vec_add(xv, yv))
+    # x⊗u + y⊗v: L⊗B is L-major over B = <u, v>
+    ob = obstruction_class(e, l, [c for pair in zip(x, y) for c in pair])
     # I = 𝕂uv with zero differential: read the defect off as an element
     # of L of degree 2+i+j and take its class in H(L)
     rep = [ob.representative[k] for k in range(l.dim)]

@@ -98,6 +98,30 @@ def counterexample_element(l, tb):
     return x
 
 
+def uv_extension_document(a_body, b_body, b_names):
+    """A small_extension document; alpha maps each named basis element of
+    B to the basis element of A with the same name."""
+    alpha = "".join("  %s -> 1 %s\n" % (n, n) for n in b_names)
+    return ("kind: small_extension\nbegin a\nkind: nilpotent_dg_algebra\n%s"
+            "end a\nbegin b\nkind: nilpotent_dg_algebra\n%send b\nalpha:\n%s"
+            % (a_body, b_body, alpha))
+
+
+UV_BASIS = "basis:\n  u 1\n  v 1\n"
+UV_MULT = "mult:\n  u v -> 1 uv\n  v u -> -1 uv\n"
+# 0 -> <uv> -> <u, v, uv> -> <u, v> -> 0: strictly small, H(I) = I
+UV_SQUARE_EXT = uv_extension_document(UV_BASIS + "  uv 2\n" + UV_MULT,
+                                      UV_BASIS, ["u", "v"])
+# the same with w (degree 1, dw = uv) in the kernel: strictly small, acyclic I
+UV_ACYCLIC_EXT = uv_extension_document(
+    UV_BASIS + "  w 1\n  uv 2\nd:\n  w -> 1 uv\n" + UV_MULT, UV_BASIS,
+    ["u", "v"])
+# B = m/m³ on u, v (basis u, v, uv) with a kernel <s> of degree 2
+UV_M3_EXT = uv_extension_document(UV_BASIS + "  uv 2\n  s 2\n" + UV_MULT,
+                                  UV_BASIS + "  uv 2\n" + UV_MULT,
+                                  ["u", "v", "uv"])
+
+
 # ---------------------------------------------------------------------------
 # randomized valid instances
 
@@ -202,6 +226,24 @@ def direct_sum_dgla(l1, l2):
     for (j, i), c in l2.d.entries.items():
         d.set_entry(j + n1, i + n1, c)
     return Dgla(sp, br, d)
+
+
+def random_section(e, rng):
+    """A random set-linear section of alpha (section + arbitrary I-shift)."""
+    sec = e.section()
+    out = GradedMap(e.b.space, e.a.space, 0, dict(sec.entries))
+    for i in range(e.b.dim):
+        for k in range(e.i_complex.space.dim):
+            if e.i_complex.space.degrees[k] != e.b.space.degrees[i]:
+                continue
+            c = F(rng.randint(-2, 2))
+            if not c:
+                continue
+            col = e.iota.apply(e.i_complex.space.basis_vector(k))
+            for j, cj in enumerate(col):
+                if cj:
+                    out.set_entry(j, i, out.entries.get((j, i), F(0)) + c * cj)
+    return out
 
 
 def random_dgla(rng, max_dim=8):

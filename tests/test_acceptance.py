@@ -29,12 +29,11 @@ from defalg.models import (QuasismoothTrunc, h_r_tangent, is_minimal,
                            minimalize, morphism_lift)
 from defalg.obstruction import (cohomology_bracket, lifting_defect,
                                 obstruction_class, primary_obstruction_extension,
-                                random_section, tangent_bracket,
-                                twist_extension)
+                                tangent_bracket, twist_extension)
 from conftest import (counterexample_element, counterexample_extension,
                       direct_sum_dgla, make_rng, random_abelian_dgla,
-                      random_algebra, random_complex, random_dgla, sl2,
-                      sl2_odd)
+                      random_algebra, random_complex, random_dgla,
+                      random_section, sl2, sl2_odd)
 from test_obstruction import (_product_extension, _random_phi,
                               defect_extension_with_slack,
                               random_derivation_twist, signed_kernel_push)

@@ -92,6 +92,22 @@ def test_kernel_extension_structure():
     assert is_quasiiso(e.alpha.map, e.a.complex(), e.b.complex())
 
 
+def test_validate_checks_alpha_when_not_strictly_small():
+    # A = <x, y, z, t> with x² = y, xz = zx = t; B = <x, y> with x² = y;
+    # alpha(y) = 2y is not multiplicative, and A·I = <t> is not zero
+    a_sp = GradedSpace([("x", 0), ("y", 0), ("z", 0), ("t", 0)])
+    a = NilpotentDgAlgebra(a_sp, {(0, 0): {1: F(1)}, (0, 2): {3: F(1)},
+                                  (2, 0): {3: F(1)}}, GradedMap(a_sp, a_sp, 1))
+    b_sp = GradedSpace([("x", 0), ("y", 0)])
+    b = NilpotentDgAlgebra(b_sp, {(0, 0): {1: F(1)}}, GradedMap(b_sp, b_sp, 1))
+    alpha = DgAlgebraMorphism(a, b, GradedMap(a_sp, b_sp, 0,
+                                              {(0, 0): F(1), (1, 1): F(2)}),
+                              check=False)
+    assert alpha.violations() == ["not multiplicative on (x, x)"]
+    e = kernel_extension(alpha)
+    assert e.validate() == ["A·I != 0", "not multiplicative on (x, x)"]
+
+
 def test_factor_into_small_extensions_stages():
     e = counterexample_extension()
     chain = factor_into_small_extensions(e.alpha)

@@ -9,6 +9,7 @@ import pytest
 
 from defalg import docio
 from defalg.cli import main
+from conftest import UV_ACYCLIC_EXT, UV_M3_EXT, UV_SQUARE_EXT
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "docs" / "fixtures"
 
@@ -96,6 +97,64 @@ def test_obstruction_not_strictly_small(capsys):
     assert ["strictly small", "no"] in data["verdicts"]
     assert ["obstruction vanishes", "no"] in data["verdicts"]
     assert any(c != "0" for c in data["tables"]["cokernel class"])
+
+
+EF_MC = "kind: mc_element\nelement: 1 e@u + 1 f@v\n"
+
+
+def run_lift(capsys, tmp_path, command, extension, element):
+    ext = tmp_path / "e.ext"
+    ext.write_text(extension)
+    mc = tmp_path / "x.mc"
+    mc.write_text(element)
+    return run(capsys, command, "--in", SL2, "--in", str(ext), "--in", str(mc))
+
+
+@pytest.mark.parametrize("command, extension, code, text", [
+    ("mc-lift", UV_SQUARE_EXT, 1,
+     "command: mc-lift\nlifted: obstructed\nobstruction class:\n  0\n  1\n  0\n"
+     "cohomology class:\n  0\n  1\n  0\nexit: 1\n"),
+    ("obstruction", UV_SQUARE_EXT, 1,
+     "command: obstruction\nstrictly small: yes\nobstruction vanishes: no\n"
+     "class in kernel cohomology:\n  0\n  1\n  0\nexit: 1\n"),
+    ("mc-lift", UV_ACYCLIC_EXT, 0,
+     "command: mc-lift\nlifted: yes\nlift:\n  1 e@u + -1 h@w + 1 f@v\n"
+     "lift translations:\nexit: 0\n"),
+    ("obstruction", UV_ACYCLIC_EXT, 0,
+     "command: obstruction\nstrictly small: yes\nobstruction vanishes: yes\n"
+     "class in kernel cohomology:\nexit: 0\n"),
+], ids=["mc-lift-obstructed", "obstruction-obstructed", "mc-lift-lifted",
+        "obstruction-lifted"])
+def test_lift_reports_on_strictly_small_extension(capsys, tmp_path, command,
+                                                  extension, code, text):
+    # e⊗u + f⊗v has defect h⊗uv: a nonzero class when I = <uv>, and
+    # d(h⊗w) when the kernel also holds w with dw = uv
+    assert run_lift(capsys, tmp_path, command, extension, EF_MC) == (code, text, "")
+
+
+@pytest.mark.parametrize("command", ["mc-lift", "obstruction"])
+@pytest.mark.parametrize("element, message", [
+    (EF_MC, "error: input element does not satisfy Maurer-Cartan over B\n"),
+    ("kind: mc_element\nelement: 1 e@uv\n",
+     "error: Maurer-Cartan candidates must have degree 1\n"),
+], ids=["not-mc-over-b", "degree-2"])
+def test_exit_two_on_element_not_mc_over_base(capsys, tmp_path, command,
+                                              element, message):
+    # over B = m/m³ on u, v the defect of e⊗u + f⊗v is h⊗uv ≠ 0
+    assert run_lift(capsys, tmp_path, command, UV_M3_EXT, element) == (2, "", message)
+
+
+def test_exit_two_on_non_multiplicative_alpha(capsys, tmp_path):
+    ext = tmp_path / "e.ext"
+    ext.write_text("kind: small_extension\nbegin a\nkind: nilpotent_dg_algebra\n"
+                   "basis:\n  x 0\n  y 0\n  z 0\n  t 0\n"
+                   "mult:\n  x x -> 1 y\n  x z -> 1 t\n  z x -> 1 t\nend a\n"
+                   "begin b\nkind: nilpotent_dg_algebra\nbasis:\n  x 0\n  y 0\n"
+                   "mult:\n  x x -> 1 y\nend b\nalpha:\n  x -> 1 x\n  y -> 2 y\n")
+    code, out, err = run(capsys, "validate", "--in", str(ext))
+    assert code == 2
+    assert out == ""
+    assert "not multiplicative on (x, x)" in err
 
 
 def test_gauge_reflexive(capsys, tmp_path):

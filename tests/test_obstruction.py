@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from defalg import linalg
+from defalg import docio, linalg
 from defalg.algebras import (DgAlgebraMorphism, NilpotentDgAlgebra,
                              SmallExtension, factor_into_small_extensions,
                              kernel_extension, quotient_algebra)
-from defalg.dgla import (Dgla, def_tangent, mc_check, tensor_dgla, tensor_push,
-                         trivial_algebra_of_complex)
+from defalg.dgla import (Dgla, def_tangent, mc_check, mc_lift, tensor_dgla,
+                         tensor_push, trivial_algebra_of_complex)
 from defalg.graded import (Complex, GradedMap, GradedSpace,
                            ShortExactSequence, cohomology, connecting_hom)
 from defalg.linfty import check_linfty
@@ -17,10 +17,10 @@ from defalg.obstruction import (COMPARISON_SIGN, cohomology_bracket,
                                 lifting_defect, obstruction_class,
                                 primary_obstruction,
                                 primary_obstruction_extension, prop_cone,
-                                random_section, tangent_bracket,
-                                twist_extension)
-from conftest import (counterexample_extension, direct_sum_dgla, make_rng,
-                      random_abelian_dgla, random_dgla, sl2, sl2_odd)
+                                tangent_bracket, twist_extension)
+from conftest import (UV_M3_EXT, counterexample_extension, direct_sum_dgla,
+                      make_rng, random_abelian_dgla, random_dgla,
+                      random_section, sl2, sl2_odd)
 
 F = Fraction
 
@@ -67,6 +67,49 @@ def test_obstruction_detects_bracket():
     ob2 = obstruction_class(e, l, y)
     assert ob2.is_zero
     assert ob2.lift is not None and ob2.certificate is not None
+
+
+def test_kernel_coords_match_solve():
+    rng = make_rng(67)
+    l = sl2_odd()
+    e0 = counterexample_extension()
+    exts = [e0] + factor_into_small_extensions(e0.alpha) + [
+        primary_obstruction_extension(i, j) for i, j in ((0, 0), (-1, 0), (1, -1))]
+    for e in exts:
+        iota_m = e.iota.matrix()
+        # basis vectors of A, in ι(I) or not, and a random vector of ι(I)
+        for k in range(e.a.dim):
+            v = e.a.space.basis_vector(k)
+            assert e.kernel_coords(v) == linalg.solve(iota_m, v)
+        c = [F(rng.randint(-3, 3)) for _ in range(e.i_complex.space.dim)]
+        assert e.kernel_coords(e.iota.apply(c)) == c
+        off = e.section().column(0)
+        assert e.kernel_coords(off) is None
+        # L⊗A, read block by block, against 1⊗ι
+        ti = tensor_dgla(l, trivial_algebra_of_complex(e.i_complex))
+        ta = tensor_dgla(l, e.a)
+        emb = tensor_push(ti, ta.space, e.iota, e.a.dim)
+        cc = [F(rng.randint(-3, 3)) for _ in range(ti.dim)]
+        w = emb.apply(cc)
+        assert e.kernel_coords(w) == cc == linalg.solve(emb.matrix(), w)
+        for p, x in enumerate(off):
+            w[ta.pair_index(l.dim - 1, p)] += x
+        assert e.kernel_coords(w) is None
+        assert linalg.solve(emb.matrix(), w) is None
+
+
+@pytest.mark.parametrize("combo", ["1 e@u + 1 f@v", "1 e@uv"],
+                         ids=["not-mc-over-b", "degree-2"])
+def test_lift_rejects_element_not_mc_over_base(combo):
+    l = sl2()
+    e = docio.build_small_extension(docio.parse(UV_M3_EXT))
+    x = docio.build_mc_element(
+        docio.parse("kind: mc_element\nelement: %s\n" % combo),
+        tensor_dgla(l, e.b).space)
+    with pytest.raises(ValueError):
+        mc_lift(e, l, x)
+    with pytest.raises(ValueError):
+        obstruction_class(e, l, x)
 
 
 def test_obstruction_vanishes_on_acyclic_stages():
