@@ -70,6 +70,80 @@ def _bilinear(left: LeftIndex, u: Sequence[Fraction], v: Sequence[Fraction],
     return out
 
 
+Pair = Tuple[int, int]
+Triple = Tuple[int, int, int]
+
+
+def _axiom_errors(space: GradedSpace, table: Dict[Pair, SparseVec], left: LeftIndex,
+                  d: GradedMap, lie: bool) -> Tuple[List[str], List[str], List[str]]:
+    """The symmetry, associativity (Jacobi) and Leibniz errors of a graded
+    algebra (``lie`` False) or a graded Lie algebra (``lie`` True), read from
+    the structure constants and the differential's entries alone.
+
+    With s = (-1)^{|i||j|}, the defects are
+      symmetry   e_i e_j - s e_j e_i        (Lie: e_i e_j + s e_j e_i), i <= j;
+      triples    (e_i e_j) e_k - e_i (e_j e_k)   (Lie: + s e_j (e_i e_k));
+      Leibniz    d(e_i e_j) - (d e_i) e_j - (-1)^{|i|} e_i (d e_j).
+    Each defect is accumulated sparsely by walking every nonzero constant
+    through the left index and a right index m -> [(i, e_i e_m)] built here
+    from the table itself, so no symmetry of the table is assumed.  Each
+    list names its failing pairs or triples in lexicographic order.
+    """
+    odd = [deg % 2 for deg in space.degrees]
+    right: LeftIndex = [[] for _ in range(space.dim)]
+    for (i, m), row in table.items():
+        right[m].append((i, row))
+
+    def add(defects: Dict, key, c: Fraction, row: SparseVec) -> None:
+        out = defects.setdefault(key, {})
+        for t, x in row.items():
+            out[t] = out.get(t, ZERO) + c * x
+
+    def failing(defects: Dict) -> List:
+        return sorted(key for key, out in defects.items() if any(out.values()))
+
+    symmetry = []
+    for i, j in sorted({(min(p), max(p)) for p in table}):
+        s = -1 if odd[i] and odd[j] else 1
+        if lie:
+            s = -s
+        if table.get((i, j), {}) != {k: s * c for k, c in table.get((j, i), {}).items()}:
+            symmetry.append((i, j))
+
+    triples: Dict[Triple, SparseVec] = {}
+    for (p, q), row in table.items():
+        for m, c in row.items():
+            for k, r in left[m]:            # (e_p e_q) e_k
+                add(triples, (p, q, k), c, r)
+            for i, r in right[m]:           # -e_i (e_p e_q)
+                add(triples, (i, p, q), -c, r)
+            if lie:
+                for j, r in right[m]:       # s e_j (e_p e_q) on (p, j, q)
+                    add(triples, (p, j, q), -c if odd[p] and odd[j] else c, r)
+
+    leibniz: Dict[Pair, SparseVec] = {}
+    dcols: List[SparseVec] = [{} for _ in range(space.dim)]
+    for (t, m), c in d.entries.items():
+        dcols[m][t] = c
+    for (i, j), row in table.items():       # d(e_i e_j)
+        for m, c in row.items():
+            add(leibniz, (i, j), c, dcols[m])
+    for (p, q), c in d.entries.items():     # d e_q has c at p
+        for j, r in left[p]:                # -(d e_q) e_j
+            add(leibniz, (q, j), -c, r)
+        for i, r in right[p]:               # -(-1)^{|i|} e_i (d e_q)
+            add(leibniz, (i, q), c if odd[i] else -c, r)
+
+    def messages(axiom: str, keys: List) -> List[str]:
+        return ["%s fails on (%s)" % (axiom, ", ".join(space.names[t] for t in key))
+                for key in keys]
+
+    sym_axiom, triple_axiom = (("graded antisymmetry", "graded Jacobi") if lie
+                               else ("graded commutativity", "associativity"))
+    return (messages(sym_axiom, symmetry), messages(triple_axiom, failing(triples)),
+            messages("Leibniz", failing(leibniz)))
+
+
 class NilpotentDgAlgebra:
     """Object of the category of nilpotent dg-algebras.
 
@@ -166,43 +240,16 @@ class NilpotentDgAlgebra:
         return linalg.nullspace(rows)
 
     def validate(self) -> "ValidationReport":
-        errs = []
-        names = self.space.names
-        degs = self.space.degrees
-        n = self.dim
-        prods = {}
-        for i in range(n):
-            for j in range(n):
-                prods[(i, j)] = self.basis_product(i, j)
-        for i in range(n):
-            for j in range(i, n):
-                sgn = -1 if (degs[i] % 2 and degs[j] % 2) else 1
-                lhs = prods[(i, j)]
-                rhs = linalg.vec_scale(Fraction(sgn), prods[(j, i)])
-                if lhs != rhs:
-                    errs.append("graded commutativity fails on (%s, %s)" % (names[i], names[j]))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    lhs = self.product(prods[(i, j)], self.space.basis_vector(k))
-                    rhs = self.product(self.space.basis_vector(i), prods[(j, k)])
-                    if lhs != rhs:
-                        errs.append("associativity fails on (%s, %s, %s)"
-                                    % (names[i], names[j], names[k]))
-        dd = self.d.compose(self.d)
-        if not dd.is_zero():
+        """Check graded commutativity, associativity, d∘d = 0, Leibniz and
+        nilpotency, reading only the structure constants and d's entries
+        (``_axiom_errors``).  Failing pairs and triples are reported in
+        lexicographic order of their basis indices."""
+        comm, assoc, leibniz = _axiom_errors(self.space, self.mult, self._left,
+                                             self.d, lie=False)
+        errs = comm + assoc
+        if not self.d.compose(self.d).is_zero():
             errs.append("d∘d != 0")
-        for i in range(n):
-            for j in range(n):
-                lhs = self.d.apply(prods[(i, j)])
-                sgn = Fraction(-1 if degs[i] % 2 else 1)
-                rhs = linalg.vec_add(
-                    self.product(self.d.apply(self.space.basis_vector(i)),
-                                 self.space.basis_vector(j)),
-                    linalg.vec_scale(sgn, self.product(self.space.basis_vector(i),
-                                                       self.d.apply(self.space.basis_vector(j)))))
-                if lhs != rhs:
-                    errs.append("Leibniz fails on (%s, %s)" % (names[i], names[j]))
+        errs += leibniz
         idx = self.nilpotency_index()
         if idx is None:
             errs.append("not nilpotent")
@@ -480,13 +527,25 @@ class SmallExtension:
             out.extend(block)
         return out
 
+    @cached_property
+    def _alpha_echelon(self) -> linalg.Echelon:
+        ech = linalg.Echelon()
+        for i in range(self.a.dim):
+            ech.add(self.alpha.map.column(i))
+        return ech
+
     def section(self) -> GradedMap:
-        """A set-linear degree-0 section of alpha (not a morphism)."""
-        amat = self.alpha.map.matrix()
+        """A set-linear degree-0 section of alpha (not a morphism).
+
+        Column j is the preimage of e_j with zeros off the greedy
+        independent columns of alpha, read from one echelon over alpha's
+        columns that is built once per extension.
+        """
         cols = []
         for j in range(self.b.dim):
-            pre = linalg.solve(amat, self.b.space.basis_vector(j))
-            assert pre is not None, "alpha is not surjective"
+            pre = self._alpha_echelon.coords({j: ONE})
+            if pre is None:
+                raise ValueError("alpha is not surjective")
             cols.append(pre)
         return GradedMap.from_columns(self.b.space, self.a.space, 0, cols)
 

@@ -16,8 +16,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebras import (DgAlgebraMorphism, NilpotentDgAlgebra, SmallExtension,
-                       SparseVec, _bilinear, _structure_constants,
-                       factor_into_small_extensions)
+                       SparseVec, _axiom_errors, _bilinear, _dense,
+                       _structure_constants, factor_into_small_extensions)
 from .graded import Complex, Contraction, GradedMap, GradedSpace, cohomology
 from .linalg import ONE, ZERO, Vector
 
@@ -42,7 +42,6 @@ class Dgla:
             space, bracket, "bracket [%s, %s] has an entry of wrong degree")
         self.d = differential
         self.nilpotency_class = nilpotency_class
-        self._bb_cache: Dict[Tuple[int, int], Vector] = {}
 
     @property
     def dim(self) -> int:
@@ -52,53 +51,19 @@ class Dgla:
         return Complex(self.space, self.d)
 
     def basis_bracket(self, i: int, j: int) -> Vector:
-        v = self._bb_cache.get((i, j))
-        if v is None:
-            v = self.space.zero_vector()
-            for k, c in self.bracket.get((i, j), {}).items():
-                v[k] = c
-            self._bb_cache[(i, j)] = v
-        return v
+        return _dense(self.bracket.get((i, j), {}), self.dim)
 
     def bracket_vec(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
         return _bilinear(self._left, u, v, self.dim)
 
     def validate(self) -> "DglaReport":
-        errs = []
-        n = self.dim
-        degs = self.space.degrees
-        names = self.space.names
-        for i in range(n):
-            for j in range(i, n):
-                sgn = Fraction(-1 if (degs[i] % 2 and degs[j] % 2) else 1)
-                lhs = self.basis_bracket(i, j)
-                rhs = linalg.vec_scale(-sgn, self.basis_bracket(j, i))
-                if lhs != rhs:
-                    errs.append("graded antisymmetry fails on (%s, %s)" % (names[i], names[j]))
-        for i in range(n):
-            ei = self.space.basis_vector(i)
-            for j in range(n):
-                ej = self.space.basis_vector(j)
-                sgn = Fraction(-1 if (degs[i] % 2 and degs[j] % 2) else 1)
-                for k in range(n):
-                    lhs = self.bracket_vec(ei, self.basis_bracket(j, k))
-                    rhs = linalg.vec_add(
-                        self.bracket_vec(self.basis_bracket(i, j), self.space.basis_vector(k)),
-                        linalg.vec_scale(sgn, self.bracket_vec(ej, self.basis_bracket(i, k))))
-                    if lhs != rhs:
-                        errs.append("graded Jacobi fails on (%s, %s, %s)"
-                                    % (names[i], names[j], names[k]))
-        for i in range(n):
-            ei = self.space.basis_vector(i)
-            sgn = Fraction(-1 if degs[i] % 2 else 1)
-            for j in range(n):
-                ej = self.space.basis_vector(j)
-                lhs = self.d.apply(self.basis_bracket(i, j))
-                rhs = linalg.vec_add(
-                    self.bracket_vec(self.d.apply(ei), ej),
-                    linalg.vec_scale(sgn, self.bracket_vec(ei, self.d.apply(ej))))
-                if lhs != rhs:
-                    errs.append("Leibniz fails on (%s, %s)" % (names[i], names[j]))
+        """Check graded antisymmetry, Jacobi, Leibniz and d∘d = 0, reading
+        only the structure constants and d's entries (``_axiom_errors``).
+        Failing pairs and triples are reported in lexicographic order of
+        their basis indices."""
+        anti, jacobi, leibniz = _axiom_errors(self.space, self.bracket, self._left,
+                                              self.d, lie=True)
+        errs = anti + jacobi + leibniz
         if not self.d.compose(self.d).is_zero():
             errs.append("d∘d != 0")
         return DglaReport(errors=errs)
@@ -358,7 +323,8 @@ def mc_lift(e: SmallExtension, l: Dgla, x: Sequence[Fraction],
         raise ValueError("input element does not satisfy Maurer-Cartan over B")
     hcoh = cohomology(ti.complex())
     ccls = None
-    if e.is_strictly_small():
+    strict = e.is_strictly_small()
+    if strict:
         ccls = hcoh.class_of(hi)
         assert ccls is not None, "defect must be a cocycle"
 
@@ -366,7 +332,9 @@ def mc_lift(e: SmallExtension, l: Dgla, x: Sequence[Fraction],
     t_cols: List[Vector] = []
     for i in deg1:
         xi = emb.apply(ti.space.basis_vector(i))
-        col = linalg.vec_add(ta.d.apply(xi), ta.bracket_vec(y, xi))
+        col = ta.d.apply(xi)
+        if not strict:              # A·I = 0 makes [y, ξ] zero
+            col = linalg.vec_add(col, ta.bracket_vec(y, xi))
         col_i = e.kernel_coords(col)
         assert col_i is not None, "lift operator escaped L⊗I: kernel is not an ideal"
         t_cols.append(col_i)

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from defalg.algebras import NilpotentDgAlgebra
-from defalg.dgla import Dgla
+from defalg import linalg
+from defalg.algebras import NilpotentDgAlgebra, ValidationReport
+from defalg.dgla import Dgla, DglaReport
 from defalg.graded import Complex, GradedMap, GradedSpace, symmetric_power
 from defalg.models import QuasismoothTrunc
 
@@ -157,7 +158,6 @@ def random_complex(rng, max_dim=12):
     for t in range(n_p):
         d.set_entry(n_h + 2 * t + 1, n_h + 2 * t, F(rng.choice([1, 2, -1])))
     g = random_invertible_degree0(rng, space)
-    from defalg import linalg
     ginv = linalg.invert(g.matrix())
     gm = GradedMap(space, space, 0,
                    {(j, i): ginv[j][i] for j in range(space.dim)
@@ -255,3 +255,95 @@ def random_dgla(rng, max_dim=8):
     if kind == 2:
         return sl2_odd()
     return random_abelian_dgla(rng, max_dim=max_dim)
+
+
+# ---------------------------------------------------------------------------
+# reference validators
+
+def dense_algebra_report(self) -> ValidationReport:
+    """NilpotentDgAlgebra.validate() as dense n³ loops over basis vectors,
+    kept as the reference for the structure-constant validator."""
+    errs = []
+    names = self.space.names
+    degs = self.space.degrees
+    n = self.dim
+    prods = {}
+    for i in range(n):
+        for j in range(n):
+            prods[(i, j)] = self.basis_product(i, j)
+    for i in range(n):
+        for j in range(i, n):
+            sgn = -1 if (degs[i] % 2 and degs[j] % 2) else 1
+            lhs = prods[(i, j)]
+            rhs = linalg.vec_scale(Fraction(sgn), prods[(j, i)])
+            if lhs != rhs:
+                errs.append("graded commutativity fails on (%s, %s)" % (names[i], names[j]))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = self.product(prods[(i, j)], self.space.basis_vector(k))
+                rhs = self.product(self.space.basis_vector(i), prods[(j, k)])
+                if lhs != rhs:
+                    errs.append("associativity fails on (%s, %s, %s)"
+                                % (names[i], names[j], names[k]))
+    dd = self.d.compose(self.d)
+    if not dd.is_zero():
+        errs.append("d∘d != 0")
+    for i in range(n):
+        for j in range(n):
+            lhs = self.d.apply(prods[(i, j)])
+            sgn = Fraction(-1 if degs[i] % 2 else 1)
+            rhs = linalg.vec_add(
+                self.product(self.d.apply(self.space.basis_vector(i)),
+                             self.space.basis_vector(j)),
+                linalg.vec_scale(sgn, self.product(self.space.basis_vector(i),
+                                                   self.d.apply(self.space.basis_vector(j)))))
+            if lhs != rhs:
+                errs.append("Leibniz fails on (%s, %s)" % (names[i], names[j]))
+    idx = self.nilpotency_index()
+    if idx is None:
+        errs.append("not nilpotent")
+    return ValidationReport(errors=errs, nilpotency_index=idx)
+
+
+def dense_dgla_report(self) -> DglaReport:
+    """Dgla.validate() as dense n³ loops over basis vectors, kept as the
+    reference for the structure-constant validator."""
+    errs = []
+    n = self.dim
+    degs = self.space.degrees
+    names = self.space.names
+    for i in range(n):
+        for j in range(i, n):
+            sgn = Fraction(-1 if (degs[i] % 2 and degs[j] % 2) else 1)
+            lhs = self.basis_bracket(i, j)
+            rhs = linalg.vec_scale(-sgn, self.basis_bracket(j, i))
+            if lhs != rhs:
+                errs.append("graded antisymmetry fails on (%s, %s)" % (names[i], names[j]))
+    for i in range(n):
+        ei = self.space.basis_vector(i)
+        for j in range(n):
+            ej = self.space.basis_vector(j)
+            sgn = Fraction(-1 if (degs[i] % 2 and degs[j] % 2) else 1)
+            for k in range(n):
+                lhs = self.bracket_vec(ei, self.basis_bracket(j, k))
+                rhs = linalg.vec_add(
+                    self.bracket_vec(self.basis_bracket(i, j), self.space.basis_vector(k)),
+                    linalg.vec_scale(sgn, self.bracket_vec(ej, self.basis_bracket(i, k))))
+                if lhs != rhs:
+                    errs.append("graded Jacobi fails on (%s, %s, %s)"
+                                % (names[i], names[j], names[k]))
+    for i in range(n):
+        ei = self.space.basis_vector(i)
+        sgn = Fraction(-1 if degs[i] % 2 else 1)
+        for j in range(n):
+            ej = self.space.basis_vector(j)
+            lhs = self.d.apply(self.basis_bracket(i, j))
+            rhs = linalg.vec_add(
+                self.bracket_vec(self.d.apply(ei), ej),
+                linalg.vec_scale(sgn, self.bracket_vec(ei, self.d.apply(ej))))
+            if lhs != rhs:
+                errs.append("Leibniz fails on (%s, %s)" % (names[i], names[j]))
+    if not self.d.compose(self.d).is_zero():
+        errs.append("d∘d != 0")
+    return DglaReport(errors=errs)

@@ -108,6 +108,32 @@ def test_validate_checks_alpha_when_not_strictly_small():
     assert e.validate() == ["A·I != 0", "not multiplicative on (x, x)"]
 
 
+def test_section_matches_solve():
+    e = counterexample_extension()
+    rng = make_rng(13)
+    exts = [e] + factor_into_small_extensions(e.alpha)
+    for _ in range(6):
+        a = random_algebra(rng)
+        zero = NilpotentDgAlgebra.trivial(GradedSpace([]))
+        exts += factor_into_small_extensions(
+            DgAlgebraMorphism(a, zero, GradedMap(a.space, zero.space, 0), check=False))
+    for ext in exts:
+        amat = ext.alpha.map.matrix()
+        want = [linalg.solve(amat, ext.b.space.basis_vector(j)) for j in range(ext.b.dim)]
+        sec = ext.section()
+        assert [sec.column(j) for j in range(ext.b.dim)] == want
+        assert ext.alpha.map.compose(sec) == GradedMap.identity(ext.b.space)
+
+
+def test_section_rejects_non_surjective_alpha():
+    a, b = counterexample_algebras()
+    # v is not hit
+    alpha = GradedMap(a.space, b.space, 0, {(0, 0): F(1)})
+    e = kernel_extension(DgAlgebraMorphism(a, b, alpha, check=False))
+    with pytest.raises(ValueError, match="alpha is not surjective"):
+        e.section()
+
+
 def test_factor_into_small_extensions_stages():
     e = counterexample_extension()
     chain = factor_into_small_extensions(e.alpha)

@@ -23,6 +23,13 @@ def test_standard_dglas_validate():
         assert l.validate().ok
 
 
+def test_basis_bracket_returns_a_fresh_vector():
+    l = sl2()
+    v = l.basis_bracket(0, 2)
+    v[1] += 5
+    assert l.basis_bracket(0, 2) == [F(0), F(1), F(0)]
+
+
 def test_tensor_dgla_signs_certified():
     rng = make_rng(30)
     for _ in range(25):
