@@ -191,6 +191,14 @@ class NilpotentDgAlgebra:
                 out[k] = out.get(k, ZERO) + cw * ck
         return {k: c for k, c in out.items() if c}
 
+    def sparse_product(self, u: SparseVec, w: SparseVec) -> SparseVec:
+        """u * w for sparse u and w."""
+        out: SparseVec = {}
+        for i, cu in u.items():
+            for k, c in self._left_mul(i, w).items():
+                out[k] = out.get(k, ZERO) + cu * c
+        return {k: c for k, c in out.items() if c}
+
     def basis_product(self, i: int, j: int) -> Vector:
         return _dense(self.mult.get((i, j), {}), self.dim)
 
@@ -228,16 +236,11 @@ class NilpotentDgAlgebra:
         return len(powers)
 
     def annihilator_basis(self) -> List[Vector]:
-        """Basis of Ann(A) = {x : x * A = 0} (two-sided by commutativity)."""
-        rows: linalg.Matrix = []
-        for j in range(self.dim):
-            for k in range(self.dim):
-                row = [self.mult.get((i, j), {}).get(k, ZERO) for i in range(self.dim)]
-                if any(row):
-                    rows.append(row)
-        if not rows:
-            return [self.space.basis_vector(i) for i in range(self.dim)]
-        return linalg.nullspace(rows)
+        """Basis of Ann(A) = {x : x * A = 0} (two-sided by commutativity):
+        the relations among the maps e_i * -, flattened."""
+        n = self.dim
+        return linalg.relations([{j * n + k: c for j, row in self._left[i]
+                                  for k, c in row.items()} for i in range(n)])[1]
 
     def validate(self) -> "ValidationReport":
         """Check graded commutativity, associativity, d∘d = 0, Leibniz and
@@ -283,18 +286,34 @@ class DgAlgebraMorphism:
                 raise ValueError("not a dg-algebra morphism: " + "; ".join(errs))
 
     def violations(self) -> List[str]:
+        """Where f fails to commute with d or to be multiplicative.
+
+        f(e_i e_j) and f(e_i) f(e_j) are formed sparsely from the structure
+        constants and f's columns.  Failing pairs are named in the iteration
+        order of the set of all pairs: the CLI prints this list, so its
+        order is part of the output.
+        """
         errs = []
-        f = self.map
-        if not f.compose(self.source.d) == self.target.d.compose(f):
+        f, src = self.map, self.source
+        if not f.compose(src.d) == self.target.d.compose(f):
             errs.append("does not commute with differentials")
-        cols = [f.column(i) for i in range(self.source.dim)]
-        for (i, j) in set(list(self.source.mult.keys())) | {
-                (i, j) for i in range(self.source.dim) for j in range(self.source.dim)}:
-            lhs = f.apply(self.source.basis_product(i, j))
-            rhs = self.target.product(cols[i], cols[j])
-            if lhs != rhs:
-                errs.append("not multiplicative on (%s, %s)"
-                            % (self.source.space.names[i], self.source.space.names[j]))
+        cols = f.columns()
+        failing = set()
+        for i in range(src.dim):
+            for j in range(src.dim):
+                lhs: SparseVec = {}
+                for m, c in src.mult.get((i, j), {}).items():
+                    for t, x in cols[m].items():
+                        lhs[t] = lhs.get(t, ZERO) + c * x
+                if ({t: x for t, x in lhs.items() if x}
+                        != self.target.sparse_product(cols[i], cols[j])):
+                    failing.add((i, j))
+        if failing:
+            for (i, j) in set(list(src.mult.keys())) | {
+                    (i, j) for i in range(src.dim) for j in range(src.dim)}:
+                if (i, j) in failing:
+                    errs.append("not multiplicative on (%s, %s)"
+                                % (src.space.names[i], src.space.names[j]))
         return errs
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
@@ -327,18 +346,19 @@ def subalgebra(ambient: NilpotentDgAlgebra, vectors: Sequence[Vector],
     if names is None:
         names = ["s%d" % i for i in range(len(vectors))]
     space = GradedSpace(list(zip(names, degs)))
+    span = linalg.echelon(vectors)
     mult: Dict[Tuple[int, int], SparseVec] = {}
     for i, u in enumerate(vectors):
         for j, v in enumerate(vectors):
             p = ambient.product(u, v)
-            coords = linalg.solve_in_span(vectors, p)
+            coords = span.coords(p)
             if coords is None:
                 raise ValueError("span is not closed under multiplication")
             if any(coords):
                 mult[(i, j)] = _sparse(coords)
     d = GradedMap(space, space, 1)
     for i, u in enumerate(vectors):
-        coords = linalg.solve_in_span(vectors, ambient.d.apply(u))
+        coords = span.coords(ambient.d.apply(u))
         if coords is None:
             raise ValueError("span is not closed under the differential")
         for j, c in enumerate(coords):
@@ -351,18 +371,17 @@ def subalgebra(ambient: NilpotentDgAlgebra, vectors: Sequence[Vector],
 def quotient_algebra(a: NilpotentDgAlgebra, ideal: Sequence[Vector]
                      ) -> Tuple[NilpotentDgAlgebra, DgAlgebraMorphism]:
     """Quotient by a d-stable ideal given by spanning vectors."""
-    ideal = [list(v) for v in ideal if not linalg.is_zero_vector(v)]
-    keep = linalg.independent_subset(ideal)
-    ideal = [ideal[k] for k in keep]
+    # one echelon over the ideal's vectors, then the standard basis: the
+    # basis vectors it keeps span a complement, and a vector's coordinates
+    # on them are its image in A/J
+    span = linalg.echelon(ideal)
+    nj = span.count
     std = [a.space.basis_vector(i) for i in range(a.dim)]
-    compl_idx = linalg.extend_basis(ideal, std)
-    full = ideal + [std[i] for i in compl_idx]
-    inv = linalg.invert([[full[c][r] for c in range(len(full))] for r in range(a.dim)])
-    nj = len(ideal)
+    compl_idx = [i for i, v in enumerate(std) if span.add(v)]
 
     def project(v: Sequence[Fraction]) -> Vector:
-        coords = linalg.mat_vec(inv, list(v))
-        return coords[nj:]
+        coords = span.coords(v)
+        return [coords[nj + i] for i in compl_idx]
 
     names = [a.space.names[i] for i in compl_idx]
     degs = [a.space.degrees[i] for i in compl_idx]
@@ -429,10 +448,11 @@ class FiberProduct:
                 raise ValueError("cone condition alpha∘f = beta∘g fails")
         src = f.source
         m = GradedMap(src.space, self.algebra.space, 0)
+        span = linalg.echelon(self._basis_in_product)
         for i in range(src.dim):
             fa = f.map.column(i)
             gb = g.map.column(i)
-            coords = linalg.solve_in_span(self._basis_in_product, list(fa) + list(gb))
+            coords = span.coords(list(fa) + list(gb))
             if coords is None:
                 raise ValueError("image does not land in the fiber product")
         # fill entries
@@ -449,12 +469,7 @@ def fiber_product(alpha: DgAlgebraMorphism, beta: DgAlgebraMorphism) -> FiberPro
     a, b = alpha.source, beta.source
     prod, pa, pb = direct_product(a, b)
     # kernel of (alpha - beta) on A + B
-    rows = linalg.zeros(alpha.target.dim, prod.dim)
-    for (j, i), c in alpha.map.entries.items():
-        rows[j][i] = c
-    for (j, i), c in beta.map.entries.items():
-        rows[j][i + a.dim] -= c
-    kern = linalg.nullspace(rows)
+    kern = linalg.relations(alpha.map.columns() + (-beta.map).columns())[1]
     # pick a homogeneous kernel basis: split each vector by degree
     homog: List[Vector] = []
     for v in kern:
@@ -506,10 +521,7 @@ class SmallExtension:
 
     @cached_property
     def _iota_echelon(self) -> linalg.Echelon:
-        ech = linalg.Echelon()
-        for k in range(self.i_complex.space.dim):
-            ech.add(self.iota.column(k))
-        return ech
+        return linalg.echelon(self.iota.columns())
 
     def kernel_coords(self, v: Sequence[Fraction]) -> Optional[Vector]:
         """The coordinates in I of a vector of A, or None off ι(I).
@@ -529,10 +541,7 @@ class SmallExtension:
 
     @cached_property
     def _alpha_echelon(self) -> linalg.Echelon:
-        ech = linalg.Echelon()
-        for i in range(self.a.dim):
-            ech.add(self.alpha.map.column(i))
-        return ech
+        return linalg.echelon(self.alpha.map.columns())
 
     def section(self) -> GradedMap:
         """A set-linear degree-0 section of alpha (not a morphism).
@@ -561,8 +570,9 @@ def kernel_extension(alpha: DgAlgebraMorphism) -> SmallExtension:
     degs = [alpha.source.space.vector_degree(v) for v in basis]
     ispace = GradedSpace([("i%d" % k, d) for k, d in enumerate(degs)])
     di = GradedMap(ispace, ispace, 1)
+    span = linalg.echelon(basis)
     for k, v in enumerate(basis):
-        coords = linalg.solve_in_span(basis, alpha.source.d.apply(v))
+        coords = span.coords(alpha.source.d.apply(v))
         if coords is None:
             raise ValueError("kernel is not stable under the differential")
         for j, c in enumerate(coords):
@@ -596,17 +606,15 @@ def factor_into_small_extensions(alpha: DgAlgebraMorphism) -> List[SmallExtensio
         keep = linalg.independent_subset(homog)
         j_basis = [homog[k] for k in keep]
         # d-stability of J = ker ∩ Ann
+        j_span = linalg.echelon(j_basis)
         for v in j_basis:
-            assert linalg.solve_in_span(j_basis, current.source.d.apply(v)) is not None, \
+            assert j_span.coords(current.source.d.apply(v)) is not None, \
                 "ker ∩ Ann must be differential-stable"
         q, proj = quotient_algebra(current.source, j_basis)
         chain.append(kernel_extension(proj))
         # induced morphism q -> B on the quotient
-        sec_cols = []
-        qmat = proj.map.matrix()
-        for i in range(q.dim):
-            pre = linalg.solve(qmat, q.space.basis_vector(i))
-            sec_cols.append(pre)
+        proj_ech = linalg.echelon(proj.map.columns())
+        sec_cols = [proj_ech.coords({i: ONE}) for i in range(q.dim)]
         sec = GradedMap.from_columns(q.space, current.source.space, 0, sec_cols)
         newmap = current.map.compose(sec)
         current = DgAlgebraMorphism(q, current.target, newmap, check=False)
@@ -616,16 +624,8 @@ def factor_into_small_extensions(alpha: DgAlgebraMorphism) -> List[SmallExtensio
 def _intersect_spans(u: Sequence[Vector], w: Sequence[Vector], dim: int) -> List[Vector]:
     if not u or not w:
         return []
-    cols = len(u) + len(w)
-    rows = linalg.zeros(dim, cols)
-    for c, v in enumerate(u):
-        for r in range(dim):
-            rows[r][c] = v[r]
-    for c, v in enumerate(w):
-        for r in range(dim):
-            rows[r][len(u) + c] = -v[r]
     out = []
-    for sol in linalg.nullspace(rows):
+    for sol in linalg.relations(list(u) + [[-x for x in v] for v in w])[1]:
         vec = [sum(sol[c] * u[c][r] for c in range(len(u))) for r in range(dim)]
         if any(vec):
             out.append(vec)
@@ -669,8 +669,10 @@ def mapping_cone(a: NilpotentDgAlgebra, module_vectors: Sequence[Vector]) -> Map
     space = GradedSpace(basis)
     mod_space = GradedSpace([("m%d" % k, dg - 1) for k, dg in enumerate(degs)])
 
+    span = linalg.echelon(mv)
+
     def mcoords(v: Vector) -> Vector:
-        coords = linalg.solve_in_span(mv, v)
+        coords = span.coords(v)
         if coords is None:
             raise ValueError("module is not an ideal (product escapes the span)")
         return coords

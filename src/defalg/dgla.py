@@ -338,19 +338,16 @@ def mc_lift(e: SmallExtension, l: Dgla, x: Sequence[Fraction],
         col_i = e.kernel_coords(col)
         assert col_i is not None, "lift operator escaped L⊗I: kernel is not an ideal"
         t_cols.append(col_i)
-    # kernel of T: all lift translations
-    t_matrix = [[t_cols[c][r] for c in range(len(deg1))]
-                for r in range(ti.space.dim)]
+    # one echelon over T's columns; its relations span ker T, all lift
+    # translations
+    t_ech, kernel = linalg.relations(t_cols)
     translations: List[Vector] = []
-    for ker in linalg.nullspace(t_matrix):
+    for ker in kernel:
         v = ti.space.zero_vector()
         for pos, i in enumerate(deg1):
             v[i] = ker[pos]
         translations.append(emb.apply(v))
 
-    t_ech = linalg.Echelon()
-    for col in t_cols:
-        t_ech.add(col)
     sol = t_ech.coords(linalg.vec_scale(Fraction(-1), hi))
     if sol is not None:
         xi = ti.space.zero_vector()
@@ -514,14 +511,14 @@ def derivations_dgla(a: NilpotentDgAlgebra) -> Tuple[Dgla, List[GradedMap]]:
     def flat(m: GradedMap) -> Vector:
         return [m.entries.get((j, i), ZERO) for j in range(n) for i in range(n)]
 
-    flats = [flat(m) for m in deriv_maps]
+    span = linalg.echelon(flat(m) for m in deriv_maps)
     space = GradedSpace([("D%d" % k, m.degree) for k, m in enumerate(deriv_maps)])
     bracket: Dict[Tuple[int, int], SparseVec] = {}
     for i, hi in enumerate(deriv_maps):
         for j, hj in enumerate(deriv_maps):
             sgn = Fraction(-1 if (hi.degree % 2 and hj.degree % 2) else 1)
             comm_map = hi.compose(hj) - hj.compose(hi).scale(sgn)
-            coords = linalg.solve_in_span(flats, flat(comm_map))
+            coords = span.coords(flat(comm_map))
             assert coords is not None, "commutator escaped the derivation space"
             row = {k: c for k, c in enumerate(coords) if c}
             if row:
@@ -530,7 +527,7 @@ def derivations_dgla(a: NilpotentDgAlgebra) -> Tuple[Dgla, List[GradedMap]]:
     for i, hi in enumerate(deriv_maps):
         sgn = Fraction(-1 if hi.degree % 2 else 1)
         dm = a.d.compose(hi) - hi.compose(a.d).scale(sgn)
-        coords = linalg.solve_in_span(flats, flat(dm))
+        coords = span.coords(flat(dm))
         assert coords is not None
         for j, c in enumerate(coords):
             if c:

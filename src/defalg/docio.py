@@ -578,12 +578,10 @@ def build_small_extension(doc: InputDocument) -> SmallExtension:
     # square-zero kernels that are not annihilated by A are accepted: the
     # lifting operations handle them and report strictness themselves
     errs = [err for err in e.validate() if err != "A·I != 0"]
-    img = [e.iota.column(i) for i in range(e.i_complex.space.dim)]
+    img = e.iota.columns()
     for x in img:
-        for y in img:
-            if any(e.a.product(x, y)):
-                errs.append("kernel is not square-zero")
-                break
+        if any(e.a.sparse_product(x, y) for y in img):
+            errs.append("kernel is not square-zero")
     if errs:
         raise DocumentError("invalid small extension: " + "; ".join(errs))
     return e

@@ -214,19 +214,18 @@ class GradedMap:
         return GradedMap(self.target.dual(), self.source.dual(), self.degree,
                          {(i, j): c for (j, i), c in self.entries.items()})
 
-    def rank(self) -> int:
-        return linalg.rank(self.matrix()) if self.entries else 0
+    def columns(self) -> List[linalg.SparseVec]:
+        """The images of the source basis vectors, as sparse vectors."""
+        cols: List[linalg.SparseVec] = [{} for _ in range(self.source.dim)]
+        for (j, i), c in self.entries.items():
+            cols[i][j] = c
+        return cols
 
-    def preimage(self, w: Sequence[Fraction]) -> Optional[Vector]:
-        return linalg.solve(self.matrix(), list(w))
+    def rank(self) -> int:
+        return len(linalg.independent_subset(self.columns()))
 
     def kernel_basis(self) -> List[Vector]:
-        if not self.source.dim:
-            return []
-        m = self.matrix()
-        if not m:
-            m = [[ZERO] * self.source.dim]
-        return linalg.nullspace(m)
+        return linalg.relations(self.columns())[1]
 
     def __repr__(self):
         return "GradedMap(deg=%d, %d entries)" % (self.degree, len(self.entries))
@@ -373,8 +372,7 @@ class Contraction:
     def __init__(self, cx: Complex):
         self.complex = cx
         space = cx.space
-        dmat = cx.d.matrix()
-        n = space.dim
+        dcols = cx.d.columns()
         degs = sorted(set(space.degrees))
         # per degree k: indices of C^k, matrix blocks of d restricted
         self._by_degree = {k: space.degree_indices(k) for k in degs}
@@ -382,15 +380,12 @@ class Contraction:
         boundary_data: Dict[int, List[Tuple[Vector, Vector]]] = {}  # k -> [(b, preimage)]
         for k in degs:
             src = self._by_degree[k]
-            images = []
-            for i in src:
-                col = [dmat[j][i] for j in range(n)]
-                images.append(col)
-            chosen = linalg.independent_subset(images)
             pairs = []
-            for c in chosen:
-                i = src[c]
-                pairs.append((images[c], space.basis_vector(i)))
+            for c in linalg.independent_subset([dcols[i] for i in src]):
+                b = space.zero_vector()
+                for j, x in dcols[src[c]].items():
+                    b[j] = x
+                pairs.append((b, space.basis_vector(src[c])))
             boundary_data.setdefault(k + 1, []).extend(pairs)
 
         harmonic_basis: List[Tuple[str, int, Vector]] = []
@@ -404,10 +399,8 @@ class Contraction:
             bnd = [b for b, _ in boundary_data.get(k, [])]
             pre = [p for _, p in boundary_data.get(k, [])]
             # cocycles: kernel of d restricted to degree k
-            dk = [[dmat[j][i] for i in idx] for j in range(n)]
-            null = linalg.nullspace(dk) if idx else []
             cocycles = []
-            for nv in null:
+            for nv in linalg.relations([dcols[i] for i in idx])[1]:
                 v = space.zero_vector()
                 for pos, i in enumerate(idx):
                     v[i] = nv[pos]
@@ -517,8 +510,7 @@ def is_quasiiso(f: GradedMap, source: Complex, target: Complex) -> bool:
         return False
     # induced map in harmonic coordinates; square by dimension match
     induced = ht.project.compose(f).compose(hs.include)
-    m = induced.matrix()
-    return linalg.rank(m) == hs.total_dim()
+    return induced.rank() == hs.total_dim()
 
 
 @dataclass
@@ -556,14 +548,14 @@ def connecting_hom(ses: ShortExactSequence) -> GradedMap:
     hq = cohomology(ses.quotient)
     hs = cohomology(ses.sub)
     out = GradedMap(hq.harmonic_space, hs.harmonic_space, 1)
-    pmat = ses.project.matrix()
-    imat = ses.include.matrix()
+    pech = linalg.echelon(ses.project.columns())
+    iech = linalg.echelon(ses.include.columns())
     for c in range(hq.harmonic_space.dim):
         x = hq.representative(c)
-        y = linalg.solve(pmat, x)
+        y = pech.coords(x)
         assert y is not None, "projection not surjective on the representative"
         dy = ses.total.d.apply(y)
-        z = linalg.solve(imat, dy)
+        z = iech.coords(dy)
         assert z is not None, "d(lift) is not in the image of the inclusion"
         cls = hs.class_of(z)
         assert cls is not None, "snake output is not a cocycle"

@@ -2,13 +2,15 @@
 
 Matrices are lists of rows, vectors are lists; every entry is a
 ``fractions.Fraction``.  All routines are exact: there is no floating-point
-mode anywhere in the package.  ``rref``, ``solve`` and ``nullspace``
-eliminate on dense matrices.  ``Echelon`` is an incremental sparse echelon
-form: vectors are added one at a time, each is reduced against the rows
-stored so far, and the form answers independence and span coordinates
-without refactoring; ``independent_subset`` and ``extend_basis`` are single
-passes over it.  Pivots are chosen by a smallest-denominator heuristic to
-limit coefficient growth; correctness never depends on the pivot choice.
+mode anywhere in the package.  ``Echelon`` is the one elimination engine:
+an incremental sparse echelon form.  Vectors are added one at a time, each
+is reduced against the rows stored so far, and the form answers
+independence and span coordinates without refactoring.  ``rank``,
+``solve``, ``solve_in_span``, ``nullspace``, ``invert``, ``relations``,
+``independent_subset`` and ``extend_basis`` are views of it; each answers
+what reduced row echelon form would (the greedy independent vectors as
+pivots, zeros off them).  Pivots are chosen by a smallest-denominator
+heuristic to limit coefficient growth; no result depends on the choice.
 """
 
 from __future__ import annotations
@@ -44,10 +46,6 @@ def identity(n: int) -> Matrix:
     for i in range(n):
         mat[i][i] = ONE
     return mat
-
-
-def copy_matrix(a: Matrix) -> Matrix:
-    return [row[:] for row in a]
 
 
 def mat_vec(a: Matrix, v: Sequence[Fraction]) -> Vector:
@@ -87,99 +85,6 @@ def is_zero_vector(v: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in v)
 
 
-def _pivot_row(col: Sequence[Fraction], rows: Iterable[int]) -> Optional[int]:
-    """Among candidate rows, pick a nonzero entry with smallest denominator,
-    breaking ties by smallest absolute numerator."""
-    best = None
-    best_key = None
-    for r in rows:
-        x = col[r]
-        if x == 0:
-            continue
-        key = (x.denominator, abs(x.numerator))
-        if best is None or key < best_key:
-            best, best_key = r, key
-    return best
-
-
-def rref(a: Matrix) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form; returns (R, pivot column indices)."""
-    r = copy_matrix(a)
-    m = len(r)
-    n = len(r[0]) if m else 0
-    pivots: List[int] = []
-    row = 0
-    for col in range(n):
-        if row >= m:
-            break
-        p = _pivot_row([r[i][col] for i in range(m)], range(row, m))
-        if p is None:
-            continue
-        r[row], r[p] = r[p], r[row]
-        pv = r[row][col]
-        if pv != 1:
-            r[row] = [x / pv for x in r[row]]
-        for i in range(m):
-            if i != row and r[i][col]:
-                c = r[i][col]
-                r[i] = [x - c * y for x, y in zip(r[i], r[row])]
-        pivots.append(col)
-        row += 1
-    return r, pivots
-
-
-def rank(a: Matrix) -> int:
-    if not a or not a[0]:
-        return 0
-    return len(rref(a)[1])
-
-
-def nullspace(a: Matrix) -> List[Vector]:
-    """Basis of the right null space of ``a`` (n-vectors with A v = 0)."""
-    if not a:
-        return []
-    n = len(a[0])
-    r, pivots = rref(a)
-    pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    basis = []
-    for f in free:
-        v = zero_vector(n)
-        v[f] = ONE
-        for i, p in enumerate(pivots):
-            v[p] = -r[i][f]
-        basis.append(v)
-    return basis
-
-
-def solve(a: Matrix, b: Sequence[Fraction]) -> Optional[Vector]:
-    """One solution of A x = b, or None if inconsistent."""
-    if not a:
-        return [] if is_zero_vector(b) else ([] if not b else None)
-    n = len(a[0])
-    aug = [a[i][:] + [b[i]] for i in range(len(a))]
-    r, pivots = rref(aug)
-    # inconsistent iff some pivot lands in the rhs column
-    if pivots and pivots[-1] == n:
-        return None
-    x = zero_vector(n)
-    for i, p in enumerate(pivots):
-        x[p] = r[i][n]
-    return x
-
-
-def solve_in_span(vectors: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Optional[Vector]:
-    """Coordinates of v in the span of the given vectors, or None.
-
-    ``vectors`` are given as a list of equal-length vectors (the spanning
-    set); the result c satisfies sum c_i vectors_i = v.
-    """
-    if not vectors:
-        return [] if is_zero_vector(v) else None
-    a = [[vectors[j][i] for j in range(len(vectors))] for i in range(len(v))]
-    return solve(a, v)
-
-
 class Echelon:
     """Incremental sparse row echelon form of the vectors added so far.
 
@@ -215,13 +120,23 @@ class Echelon:
                     del r[j]
         return r, used
 
-    def add(self, v: Union[SparseVec, Sequence[Fraction]]) -> bool:
-        """Add v; True iff it is independent of the vectors added before."""
+    def _combine(self, used: List[Tuple[int, Fraction]], n: int) -> Vector:
+        """The n coordinates, in the added vectors, of sum multiplier * row."""
+        out = [ZERO] * n
+        for k, c in used:
+            for t, x in self._rows[k][2].items():
+                out[t] += c * x
+        return out
+
+    def _add(self, v: Union[SparseVec, Sequence[Fraction]]
+             ) -> Optional[List[Tuple[int, Fraction]]]:
+        """Add v.  None when v is independent of the vectors added before
+        it; otherwise the (row, multiplier) pairs that express it in them."""
         r, used = self._reduce(v)
         idx = self.count
         self.count += 1
         if not r:
-            return False
+            return used
         p = min(r, key=lambda j: (r[j].denominator, abs(r[j].numerator), j))
         inv = ONE / r[p]
         row = {j: x * inv for j, x in r.items()}
@@ -230,25 +145,81 @@ class Echelon:
             for t, x in self._rows[k][2].items():
                 combo[t] = combo.get(t, ZERO) - inv * c * x
         self._rows.append((p, row, {t: x for t, x in combo.items() if x}))
-        return True
+        return None
+
+    def add(self, v: Union[SparseVec, Sequence[Fraction]]) -> bool:
+        """Add v; True iff it is independent of the vectors added before."""
+        return self._add(v) is None
 
     def coords(self, v: Union[SparseVec, Sequence[Fraction]]) -> Optional[Vector]:
         """Coordinates of v in the added vectors, or None outside their span.
 
-        Vectors that were dependent when added get coordinate 0, so the
-        result is the one ``solve_in_span`` returns for the same list.
+        Vectors that were dependent when added get coordinate 0: this is
+        the solution that reduced row echelon form gives, with zeros off
+        the greedy independent vectors.
         """
         r, used = self._reduce(v)
-        if r:
-            return None
-        out = [ZERO] * self.count
-        for k, c in used:
-            for t, x in self._rows[k][2].items():
-                out[t] += c * x
-        return out
+        return None if r else self._combine(used, self.count)
 
 
-def independent_subset(vectors: Sequence[Sequence[Fraction]]) -> List[int]:
+def echelon(vectors: Iterable[Union[SparseVec, Sequence[Fraction]]]) -> Echelon:
+    """One ``Echelon`` over the vectors, added in order."""
+    ech = Echelon()
+    for v in vectors:
+        ech.add(v)
+    return ech
+
+
+def relations(vectors: Sequence[Union[SparseVec, Sequence[Fraction]]]
+              ) -> Tuple[Echelon, List[Vector]]:
+    """The echelon over the vectors, and the relations among them.
+
+    For each vector f that depends on the ones before it, in order, the
+    relation is e_f minus f's coordinates in them.  This is the null basis
+    of the matrix with these columns that its reduced row echelon form
+    gives: the pivots are the greedy independent columns, and column f of
+    the reduced form holds f's coordinates on them.
+    """
+    ech = Echelon()
+    out: List[Vector] = []
+    for f, v in enumerate(vectors):
+        used = ech._add(v)
+        if used is not None:
+            rel = [-x for x in ech._combine(used, len(vectors))]
+            rel[f] = ONE
+            out.append(rel)
+    return ech, out
+
+
+def _columns(a: Matrix) -> List[SparseVec]:
+    return [{i: row[j] for i, row in enumerate(a) if row[j]}
+            for j in range(len(a[0]) if a else 0)]
+
+
+def rank(a: Matrix) -> int:
+    """The number of independent rows."""
+    return len(independent_subset(a))
+
+
+def nullspace(a: Matrix) -> List[Vector]:
+    """Basis of the right null space of ``a`` (n-vectors with A v = 0)."""
+    return relations(_columns(a))[1]
+
+
+def solve(a: Matrix, b: Sequence[Fraction]) -> Optional[Vector]:
+    """One solution of A x = b, zero off the greedy independent columns,
+    or None if inconsistent."""
+    return solve_in_span(_columns(a), b)
+
+
+def solve_in_span(vectors: Sequence[Union[SparseVec, Sequence[Fraction]]],
+                  v: Sequence[Fraction]) -> Optional[Vector]:
+    """Coordinates c of v in the span of the vectors (sum c_i vectors_i = v),
+    zero off the greedy independent vectors, or None."""
+    return echelon(vectors).coords(v)
+
+
+def independent_subset(vectors: Sequence[Union[SparseVec, Sequence[Fraction]]]) -> List[int]:
     """Indices of a maximal linearly independent subset (greedy, in order)."""
     ech = Echelon()
     return [idx for idx, v in enumerate(vectors) if ech.add(v)]
@@ -257,16 +228,14 @@ def independent_subset(vectors: Sequence[Sequence[Fraction]]) -> List[int]:
 def extend_basis(base: Sequence[Sequence[Fraction]], candidates: Sequence[Sequence[Fraction]]) -> List[int]:
     """Indices into ``candidates`` extending ``base`` to a basis of
     span(base + candidates)."""
-    ech = Echelon()
-    for v in base:
-        ech.add(v)
+    ech = echelon(base)
     return [idx for idx, v in enumerate(candidates) if ech.add(v)]
 
 
 def invert(a: Matrix) -> Matrix:
-    n = len(a)
-    aug = [a[i][:] + identity(n)[i] for i in range(n)]
-    r, pivots = rref(aug)
-    if pivots != list(range(n)):
+    """The inverse of a square matrix; ValueError if it has none."""
+    ech, rels = relations(_columns(a))
+    cols = [ech.coords({k: ONE}) for k in range(len(a))]
+    if rels or None in cols:
         raise ValueError("matrix is not invertible")
-    return [row[n:] for row in r]
+    return [[c[i] for c in cols] for i in range(ech.count)]

@@ -158,11 +158,11 @@ def lifting_defect(e: SmallExtension) -> LiftingDefect:
                 sq.append(p)
     bbar, pr = quotient_algebra(b, sq)
     # delta_bar with delta = delta_bar ∘ pr: solve columnwise
-    prm = pr.map.matrix()
+    pr_ech = linalg.echelon(pr.map.columns())
     delta_bar = GradedMap(bbar.space, e.i_complex.space, 2)
     for col in range(bbar.dim):
         # a preimage of the quotient basis vector
-        pre = linalg.solve(prm, bbar.space.basis_vector(col))
+        pre = pr_ech.coords({col: ONE})
         assert pre is not None
         v = delta.apply(pre)
         for k, c in enumerate(v):

@@ -347,3 +347,113 @@ def dense_dgla_report(self) -> DglaReport:
     if not self.d.compose(self.d).is_zero():
         errs.append("d∘d != 0")
     return DglaReport(errors=errs)
+
+
+def dense_violations(self) -> list:
+    """DgAlgebraMorphism.violations() as a dense loop over all basis pairs,
+    kept as the reference for the structure-constant check."""
+    errs = []
+    f = self.map
+    if not f.compose(self.source.d) == self.target.d.compose(f):
+        errs.append("does not commute with differentials")
+    cols = [f.column(i) for i in range(self.source.dim)]
+    for (i, j) in set(list(self.source.mult.keys())) | {
+            (i, j) for i in range(self.source.dim) for j in range(self.source.dim)}:
+        lhs = f.apply(self.source.basis_product(i, j))
+        rhs = self.target.product(cols[i], cols[j])
+        if lhs != rhs:
+            errs.append("not multiplicative on (%s, %s)"
+                        % (self.source.space.names[i], self.source.space.names[j]))
+    return errs
+
+
+# ---------------------------------------------------------------------------
+# reference linear algebra: dense Gauss-Jordan elimination, kept as the
+# oracle for the echelon engine in ``defalg.linalg``
+
+def _pivot_row(col, rows):
+    """Among candidate rows, pick a nonzero entry with smallest denominator,
+    breaking ties by smallest absolute numerator."""
+    best = None
+    best_key = None
+    for r in rows:
+        x = col[r]
+        if x == 0:
+            continue
+        key = (x.denominator, abs(x.numerator))
+        if best is None or key < best_key:
+            best, best_key = r, key
+    return best
+
+
+def rref(a):
+    """Reduced row echelon form; returns (R, pivot column indices)."""
+    r = [row[:] for row in a]
+    m = len(r)
+    n = len(r[0]) if m else 0
+    pivots = []
+    row = 0
+    for col in range(n):
+        if row >= m:
+            break
+        p = _pivot_row([r[i][col] for i in range(m)], range(row, m))
+        if p is None:
+            continue
+        r[row], r[p] = r[p], r[row]
+        pv = r[row][col]
+        if pv != 1:
+            r[row] = [x / pv for x in r[row]]
+        for i in range(m):
+            if i != row and r[i][col]:
+                c = r[i][col]
+                r[i] = [x - c * y for x, y in zip(r[i], r[row])]
+        pivots.append(col)
+        row += 1
+    return r, pivots
+
+
+def rref_rank(a):
+    if not a or not a[0]:
+        return 0
+    return len(rref(a)[1])
+
+
+def rref_nullspace(a):
+    """Basis of the right null space of ``a`` read off its rref."""
+    if not a:
+        return []
+    n = len(a[0])
+    r, pivots = rref(a)
+    pivot_set = set(pivots)
+    basis = []
+    for f in [j for j in range(n) if j not in pivot_set]:
+        v = [F(0)] * n
+        v[f] = F(1)
+        for i, p in enumerate(pivots):
+            v[p] = -r[i][f]
+        basis.append(v)
+    return basis
+
+
+def rref_solve(a, b):
+    """One solution of A x = b read off the rref of [A | b], or None."""
+    if not a:
+        return [] if linalg.is_zero_vector(b) else ([] if not b else None)
+    n = len(a[0])
+    r, pivots = rref([a[i][:] + [b[i]] for i in range(len(a))])
+    if pivots and pivots[-1] == n:
+        return None
+    x = [F(0)] * n
+    for i, p in enumerate(pivots):
+        x[p] = r[i][n]
+    return x
+
+
+def rref_invert(a):
+    """The inverse of a square matrix read off the rref of [A | 1]."""
+    n = len(a)
+    aug = [a[i][:] + [F(int(i == j)) for j in range(n)] for i in range(n)]
+    r, pivots = rref(aug)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is not invertible")
+    return [row[n:] for row in r]

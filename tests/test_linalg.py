@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from defalg import linalg
-from conftest import make_rng
+from conftest import make_rng, rref
 
 F = Fraction
 
@@ -23,8 +23,8 @@ def test_rref_idempotent_and_pivots():
     rng = make_rng(1)
     for _ in range(50):
         a = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        r, piv = linalg.rref(a)
-        r2, piv2 = linalg.rref(r)
+        r, piv = rref(a)
+        r2, piv2 = rref(r)
         assert r2 == r and piv2 == piv
         for k, j in enumerate(piv):
             assert r[k][j] == F(1)
