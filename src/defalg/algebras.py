@@ -228,12 +228,15 @@ class NilpotentDgAlgebra:
             prev = nxt
         return powers
 
+    @cached_property
+    def _nilpotency_index(self) -> Optional[int]:
+        """Computed once: only the constructor writes ``mult``."""
+        powers = self.power_ideal_bases()
+        return None if powers[-1] else len(powers)
+
     def nilpotency_index(self) -> Optional[int]:
         """Least n with A^n = 0 (n = 1 for the zero algebra), or None."""
-        powers = self.power_ideal_bases()
-        if powers[-1]:
-            return None
-        return len(powers)
+        return self._nilpotency_index
 
     def annihilator_basis(self) -> List[Vector]:
         """Basis of Ann(A) = {x : x * A = 0} (two-sided by commutativity):
@@ -485,7 +488,8 @@ def fiber_product(alpha: DgAlgebraMorphism, beta: DgAlgebraMorphism) -> FiberPro
 
 @dataclass
 class SmallExtension:
-    """0 -> I -> A -> B -> 0 with A·I = 0 and I² = 0."""
+    """0 -> I -> A -> B -> 0 with I² = 0, which always holds.  A·I = 0
+    (strictly small) is a property that ``is_strictly_small()`` tests."""
     i_complex: Complex
     a: NilpotentDgAlgebra
     b: NilpotentDgAlgebra
@@ -504,8 +508,6 @@ class SmallExtension:
             errs.append("alpha ∘ iota != 0")
         if self.a.dim != self.b.dim + self.i_complex.space.dim:
             errs.append("dimensions inconsistent with exactness")
-        if not self.is_strictly_small():
-            errs.append("A·I != 0")
         errs.extend(self.alpha.violations())
         return errs
 

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .algebras import (DgAlgebraMorphism, NilpotentDgAlgebra, SmallExtension,
-                       SparseVec, _axiom_errors, _bilinear, _dense,
+from .algebras import (DgAlgebraMorphism, LeftIndex, NilpotentDgAlgebra,
+                       SmallExtension, SparseVec, _axiom_errors, _bilinear, _dense,
                        _structure_constants, factor_into_small_extensions)
 from .graded import Complex, Contraction, GradedMap, GradedSpace, cohomology
 from .linalg import ONE, ZERO, Vector
@@ -82,54 +83,74 @@ class DglaReport:
 
 
 class TensorDgla(Dgla):
-    """L ⊗ A for a DGLA L and a nilpotent dg-algebra A.
+    """L ⊗ A for a DGLA L and a nilpotent dg-algebra A, as a view of both.
 
     Basis pairs x_i ⊗ a_p indexed L-major.  The bracket follows the
     Koszul-consistent convention
         [x⊗a, y⊗b] = (-1)^{deg(a)·deg(y)} [x,y] ⊗ ab,
     certified by validate(); the differential is
         d(x⊗a) = dx ⊗ a + (-1)^{deg x} x ⊗ da.
+    ``bracket_vec`` reads L's and A's left indices directly.  The table
+    ``bracket`` and its left index are built only when read (validate(),
+    basis_bracket()), each product of an L-constant with an A-constant its
+    own entry; ``nilpotency_class`` is read off A when first needed.
     """
 
     def __init__(self, l: Dgla, a: NilpotentDgAlgebra):
         self.l = l
         self.a = a
         nl, na = l.dim, a.dim
-        space = tensor_space(l.space, a.space)
-
-        bracket: Dict[Tuple[int, int], SparseVec] = {}
-        for (i, j), lrow in l.bracket.items():
-            ydeg = l.space.degrees[j]
-            for (p, q), arow in a.mult.items():
-                sgn = -1 if (a.space.degrees[p] % 2 and ydeg % 2) else 1
-                row: SparseVec = {}
-                for k, ck in lrow.items():
-                    for r, cr in arow.items():
-                        row[k * na + r] = row.get(k * na + r, ZERO) + sgn * ck * cr
-                row = {t: c for t, c in row.items() if c}
-                if row:
-                    key = (i * na + p, j * na + q)
-                    if key in bracket:
-                        for t, c in row.items():
-                            s = bracket[key].get(t, ZERO) + c
-                            if s:
-                                bracket[key][t] = s
-                            else:
-                                bracket[key].pop(t, None)
-                    else:
-                        bracket[key] = row
-        d = GradedMap(space, space, 1)
+        self.space = space = tensor_space(l.space, a.space)
+        self.d = d = GradedMap(space, space, 1)
         for (j, i), c in l.d.entries.items():
             for p in range(na):
                 d.set_entry(j * na + p, i * na + p, c)
         for (q, p), c in a.d.entries.items():
             for i in range(nl):
-                sgn = -1 if l.space.degrees[i] % 2 else 1
-                d.set_entry(i * na + q, i * na + p,
-                            d.entries.get((i * na + q, i * na + p), ZERO) + sgn * c)
-        nil = a.nilpotency_index()
-        super().__init__(space, bracket, d,
-                         nilpotency_class=(nil - 1 if nil and nil > 1 else 1))
+                d.set_entry(i * na + q, i * na + p, -c if l.space.degrees[i] % 2 else c)
+        self._odd_l = [deg % 2 for deg in l.space.degrees]
+        self._odd_a = [deg % 2 for deg in a.space.degrees]
+
+    @cached_property
+    def nilpotency_class(self) -> int:
+        nil = self.a.nilpotency_index()
+        return nil - 1 if nil and nil > 1 else 1
+
+    @cached_property
+    def bracket(self) -> Dict[Tuple[int, int], SparseVec]:
+        na = self.a.dim
+        return {(i * na + p, j * na + q): {
+                    k * na + r: (-ck if self._odd_a[p] and self._odd_l[j] else ck) * cr
+                    for k, ck in lrow.items() for r, cr in arow.items()}
+                for (i, j), lrow in self.l.bracket.items()
+                for (p, q), arow in self.a.mult.items()}
+
+    @cached_property
+    def _left(self) -> LeftIndex:
+        left: LeftIndex = [[] for _ in range(self.dim)]
+        for (s, t), row in self.bracket.items():
+            left[s].append((t, row))
+        return left
+
+    def bracket_vec(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
+        """[u, v], walking the support of u through L's and A's left indices."""
+        na, odd_l, odd_a = self.a.dim, self._odd_l, self._odd_a
+        out = [ZERO] * self.dim
+        for s, cu in enumerate(u):
+            if not cu:
+                continue
+            i, p = divmod(s, na)
+            for j, lrow in self.l._left[i]:
+                cj = -cu if odd_a[p] and odd_l[j] else cu
+                for q, arow in self.a._left[p]:
+                    cv = v[j * na + q]
+                    if cv:
+                        c = cj * cv
+                        for k, ck in lrow.items():
+                            ckc = c * ck
+                            for r, cr in arow.items():
+                                out[k * na + r] += ckc * cr
+        return out
 
     def pair_index(self, i: int, p: int) -> int:
         return i * self.a.dim + p
@@ -431,8 +452,8 @@ def gauge_equivalent(l: Dgla, a: NilpotentDgAlgebra, x: Sequence[Fraction],
         e = chain[j]
         tii = tensor_dgla(l, trivial_algebra_of_complex(e.i_complex))
         emb = tensor_push(tii, tj.space, e.iota, e.a.dim)
-        xj = tensor_push(t, tj.space, projs[j].map, stages[j].dim).apply(x)
-        yj = tensor_push(t, tj.space, projs[j].map, stages[j].dim).apply(y)
+        push = tensor_push(t, tj.space, projs[j].map, stages[j].dim)
+        xj, yj = push.apply(x), push.apply(y)
         sec = e.section()
         tj1 = tensors[j + 1]
         lift_w = tensor_push(tj1, tj.space, sec, stages[j].dim).apply(witness_vec) \

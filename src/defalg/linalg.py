@@ -41,34 +41,6 @@ def zero_vector(n: int) -> Vector:
     return [ZERO] * n
 
 
-def identity(n: int) -> Matrix:
-    mat = zeros(n, n)
-    for i in range(n):
-        mat[i][i] = ONE
-    return mat
-
-
-def mat_vec(a: Matrix, v: Sequence[Fraction]) -> Vector:
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), ZERO) for row in a]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a:
-        return []
-    n = len(b)
-    out = zeros(len(a), len(b[0]) if b else 0)
-    for i, row in enumerate(a):
-        for k in range(n):
-            x = row[k]
-            if x:
-                brow = b[k]
-                orow = out[i]
-                for j, y in enumerate(brow):
-                    if y:
-                        orow[j] += x * y
-    return out
-
-
 def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
     return [a + b for a, b in zip(u, v)]
 

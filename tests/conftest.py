@@ -367,6 +367,52 @@ def dense_violations(self) -> list:
     return errs
 
 
+def dense_tensor_bracket(l, a):
+    """The bracket table of L⊗A straight from the defining formula
+    [x_i⊗a_p, x_j⊗a_q] = (-1)^{|a_p||x_j|} [x_i, x_j]⊗a_p·a_q, computed from
+    ``basis_bracket`` and ``basis_product`` over all index quadruples; kept
+    as the reference for ``TensorDgla``.  Returns {(s, t): dense row}."""
+    na = a.dim
+    table = {}
+    for i in range(l.dim):
+        for j in range(l.dim):
+            xij = l.basis_bracket(i, j)
+            for p in range(na):
+                sgn = -1 if a.space.degrees[p] % 2 and l.space.degrees[j] % 2 else 1
+                for q in range(na):
+                    apq = a.basis_product(p, q)
+                    table[(i * na + p, j * na + q)] = [
+                        sgn * xij[k] * apq[r] for k in range(l.dim) for r in range(na)]
+    return table
+
+
+def dense_tensor_bracket_vec(table, u, v):
+    """The sum of u_s v_t [e_s, e_t] over a dense reference table."""
+    out = [F(0)] * len(u)
+    for (s, t), row in table.items():
+        c = u[s] * v[t]
+        if c:
+            out = [x + c * y for x, y in zip(out, row)]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# reference matrices, used to check solutions and inverses
+
+def identity(n):
+    return [[F(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def mat_vec(a, v):
+    return [sum((row[j] * v[j] for j in range(len(v))), F(0)) for row in a]
+
+
+def mat_mul(a, b):
+    cols = len(b[0]) if b else 0
+    return [[sum((row[k] * b[k][j] for k in range(len(b))), F(0)) for j in range(cols)]
+            for row in a]
+
+
 # ---------------------------------------------------------------------------
 # reference linear algebra: dense Gauss-Jordan elimination, kept as the
 # oracle for the echelon engine in ``defalg.linalg``

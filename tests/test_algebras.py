@@ -82,9 +82,8 @@ def test_quotient_algebra_is_morphism():
 
 def test_kernel_extension_structure():
     e = counterexample_extension()
-    errs = e.validate()
-    assert errs == ["A·I != 0"]          # square-zero but not strictly small
-    assert not e.is_strictly_small()
+    assert e.validate() == []
+    assert not e.is_strictly_small()     # square-zero but not strictly small
     assert e.i_complex.space.dim == 2
     assert e.is_acyclic()
     sec = e.section()
@@ -105,7 +104,8 @@ def test_validate_checks_alpha_when_not_strictly_small():
                               check=False)
     assert alpha.violations() == ["not multiplicative on (x, x)"]
     e = kernel_extension(alpha)
-    assert e.validate() == ["A·I != 0", "not multiplicative on (x, x)"]
+    assert e.validate() == ["not multiplicative on (x, x)"]
+    assert not e.is_strictly_small()
 
 
 def test_section_matches_solve():

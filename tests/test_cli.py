@@ -14,6 +14,7 @@ from conftest import UV_ACYCLIC_EXT, UV_M3_EXT, UV_SQUARE_EXT
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "docs" / "fixtures"
 
 SL2 = str(FIXTURES / "sl2.dgla")
+SL2_ODD = str(FIXTURES / "sl2_odd.dgla")
 EXT = str(FIXTURES / "counterexample.ext")
 MC = str(FIXTURES / "counterexample.mc")
 
@@ -207,6 +208,45 @@ def test_prorepresent(capsys):
     assert model.v.dim == 3
     assert 2 in model.components and 3 not in model.components
     assert docio.parse(data["documents"][1]).kind == "mc_element"
+
+
+SL2_ODD_ORDER_4 = """\
+command: prorepresent
+minimal: yes
+generators:
+  x_H0_0: 1
+  x_H0_1: 1
+  x_H0_2: 1
+  x_H1_0: 0
+  x_H1_1: 0
+  x_H1_2: 0
+---
+kind: quasismooth
+basis:
+  x_H0_0 1
+  x_H0_1 1
+  x_H0_2 1
+  x_H1_0 0
+  x_H1_1 0
+  x_H1_2 0
+order: 4
+d:
+  2 | x_H0_0 -> 2 x_H0_0*x_H0_1
+  2 | x_H0_1 -> -1 x_H0_0*x_H0_2
+  2 | x_H0_2 -> 2 x_H0_1*x_H0_2
+  2 | x_H1_0 -> 2 x_H0_0*x_H1_1 + -2 x_H0_1*x_H1_0
+  2 | x_H1_1 -> -1 x_H0_0*x_H1_2 + 1 x_H0_2*x_H1_0
+  2 | x_H1_2 -> 2 x_H0_1*x_H1_2 + -2 x_H0_2*x_H1_1
+---
+kind: mc_element
+element: 1 e@x_H0_0 + 1 h@x_H0_1 + 1 f@x_H0_2 + 1 E@x_H1_0 + 1 H@x_H1_1 + 1 Fo@x_H1_2
+exit: 0
+"""
+
+
+def test_prorepresent_sl2_odd_golden(capsys):
+    code, out, err = run(capsys, "prorepresent", "--in", SL2_ODD, "--order", "4")
+    assert (code, out, err) == (0, SL2_ODD_ORDER_4, "")
 
 
 def test_factor_extensions(capsys):

@@ -5,13 +5,15 @@ from fractions import Fraction
 import pytest
 
 from defalg import linalg
-from defalg.algebras import NilpotentDgAlgebra
+from defalg.algebras import NilpotentDgAlgebra, factor_into_small_extensions
 from defalg.dgla import (Dgla, bch, def_tangent, derivations_dgla, gauge_act,
                          gauge_equivalent, mc_check, mc_defect, mc_lift,
                          tensor_dgla, trivial_algebra_of_complex)
 from defalg.graded import Complex, GradedMap, GradedSpace, cohomology
+from defalg.models import QuasismoothTrunc
 from conftest import (counterexample_algebras, counterexample_element,
-                      counterexample_extension, heisenberg, make_rng,
+                      counterexample_extension, dense_tensor_bracket,
+                      dense_tensor_bracket_vec, heisenberg, make_rng,
                       random_abelian_dgla, random_algebra, random_dgla, sl2,
                       sl2_odd)
 
@@ -391,3 +393,64 @@ def test_derivations_dgla_validates():
                             a.space.basis_vector(i),
                             h.apply(a.space.basis_vector(j)))))
                     assert lhs == rhs
+
+
+# ---- L⊗A as a view: brackets against the defining formula ------------------
+
+def _odd_algebras():
+    """Nilpotent algebras whose odd elements multiply nontrivially, a
+    trivial one, and the zero algebra."""
+    mixed = QuasismoothTrunc(GradedSpace([("a", 1), ("b", 2)]), 3, {}).algebra()
+    odd = QuasismoothTrunc(GradedSpace([("a", 1), ("c", 1), ("b", 0)]), 2, {}).algebra()
+    trivial = NilpotentDgAlgebra.trivial(GradedSpace([("t", 1), ("s", 0)]))
+    zero = NilpotentDgAlgebra.trivial(GradedSpace([]))
+    return [mixed, odd, counterexample_algebras()[0], trivial, zero]
+
+
+def _zero_dglas():
+    space = GradedSpace([("z0", 0), ("z1", 1)])
+    abelian = Dgla(space, {}, GradedMap(space, space, 1))
+    empty = Dgla(GradedSpace([]), {}, GradedMap(GradedSpace([]), GradedSpace([]), 1))
+    return [abelian, empty]
+
+
+def test_tensor_bracket_matches_dense_oracle():
+    rng = make_rng(90)
+    flipped = 0
+    for l in [sl2_odd(), heisenberg()] + _zero_dglas():
+        for a in _odd_algebras():
+            t = tensor_dgla(l, a)
+            want = dense_tensor_bracket(l, a)
+            flipped += sum(1 for (s, u), row in want.items()
+                           if any(row) and a.space.degrees[s % a.dim] % 2
+                           and l.space.degrees[u // a.dim] % 2)
+            for _ in range(6):
+                u = [F(rng.choice([0, 0, 1, -1, 2])) for _ in range(t.dim)]
+                v = [F(rng.choice([0, 1, -2, 3])) for _ in range(t.dim)]
+                assert t.bracket_vec(u, v) == dense_tensor_bracket_vec(want, u, v)
+            for s, u in want:
+                assert t.bracket_vec(t.space.basis_vector(s),
+                                     t.space.basis_vector(u)) == want[(s, u)]
+            # the lazily built table holds exactly the nonzero brackets, and
+            # its left index gives the same brackets as the view
+            assert {key: [row.get(k, F(0)) for k in range(t.dim)]
+                    for key, row in t.bracket.items()} == \
+                {key: row for key, row in want.items() if any(row)}
+            for _ in range(3):
+                u = [F(rng.randint(-2, 2)) for _ in range(t.dim)]
+                v = [F(rng.randint(-2, 2)) for _ in range(t.dim)]
+                assert Dgla.bracket_vec(t, u, v) == t.bracket_vec(u, v)
+    assert flipped      # the Koszul sign decides some of the brackets
+
+
+def test_mc_lift_builds_no_tensor_table_and_no_ideal_powers():
+    l = sl2()
+    e = counterexample_extension()
+    x = counterexample_element(l, tensor_dgla(l, e.b))
+    stages = factor_into_small_extensions(e.alpha)
+    assert not e.is_strictly_small() and stages[0].is_strictly_small()
+    for ext, elem in [(e, x)] + [(s, [F(0)] * (l.dim * s.b.dim)) for s in stages]:
+        res = mc_lift(ext, l, elem)
+        for t in (res.tensor_a, res.tensor_i):
+            assert not {"bracket", "_left", "nilpotency_class"} & set(vars(t))
+            assert "_nilpotency_index" not in vars(t.a)

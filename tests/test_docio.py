@@ -35,7 +35,16 @@ def test_build_small_extension_fixture():
     assert e.i_complex.space.dim == 2
     assert e.is_acyclic()
     # square-zero but not strictly small is accepted
-    assert [v for v in e.validate() if v != "A·I != 0"] == []
+    assert e.validate() == []
+    assert not e.is_strictly_small()
+
+
+def test_sl2_odd_fixture_is_sl2_odd():
+    from conftest import sl2_odd
+    l = docio.build(parse((FIXTURES / "sl2_odd.dgla").read_text()))
+    want = sl2_odd()
+    assert l.space.basis == want.space.basis
+    assert l.bracket == want.bracket and l.d == want.d
 
 
 def test_build_mc_element_fixture():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from defalg import linalg
-from conftest import make_rng, rref
+from conftest import identity, make_rng, mat_mul, mat_vec, rref
 
 F = Fraction
 
@@ -37,10 +37,10 @@ def test_solve_verifies_and_detects_inconsistency():
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         a = random_matrix(rng, m, n)
         x = [F(rng.randint(-3, 3)) for _ in range(n)]
-        b = linalg.mat_vec(a, x)
+        b = mat_vec(a, x)
         sol = linalg.solve(a, b)
         assert sol is not None
-        assert linalg.mat_vec(a, sol) == b
+        assert mat_vec(a, sol) == b
 
 
 def test_solve_none_only_when_out_of_span():
@@ -57,7 +57,7 @@ def test_solve_none_only_when_out_of_span():
             assert linalg.rank([row[:] for row in a]) < \
                 linalg.rank([c[:] for c in cols] + [b])
         else:
-            assert linalg.mat_vec(a, sol) == b
+            assert mat_vec(a, sol) == b
     assert hits > 0
 
 
@@ -68,7 +68,7 @@ def test_nullspace_is_kernel_basis():
         a = random_matrix(rng, m, n)
         ns = linalg.nullspace(a)
         for v in ns:
-            assert linalg.is_zero_vector(linalg.mat_vec(a, v))
+            assert linalg.is_zero_vector(mat_vec(a, v))
         assert len(ns) == n - linalg.rank([row[:] for row in a])
         if ns:
             assert linalg.rank([v[:] for v in ns]) == len(ns)
@@ -83,8 +83,8 @@ def test_invert_roundtrip():
         if linalg.rank([row[:] for row in a]) < n:
             continue
         inv = linalg.invert(a)
-        assert linalg.mat_mul(a, inv) == linalg.identity(n)
-        assert linalg.mat_mul(inv, a) == linalg.identity(n)
+        assert mat_mul(a, inv) == identity(n)
+        assert mat_mul(inv, a) == identity(n)
         done += 1
 
 
