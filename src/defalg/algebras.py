@@ -228,15 +228,12 @@ class NilpotentDgAlgebra:
             prev = nxt
         return powers
 
-    @cached_property
-    def _nilpotency_index(self) -> Optional[int]:
-        """Computed once: only the constructor writes ``mult``."""
-        powers = self.power_ideal_bases()
-        return None if powers[-1] else len(powers)
-
     def nilpotency_index(self) -> Optional[int]:
         """Least n with A^n = 0 (n = 1 for the zero algebra), or None."""
-        return self._nilpotency_index
+        powers = self.power_ideal_bases()
+        if powers[-1]:
+            return None
+        return len(powers)
 
     def annihilator_basis(self) -> List[Vector]:
         """Basis of Ann(A) = {x : x * A = 0} (two-sided by commutativity):
@@ -488,8 +485,9 @@ def fiber_product(alpha: DgAlgebraMorphism, beta: DgAlgebraMorphism) -> FiberPro
 
 @dataclass
 class SmallExtension:
-    """0 -> I -> A -> B -> 0 with I² = 0, which always holds.  A·I = 0
-    (strictly small) is a property that ``is_strictly_small()`` tests."""
+    """0 -> I -> A -> B -> 0 with I² = 0, which ``validate()`` checks.
+    A·I = 0 (strictly small) is a property that ``is_strictly_small()``
+    tests."""
     i_complex: Complex
     a: NilpotentDgAlgebra
     b: NilpotentDgAlgebra
@@ -509,6 +507,10 @@ class SmallExtension:
         if self.a.dim != self.b.dim + self.i_complex.space.dim:
             errs.append("dimensions inconsistent with exactness")
         errs.extend(self.alpha.violations())
+        img = self.iota.columns()
+        for x in img:
+            if any(self.a.sparse_product(x, y) for y in img):
+                errs.append("kernel is not square-zero")
         return errs
 
     def is_strictly_small(self) -> bool:

@@ -447,7 +447,7 @@ def gauge_equivalent(l: Dgla, a: NilpotentDgAlgebra, x: Sequence[Fraction],
     witness_vec: Vector = []
     tensors = {len(stages) - 1: tensor_dgla(l, zero)}
     for j in range(len(chain) - 1, -1, -1):
-        tj = tensor_dgla(l, stages[j])
+        tj = tensor_dgla(l, stages[j]) if j else t      # A_0 = A
         tensors[j] = tj
         e = chain[j]
         tii = tensor_dgla(l, trivial_algebra_of_complex(e.i_complex))

@@ -119,12 +119,8 @@ class QuasismoothTrunc:
                         continue
                     pos, sgn = res
                     mult[(p, q)] = {pos: Fraction(sgn)}
-            alg = NilpotentDgAlgebra(self.space, mult, self.differential())
-            # A^m is spanned by the words of length >= m: the index is 1 + the
-            # longest nonzero word length (odd generators vanish early)
-            alg._nilpotency_index = 1 + max(
-                (k for k, sp in self.powers.items() if sp.monomials), default=0)
-            self._algebra = alg
+            self._algebra = NilpotentDgAlgebra(self.space, mult,
+                                               self.differential())
         return self._algebra
 
     def word_component(self, vec: Sequence[Fraction], k: int) -> Vector:

@@ -108,6 +108,15 @@ def test_validate_checks_alpha_when_not_strictly_small():
     assert not e.is_strictly_small()
 
 
+def test_validate_rejects_kernel_that_is_not_square_zero():
+    # A = <x, y> with x² = y, B = 0: the kernel is all of A and x·x != 0
+    a_sp = GradedSpace([("x", 0), ("y", 0)])
+    a = NilpotentDgAlgebra(a_sp, {(0, 0): {1: F(1)}}, GradedMap(a_sp, a_sp, 1))
+    zero = NilpotentDgAlgebra.trivial(GradedSpace([]))
+    e = kernel_extension(DgAlgebraMorphism(a, zero, GradedMap(a_sp, zero.space, 0)))
+    assert e.validate() == ["kernel is not square-zero"]
+
+
 def test_section_matches_solve():
     e = counterexample_extension()
     rng = make_rng(13)

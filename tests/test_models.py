@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from defalg import linalg
-from defalg.algebras import DgAlgebraMorphism, NilpotentDgAlgebra, check_homotopy
+from defalg.algebras import DgAlgebraMorphism, check_homotopy
 from defalg.dgla import Dgla, def_tangent
 from defalg.graded import Complex, GradedMap, GradedSpace, cohomology, \
     symmetric_power
@@ -166,19 +166,3 @@ def test_kuranishi_mixed_degrees():
     # tangent dimensions of the model match the DGLA cohomology
     for i in (-1, 0, 1, 2):
         assert h_r_tangent(rk, i) == coh.dims().get(i, 0)
-
-
-@pytest.mark.parametrize("basis, order, index", [
-    ([], 3, 1),                                  # V = 0
-    ([("a", 1), ("b", 1)], 4, 3),                # all odd, dim V < order
-    ([("a", 1), ("b", 1), ("c", 1)], 2, 3),      # all odd, order reached
-    ([("a", 1), ("b", 2)], 3, 4),                # mixed
-    ([("a", 0), ("b", 1)], 1, 2),                # order 1
-])
-def test_truncation_nilpotency_index_matches_ideal_powers(basis, order, index):
-    r = QuasismoothTrunc(GradedSpace(basis), order, {})
-    a = r.algebra()
-    # a fresh algebra on the same table computes its index from ideal powers
-    fresh = NilpotentDgAlgebra(a.space, a.mult, a.d)
-    assert len(fresh.power_ideal_bases()) == index
-    assert a.nilpotency_index() == fresh.nilpotency_index() == index
