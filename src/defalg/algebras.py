@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .graded import Complex, GradedMap, GradedSpace, cohomology
-from .linalg import ONE, ZERO, SparseVec, Vector
+from .linalg import ONE, ZERO, CertificateError, SparseVec, Vector
 
 
 def _sparse(vec: Sequence[Fraction]) -> SparseVec:
@@ -746,85 +746,85 @@ class DeRhamAlgebra:
             n_max += 1
         self.t_cap = n_max
 
-        # blocks: (t-power n, is_dt) -> list of ambient A-vectors
-        self.blocks: List[Tuple[int, bool, List[Vector]]] = []
-        self.blocks.append((0, False, [a.space.basis_vector(i) for i in range(a.dim)]))
+        # blocks: (t-power n, is_dt, p), holding the basis powers[p] of
+        # A^(p+1); block 0 holds the basis of A itself, which is powers[0]
+        blocks = [(0, False, 0)]
         for n in range(1, n_max + 1):
-            pw = powers[_ceil_frac(n, eps) - 1]
-            self.blocks.append((n, False, pw))
-            self.blocks.append((n, True, pw))
+            p = _ceil_frac(n, eps) - 1
+            blocks += [(n, False, p), (n, True, p)]
+        echs = {p: linalg.echelon(powers[p]) for _, _, p in blocks}
+        sparse = {p: [_sparse(v) for v in powers[p]] for p in echs}
+        degs = {p: [a.space.vector_degree(v) for v in powers[p]] for p in echs}
 
         basis = []
         self._elems: List[Tuple[int, bool, Vector]] = []
         # (t-power, is_dt) -> (offset, echelon of the block's A-vectors)
         self._block_pos: Dict[Tuple[int, bool], Tuple[int, linalg.Echelon]] = {}
-        pos = 0
-        for n, is_dt, vecs in self.blocks:
-            ech = linalg.Echelon()
-            for v in vecs:
-                ech.add(v)
-            self._block_pos[(n, is_dt)] = (pos, ech)
-            for k, v in enumerate(vecs):
-                dg = a.space.vector_degree(v)
+        for n, is_dt, p in blocks:
+            self._block_pos[(n, is_dt)] = (len(basis), echs[p])
+            for k, v in enumerate(powers[p]):
                 suffix = "" if n == 0 else ("*t%d" % n if not is_dt
                                             else ("*dt" if n == 1 else "*t%ddt" % (n - 1)))
                 nm = ("p%d_%d%s" % (n, k, suffix)) if n else a.space.names[k]
-                basis.append((nm, dg + (1 if is_dt else 0)))
+                basis.append((nm, degs[p][k] + (1 if is_dt else 0)))
                 self._elems.append((n, is_dt, v))
-                pos += 1
         space = GradedSpace(basis)
-        dim = space.dim
+
+        # (v ⊗ t^n1 (dt)) · (w ⊗ t^n2 (dt)) = ±(v·w) ⊗ t^(n1+n2) (dt), with
+        # the sign (-1)^|w| when dt passes w.  Each product of two
+        # power-ideal basis vectors is formed once, sparsely, and solved for
+        # once in each block it lands in; only nonzero products are visited,
+        # in the order of the pairs of basis indices.
+        def nonzero_products(u: SparseVec, p2: int) -> List[Tuple[int, SparseVec]]:
+            """(k, u·v) over the basis vectors v = powers[p2][k] with u·v ≠ 0."""
+            prods = [a.sparse_product(u, v) for v in sparse[p2]]
+            return [(k, w) for k, w in enumerate(prods) if w]
+
+        products = {(p1, p2): [nonzero_products(u, p2) for u in sparse[p1]]
+                    for p1 in sparse for p2 in sparse}
+        # v·w as an element of A[t,dt], by (p1, k1, p2, k2, target block)
+        rows: Dict[Tuple, SparseVec] = {}
         mult: Dict[Tuple[int, int], SparseVec] = {}
-        for i, (n1, dt1, v1) in enumerate(self._elems):
-            for j, (n2, dt2, v2) in enumerate(self._elems):
-                if dt1 and dt2:
-                    continue
-                p = a.product(v1, v2)
-                if linalg.is_zero_vector(p):
-                    continue
-                out = [ZERO] * dim
-                sgn = ONE
-                if dt1 and (a.space.vector_degree(v2) % 2):
-                    sgn = -ONE
-                nres = n1 + n2
-                if (nres, dt1 or dt2) in self._block_pos:
-                    self._put(nres, dt1 or dt2, p, out, sgn)
-                else:
-                    # beyond the cap the power ideal is zero; product must die
-                    assert linalg.is_zero_vector(p)
-                sv = _sparse(out)
-                if sv:
-                    mult[(i, j)] = sv
+        for n1, dt1, p1 in blocks:
+            off1 = self._block_pos[(n1, dt1)][0]
+            for k1 in range(len(powers[p1])):
+                for n2, dt2, p2 in blocks:
+                    if dt1 and dt2:
+                        continue
+                    off2 = self._block_pos[(n2, dt2)][0]
+                    tgt = (n1 + n2, dt1 or dt2)
+                    for k2, w in products[(p1, p2)][k1]:
+                        key = (p1, k1, p2, k2, tgt)
+                        if key not in rows:
+                            rows[key] = self.element(*tgt, w)
+                        sgn = -ONE if dt1 and degs[p2][k2] % 2 else ONE
+                        mult[(off1 + k1, off2 + k2)] = {t: sgn * x
+                                                       for t, x in rows[key].items()}
         d = GradedMap(space, space, 1)
         for i, (n, is_dt, v) in enumerate(self._elems):
-            out = [ZERO] * dim
-            dv = a.d.apply(v)
-            self._put(n, is_dt, dv, out, ONE)
+            col = self.element(n, is_dt, a.d.apply(v))
             if not is_dt and n > 0:
-                vdeg = a.space.vector_degree(v)
-                sgn = Fraction(-1 if vdeg % 2 else 1)
-                self._put(n, True, v, out, sgn * n)
-            for j, c in enumerate(out):
-                if c:
-                    d.set_entry(j, i, c)
+                # the dt block follows the t block, so col stays in order
+                sgn = -n if a.space.vector_degree(v) % 2 else n
+                col.update(self.element(n, True, v, Fraction(sgn)))
+            for j, c in col.items():
+                d.set_entry(j, i, c)
         self.algebra = NilpotentDgAlgebra(space, mult, d)
         self.include = DgAlgebraMorphism(
             a, self.algebra,
             GradedMap(a.space, space, 0, {(i, i): ONE for i in range(a.dim)}),
             check=False)
 
-    def _put(self, n: int, is_dt: bool, vec: Vector, out: Vector, coef: Fraction):
-        """Add coef * (vec ⊗ t^n, or ⊗ t^(n-1)dt) to out, in this algebra's basis."""
-        if linalg.is_zero_vector(vec) or not coef:
-            return
-        blk = self._block_pos.get((n, is_dt))
-        assert blk is not None, "nonzero coefficient beyond the exact t-cap"
-        off, ech = blk
+    def element(self, n: int, is_dt: bool, vec, coef: Fraction = ONE) -> SparseVec:
+        """coef·(vec ⊗ tⁿ), or coef·(vec ⊗ tⁿ⁻¹dt), sparse in this algebra's
+        basis, for a vector of A (dense or sparse) in the block's power ideal."""
+        if (n, is_dt) not in self._block_pos:
+            raise CertificateError("nonzero coefficient beyond the exact t-cap")
+        off, ech = self._block_pos[(n, is_dt)]
         coords = ech.coords(vec)
-        assert coords is not None, "coefficient escapes its power ideal"
-        for k, c in enumerate(coords):
-            if c:
-                out[off + k] += coef * c
+        if coords is None:
+            raise CertificateError("coefficient escapes its power ideal")
+        return {off + k: coef * c for k, c in enumerate(coords) if c}
 
     def evaluate(self, s) -> DgAlgebraMorphism:
         """Evaluation morphism e_s: t ↦ s, dt ↦ 0."""
@@ -845,29 +845,13 @@ class DeRhamAlgebra:
         from math import comb
         space = self.algebra.space
         m = GradedMap(space, space, 0)
-        dim = space.dim
         for i, (n, is_dt, v) in enumerate(self._elems):
-            out = [ZERO] * dim
-            if not is_dt:
-                # t^n -> (1-t)^n
-                for k in range(n + 1):
-                    coef = Fraction(comb(n, k) * (-1) ** k)
-                    off, ech = self._block_pos[(k, False)]
-                    coords = ech.coords(v)
-                    for t, c in enumerate(coords):
-                        if c:
-                            out[off + t] += coef * c
-            else:
-                # t^{n-1}dt -> (1-t)^{n-1}(-dt)
-                for k in range(n):
-                    coef = Fraction(-comb(n - 1, k) * (-1) ** k)
-                    off, ech = self._block_pos[(k + 1, True)]
-                    coords = ech.coords(v)
-                    for t, c in enumerate(coords):
-                        if c:
-                            out[off + t] += coef * c
-            for j, c in enumerate(out):
-                if c:
+            # t^n -> (1-t)^n; t^(n-1)dt -> -(1-t)^(n-1)dt, whose t^k dt term
+            # lies in block (k+1, dt)
+            top, sgn = (n - 1, -1) if is_dt else (n, 1)
+            for k in range(top + 1):
+                coef = Fraction(sgn * comb(top, k) * (-1) ** k)
+                for j, c in self.element(k + is_dt, is_dt, v, coef).items():
                     m.set_entry(j, i, c)
         return DgAlgebraMorphism(self.algebra, self.algebra, m, check=False)
 
@@ -902,10 +886,9 @@ class Homotopy:
 def check_homotopy(h: Homotopy, f: DgAlgebraMorphism, g: DgAlgebraMorphism) -> bool:
     """True iff H is a dg-algebra morphism with e₀∘H = f and e₁∘H = g."""
     try:
-        morph = h.as_morphism()
+        h.as_morphism()
     except ValueError:
         return False
-    del morph
     return h.endpoint(0) == f.map and h.endpoint(1) == g.map
 
 

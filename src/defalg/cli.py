@@ -3,7 +3,8 @@
 ``defalg <command> --in <file> [--in <file>…] [--order N] [--json]``
 
 Exit status: 0 on success / verdict true, 1 on verdict false, 2 on input
-errors (unreadable files, syntax errors, schema mismatches).  All numbers
+errors (unreadable files, syntax errors, schema mismatches), 3 when an
+exact certificate the program checks for its own result fails.  All numbers
 in reports are exact rationals.  ``DEFALG_SEED`` seeds the process-wide
 random generator for reproducibility of randomized helpers.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from . import docio
+from . import docio, linalg
 from .dgla import (Dgla, def_tangent, gauge_equivalent, mc_check, mc_lift,
                    tensor_dgla, tensor_space)
 from .graded import cohomology
@@ -325,6 +326,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (docio.DocumentError, SchemaError, ValueError) as err:
         sys.stderr.write("error: %s\n" % err)
         return 2
+    except linalg.CertificateError as err:
+        sys.stderr.write("error: certificate failed: %s\n" % err)
+        return 3
     sys.stdout.write(report.render_json() if args.json
                      else report.render_text())
     return report.exit_status

@@ -26,6 +26,12 @@ Matrix = List[List[Fraction]]
 SparseVec = Dict[int, Fraction]
 
 
+class CertificateError(Exception):
+    """An exact certificate that the program computes and checks itself
+    failed: a defect in the program, not in its input.  Raised explicitly,
+    so the check also runs under ``python -O``."""
+
+
 def frac(x) -> Fraction:
     """Coerce ints / strings like ``-3/7`` to Fraction."""
     if isinstance(x, Fraction):

@@ -15,14 +15,14 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .algebras import (DeRhamAlgebra, DgAlgebraMorphism, Homotopy,
-                       NilpotentDgAlgebra, SparseVec, check_homotopy,
-                       constant_homotopy, de_rham_truncation)
+from .algebras import (DgAlgebraMorphism, Homotopy, NilpotentDgAlgebra,
+                       SparseVec, _dense, check_homotopy, constant_homotopy,
+                       de_rham_truncation)
 from .dgla import Dgla, TensorDgla, mc_defect, tensor_dgla
 from .graded import (Complex, Contraction, GradedMap, GradedSpace,
                      SymmetricPower, canonical_monomial, cohomology,
                      symmetric_power)
-from .linalg import ONE, ZERO, Vector
+from .linalg import ONE, ZERO, CertificateError, Vector
 
 Word = Tuple[int, ...]
 
@@ -63,8 +63,10 @@ class QuasismoothTrunc:
             if m.entries:
                 self.components[k] = m
         self._algebra: Optional[NilpotentDgAlgebra] = None
-        if check and not self.differential().compose(self.differential()).is_zero():
-            raise ValueError("derivation does not square to zero on the truncation")
+        if check:
+            d = self.differential()
+            if not d.compose(d).is_zero():
+                raise ValueError("derivation does not square to zero on the truncation")
 
     def position(self, word: Sequence[int]) -> Optional[Tuple[int, int]]:
         if not 1 <= len(word) <= self.order:
@@ -380,34 +382,31 @@ def minimalize(r: QuasismoothTrunc) -> MinimalModel:
     assert pi2.map.compose(gamma2.map) == GradedMap.identity(a_s.space) \
         or not h_space.dim
 
-    dr2 = de_rham_truncation(a2, 1)
-    hot_images: List[Vector] = []
-    for j in range(v1.dim):
-        if j in h_idx:
-            hot_images.append(dr2.include.map.apply(a2.space.basis_vector(j)))
-        elif j in v_idx:
-            hot_images.append(_derham_put(dr2, 1, False,
-                                          a2.space.basis_vector(j), ONE))
-        else:
-            t = w_idx.index(j)
-            vvec = a2.space.basis_vector(v_idx[t])
-            img = _derham_put(dr2, 1, False, a2.space.basis_vector(j), ONE)
-            sgn = Fraction(-1 if a2.space.degrees[v_idx[t]] % 2 else 1)
-            img = linalg.vec_add(img, _derham_put(dr2, 1, True, vvec, sgn))
-            hot_images.append(img)
-    hmap2 = morphism_from_generators(r2, dr2.algebra, hot_images).map
-
     # conjugate back through the coordinate changes
     g = DgAlgebraMorphism(a2, a_old, g1.map.compose(g2.map))
     ginv = invert_morphism(g)
     pi = DgAlgebraMorphism(a_old, a_s, pi2.map.compose(ginv.map))
     gamma = DgAlgebraMorphism(a_s, a_old, g.map.compose(gamma2.map))
-    dr_old = de_rham_truncation(a_old, 1)
-    lift_g = _derham_lift(dr2, dr_old, g.map)
-    hmap = lift_g.compose(hmap2).compose(ginv.map)
-    hot = Homotopy(a_old, a_old, dr_old, hmap)
+
+    # the homotopy on the normalized generators, h ↦ h, v ↦ v⊗t and
+    # w ↦ d(v⊗t), carried by g into A_old[t,dt]; composed with g⁻¹ it
+    # starts at γπ and ends at Id
+    dr = de_rham_truncation(a_old, 1)
+    hot_images: List[Vector] = []
+    for j in range(v1.dim):
+        gj = g.map.column(j)
+        if j in h_idx:
+            hot_images.append(dr.include.map.apply(gj))
+        elif j in v_idx:
+            hot_images.append(_dense(dr.element(1, False, gj), dr.algebra.dim))
+        else:
+            hot_images.append(dr.algebra.d.apply(hot_images[v_idx[w_idx.index(j)]]))
+    hmap = morphism_from_generators(r2, dr.algebra, hot_images,
+                                    check=False).map.compose(ginv.map)
+    hot = Homotopy(a_old, a_old, dr, hmap)
     gp = DgAlgebraMorphism(a_old, a_old, gamma.map.compose(pi.map))
-    assert check_homotopy(hot, gp, DgAlgebraMorphism.identity(a_old))
+    if not check_homotopy(hot, gp, DgAlgebraMorphism.identity(a_old)):
+        raise CertificateError("the homotopy γπ ~ Id fails its check")
     return MinimalModel(r, s, pi, gamma, hot)
 
 
@@ -433,25 +432,6 @@ def _delta0(r1: QuasismoothTrunc, a1: NilpotentDgAlgebra, gpos: int,
     for wpos, c in enumerate(part):
         if c:
             out[r1.offsets[k] + wpos] = c
-    return out
-
-
-def _derham_put(dr: DeRhamAlgebra, n: int, is_dt: bool, vec: Vector,
-                coef: Fraction) -> Vector:
-    out = dr.algebra.space.zero_vector()
-    dr._put(n, is_dt, vec, out, coef)
-    return out
-
-
-def _derham_lift(src: DeRhamAlgebra, dst: DeRhamAlgebra,
-                 u: GradedMap) -> GradedMap:
-    """Blockwise extension of an algebra map u to the t,dt truncations."""
-    out = GradedMap(src.algebra.space, dst.algebra.space, 0)
-    for i, (n, is_dt, v) in enumerate(src._elems):
-        img = _derham_put(dst, n, is_dt, u.apply(v), ONE)
-        for j, c in enumerate(img):
-            if c:
-                out.set_entry(j, i, c)
     return out
 
 

@@ -503,3 +503,86 @@ def rref_invert(a):
     if pivots != list(range(n)):
         raise ValueError("matrix is not invertible")
     return [row[n:] for row in r]
+
+
+# ---------------------------------------------------------------------------
+# reference A[t,dt]_eps: every pair of basis elements multiplied densely and
+# solved for in its block, kept as the oracle for ``DeRhamAlgebra``
+
+def dense_de_rham(a, eps):
+    """(basis elements (n, is_dt, v), product table, d's entries) of
+    A[t,dt]_eps; the table is filled in the order of the pairs (i, j)."""
+    from defalg.algebras import _ceil_frac
+    powers = a.power_ideal_bases()
+    n_max = 0
+    while _ceil_frac(n_max + 1, eps) < len(powers):
+        n_max += 1
+    blocks = {(0, False): [a.space.basis_vector(i) for i in range(a.dim)]}
+    for n in range(1, n_max + 1):
+        for dt in (False, True):
+            blocks[(n, dt)] = powers[_ceil_frac(n, eps) - 1]
+    elems, offsets = [], {}
+    for (n, dt), vecs in blocks.items():
+        offsets[(n, dt)] = len(elems)
+        elems += [(n, dt, v) for v in vecs]
+    solved = {}
+
+    def put(n, dt, vec, out, coef):
+        if linalg.is_zero_vector(vec):
+            return
+        key = (n, dt, tuple(vec))
+        if key not in solved:
+            vecs = blocks[(n, dt)]
+            solved[key] = rref_solve([[v[r] for v in vecs] for r in range(a.dim)], vec)
+        assert solved[key] is not None, "coefficient escapes its power ideal"
+        for k, c in enumerate(solved[key]):
+            out[offsets[(n, dt)] + k] += coef * c
+
+    mult = {}
+    for i, (n1, dt1, v1) in enumerate(elems):
+        for j, (n2, dt2, v2) in enumerate(elems):
+            if dt1 and dt2:
+                continue
+            out = [F(0)] * len(elems)
+            sgn = F(-1 if dt1 and a.space.vector_degree(v2) % 2 else 1)
+            put(n1 + n2, dt1 or dt2, a.product(v1, v2), out, sgn)
+            row = {k: c for k, c in enumerate(out) if c}
+            if row:
+                mult[(i, j)] = row
+    d = {}
+    for i, (n, dt, v) in enumerate(elems):
+        out = [F(0)] * len(elems)
+        put(n, dt, a.d.apply(v), out, F(1))
+        if not dt and n > 0:
+            put(n, True, v, out, F(-n if a.space.vector_degree(v) % 2 else n))
+        d.update({(j, i): c for j, c in enumerate(out) if c})
+    return elems, mult, d
+
+
+def pairs_truncation(n_pairs, n_h, order):
+    """Generators u_k (0), w_k (1), h_j (1) with d u_k = (-1)^k w_k and
+    d h_j = sum over k of (-1)^(j+k) w_k·h_j.  d² = 0 because the w_k are
+    odd; only the h_j survive minimalization."""
+    basis = []
+    for k in range(n_pairs):
+        basis += [("u%d" % k, 0), ("w%d" % k, 1)]
+    basis += [("h%d" % j, 1) for j in range(n_h)]
+    v = GradedSpace(basis)
+    p1, p2 = symmetric_power(v, 1), symmetric_power(v, 2)
+    d1 = GradedMap(v, p1.space, 1)
+    d2 = GradedMap(v, p2.space, 1)
+    for k in range(n_pairs):
+        d1.set_entry(2 * k + 1, 2 * k, F((-1) ** k))
+        for j in range(n_h):
+            pos, sgn = p2.index((2 * k + 1, 2 * n_pairs + j))
+            d2.set_entry(pos, 2 * n_pairs + j, F(sgn * (-1) ** (j + k)))
+    return QuasismoothTrunc(v, order, {1: d1, 2: d2} if n_h else {1: d1})
+
+
+def koszul_truncation(pairs, order):
+    """The acyclic truncation on Koszul pairs (s_k:0, r_k:1), d s_k = r_k."""
+    v = GradedSpace([(name % k, deg) for k in range(pairs)
+                     for name, deg in (("s%d", 0), ("r%d", 1))])
+    d1 = GradedMap(v, symmetric_power(v, 1).space, 1,
+                   {(2 * k + 1, 2 * k): F(1) for k in range(pairs)})
+    return QuasismoothTrunc(v, order, {1: d1})

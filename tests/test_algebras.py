@@ -15,8 +15,9 @@ from defalg.graded import (Complex, GradedMap, GradedSpace, cohomology,
                            is_quasiiso)
 from defalg.dgla import Dgla, tensor_dgla
 from conftest import (counterexample_algebras, counterexample_extension,
-                      heisenberg, make_rng, random_algebra,
-                      random_pair_truncation, sl2, sl2_odd)
+                      dense_de_rham, heisenberg, koszul_truncation, make_rng,
+                      pairs_truncation, random_algebra, random_pair_truncation,
+                      sl2, sl2_odd)
 
 F = Fraction
 
@@ -253,6 +254,27 @@ def test_de_rham_epsilon_half_widens_cap():
     dr2 = de_rham_truncation(a, F(1, 2))
     assert dr2.t_cap > dr1.t_cap
     assert dr2.algebra.validate().ok
+
+
+def _de_rham_inputs():
+    # the shapes of the benchmark's minimalize truncations
+    for n_pairs, n_h, order in [(1, 1, 3), (2, 1, 2), (1, 2, 3)]:
+        yield "p%dh%d" % (n_pairs, n_h), pairs_truncation(n_pairs, n_h, order).algebra()
+    a, b = counterexample_algebras()
+    yield "counterexample A", a
+    yield "counterexample B", b
+    yield "koszul", koszul_truncation(1, 4).algebra()
+
+
+@pytest.mark.parametrize("eps", [F(1), F(1, 2), F(2, 3), F(3)], ids=str)
+def test_de_rham_table_equals_dense_oracle(eps):
+    for name, a in _de_rham_inputs():
+        dr = de_rham_truncation(a, eps)
+        elems, mult, d = dense_de_rham(a, eps)
+        assert dr._elems == elems, name
+        # keys, values and insertion order
+        assert list(dr.algebra.mult.items()) == list(mult.items()), name
+        assert list(dr.algebra.d.entries.items()) == list(d.items()), name
 
 
 # ---------------------------------------------------------------------------

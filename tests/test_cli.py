@@ -17,6 +17,7 @@ SL2 = str(FIXTURES / "sl2.dgla")
 SL2_ODD = str(FIXTURES / "sl2_odd.dgla")
 EXT = str(FIXTURES / "counterexample.ext")
 MC = str(FIXTURES / "counterexample.mc")
+PAIRS = str(FIXTURES / "pairs.qs")
 
 B_ALGEBRA = "kind: nilpotent_dg_algebra\nbasis:\n  u 1\n  v 1\n"
 NON_MINIMAL = ("kind: quasismooth\nbasis:\n  u 0\n  w 1\n  h 1\norder: 3\n"
@@ -247,6 +248,37 @@ exit: 0
 def test_prorepresent_sl2_odd_golden(capsys):
     code, out, err = run(capsys, "prorepresent", "--in", SL2_ODD, "--order", "4")
     assert (code, out, err) == (0, SL2_ODD_ORDER_4, "")
+
+
+PAIRS_MINIMALIZE = """\
+command: minimalize
+already minimal: no
+minimal: yes
+tangent dimensions:
+  0: 2
+---
+kind: quasismooth
+basis:
+  h0 1
+  h1 1
+order: 3
+exit: 0
+"""
+
+
+def test_minimalize_pairs_golden(capsys):
+    code, out, err = run(capsys, "minimalize", "--in", PAIRS)
+    assert (code, out, err) == (0, PAIRS_MINIMALIZE, "")
+
+
+def test_exit_three_on_failed_certificate(capsys, monkeypatch):
+    import defalg.models
+    monkeypatch.setattr(defalg.models, "check_homotopy", lambda h, f, g: False)
+    code, out, err = run(capsys, "minimalize", "--in", PAIRS)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_factor_extensions(capsys):

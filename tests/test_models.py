@@ -78,6 +78,21 @@ def test_minimalize_idempotent():
     assert check_homotopy(mm2.homotopy, mm2.gamma, mm2.gamma)
 
 
+def test_minimalize_builds_one_de_rham_algebra(monkeypatch):
+    import defalg.algebras
+    built = []
+    real = defalg.algebras.DeRhamAlgebra.__init__
+
+    def counting(self, a, eps):
+        built.append(a)
+        real(self, a, eps)
+
+    monkeypatch.setattr(defalg.algebras.DeRhamAlgebra, "__init__", counting)
+    mm = minimalize(non_minimal_trunc())
+    assert len(built) == 1
+    assert mm.homotopy.derham.base is mm.r.algebra()
+
+
 def test_morphism_lift_of_section():
     r = non_minimal_trunc()
     mm = minimalize(r)
