@@ -74,101 +74,29 @@ Pair = Tuple[int, int]
 Triple = Tuple[int, int, int]
 
 
-def _axiom_errors(space: GradedSpace, table: Dict[Pair, SparseVec], left: LeftIndex,
-                  d: GradedMap, lie: bool) -> Tuple[List[str], List[str], List[str]]:
-    """The symmetry, associativity (Jacobi) and Leibniz errors of a graded
-    algebra (``lie`` False) or a graded Lie algebra (``lie`` True), read from
-    the structure constants and the differential's entries alone.
+class BilinearStructure:
+    """A finite graded space with a bilinear operation given by structure
+    constants and a degree +1 differential d: the data that nilpotent
+    dg-algebras, DGLAs and L⊗A share.
 
-    With s = (-1)^{|i||j|}, the defects are
-      symmetry   e_i e_j - s e_j e_i        (Lie: e_i e_j + s e_j e_i), i <= j;
-      triples    (e_i e_j) e_k - e_i (e_j e_k)   (Lie: + s e_j (e_i e_k));
-      Leibniz    d(e_i e_j) - (d e_i) e_j - (-1)^{|i|} e_i (d e_j).
-    Each defect is accumulated sparsely by walking every nonzero constant
-    through the left index and a right index m -> [(i, e_i e_m)] built here
-    from the table itself, so no symmetry of the table is assumed.  Each
-    list names its failing pairs or triples in lexicographic order.
+    ``table`` maps a pair of basis indices (i, j) to the sparse coefficient
+    vector of e_i·e_j (the product, or the bracket [e_i, e_j]); missing
+    pairs give zero.  The constructor is the only writer of ``table`` and
+    also builds its left index i -> [(j, e_i·e_j)], through which the
+    operation walks only the support of its left argument.  A subclass
+    names its operation in ``_wrong_degree`` and says in ``_lie`` whether
+    its axioms are those of a graded Lie algebra.
     """
-    odd = [deg % 2 for deg in space.degrees]
-    right: LeftIndex = [[] for _ in range(space.dim)]
-    for (i, m), row in table.items():
-        right[m].append((i, row))
+    _wrong_degree = "product %s*%s has an entry of wrong degree"
+    _lie = False
 
-    def add(defects: Dict, key, c: Fraction, row: SparseVec) -> None:
-        out = defects.setdefault(key, {})
-        for t, x in row.items():
-            out[t] = out.get(t, ZERO) + c * x
-
-    def failing(defects: Dict) -> List:
-        return sorted(key for key, out in defects.items() if any(out.values()))
-
-    symmetry = []
-    for i, j in sorted({(min(p), max(p)) for p in table}):
-        s = -1 if odd[i] and odd[j] else 1
-        if lie:
-            s = -s
-        if table.get((i, j), {}) != {k: s * c for k, c in table.get((j, i), {}).items()}:
-            symmetry.append((i, j))
-
-    triples: Dict[Triple, SparseVec] = {}
-    for (p, q), row in table.items():
-        for m, c in row.items():
-            for k, r in left[m]:            # (e_p e_q) e_k
-                add(triples, (p, q, k), c, r)
-            for i, r in right[m]:           # -e_i (e_p e_q)
-                add(triples, (i, p, q), -c, r)
-            if lie:
-                for j, r in right[m]:       # s e_j (e_p e_q) on (p, j, q)
-                    add(triples, (p, j, q), -c if odd[p] and odd[j] else c, r)
-
-    leibniz: Dict[Pair, SparseVec] = {}
-    dcols: List[SparseVec] = [{} for _ in range(space.dim)]
-    for (t, m), c in d.entries.items():
-        dcols[m][t] = c
-    for (i, j), row in table.items():       # d(e_i e_j)
-        for m, c in row.items():
-            add(leibniz, (i, j), c, dcols[m])
-    for (p, q), c in d.entries.items():     # d e_q has c at p
-        for j, r in left[p]:                # -(d e_q) e_j
-            add(leibniz, (q, j), -c, r)
-        for i, r in right[p]:               # -(-1)^{|i|} e_i (d e_q)
-            add(leibniz, (i, q), c if odd[i] else -c, r)
-
-    def messages(axiom: str, keys: List) -> List[str]:
-        return ["%s fails on (%s)" % (axiom, ", ".join(space.names[t] for t in key))
-                for key in keys]
-
-    sym_axiom, triple_axiom = (("graded antisymmetry", "graded Jacobi") if lie
-                               else ("graded commutativity", "associativity"))
-    return (messages(sym_axiom, symmetry), messages(triple_axiom, failing(triples)),
-            messages("Leibniz", failing(leibniz)))
-
-
-class NilpotentDgAlgebra:
-    """Object of the category of nilpotent dg-algebras.
-
-    ``mult`` maps a pair of basis indices (i, j) to the sparse coefficient
-    vector of e_i * e_j; missing pairs multiply to zero.  The constructor is
-    the only writer of ``mult`` and also builds its left index
-    i -> [(j, e_i * e_j)], through which products walk only the support of
-    the left factor.
-    """
-
-    def __init__(self, space: GradedSpace, mult: Dict[Tuple[int, int], SparseVec],
+    def __init__(self, space: GradedSpace, table: Dict[Pair, SparseVec],
                  differential: GradedMap):
         if differential.source != space or differential.degree != 1:
             raise ValueError("differential must be a degree +1 endomap")
         self.space = space
-        self.mult, self._left = _structure_constants(
-            space, mult, "product %s*%s has an entry of wrong degree")
+        self.table, self._left = _structure_constants(space, table, self._wrong_degree)
         self.d = differential
-
-    @classmethod
-    def trivial(cls, space: GradedSpace, differential: Optional[GradedMap] = None
-                ) -> "NilpotentDgAlgebra":
-        if differential is None:
-            differential = GradedMap.zero(space, space, 1)
-        return cls(space, {}, differential)
 
     @property
     def dim(self) -> int:
@@ -177,11 +105,12 @@ class NilpotentDgAlgebra:
     def complex(self) -> Complex:
         return Complex(self.space, self.d)
 
-    def product(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-        return _bilinear(self._left, u, v, self.dim)
+    def table_entry(self, i: int, j: int) -> Vector:
+        """e_i·e_j as a fresh dense vector."""
+        return _dense(self.table.get((i, j), {}), self.dim)
 
     def _left_mul(self, i: int, w: SparseVec) -> SparseVec:
-        """e_i * w for a sparse w."""
+        """e_i·w for a sparse w."""
         out: SparseVec = {}
         for j, row in self._left[i]:
             cw = w.get(j)
@@ -192,18 +121,100 @@ class NilpotentDgAlgebra:
         return {k: c for k, c in out.items() if c}
 
     def sparse_product(self, u: SparseVec, w: SparseVec) -> SparseVec:
-        """u * w for sparse u and w."""
+        """u·w for sparse u and w."""
         out: SparseVec = {}
         for i, cu in u.items():
             for k, c in self._left_mul(i, w).items():
                 out[k] = out.get(k, ZERO) + cu * c
         return {k: c for k, c in out.items() if c}
 
-    def basis_product(self, i: int, j: int) -> Vector:
-        return _dense(self.mult.get((i, j), {}), self.dim)
+    def _axiom_errors(self) -> Tuple[List[str], List[str], List[str], List[str]]:
+        """The symmetry, associativity (Jacobi), Leibniz and d∘d errors of a
+        graded algebra (``_lie`` False) or a graded Lie algebra (``_lie``
+        True), read from the structure constants and d's entries alone.
+
+        With s = (-1)^{|i||j|}, the defects are
+          symmetry   e_i e_j - s e_j e_i        (Lie: e_i e_j + s e_j e_i), i <= j;
+          triples    (e_i e_j) e_k - e_i (e_j e_k)   (Lie: + s e_j (e_i e_k));
+          Leibniz    d(e_i e_j) - (d e_i) e_j - (-1)^{|i|} e_i (d e_j).
+        Each defect is accumulated sparsely by walking every nonzero constant
+        through the left index and a right index m -> [(i, e_i e_m)] built here
+        from the table itself, so no symmetry of the table is assumed.  Each
+        list names its failing pairs or triples in lexicographic order.
+        """
+        space, table, left, d, lie = self.space, self.table, self._left, self.d, self._lie
+        odd = [deg % 2 for deg in space.degrees]
+        right: LeftIndex = [[] for _ in range(space.dim)]
+        for (i, m), row in table.items():
+            right[m].append((i, row))
+
+        def add(defects: Dict, key, c: Fraction, row: SparseVec) -> None:
+            out = defects.setdefault(key, {})
+            for t, x in row.items():
+                out[t] = out.get(t, ZERO) + c * x
+
+        def failing(defects: Dict) -> List:
+            return sorted(key for key, out in defects.items() if any(out.values()))
+
+        symmetry = []
+        for i, j in sorted({(min(p), max(p)) for p in table}):
+            s = -1 if odd[i] and odd[j] else 1
+            if lie:
+                s = -s
+            if table.get((i, j), {}) != {k: s * c for k, c in table.get((j, i), {}).items()}:
+                symmetry.append((i, j))
+
+        triples: Dict[Triple, SparseVec] = {}
+        for (p, q), row in table.items():
+            for m, c in row.items():
+                for k, r in left[m]:            # (e_p e_q) e_k
+                    add(triples, (p, q, k), c, r)
+                for i, r in right[m]:           # -e_i (e_p e_q)
+                    add(triples, (i, p, q), -c, r)
+                if lie:
+                    for j, r in right[m]:       # s e_j (e_p e_q) on (p, j, q)
+                        add(triples, (p, j, q), -c if odd[p] and odd[j] else c, r)
+
+        leibniz: Dict[Pair, SparseVec] = {}
+        dcols: List[SparseVec] = [{} for _ in range(space.dim)]
+        for (t, m), c in d.entries.items():
+            dcols[m][t] = c
+        for (i, j), row in table.items():       # d(e_i e_j)
+            for m, c in row.items():
+                add(leibniz, (i, j), c, dcols[m])
+        for (p, q), c in d.entries.items():     # d e_q has c at p
+            for j, r in left[p]:                # -(d e_q) e_j
+                add(leibniz, (q, j), -c, r)
+            for i, r in right[p]:               # -(-1)^{|i|} e_i (d e_q)
+                add(leibniz, (i, q), c if odd[i] else -c, r)
+
+        def messages(axiom: str, keys: List) -> List[str]:
+            return ["%s fails on (%s)" % (axiom, ", ".join(space.names[t] for t in key))
+                    for key in keys]
+
+        sym_axiom, triple_axiom = (("graded antisymmetry", "graded Jacobi") if lie
+                                   else ("graded commutativity", "associativity"))
+        return (messages(sym_axiom, symmetry), messages(triple_axiom, failing(triples)),
+                messages("Leibniz", failing(leibniz)),
+                [] if d.compose(d).is_zero() else ["d∘d != 0"])
+
+
+class NilpotentDgAlgebra(BilinearStructure):
+    """Object of the category of nilpotent dg-algebras: ``table`` holds the
+    products e_i * e_j."""
+
+    @classmethod
+    def trivial(cls, space: GradedSpace, differential: Optional[GradedMap] = None
+                ) -> "NilpotentDgAlgebra":
+        if differential is None:
+            differential = GradedMap.zero(space, space, 1)
+        return cls(space, {}, differential)
+
+    def product(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
+        return _bilinear(self._left, u, v, self.dim)
 
     def has_trivial_mult(self) -> bool:
-        return not self.mult
+        return not self.table
 
     def power_ideal_bases(self) -> List[List[Vector]]:
         """Bases of A = A^1 ⊇ A^2 ⊇ ...  down to the first zero power.
@@ -244,19 +255,13 @@ class NilpotentDgAlgebra:
 
     def validate(self) -> "ValidationReport":
         """Check graded commutativity, associativity, d∘d = 0, Leibniz and
-        nilpotency, reading only the structure constants and d's entries
-        (``_axiom_errors``).  Failing pairs and triples are reported in
-        lexicographic order of their basis indices."""
-        comm, assoc, leibniz = _axiom_errors(self.space, self.mult, self._left,
-                                             self.d, lie=False)
-        errs = comm + assoc
-        if not self.d.compose(self.d).is_zero():
-            errs.append("d∘d != 0")
-        errs += leibniz
+        nilpotency on the structure constants (``_axiom_errors``).  Failing
+        pairs and triples are reported in lexicographic order of their basis
+        indices."""
+        comm, assoc, leibniz, dd = self._axiom_errors()
         idx = self.nilpotency_index()
-        if idx is None:
-            errs.append("not nilpotent")
-        return ValidationReport(errors=errs, nilpotency_index=idx)
+        return ValidationReport(comm + assoc + dd + leibniz
+                                + (["not nilpotent"] if idx is None else []), idx)
 
     def __repr__(self):
         return "NilpotentDgAlgebra(dim=%d)" % self.dim
@@ -264,6 +269,8 @@ class NilpotentDgAlgebra:
 
 @dataclass
 class ValidationReport:
+    """The errors found by ``validate()``; ``nilpotency_index`` is None for a
+    DGLA and for an algebra that is not nilpotent."""
     errors: List[str]
     nilpotency_index: Optional[int] = None
 
@@ -302,14 +309,14 @@ class DgAlgebraMorphism:
         for i in range(src.dim):
             for j in range(src.dim):
                 lhs: SparseVec = {}
-                for m, c in src.mult.get((i, j), {}).items():
+                for m, c in src.table.get((i, j), {}).items():
                     for t, x in cols[m].items():
                         lhs[t] = lhs.get(t, ZERO) + c * x
                 if ({t: x for t, x in lhs.items() if x}
                         != self.target.sparse_product(cols[i], cols[j])):
                     failing.add((i, j))
         if failing:
-            for (i, j) in set(list(src.mult.keys())) | {
+            for (i, j) in set(list(src.table.keys())) | {
                     (i, j) for i in range(src.dim) for j in range(src.dim)}:
                 if (i, j) in failing:
                     errs.append("not multiplicative on (%s, %s)"
@@ -416,9 +423,9 @@ def direct_product(a: NilpotentDgAlgebra, b: NilpotentDgAlgebra,
     space = GradedSpace(basis)
     na = a.dim
     mult: Dict[Tuple[int, int], SparseVec] = {}
-    for (i, j), row in a.mult.items():
+    for (i, j), row in a.table.items():
         mult[(i, j)] = dict(row)
-    for (i, j), row in b.mult.items():
+    for (i, j), row in b.table.items():
         mult[(i + na, j + na)] = {k + na: c for k, c in row.items()}
     d = GradedMap(space, space, 1)
     for (j, i), c in a.d.entries.items():
@@ -654,7 +661,9 @@ def mapping_cone(a: NilpotentDgAlgebra, module_vectors: Sequence[Vector]) -> Map
     """Cone C = A ⊕ M[1] of the inclusion of a square-zero ideal M ⊆ A.
 
     Product (x, m)(y, n) = (xy, xn + my) with the shifted module structure;
-    differential (x, m) ↦ (dx + m, -d m) in shifted coordinates.
+    differential (x, m) ↦ (dx + m, -d²x - dm) in shifted coordinates.  The
+    -d² block is zero when d_A² = 0; otherwise it makes C's differential
+    square to zero, and it raises ValueError when d²(A) leaves M.
     """
     mv = [list(v) for v in module_vectors]
     for u in mv:
@@ -682,7 +691,7 @@ def mapping_cone(a: NilpotentDgAlgebra, module_vectors: Sequence[Vector]) -> Map
         return coords
 
     mult: Dict[Tuple[int, int], SparseVec] = {}
-    for (i, j), row in a.mult.items():
+    for (i, j), row in a.table.items():
         mult[(i, j)] = dict(row)
     for i in range(na):
         ei = a.space.basis_vector(i)
@@ -699,6 +708,14 @@ def mapping_cone(a: NilpotentDgAlgebra, module_vectors: Sequence[Vector]) -> Map
     d = GradedMap(space, space, 1)
     for (j, i), c in a.d.entries.items():
         d.set_entry(j, i, c)
+    for i, col in enumerate(a.d.compose(a.d).columns()):
+        if col:
+            coords = span.coords(col)
+            if coords is None:
+                raise ValueError("d² does not map A into the module")
+            for t, c in enumerate(coords):
+                if c:
+                    d.set_entry(na + t, i, -c)
     for k, w in enumerate(mv):
         for j, c in enumerate(w):          # the inclusion component f: M[1] -> A[1]
             if c:

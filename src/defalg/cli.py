@@ -209,8 +209,8 @@ def cmd_primary_bracket(docs, args) -> Report:
     hb = cohomology_bracket(l)
     rep = Report("primary-bracket")
     table = []
-    for (i, j) in sorted(hb.bracket):
-        sv = hb.bracket[(i, j)]
+    for (i, j) in sorted(hb.table):
+        sv = hb.table[(i, j)]
         combo = tuple((hb.space.names[k], c) for k, c in sorted(sv.items()) if c)
         if combo:
             table.append("[%s, %s] = %s" % (hb.space.names[i],

@@ -16,70 +16,38 @@ from math import factorial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .algebras import (DgAlgebraMorphism, LeftIndex, NilpotentDgAlgebra,
-                       SmallExtension, SparseVec, _axiom_errors, _bilinear, _dense,
-                       _structure_constants, factor_into_small_extensions)
+from .algebras import (BilinearStructure, DgAlgebraMorphism, LeftIndex,
+                       NilpotentDgAlgebra, SmallExtension, SparseVec, ValidationReport,
+                       _bilinear, factor_into_small_extensions)
 from .graded import Complex, Contraction, GradedMap, GradedSpace, cohomology
 from .linalg import ONE, ZERO, Vector
 
 
-class Dgla:
-    """Differential graded Lie algebra on a finite basis.
-
-    ``bracket[(i, j)]`` holds the sparse coefficients of [e_i, e_j];
-    missing pairs bracket to zero.  The constructor is the only writer of
-    ``bracket`` and also builds its left index i -> [(j, [e_i, e_j])],
-    through which brackets walk only the support of the left argument.
-    ``nilpotency_class`` (optional) bounds the length of nonzero iterated
-    brackets, enabling exponentials.
+class Dgla(BilinearStructure):
+    """Differential graded Lie algebra on a finite basis: ``table`` holds the
+    brackets [e_i, e_j].  ``nilpotency_class`` (optional) bounds the length
+    of nonzero iterated brackets, enabling exponentials.
     """
+    _wrong_degree = "bracket [%s, %s] has an entry of wrong degree"
+    _lie = True
 
     def __init__(self, space: GradedSpace, bracket: Dict[Tuple[int, int], SparseVec],
                  differential: GradedMap, nilpotency_class: Optional[int] = None):
-        if differential.source != space or differential.degree != 1:
-            raise ValueError("differential must be a degree +1 endomap")
-        self.space = space
-        self.bracket, self._left = _structure_constants(
-            space, bracket, "bracket [%s, %s] has an entry of wrong degree")
-        self.d = differential
+        super().__init__(space, bracket, differential)
         self.nilpotency_class = nilpotency_class
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def complex(self) -> Complex:
-        return Complex(self.space, self.d)
-
-    def basis_bracket(self, i: int, j: int) -> Vector:
-        return _dense(self.bracket.get((i, j), {}), self.dim)
 
     def bracket_vec(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
         return _bilinear(self._left, u, v, self.dim)
 
-    def validate(self) -> "DglaReport":
-        """Check graded antisymmetry, Jacobi, Leibniz and d∘d = 0, reading
-        only the structure constants and d's entries (``_axiom_errors``).
-        Failing pairs and triples are reported in lexicographic order of
-        their basis indices."""
-        anti, jacobi, leibniz = _axiom_errors(self.space, self.bracket, self._left,
-                                              self.d, lie=True)
-        errs = anti + jacobi + leibniz
-        if not self.d.compose(self.d).is_zero():
-            errs.append("d∘d != 0")
-        return DglaReport(errors=errs)
+    def validate(self) -> ValidationReport:
+        """Check graded antisymmetry, Jacobi, Leibniz and d∘d = 0 on the
+        structure constants (``_axiom_errors``).  Failing pairs and triples
+        are reported in lexicographic order of their basis indices."""
+        anti, jacobi, leibniz, dd = self._axiom_errors()
+        return ValidationReport(anti + jacobi + leibniz + dd)
 
     def __repr__(self):
         return "Dgla(dim=%d)" % self.dim
-
-
-@dataclass
-class DglaReport:
-    errors: List[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
 
 
 class TensorDgla(Dgla):
@@ -91,8 +59,8 @@ class TensorDgla(Dgla):
     certified by validate(); the differential is
         d(x⊗a) = dx ⊗ a + (-1)^{deg x} x ⊗ da.
     ``bracket_vec`` reads L's and A's left indices directly.  The table
-    ``bracket`` and its left index are built only when read (validate(),
-    basis_bracket()), each product of an L-constant with an A-constant its
+    and its left index are built only when read (validate(),
+    table_entry()), each product of an L-constant with an A-constant its
     own entry; ``nilpotency_class`` is read off A when first needed.
     """
 
@@ -117,18 +85,18 @@ class TensorDgla(Dgla):
         return nil - 1 if nil and nil > 1 else 1
 
     @cached_property
-    def bracket(self) -> Dict[Tuple[int, int], SparseVec]:
+    def table(self) -> Dict[Tuple[int, int], SparseVec]:
         na = self.a.dim
         return {(i * na + p, j * na + q): {
                     k * na + r: (-ck if self._odd_a[p] and self._odd_l[j] else ck) * cr
                     for k, ck in lrow.items() for r, cr in arow.items()}
-                for (i, j), lrow in self.l.bracket.items()
-                for (p, q), arow in self.a.mult.items()}
+                for (i, j), lrow in self.l.table.items()
+                for (p, q), arow in self.a.table.items()}
 
     @cached_property
     def _left(self) -> LeftIndex:
         left: LeftIndex = [[] for _ in range(self.dim)]
-        for (s, t), row in self.bracket.items():
+        for (s, t), row in self.table.items():
             left[s].append((t, row))
         return left
 
@@ -503,7 +471,7 @@ def derivations_dgla(a: NilpotentDgAlgebra) -> Tuple[Dgla, List[GradedMap]]:
         # Leibniz: h(e_i e_j) = h(e_i) e_j + (-1)^{n·deg_i} e_i h(e_j)
         for i in range(n):
             for j in range(n):
-                pij = a.basis_product(i, j)
+                pij = a.table_entry(i, j)
                 sgn = Fraction(-1 if (nn % 2 and degs[i] % 2) else 1)
                 for r in range(n):
                     row = [ZERO] * len(slots)
@@ -514,9 +482,9 @@ def derivations_dgla(a: NilpotentDgAlgebra) -> Tuple[Dgla, List[GradedMap]]:
                     # -h(e_i) e_j
                     for (jj, ii), kk in pos.items():
                         if ii == i:
-                            row[kk] -= a.mult.get((jj, j), {}).get(r, ZERO)
+                            row[kk] -= a.table.get((jj, j), {}).get(r, ZERO)
                         if ii == j:
-                            row[kk] -= sgn * a.mult.get((i, jj), {}).get(r, ZERO)
+                            row[kk] -= sgn * a.table.get((i, jj), {}).get(r, ZERO)
                     if any(row):
                         rows.append(row)
         basis = linalg.nullspace(rows) if rows else [

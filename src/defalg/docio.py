@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .algebras import (DgAlgebraMorphism, NilpotentDgAlgebra, SmallExtension,
-                       kernel_extension)
+from .algebras import (BilinearStructure, DgAlgebraMorphism, NilpotentDgAlgebra,
+                       SmallExtension, kernel_extension)
 from .dgla import Dgla
 from .graded import Complex, GradedMap, GradedSpace, shift_space, symmetric_power
 from .linfty import LInftyStructure
@@ -25,6 +25,9 @@ KINDS = ("graded_space", "complex", "nilpotent_dg_algebra", "dgla", "linfty",
          "small_extension", "mc_element", "quasismooth")
 
 Combo = Tuple[Tuple[str, Fraction], ...]
+
+# the field holding the structure constants of each bilinear kind
+TABLE_FIELDS = {"nilpotent_dg_algebra": "mult", "dgla": "bracket"}
 
 
 class DocumentError(ValueError):
@@ -248,23 +251,17 @@ def _payload_complex(raw) -> Dict:
     return {"basis": basis, "d": d}
 
 
-def _payload_algebra(raw) -> Dict:
+def _payload_structure(raw, fld) -> Dict:
+    """An algebra (table field ``mult``) or a DGLA (``bracket``, and the
+    optional ``nilpotency``)."""
     basis = _take_basis(raw)
     names = {n for n, _ in basis}
-    d = _take_map(raw, "d", names, names)
-    mult = _take_table(raw, "mult", names)
+    payload = {"basis": basis, "d": _take_map(raw, "d", names, names),
+               fld: _take_table(raw, fld, names)}
+    if fld == "bracket":
+        payload["nilpotency"] = _take_scalar_int(raw, "nilpotency")
     _finish(raw)
-    return {"basis": basis, "d": d, "mult": mult}
-
-
-def _payload_dgla(raw) -> Dict:
-    basis = _take_basis(raw)
-    names = {n for n, _ in basis}
-    d = _take_map(raw, "d", names, names)
-    bracket = _take_table(raw, "bracket", names)
-    nil = _take_scalar_int(raw, "nilpotency")
-    _finish(raw)
-    return {"basis": basis, "d": d, "bracket": bracket, "nilpotency": nil}
+    return payload
 
 
 def _payload_linfty(raw) -> Dict:
@@ -385,8 +382,8 @@ def _payload_quasismooth(raw) -> Dict:
 _PAYLOAD_BUILDERS = {
     "graded_space": _payload_graded_space,
     "complex": _payload_complex,
-    "nilpotent_dg_algebra": _payload_algebra,
-    "dgla": _payload_dgla,
+    "nilpotent_dg_algebra": lambda raw: _payload_structure(raw, "mult"),
+    "dgla": lambda raw: _payload_structure(raw, "bracket"),
     "linfty": _payload_linfty,
     "small_extension": _payload_small_extension,
     "mc_element": _payload_mc_element,
@@ -436,12 +433,9 @@ def print_document(doc: InputDocument) -> str:
         names = [n for n, _ in p["basis"]]
     if doc.kind == "complex":
         _emit_map(out, "d", p["d"], names)
-    elif doc.kind == "nilpotent_dg_algebra":
+    elif doc.kind in TABLE_FIELDS:
         _emit_map(out, "d", p["d"], names)
-        _emit_table(out, "mult", p["mult"], names)
-    elif doc.kind == "dgla":
-        _emit_map(out, "d", p["d"], names)
-        _emit_table(out, "bracket", p["bracket"], names)
+        _emit_table(out, TABLE_FIELDS[doc.kind], p[TABLE_FIELDS[doc.kind]], names)
         if p.get("nilpotency") is not None:
             out.append("nilpotency: %d" % p["nilpotency"])
     elif doc.kind == "linfty":
@@ -508,31 +502,24 @@ def build_complex(doc: InputDocument) -> Complex:
         raise DocumentError(str(exc))
 
 
-def build_algebra(doc: InputDocument) -> NilpotentDgAlgebra:
+def _build_structure(doc: InputDocument, cls, **extra):
+    """The algebra or DGLA of a document, its table read from the kind's field."""
     space = GradedSpace(doc.payload["basis"])
     try:
         d = _map_from_payload(space, space, 1, doc.payload["d"])
-        mult = {}
-        for (n1, n2), combo in doc.payload["mult"].items():
-            mult[(space.index(n1), space.index(n2))] = {
-                space.index(n): c for n, c in combo}
-        return NilpotentDgAlgebra(space, mult, d)
+        table = {(space.index(n1), space.index(n2)): {space.index(n): c for n, c in combo}
+                 for (n1, n2), combo in doc.payload[TABLE_FIELDS[doc.kind]].items()}
+        return cls(space, table, d, **extra)
     except ValueError as exc:
         raise DocumentError(str(exc))
+
+
+def build_algebra(doc: InputDocument) -> NilpotentDgAlgebra:
+    return _build_structure(doc, NilpotentDgAlgebra)
 
 
 def build_dgla(doc: InputDocument) -> Dgla:
-    space = GradedSpace(doc.payload["basis"])
-    try:
-        d = _map_from_payload(space, space, 1, doc.payload["d"])
-        bracket = {}
-        for (n1, n2), combo in doc.payload["bracket"].items():
-            bracket[(space.index(n1), space.index(n2))] = {
-                space.index(n): c for n, c in combo}
-        return Dgla(space, bracket, d,
-                    nilpotency_class=doc.payload.get("nilpotency"))
-    except ValueError as exc:
-        raise DocumentError(str(exc))
+    return _build_structure(doc, Dgla, nilpotency_class=doc.payload.get("nilpotency"))
 
 
 def build_linfty(doc: InputDocument) -> LInftyStructure:
@@ -655,29 +642,24 @@ def document_of_complex(c: Complex) -> InputDocument:
         "d": _map_payload(c.d, c.space, c.space)})
 
 
-def document_of_algebra(a: NilpotentDgAlgebra) -> InputDocument:
-    mult = {}
-    for (i, j), sv in a.mult.items():
-        combo = tuple((a.space.names[k], c) for k, c in sorted(sv.items()) if c)
+def _document_of_structure(kind: str, s: BilinearStructure, **extra) -> InputDocument:
+    table = {}
+    for (i, j), sv in s.table.items():
+        combo = tuple((s.space.names[k], c) for k, c in sorted(sv.items()) if c)
         if combo:
-            mult[(a.space.names[i], a.space.names[j])] = combo
-    return InputDocument("nilpotent_dg_algebra", {
-        "basis": tuple(a.space.basis),
-        "d": _map_payload(a.d, a.space, a.space),
-        "mult": mult})
+            table[(s.space.names[i], s.space.names[j])] = combo
+    return InputDocument(kind, {
+        "basis": tuple(s.space.basis),
+        "d": _map_payload(s.d, s.space, s.space),
+        TABLE_FIELDS[kind]: table, **extra})
+
+
+def document_of_algebra(a: NilpotentDgAlgebra) -> InputDocument:
+    return _document_of_structure("nilpotent_dg_algebra", a)
 
 
 def document_of_dgla(l: Dgla) -> InputDocument:
-    bracket = {}
-    for (i, j), sv in l.bracket.items():
-        combo = tuple((l.space.names[k], c) for k, c in sorted(sv.items()) if c)
-        if combo:
-            bracket[(l.space.names[i], l.space.names[j])] = combo
-    return InputDocument("dgla", {
-        "basis": tuple(l.space.basis),
-        "d": _map_payload(l.d, l.space, l.space),
-        "bracket": bracket,
-        "nilpotency": l.nilpotency_class})
+    return _document_of_structure("dgla", l, nilpotency=l.nilpotency_class)
 
 
 def document_of_linfty(s: LInftyStructure) -> InputDocument:

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebras import NilpotentDgAlgebra, SparseVec
-from .dgla import Dgla
+from .dgla import Dgla, tensor_space
 from .graded import (GradedMap, GradedSpace, SymmetricPower, canonical_monomial,
                      koszul_sign, shift_space, symmetric_power, unshuffles)
 from .linalg import ONE, ZERO, Vector
@@ -260,7 +260,7 @@ def dgla_to_linfty(l: Dgla, order: int = 3) -> LInftyStructure:
         q2 = GradedMap(c.powers[2].space, c.shifted, 1)
         for pos, (i, j) in enumerate(c.powers[2].monomials):
             sgn = Fraction(-1 if l.space.degrees[i] % 2 else 1)
-            br = l.basis_bracket(i, j)
+            br = l.table_entry(i, j)
             for t, ct in enumerate(br):
                 if ct:
                     q2.set_entry(t, pos,
@@ -361,16 +361,6 @@ def check_coalgebra_morphism(c: SymCoalgebra, d: SymCoalgebra,
     return True
 
 
-def linfty_mc_tensor_space(s: LInftyStructure, a: NilpotentDgAlgebra) -> GradedSpace:
-    basis = []
-    sh = s.coalgebra.shifted
-    for i in range(sh.dim):
-        for p in range(a.dim):
-            basis.append((sh.names[i] + "@" + a.space.names[p],
-                          sh.degrees[i] + a.space.degrees[p]))
-    return GradedSpace(basis)
-
-
 def linfty_mc_check(s: LInftyStructure, a: NilpotentDgAlgebra,
                     m: Sequence[Fraction]) -> Tuple[bool, Vector]:
     """The L-infinity Maurer-Cartan equation over nilpotent coefficients:
@@ -383,7 +373,7 @@ def linfty_mc_check(s: LInftyStructure, a: NilpotentDgAlgebra,
     c = s.coalgebra
     sh = c.shifted
     na = a.dim
-    space = linfty_mc_tensor_space(s, a)
+    space = tensor_space(sh, a.space)
     deg = space.vector_degree(m)
     if deg not in (None, 0):
         raise ValueError("Maurer-Cartan candidates must have degree 0")
@@ -427,7 +417,7 @@ def linfty_mc_check(s: LInftyStructure, a: NilpotentDgAlgebra,
                         c2 = m[j * na + q]
                         if not c2:
                             continue
-                        row = a.mult.get((p, q))
+                        row = a.table.get((p, q))
                         if not row:
                             continue
                         sgn = Fraction(-1 if (pa_deg % 2 and sh.degrees[j] % 2) else 1)
@@ -503,7 +493,7 @@ def dual_coalgebra(a: NilpotentDgAlgebra) -> DualCoalgebra:
     """Transpose multiplication and differential onto the dual space."""
     space = a.space.dual()
     cp: Dict[int, Dict[Tuple[int, int], Fraction]] = {}
-    for (i, j), row in a.mult.items():
+    for (i, j), row in a.table.items():
         for k, c in row.items():
             cp.setdefault(k, {})[(i, j)] = cp.get(k, {}).get((i, j), ZERO) + c
     cod = a.d.transpose()

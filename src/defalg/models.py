@@ -382,11 +382,12 @@ def minimalize(r: QuasismoothTrunc) -> MinimalModel:
     assert pi2.map.compose(gamma2.map) == GradedMap.identity(a_s.space) \
         or not h_space.dim
 
-    # conjugate back through the coordinate changes
-    g = DgAlgebraMorphism(a2, a_old, g1.map.compose(g2.map))
+    # conjugate back through the coordinate changes; composites of the
+    # morphisms checked above need no check of their own
+    g = g1.compose(g2)
     ginv = invert_morphism(g)
-    pi = DgAlgebraMorphism(a_old, a_s, pi2.map.compose(ginv.map))
-    gamma = DgAlgebraMorphism(a_s, a_old, g.map.compose(gamma2.map))
+    pi = pi2.compose(ginv)
+    gamma = g.compose(gamma2)
 
     # the homotopy on the normalized generators, h ↦ h, v ↦ v⊗t and
     # w ↦ d(v⊗t), carried by g into A_old[t,dt]; composed with g⁻¹ it
@@ -404,8 +405,7 @@ def minimalize(r: QuasismoothTrunc) -> MinimalModel:
     hmap = morphism_from_generators(r2, dr.algebra, hot_images,
                                     check=False).map.compose(ginv.map)
     hot = Homotopy(a_old, a_old, dr, hmap)
-    gp = DgAlgebraMorphism(a_old, a_old, gamma.map.compose(pi.map))
-    if not check_homotopy(hot, gp, DgAlgebraMorphism.identity(a_old)):
+    if not check_homotopy(hot, gamma.compose(pi), DgAlgebraMorphism.identity(a_old)):
         raise CertificateError("the homotopy γπ ~ Id fails its check")
     return MinimalModel(r, s, pi, gamma, hot)
 

@@ -14,10 +14,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebras import (DgAlgebraMorphism, NilpotentDgAlgebra, SmallExtension,
-                       SparseVec, kernel_extension, quotient_algebra)
+                       SparseVec, kernel_extension, mapping_cone, quotient_algebra)
 from .dgla import Dgla, TensorDgla, def_tangent, mc_lift
-from .graded import Complex, Contraction, GradedMap, GradedSpace
-from .linfty import LInftyStructure, check_linfty, linfty_to_dgla
+from .graded import Contraction, GradedMap, GradedSpace
+from .linfty import LInftyStructure, linfty_to_dgla
 from .linalg import ONE, ZERO, Vector
 
 # Comparison sign between the tangent bracket assembled from primary
@@ -76,7 +76,7 @@ def is_dg_morphism_to_shifted_kernel(e: SmallExtension, phi: GradedMap,
     b = e.b
     for i in range(b.dim):
         for j in range(b.dim):
-            p = b.basis_product(i, j)
+            p = b.table_entry(i, j)
             if not linalg.is_zero_vector(phi.apply(p)):
                 errs.append("phi does not kill %s*%s"
                             % (b.space.names[i], b.space.names[j]))
@@ -97,7 +97,7 @@ def twist_extension(e: SmallExtension, phi: GradedMap) -> SmallExtension:
         raise ValueError("; ".join(errs))
     d_phi = e.a.d + e.iota.compose(phi).compose(e.alpha.map)
     assert d_phi.compose(d_phi).is_zero(), "twisted differential must square to zero"
-    a_phi = NilpotentDgAlgebra(e.a.space, e.a.mult, d_phi)
+    a_phi = NilpotentDgAlgebra(e.a.space, e.a.table, d_phi)
     alpha = DgAlgebraMorphism(a_phi, e.b, e.alpha.map)
     return SmallExtension(e.i_complex, a_phi, e.b, e.iota, alpha)
 
@@ -153,7 +153,7 @@ def lifting_defect(e: SmallExtension) -> LiftingDefect:
     sq: List[Vector] = []
     for i in range(b.dim):
         for j in range(b.dim):
-            p = b.basis_product(i, j)
+            p = b.table_entry(i, j)
             if not linalg.is_zero_vector(p):
                 sq.append(p)
     bbar, pr = quotient_algebra(b, sq)
@@ -195,67 +195,20 @@ def lifting_defect(e: SmallExtension) -> LiftingDefect:
     phi = phibar.compose(pr.map)
     d_new = a.d - e.iota.compose(phi).compose(e.alpha.map)
     assert d_new.compose(d_new).is_zero(), "corrected lift must square to zero"
-    a_new = NilpotentDgAlgebra(a.space, a.mult, d_new)
+    a_new = NilpotentDgAlgebra(a.space, a.table, d_new)
     corrected = SmallExtension(e.i_complex, a_new, b,
                                e.iota, DgAlgebraMorphism(a_new, b, e.alpha.map))
     return LiftingDefect(e, delta, bbar, pr, delta_bar, True, phibar, corrected)
 
 
 def prop_cone(e: SmallExtension) -> Tuple[NilpotentDgAlgebra, DgAlgebraMorphism]:
-    """The auxiliary algebra C = A ⊕ I[1] with differential ((d, ι), (-d², d_I[1]))
-    and the projection γ: C → B, an acyclic small extension even when the
-    differential on A does not square to zero."""
-    a = e.a
+    """The mapping cone C = A ⊕ I[1] of ι, with differential
+    ((d, ι), (-d², d_I[1])), and the projection γ: C → B, an acyclic small
+    extension even when the differential on A does not square to zero."""
     ni = e.i_complex.space.dim
-    basis = [("a." + nm, d) for nm, d in a.space.basis]
-    basis += [(nm + "[1]", d - 1) for nm, d in e.i_complex.space.basis]
-    space = GradedSpace(basis)
-    na = a.dim
-    iota_cols = [e.iota.apply(e.i_complex.space.basis_vector(k)) for k in range(ni)]
-    mult: Dict[Tuple[int, int], SparseVec] = {}
-    for (i, j), row in a.mult.items():
-        mult[(i, j)] = dict(row)
-    for i in range(na):
-        ei = a.space.basis_vector(i)
-        sgn = Fraction(-1 if a.space.degrees[i] % 2 else 1)
-        for k in range(ni):
-            # a · m[1] = (-1)^{deg a} (a m)[1];  m[1] · a = (m a)[1]
-            am = a.product(ei, iota_cols[k])
-            left = e.kernel_coords(am)
-            assert left is not None, "kernel must be an ideal"
-            row = {na + t: sgn * c for t, c in enumerate(left) if c}
-            if row:
-                mult[(i, na + k)] = row
-            ma = a.product(iota_cols[k], ei)
-            right = e.kernel_coords(ma)
-            assert right is not None
-            row = {na + t: c for t, c in enumerate(right) if c}
-            if row:
-                mult[(na + k, i)] = row
-    d2 = a.d.compose(a.d)
-    d = GradedMap(space, space, 1)
-    for (j, i), c in a.d.entries.items():
-        d.set_entry(j, i, c)
-    for i in range(na):
-        v = d2.apply(a.space.basis_vector(i))
-        coords = e.kernel_coords(v)
-        assert coords is not None, "d² escaped the kernel"
-        for k, c in enumerate(coords):
-            if c:
-                d.set_entry(na + k, i, -c)
-    for k in range(ni):
-        for j, c in enumerate(iota_cols[k]):
-            if c:
-                d.set_entry(j, na + k, c)
-        dv = e.i_complex.d.apply(e.i_complex.space.basis_vector(k))
-        for t, c in enumerate(dv):
-            if c:
-                d.set_entry(na + t, na + k, -c)
-    cone = NilpotentDgAlgebra(space, mult, d)
-    gmap = GradedMap(space, e.b.space, 0)
-    for (j, i), c in e.alpha.map.entries.items():
-        gmap.set_entry(j, i, c)
-    gamma = DgAlgebraMorphism(cone, e.b, gmap)
+    cone = mapping_cone(e.a, [e.iota.column(k) for k in range(ni)]).algebra
+    gamma = DgAlgebraMorphism(cone, e.b,
+                              GradedMap(cone.space, e.b.space, 0, e.alpha.map.entries))
     return cone, gamma
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from defalg import linalg
 from defalg.algebras import NilpotentDgAlgebra, ValidationReport
-from defalg.dgla import Dgla, DglaReport
+from defalg.dgla import Dgla
 from defalg.graded import Complex, GradedMap, GradedSpace, symmetric_power
 from defalg.models import QuasismoothTrunc
 
@@ -216,9 +216,9 @@ def direct_sum_dgla(l1, l2):
     sp = GradedSpace(basis)
     n1 = l1.dim
     br = {}
-    for (i, j), sv in l1.bracket.items():
+    for (i, j), sv in l1.table.items():
         br[(i, j)] = dict(sv)
-    for (i, j), sv in l2.bracket.items():
+    for (i, j), sv in l2.table.items():
         br[(i + n1, j + n1)] = {k + n1: c for k, c in sv.items()}
     d = GradedMap(sp, sp, 1)
     for (j, i), c in l1.d.entries.items():
@@ -270,7 +270,7 @@ def dense_algebra_report(self) -> ValidationReport:
     prods = {}
     for i in range(n):
         for j in range(n):
-            prods[(i, j)] = self.basis_product(i, j)
+            prods[(i, j)] = self.table_entry(i, j)
     for i in range(n):
         for j in range(i, n):
             sgn = -1 if (degs[i] % 2 and degs[j] % 2) else 1
@@ -306,7 +306,7 @@ def dense_algebra_report(self) -> ValidationReport:
     return ValidationReport(errors=errs, nilpotency_index=idx)
 
 
-def dense_dgla_report(self) -> DglaReport:
+def dense_dgla_report(self) -> ValidationReport:
     """Dgla.validate() as dense n³ loops over basis vectors, kept as the
     reference for the structure-constant validator."""
     errs = []
@@ -316,8 +316,8 @@ def dense_dgla_report(self) -> DglaReport:
     for i in range(n):
         for j in range(i, n):
             sgn = Fraction(-1 if (degs[i] % 2 and degs[j] % 2) else 1)
-            lhs = self.basis_bracket(i, j)
-            rhs = linalg.vec_scale(-sgn, self.basis_bracket(j, i))
+            lhs = self.table_entry(i, j)
+            rhs = linalg.vec_scale(-sgn, self.table_entry(j, i))
             if lhs != rhs:
                 errs.append("graded antisymmetry fails on (%s, %s)" % (names[i], names[j]))
     for i in range(n):
@@ -326,10 +326,10 @@ def dense_dgla_report(self) -> DglaReport:
             ej = self.space.basis_vector(j)
             sgn = Fraction(-1 if (degs[i] % 2 and degs[j] % 2) else 1)
             for k in range(n):
-                lhs = self.bracket_vec(ei, self.basis_bracket(j, k))
+                lhs = self.bracket_vec(ei, self.table_entry(j, k))
                 rhs = linalg.vec_add(
-                    self.bracket_vec(self.basis_bracket(i, j), self.space.basis_vector(k)),
-                    linalg.vec_scale(sgn, self.bracket_vec(ej, self.basis_bracket(i, k))))
+                    self.bracket_vec(self.table_entry(i, j), self.space.basis_vector(k)),
+                    linalg.vec_scale(sgn, self.bracket_vec(ej, self.table_entry(i, k))))
                 if lhs != rhs:
                     errs.append("graded Jacobi fails on (%s, %s, %s)"
                                 % (names[i], names[j], names[k]))
@@ -338,7 +338,7 @@ def dense_dgla_report(self) -> DglaReport:
         sgn = Fraction(-1 if degs[i] % 2 else 1)
         for j in range(n):
             ej = self.space.basis_vector(j)
-            lhs = self.d.apply(self.basis_bracket(i, j))
+            lhs = self.d.apply(self.table_entry(i, j))
             rhs = linalg.vec_add(
                 self.bracket_vec(self.d.apply(ei), ej),
                 linalg.vec_scale(sgn, self.bracket_vec(ei, self.d.apply(ej))))
@@ -346,7 +346,7 @@ def dense_dgla_report(self) -> DglaReport:
                 errs.append("Leibniz fails on (%s, %s)" % (names[i], names[j]))
     if not self.d.compose(self.d).is_zero():
         errs.append("d∘d != 0")
-    return DglaReport(errors=errs)
+    return ValidationReport(errors=errs)
 
 
 def dense_violations(self) -> list:
@@ -357,9 +357,9 @@ def dense_violations(self) -> list:
     if not f.compose(self.source.d) == self.target.d.compose(f):
         errs.append("does not commute with differentials")
     cols = [f.column(i) for i in range(self.source.dim)]
-    for (i, j) in set(list(self.source.mult.keys())) | {
+    for (i, j) in set(list(self.source.table.keys())) | {
             (i, j) for i in range(self.source.dim) for j in range(self.source.dim)}:
-        lhs = f.apply(self.source.basis_product(i, j))
+        lhs = f.apply(self.source.table_entry(i, j))
         rhs = self.target.product(cols[i], cols[j])
         if lhs != rhs:
             errs.append("not multiplicative on (%s, %s)"
@@ -370,17 +370,17 @@ def dense_violations(self) -> list:
 def dense_tensor_bracket(l, a):
     """The bracket table of L⊗A straight from the defining formula
     [x_i⊗a_p, x_j⊗a_q] = (-1)^{|a_p||x_j|} [x_i, x_j]⊗a_p·a_q, computed from
-    ``basis_bracket`` and ``basis_product`` over all index quadruples; kept
+    ``table_entry`` of L and of A over all index quadruples; kept
     as the reference for ``TensorDgla``.  Returns {(s, t): dense row}."""
     na = a.dim
     table = {}
     for i in range(l.dim):
         for j in range(l.dim):
-            xij = l.basis_bracket(i, j)
+            xij = l.table_entry(i, j)
             for p in range(na):
                 sgn = -1 if a.space.degrees[p] % 2 and l.space.degrees[j] % 2 else 1
                 for q in range(na):
-                    apq = a.basis_product(p, q)
+                    apq = a.table_entry(p, q)
                     table[(i * na + p, j * na + q)] = [
                         sgn * xij[k] * apq[r] for k in range(l.dim) for r in range(na)]
     return table

@@ -303,7 +303,7 @@ def test_criterion_06_obstruction_laws():
     for _ in range(10):
         phi = random_derivation_twist(rng, eg)
         d2 = eg.a.d + eg.iota.compose(phi).compose(eg.alpha.map)
-        a2 = NilpotentDgAlgebra(eg.a.space, eg.a.mult, d2)
+        a2 = NilpotentDgAlgebra(eg.a.space, eg.a.table, d2)
         e2 = SmallExtension(eg.i_complex, a2, eg.b, eg.iota,
                             DgAlgebraMorphism(a2, eg.b, eg.alpha.map))
         ld2 = lifting_defect(e2)
@@ -386,8 +386,8 @@ def test_criterion_08_tangent_bracket():
     sign = None
     for p in range(3):
         for q in range(3):
-            got = tb.bracket_algebra.basis_bracket(p, q)
-            want = l.basis_bracket(p, q)
+            got = tb.bracket_algebra.table_entry(p, q)
+            want = l.table_entry(p, q)
             for k in range(3):
                 if want[k]:
                     if sign is None:
@@ -486,7 +486,7 @@ def test_criterion_10_prorepresentability():
         for c in range(rr.v.dim):
             for pos, (a, b) in enumerate(pp2.monomials):
                 got = dd2.entries.get((pos, c), F(0))
-                want = cb.basis_bracket(a, b)[c]
+                want = cb.table_entry(a, b)[c]
                 if a == b:
                     want = want / 2
                 if want:

@@ -185,6 +185,17 @@ def test_mapping_cone_of_identity_is_acyclic():
         assert cohomology(cone.algebra.complex()).total_dim() == 0
 
 
+def test_mapping_cone_carries_minus_d_squared():
+    # d x = y, d y = z: d² ≠ 0 on A, and d²(A) = <z>
+    sp = GradedSpace([("x", 0), ("y", 1), ("z", 2)])
+    a = NilpotentDgAlgebra(sp, {}, GradedMap(sp, sp, 1, {(1, 0): F(1), (2, 1): F(1)}))
+    cone = mapping_cone(a, [sp.basis_vector(2)]).algebra
+    assert cone.d.entries[(3, 0)] == -1          # the M[1]-coordinate of -d²x
+    assert cone.d.compose(cone.d).is_zero()
+    with pytest.raises(ValueError):
+        mapping_cone(a, [])                      # d²(A) leaves M = 0
+
+
 def random_complex_trivial(rng):
     from conftest import random_complex
     return random_complex(rng, max_dim=6)
@@ -273,7 +284,7 @@ def test_de_rham_table_equals_dense_oracle(eps):
         elems, mult, d = dense_de_rham(a, eps)
         assert dr._elems == elems, name
         # keys, values and insertion order
-        assert list(dr.algebra.mult.items()) == list(mult.items()), name
+        assert list(dr.algebra.table.items()) == list(mult.items()), name
         assert list(dr.algebra.d.entries.items()) == list(d.items()), name
 
 
@@ -298,7 +309,7 @@ def naive_power_dims(a):
         kept, rk = [], 0
         for i in range(a.dim):
             for w in basis:
-                p = structure_sum(a.mult, a.space.basis_vector(i), w, a.dim)
+                p = structure_sum(a.table, a.space.basis_vector(i), w, a.dim)
                 if linalg.rank([list(v) for v in kept] + [p]) > rk:
                     kept.append(p)
                     rk += 1
@@ -364,7 +375,7 @@ def test_product_matches_structure_sum(a, data):
     vec = st.lists(st.one_of(st.just(F(0)), coefficients),
                    min_size=a.dim, max_size=a.dim)
     u, v = data.draw(vec), data.draw(vec)
-    assert a.product(u, v) == structure_sum(a.mult, u, v, a.dim)
+    assert a.product(u, v) == structure_sum(a.table, u, v, a.dim)
 
 
 @given(st.integers(0, 7), st.data())
@@ -388,4 +399,4 @@ def test_bracket_vec_matches_structure_sum(which, data):
     vec = st.lists(st.one_of(st.just(F(0)), coefficients),
                    min_size=l.dim, max_size=l.dim)
     u, v = data.draw(vec), data.draw(vec)
-    assert l.bracket_vec(u, v) == structure_sum(l.bracket, u, v, l.dim)
+    assert l.bracket_vec(u, v) == structure_sum(l.table, u, v, l.dim)

@@ -334,3 +334,13 @@ def test_installed_entry_point():
                            "--in", SL2], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "dimensions" in proc.stdout
+
+
+def test_minimalize_under_python_O(capsys):
+    # asserts are stripped; the verdicts rest on explicit checks, so the
+    # output is the same
+    proc = subprocess.run([sys.executable, "-O", "-m", "defalg.cli", "minimalize",
+                           "--in", PAIRS], capture_output=True)
+    code, out, _ = run(capsys, "minimalize", "--in", PAIRS)
+    assert proc.returncode == 0 and code == 0
+    assert proc.stdout == out.encode("utf-8")

@@ -25,11 +25,11 @@ def test_standard_dglas_validate():
         assert l.validate().ok
 
 
-def test_basis_bracket_returns_a_fresh_vector():
+def test_table_entry_returns_a_fresh_vector():
     l = sl2()
-    v = l.basis_bracket(0, 2)
+    v = l.table_entry(0, 2)
     v[1] += 5
-    assert l.basis_bracket(0, 2) == [F(0), F(1), F(0)]
+    assert l.table_entry(0, 2) == [F(0), F(1), F(0)]
 
 
 def test_tensor_dgla_signs_certified():
@@ -384,7 +384,7 @@ def test_derivations_dgla_validates():
             n = h.degree
             for i in range(a.dim):
                 for j in range(a.dim):
-                    lhs = h.apply(a.basis_product(i, j))
+                    lhs = h.apply(a.table_entry(i, j))
                     sgn = F(-1 if (n % 2 and a.space.degrees[i] % 2) else 1)
                     rhs = linalg.vec_add(
                         a.product(h.apply(a.space.basis_vector(i)),
@@ -434,7 +434,7 @@ def test_tensor_bracket_matches_dense_oracle():
             # the lazily built table holds exactly the nonzero brackets, and
             # its left index gives the same brackets as the view
             assert {key: [row.get(k, F(0)) for k in range(t.dim)]
-                    for key, row in t.bracket.items()} == \
+                    for key, row in t.table.items()} == \
                 {key: row for key, row in want.items() if any(row)}
             for _ in range(3):
                 u = [F(rng.randint(-2, 2)) for _ in range(t.dim)]

@@ -147,7 +147,7 @@ def test_kuranishi_sl2_quadratic_part_is_dual_bracket():
     for c in range(3):
         for pos, (a, b) in enumerate(p2.monomials):
             got = d2.entries.get((pos, c), F(0))
-            want = cb.basis_bracket(a, b)[c]
+            want = cb.table_entry(a, b)[c]
             if a == b:
                 want = want / 2          # x_a x_a appears once in ½[ξ,ξ]
             if want:

@@ -387,7 +387,7 @@ def random_derivation_twist(rng, e):
     products = []
     for i in range(e.b.dim):
         for j in range(e.b.dim):
-            p = e.b.basis_product(i, j)
+            p = e.b.table_entry(i, j)
             if not linalg.is_zero_vector(p):
                 products.append(p)
     while True:
@@ -431,7 +431,7 @@ def test_lifting_defect_difference_is_coboundary():
                 if c:
                     phi.set_entry(k, i, F(c))
         d2 = e.a.d + e.iota.compose(phi).compose(e.alpha.map)
-        a2 = NilpotentDgAlgebra(e.a.space, e.a.mult, d2)
+        a2 = NilpotentDgAlgebra(e.a.space, e.a.table, d2)
         e2 = SmallExtension(e.i_complex, a2, e.b, e.iota,
                             DgAlgebraMorphism(a2, e.b, e.alpha.map))
         ld2 = lifting_defect(e2)
@@ -449,7 +449,7 @@ def test_lifting_defect_class_invariant_under_derivation_twists():
     for _ in range(10):
         phi = random_derivation_twist(rng, e)
         d2 = e.a.d + e.iota.compose(phi).compose(e.alpha.map)
-        a2 = NilpotentDgAlgebra(e.a.space, e.a.mult, d2)
+        a2 = NilpotentDgAlgebra(e.a.space, e.a.table, d2)
         e2 = SmallExtension(e.i_complex, a2, e.b, e.iota,
                             DgAlgebraMorphism(a2, e.b, e.alpha.map))
         ld2 = lifting_defect(e2)
@@ -556,8 +556,8 @@ def test_tangent_bracket_matches_cohomology_bracket():
         assert tb.t_space == cb.space
         for p in range(tb.t_space.dim):
             for q in range(tb.t_space.dim):
-                got = tb.bracket_algebra.basis_bracket(p, q)
-                want = [F(COMPARISON_SIGN) * c for c in cb.basis_bracket(p, q)]
+                got = tb.bracket_algebra.table_entry(p, q)
+                want = [F(COMPARISON_SIGN) * c for c in cb.table_entry(p, q)]
                 assert got == want
 
 
@@ -591,7 +591,7 @@ def test_tangent_data_invariant_under_quasi_isomorphism():
                for p in range(coh_l.harmonic_space.dim)]
         for p in range(coh_l.harmonic_space.dim):
             for q in range(coh_l.harmonic_space.dim):
-                br = cb_l.basis_bracket(p, q)
+                br = cb_l.table_entry(p, q)
                 # push [p,q] of L through the isomorphism
                 lhs = coh_s.harmonic_space.zero_vector()
                 for k, c in enumerate(br):
@@ -602,5 +602,5 @@ def test_tangent_data_invariant_under_quasi_isomorphism():
                     for k2, c2 in enumerate(iso[q]):
                         if c1 and c2:
                             rhs = linalg.vec_add(rhs, linalg.vec_scale(
-                                c1 * c2, cb_s.basis_bracket(k1, k2)))
+                                c1 * c2, cb_s.table_entry(k1, k2)))
                 assert lhs == rhs

@@ -80,7 +80,7 @@ def _dglas(rng):
     made = 0
     while made < 6:
         t = tensor_dgla(random_dgla(rng), random_algebra(rng))
-        if t.bracket and t.dim <= 16:
+        if t.table and t.dim <= 16:
             made += 1
             yield t
     a, _ = counterexample_algebras()
@@ -91,7 +91,7 @@ def test_algebra_validate_matches_dense_reference():
     rng = make_rng(71)
     kinds = set()
     for a in _algebras(rng):
-        for table, d in _variants(a.space, a.mult, a.d, rng):
+        for table, d in _variants(a.space, a.table, a.d, rng):
             b = NilpotentDgAlgebra(a.space, table, d)
             got, want = b.validate(), dense_algebra_report(b)
             assert got.errors == want.errors
@@ -104,7 +104,7 @@ def test_dgla_validate_matches_dense_reference():
     rng = make_rng(72)
     kinds = set()
     for l in _dglas(rng):
-        for table, d in _variants(l.space, l.bracket, l.d, rng):
+        for table, d in _variants(l.space, l.table, l.d, rng):
             m = Dgla(l.space, table, d)
             got = m.validate()
             assert got.errors == dense_dgla_report(m).errors
