@@ -10,6 +10,7 @@ surjections into small extensions.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -97,6 +98,15 @@ class BilinearStructure:
         self.space = space
         self.table, self._left = _structure_constants(space, table, self._wrong_degree)
         self.d = differential
+
+    def with_differential(self, differential: GradedMap) -> "BilinearStructure":
+        """This structure with another d; the table and its left index are
+        shared, not rebuilt."""
+        if differential.source != self.space or differential.degree != 1:
+            raise ValueError("differential must be a degree +1 endomap")
+        out = copy.copy(self)
+        out.d = differential
+        return out
 
     @property
     def dim(self) -> int:

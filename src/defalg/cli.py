@@ -5,16 +5,13 @@
 Exit status: 0 on success / verdict true, 1 on verdict false, 2 on input
 errors (unreadable files, syntax errors, schema mismatches), 3 when an
 exact certificate the program checks for its own result fails.  All numbers
-in reports are exact rationals.  ``DEFALG_SEED`` seeds the process-wide
-random generator for reproducibility of randomized helpers.
+in reports are exact rationals.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -310,9 +307,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--json", action="store_true",
                         help="machine-readable report")
     args = parser.parse_args(argv)
-    seed = os.environ.get("DEFALG_SEED")
-    if seed is not None:
-        random.seed(int(seed))
     try:
         docs = []
         for path in args.inputs:

@@ -166,7 +166,7 @@ def mc_defect(t: Dgla, x: Sequence[Fraction]) -> Vector:
 
 def mc_check(t: Dgla, x: Sequence[Fraction]) -> Tuple[bool, Vector]:
     deg = t.space.vector_degree(x)
-    if deg not in (None, 1) and deg != 1:
+    if deg not in (None, 1):
         raise ValueError("Maurer-Cartan candidates must have degree 1")
     if deg is None and any(x):
         raise ValueError("Maurer-Cartan candidates must be homogeneous of degree 1")

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from .algebras import (BilinearStructure, DgAlgebraMorphism, NilpotentDgAlgebra,
                        SmallExtension, kernel_extension)
 from .dgla import Dgla
-from .graded import Complex, GradedMap, GradedSpace, shift_space, symmetric_power
+from .graded import Complex, GradedMap, GradedSpace, WordBasis, shift_space
 from .linfty import LInftyStructure
 from .models import QuasismoothTrunc
 
@@ -525,16 +525,15 @@ def build_dgla(doc: InputDocument) -> Dgla:
 def build_linfty(doc: InputDocument) -> LInftyStructure:
     space = GradedSpace(doc.payload["basis"])
     order = doc.payload["order"]
-    shifted = shift_space(space, 1)
     taylor: Dict[int, GradedMap] = {}
-    pows = {k: symmetric_power(shifted, k) for k in range(1, order + 1)}
     try:
+        words = WordBasis(shift_space(space, 1), order)
         for (k, word), combo in doc.payload["taylor"].items():
             m = taylor.get(k)
             if m is None:
-                m = GradedMap(pows[k].space, shifted, 1)
+                m = GradedMap(words.powers[k].space, words.letters, 1)
                 taylor[k] = m
-            res = pows[k].index(tuple(space.index(l) for l in word))
+            res = words.powers[k].index(tuple(space.index(l) for l in word))
             if res is None:
                 raise DocumentError("word %r is zero in the symmetric power"
                                     % (word,))
@@ -546,7 +545,7 @@ def build_linfty(doc: InputDocument) -> LInftyStructure:
                             + Fraction(sgn) * c)
         for k in range(1, order + 1):
             if k not in taylor:
-                taylor[k] = GradedMap(pows[k].space, shifted, 1)
+                taylor[k] = GradedMap(words.powers[k].space, words.letters, 1)
         return LInftyStructure(space, order, taylor)
     except ValueError as exc:
         raise DocumentError(str(exc))
@@ -579,19 +578,18 @@ def build_mc_element(doc: InputDocument, space: GradedSpace):
 
 def build_quasismooth(doc: InputDocument) -> QuasismoothTrunc:
     v = GradedSpace(doc.payload["basis"])
-    order = doc.payload["order"]
-    pows = {k: symmetric_power(v, k) for k in range(1, order + 1)}
     comps: Dict[int, GradedMap] = {}
     try:
+        shell = QuasismoothTrunc(v, doc.payload["order"], {}, check=False)
         for (k, gen), combo in doc.payload["d"].items():
             m = comps.get(k)
             if m is None:
-                m = GradedMap(v, pows[k].space, 1)
+                m = GradedMap(v, shell.basis.powers[k].space, 1)
                 comps[k] = m
             i = v.index(gen)
             for word, c in combo:
-                res = pows[k].index(tuple(v.index(l)
-                                          for l in word.split("*")))
+                res = shell.basis.powers[k].index(
+                    tuple(v.index(l) for l in word.split("*")))
                 if res is None:
                     raise DocumentError("word %r is zero in the symmetric "
                                         "power" % word)
@@ -599,7 +597,7 @@ def build_quasismooth(doc: InputDocument) -> QuasismoothTrunc:
                 m.set_entry(posn, i,
                             m.entries.get((posn, i), Fraction(0))
                             + Fraction(sgn) * c)
-        return QuasismoothTrunc(v, order, comps)
+        return shell.with_components(comps)
     except ValueError as exc:
         raise DocumentError(str(exc))
 
@@ -665,7 +663,7 @@ def document_of_dgla(l: Dgla) -> InputDocument:
 def document_of_linfty(s: LInftyStructure) -> InputDocument:
     taylor = {}
     for k, m in s.taylor.items():
-        pw = symmetric_power(shift_space(s.v, 1), k)
+        pw = s.coalgebra.powers[k]
         for posn, word in enumerate(pw.monomials):
             combo = _combo_of_vector(s.v, [
                 m.entries.get((j, posn), Fraction(0)) for j in range(s.v.dim)])
@@ -691,7 +689,7 @@ def document_of_quasismooth(r: QuasismoothTrunc) -> InputDocument:
     d = {}
     for k, m in r.components.items():
         for i in range(r.v.dim):
-            combo = _combo_of_vector(r.powers[k].space, m.column(i))
+            combo = _combo_of_vector(r.basis.powers[k].space, m.column(i))
             if combo:
                 d[(k, r.v.names[i])] = combo
     return InputDocument("quasismooth", {

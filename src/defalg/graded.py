@@ -1,9 +1,10 @@
 """Exact graded linear algebra over the rationals.
 
 Graded vector spaces with a finite homogeneous basis, degree-shifting linear
-maps, Koszul signs, unshuffles, shifts, graded-symmetric powers,
-complexes and their cohomology with an explicit contraction (homotopy)
-datum, quasi-isomorphism tests and connecting homomorphisms.
+maps, Koszul signs, unshuffles, shifts, graded-symmetric powers and the
+word basis of their truncated sum, complexes and their cohomology with an
+explicit contraction (homotopy) datum, quasi-isomorphism tests and
+connecting homomorphisms.
 
 Grading convention: a single cohomological integer degree; the differential
 always has degree +1; the shift V[n] puts a degree-k element in degree k-n
@@ -24,7 +25,7 @@ from .linalg import ONE, ZERO, Vector
 __all__ = [
     "GradedSpace", "GradedMap", "Complex", "Contraction", "ShortExactSequence",
     "koszul_sign", "unshuffles", "shift", "symmetric_power",
-    "SymmetricPower", "cohomology", "is_quasiiso", "connecting_hom",
+    "SymmetricPower", "WordBasis", "cohomology", "is_quasiiso", "connecting_hom",
 ]
 
 
@@ -359,6 +360,46 @@ class SymmetricPower:
 
 def symmetric_power(v: GradedSpace, n: int) -> SymmetricPower:
     return SymmetricPower(v, n)
+
+
+class WordBasis:
+    """The monomial basis of ⊕_{1≤k≤order} ⊙^k V, V = ``letters``.
+
+    ``words`` are the canonical monomials, shortest first and in the order
+    of ``powers[k].monomials`` within each length; ``offsets[k]`` is the
+    position of the first word of length k and ``space`` the graded space
+    the words span.
+    """
+
+    def __init__(self, letters: GradedSpace, order: int):
+        if order < 1:
+            raise ValueError("order must be >= 1")
+        self.letters = letters
+        self.order = order
+        self.powers: Dict[int, SymmetricPower] = {
+            k: SymmetricPower(letters, k) for k in range(1, order + 1)}
+        self.offsets: Dict[int, int] = {}
+        basis = []
+        words: List[Tuple[int, ...]] = []
+        for k in range(1, order + 1):
+            self.offsets[k] = len(words)
+            basis.extend(self.powers[k].space.basis)
+            words.extend(self.powers[k].monomials)
+        self.space = GradedSpace(basis)
+        self.words: Tuple[Tuple[int, ...], ...] = tuple(words)
+
+    def position(self, word: Sequence[int]) -> Optional[Tuple[int, int]]:
+        """(position, sign) of an arbitrary word of length 1..order; None
+        when it is zero."""
+        if not 1 <= len(word) <= self.order:
+            raise ValueError("word length outside truncation")
+        res = self.powers[len(word)].index(word)
+        return None if res is None else (self.offsets[len(word)] + res[0], res[1])
+
+    def component(self, vec: Sequence[Fraction], k: int) -> Vector:
+        """The ⊙^k-part of a vector on the words."""
+        off = self.offsets[k]
+        return list(vec[off:off + len(self.powers[k].monomials)])
 
 
 class Contraction:

@@ -12,59 +12,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
 from .algebras import NilpotentDgAlgebra, SparseVec
 from .dgla import Dgla, tensor_space
-from .graded import (GradedMap, GradedSpace, SymmetricPower, canonical_monomial,
-                     koszul_sign, shift_space, symmetric_power, unshuffles)
+from .graded import (GradedMap, GradedSpace, WordBasis, canonical_monomial,
+                     koszul_sign, shift_space, unshuffles)
 from .linalg import ONE, ZERO, Vector
 
 Word = Tuple[int, ...]
 
 
-class SymCoalgebra:
-    """Reduced symmetric coalgebra on V[1], truncated at word length n.
-
-    Monomial words are canonical (weakly increasing) tuples of V[1] basis
-    indices; the coproduct is the Koszul-signed unshuffle sum.
+class SymCoalgebra(WordBasis):
+    """Reduced symmetric coalgebra on V[1], truncated at word length
+    ``order``: the word basis on the letters of V[1], with the
+    Koszul-signed unshuffle sum as coproduct.
     """
 
     def __init__(self, v: GradedSpace, order: int):
-        if order < 1:
-            raise ValueError("truncation order must be >= 1")
-        self.base = v
-        self.shifted = shift_space(v, 1)
-        self.order = order
-        self.powers: Dict[int, SymmetricPower] = {
-            k: symmetric_power(self.shifted, k) for k in range(1, order + 1)}
-        self.offsets: Dict[int, int] = {}
-        basis = []
-        words: List[Word] = []
-        for k in range(1, order + 1):
-            self.offsets[k] = len(basis)
-            p = self.powers[k]
-            basis.extend(p.space.basis)
-            words.extend(p.monomials)
-        self.space = GradedSpace(basis)
-        self.words: Tuple[Word, ...] = tuple(words)
-        self._pos = {w: i for i, w in enumerate(words)}
-
-    def position(self, word: Sequence[int]) -> Optional[Tuple[int, int]]:
-        """(global position, sign) of an arbitrary word; None when zero."""
-        if not 1 <= len(word) <= self.order:
-            raise ValueError("word length outside truncation")
-        cm = canonical_monomial(word, self.shifted.degrees)
-        if cm is None:
-            return None
-        return self._pos[cm[0]], cm[1]
+        super().__init__(shift_space(v, 1), order)
 
     def coproduct(self, pos: int) -> Dict[Tuple[int, int], Fraction]:
         """Reduced coproduct of a monomial as {(left, right): coefficient}."""
         word = self.words[pos]
         m = len(word)
-        degs = [self.shifted.degrees[i] for i in word]
+        degs = [self.letters.degrees[i] for i in word]
         out: Dict[Tuple[int, int], Fraction] = {}
         for r in range(1, m):
             for sigma in unshuffles(r, m - r):
@@ -131,7 +104,7 @@ class LInftyStructure:
             if not 1 <= k <= order:
                 raise ValueError("taylor coefficient arity outside truncation")
             if q.source != self.coalgebra.powers[k].space \
-                    or q.target != self.coalgebra.shifted or q.degree != 1:
+                    or q.target != self.coalgebra.letters or q.degree != 1:
                 raise ValueError("Q¹_%d has wrong source/target/degree" % k)
             if q.entries:
                 self.taylor[k] = q
@@ -149,7 +122,7 @@ def coderivation_from_taylor(s: LInftyStructure) -> GradedMap:
     """
     c = s.coalgebra
     q = GradedMap(c.space, c.space, 1)
-    degs_of = c.shifted.degrees
+    degs_of = c.letters.degrees
     for pos, word in enumerate(c.words):
         m = len(word)
         degs = [degs_of[i] for i in word]
@@ -165,9 +138,7 @@ def coderivation_from_taylor(s: LInftyStructure) -> GradedMap:
                 if res is None:
                     continue
                 lpos, lsgn = res
-                col = qk.column(lpos) if hasattr(qk, "column") else None
-                if col is None:
-                    col = qk.apply(c.powers[k].space.basis_vector(lpos))
+                col = qk.column(lpos)
                 for t, ct in enumerate(col):
                     if not ct:
                         continue
@@ -227,10 +198,10 @@ def check_linfty(s: LInftyStructure) -> LInftyReport:
     c = s.coalgebra
     q = coderivation_from_taylor(s)
     qq = q.compose(q)
-    nshift = c.shifted.dim
+    nshift = c.letters.dim
     defects: Dict[int, GradedMap] = {}
     for k in range(1, s.order + 1):
-        dm = GradedMap(c.powers[k].space, c.shifted, 2)
+        dm = GradedMap(c.powers[k].space, c.letters, 2)
         off = c.offsets[k]
         for col in range(len(c.powers[k].monomials)):
             v = qq.apply(c.space.basis_vector(off + col))
@@ -252,12 +223,12 @@ def check_linfty(s: LInftyStructure) -> LInftyReport:
 def dgla_to_linfty(l: Dgla, order: int = 3) -> LInftyStructure:
     """Dictionary: Q¹₁(w[1]) = -(dw)[1], Q¹₂(w₁[1]⊙w₂[1]) = (-1)^{w̄₁}[w₁,w₂][1]."""
     c = SymCoalgebra(l.space, order)
-    q1 = GradedMap(c.powers[1].space, c.shifted, 1)
+    q1 = GradedMap(c.powers[1].space, c.letters, 1)
     for (j, i), cv in l.d.entries.items():
         q1.set_entry(j, i, -cv)
     taylor = {1: q1}
     if order >= 2:
-        q2 = GradedMap(c.powers[2].space, c.shifted, 1)
+        q2 = GradedMap(c.powers[2].space, c.letters, 1)
         for pos, (i, j) in enumerate(c.powers[2].monomials):
             sgn = Fraction(-1 if l.space.degrees[i] % 2 else 1)
             br = l.table_entry(i, j)
@@ -305,7 +276,7 @@ def coalgebra_morphism_from_linear(c: SymCoalgebra, m: GradedMap,
 
     m must have degree 0; θ is a coalgebra morphism with π∘θ = m.
     """
-    if m.source != c.space or m.target != d.shifted or m.degree != 0:
+    if m.source != c.space or m.target != d.letters or m.degree != 0:
         raise ValueError("need a degree-0 map from the coalgebra to W[1]")
     theta = GradedMap(c.space, d.space, 0)
     for pos in range(len(c.words)):
@@ -371,7 +342,7 @@ def linfty_mc_check(s: LInftyStructure, a: NilpotentDgAlgebra,
     boolean verdict and the defect (lhs - rhs) in V[1]⊗A.
     """
     c = s.coalgebra
-    sh = c.shifted
+    sh = c.letters
     na = a.dim
     space = tensor_space(sh, a.space)
     deg = space.vector_degree(m)

@@ -10,18 +10,18 @@ algebra for the deformation functor of a DGLA.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import linalg
 from .algebras import (DgAlgebraMorphism, Homotopy, NilpotentDgAlgebra,
                        SparseVec, _dense, check_homotopy, constant_homotopy,
                        de_rham_truncation)
 from .dgla import Dgla, TensorDgla, mc_defect, tensor_dgla
-from .graded import (Complex, Contraction, GradedMap, GradedSpace,
-                     SymmetricPower, canonical_monomial, cohomology,
-                     symmetric_power)
+from .graded import (Complex, Contraction, GradedMap, GradedSpace, WordBasis,
+                     cohomology)
 from .linalg import ONE, ZERO, CertificateError, Vector
 
 Word = Tuple[int, ...]
@@ -30,35 +30,36 @@ Word = Tuple[int, ...]
 class QuasismoothTrunc:
     """R/R^{n+1} for R complete quasismooth on generators V.
 
-    ``components[k]`` is the degree +1 map V → ⊙^k V; the induced
-    derivation on the monomial basis squares to zero (checked).
+    ``basis`` holds the words of ⊕_{1≤k≤n} ⊙^k V; ``components[k]`` is the
+    degree +1 map V → ⊙^k V, and the induced derivation on the words
+    squares to zero (checked).  The product table depends on (V, n) alone:
+    a truncation made by ``with_components`` shares the word basis and,
+    once built, the table with the one it was made from.
     """
 
     def __init__(self, v: GradedSpace, order: int,
                  components: Dict[int, GradedMap], check: bool = True):
-        if order < 1:
-            raise ValueError("order must be >= 1")
         self.v = v
         self.order = order
-        self.powers: Dict[int, SymmetricPower] = {
-            k: symmetric_power(v, k) for k in range(1, order + 1)}
-        self.offsets: Dict[int, int] = {}
-        basis = []
-        words: List[Word] = []
-        for k in range(1, order + 1):
-            self.offsets[k] = len(basis)
-            p = self.powers[k]
-            basis.extend(p.space.basis)
-            words.extend(p.monomials)
-        self.space = GradedSpace(basis)
-        self.words: Tuple[Word, ...] = tuple(words)
-        self._pos = {w: i for i, w in enumerate(words)}
+        self.basis = WordBasis(v, order)
+        self._products: Optional[NilpotentDgAlgebra] = None
+        self._set_components(components, check)
+
+    def with_components(self, components: Dict[int, GradedMap],
+                        check: bool = True) -> "QuasismoothTrunc":
+        """The truncation on the same generators and order with other
+        components: only its differential is new."""
+        out = copy.copy(self)
+        out._set_components(components, check)
+        return out
+
+    def _set_components(self, components: Dict[int, GradedMap], check: bool) -> None:
         self.components: Dict[int, GradedMap] = {}
         for k, m in components.items():
-            if not 1 <= k <= order:
+            if not 1 <= k <= self.order:
                 raise ValueError("component order outside truncation")
-            if m.source != v or m.degree != 1 or \
-                    m.target != self.powers[k].space:
+            if m.source != self.v or m.degree != 1 or \
+                    m.target != self.basis.powers[k].space:
                 raise ValueError("component d_%d has wrong source/target/degree" % k)
             if m.entries:
                 self.components[k] = m
@@ -68,40 +69,31 @@ class QuasismoothTrunc:
             if not d.compose(d).is_zero():
                 raise ValueError("derivation does not square to zero on the truncation")
 
-    def position(self, word: Sequence[int]) -> Optional[Tuple[int, int]]:
-        if not 1 <= len(word) <= self.order:
-            return None
-        cm = canonical_monomial(word, self.v.degrees)
-        if cm is None:
-            return None
-        return self._pos[cm[0]], cm[1]
-
-    def generator_position(self, i: int) -> int:
-        return i  # length-1 words come first, in generator order
-
     def differential(self) -> GradedMap:
-        """The derivation extension of the components to the monomial basis."""
-        d = GradedMap(self.space, self.space, 1)
+        """The derivation extension of the components to the words."""
+        b = self.basis
+        d = GradedMap(b.space, b.space, 1)
         degs = self.v.degrees
-        for pos, word in enumerate(self.words):
+        # images[letter]: the words u of d(letter), with their coefficients
+        images: List[List[Tuple[Word, Fraction]]] = [[] for _ in range(self.v.dim)]
+        for k, m in self.components.items():
+            for letter, col in enumerate(m.columns()):
+                images[letter].extend((b.powers[k].monomials[upos], c)
+                                      for upos, c in sorted(col.items()))
+        for pos, word in enumerate(b.words):
             acc: Dict[int, Fraction] = {}
             prefix_sign = 1
             for t, letter in enumerate(word):
-                for k, m in self.components.items():
-                    col = m.apply(self.v.basis_vector(letter))
-                    for upos, c in enumerate(col):
-                        if not c:
-                            continue
-                        u = self.powers[k].monomials[upos]
-                        seq = word[:t] + u + word[t + 1:]
-                        if len(seq) > self.order:
-                            continue
-                        res = self.position(seq)
-                        if res is None:
-                            continue
-                        npos, sgn = res
-                        acc[npos] = acc.get(npos, ZERO) + \
-                            Fraction(prefix_sign * sgn) * c
+                for u, c in images[letter]:
+                    seq = word[:t] + u + word[t + 1:]
+                    if len(seq) > self.order:
+                        continue
+                    res = b.position(seq)
+                    if res is None:
+                        continue
+                    npos, sgn = res
+                    acc[npos] = acc.get(npos, ZERO) + \
+                        Fraction(prefix_sign * sgn) * c
                 if degs[letter] % 2:
                     prefix_sign = -prefix_sign
             for npos, c in acc.items():
@@ -111,25 +103,19 @@ class QuasismoothTrunc:
 
     def algebra(self) -> NilpotentDgAlgebra:
         if self._algebra is None:
-            mult: Dict[Tuple[int, int], SparseVec] = {}
-            for p, wp in enumerate(self.words):
-                for q, wq in enumerate(self.words):
-                    if len(wp) + len(wq) > self.order:
-                        continue
-                    res = self.position(wp + wq)
-                    if res is None:
-                        continue
-                    pos, sgn = res
-                    mult[(p, q)] = {pos: Fraction(sgn)}
-            self._algebra = NilpotentDgAlgebra(self.space, mult,
-                                               self.differential())
+            if self._products is None:
+                b = self.basis
+                table: Dict[Tuple[int, int], SparseVec] = {}
+                for p, wp in enumerate(b.words):
+                    # the words of length <= order - len(wp) come first
+                    for q in range(b.offsets[self.order + 1 - len(wp)]):
+                        res = b.position(wp + b.words[q])
+                        if res is not None:
+                            table[(p, q)] = {res[0]: Fraction(res[1])}
+                self._products = NilpotentDgAlgebra(b.space, table,
+                                                    GradedMap(b.space, b.space, 1))
+            self._algebra = self._products.with_differential(self.differential())
         return self._algebra
-
-    def word_component(self, vec: Sequence[Fraction], k: int) -> Vector:
-        """The ⊙^k-part of an element of the materialized algebra."""
-        off = self.offsets[k]
-        size = len(self.powers[k].monomials)
-        return list(vec[off:off + size])
 
     def __repr__(self):
         return "QuasismoothTrunc(gen=%d, order=%d)" % (self.v.dim, self.order)
@@ -182,8 +168,8 @@ def morphism_from_generators(r: QuasismoothTrunc, target: NilpotentDgAlgebra,
                              images: List[Vector], check: bool = True
                              ) -> DgAlgebraMorphism:
     """The multiplicative extension of generator images to the monomials."""
-    m = GradedMap(r.space, target.space, 0)
-    for pos, word in enumerate(r.words):
+    m = GradedMap(r.basis.space, target.space, 0)
+    for pos, word in enumerate(r.basis.words):
         vec = images[word[0]]
         for letter in word[1:]:
             vec = target.product(vec, images[letter])
@@ -221,18 +207,19 @@ def change_of_generators(r: QuasismoothTrunc, new_v: GradedSpace,
     for i in range(new_v.dim):
         dv = ginv.map.apply(a_old.d.apply(images[i]))
         for k in range(1, r.order + 1):
-            part = shell.word_component(dv, k)
+            part = shell.basis.component(dv, k)
             if any(part):
                 m = comps.get(k)
                 if m is None:
-                    m = GradedMap(new_v, shell.powers[k].space, 1)
+                    m = GradedMap(new_v, shell.basis.powers[k].space, 1)
                     comps[k] = m
                 for j, c in enumerate(part):
                     if c:
                         m.set_entry(j, i, c)
-    out = QuasismoothTrunc(new_v, r.order, comps)
-    assert out.differential() == ginv.map.compose(a_old.d).compose(g.map), \
-        "conjugated differential must be the derivation of its components"
+    out = shell.with_components(comps)
+    if out.differential() != ginv.map.compose(a_old.d).compose(g.map):
+        raise CertificateError("the conjugated differential is not the derivation "
+                               "of its components")
     gmor = DgAlgebraMorphism(out.algebra(), a_old, g.map)
     return out, gmor
 
@@ -289,9 +276,9 @@ def minimalize(r: QuasismoothTrunc) -> MinimalModel:
     a1 = r1.algebra()
     # sanity: d(v_i) = w_i, d(w_i) = 0, d(h_j) has no length-1 part
     for t in range(nw):
-        assert a1.d.apply(a1.space.basis_vector(v_idx[t])) == \
-            a1.space.basis_vector(w_idx[t])
-        assert linalg.is_zero_vector(a1.d.apply(a1.space.basis_vector(w_idx[t])))
+        if a1.d.apply(a1.space.basis_vector(v_idx[t])) != a1.space.basis_vector(w_idx[t]) \
+                or not linalg.is_zero_vector(a1.d.apply(a1.space.basis_vector(w_idx[t]))):
+            raise CertificateError("the new coordinates do not satisfy d(v) = w, d(w) = 0")
 
     # correct the harmonic generators so their differential is pure-H
     pure_h = _pure_h_selector(r1, set(h_idx))
@@ -309,13 +296,13 @@ def minimalize(r: QuasismoothTrunc) -> MinimalModel:
                                            linalg.vec_scale(c, subst.apply(
                                                a1.space.basis_vector(wpos))))
             defect = linalg.vec_sub(cur, gamma_img)
-            dk = r1.word_component(defect, k)
+            dk = r1.basis.component(defect, k)
             if not any(dk):
                 continue
             # split the order-k defect into pure-H words and a δ₀-image
             rest = a1.space.zero_vector()
             for wpos, c in enumerate(dk):
-                gpos = r1.offsets[k] + wpos
+                gpos = r1.basis.offsets[k] + wpos
                 if not c:
                     continue
                 if pure_h[gpos]:
@@ -325,14 +312,15 @@ def minimalize(r: QuasismoothTrunc) -> MinimalModel:
             if linalg.is_zero_vector(rest):
                 continue
             # solve δ₀(g) = -rest with g a length-k word of matching degree
-            cand = [gpos for gpos in range(r1.space.dim)
-                    if len(r1.words[gpos]) == k
-                    and r1.space.degrees[gpos] == v1.degrees[j]]
+            cand = [gpos for gpos in range(a1.dim)
+                    if len(r1.basis.words[gpos]) == k
+                    and a1.space.degrees[gpos] == v1.degrees[j]]
             cols = []
             for gpos in cand:
                 cols.append(_delta0(r1, a1, gpos, v_idx, w_idx))
             sol = linalg.solve_in_span(cols, linalg.vec_scale(Fraction(-1), rest))
-            assert sol is not None, "acyclic correction must be solvable"
+            if sol is None:
+                raise CertificateError("the acyclic correction has no solution")
             for posn, c in enumerate(sol):
                 if c:
                     images2[j] = linalg.vec_add(
@@ -343,44 +331,36 @@ def minimalize(r: QuasismoothTrunc) -> MinimalModel:
     # read off the minimal quotient S on the harmonic generators
     h_space = GradedSpace([v1.basis[j] for j in h_idx])
     s_comps: Dict[int, GradedMap] = {}
-    s_shell = QuasismoothTrunc(h_space, r.order, {}, check=False) \
-        if h_space.dim else None
+    s_shell = QuasismoothTrunc(h_space, r.order, {}, check=False)
     for k, m in r2.components.items():
         for j in h_idx:
             col = m.apply(v1.basis_vector(j))
             for wpos, c in enumerate(col):
                 if not c:
                     continue
-                word = r2.powers[k].monomials[wpos]
-                assert all(l in h_idx for l in word), \
-                    "harmonic differential must be pure-H after correction"
-                res = s_shell.position(tuple(h_idx.index(l) for l in word))
-                pos, sgn = res
+                word = r2.basis.powers[k].monomials[wpos]
+                if not all(l in h_idx for l in word):
+                    raise CertificateError("the harmonic differential is not pure-H "
+                                           "after correction")
+                pos, sgn = s_shell.basis.powers[k].index(
+                    tuple(h_idx.index(l) for l in word))
                 sm = s_comps.get(k)
                 if sm is None:
-                    sm = GradedMap(h_space, s_shell.powers[k].space, 1)
+                    sm = GradedMap(h_space, s_shell.basis.powers[k].space, 1)
                     s_comps[k] = sm
-                sm.set_entry(pos - s_shell.offsets[k], j,
-                             sm.entries.get((pos - s_shell.offsets[k], j), ZERO)
-                             + Fraction(sgn) * c)
-    s = QuasismoothTrunc(h_space, r.order, s_comps) if h_space.dim else \
-        QuasismoothTrunc(h_space, r.order, {}, check=False)
+                sm.set_entry(pos, j, sm.entries.get((pos, j), ZERO) + Fraction(sgn) * c)
+    s = s_shell.with_components(s_comps)
     a_s = s.algebra()
 
     # π₂, γ₂ and the homotopy on the normalized coordinates
     pi_images = []
     for j in range(v1.dim):
-        if j in h_idx:
-            pi_images.append(a_s.space.basis_vector(h_idx.index(j))
-                             if h_space.dim else [])
-        else:
-            pi_images.append(a_s.space.zero_vector())
+        pi_images.append(a_s.space.basis_vector(h_idx.index(j)) if j in h_idx
+                         else a_s.space.zero_vector())
     pi2 = morphism_from_generators(r2, a_s, pi_images)
-    gamma2 = morphism_from_generators(
-        s, a2, [a2.space.basis_vector(j) for j in h_idx]) if h_space.dim else \
-        DgAlgebraMorphism(a_s, a2, GradedMap(a_s.space, a2.space, 0), check=False)
-    assert pi2.map.compose(gamma2.map) == GradedMap.identity(a_s.space) \
-        or not h_space.dim
+    gamma2 = morphism_from_generators(s, a2, [a2.space.basis_vector(j) for j in h_idx])
+    if pi2.map.compose(gamma2.map) != GradedMap.identity(a_s.space):
+        raise CertificateError("π₂γ₂ is not the identity")
 
     # conjugate back through the coordinate changes; composites of the
     # morphisms checked above need no check of their own
@@ -411,27 +391,25 @@ def minimalize(r: QuasismoothTrunc) -> MinimalModel:
 
 
 def _embed_linear(r: QuasismoothTrunc, v: Vector) -> Vector:
-    out = r.space.zero_vector()
-    for i, c in enumerate(v):
-        if c:
-            out[r.generator_position(i)] = c
+    out = r.basis.space.zero_vector()
+    out[:len(v)] = v  # the words of length 1 come first, in generator order
     return out
 
 
 def _pure_h_selector(r1: QuasismoothTrunc, h_set) -> List[bool]:
-    return [all(l in h_set for l in word) for word in r1.words]
+    return [all(l in h_set for l in word) for word in r1.basis.words]
 
 
 def _delta0(r1: QuasismoothTrunc, a1: NilpotentDgAlgebra, gpos: int,
             v_idx: List[int], w_idx: List[int]) -> Vector:
     """The length-preserving part of d on a monomial: the v ↦ w derivation."""
-    k = len(r1.words[gpos])
+    k = len(r1.basis.words[gpos])
     full = a1.d.apply(a1.space.basis_vector(gpos))
     out = a1.space.zero_vector()
-    part = r1.word_component(full, k)
+    part = r1.basis.component(full, k)
     for wpos, c in enumerate(part):
         if c:
-            out[r1.offsets[k] + wpos] = c
+            out[r1.basis.offsets[k] + wpos] = c
     return out
 
 
@@ -453,28 +431,28 @@ def morphism_lift(s: QuasismoothTrunc, r: QuasismoothTrunc,
         phi = morphism_from_generators(s, a_r, images, check=False)
         defects = []
         for i in range(s.v.dim):
-            gen = a_s.space.basis_vector(s.generator_position(i))
+            gen = a_s.space.basis_vector(i)
             dft = linalg.vec_sub(phi.map.apply(a_s.d.apply(gen)),
                                  a_r.d.apply(phi.map.apply(gen)))
             defects.append(dft)
-        bad = [r.word_component(d, k) for d in defects]
+        bad = [r.basis.component(d, k) for d in defects]
         if not any(any(b) for b in bad):
             continue
         # unknowns: order-k corrections c_i per generator
         slots: List[Tuple[int, int]] = []
         for i in range(s.v.dim):
-            for wpos in range(len(r.powers[k].monomials) if r.v.dim else 0):
-                if r.powers[k].space.degrees[wpos] == s.v.degrees[i]:
+            for wpos in range(len(r.basis.powers[k].monomials) if r.v.dim else 0):
+                if r.basis.powers[k].space.degrees[wpos] == s.v.degrees[i]:
                     slots.append((i, wpos))
         d1s = s.components.get(1)
         cols: List[Vector] = []
         for (i, wpos) in slots:
             col_parts: List[Vector] = [
-                [ZERO] * (len(r.powers[k].monomials) if r.v.dim else 0)
+                [ZERO] * (len(r.basis.powers[k].monomials) if r.v.dim else 0)
                 for _ in range(s.v.dim)]
             gvec = a_r.space.zero_vector()
-            gvec[r.offsets[k] + wpos] = ONE
-            dg = r.word_component(a_r.d.apply(gvec), k)
+            gvec[r.basis.offsets[k] + wpos] = ONE
+            dg = r.basis.component(a_r.d.apply(gvec), k)
             for t, c in enumerate(dg):
                 col_parts[i][t] -= c
             if d1s is not None:
@@ -490,7 +468,7 @@ def morphism_lift(s: QuasismoothTrunc, r: QuasismoothTrunc,
         for posn, c in enumerate(sol):
             if c:
                 i, wpos = slots[posn]
-                images[i][r.offsets[k] + wpos] += c
+                images[i][r.basis.offsets[k] + wpos] += c
     phi = morphism_from_generators(s, a_r, images, check=False)
     if phi.violations():
         return None
@@ -527,39 +505,34 @@ def kuranishi_prorepresent(l: Dgla, contraction: Optional[Contraction] = None,
     v = GradedSpace([("x_" + h.names[c].replace("^", ""), 1 - h.degrees[c])
                      for c in range(h.dim)])
     comps: Dict[int, GradedMap] = {}
-
-    def build() -> Tuple[QuasismoothTrunc, TensorDgla]:
-        rr = QuasismoothTrunc(v, order, dict(comps), check=False)
-        return rr, tensor_dgla(l, rr.algebra())
-
-    r, t = build()
+    # one word basis and one product table serve every order: an order
+    # that changes d rebuilds only d and the differential of L⊗R
+    r = QuasismoothTrunc(v, order, {}, check=False)
+    t = tensor_dgla(l, r.algebra())
     xi = t.space.zero_vector()
     for c in range(h.dim):
-        gen = r.generator_position(c)
         for i, cv in enumerate(reps[c]):
             if cv:
-                xi[t.pair_index(i, gen)] += cv
+                xi[t.pair_index(i, c)] += cv  # the word of length 1 on generator c
+    hvec = mc_defect(t, xi)
     for k in range(2, order + 1):
-        hvec = mc_defect(t, xi)
         # extract the ⊙^k-part: a cocycle of L per monomial
-        if r.v.dim == 0:
-            break
-        nmon = len(r.powers[k].monomials)
-        off = r.offsets[k]
-        changed = False
+        nmon = len(r.basis.powers[k].monomials)
+        off = r.basis.offsets[k]
+        changed = False     # whether d changed; ξ needs no rebuild
         for wpos in range(nmon):
             hm = [hvec[t.pair_index(i, off + wpos)] for i in range(l.dim)]
             if not any(hm):
                 continue
-            assert linalg.is_zero_vector(l.d.apply(hm)), \
-                "order defect must be a cocycle"
+            if not linalg.is_zero_vector(l.d.apply(hm)):
+                raise CertificateError("the order-%d defect is not a cocycle" % k)
             cls = contraction.class_of(hm)
             for c, cc in enumerate(cls):
                 if cc:
                     sgn = Fraction(-1 if (1 + h.degrees[c]) % 2 else 1)
                     m = comps.get(k)
                     if m is None:
-                        m = GradedMap(v, r.powers[k].space, 1)
+                        m = GradedMap(v, r.basis.powers[k].space, 1)
                         comps[k] = m
                     m.set_entry(wpos, c,
                                 m.entries.get((wpos, c), ZERO) + sgn * cc)
@@ -567,22 +540,21 @@ def kuranishi_prorepresent(l: Dgla, contraction: Optional[Contraction] = None,
             harm_part = contraction.include.apply(cls)
             exact = linalg.vec_sub(hm, harm_part)
             svec = contraction.sigma.apply(exact)
-            if any(svec):
-                for i, cv in enumerate(svec):
-                    if cv:
-                        xi[t.pair_index(i, off + wpos)] -= cv
-                changed = True
+            for i, cv in enumerate(svec):
+                if cv:
+                    xi[t.pair_index(i, off + wpos)] -= cv
         if changed:
-            # rebuild the tensor algebra with the updated differential
-            xi_old = xi
-            r, t = build()
-            xi = list(xi_old)
-        hk = mc_defect(t, xi)
-        for wpos in range(len(r.powers[k].monomials)):
-            for i in range(l.dim):
-                assert not hk[t.pair_index(i, r.offsets[k] + wpos)], \
-                    "defect must vanish at the treated order"
-    r_final = QuasismoothTrunc(v, order, dict(comps))  # check d² = 0
-    assert is_minimal(r_final)
-    _, t_final = build()
-    return r_final, VersalElement(l, r_final, t_final, xi)
+            r = r.with_components(comps, check=False)
+            t = tensor_dgla(l, r.algebra())
+        # the defect the next order starts from vanishes at this one
+        hvec = mc_defect(t, xi)
+        if any(hvec[t.pair_index(i, off + wpos)]
+               for wpos in range(nmon) for i in range(l.dim)):
+            raise CertificateError("the Maurer-Cartan defect does not vanish "
+                                   "at order %d" % k)
+    d = r.algebra().d
+    if not d.compose(d).is_zero():
+        raise CertificateError("the derivation does not square to zero on the truncation")
+    if not is_minimal(r):
+        raise CertificateError("the prorepresenting truncation is not minimal")
+    return r, VersalElement(l, r, t, xi)

@@ -281,7 +281,7 @@ def tangent_bracket(l: Dgla, order: int = 3) -> TangentBracket:
     t = coh.harmonic_space
     s0 = LInftyStructure(t, max(order, 2), {})
     c = s0.coalgebra
-    q2 = GradedMap(c.powers[2].space, c.shifted, 1)
+    q2 = GradedMap(c.powers[2].space, c.letters, 1)
     for pos, (p, q) in enumerate(c.powers[2].monomials):
         dp = t.degrees[p]
         dq = t.degrees[q]

@@ -459,7 +459,7 @@ def test_criterion_10_prorepresentability():
     assert 3 not in rk.components
     # with generators x_e, x_h, x_f: d x_e = 2s x_e x_h, d x_h = -s x_e x_f,
     # d x_f = 2s x_h x_f for one global sign s
-    p2 = rk.powers[2]
+    p2 = rk.basis.powers[2]
     cols = {}
     for (pos, i), c in d2.entries.items():
         cols[(p2.monomials[pos], i)] = c
@@ -481,7 +481,7 @@ def test_criterion_10_prorepresentability():
         dd2 = rr.components.get(2)
         if dd2 is None:
             continue
-        pp2 = rr.powers[2]
+        pp2 = rr.basis.powers[2]
         sign = None
         for c in range(rr.v.dim):
             for pos, (a, b) in enumerate(pp2.monomials):

@@ -1,14 +1,17 @@
 """Command-line interface: exit codes, reports, embedded documents."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from defalg import docio
+from defalg import docio, linalg
 from defalg.cli import main
+from defalg.dgla import mc_defect
 from conftest import UV_ACYCLIC_EXT, UV_M3_EXT, UV_SQUARE_EXT
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "docs" / "fixtures"
@@ -250,6 +253,13 @@ def test_prorepresent_sl2_odd_golden(capsys):
     assert (code, out, err) == (0, SL2_ODD_ORDER_4, "")
 
 
+def test_prorepresent_sl2_odd_order_6_golden(capsys):
+    # no component of order above 2 appears: the text is order 4's with
+    # the order line changed
+    code, out, err = run(capsys, "prorepresent", "--in", SL2_ODD, "--order", "6")
+    assert (code, out, err) == (0, SL2_ODD_ORDER_4.replace("order: 4\n", "order: 6\n"), "")
+
+
 PAIRS_MINIMALIZE = """\
 command: minimalize
 already minimal: no
@@ -279,6 +289,20 @@ def test_exit_three_on_failed_certificate(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, fake", [
+    ("is_minimal", lambda r: False),
+    # a doubled defect doubles d₂, whose own defect then does not vanish
+    ("mc_defect", lambda t, x: linalg.vec_scale(Fraction(2), mc_defect(t, x))),
+], ids=["minimality", "mc-defect"])
+def test_prorepresent_exit_three_on_failed_certificate(capsys, monkeypatch, name, fake):
+    import defalg.models
+    monkeypatch.setattr(defalg.models, name, fake)
+    code, out, err = run(capsys, "prorepresent", "--in", SL2_ODD, "--order", "3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: certificate failed: ") and err.count("\n") == 1
 
 
 def test_factor_extensions(capsys):
@@ -344,3 +368,15 @@ def test_minimalize_under_python_O(capsys):
     code, out, _ = run(capsys, "minimalize", "--in", PAIRS)
     assert proc.returncode == 0 and code == 0
     assert proc.stdout == out.encode("utf-8")
+
+
+def test_defalg_seed_changes_nothing():
+    # DEFALG_SEED seeds the test suite's generators; the program reads no
+    # environment variable, and a value that is not a number is no error
+    argv = [sys.executable, "-m", "defalg.cli", "tangent", "--in", SL2]
+    env = {k: v for k, v in os.environ.items() if k != "DEFALG_SEED"}
+    plain = subprocess.run(argv, capture_output=True, env=env)
+    seeded = subprocess.run(argv, capture_output=True, env={**env, "DEFALG_SEED": "abc"})
+    assert plain.returncode == seeded.returncode == 0
+    assert seeded.stdout == plain.stdout
+    assert b"Traceback" not in seeded.stderr

@@ -12,7 +12,7 @@ from defalg.graded import (Complex, Contraction, GradedMap, GradedSpace,
                            ShortExactSequence, canonical_monomial, cohomology,
                            connecting_hom, is_chain_map, is_quasiiso,
                            koszul_sign, shift, shift_space, symmetric_power,
-                           unshuffles)
+                           unshuffles, WordBasis)
 from conftest import make_rng, random_complex
 
 F = Fraction
@@ -190,3 +190,16 @@ def test_complex_rejects_nonsquare_zero():
     d = GradedMap(v, v, 1, {(1, 0): F(1), (2, 1): F(1)})
     with pytest.raises(ValueError):
         Complex(v, d)
+
+
+def test_word_basis_positions():
+    v = GradedSpace([("a", 0), ("b", 1)])
+    wb = WordBasis(v, 3)
+    assert wb.words[:2] == ((0,), (1,)) and wb.offsets == {1: 0, 2: 2, 3: 4}
+    assert wb.space.dim == len(wb.words) == 2 + 2 + 2
+    assert wb.position((1, 0)) == (wb.words.index((0, 1)), 1)
+    assert wb.position((1, 1)) is None          # odd letter squared
+    for word in ((), (0, 0, 0, 0)):
+        with pytest.raises(ValueError):
+            wb.position(word)
+    assert wb.component(list(range(wb.space.dim)), 2) == [2, 3]

@@ -87,7 +87,7 @@ def test_mc_condition_agreement():
             continue
         t = tensor_dgla(l, a)
         s = dgla_to_linfty(l, order=3)
-        tsp = tensor_space(s.coalgebra.shifted, a.space)
+        tsp = tensor_space(s.coalgebra.letters, a.space)
         # same index layout, shifted degrees
         assert [d + 1 for d in tsp.degrees] == list(t.space.degrees)
         x = t.space.zero_vector()
@@ -148,10 +148,10 @@ def test_linear_map_extends_to_coalgebra_morphism():
     s = dgla_to_linfty(l, order=3)
     c = s.coalgebra
     # a random degree-0 linear map C -> V[1] extends to θ with π∘θ = m
-    m = GradedMap(c.space, c.shifted, 0)
+    m = GradedMap(c.space, c.letters, 0)
     for pos in range(c.space.dim):
-        for j in range(c.shifted.dim):
-            if c.space.degrees[pos] == c.shifted.degrees[j] and \
+        for j in range(c.letters.dim):
+            if c.space.degrees[pos] == c.letters.degrees[j] and \
                     rng.random() < 0.5:
                 m.set_entry(j, pos, F(rng.randint(-2, 2)))
     theta = coalgebra_morphism_from_linear(c, m, c)
@@ -159,7 +159,7 @@ def test_linear_map_extends_to_coalgebra_morphism():
     # corestriction to V[1] recovers m
     for pos in range(c.space.dim):
         img = theta.apply(c.space.basis_vector(pos))
-        assert img[:c.shifted.dim] == m.apply(c.space.basis_vector(pos))
+        assert img[:c.letters.dim] == m.apply(c.space.basis_vector(pos))
 
 
 def test_morphism_criterion_reduces_to_linear_data():
@@ -168,8 +168,8 @@ def test_morphism_criterion_reduces_to_linear_data():
     l = sl2_odd()
     s = dgla_to_linfty(l, order=2)
     c = s.coalgebra
-    m = GradedMap(c.space, c.shifted, 0)
-    for i in range(c.shifted.dim):
+    m = GradedMap(c.space, c.letters, 0)
+    for i in range(c.letters.dim):
         m.set_entry(i, i, F(2))
     theta = coalgebra_morphism_from_linear(c, m, c)
     assert check_coalgebra_morphism(c, c, theta)

@@ -142,7 +142,7 @@ def test_kuranishi_sl2_quadratic_part_is_dual_bracket():
     rk, _ = kuranishi_prorepresent(l, order=3)
     cb = cohomology_bracket(l)
     d2 = rk.components[2]
-    p2 = rk.powers[2]
+    p2 = rk.basis.powers[2]
     sign = None
     for c in range(3):
         for pos, (a, b) in enumerate(p2.monomials):
@@ -181,3 +181,33 @@ def test_kuranishi_mixed_degrees():
     # tangent dimensions of the model match the DGLA cohomology
     for i in (-1, 0, 1, 2):
         assert h_r_tangent(rk, i) == coh.dims().get(i, 0)
+
+
+def test_prorepresent_builds_one_product_table(monkeypatch):
+    # R's product table depends on (V, n) alone: every order shares it and
+    # rebuilds only d
+    import defalg.algebras
+    l = sl2_odd()
+    built = []
+    real = defalg.algebras._structure_constants
+
+    def counting(space, table, wrong_degree):
+        built.append(space)
+        return real(space, table, wrong_degree)
+
+    monkeypatch.setattr(defalg.algebras, "_structure_constants", counting)
+    rk, ve = kuranishi_prorepresent(l, order=4)
+    assert len(built) == 1 and built[0] == rk.algebra().space
+    assert ve.tensor.a is rk.algebra()
+    assert linalg.is_zero_vector(ve.defect())
+
+
+def test_with_components_shares_the_product_table():
+    r = non_minimal_trunc()
+    shell = QuasismoothTrunc(r.v, r.order, {}, check=False)
+    a0 = shell.algebra()
+    moved = shell.with_components(r.components)
+    a = moved.algebra()
+    assert a.table is a0.table and a._left is a0._left
+    assert a.d == r.differential() and a0.d.is_zero()
+    assert moved.basis is shell.basis and not shell.components
