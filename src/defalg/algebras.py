@@ -75,6 +75,18 @@ Pair = Tuple[int, int]
 Triple = Tuple[int, int, int]
 
 
+def _add_scaled(defects: Dict, key, c: Fraction, row: SparseVec) -> None:
+    """defects[key] += c·row, sparsely."""
+    out = defects.setdefault(key, {})
+    for t, x in row.items():
+        out[t] = out.get(t, ZERO) + c * x
+
+
+def _failing(defects: Dict) -> set:
+    """The keys whose accumulated defect is nonzero."""
+    return {key for key, out in defects.items() if any(out.values())}
+
+
 class BilinearStructure:
     """A finite graded space with a bilinear operation given by structure
     constants and a degree +1 differential d: the data that nilpotent
@@ -158,14 +170,6 @@ class BilinearStructure:
         for (i, m), row in table.items():
             right[m].append((i, row))
 
-        def add(defects: Dict, key, c: Fraction, row: SparseVec) -> None:
-            out = defects.setdefault(key, {})
-            for t, x in row.items():
-                out[t] = out.get(t, ZERO) + c * x
-
-        def failing(defects: Dict) -> List:
-            return sorted(key for key, out in defects.items() if any(out.values()))
-
         symmetry = []
         for i, j in sorted({(min(p), max(p)) for p in table}):
             s = -1 if odd[i] and odd[j] else 1
@@ -178,12 +182,12 @@ class BilinearStructure:
         for (p, q), row in table.items():
             for m, c in row.items():
                 for k, r in left[m]:            # (e_p e_q) e_k
-                    add(triples, (p, q, k), c, r)
+                    _add_scaled(triples, (p, q, k), c, r)
                 for i, r in right[m]:           # -e_i (e_p e_q)
-                    add(triples, (i, p, q), -c, r)
+                    _add_scaled(triples, (i, p, q), -c, r)
                 if lie:
                     for j, r in right[m]:       # s e_j (e_p e_q) on (p, j, q)
-                        add(triples, (p, j, q), -c if odd[p] and odd[j] else c, r)
+                        _add_scaled(triples, (p, j, q), -c if odd[p] and odd[j] else c, r)
 
         leibniz: Dict[Pair, SparseVec] = {}
         dcols: List[SparseVec] = [{} for _ in range(space.dim)]
@@ -191,12 +195,12 @@ class BilinearStructure:
             dcols[m][t] = c
         for (i, j), row in table.items():       # d(e_i e_j)
             for m, c in row.items():
-                add(leibniz, (i, j), c, dcols[m])
+                _add_scaled(leibniz, (i, j), c, dcols[m])
         for (p, q), c in d.entries.items():     # d e_q has c at p
             for j, r in left[p]:                # -(d e_q) e_j
-                add(leibniz, (q, j), -c, r)
+                _add_scaled(leibniz, (q, j), -c, r)
             for i, r in right[p]:               # -(-1)^{|i|} e_i (d e_q)
-                add(leibniz, (i, q), c if odd[i] else -c, r)
+                _add_scaled(leibniz, (i, q), c if odd[i] else -c, r)
 
         def messages(axiom: str, keys: List) -> List[str]:
             return ["%s fails on (%s)" % (axiom, ", ".join(space.names[t] for t in key))
@@ -204,8 +208,8 @@ class BilinearStructure:
 
         sym_axiom, triple_axiom = (("graded antisymmetry", "graded Jacobi") if lie
                                    else ("graded commutativity", "associativity"))
-        return (messages(sym_axiom, symmetry), messages(triple_axiom, failing(triples)),
-                messages("Leibniz", failing(leibniz)),
+        return (messages(sym_axiom, symmetry), messages(triple_axiom, sorted(_failing(triples))),
+                messages("Leibniz", sorted(_failing(leibniz))),
                 [] if d.compose(d).is_zero() else ["d∘d != 0"])
 
 
@@ -305,26 +309,31 @@ class DgAlgebraMorphism:
     def violations(self) -> List[str]:
         """Where f fails to commute with d or to be multiplicative.
 
-        f(e_i e_j) and f(e_i) f(e_j) are formed sparsely from the structure
-        constants and f's columns.  Failing pairs are named in the iteration
-        order of the set of all pairs: the CLI prints this list, so its
-        order is part of the output.
+        f(e_i e_j) - f(e_i) f(e_j) is accumulated sparsely in one pass, as
+        in ``_axiom_errors``: each structure constant of the source is walked
+        through f's columns, and each f(e_i) through the target's left index
+        and an index b -> [(j, f_bj)] of f's rows.  Failing pairs are named
+        in the iteration order of the set of all pairs: the CLI prints this
+        list, so its order is part of the output.
         """
         errs = []
         f, src = self.map, self.source
         if not f.compose(src.d) == self.target.d.compose(f):
             errs.append("does not commute with differentials")
         cols = f.columns()
-        failing = set()
-        for i in range(src.dim):
-            for j in range(src.dim):
-                lhs: SparseVec = {}
-                for m, c in src.table.get((i, j), {}).items():
-                    for t, x in cols[m].items():
-                        lhs[t] = lhs.get(t, ZERO) + c * x
-                if ({t: x for t, x in lhs.items() if x}
-                        != self.target.sparse_product(cols[i], cols[j])):
-                    failing.add((i, j))
+        rows: List[List[Tuple[int, Fraction]]] = [[] for _ in range(self.target.dim)]
+        for (b, j), c in f.entries.items():
+            rows[b].append((j, c))
+        defects: Dict[Pair, SparseVec] = {}
+        for (i, j), row in src.table.items():           # f(e_i e_j)
+            for m, c in row.items():
+                _add_scaled(defects, (i, j), c, cols[m])
+        for i, col in enumerate(cols):                  # -f(e_i) f(e_j)
+            for a, fa in col.items():
+                for b, prod in self.target._left[a]:
+                    for j, fb in rows[b]:
+                        _add_scaled(defects, (i, j), -fa * fb, prod)
+        failing = _failing(defects)
         if failing:
             for (i, j) in set(list(src.table.keys())) | {
                     (i, j) for i in range(src.dim) for j in range(src.dim)}:
@@ -620,7 +629,8 @@ def factor_into_small_extensions(alpha: DgAlgebraMorphism) -> List[SmallExtensio
             break
         ann = current.source.annihilator_basis()
         inter = _intersect_spans(kern, ann, current.source.dim)
-        assert inter, "nilpotency guarantees ker ∩ Ann is nonzero"
+        if not inter:
+            raise CertificateError("ker ∩ Ann is zero, which nilpotency excludes")
         homog: List[Vector] = []
         for v in inter:
             homog.extend(current.source.space.homogeneous_components(v).values())
@@ -628,9 +638,8 @@ def factor_into_small_extensions(alpha: DgAlgebraMorphism) -> List[SmallExtensio
         j_basis = [homog[k] for k in keep]
         # d-stability of J = ker ∩ Ann
         j_span = linalg.echelon(j_basis)
-        for v in j_basis:
-            assert j_span.coords(current.source.d.apply(v)) is not None, \
-                "ker ∩ Ann must be differential-stable"
+        if any(j_span.coords(current.source.d.apply(v)) is None for v in j_basis):
+            raise CertificateError("ker ∩ Ann is not differential-stable")
         q, proj = quotient_algebra(current.source, j_basis)
         chain.append(kernel_extension(proj))
         # induced morphism q -> B on the quotient
@@ -647,7 +656,12 @@ def _intersect_spans(u: Sequence[Vector], w: Sequence[Vector], dim: int) -> List
         return []
     out = []
     for sol in linalg.relations(list(u) + [[-x for x in v] for v in w])[1]:
-        vec = [sum(sol[c] * u[c][r] for c in range(len(u))) for r in range(dim)]
+        vec = [ZERO] * dim
+        for c, uc in enumerate(u):
+            if sol[c]:
+                for r, x in enumerate(uc):
+                    if x:
+                        vec[r] += sol[c] * x
         if any(vec):
             out.append(vec)
     keep = linalg.independent_subset(out)

@@ -20,7 +20,7 @@ from .algebras import (BilinearStructure, DgAlgebraMorphism, LeftIndex,
                        NilpotentDgAlgebra, SmallExtension, SparseVec, ValidationReport,
                        _bilinear, factor_into_small_extensions)
 from .graded import Complex, Contraction, GradedMap, GradedSpace, cohomology
-from .linalg import ONE, ZERO, Vector
+from .linalg import ONE, ZERO, CertificateError, Vector
 
 
 class Dgla(BilinearStructure):
@@ -160,8 +160,11 @@ def trivial_algebra_of_complex(c: Complex) -> NilpotentDgAlgebra:
 
 def mc_defect(t: Dgla, x: Sequence[Fraction]) -> Vector:
     """dx + ½[x, x]."""
-    return linalg.vec_add(t.d.apply(x),
-                          linalg.vec_scale(Fraction(1, 2), t.bracket_vec(x, x)))
+    out = t.d.apply(x)
+    for k, c in enumerate(t.bracket_vec(x, x)):
+        if c:
+            out[k] += c / 2
+    return out
 
 
 def mc_check(t: Dgla, x: Sequence[Fraction]) -> Tuple[bool, Vector]:
@@ -315,18 +318,21 @@ def mc_lift(e: SmallExtension, l: Dgla, x: Sequence[Fraction],
     strict = e.is_strictly_small()
     if strict:
         ccls = hcoh.class_of(hi)
-        assert ccls is not None, "defect must be a cocycle"
+        if ccls is None:
+            raise CertificateError("the defect is not a cocycle of L⊗I")
 
     deg1 = ti.space.degree_indices(1)
-    t_cols: List[Vector] = []
-    for i in deg1:
-        xi = emb.apply(ti.space.basis_vector(i))
-        col = ta.d.apply(xi)
-        if not strict:              # A·I = 0 makes [y, ξ] zero
-            col = linalg.vec_add(col, ta.bracket_vec(y, xi))
-        col_i = e.kernel_coords(col)
-        assert col_i is not None, "lift operator escaped L⊗I: kernel is not an ideal"
-        t_cols.append(col_i)
+    if strict:      # A·I = 0 makes [y, ξ] zero, and ι is a chain map: T = d on L⊗I
+        dcols = ti.d.columns()
+        t_cols = [dcols[i] for i in deg1]
+    else:
+        t_cols = []
+        for i in deg1:
+            xi = emb.apply(ti.space.basis_vector(i))
+            col_i = e.kernel_coords(linalg.vec_add(ta.d.apply(xi), ta.bracket_vec(y, xi)))
+            if col_i is None:
+                raise CertificateError("the lift operator escaped L⊗I: the kernel is not an ideal")
+            t_cols.append(col_i)
     # one echelon over T's columns; its relations span ker T, all lift
     # translations
     t_ech, kernel = linalg.relations(t_cols)
@@ -343,17 +349,19 @@ def mc_lift(e: SmallExtension, l: Dgla, x: Sequence[Fraction],
         for pos, i in enumerate(deg1):
             xi[i] = sol[pos]
         lift = linalg.vec_add(y, emb.apply(xi))
-        okl, _ = mc_check(ta, lift)
-        assert okl, "corrected lift fails Maurer-Cartan"
+        if not mc_check(ta, lift)[0]:
+            raise CertificateError("the corrected lift fails Maurer-Cartan")
         return McLiftResult(True, lift, translations, hi, xi, None, ccls,
                             ta, ti, hcoh, emb)
     # obstruction: coordinates of h in a complement of im(T) inside (L⊗I)²
     chosen = [k for k, i in enumerate(ti.space.degree_indices(2))
               if t_ech.add(ti.space.basis_vector(i))]
     coords = t_ech.coords(hi)
-    assert coords is not None
+    if coords is None:
+        raise CertificateError("the defect is outside im(T) + the chosen complement")
     cls = [coords[len(t_cols) + k] for k in chosen]
-    assert any(cls), "unsolvable system must have nonzero cokernel class"
+    if not any(cls):
+        raise CertificateError("an unsolvable system has a zero cokernel class")
     return McLiftResult(False, None, translations, hi, None, cls, ccls,
                         ta, ti, hcoh, emb)
 
@@ -393,14 +401,15 @@ def gauge_equivalent(l: Dgla, a: NilpotentDgAlgebra, x: Sequence[Fraction],
     if a.has_trivial_mult():
         # orbit of x is x - d(L⊗A)⁰: a linear problem, complete
         deg0 = t.space.degree_indices(0)
-        cols = [t.d.apply(t.space.basis_vector(i)) for i in deg0]
-        sol = linalg.solve_in_span(cols, diff)
+        dcols = t.d.columns()
+        sol = linalg.solve_in_span([dcols[i] for i in deg0], diff)
         if sol is None:
             return GaugeDecision("NO")
         wit = t.space.zero_vector()
         for pos, i in enumerate(deg0):
             wit[i] = sol[pos]
-        assert gauge_act(t, wit, x) == list(y)
+        if gauge_act(t, wit, x) != list(y):
+            raise CertificateError("the gauge witness does not map x to y")
         return GaugeDecision("YES", wit)
 
     # staged search down a small-extension chain of A -> 0
@@ -428,11 +437,13 @@ def gauge_equivalent(l: Dgla, a: NilpotentDgAlgebra, x: Sequence[Fraction],
             if stages[j + 1].dim else tj.space.zero_vector()
         r = linalg.vec_sub(gauge_act(tj, lift_w, xj), yj)
         ri = e.kernel_coords(r)
-        assert ri is not None, "gauge residue escaped the stage kernel"
-        assert linalg.is_zero_vector(tii.d.apply(ri)), "gauge residue must be closed"
+        if ri is None:
+            raise CertificateError("the gauge residue escaped the stage kernel")
+        if not linalg.is_zero_vector(tii.d.apply(ri)):
+            raise CertificateError("the gauge residue is not closed")
         deg0 = tii.space.degree_indices(0)
-        cols = [tii.d.apply(tii.space.basis_vector(i)) for i in deg0]
-        sol = linalg.solve_in_span(cols, ri)
+        dcols = tii.d.columns()
+        sol = linalg.solve_in_span([dcols[i] for i in deg0], ri)
         if sol is None:
             return GaugeDecision("UNKNOWN")
         c = tii.space.zero_vector()
@@ -508,7 +519,8 @@ def derivations_dgla(a: NilpotentDgAlgebra) -> Tuple[Dgla, List[GradedMap]]:
             sgn = Fraction(-1 if (hi.degree % 2 and hj.degree % 2) else 1)
             comm_map = hi.compose(hj) - hj.compose(hi).scale(sgn)
             coords = span.coords(flat(comm_map))
-            assert coords is not None, "commutator escaped the derivation space"
+            if coords is None:
+                raise CertificateError("a commutator escaped the derivation space")
             row = {k: c for k, c in enumerate(coords) if c}
             if row:
                 bracket[(i, j)] = row
@@ -517,7 +529,8 @@ def derivations_dgla(a: NilpotentDgAlgebra) -> Tuple[Dgla, List[GradedMap]]:
         sgn = Fraction(-1 if hi.degree % 2 else 1)
         dm = a.d.compose(hi) - hi.compose(a.d).scale(sgn)
         coords = span.coords(flat(dm))
-        assert coords is not None
+        if coords is None:
+            raise CertificateError("[d, h] escaped the derivation space")
         for j, c in enumerate(coords):
             if c:
                 d.set_entry(j, i, c)

@@ -16,14 +16,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .linalg import ONE, ZERO, Vector
 
 __all__ = [
-    "GradedSpace", "GradedMap", "Complex", "Contraction", "ShortExactSequence",
+    "GradedSpace", "GradedMap", "Complex", "Splitting", "Contraction", "ShortExactSequence",
     "koszul_sign", "unshuffles", "shift", "symmetric_power",
     "SymmetricPower", "WordBasis", "cohomology", "is_quasiiso", "connecting_hom",
 ]
@@ -402,105 +403,71 @@ class WordBasis:
         return list(vec[off:off + len(self.powers[k].monomials)])
 
 
-class Contraction:
-    """Cohomology of a complex with an explicit splitting.
+class Splitting(NamedTuple):
+    """C^k = B ⊕ H ⊕ W in one degree k, with Z^k = B ⊕ H: the boundaries,
+    their chosen preimages in C^(k-1), the harmonic representatives and
+    the complement W of the cocycles, which d maps onto B^(k+1)."""
+    boundaries: List[Vector]
+    preimages: List[Vector]
+    harmonics: List[Vector]
+    complements: List[Vector]
 
-    Provides per-degree decomposition C = B (+) H (+) W with Z = B (+) H,
-    harmonic representatives, the projection p onto H, the inclusion of H,
-    and a degree -1 homotopy sigma with  d sigma + sigma d = Id - incl p.
+
+class Contraction:
+    """Cohomology of a complex with an explicit splitting, one degree at a time.
+
+    The constructor runs one echelon per degree k over the columns of d on
+    C^k.  Its independent columns are the basis vectors whose images are
+    the boundaries B^(k+1), its relations are the cocycles Z^k, and the
+    ranks give dim H^k = dim Z^k - dim B^k.  Everything else is built the
+    first time it is read: the splitting C^k = B ⊕ H ⊕ W of a degree
+    (``split``), the harmonic representatives, and the projection p onto
+    H, the inclusion of H and the degree -1 homotopy sigma with
+    d sigma + sigma d = Id - incl p.
     """
 
     def __init__(self, cx: Complex):
         self.complex = cx
         space = cx.space
-        dcols = cx.d.columns()
-        degs = sorted(set(space.degrees))
-        # per degree k: indices of C^k, matrix blocks of d restricted
-        self._by_degree = {k: space.degree_indices(k) for k in degs}
+        self._dcols = cx.d.columns()
+        self._by_degree = {k: space.degree_indices(k) for k in sorted(set(space.degrees))}
+        self._pivots: Dict[int, List[int]] = {}    # k -> i in C^k with d e_i spanning B^(k+1)
+        self._relations: Dict[int, List[Vector]] = {}   # k -> Z^k in C^k coordinates
+        for k, idx in self._by_degree.items():
+            ech, rels = linalg.relations([self._dcols[i] for i in idx])
+            self._pivots[k] = [idx[c] for c in ech.independent]
+            self._relations[k] = rels
+        self._dims = {k: len(self._relations[k]) - len(self._pivots.get(k - 1, ()))
+                      for k in self._by_degree}
+        self._offsets: Dict[int, int] = {}
+        basis = []
+        for k, n in self._dims.items():
+            self._offsets[k] = len(basis)
+            basis.extend(("H%d_%d" % (k, t), k) for t in range(n))
+        self.harmonic_space = GradedSpace(basis)
+        # k -> (splitting, echelon over B^k then Z^k, positions of H^k in it)
+        self._splits: Dict[int, Tuple[Splitting, linalg.Echelon, List[int]]] = {}
 
-        boundary_data: Dict[int, List[Tuple[Vector, Vector]]] = {}  # k -> [(b, preimage)]
-        for k in degs:
-            src = self._by_degree[k]
-            pairs = []
-            for c in linalg.independent_subset([dcols[i] for i in src]):
-                b = space.zero_vector()
-                for j, x in dcols[src[c]].items():
-                    b[j] = x
-                pairs.append((b, space.basis_vector(src[c])))
-            boundary_data.setdefault(k + 1, []).extend(pairs)
+    def _split(self, k: int) -> Tuple[Splitting, linalg.Echelon, List[int]]:
+        if k not in self._splits:
+            space = self.complex.space
 
-        harmonic_basis: List[Tuple[str, int, Vector]] = []
-        self.boundaries: Dict[int, List[Vector]] = {}
-        self.boundary_preimages: Dict[int, List[Vector]] = {}
-        self.harmonics: Dict[int, List[Vector]] = {}
-        self.complements: Dict[int, List[Vector]] = {}
-        self._dims: Dict[int, int] = {}
-        for k in degs:
-            idx = self._by_degree[k]
-            bnd = [b for b, _ in boundary_data.get(k, [])]
-            pre = [p for _, p in boundary_data.get(k, [])]
-            # cocycles: kernel of d restricted to degree k
-            cocycles = []
-            for nv in linalg.relations([dcols[i] for i in idx])[1]:
-                v = space.zero_vector()
-                for pos, i in enumerate(idx):
-                    v[i] = nv[pos]
-                cocycles.append(v)
-            ext = linalg.extend_basis(bnd, cocycles)
-            harm = [cocycles[e] for e in ext]
-            # complement of the cocycles: preimages of next-degree boundaries
-            comp = [p for _, p in boundary_data.get(k + 1, [])]
-            self.boundaries[k] = bnd
-            self.boundary_preimages[k] = pre
-            self.harmonics[k] = harm
-            self.complements[k] = comp
-            self._dims[k] = len(harm)
-            for t, h in enumerate(harm):
-                harmonic_basis.append(("H%d_%d" % (k, t), k, h))
+            def dense(sv: Dict[int, Fraction]) -> Vector:
+                return [sv.get(j, ZERO) for j in range(space.dim)]
+            pre = [space.basis_vector(i) for i in self._pivots.get(k - 1, ())]
+            bnd = [dense(self._dcols[i]) for i in self._pivots.get(k - 1, ())]
+            cocycles = [dense(dict(zip(self._by_degree[k], rel)))
+                        for rel in self._relations.get(k, ())]
+            ech = linalg.echelon(bnd)
+            ext = [e for e, z in enumerate(cocycles) if ech.add(z)]
+            comp = [space.basis_vector(i) for i in self._pivots.get(k, ())]
+            split = Splitting(bnd, pre, [cocycles[e] for e in ext], comp)
+            self._splits[k] = (split, ech, [len(bnd) + e for e in ext])
+        return self._splits[k]
 
-        self.harmonic_space = GradedSpace([(nm, d) for nm, d, _ in harmonic_basis])
-        self._harm_vectors = [h for _, _, h in harmonic_basis]
-
-        incl = GradedMap.from_columns(self.harmonic_space, space, 0, self._harm_vectors)
-        proj = GradedMap(space, self.harmonic_space, 0)
-        sigma = GradedMap(space, space, -1)
-        # per degree, invert the change of basis [B | H | W] to express the
-        # projection and the homotopy
-        self._coords: Dict[int, Tuple[List[int], int, int, int, linalg.Matrix]] = {}
-        hoff = 0
-        hoffsets = {}
-        for k in degs:
-            hoffsets[k] = hoff
-            hoff += len(self.harmonics[k])
-        for k in degs:
-            idx = self._by_degree[k]
-            if not idx:
-                continue
-            cols = self.boundaries[k] + self.harmonics[k] + self.complements[k]
-            mat = [[c[i] for c in cols] for i in idx]
-            inv = linalg.invert(mat)
-            nb = len(self.boundaries[k])
-            nh = len(self.harmonics[k])
-            nw = len(self.complements[k])
-            self._coords[k] = (idx, nb, nh, nw, inv)
-            for pos, i in enumerate(idx):
-                # column i of the projection: H-coordinates of e_i
-                for t in range(nh):
-                    c = inv[nb + t][pos]
-                    if c:
-                        proj.set_entry(hoffsets[k] + t, i, c)
-                # homotopy: send the boundary component back via the stored
-                # preimages, kill H and W components
-                for t in range(nb):
-                    c = inv[t][pos]
-                    if c:
-                        pvec = self.boundary_preimages[k][t]
-                        for j, pc in enumerate(pvec):
-                            if pc:
-                                sigma.set_entry(j, i, sigma.entries.get((j, i), ZERO) + c * pc)
-        self.include = incl
-        self.project = proj
-        self.sigma = sigma
+    def split(self, k: int) -> Splitting:
+        """The splitting of C^k (all lists empty off the degrees of C)."""
+        return self._split(k)[0]
 
     def dims(self) -> Dict[int, int]:
         return {k: v for k, v in self._dims.items() if v}
@@ -509,13 +476,24 @@ class Contraction:
         return self._dims.get(k, 0)
 
     def representative(self, class_index: int) -> Vector:
-        return list(self._harm_vectors[class_index])
+        k = self.harmonic_space.degrees[class_index]
+        return list(self.split(k).harmonics[class_index - self._offsets[k]])
 
     def class_of(self, v: Sequence[Fraction]) -> Optional[Vector]:
-        """Coordinates of [v] in the harmonic basis; None if v is not a cocycle."""
+        """Coordinates of [v] in the harmonic basis; None if v is not a cocycle.
+
+        Each homogeneous component of a cocycle lies in Z^k = B^k ⊕ H^k,
+        where its coordinates are unique: they are read from the echelon
+        over B^k and the cocycles that ``split`` builds."""
         if not linalg.is_zero_vector(self.complex.d.apply(v)):
             return None
-        return self.project.apply(v)
+        out = self.harmonic_space.zero_vector()
+        for k, part in self.complex.space.homogeneous_components(v).items():
+            _, ech, hpos = self._split(k)
+            coords = ech.coords(part)
+            for t, pos in enumerate(hpos):
+                out[self._offsets[k] + t] = coords[pos]
+        return out
 
     def is_boundary(self, v: Sequence[Fraction]) -> Optional[Vector]:
         """A preimage under d when v is a coboundary, else None."""
@@ -526,6 +504,38 @@ class Contraction:
 
     def total_dim(self) -> int:
         return sum(self._dims.values())
+
+    @cached_property
+    def include(self) -> GradedMap:
+        return GradedMap.from_columns(self.harmonic_space, self.complex.space, 0,
+                                      [h for k in self._dims for h in self.split(k).harmonics])
+
+    @cached_property
+    def _project_sigma(self) -> Tuple[GradedMap, GradedMap]:
+        """p and sigma, read per degree off the inverse of the change of
+        basis [B | H | W]: p takes the H-coordinates, sigma sends the
+        B-coordinates back to the basis vectors they are the images of."""
+        space = self.complex.space
+        proj = GradedMap(space, self.harmonic_space, 0)
+        sigma = GradedMap(space, space, -1)
+        for k, idx in self._by_degree.items():
+            bnd, _, harm, comp = self.split(k)
+            inv = linalg.invert([[c[i] for c in bnd + harm + comp] for i in idx])
+            nb = len(bnd)
+            for pos, i in enumerate(idx):
+                for t in range(len(harm)):
+                    proj.set_entry(self._offsets[k] + t, i, inv[nb + t][pos])
+                for t, j in enumerate(self._pivots.get(k - 1, ())):
+                    sigma.set_entry(j, i, inv[t][pos])
+        return proj, sigma
+
+    @property
+    def project(self) -> GradedMap:
+        return self._project_sigma[0]
+
+    @property
+    def sigma(self) -> GradedMap:
+        return self._project_sigma[1]
 
 
 def cohomology(cx: Complex) -> Contraction:

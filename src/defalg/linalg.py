@@ -76,6 +76,7 @@ class Echelon:
 
     def __init__(self):
         self.count = 0        # vectors added, dependent ones included
+        self.independent: List[int] = []    # the added vectors that were independent
         # (pivot column, reduced row, row as a combination of added vectors)
         self._rows: List[Tuple[int, SparseVec, SparseVec]] = []
 
@@ -115,6 +116,7 @@ class Echelon:
         self.count += 1
         if not r:
             return used
+        self.independent.append(idx)
         p = min(r, key=lambda j: (r[j].denominator, abs(r[j].numerator), j))
         inv = ONE / r[p]
         row = {j: x * inv for j, x in r.items()}
@@ -199,8 +201,7 @@ def solve_in_span(vectors: Sequence[Union[SparseVec, Sequence[Fraction]]],
 
 def independent_subset(vectors: Sequence[Union[SparseVec, Sequence[Fraction]]]) -> List[int]:
     """Indices of a maximal linearly independent subset (greedy, in order)."""
-    ech = Echelon()
-    return [idx for idx, v in enumerate(vectors) if ech.add(v)]
+    return echelon(vectors).independent
 
 
 def extend_basis(base: Sequence[Sequence[Fraction]], candidates: Sequence[Sequence[Fraction]]) -> List[int]:

@@ -253,8 +253,8 @@ def minimalize(r: QuasismoothTrunc) -> MinimalModel:
     harms: List[Vector] = []
     comps: List[Vector] = []
     for k in sorted(set(r.v.degrees)):
-        harms.extend(coh.harmonics.get(k, []))
-        comps.extend(coh.complements.get(k, []))
+        harms.extend(coh.split(k).harmonics)
+        comps.extend(coh.split(k).complements)
     basis1 = []
     images1: List[Vector] = []
     for t, h in enumerate(harms):

@@ -3,6 +3,7 @@
 import os
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -365,6 +366,74 @@ def dense_violations(self) -> list:
             errs.append("not multiplicative on (%s, %s)"
                         % (self.source.space.names[i], self.source.space.names[j]))
     return errs
+
+
+def dense_contraction(cx):
+    """The contraction of a complex built eagerly in every degree: boundaries
+    and cocycles from two eliminations per degree, harmonics extending the
+    boundaries, and p and sigma from a dense inverse of [B | H | W].  Kept
+    as the reference for ``graded.Contraction``, which builds the same data
+    one degree at a time."""
+    space = cx.space
+    dcols = cx.d.columns()
+    degs = sorted(set(space.degrees))
+    by_degree = {k: space.degree_indices(k) for k in degs}
+    boundary_data = {}
+    for k in degs:
+        src = by_degree[k]
+        for c in linalg.independent_subset([dcols[i] for i in src]):
+            b = space.zero_vector()
+            for j, x in dcols[src[c]].items():
+                b[j] = x
+            boundary_data.setdefault(k + 1, []).append((b, space.basis_vector(src[c])))
+    out = SimpleNamespace(boundaries={}, boundary_preimages={}, harmonics={},
+                          complements={}, dims={})
+    harmonic_basis = []
+    for k in degs:
+        idx = by_degree[k]
+        cocycles = []
+        for nv in linalg.relations([dcols[i] for i in idx])[1]:
+            v = space.zero_vector()
+            for pos, i in enumerate(idx):
+                v[i] = nv[pos]
+            cocycles.append(v)
+        bnd = [b for b, _ in boundary_data.get(k, [])]
+        harm = [cocycles[e] for e in linalg.extend_basis(bnd, cocycles)]
+        out.boundaries[k] = bnd
+        out.boundary_preimages[k] = [p for _, p in boundary_data.get(k, [])]
+        out.harmonics[k] = harm
+        out.complements[k] = [p for _, p in boundary_data.get(k + 1, [])]
+        if harm:
+            out.dims[k] = len(harm)
+        harmonic_basis += [("H%d_%d" % (k, t), k, h) for t, h in enumerate(harm)]
+    out.harmonic_space = GradedSpace([(nm, k) for nm, k, _ in harmonic_basis])
+    out.include = GradedMap.from_columns(out.harmonic_space, space, 0,
+                                         [h for _, _, h in harmonic_basis])
+    out.project = GradedMap(space, out.harmonic_space, 0)
+    out.sigma = GradedMap(space, space, -1)
+    hoff = 0
+    for k in degs:
+        idx = by_degree[k]
+        cols = out.boundaries[k] + out.harmonics[k] + out.complements[k]
+        inv = linalg.invert([[c[i] for c in cols] for i in idx])
+        nb, nh = len(out.boundaries[k]), len(out.harmonics[k])
+        for pos, i in enumerate(idx):
+            for t in range(nh):
+                out.project.set_entry(hoff + t, i, inv[nb + t][pos])
+            for t in range(nb):
+                for j, pc in enumerate(out.boundary_preimages[k][t]):
+                    if pc and inv[t][pos]:
+                        out.sigma.set_entry(
+                            j, i, out.sigma.entries.get((j, i), F(0)) + inv[t][pos] * pc)
+        hoff += nh
+
+    def class_of(v):
+        if not linalg.is_zero_vector(cx.d.apply(v)):
+            return None
+        return out.project.apply(v)
+
+    out.class_of = class_of
+    return out
 
 
 def dense_tensor_bracket(l, a):

@@ -305,6 +305,18 @@ def test_prorepresent_exit_three_on_failed_certificate(capsys, monkeypatch, name
     assert err.startswith("error: certificate failed: ") and err.count("\n") == 1
 
 
+def test_mc_lift_exit_three_on_failed_certificate(capsys, tmp_path, monkeypatch):
+    # every MC check in mc_lift reports failure: the defect still comes
+    # back, so the lift is found, and then its own certificate fails
+    import defalg.dgla
+    real = defalg.dgla.mc_check
+    monkeypatch.setattr(defalg.dgla, "mc_check", lambda t, x: (False, real(t, x)[1]))
+    code, out, err = run_lift(capsys, tmp_path, "mc-lift", UV_ACYCLIC_EXT, EF_MC)
+    assert code == 3
+    assert out == ""
+    assert err == "error: certificate failed: the corrected lift fails Maurer-Cartan\n"
+
+
 def test_factor_extensions(capsys):
     code, data = run_json(capsys, "factor-extensions", "--in", EXT)
     assert code == 0

@@ -5,14 +5,15 @@ from fractions import Fraction
 import pytest
 
 from defalg import linalg
-from defalg.algebras import NilpotentDgAlgebra, factor_into_small_extensions
+from defalg.algebras import (DgAlgebraMorphism, NilpotentDgAlgebra,
+                             factor_into_small_extensions, kernel_extension)
 from defalg.dgla import (Dgla, bch, def_tangent, derivations_dgla, gauge_act,
                          gauge_equivalent, mc_check, mc_defect, mc_lift,
                          tensor_dgla, trivial_algebra_of_complex)
 from defalg.graded import Complex, GradedMap, GradedSpace, cohomology
 from defalg.models import QuasismoothTrunc
 from conftest import (counterexample_algebras, counterexample_element,
-                      counterexample_extension, dense_tensor_bracket,
+                      counterexample_extension, dense_contraction, dense_tensor_bracket,
                       dense_tensor_bracket_vec, heisenberg, make_rng,
                       random_abelian_dgla, random_algebra, random_dgla, sl2,
                       sl2_odd)
@@ -457,3 +458,28 @@ def test_mc_lift_builds_no_tensor_table_and_no_ideal_powers(monkeypatch):
         res = mc_lift(ext, l, elem)
         for t in (res.tensor_a, res.tensor_i):
             assert not {"bracket", "_left", "nilpotency_class"} & set(vars(t))
+
+
+def test_mc_lift_on_strictly_small_extension_inverts_nothing(monkeypatch):
+    # sl2_odd over the free truncation A_4 -> A_3 on (t:0, u:1, v:1): the
+    # lift reads one class in H²(L⊗I) and T = d, so no contraction map
+    # (p, incl, sigma) and no dense inverse is built
+    gens = GradedSpace([("t", 0), ("u", 1), ("v", 1)])
+    a4, a3 = (QuasismoothTrunc(gens, n, {}).algebra() for n in (4, 3))
+    pm = GradedMap(a4.space, a3.space, 0, {(k, k): F(1) for k in range(a3.dim)})
+    e = kernel_extension(DgAlgebraMorphism(a4, a3, pm))
+    assert e.is_strictly_small()
+    l = sl2_odd()
+    tb = tensor_dgla(l, a3)
+    x = tb.space.zero_vector()
+    x[tb.pair_index(0, a3.space.index("u"))] = F(1)      # e ⊗ u
+    x[tb.pair_index(3, a3.space.index("t"))] = F(-2)     # E ⊗ t
+    assert mc_check(tb, x)[0]
+    calls = []
+    real = linalg.invert
+    monkeypatch.setattr(linalg, "invert", lambda a: calls.append(1) or real(a))
+    res = mc_lift(e, l, x)
+    assert calls == []
+    assert res.lifted and mc_check(res.tensor_a, res.lift)[0]
+    ref = dense_contraction(res.tensor_i.complex())
+    assert res.cohomology_class == ref.class_of(res.defect)

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from defalg import docio, linalg
-from defalg.algebras import DgAlgebraMorphism, NilpotentDgAlgebra, fiber_product
+from defalg.algebras import (BilinearStructure, DgAlgebraMorphism, NilpotentDgAlgebra,
+                             fiber_product)
 from defalg.graded import GradedMap, GradedSpace
+from defalg.models import QuasismoothTrunc
 from conftest import (counterexample_extension, dense_violations, make_rng,
                       random_algebra, rref_invert, rref_nullspace, rref_rank,
                       rref_solve)
@@ -206,6 +208,32 @@ def test_violations_match_dense_reference():
     e = counterexample_extension()
     assert e.alpha.violations() == dense_violations(e.alpha) == []
     assert failing > 20
+
+
+def test_violations_form_no_products_and_match_dense_reference(monkeypatch):
+    # the identity of a truncated polynomial algebra into a copy of it with
+    # 0, 1 and several structure constants perturbed: one sparse pass, no
+    # product of two images, and the dense reference's pairs in its order
+    a = QuasismoothTrunc(GradedSpace([("t", 0), ("u", 1), ("v", 2)]), 3, {}).algebra()
+    rng = make_rng(52)
+    keys = sorted(a.table)
+    calls = []
+    for name in ("sparse_product", "_left_mul"):
+        real = getattr(BilinearStructure, name)
+        monkeypatch.setattr(BilinearStructure, name,
+                            lambda self, *args, real=real: calls.append(1) or real(self, *args))
+    for n_perturbed in (0, 1, 2, 5, len(keys)):
+        table = {key: dict(row) for key, row in a.table.items()}
+        for key in rng.sample(keys, n_perturbed):
+            k = rng.choice(sorted(table[key]))
+            table[key][k] += rng.choice([1, -1, 2])
+        b = NilpotentDgAlgebra(a.space, table, a.d)
+        m = DgAlgebraMorphism(a, b, GradedMap.identity(a.space), check=False)
+        got = m.violations()
+        assert calls == []
+        assert got == dense_violations(m)
+        assert len(got) == n_perturbed
+        calls.clear()
 
 
 SQUARE_KERNEL_EXT = """kind: small_extension
