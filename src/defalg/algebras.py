@@ -524,9 +524,9 @@ class SmallExtension:
         errs = []
         if self.iota.compose(self.i_complex.d) != self.a.d.compose(self.iota):
             errs.append("iota is not a chain map")
-        if self.iota.rank() != self.i_complex.space.dim:
+        if len(self._iota_echelon.independent) != self.i_complex.space.dim:
             errs.append("iota is not injective")
-        if not self.alpha.is_surjective():
+        if len(self._alpha_echelon.independent) != self.b.dim:
             errs.append("alpha is not surjective")
         if not self.alpha.map.compose(self.iota).is_zero():
             errs.append("alpha ∘ iota != 0")
@@ -549,6 +549,9 @@ class SmallExtension:
     def is_acyclic(self) -> bool:
         return cohomology(self.i_complex).total_dim() == 0
 
+    # the echelons over ι's and α's columns answer injectivity, surjectivity,
+    # kernel coordinates and the section; ``kernel_extension`` hands over
+    # the ones it built
     @cached_property
     def _iota_echelon(self) -> linalg.Echelon:
         return linalg.echelon(self.iota.columns())
@@ -590,13 +593,15 @@ class SmallExtension:
 
 
 def kernel_extension(alpha: DgAlgebraMorphism) -> SmallExtension:
-    """Package a surjection with small kernel as a SmallExtension."""
-    kern = alpha.map.kernel_basis()
-    homog: List[Vector] = []
-    for v in kern:
-        homog.extend(alpha.source.space.homogeneous_components(v).values())
-    chosen = linalg.independent_subset(homog)
-    basis = [homog[c] for c in chosen]
+    """Package a surjection with small kernel as a SmallExtension.
+
+    One echelon over α's columns gives the kernel basis: α has degree 0,
+    so each relation among its columns is homogeneous.  The echelon over
+    that basis checks that the kernel is d-stable and reads d_I; both
+    echelons are kept for ``validate()``, ``section()`` and
+    ``kernel_coords``.
+    """
+    alpha_ech, basis = linalg.relations(alpha.map.columns())
     degs = [alpha.source.space.vector_degree(v) for v in basis]
     ispace = GradedSpace([("i%d" % k, d) for k, d in enumerate(degs)])
     di = GradedMap(ispace, ispace, 1)
@@ -609,7 +614,9 @@ def kernel_extension(alpha: DgAlgebraMorphism) -> SmallExtension:
             if c:
                 di.set_entry(j, k, c)
     iota = GradedMap.from_columns(ispace, alpha.source.space, 0, basis)
-    return SmallExtension(Complex(ispace, di), alpha.source, alpha.target, iota, alpha)
+    e = SmallExtension(Complex(ispace, di), alpha.source, alpha.target, iota, alpha)
+    e._alpha_echelon, e._iota_echelon = alpha_ech, span
+    return e
 
 
 def factor_into_small_extensions(alpha: DgAlgebraMorphism) -> List[SmallExtension]:
@@ -642,11 +649,8 @@ def factor_into_small_extensions(alpha: DgAlgebraMorphism) -> List[SmallExtensio
             raise CertificateError("ker ∩ Ann is not differential-stable")
         q, proj = quotient_algebra(current.source, j_basis)
         chain.append(kernel_extension(proj))
-        # induced morphism q -> B on the quotient
-        proj_ech = linalg.echelon(proj.map.columns())
-        sec_cols = [proj_ech.coords({i: ONE}) for i in range(q.dim)]
-        sec = GradedMap.from_columns(q.space, current.source.space, 0, sec_cols)
-        newmap = current.map.compose(sec)
+        # induced morphism q -> B on the quotient, through the stage's section
+        newmap = current.map.compose(chain[-1].section())
         current = DgAlgebraMorphism(q, current.target, newmap, check=False)
     return chain
 

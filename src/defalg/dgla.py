@@ -313,15 +313,8 @@ def mc_lift(e: SmallExtension, l: Dgla, x: Sequence[Fraction],
     hi = e.kernel_coords(h)
     if hi is None:
         raise ValueError("input element does not satisfy Maurer-Cartan over B")
-    hcoh = cohomology(ti.complex())
-    ccls = None
-    strict = e.is_strictly_small()
-    if strict:
-        ccls = hcoh.class_of(hi)
-        if ccls is None:
-            raise CertificateError("the defect is not a cocycle of L⊗I")
-
     deg1 = ti.space.degree_indices(1)
+    strict = e.is_strictly_small()
     if strict:      # A·I = 0 makes [y, ξ] zero, and ι is a chain map: T = d on L⊗I
         dcols = ti.d.columns()
         t_cols = [dcols[i] for i in deg1]
@@ -334,8 +327,15 @@ def mc_lift(e: SmallExtension, l: Dgla, x: Sequence[Fraction],
                 raise CertificateError("the lift operator escaped L⊗I: the kernel is not an ideal")
             t_cols.append(col_i)
     # one echelon over T's columns; its relations span ker T, all lift
-    # translations
+    # translations.  On a strictly small extension it is the contraction's
+    # echelon in degree 1, and only H² is read
     t_ech, kernel = linalg.relations(t_cols)
+    hcoh = cohomology(ti.complex(), {1: (t_ech, kernel)} if strict else None)
+    ccls = None
+    if strict:
+        ccls = hcoh.class_of(hi)
+        if ccls is None:
+            raise CertificateError("the defect is not a cocycle of L⊗I")
     translations: List[Vector] = []
     for ker in kernel:
         v = ti.space.zero_vector()

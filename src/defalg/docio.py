@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .algebras import (BilinearStructure, DgAlgebraMorphism, NilpotentDgAlgebra,
                        SmallExtension, kernel_extension)
 from .dgla import Dgla
-from .graded import Complex, GradedMap, GradedSpace, WordBasis, shift_space
-from .linfty import LInftyStructure
+from .graded import Complex, GradedMap, GradedSpace
+from .linfty import LInftyStructure, SymCoalgebra
 from .models import QuasismoothTrunc
 
 KINDS = ("graded_space", "complex", "nilpotent_dg_algebra", "dgla", "linfty",
@@ -59,24 +59,27 @@ def _parse_rational(tok: str, line: int) -> Fraction:
         raise DocumentError("invalid rational %r" % tok, line)
 
 
+def _sum_terms(terms: Iterable[Tuple[str, Fraction]]) -> Combo:
+    """One pass: each name once, in the order of its first term, with the
+    sum of its coefficients; names whose sum is 0 are dropped."""
+    out: Dict[str, Fraction] = {}
+    for name, c in terms:
+        out[name] = out[name] + c if name in out else c
+    return tuple((name, c) for name, c in out.items() if c)
+
+
+def _parse_term(term: str, line: int) -> Tuple[str, Fraction]:
+    parts = term.split()
+    if len(parts) != 2:
+        raise DocumentError("term %r must be 'coeff name'" % term.strip(), line)
+    return parts[1], _parse_rational(parts[0], line)
+
+
 def _parse_combo(text: str, line: int) -> Combo:
     text = text.strip()
     if text == "0":
         return ()
-    out: Dict[str, Fraction] = {}
-    order: List[str] = []
-    for term in text.split("+"):
-        parts = term.split()
-        if len(parts) != 2:
-            raise DocumentError("term %r must be 'coeff name'" % term.strip(),
-                                line)
-        c = _parse_rational(parts[0], line)
-        name = parts[1]
-        if name not in out:
-            out[name] = Fraction(0)
-            order.append(name)
-        out[name] += c
-    return tuple((n, out[n]) for n in order if out[n])
+    return _sum_terms(_parse_term(term, line) for term in text.split("+"))
 
 
 def _split_lines(text: str) -> List[Tuple[int, str, bool]]:
@@ -326,16 +329,7 @@ def _payload_mc_element(raw) -> Dict:
         lno, text = item
         combo = _parse_combo(text, lno)
     else:
-        combos = [_parse_combo(body, lno) for lno, body in item]
-        acc: Dict[str, Fraction] = {}
-        order: List[str] = []
-        for combo in combos:
-            for n, c in combo:
-                if n not in acc:
-                    acc[n] = Fraction(0)
-                    order.append(n)
-                acc[n] += c
-        combo = tuple((n, acc[n]) for n in order if acc[n])
+        combo = _sum_terms(t for lno, body in item for t in _parse_combo(body, lno))
     _finish(raw)
     return {"element": combo}
 
@@ -527,13 +521,13 @@ def build_linfty(doc: InputDocument) -> LInftyStructure:
     order = doc.payload["order"]
     taylor: Dict[int, GradedMap] = {}
     try:
-        words = WordBasis(shift_space(space, 1), order)
+        coalg = SymCoalgebra(space, order)
         for (k, word), combo in doc.payload["taylor"].items():
             m = taylor.get(k)
             if m is None:
-                m = GradedMap(words.powers[k].space, words.letters, 1)
+                m = GradedMap(coalg.powers[k].space, coalg.letters, 1)
                 taylor[k] = m
-            res = words.powers[k].index(tuple(space.index(l) for l in word))
+            res = coalg.powers[k].index(tuple(space.index(l) for l in word))
             if res is None:
                 raise DocumentError("word %r is zero in the symmetric power"
                                     % (word,))
@@ -545,8 +539,8 @@ def build_linfty(doc: InputDocument) -> LInftyStructure:
                             + Fraction(sgn) * c)
         for k in range(1, order + 1):
             if k not in taylor:
-                taylor[k] = GradedMap(words.powers[k].space, words.letters, 1)
-        return LInftyStructure(space, order, taylor)
+                taylor[k] = GradedMap(coalg.powers[k].space, coalg.letters, 1)
+        return LInftyStructure(space, order, taylor, coalg)
     except ValueError as exc:
         raise DocumentError(str(exc))
 

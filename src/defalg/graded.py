@@ -289,7 +289,8 @@ def unshuffles(p: int, q: int) -> List[Tuple[int, ...]]:
     for first in itertools.combinations(range(n), p):
         rest = tuple(i for i in range(n) if i not in first)
         out.append(first + rest)
-    assert len(out) == comb(n, p)
+    if len(out) != comb(n, p):
+        raise linalg.CertificateError("unshuffle count is not binomial(p+q, p)")
     return out
 
 
@@ -418,56 +419,84 @@ class Contraction:
 
     The constructor runs one echelon per degree k over the columns of d on
     C^k.  Its independent columns are the basis vectors whose images are
-    the boundaries B^(k+1), its relations are the cocycles Z^k, and the
-    ranks give dim H^k = dim Z^k - dim B^k.  Everything else is built the
-    first time it is read: the splitting C^k = B ⊕ H ⊕ W of a degree
-    (``split``), the harmonic representatives, and the projection p onto
-    H, the inclusion of H and the degree -1 homotopy sigma with
+    the boundaries B^(k+1), and the ranks give dim H^k = dim Z^k - dim B^k.
+    Everything else is built the first time it is read: the cocycles Z^k
+    (the relations among those columns), the splitting C^k = B ⊕ H ⊕ W of
+    a degree (``split``), the harmonic representatives, and the projection
+    p onto H, the inclusion of H and the degree -1 homotopy sigma with
     d sigma + sigma d = Id - incl p.
+
+    ``eliminated`` maps degrees whose columns the caller has already
+    eliminated to what ``linalg.relations`` returned for them; only the
+    echelon's independent columns and the relations are read, at once.
     """
 
-    def __init__(self, cx: Complex):
+    def __init__(self, cx: Complex,
+                 eliminated: Optional[Dict[int, Tuple[linalg.Echelon, List[Vector]]]] = None):
         self.complex = cx
         space = cx.space
         self._dcols = cx.d.columns()
         self._by_degree = {k: space.degree_indices(k) for k in sorted(set(space.degrees))}
         self._pivots: Dict[int, List[int]] = {}    # k -> i in C^k with d e_i spanning B^(k+1)
+        self._echelons: Dict[int, linalg.Echelon] = {}  # k -> echelon until Z^k is read
         self._relations: Dict[int, List[Vector]] = {}   # k -> Z^k in C^k coordinates
         for k, idx in self._by_degree.items():
-            ech, rels = linalg.relations([self._dcols[i] for i in idx])
+            if eliminated and k in eliminated:
+                ech, self._relations[k] = eliminated[k]
+            else:
+                ech = self._echelons[k] = linalg.echelon([self._dcols[i] for i in idx])
             self._pivots[k] = [idx[c] for c in ech.independent]
-            self._relations[k] = rels
-        self._dims = {k: len(self._relations[k]) - len(self._pivots.get(k - 1, ()))
-                      for k in self._by_degree}
+        self._dims = {k: len(idx) - len(self._pivots[k]) - len(self._pivots.get(k - 1, ()))
+                      for k, idx in self._by_degree.items()}
         self._offsets: Dict[int, int] = {}
         basis = []
         for k, n in self._dims.items():
             self._offsets[k] = len(basis)
             basis.extend(("H%d_%d" % (k, t), k) for t in range(n))
         self.harmonic_space = GradedSpace(basis)
-        # k -> (splitting, echelon over B^k then Z^k, positions of H^k in it)
-        self._splits: Dict[int, Tuple[Splitting, linalg.Echelon, List[int]]] = {}
+        self._harmonics: Dict[int, Tuple[linalg.Echelon, List[int],
+                                         List[Dict[int, Fraction]]]] = {}
+        self._splits: Dict[int, Splitting] = {}
 
-    def _split(self, k: int) -> Tuple[Splitting, linalg.Echelon, List[int]]:
+    def _cocycles(self, k: int) -> List[Vector]:
+        """Z^k in C^k coordinates, read off the degree's echelon when first
+        needed (empty off the degrees of C)."""
+        if k not in self._relations:
+            ech = self._echelons.pop(k, None)
+            self._relations[k] = [] if ech is None else ech.relations_of(
+                [self._dcols[i] for i in self._by_degree[k]])
+        return self._relations[k]
+
+    def _harmonic(self, k: int) -> Tuple[linalg.Echelon, List[int], List[Dict[int, Fraction]]]:
+        """The echelon over B^k then the cocycles Z^k, all sparse; the
+        positions in it of the cocycles it keeps, and those cocycles: the
+        harmonic representatives of H^k."""
+        if k not in self._harmonics:
+            idx = self._by_degree.get(k, [])
+            ech = linalg.echelon(self._dcols[i] for i in self._pivots.get(k - 1, ()))
+            positions, harmonics = [], []
+            for rel in self._cocycles(k):
+                z = {idx[pos]: x for pos, x in enumerate(rel) if x}
+                if ech.add(z):
+                    positions.append(ech.count - 1)
+                    harmonics.append(z)
+            self._harmonics[k] = (ech, positions, harmonics)
+        return self._harmonics[k]
+
+    def split(self, k: int) -> Splitting:
+        """The splitting of C^k (all lists empty off the degrees of C)."""
         if k not in self._splits:
             space = self.complex.space
 
             def dense(sv: Dict[int, Fraction]) -> Vector:
                 return [sv.get(j, ZERO) for j in range(space.dim)]
-            pre = [space.basis_vector(i) for i in self._pivots.get(k - 1, ())]
-            bnd = [dense(self._dcols[i]) for i in self._pivots.get(k - 1, ())]
-            cocycles = [dense(dict(zip(self._by_degree[k], rel)))
-                        for rel in self._relations.get(k, ())]
-            ech = linalg.echelon(bnd)
-            ext = [e for e, z in enumerate(cocycles) if ech.add(z)]
-            comp = [space.basis_vector(i) for i in self._pivots.get(k, ())]
-            split = Splitting(bnd, pre, [cocycles[e] for e in ext], comp)
-            self._splits[k] = (split, ech, [len(bnd) + e for e in ext])
+            bounding = self._pivots.get(k - 1, ())
+            self._splits[k] = Splitting(
+                [dense(self._dcols[i]) for i in bounding],
+                [space.basis_vector(i) for i in bounding],
+                [dense(h) for h in self._harmonic(k)[2]],
+                [space.basis_vector(i) for i in self._pivots.get(k, ())])
         return self._splits[k]
-
-    def split(self, k: int) -> Splitting:
-        """The splitting of C^k (all lists empty off the degrees of C)."""
-        return self._split(k)[0]
 
     def dims(self) -> Dict[int, int]:
         return {k: v for k, v in self._dims.items() if v}
@@ -484,12 +513,12 @@ class Contraction:
 
         Each homogeneous component of a cocycle lies in Z^k = B^k ⊕ H^k,
         where its coordinates are unique: they are read from the echelon
-        over B^k and the cocycles that ``split`` builds."""
+        over B^k and the cocycles (``_harmonic``)."""
         if not linalg.is_zero_vector(self.complex.d.apply(v)):
             return None
         out = self.harmonic_space.zero_vector()
         for k, part in self.complex.space.homogeneous_components(v).items():
-            _, ech, hpos = self._split(k)
+            ech, hpos, _ = self._harmonic(k)
             coords = ech.coords(part)
             for t, pos in enumerate(hpos):
                 out[self._offsets[k] + t] = coords[pos]
@@ -538,9 +567,11 @@ class Contraction:
         return self._project_sigma[1]
 
 
-def cohomology(cx: Complex) -> Contraction:
+def cohomology(cx: Complex,
+               eliminated: Optional[Dict[int, Tuple[linalg.Echelon, List[Vector]]]] = None
+               ) -> Contraction:
     """Cohomology with a contraction datum (see Contraction)."""
-    return Contraction(cx)
+    return Contraction(cx, eliminated)
 
 
 def is_chain_map(f: GradedMap, source: Complex, target: Complex) -> bool:
@@ -604,12 +635,15 @@ def connecting_hom(ses: ShortExactSequence) -> GradedMap:
     for c in range(hq.harmonic_space.dim):
         x = hq.representative(c)
         y = pech.coords(x)
-        assert y is not None, "projection not surjective on the representative"
+        if y is None:
+            raise linalg.CertificateError("projection not surjective on the representative")
         dy = ses.total.d.apply(y)
         z = iech.coords(dy)
-        assert z is not None, "d(lift) is not in the image of the inclusion"
+        if z is None:
+            raise linalg.CertificateError("d(lift) is not in the image of the inclusion")
         cls = hs.class_of(z)
-        assert cls is not None, "snake output is not a cocycle"
+        if cls is None:
+            raise linalg.CertificateError("snake output is not a cocycle")
         for j, coef in enumerate(cls):
             if coef:
                 out.set_entry(j, c, coef)

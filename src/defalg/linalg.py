@@ -6,8 +6,8 @@ mode anywhere in the package.  ``Echelon`` is the one elimination engine:
 an incremental sparse echelon form.  Vectors are added one at a time, each
 is reduced against the rows stored so far, and the form answers
 independence and span coordinates without refactoring.  ``rank``,
-``solve``, ``solve_in_span``, ``nullspace``, ``invert``, ``relations``,
-``independent_subset`` and ``extend_basis`` are views of it; each answers
+``solve``, ``solve_in_span``, ``nullspace``, ``invert``, ``relations`` and
+``independent_subset`` are views of it; each answers
 what reduced row echelon form would (the greedy independent vectors as
 pivots, zeros off them).  Pivots are chosen by a smallest-denominator
 heuristic to limit coefficient growth; no result depends on the choice.
@@ -141,6 +141,24 @@ class Echelon:
         r, used = self._reduce(v)
         return None if r else self._combine(used, self.count)
 
+    def relations_of(self, vectors: Sequence[Union[SparseVec, Sequence[Fraction]]]
+                     ) -> List[Vector]:
+        """The relations among ``vectors``, which must be the vectors added,
+        in order: what ``relations`` gives, built after the fact.
+
+        A dependent vector reduces to zero on the rows stored before it, so
+        reducing it again on all rows takes the same steps as when it was
+        added and gives the same coordinates.
+        """
+        independent = set(self.independent)
+        out: List[Vector] = []
+        for f, v in enumerate(vectors):
+            if f not in independent:
+                rel = [-x for x in self.coords(v)]
+                rel[f] = ONE
+                out.append(rel)
+        return out
+
 
 def echelon(vectors: Iterable[Union[SparseVec, Sequence[Fraction]]]) -> Echelon:
     """One ``Echelon`` over the vectors, added in order."""
@@ -202,13 +220,6 @@ def solve_in_span(vectors: Sequence[Union[SparseVec, Sequence[Fraction]]],
 def independent_subset(vectors: Sequence[Union[SparseVec, Sequence[Fraction]]]) -> List[int]:
     """Indices of a maximal linearly independent subset (greedy, in order)."""
     return echelon(vectors).independent
-
-
-def extend_basis(base: Sequence[Sequence[Fraction]], candidates: Sequence[Sequence[Fraction]]) -> List[int]:
-    """Indices into ``candidates`` extending ``base`` to a basis of
-    span(base + candidates)."""
-    ech = echelon(base)
-    return [idx for idx, v in enumerate(candidates) if ech.add(v)]
 
 
 def invert(a: Matrix) -> Matrix:

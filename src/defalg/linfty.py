@@ -12,14 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebras import NilpotentDgAlgebra, SparseVec
 from .dgla import Dgla, tensor_space
 from .graded import (GradedMap, GradedSpace, WordBasis, canonical_monomial,
                      koszul_sign, shift_space, unshuffles)
-from .linalg import ONE, ZERO, Vector
+from .linalg import ONE, ZERO, CertificateError, Vector
 
 Word = Tuple[int, ...]
 
@@ -95,8 +95,14 @@ class LInftyStructure:
     """Taylor coefficients Q¹_k : ⊙^k(V[1]) → V[1] of degree +1, k ≤ order."""
 
     def __init__(self, v: GradedSpace, order: int,
-                 taylor: Dict[int, GradedMap]):
-        self.coalgebra = SymCoalgebra(v, order)
+                 taylor: Dict[int, GradedMap], coalgebra: Optional[SymCoalgebra] = None):
+        """``coalgebra``, when given, is ``SymCoalgebra(v, order)`` built
+        already; it is shared, not rebuilt."""
+        if coalgebra is None:
+            coalgebra = SymCoalgebra(v, order)
+        elif coalgebra.order != order or coalgebra.letters != shift_space(v, 1):
+            raise ValueError("coalgebra is not the truncated coalgebra of the space")
+        self.coalgebra = coalgebra
         self.v = v
         self.order = order
         self.taylor = {}
@@ -211,8 +217,8 @@ def check_linfty(s: LInftyStructure) -> LInftyReport:
         if not dm.is_zero():
             defects[k] = dm
     full_zero = qq.is_zero()
-    assert full_zero == (not defects), \
-        "corestriction criterion must agree with the full check"
+    if full_zero != (not defects):
+        raise CertificateError("corestriction criterion must agree with the full check")
     return LInftyReport(full_zero, sorted(defects), defects)
 
 

@@ -18,7 +18,7 @@ from .algebras import (DgAlgebraMorphism, NilpotentDgAlgebra, SmallExtension,
 from .dgla import Dgla, TensorDgla, def_tangent, mc_lift
 from .graded import Contraction, GradedMap, GradedSpace
 from .linfty import LInftyStructure, linfty_to_dgla
-from .linalg import ONE, ZERO, Vector
+from .linalg import ONE, ZERO, CertificateError, Vector
 
 # Comparison sign between the tangent bracket assembled from primary
 # obstructions and the bracket induced on cohomology by the DGLA bracket.
@@ -96,7 +96,8 @@ def twist_extension(e: SmallExtension, phi: GradedMap) -> SmallExtension:
     if errs:
         raise ValueError("; ".join(errs))
     d_phi = e.a.d + e.iota.compose(phi).compose(e.alpha.map)
-    assert d_phi.compose(d_phi).is_zero(), "twisted differential must square to zero"
+    if not d_phi.compose(d_phi).is_zero():
+        raise CertificateError("twisted differential must square to zero")
     a_phi = NilpotentDgAlgebra(e.a.space, e.a.table, d_phi)
     alpha = DgAlgebraMorphism(a_phi, e.b, e.alpha.map)
     return SmallExtension(e.i_complex, a_phi, e.b, e.iota, alpha)
@@ -137,17 +138,18 @@ def lifting_defect(e: SmallExtension) -> LiftingDefect:
     for i in range(b.dim):
         v = d2.apply(sec.apply(b.space.basis_vector(i)))
         coords = e.kernel_coords(v)
-        assert coords is not None, "d² escaped the kernel"
+        if coords is None:
+            raise CertificateError("d² escaped the kernel")
         for k, c in enumerate(coords):
             if c:
                 delta.set_entry(k, i, c)
     # δ is independent of the section: d²(ι I) = ι d_I² I = 0
     for k in range(e.i_complex.space.dim):
-        assert linalg.is_zero_vector(
-            d2.apply(e.iota.apply(e.i_complex.space.basis_vector(k)))), \
-            "d² must kill the kernel"
-    assert not is_dg_morphism_to_shifted_kernel(e, delta, 2), \
-        "lifting defect must be a dg-algebra morphism into I[2]"
+        if not linalg.is_zero_vector(
+                d2.apply(e.iota.apply(e.i_complex.space.basis_vector(k)))):
+            raise CertificateError("d² must kill the kernel")
+    if is_dg_morphism_to_shifted_kernel(e, delta, 2):
+        raise CertificateError("lifting defect must be a dg-algebra morphism into I[2]")
 
     # descend to B/B² and decide null-homotopy by a linear solve
     sq: List[Vector] = []
@@ -163,12 +165,14 @@ def lifting_defect(e: SmallExtension) -> LiftingDefect:
     for col in range(bbar.dim):
         # a preimage of the quotient basis vector
         pre = pr_ech.coords({col: ONE})
-        assert pre is not None
+        if pre is None:
+            raise CertificateError("the quotient map is not surjective")
         v = delta.apply(pre)
         for k, c in enumerate(v):
             if c:
                 delta_bar.set_entry(k, col, c)
-    assert delta_bar.compose(pr.map) == delta
+    if delta_bar.compose(pr.map) != delta:
+        raise CertificateError("the lifting defect does not factor through B/B²")
 
     # solve delta_bar = d_I φ̄ + φ̄ d_{B/B²} for φ̄ of degree 1
     slots = [(k, i) for k in range(e.i_complex.space.dim)
@@ -194,7 +198,8 @@ def lifting_defect(e: SmallExtension) -> LiftingDefect:
             phibar.set_entry(k, i, sol[pos])
     phi = phibar.compose(pr.map)
     d_new = a.d - e.iota.compose(phi).compose(e.alpha.map)
-    assert d_new.compose(d_new).is_zero(), "corrected lift must square to zero"
+    if not d_new.compose(d_new).is_zero():
+        raise CertificateError("corrected lift must square to zero")
     a_new = NilpotentDgAlgebra(a.space, a.table, d_new)
     corrected = SmallExtension(e.i_complex, a_new, b,
                                e.iota, DgAlgebraMorphism(a_new, b, e.alpha.map))
@@ -250,7 +255,8 @@ def primary_obstruction(l: Dgla, i: int, j: int, x: Sequence[Fraction],
     # of L of degree 2+i+j and take its class in H(L)
     rep = [ob.representative[k] for k in range(l.dim)]
     cls = coh.class_of(rep)
-    assert cls is not None
+    if cls is None:
+        raise CertificateError("the primary obstruction is not a cocycle")
     return cls
 
 
@@ -307,7 +313,8 @@ def cohomology_bracket(l: Dgla, coh: Optional[Contraction] = None) -> Dgla:
         for q in range(t.dim):
             br = l.bracket_vec(coh.representative(p), coh.representative(q))
             cls = coh.class_of(br)
-            assert cls is not None, "bracket of cocycles must be a cocycle"
+            if cls is None:
+                raise CertificateError("bracket of cocycles must be a cocycle")
             row = {k: c for k, c in enumerate(cls) if c}
             if row:
                 bracket[(p, q)] = row

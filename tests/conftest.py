@@ -368,6 +368,58 @@ def dense_violations(self) -> list:
     return errs
 
 
+def reference_kernel_extension(alpha):
+    """A surjection packaged as a small extension the way it was before one
+    echelon over alpha's columns answered everything: a null basis of
+    alpha, split into homogeneous components, an independent subset of
+    them, and fresh eliminations for the checks and the section.  Kept as
+    the reference for ``algebras.kernel_extension``.  Returns iota's
+    columns, d_I's entries, the ``validate()`` messages and the section's
+    columns (None when alpha is not surjective); ValueError as
+    ``kernel_extension`` raises it."""
+    a, b = alpha.source, alpha.target
+    homog = []
+    for v in alpha.map.kernel_basis():
+        homog.extend(a.space.homogeneous_components(v).values())
+    basis = [homog[c] for c in linalg.independent_subset(homog)]
+    ispace = GradedSpace([("i%d" % k, a.space.vector_degree(v))
+                          for k, v in enumerate(basis)])
+    di = {}
+    for k, v in enumerate(basis):
+        coords = linalg.solve_in_span(basis, a.d.apply(v))
+        if coords is None:
+            raise ValueError("kernel is not stable under the differential")
+        di.update({(j, k): c for j, c in enumerate(coords) if c})
+    iota = GradedMap.from_columns(ispace, a.space, 0, basis)
+    d_i = GradedMap(ispace, ispace, 1, di)
+    errs = []
+    if iota.compose(d_i) != a.d.compose(iota):
+        errs.append("iota is not a chain map")
+    if linalg.rank(iota.matrix()) != len(basis):
+        errs.append("iota is not injective")
+    if linalg.rank(alpha.map.matrix()) != b.dim:
+        errs.append("alpha is not surjective")
+    if not alpha.map.compose(iota).is_zero():
+        errs.append("alpha ∘ iota != 0")
+    if a.dim != b.dim + len(basis):
+        errs.append("dimensions inconsistent with exactness")
+    errs.extend(dense_violations(alpha))
+    for x in basis:
+        if any(any(a.product(x, y)) for y in basis):
+            errs.append("kernel is not square-zero")
+    amat = alpha.map.matrix()
+    section = [linalg.solve(amat, b.space.basis_vector(j)) for j in range(b.dim)]
+    return SimpleNamespace(iota=basis, d_i=di, errors=errs,
+                           section=None if None in section else section)
+
+
+def extend_basis(base, candidates):
+    """Indices into ``candidates`` extending ``base`` to a basis of
+    span(base + candidates), greedily in order."""
+    ech = linalg.echelon(base)
+    return [idx for idx, v in enumerate(candidates) if ech.add(v)]
+
+
 def dense_contraction(cx):
     """The contraction of a complex built eagerly in every degree: boundaries
     and cocycles from two eliminations per degree, harmonics extending the
@@ -398,7 +450,7 @@ def dense_contraction(cx):
                 v[i] = nv[pos]
             cocycles.append(v)
         bnd = [b for b, _ in boundary_data.get(k, [])]
-        harm = [cocycles[e] for e in linalg.extend_basis(bnd, cocycles)]
+        harm = [cocycles[e] for e in extend_basis(bnd, cocycles)]
         out.boundaries[k] = bnd
         out.boundary_preimages[k] = [p for _, p in boundary_data.get(k, [])]
         out.harmonics[k] = harm

@@ -1,5 +1,7 @@
 """Nilpotent dg-algebras: validation, quotients, extensions, homotopies."""
 
+import pathlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,10 +16,12 @@ from defalg.algebras import (DgAlgebraMorphism, NilpotentDgAlgebra,
 from defalg.graded import (Complex, GradedMap, GradedSpace, cohomology,
                            is_quasiiso)
 from defalg.dgla import Dgla, tensor_dgla
+from defalg.models import QuasismoothTrunc
 from conftest import (counterexample_algebras, counterexample_extension,
                       dense_de_rham, heisenberg, koszul_truncation, make_rng,
-                      pairs_truncation, random_algebra, random_pair_truncation,
-                      sl2, sl2_odd)
+                      pairs_truncation, random_algebra, random_invertible_degree0,
+                      random_pair_truncation, reference_kernel_extension, sl2,
+                      sl2_odd)
 
 F = Fraction
 
@@ -142,6 +146,95 @@ def test_section_rejects_non_surjective_alpha():
     e = kernel_extension(DgAlgebraMorphism(a, b, alpha, check=False))
     with pytest.raises(ValueError, match="alpha is not surjective"):
         e.section()
+
+
+def degree0_maps(rng):
+    """Seeded degree-0 maps A -> B: quotient projections by Ann(A) and by
+    A², truncation projections, maps to 0, each also followed by a change
+    of basis of B, and with one column dropped (not surjective)."""
+    while True:
+        a = random_algebra(rng)
+        kind = rng.randrange(4)
+        if kind == 0 and a.annihilator_basis():
+            _, alpha = quotient_algebra(a, a.annihilator_basis())
+        elif kind == 1 and len(a.power_ideal_bases()) > 2:
+            _, alpha = quotient_algebra(a, a.power_ideal_bases()[1])
+        elif kind == 2:
+            gens = GradedSpace([("g%d" % t, rng.randint(0, 2))
+                                for t in range(rng.randint(1, 3))])
+            order = rng.randint(2, 3)
+            big, small = (QuasismoothTrunc(gens, n, {}).algebra() for n in (order, order - 1))
+            alpha = DgAlgebraMorphism(big, small, GradedMap(
+                big.space, small.space, 0, {(k, k): F(1) for k in range(small.dim)}),
+                check=False)
+        else:
+            zero = NilpotentDgAlgebra.trivial(GradedSpace([]))
+            alpha = DgAlgebraMorphism(a, zero, GradedMap(a.space, zero.space, 0),
+                                      check=False)
+        yield alpha
+        g = random_invertible_degree0(rng, alpha.target.space)
+        yield DgAlgebraMorphism(alpha.source, alpha.target, g.compose(alpha.map),
+                                check=False)
+        if alpha.map.entries:
+            drop = rng.choice(sorted({i for _, i in alpha.map.entries}))
+            yield DgAlgebraMorphism(alpha.source, alpha.target, GradedMap(
+                alpha.source.space, alpha.target.space, 0,
+                {key: c for key, c in alpha.map.entries.items() if key[1] != drop}),
+                check=False)
+
+
+def test_kernel_extension_matches_reference_construction():
+    # one echelon over alpha's columns gives the same iota, d_I, checks and
+    # section as the null basis, homogeneous split and fresh eliminations
+    rng = make_rng(31)
+    maps = degree0_maps(rng)
+    checked = surjective = 0
+    while surjective < 50:
+        alpha = next(maps)
+        try:
+            ref = reference_kernel_extension(alpha)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                kernel_extension(alpha)
+            continue
+        e = kernel_extension(alpha)
+        ni = e.i_complex.space.dim
+        assert [e.iota.column(k) for k in range(ni)] == ref.iota
+        assert e.i_complex.d.entries == ref.d_i
+        assert e.validate() == ref.errors
+        if ref.section is None:
+            with pytest.raises(ValueError, match="alpha is not surjective"):
+                e.section()
+        else:
+            surjective += 1
+            sec = e.section()
+            assert [sec.column(j) for j in range(e.b.dim)] == ref.section
+        coef = [F(rng.randint(-3, 3)) for _ in range(ni)]
+        assert e.kernel_coords(e.iota.apply(coef)) == coef
+        checked += 1
+    assert checked > surjective
+
+
+def test_small_extension_document_builds_one_echelon_over_alpha(monkeypatch):
+    # parsing, validate() and section() share one echelon over alpha's
+    # columns and one over iota's
+    from defalg import docio
+    added = {}
+    real = linalg.Echelon._add
+
+    def spy(self, v):
+        sv = dict(v) if isinstance(v, dict) else {j: x for j, x in enumerate(v) if x}
+        added.setdefault(id(self), (self, []))[1].append(sv)
+        return real(self, v)
+    monkeypatch.setattr(linalg.Echelon, "_add", spy)
+    path = pathlib.Path(__file__).resolve().parent.parent / "docs" / "fixtures"
+    with open(path / "counterexample.ext") as fh:
+        e = docio.build_small_extension(docio.parse(fh.read()))
+    e.section()
+    e.kernel_coords(e.a.space.zero_vector())
+    lists = [vs for _, vs in added.values()]
+    assert lists.count(e.alpha.map.columns()) == 1
+    assert lists.count(e.iota.columns()) == 1
 
 
 def test_factor_into_small_extensions_stages():

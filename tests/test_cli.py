@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, reports, embedded documents."""
 
+import ast
 import json
 import os
 import pathlib
@@ -380,6 +381,14 @@ def test_minimalize_under_python_O(capsys):
     code, out, _ = run(capsys, "minimalize", "--in", PAIRS)
     assert proc.returncode == 0 and code == 0
     assert proc.stdout == out.encode("utf-8")
+
+
+def test_src_has_no_assert_statements():
+    # python -O strips assert: every check in the package is explicit code
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "defalg"
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
 
 
 def test_defalg_seed_changes_nothing():

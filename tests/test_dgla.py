@@ -14,7 +14,7 @@ from defalg.graded import Complex, GradedMap, GradedSpace, cohomology
 from defalg.models import QuasismoothTrunc
 from conftest import (counterexample_algebras, counterexample_element,
                       counterexample_extension, dense_contraction, dense_tensor_bracket,
-                      dense_tensor_bracket_vec, heisenberg, make_rng,
+                      dense_tensor_bracket_vec, direct_sum_dgla, heisenberg, make_rng,
                       random_abelian_dgla, random_algebra, random_dgla, sl2,
                       sl2_odd)
 
@@ -483,3 +483,52 @@ def test_mc_lift_on_strictly_small_extension_inverts_nothing(monkeypatch):
     assert res.lifted and mc_check(res.tensor_a, res.lift)[0]
     ref = dense_contraction(res.tensor_i.complex())
     assert res.cohomology_class == ref.class_of(res.defect)
+
+
+def test_mc_lift_on_strictly_small_extension_eliminates_each_degree_once(monkeypatch):
+    # L = sl2_odd ⊕ (p -> q) over A_4 -> A_3, the pair so that d's columns
+    # tell the degrees of L⊗I apart, and x = e⊗tu + f⊗tv, whose defect
+    # h⊗t²uv is obstructed: T's echelon over (L⊗I)¹ is the contraction's
+    # degree-1 echelon, and the contraction computes cocycles only in
+    # degree 2, where the defect's class is read
+    gens = GradedSpace([("t", 0), ("u", 1), ("v", 1)])
+    a4, a3 = (QuasismoothTrunc(gens, n, {}).algebra() for n in (4, 3))
+    pm = GradedMap(a4.space, a3.space, 0, {(k, k): F(1) for k in range(a3.dim)})
+    e = kernel_extension(DgAlgebraMorphism(a4, a3, pm))
+    pair = GradedSpace([("p", 0), ("q", 1)])
+    l = direct_sum_dgla(sl2_odd(), Dgla(pair, {}, GradedMap(pair, pair, 1, {(1, 0): F(1)})))
+    tb = tensor_dgla(l, a3)
+    x = tb.space.zero_vector()
+    x[tb.pair_index(0, a3.space.index("t*u"))] = F(1)
+    x[tb.pair_index(2, a3.space.index("t*v"))] = F(1)
+    echelons, related = {}, []
+    real_add, real_relations, real_of = (linalg.Echelon._add, linalg.relations,
+                                         linalg.Echelon.relations_of)
+
+    def add(self, v):
+        sv = dict(v) if isinstance(v, dict) else {j: c for j, c in enumerate(v) if c}
+        echelons.setdefault(id(self), (self, []))[1].append(sv)
+        return real_add(self, v)
+    monkeypatch.setattr(linalg.Echelon, "_add", add)
+    monkeypatch.setattr(linalg, "relations",
+                        lambda vs: related.append(list(vs)) or real_relations(vs))
+    monkeypatch.setattr(linalg.Echelon, "relations_of",
+                        lambda self, vs: related.append(list(vs)) or real_of(self, vs))
+    res = mc_lift(e, l, x)
+    ti = res.tensor_i
+    dcols = ti.d.columns()
+    by_degree = {k: [dcols[i] for i in ti.space.degree_indices(k)]
+                 for k in set(ti.space.degrees)}
+    assert len(set(map(repr, by_degree.values()))) == len(by_degree) > 2
+
+    def degrees(lists):     # T's echelon is extended by (L⊗I)² when x is obstructed
+        return sorted(k for vs in lists for k, cols in by_degree.items()
+                      if vs == cols or (k == 1 and vs[:len(cols)] == cols))
+    assert degrees(vs for _, vs in echelons.values()) == sorted(by_degree)
+    assert degrees(related) == [1, 2]
+    ref = dense_contraction(ti.complex())
+    assert not res.lifted and any(res.cohomology_class)
+    assert res.cohomology_class == ref.class_of(res.defect)
+    # the obstruction extends T's echelon afterwards; degree 1 is unchanged
+    split = res.i_cohomology.split(1)
+    assert split.boundaries == ref.boundaries[1] and split.harmonics == ref.harmonics[1]

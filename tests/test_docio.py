@@ -4,10 +4,11 @@ import pathlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from defalg import docio
 from defalg.docio import DocumentError, build, parse, print_document
-from defalg.linfty import dgla_to_linfty
+from defalg.linfty import LInftyStructure, dgla_to_linfty
 from conftest import make_rng, random_algebra, random_complex, random_dgla
 
 F = Fraction
@@ -161,3 +162,86 @@ def test_comments_and_blank_lines_ignored():
     doc = parse(text)
     assert doc.kind == "dgla"
     assert len(doc.payload["basis"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# linear combinations: one pass, same sums, same errors
+
+NAMES = ("a", "b", "e@u", "x1")
+coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+def reference_sum(terms):
+    """The sum the two-pass parser formed: a zero seed for each new name,
+    a separate list of first occurrences, zero sums dropped."""
+    out, order = {}, []
+    for name, c in terms:
+        if name not in out:
+            out[name] = F(0)
+            order.append(name)
+        out[name] += c
+    return tuple((name, out[name]) for name in order if out[name])
+
+
+@st.composite
+def term_lists(draw):
+    """Terms with repeated names and with terms that cancel earlier ones."""
+    terms = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["fresh", "repeat", "cancel"]))
+        if kind == "fresh" or not terms:
+            terms.append((draw(st.sampled_from(NAMES)), draw(coefficients)))
+        else:
+            name, c = draw(st.sampled_from(terms))
+            terms.append((name, -c if kind == "cancel" else draw(coefficients)))
+    return terms
+
+
+def combo_text(terms, sep):
+    return sep.join("%s %s" % (c, name) for name, c in terms) if terms else "0"
+
+
+@given(term_lists(), st.sampled_from([" + ", "+", "  +   "]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_combo_sums_match_reference_and_roundtrip(terms, sep, data):
+    single = "kind: mc_element\nelement: %s\n" % combo_text(terms, sep)
+    cut = sorted(data.draw(st.sets(st.integers(1, max(len(terms) - 1, 1)))))
+    pieces = [terms[i:j] for i, j in zip([0] + cut, cut + [len(terms)])]
+    listed = "kind: mc_element\nelement:\n" + "".join(
+        "  %s\n" % combo_text(p, sep) for p in pieces)
+    # each line of the list form is summed on its own first
+    by_line = reference_sum([t for p in pieces for t in reference_sum(p)])
+    for text, want in ((single, reference_sum(terms)), (listed, by_line)):
+        doc = parse(text)
+        assert doc.payload["element"] == want
+        assert parse(print_document(doc)) == doc
+
+
+@pytest.mark.parametrize("element, message", [
+    ("1 a + 2", "line 2: term '2' must be 'coeff name'"),
+    ("1 a b", "line 2: term '1 a b' must be 'coeff name'"),
+    ("1 a +", "line 2: term '' must be 'coeff name'"),
+    ("x a", "line 2: invalid rational 'x'"),
+    ("1 a + 1/0 b", "line 2: invalid rational '1/0'"),
+    ("2/ a", "line 2: invalid rational '2/'"),
+    ("1.5 a", "line 2: invalid rational '1.5'"),
+])
+def test_combo_error_messages(element, message):
+    with pytest.raises(DocumentError) as err:
+        parse("kind: mc_element\nelement: %s\n" % element)
+    assert str(err.value) == message
+
+
+def test_build_linfty_builds_one_word_basis(monkeypatch):
+    from conftest import sl2_odd
+    from defalg.graded import WordBasis
+    text = print_document(docio.document_of_linfty(dgla_to_linfty(sl2_odd(), order=3)))
+    built = []
+    real = WordBasis.__init__
+    monkeypatch.setattr(WordBasis, "__init__",
+                        lambda self, *args: built.append(args) or real(self, *args))
+    s = docio.build_linfty(parse(text))
+    assert len(built) == 1 and s.coalgebra.order == 3
+    assert docio.document_of_linfty(s) == parse(text)
+    with pytest.raises(ValueError, match="not the truncated coalgebra"):
+        LInftyStructure(s.v, 2, {}, s.coalgebra)

@@ -210,6 +210,20 @@ def test_connecting_hom_two_term_example():
     assert delta.matrix() == [[F(1)]]
 
 
+def test_connecting_hom_certificate_is_explicit(monkeypatch):
+    # the snake-lemma checks raise CertificateError, also under python -O
+    sub = Complex.zero_differential(GradedSpace([("s", 1)]))
+    quot = Complex.zero_differential(GradedSpace([("q", 0)]))
+    total_space = GradedSpace([("s", 1), ("q", 0)])
+    total = Complex(total_space, GradedMap(total_space, total_space, 1, {(0, 1): F(1)}))
+    ses = ShortExactSequence(sub, total, quot,
+                             GradedMap(sub.space, total_space, 0, {(0, 0): F(1)}),
+                             GradedMap(total_space, quot.space, 0, {(0, 1): F(1)}))
+    monkeypatch.setattr(Contraction, "class_of", lambda self, v: None)
+    with pytest.raises(linalg.CertificateError, match="snake output is not a cocycle"):
+        connecting_hom(ses)
+
+
 def test_graded_map_degree_enforcement():
     v = GradedSpace([("a", 0), ("b", 1)])
     m = GradedMap(v, v, 1)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from defalg import linalg
-from conftest import identity, make_rng, mat_mul, mat_vec, rref
+from conftest import extend_basis, identity, make_rng, mat_mul, mat_vec, rref
 
 F = Fraction
 
@@ -100,7 +100,7 @@ def test_independent_subset_and_extend_basis():
         for v in vecs:
             assert linalg.solve_in_span(sub, v) is not None
         cands = [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(3)]
-        ext = linalg.extend_basis(sub, cands)
+        ext = extend_basis(sub, cands)
         full = sub + [cands[i] for i in ext]
         assert linalg.rank([v[:] for v in full]) == len(full)
 
@@ -167,7 +167,16 @@ def test_independent_subset_and_extend_basis_match_rank(first, second):
     n, vecs = first
     assert linalg.independent_subset(vecs) == greedy_by_rank([], vecs)
     cands = [(v + [F(0)] * n)[:n] for v in second[1]]
-    assert linalg.extend_basis(vecs, cands) == greedy_by_rank(vecs, cands)
+    assert extend_basis(vecs, cands) == greedy_by_rank(vecs, cands)
+
+
+@given(vector_lists())
+@settings(max_examples=80, deadline=None)
+def test_relations_after_the_fact_match_relations(first):
+    _, vecs = first
+    ech, rels = linalg.relations(vecs)
+    assert linalg.echelon(vecs).relations_of(vecs) == rels
+    assert ech.relations_of(vecs) == rels
 
 
 @given(vector_lists(), st.data())
