@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .graded import Complex, GradedMap, GradedSpace, cohomology
+from .graded import Complex, GradedMap, GradedSpace, cohomology, solve_homotopy
 from .linalg import ONE, ZERO, CertificateError, SparseVec, Vector
 
 
@@ -951,35 +951,5 @@ def chain_homotopic(f: DgAlgebraMorphism, g: DgAlgebraMorphism
     """
     if not (f.source.has_trivial_mult() and f.target.has_trivial_mult()):
         raise ValueError("decision requires trivial multiplications")
-    src, tgt = f.source, f.target
-    slots = [(j, i) for j in range(tgt.dim) for i in range(src.dim)
-             if tgt.space.degrees[j] == src.space.degrees[i] - 1]
-    if not slots:
-        diff = f.map - g.map
-        return (diff.is_zero(), GradedMap(src.space, tgt.space, -1)
-                if diff.is_zero() else None)
-    slot_pos = {s: k for k, s in enumerate(slots)}
-    rows = []
-    rhs = []
-    diff = f.map - g.map
-    da, db = src.d.matrix(), tgt.d.matrix()
-    for r in range(tgt.dim):
-        for c in range(src.dim):
-            if tgt.space.degrees[r] != src.space.degrees[c]:
-                continue
-            row = [ZERO] * len(slots)
-            for (j, i), k in slot_pos.items():
-                if j == r:                      # (σ d)[r,c] += σ[r,i] d[i,c]
-                    row[k] += da[i][c]
-                if i == c:                      # (d σ)[r,c] += d[r,j] σ[j,c]
-                    row[k] += db[r][j]
-            rows.append(row)
-            rhs.append(diff.entries.get((r, c), ZERO))
-    sol = linalg.solve(rows, rhs)
-    if sol is None:
-        return False, None
-    sigma = GradedMap(src.space, tgt.space, -1)
-    for (j, i), k in slot_pos.items():
-        if sol[k]:
-            sigma.set_entry(j, i, sol[k])
-    return True, sigma
+    sigma = solve_homotopy(f.source.d, f.target.d, f.map - g.map)
+    return sigma is not None, sigma

@@ -155,7 +155,17 @@ def _lift_from_inputs(docs):
     e = docio.build_small_extension(_take(docs, "small_extension"))
     x = docio.build_mc_element(_take(docs, "mc_element"),
                                tensor_space(l.space, e.b.space))
-    return mc_lift(e, l, x)
+    try:
+        return mc_lift(e, l, x)
+    except linalg.CertificateError:
+        # the algebras are validated only when a certificate fails: an
+        # invalid algebra is an input error, not a defect of the program
+        for name, alg in (("a", e.a), ("b", e.b)):
+            errs = alg.validate().errors
+            if errs:
+                raise docio.DocumentError("invalid small extension: algebra %s: %s"
+                                          % (name, "; ".join(errs)))
+        raise
 
 
 def cmd_mc_lift(docs, args) -> Report:

@@ -28,6 +28,8 @@ Combo = Tuple[Tuple[str, Fraction], ...]
 
 # the field holding the structure constants of each bilinear kind
 TABLE_FIELDS = {"nilpotent_dg_algebra": "mult", "dgla": "bracket"}
+# the field holding the ``k | key -> combo`` list of each graded kind
+GRADED_FIELDS = {"linfty": "taylor", "quasismooth": "d"}
 
 
 class DocumentError(ValueError):
@@ -267,42 +269,61 @@ def _payload_structure(raw, fld) -> Dict:
     return payload
 
 
-def _payload_linfty(raw) -> Dict:
+def _check_word(letters, k: int, names, lno: int, length_error: str) -> None:
+    if len(letters) != k:
+        raise DocumentError(length_error, lno)
+    for l in letters:
+        if l not in names:
+            raise DocumentError("unknown name %r" % l, lno)
+
+
+def _payload_graded(raw, kind) -> Dict:
+    """A linfty or quasismooth document: one list of ``k | key -> combo``
+    items with k in 1..order.  A linfty ``taylor`` key is a word of k
+    letters and its combo sums letters; a quasismooth ``d`` key is a
+    generator and its combo sums words of k letters written ``a*b``."""
     basis = _take_basis(raw)
     names = {n for n, _ in basis}
     order = _take_scalar_int(raw, "order")
     if order is None:
-        raise DocumentError("linfty requires an 'order' field")
-    items = raw.pop("taylor", [])
-    taylor: Dict[Tuple[int, Tuple[str, ...]], Combo] = {}
-    for lno, body in items:
+        raise DocumentError("%s requires an 'order' field" % kind)
+    word_keys = kind == "linfty"
+    fld = GRADED_FIELDS[kind]
+    noun, shape = (("arity", "taylor item must be 'k | word -> combo'") if word_keys
+                   else ("order", "item must be 'k | generator -> combo'"))
+    items: Dict[Tuple[int, object], Combo] = {}
+    for lno, body in raw.pop(fld, []):
         lhs, arrow, rhs = body.partition("->")
-        if not arrow:
-            raise DocumentError("taylor item must be 'k | word -> combo'", lno)
-        head, bar, word = lhs.partition("|")
-        if not bar:
-            raise DocumentError("taylor item must be 'k | word -> combo'", lno)
+        head, bar, key = lhs.partition("|")
+        if not arrow or not bar:
+            raise DocumentError(shape, lno)
         try:
             k = int(head)
         except ValueError:
-            raise DocumentError("arity %r is not an integer" % head.strip(), lno)
+            raise DocumentError("%s %r is not an integer" % (noun, head.strip()), lno)
         if not 1 <= k <= order:
-            raise DocumentError("arity %d is outside 1..%d (the order)" % (k, order), lno)
-        letters = tuple(word.split())
-        if len(letters) != k:
-            raise DocumentError("word length does not match arity %d" % k, lno)
-        for l in letters:
-            if l not in names:
-                raise DocumentError("unknown name %r" % l, lno)
+            raise DocumentError("%s %d is outside 1..%d (the order)" % (noun, k, order), lno)
+        if word_keys:
+            key = tuple(key.split())
+            _check_word(key, k, names, lno, "word length does not match arity %d" % k)
+        else:
+            key = key.strip()
+            if key not in names:
+                raise DocumentError("unknown generator %r" % key, lno)
         combo = _parse_combo(rhs, lno)
-        _check_names(combo, names, lno)
-        key = (k, letters)
-        if key in taylor:
-            raise DocumentError("duplicate taylor entry for %r" % (letters,), lno)
+        if word_keys:
+            _check_names(combo, names, lno)
+        else:
+            for word, _ in combo:
+                _check_word(word.split("*"), k, names, lno,
+                            "word %r has length != %d" % (word, k))
+        if (k, key) in items:
+            raise DocumentError(("duplicate taylor entry for %r" if word_keys
+                                 else "duplicate component for %r") % (key,), lno)
         if combo:
-            taylor[key] = combo
+            items[(k, key)] = combo
     _finish(raw)
-    return {"basis": basis, "order": order, "taylor": taylor}
+    return {"basis": basis, "order": order, fld: items}
 
 
 def _payload_small_extension(raw) -> Dict:
@@ -334,54 +355,15 @@ def _payload_mc_element(raw) -> Dict:
     return {"element": combo}
 
 
-def _payload_quasismooth(raw) -> Dict:
-    basis = _take_basis(raw)
-    names = {n for n, _ in basis}
-    order = _take_scalar_int(raw, "order")
-    if order is None:
-        raise DocumentError("quasismooth requires an 'order' field")
-    items = raw.pop("d", [])
-    comps: Dict[Tuple[int, str], Combo] = {}
-    for lno, body in items:
-        lhs, arrow, rhs = body.partition("->")
-        head, bar, gen = lhs.partition("|")
-        if not arrow or not bar:
-            raise DocumentError("item must be 'k | generator -> combo'", lno)
-        try:
-            k = int(head)
-        except ValueError:
-            raise DocumentError("order %r is not an integer" % head.strip(), lno)
-        if not 1 <= k <= order:
-            raise DocumentError("order %d is outside 1..%d (the order)" % (k, order), lno)
-        gen = gen.strip()
-        if gen not in names:
-            raise DocumentError("unknown generator %r" % gen, lno)
-        combo = _parse_combo(rhs, lno)
-        for word, _ in combo:
-            letters = word.split("*")
-            if len(letters) != k:
-                raise DocumentError("word %r has length != %d" % (word, k), lno)
-            for l in letters:
-                if l not in names:
-                    raise DocumentError("unknown name %r" % l, lno)
-        key = (k, gen)
-        if key in comps:
-            raise DocumentError("duplicate component for %r" % gen, lno)
-        if combo:
-            comps[key] = combo
-    _finish(raw)
-    return {"basis": basis, "order": order, "d": comps}
-
-
 _PAYLOAD_BUILDERS = {
     "graded_space": _payload_graded_space,
     "complex": _payload_complex,
     "nilpotent_dg_algebra": lambda raw: _payload_structure(raw, "mult"),
     "dgla": lambda raw: _payload_structure(raw, "bracket"),
-    "linfty": _payload_linfty,
+    "linfty": lambda raw: _payload_graded(raw, "linfty"),
     "small_extension": _payload_small_extension,
     "mc_element": _payload_mc_element,
-    "quasismooth": _payload_quasismooth,
+    "quasismooth": lambda raw: _payload_graded(raw, "quasismooth"),
 }
 
 
@@ -418,6 +400,21 @@ def _emit_table(out: List[str], fld, table, order) -> None:
         out.append("  %s %s -> %s" % (n1, n2, _format_combo(table[(n1, n2)])))
 
 
+def _emit_graded(out: List[str], fld, items, order) -> None:
+    """``k | key -> combo`` items by k, then by the key's letters in basis
+    order; a key is a word (a tuple of letters) or a generator."""
+    if not items:
+        return
+    out.append(fld + ":")
+    pos = {n: i for i, n in enumerate(order)}
+
+    def letters(key):
+        return key if isinstance(key, tuple) else (key,)
+    for (k, key) in sorted(items, key=lambda kk: (kk[0], [pos[l] for l in letters(kk[1])])):
+        out.append("  %d | %s -> %s" % (k, " ".join(letters(key)),
+                                        _format_combo(items[(k, key)])))
+
+
 def print_document(doc: InputDocument) -> str:
     out: List[str] = ["kind: %s" % doc.kind]
     p = doc.payload
@@ -432,17 +429,9 @@ def print_document(doc: InputDocument) -> str:
         _emit_table(out, TABLE_FIELDS[doc.kind], p[TABLE_FIELDS[doc.kind]], names)
         if p.get("nilpotency") is not None:
             out.append("nilpotency: %d" % p["nilpotency"])
-    elif doc.kind == "linfty":
+    elif doc.kind in GRADED_FIELDS:
         out.append("order: %d" % p["order"])
-        if p["taylor"]:
-            out.append("taylor:")
-            pos = {n: i for i, n in enumerate(names)}
-            for (k, word) in sorted(p["taylor"],
-                                    key=lambda kk: (kk[0],
-                                                    [pos[l] for l in kk[1]])):
-                out.append("  %d | %s -> %s"
-                           % (k, " ".join(word),
-                              _format_combo(p["taylor"][(k, word)])))
+        _emit_graded(out, GRADED_FIELDS[doc.kind], p[GRADED_FIELDS[doc.kind]], names)
     elif doc.kind == "small_extension":
         for nm in ("a", "b"):
             out.append("begin " + nm)
@@ -452,14 +441,6 @@ def print_document(doc: InputDocument) -> str:
         _emit_map(out, "alpha", p["alpha"], a_names)
     elif doc.kind == "mc_element":
         out.append("element: %s" % _format_combo(p["element"]))
-    elif doc.kind == "quasismooth":
-        out.append("order: %d" % p["order"])
-        if p["d"]:
-            out.append("d:")
-            pos = {n: i for i, n in enumerate(names)}
-            for (k, gen) in sorted(p["d"], key=lambda kk: (kk[0], pos[kk[1]])):
-                out.append("  %d | %s -> %s"
-                           % (k, gen, _format_combo(p["d"][(k, gen)])))
     return "\n".join(out) + "\n"
 
 
@@ -516,31 +497,37 @@ def build_dgla(doc: InputDocument) -> Dgla:
     return _build_structure(doc, Dgla, nilpotency_class=doc.payload.get("nilpotency"))
 
 
+def _graded_maps(doc: InputDocument, powers, letters: GradedSpace
+                 ) -> Dict[int, GradedMap]:
+    """The maps of a ``k | key -> combo`` list, words placed in ``powers``
+    with their signs: Q¹_k: ⊙^k → ``letters`` from a linfty document,
+    d_k: ``letters`` → ⊙^k from a quasismooth one."""
+    v = GradedSpace(doc.payload["basis"])
+    word_keys = doc.kind == "linfty"
+    maps: Dict[int, GradedMap] = {}
+    for (k, key), combo in doc.payload[GRADED_FIELDS[doc.kind]].items():
+        pw = powers[k]
+        m = maps.get(k)
+        if m is None:
+            m = maps[k] = GradedMap(pw.space, letters, 1) if word_keys \
+                else GradedMap(letters, pw.space, 1)
+        for n, c in combo:
+            word, letter = (key, n) if word_keys else (n, key)
+            res = pw.index(tuple(v.index(l) for l in (word if word_keys else word.split("*"))))
+            if res is None:
+                raise DocumentError("word %r is zero in the symmetric power" % (word,))
+            posn, sgn = res
+            j, i = (v.index(letter), posn) if word_keys else (posn, v.index(letter))
+            m.set_entry(j, i, m.entries.get((j, i), Fraction(0)) + Fraction(sgn) * c)
+    return maps
+
+
 def build_linfty(doc: InputDocument) -> LInftyStructure:
     space = GradedSpace(doc.payload["basis"])
-    order = doc.payload["order"]
-    taylor: Dict[int, GradedMap] = {}
     try:
-        coalg = SymCoalgebra(space, order)
-        for (k, word), combo in doc.payload["taylor"].items():
-            m = taylor.get(k)
-            if m is None:
-                m = GradedMap(coalg.powers[k].space, coalg.letters, 1)
-                taylor[k] = m
-            res = coalg.powers[k].index(tuple(space.index(l) for l in word))
-            if res is None:
-                raise DocumentError("word %r is zero in the symmetric power"
-                                    % (word,))
-            posn, sgn = res
-            for n, c in combo:
-                j = space.index(n)
-                m.set_entry(j, posn,
-                            m.entries.get((j, posn), Fraction(0))
-                            + Fraction(sgn) * c)
-        for k in range(1, order + 1):
-            if k not in taylor:
-                taylor[k] = GradedMap(coalg.powers[k].space, coalg.letters, 1)
-        return LInftyStructure(space, order, taylor, coalg)
+        coalg = SymCoalgebra(space, doc.payload["order"])
+        return LInftyStructure(space, coalg.order,
+                               _graded_maps(doc, coalg.powers, coalg.letters), coalg)
     except ValueError as exc:
         raise DocumentError(str(exc))
 
@@ -572,26 +559,9 @@ def build_mc_element(doc: InputDocument, space: GradedSpace):
 
 def build_quasismooth(doc: InputDocument) -> QuasismoothTrunc:
     v = GradedSpace(doc.payload["basis"])
-    comps: Dict[int, GradedMap] = {}
     try:
         shell = QuasismoothTrunc(v, doc.payload["order"], {}, check=False)
-        for (k, gen), combo in doc.payload["d"].items():
-            m = comps.get(k)
-            if m is None:
-                m = GradedMap(v, shell.basis.powers[k].space, 1)
-                comps[k] = m
-            i = v.index(gen)
-            for word, c in combo:
-                res = shell.basis.powers[k].index(
-                    tuple(v.index(l) for l in word.split("*")))
-                if res is None:
-                    raise DocumentError("word %r is zero in the symmetric "
-                                        "power" % word)
-                posn, sgn = res
-                m.set_entry(posn, i,
-                            m.entries.get((posn, i), Fraction(0))
-                            + Fraction(sgn) * c)
-        return shell.with_components(comps)
+        return shell.with_components(_graded_maps(doc, shell.basis.powers, v))
     except ValueError as exc:
         raise DocumentError(str(exc))
 

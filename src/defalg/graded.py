@@ -26,7 +26,8 @@ from .linalg import ONE, ZERO, Vector
 __all__ = [
     "GradedSpace", "GradedMap", "Complex", "Splitting", "Contraction", "ShortExactSequence",
     "koszul_sign", "unshuffles", "shift", "symmetric_power",
-    "SymmetricPower", "WordBasis", "cohomology", "is_quasiiso", "connecting_hom",
+    "SymmetricPower", "WordBasis", "cohomology", "solve_homotopy", "is_quasiiso",
+    "connecting_hom",
 ]
 
 
@@ -340,8 +341,8 @@ class SymmetricPower:
         self.n = n
         monos = []
         for t in itertools.combinations_with_replacement(range(v.dim), n):
-            cm = canonical_monomial(t, v.degrees)
-            if cm is not None:
+            # t is sorted, so it is zero iff it repeats an odd letter
+            if not any(a == b and v.degrees[a] % 2 for a, b in zip(t, t[1:])):
                 monos.append(t)
         self.monomials: Tuple[Tuple[int, ...], ...] = tuple(monos)
         self._mono_index = {m: i for i, m in enumerate(monos)}
@@ -572,6 +573,39 @@ def cohomology(cx: Complex,
                ) -> Contraction:
     """Cohomology with a contraction datum (see Contraction)."""
     return Contraction(cx, eliminated)
+
+
+def solve_homotopy(d_source: GradedMap, d_target: GradedMap, t: GradedMap
+                   ) -> Optional[GradedMap]:
+    """A map X: source → target of degree deg T - 1 with
+    d_target∘X + X∘d_source = T, or None when there is none.
+
+    The unknowns are the entries X[j, i] that the degrees allow, in order
+    of (j, i), and their columns are sparse in the entries (r, c) of T; the
+    solution is zero off the greedy independent unknowns.
+    """
+    src, tgt = t.source, t.target
+    slots = [(j, i) for j in range(tgt.dim) for i in range(src.dim)
+             if tgt.degrees[j] == src.degrees[i] + t.degree - 1]
+    rows_of_source: Dict[int, List[Tuple[int, Fraction]]] = {}
+    for (i, c), x in d_source.entries.items():
+        rows_of_source.setdefault(i, []).append((c, x))
+    cols_of_target: Dict[int, List[Tuple[int, Fraction]]] = {}
+    for (r, j), x in d_target.entries.items():
+        cols_of_target.setdefault(j, []).append((r, x))
+    cols = []
+    for j, i in slots:
+        col: Dict[int, Fraction] = {}
+        for r, x in cols_of_target.get(j, ()):     # (d X)[r, i] += d[r, j]
+            col[r * src.dim + i] = col.get(r * src.dim + i, ZERO) + x
+        for c, x in rows_of_source.get(i, ()):     # (X d)[j, c] += d[i, c]
+            col[j * src.dim + c] = col.get(j * src.dim + c, ZERO) + x
+        cols.append({key: x for key, x in col.items() if x})
+    sol = linalg.echelon(cols).coords({r * src.dim + c: x for (r, c), x in t.entries.items()})
+    if sol is None:
+        return None
+    return GradedMap(src, tgt, t.degree - 1,
+                     {slot: x for slot, x in zip(slots, sol) if x})
 
 
 def is_chain_map(f: GradedMap, source: Complex, target: Complex) -> bool:

@@ -1,25 +1,28 @@
 """L-infinity structures on truncated reduced symmetric coalgebras.
 
-The coalgebra C(V) = ⊕_{1≤i≤n} ⊙^i(V[1]) with the unshuffle coproduct,
-coderivations from Taylor coefficients, the generalized Jacobi checker,
-the two-way dictionary with DGLAs, coalgebra morphisms from linear data,
-the L-infinity Maurer-Cartan equation over nilpotent coefficients, and
-dual coalgebras of nilpotent dg-algebras.
+The coalgebra C(V) = ⊕_{1≤i≤n} ⊙^i(V[1]) with the unshuffle coproduct;
+the Chevalley-Eilenberg truncation of a structure, through which its
+coderivation, the generalized Jacobi checker and the L-infinity
+Maurer-Cartan equation over nilpotent coefficients read the Taylor
+coefficients; the two-way dictionary with DGLAs, coalgebra morphisms from
+linear data, and dual coalgebras of nilpotent dg-algebras.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebras import NilpotentDgAlgebra, SparseVec
 from .dgla import Dgla, tensor_space
-from .graded import (GradedMap, GradedSpace, WordBasis, canonical_monomial,
-                     koszul_sign, shift_space, unshuffles)
+from .graded import (GradedMap, GradedSpace, WordBasis, koszul_sign, shift_space,
+                     unshuffles)
 from .linalg import ONE, ZERO, CertificateError, Vector
+from .models import QuasismoothTrunc
 
 Word = Tuple[int, ...]
 
@@ -118,47 +121,42 @@ class LInftyStructure:
     def is_minimal(self) -> bool:
         return 1 not in self.taylor
 
+    @cached_property
+    def ce(self) -> QuasismoothTrunc:
+        """The Chevalley-Eilenberg truncation: R/R^{n+1} on the dual
+        letters (V[1])^∨ with d_k(x_t) = −Σ_u Q¹_k[t, u]/m(u)·x^u.  Its
+        words are the coalgebra's words, in the same order."""
+        dual = self.coalgebra.letters.dual()
+        shell = QuasismoothTrunc(dual, self.order, {}, check=False)
+        comps = {}
+        for k, q in self.taylor.items():
+            words = self.coalgebra.powers[k].monomials
+            comps[k] = GradedMap(dual, shell.basis.powers[k].space, 1, {
+                (u, t): -x / symmetry_factor(words[u]) for (t, u), x in q.entries.items()})
+        return shell.with_components(comps, check=False)
+
+
+def symmetry_factor(word: Word) -> int:
+    """m(w): the product of the factorials of the letter multiplicities of w."""
+    out = 1
+    for letter in set(word):
+        out *= factorial(word.count(letter))
+    return out
+
 
 def coderivation_from_taylor(s: LInftyStructure) -> GradedMap:
     """The coderivation Q on the truncated coalgebra induced by the Q¹_k.
 
-    Q(v₁⊙…⊙vₘ) = Σ_k Σ_{σ∈S(k,m-k)} ε(σ) Q¹_k(first k)⊙(rest); the
-    word-length filtration is preserved and the coderivation identity
+    Q(v₁⊙…⊙vₘ) = Σ_k Σ_{σ∈S(k,m-k)} ε(σ) Q¹_k(first k)⊙(rest), read off the
+    CE differential D as its scaled transpose Q[u, w] = −D[w, u]·m(w)/m(u):
+    the monomial x^w pairs with the word w to m(w).  The word-length
+    filtration is preserved and the coderivation identity
     ΔQ = (Q⊗Id + Id⊗Q)Δ holds (checked by check_coderivation).
     """
-    c = s.coalgebra
-    q = GradedMap(c.space, c.space, 1)
-    degs_of = c.letters.degrees
-    for pos, word in enumerate(c.words):
-        m = len(word)
-        degs = [degs_of[i] for i in word]
-        acc: Dict[int, Fraction] = {}
-        for k, qk in s.taylor.items():
-            if k > m:
-                continue
-            for sigma in unshuffles(k, m - k):
-                sgn = koszul_sign(sigma, degs)
-                left = tuple(word[sigma[t]] for t in range(k))
-                rest = tuple(word[sigma[t]] for t in range(k, m))
-                res = c.powers[k].index(left)
-                if res is None:
-                    continue
-                lpos, lsgn = res
-                col = qk.column(lpos)
-                for t, ct in enumerate(col):
-                    if not ct:
-                        continue
-                    new_word = (t,) + rest
-                    res2 = c.position(new_word)
-                    if res2 is None:
-                        continue
-                    npos, nsgn = res2
-                    acc[npos] = acc.get(npos, ZERO) + \
-                        Fraction(sgn * lsgn * nsgn) * ct
-        for npos, cval in acc.items():
-            if cval:
-                q.set_entry(npos, pos, cval)
-    return q
+    words = s.coalgebra.words
+    return GradedMap(s.coalgebra.space, s.coalgebra.space, 1, {
+        (u, w): -x * symmetry_factor(words[w]) / symmetry_factor(words[u])
+        for (w, u), x in s.ce.differential().entries.items()})
 
 
 def check_coderivation(c: SymCoalgebra, q: GradedMap) -> bool:
@@ -198,27 +196,27 @@ class LInftyReport:
 def check_linfty(s: LInftyStructure) -> LInftyReport:
     """Q∘Q = 0, reported through its corestricted per-arity defects.
 
-    Q² vanishes iff its corestriction to the V[1] block vanishes on every
-    ⊙^m; both statements are computed and their agreement asserted.
+    Q = −M⁻¹DᵀM with M = diag(m(w)), so Q² = M⁻¹(D²)ᵀM and the (Q²)¹
+    defect of arity k at (t, w) is m(w)·D²[w, t], read off the generator
+    columns of D².  D² is a derivation, so it vanishes on the words iff it
+    does on the generators; both statements are computed and their
+    agreement checked.
     """
     c = s.coalgebra
-    q = coderivation_from_taylor(s)
-    qq = q.compose(q)
-    nshift = c.letters.dim
+    d = s.ce.differential()
+    dd = d.compose(d)
     defects: Dict[int, GradedMap] = {}
-    for k in range(1, s.order + 1):
-        dm = GradedMap(c.powers[k].space, c.letters, 2)
-        off = c.offsets[k]
-        for col in range(len(c.powers[k].monomials)):
-            v = qq.apply(c.space.basis_vector(off + col))
-            for t in range(nshift):
-                if v[t]:
-                    dm.set_entry(t, col, v[t])
-        if not dm.is_zero():
-            defects[k] = dm
-    full_zero = qq.is_zero()
+    for (w, t), x in dd.entries.items():
+        if t >= c.letters.dim:
+            continue
+        k = len(c.words[w])
+        dm = defects.get(k)
+        if dm is None:
+            dm = defects[k] = GradedMap(c.powers[k].space, c.letters, 2)
+        dm.set_entry(t, w - c.offsets[k], symmetry_factor(c.words[w]) * x)
+    full_zero = dd.is_zero()
     if full_zero != (not defects):
-        raise CertificateError("corestriction criterion must agree with the full check")
+        raise CertificateError("D² must vanish on the words iff on the generators")
     return LInftyReport(full_zero, sorted(defects), defects)
 
 
@@ -344,15 +342,17 @@ def linfty_mc_check(s: LInftyStructure, a: NilpotentDgAlgebra,
 
         (Id ⊗ d_A)(m) = Σ_n (1/n!) (Q¹_n ⊗ Id)(m^⊙n)
 
-    for m ∈ (V[1]⊗A)⁰, a finite sum by nilpotency of A.  Returns the
-    boolean verdict and the defect (lhs - rhs) in V[1]⊗A.
+    for m ∈ (V[1]⊗A)⁰, a finite sum by nilpotency of A.  The right side is
+    read on the CE truncation: m is the algebra map f: x_t ↦ Σ_p m[t, p]·a_p,
+    and at x_t the right side is −f(D x_t), where the product in A of each
+    word w takes the Koszul sign (−1)^{Σ_{a<b}|w_a||w_b|} of gathering the
+    A-factors of m^⊙n.  Returns the boolean verdict and the defect
+    (lhs - rhs) in V[1]⊗A.
     """
-    c = s.coalgebra
-    sh = c.letters
+    sh = s.coalgebra.letters
     na = a.dim
     space = tensor_space(sh, a.space)
-    deg = space.vector_degree(m)
-    if deg not in (None, 0):
+    if any(x and space.degrees[i] for i, x in enumerate(m)):
         raise ValueError("Maurer-Cartan candidates must have degree 0")
     defect = space.zero_vector()
     # lhs: (Id ⊗ d_A)(m); the Koszul sign for moving d_A past v[1] is taken
@@ -363,54 +363,19 @@ def linfty_mc_check(s: LInftyStructure, a: NilpotentDgAlgebra,
             cv = m[i * na + p]
             if cv:
                 defect[i * na + q] += sgn * cd * cv
-    # rhs: powers m^⊙n as {(word, A-basis index): coefficient}
-    power: Dict[Tuple[Word, int], Fraction] = {}
-    for i in range(sh.dim):
-        for p in range(na):
-            if m[i * na + p]:
-                power[((i,), p)] = m[i * na + p]
-    n = 1
-    while power and n <= s.order:
-        qn = s.taylor.get(n)
-        if qn is not None:
-            coeff_n = Fraction(1, factorial(n))
-            pw = c.powers[n]
-            for (word, p), cv in power.items():
-                res = pw.index(word)
-                if res is None:
-                    continue
-                pos, sgn0 = res
-                col = qn.apply(pw.space.basis_vector(pos))
-                for t, ct in enumerate(col):
-                    if ct:
-                        defect[t * na + p] -= coeff_n * Fraction(sgn0) * ct * cv
-        # next power: multiply by m on the right
-        nxt: Dict[Tuple[Word, int], Fraction] = {}
-        if n < s.order:
-            for (word, p), cv in power.items():
-                pa_deg = a.space.degrees[p]
-                for j in range(sh.dim):
-                    for q in range(na):
-                        c2 = m[j * na + q]
-                        if not c2:
-                            continue
-                        row = a.table.get((p, q))
-                        if not row:
-                            continue
-                        sgn = Fraction(-1 if (pa_deg % 2 and sh.degrees[j] % 2) else 1)
-                        cm = canonical_monomial(word + (j,), sh.degrees)
-                        if cm is None:
-                            continue
-                        w2, s2 = cm
-                        for r, c3 in row.items():
-                            key = (w2, r)
-                            val = nxt.get(key, ZERO) + sgn * Fraction(s2) * cv * c2 * c3
-                            if val:
-                                nxt[key] = val
-                            else:
-                                nxt.pop(key, None)
-        power = nxt
-        n += 1
+    # rhs: f(D x_t) = Σ_u D[u, t]·f(x^u), entered with the opposite sign
+    images = [{p: m[t * na + p] for p in range(na) if m[t * na + p]}
+              for t in range(sh.dim)]
+    for k, dk in s.ce.components.items():
+        for (u, t), x in dk.entries.items():
+            word = s.coalgebra.powers[k].monomials[u]
+            prod = images[word[0]]
+            for letter in word[1:]:
+                prod = a.sparse_product(prod, images[letter]) if prod else prod
+            n_odd = sum(sh.degrees[l] % 2 for l in word)
+            sgn = -x if n_odd * (n_odd - 1) // 2 % 2 else x
+            for r, y in prod.items():
+                defect[t * na + r] += sgn * y
     return linalg.is_zero_vector(defect), defect
 
 

@@ -16,9 +16,9 @@ from . import linalg
 from .algebras import (DgAlgebraMorphism, NilpotentDgAlgebra, SmallExtension,
                        SparseVec, kernel_extension, mapping_cone, quotient_algebra)
 from .dgla import Dgla, TensorDgla, def_tangent, mc_lift
-from .graded import Contraction, GradedMap, GradedSpace
+from .graded import Contraction, GradedMap, GradedSpace, solve_homotopy
 from .linfty import LInftyStructure, linfty_to_dgla
-from .linalg import ONE, ZERO, CertificateError, Vector
+from .linalg import ONE, CertificateError, Vector
 
 # Comparison sign between the tangent bracket assembled from primary
 # obstructions and the bracket induced on cohomology by the DGLA bracket.
@@ -175,27 +175,9 @@ def lifting_defect(e: SmallExtension) -> LiftingDefect:
         raise CertificateError("the lifting defect does not factor through B/B²")
 
     # solve delta_bar = d_I φ̄ + φ̄ d_{B/B²} for φ̄ of degree 1
-    slots = [(k, i) for k in range(e.i_complex.space.dim)
-             for i in range(bbar.dim)
-             if e.i_complex.space.degrees[k] == bbar.space.degrees[i] + 1]
-    cols: List[Vector] = []
-    for (k, i) in slots:
-        phim = GradedMap(bbar.space, e.i_complex.space, 1)
-        phim.set_entry(k, i, ONE)
-        comb = e.i_complex.d.compose(phim) + phim.compose(bbar.d)
-        cols.append([comb.entries.get((kk, ii), ZERO)
-                     for kk in range(e.i_complex.space.dim)
-                     for ii in range(bbar.dim)])
-    target = [delta_bar.entries.get((kk, ii), ZERO)
-              for kk in range(e.i_complex.space.dim)
-              for ii in range(bbar.dim)]
-    sol = linalg.solve_in_span(cols, target)
-    if sol is None:
+    phibar = solve_homotopy(bbar.d, e.i_complex.d, delta_bar)
+    if phibar is None:
         return LiftingDefect(e, delta, bbar, pr, delta_bar, False, None, None)
-    phibar = GradedMap(bbar.space, e.i_complex.space, 1)
-    for pos, (k, i) in enumerate(slots):
-        if sol[pos]:
-            phibar.set_entry(k, i, sol[pos])
     phi = phibar.compose(pr.map)
     d_new = a.d - e.iota.compose(phi).compose(e.alpha.map)
     if not d_new.compose(d_new).is_zero():

@@ -707,3 +707,110 @@ def koszul_truncation(pairs, order):
     d1 = GradedMap(v, symmetric_power(v, 1).space, 1,
                    {(2 * k + 1, 2 * k): F(1) for k in range(pairs)})
     return QuasismoothTrunc(v, order, {1: d1})
+
+
+# ---------------------------------------------------------------------------
+# reference L-infinity computations on the coalgebra: the unshuffle sum,
+# Q∘Q and the expansion of m^⊙n, kept as the oracles for the
+# Chevalley-Eilenberg reading in ``defalg.linfty``
+
+def reference_coderivation(s):
+    """Q(v₁⊙…⊙vₘ) = Σ_k Σ_{σ∈S(k,m-k)} ε(σ) Q¹_k(first k)⊙(rest)."""
+    from defalg.graded import koszul_sign, unshuffles
+    c = s.coalgebra
+    q = GradedMap(c.space, c.space, 1)
+    for pos, word in enumerate(c.words):
+        m = len(word)
+        degs = [c.letters.degrees[i] for i in word]
+        acc = {}
+        for k, qk in s.taylor.items():
+            if k > m:
+                continue
+            for sigma in unshuffles(k, m - k):
+                sgn = koszul_sign(sigma, degs)
+                left = tuple(word[sigma[t]] for t in range(k))
+                rest = tuple(word[sigma[t]] for t in range(k, m))
+                res = c.powers[k].index(left)
+                if res is None:
+                    continue
+                lpos, lsgn = res
+                for t, ct in enumerate(qk.column(lpos)):
+                    if not ct:
+                        continue
+                    res2 = c.position((t,) + rest)
+                    if res2 is None:
+                        continue
+                    npos, nsgn = res2
+                    acc[npos] = acc.get(npos, F(0)) + F(sgn * lsgn * nsgn) * ct
+        for npos, cval in acc.items():
+            if cval:
+                q.set_entry(npos, pos, cval)
+    return q
+
+
+def reference_check_linfty(s):
+    """(ok, defect arities, defects) from Q∘Q corestricted to V[1]."""
+    c = s.coalgebra
+    q = reference_coderivation(s)
+    qq = q.compose(q)
+    defects = {}
+    for k in range(1, s.order + 1):
+        dm = GradedMap(c.powers[k].space, c.letters, 2)
+        for col in range(len(c.powers[k].monomials)):
+            v = qq.apply(c.space.basis_vector(c.offsets[k] + col))
+            for t in range(c.letters.dim):
+                if v[t]:
+                    dm.set_entry(t, col, v[t])
+        if not dm.is_zero():
+            defects[k] = dm
+    assert qq.is_zero() == (not defects)
+    return qq.is_zero(), sorted(defects), defects
+
+
+def reference_linfty_mc_check(s, a, m):
+    """(Id ⊗ d_A)(m) - Σ_n (1/n!) (Q¹_n ⊗ Id)(m^⊙n), m^⊙n expanded."""
+    from math import factorial
+    from defalg.dgla import tensor_space
+    from defalg.graded import canonical_monomial
+    c = s.coalgebra
+    sh = c.letters
+    na = a.dim
+    defect = tensor_space(sh, a.space).zero_vector()
+    for i in range(sh.dim):
+        sgn = F(-1 if (sh.degrees[i] + 1) % 2 else 1)
+        for (q, p), cd in a.d.entries.items():
+            if m[i * na + p]:
+                defect[i * na + q] += sgn * cd * m[i * na + p]
+    power = {((i,), p): m[i * na + p] for i in range(sh.dim) for p in range(na)
+             if m[i * na + p]}
+    n = 1
+    while power and n <= s.order:
+        qn = s.taylor.get(n)
+        if qn is not None:
+            for (word, p), cv in power.items():
+                res = c.powers[n].index(word)
+                if res is None:
+                    continue
+                pos, sgn0 = res
+                for t, ct in enumerate(qn.column(pos)):
+                    if ct:
+                        defect[t * na + p] -= F(sgn0, factorial(n)) * ct * cv
+        nxt = {}
+        if n < s.order:
+            for (word, p), cv in power.items():
+                for j in range(sh.dim):
+                    for q in range(na):
+                        c2 = m[j * na + q]
+                        row = a.table.get((p, q))
+                        if not c2 or not row:
+                            continue
+                        sgn = -1 if (a.space.degrees[p] % 2 and sh.degrees[j] % 2) else 1
+                        cm = canonical_monomial(word + (j,), sh.degrees)
+                        if cm is None:
+                            continue
+                        w2, s2 = cm
+                        for r, c3 in row.items():
+                            nxt[(w2, r)] = nxt.get((w2, r), F(0)) + sgn * s2 * cv * c2 * c3
+        power = {key: v for key, v in nxt.items() if v}
+        n += 1
+    return linalg.is_zero_vector(defect), defect

@@ -192,6 +192,22 @@ def test_dgla_to_linfty_and_check(capsys, tmp_path):
     assert "linfty: yes" in out
 
 
+@pytest.mark.parametrize("fixture, order", [("sl2_odd.linf", "4"), ("jacobi_broken.linf", "3")])
+def test_linfty_fixtures_are_what_dgla_to_linfty_prints(capsys, tmp_path, fixture, order):
+    from test_linfty import non_jacobi_mutation
+    dgla = SL2_ODD
+    if fixture == "jacobi_broken.linf":
+        dgla = tmp_path / "jacobi_broken.dgla"
+        dgla.write_text(docio.print_document(docio.document_of_dgla(non_jacobi_mutation())))
+    code, data = run_json(capsys, "dgla-to-linfty", "--in", str(dgla), "--order", order)
+    assert code == 0
+    assert data["documents"] == [(FIXTURES / fixture).read_text()]
+    code, data = run_json(capsys, "linfty-check", "--in", str(FIXTURES / fixture))
+    broken = fixture == "jacobi_broken.linf"
+    assert code == int(broken)
+    assert data["tables"] == ({"defect arities": [3]} if broken else {})
+
+
 def test_minimalize(capsys, tmp_path):
     qs = tmp_path / "trunc.qs"
     qs.write_text(NON_MINIMAL)
@@ -316,6 +332,22 @@ def test_mc_lift_exit_three_on_failed_certificate(capsys, tmp_path, monkeypatch)
     assert code == 3
     assert out == ""
     assert err == "error: certificate failed: the corrected lift fails Maurer-Cartan\n"
+
+
+@pytest.mark.parametrize("command", ["mc-lift", "obstruction"])
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_exit_two_on_invalid_algebra_in_extension(tmp_path, command, flags):
+    # A is not graded commutative: the lift's certificate fails, and the
+    # failure is traced to the input algebra
+    text = pathlib.Path(EXT).read_text()
+    assert "u w -> 1 dw" in text
+    bad = tmp_path / "bad.ext"
+    bad.write_text(text.replace("u w -> 1 dw", "u w -> 0 dw"))
+    proc = subprocess.run([sys.executable, *flags, "-m", "defalg.cli", command, "--in", SL2,
+                           "--in", str(bad), "--in", MC], capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: invalid small extension: algebra a: "
+                           "graded commutativity fails on (u, w)\n")
 
 
 def test_factor_extensions(capsys):

@@ -245,3 +245,72 @@ def test_build_linfty_builds_one_word_basis(monkeypatch):
     assert docio.document_of_linfty(s) == parse(text)
     with pytest.raises(ValueError, match="not the truncated coalgebra"):
         LInftyStructure(s.v, 2, {}, s.coalgebra)
+
+
+LINFTY_HEAD = "kind: linfty\nbasis:\n  a 0\n  b 1\n"
+QS_HEAD = "kind: quasismooth\nbasis:\n  x 1\n  y 2\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (LINFTY_HEAD + "taylor:\n  2 | a b -> 1 b\n", "linfty requires an 'order' field"),
+    (LINFTY_HEAD + "order: 2\ntaylor:\n  2 | a b 1 b\n",
+     "line 7: taylor item must be 'k | word -> combo'"),
+    (LINFTY_HEAD + "order: 2\ntaylor:\n  2 a b -> 1 b\n",
+     "line 7: taylor item must be 'k | word -> combo'"),
+    (LINFTY_HEAD + "order: 2\ntaylor:\n  two | a b -> 1 b\n",
+     "line 7: arity 'two' is not an integer"),
+    (LINFTY_HEAD + "order: 2\ntaylor:\n  3 | a b a -> 1 b\n",
+     "line 7: arity 3 is outside 1..2 (the order)"),
+    (LINFTY_HEAD + "order: 2\ntaylor:\n  2 | a -> 1 b\n",
+     "line 7: word length does not match arity 2"),
+    (LINFTY_HEAD + "order: 2\ntaylor:\n  2 | a z -> 1 b\n", "line 7: unknown name 'z'"),
+    (LINFTY_HEAD + "order: 2\ntaylor:\n  2 | a z -> 1/0 b\n", "line 7: unknown name 'z'"),
+    (LINFTY_HEAD + "order: 2\ntaylor:\n  2 | a b -> 1 z\n", "line 7: unknown name 'z'"),
+    (LINFTY_HEAD + "order: 2\ntaylor:\n  2 | a b -> 1/0 b\n", "line 7: invalid rational '1/0'"),
+    (LINFTY_HEAD + "order: 2\ntaylor:\n  2 | a b -> 1 b\n  2 | a b -> 1 b\n",
+     "line 8: duplicate taylor entry for ('a', 'b')"),
+    (LINFTY_HEAD + "order: 2\ntaylor:\n  2 | a a -> 1 a\n",
+     "word ('a', 'a') is zero in the symmetric power"),
+    (LINFTY_HEAD + "order: 2\ntaylor:\n  1 | a -> 1 a\n",
+     "entry (a <- a) violates degree 1 homogeneity"),
+    (QS_HEAD + "d:\n  2 | y -> 1 x*x\n", "quasismooth requires an 'order' field"),
+    (QS_HEAD + "order: 2\nd:\n  2 | y 1 x*x\n",
+     "line 7: item must be 'k | generator -> combo'"),
+    (QS_HEAD + "order: 2\nd:\n  2 y -> 1 x*x\n",
+     "line 7: item must be 'k | generator -> combo'"),
+    (QS_HEAD + "order: 2\nd:\n  two | y -> 1 x*x\n", "line 7: order 'two' is not an integer"),
+    (QS_HEAD + "order: 2\nd:\n  3 | y -> 1 x*x*x\n",
+     "line 7: order 3 is outside 1..2 (the order)"),
+    (QS_HEAD + "order: 2\nd:\n  2 | z -> 1 x*x\n", "line 7: unknown generator 'z'"),
+    (QS_HEAD + "order: 2\nd:\n  2 | z -> 1/0 x*x\n", "line 7: unknown generator 'z'"),
+    (QS_HEAD + "order: 2\nd:\n  2 | y -> 1/0 x*x\n", "line 7: invalid rational '1/0'"),
+    (QS_HEAD + "order: 2\nd:\n  2 | y -> 1 x*x*x\n", "line 7: word 'x*x*x' has length != 2"),
+    (QS_HEAD + "order: 2\nd:\n  2 | y -> 1 x*z\n", "line 7: unknown name 'z'"),
+    (QS_HEAD + "order: 2\nd:\n  2 | y -> 1 x*x\n  2 | y -> 1 x*x\n",
+     "line 8: duplicate component for 'y'"),
+    (QS_HEAD + "order: 2\nd:\n  2 | y -> 1 y*y\n",
+     "entry (y*y <- y) violates degree 1 homogeneity"),
+    (QS_HEAD + "order: 2\nd:\n  2 | y -> 1 x*x\n",
+     "word 'x*x' is zero in the symmetric power"),
+    (QS_HEAD + "order: 2\nd:\n  1 | x -> 1 y\n  1 | y -> 1 x\n",
+     "entry (x <- y) violates degree 1 homogeneity"),
+    (QS_HEAD.replace("y 2", "y 2\n  z 3") + "order: 2\nd:\n  1 | x -> 1 y\n  1 | y -> 1 z\n",
+     "derivation does not square to zero on the truncation"),
+], ids=lambda x: x if len(x) < 40 else None)
+def test_graded_list_error_messages(text, message):
+    """The ``k | key -> combo`` lists of linfty and quasismooth documents
+    report each malformed item with its own message."""
+    with pytest.raises(DocumentError) as err:
+        build(parse(text))
+    assert str(err.value) == message
+
+
+def test_graded_lists_print_by_arity_then_key():
+    for text, want in [
+            (LINFTY_HEAD + "order: 2\ntaylor:\n  2 | b b -> 1 b\n  1 | b -> 1 a\n"
+             "  2 | a b -> 1 b\n",
+             ["  1 | b -> 1 a", "  2 | a b -> 1 b", "  2 | b b -> 1 b"]),
+            (QS_HEAD + "order: 2\nd:\n  2 | y -> 1 x*y\n  1 | x -> 1 y\n",
+             ["  1 | x -> 1 y", "  2 | y -> 1 x*y"])]:
+        printed = print_document(parse(text)).splitlines()
+        assert printed[-len(want):] == want

@@ -11,9 +11,9 @@ from defalg import linalg
 from defalg.graded import (Complex, Contraction, GradedMap, GradedSpace,
                            ShortExactSequence, canonical_monomial, cohomology,
                            connecting_hom, is_chain_map, is_quasiiso,
-                           koszul_sign, shift, shift_space, symmetric_power,
-                           unshuffles, WordBasis)
-from conftest import dense_contraction, make_rng, random_complex
+                           koszul_sign, shift, shift_space, solve_homotopy,
+                           symmetric_power, unshuffles, WordBasis)
+from conftest import dense_contraction, make_rng, random_complex, rref_solve
 
 F = Fraction
 
@@ -251,3 +251,45 @@ def test_word_basis_positions():
         with pytest.raises(ValueError):
             wb.position(word)
     assert wb.component(list(range(wb.space.dim)), 2) == [2, 3]
+
+
+def test_solve_homotopy_matches_dense_solve_over_the_slots():
+    """d_tgt∘X + X∘d_src = T solved sparsely equals the dense rref solution
+    over the same unknowns, with all entries (r, c) as equations."""
+    rng = make_rng(70)
+    solved = unsolvable = 0
+    for case in range(60):
+        src, _ = random_complex(rng, max_dim=6)
+        tgt, _ = random_complex(rng, max_dim=6)
+        deg = rng.choice([-1, 0, 1, 2])
+        slots = [(j, i) for j in range(tgt.space.dim) for i in range(src.space.dim)
+                 if tgt.space.degrees[j] == src.space.degrees[i] + deg - 1]
+        x0 = GradedMap(src.space, tgt.space, deg - 1,
+                       {s: F(rng.randint(-2, 2)) for s in slots})
+        t = tgt.d.compose(x0) + x0.compose(src.d)
+        if case % 2:            # perturb: often no solution
+            for j in range(tgt.space.dim):
+                for i in range(src.space.dim):
+                    if tgt.space.degrees[j] == src.space.degrees[i] + deg \
+                            and rng.random() < 0.5:
+                        t.set_entry(j, i, t.entries.get((j, i), F(0)) + 1)
+        cols = []
+        for s in slots:
+            unit = GradedMap(src.space, tgt.space, deg - 1, {s: F(1)})
+            comb = tgt.d.compose(unit) + unit.compose(src.d)
+            cols.append([comb.entries.get((r, c), F(0)) for r in range(tgt.space.dim)
+                         for c in range(src.space.dim)])
+        rows = [[col[k] for col in cols] for k in range(tgt.space.dim * src.space.dim)]
+        rhs = [t.entries.get((r, c), F(0)) for r in range(tgt.space.dim)
+               for c in range(src.space.dim)]
+        want = rref_solve(rows, rhs)
+        got = solve_homotopy(src.d, tgt.d, t)
+        if want is None:
+            assert got is None
+            unsolvable += 1
+            continue
+        assert got == GradedMap(src.space, tgt.space, deg - 1,
+                                {s: x for s, x in zip(slots, want) if x})
+        assert tgt.d.compose(got) + got.compose(src.d) == t
+        solved += 1
+    assert solved >= 20 and unsolvable >= 5

@@ -13,8 +13,10 @@ from defalg.linfty import (LInftyStructure, SymCoalgebra, check_coderivation,
                            coderivation_from_taylor, dgla_to_linfty,
                            dual_algebra, dual_coalgebra, linfty_mc_check,
                            linfty_to_dgla)
-from conftest import (counterexample_algebras, make_rng, random_abelian_dgla,
-                      random_algebra, random_dgla, sl2, sl2_odd)
+from defalg.models import QuasismoothTrunc
+from conftest import (heisenberg, make_rng, random_abelian_dgla, random_algebra,
+                      random_dgla, reference_check_linfty, reference_coderivation,
+                      reference_linfty_mc_check, sl2, sl2_odd)
 
 F = Fraction
 
@@ -202,3 +204,93 @@ def test_minimality_detection():
     ab = random_abelian_dgla(make_rng(58))
     s = dgla_to_linfty(ab, 3)
     assert s.is_minimal() == ab.d.is_zero()
+
+
+def random_taylor(rng, v, order, arities, density):
+    """Random Q¹_k for k in ``arities``: each admissible entry is set with
+    probability ``density``."""
+    c = SymCoalgebra(v, order)
+    taylor = {}
+    for k in arities:
+        q = GradedMap(c.powers[k].space, c.letters, 1)
+        for u in range(len(c.powers[k].monomials)):
+            for t in range(c.letters.dim):
+                if c.letters.degrees[t] == c.powers[k].space.degrees[u] + 1 \
+                        and rng.random() < density:
+                    q.set_entry(t, u, F(rng.randint(-3, 3), rng.randint(1, 2)))
+        taylor[k] = q
+    return taylor
+
+
+def random_linfty(rng):
+    """One of: the structure of a random DGLA; that structure with random
+    entries added; random Q¹_1..Q¹_3 on a small space whose odd letters
+    give words with repeated even letters in V[1]; a lone Q¹_3 at order 4,
+    which squares to arity 5 and so is L-infinity on the truncation."""
+    kind = rng.randrange(4)
+    if kind < 2:
+        s = dgla_to_linfty(random_dgla(rng, max_dim=5), order=rng.randint(2, 4))
+        if kind == 0:
+            return s
+        extra = random_taylor(rng, s.v, s.order, range(1, s.order + 1), 0.2)
+        taylor = dict(s.taylor)
+        for k, q in extra.items():
+            taylor[k] = q + taylor[k] if k in taylor else q
+        return LInftyStructure(s.v, s.order, taylor)
+    v = GradedSpace([("v%d" % i, rng.choice([0, 1, 1, 2])) for i in range(rng.randint(2, 4))])
+    if kind == 2:
+        order = rng.randint(2, 3)
+        return LInftyStructure(v, order, random_taylor(rng, v, order,
+                                                       range(1, order + 1), 0.5))
+    return LInftyStructure(v, 4, random_taylor(rng, v, 4, [3], 0.4))
+
+
+def test_ce_reading_matches_coalgebra_oracles():
+    """The coderivation and the Jacobi check read through the CE
+    truncation equal the unshuffle sum and Q∘Q, entry for entry."""
+    rng = make_rng(60)
+    failing = repeated_even = 0
+    for _ in range(120):
+        s = random_linfty(rng)
+        c = s.coalgebra
+        assert coderivation_from_taylor(s) == reference_coderivation(s)
+        rep = check_linfty(s)
+        ok, arities, defects = reference_check_linfty(s)
+        assert (rep.ok, rep.defect_arities, rep.defects) == (ok, arities, defects)
+        failing += not ok
+        repeated_even += any(len(set(w)) < len(w) for k, q in s.taylor.items()
+                             for (_, u), _ in q.entries.items()
+                             for w in [c.powers[k].monomials[u]])
+    assert failing >= 20 and repeated_even >= 1
+
+
+def test_mc_check_matches_power_expansion():
+    """linfty_mc_check read through the CE truncation equals the expansion
+    of m^⊙n, on random degree-0 m over random algebras."""
+    rng = make_rng(61)
+    nonzero = 0
+    # g of degree 0 has nonzero powers: images of even letters of V[1]
+    # that multiply to a nonzero product on a word with a repeated letter
+    poly = QuasismoothTrunc(GradedSpace([("g", 0), ("k", 1)]), 3, {}).algebra()
+    for case in range(80):
+        s = random_linfty(rng)
+        a = poly if case % 3 == 0 else random_algebra(rng, max_dim=5)
+        space = tensor_space(s.coalgebra.letters, a.space)
+        m = [F(rng.randint(-2, 2)) if d == 0 else F(0) for d in space.degrees]
+        got = linfty_mc_check(s, a, m)
+        assert got == reference_linfty_mc_check(s, a, m)
+        nonzero += not got[0]
+    assert nonzero >= 25
+
+
+@pytest.mark.parametrize("l", [sl2(), sl2_odd(), heisenberg()], ids=["sl2", "sl2_odd", "heisenberg"])
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_ce_truncation_is_the_kuranishi_model(l, order):
+    """For d_L = 0 the CE truncation of L's structure and the Kuranishi
+    prorepresenting truncation of L have the same components."""
+    from defalg.models import kuranishi_prorepresent
+    r, _ = kuranishi_prorepresent(l, order=order)
+    ce = dgla_to_linfty(l, order).ce
+    assert sorted(ce.components) == sorted(r.components)
+    for k, m in ce.components.items():
+        assert m.entries == r.components[k].entries
