@@ -14,6 +14,7 @@ import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -33,6 +34,8 @@ def _dense(sv: SparseVec, dim: int) -> Vector:
 
 
 LeftIndex = List[List[Tuple[int, SparseVec]]]
+# one row of a left index on integer numerators: (den, [(j, [(k, den·c_k)])])
+IntRow = Tuple[int, List[Tuple[int, List[Tuple[int, int]]]]]
 
 
 def _structure_constants(space: GradedSpace, table: Dict[Tuple[int, int], SparseVec],
@@ -71,6 +74,14 @@ def _bilinear(left: LeftIndex, u: Sequence[Fraction], v: Sequence[Fraction],
     return out
 
 
+def _integer_row(left_row: List[Tuple[int, SparseVec]]) -> IntRow:
+    """A row i -> [(j, e_i e_j)] of a left index over the lcm of its
+    denominators, with the numerators as Python ints."""
+    den = lcm(*(c.denominator for _, row in left_row for c in row.values()))
+    return den, [(j, [(k, c.numerator * (den // c.denominator)) for k, c in row.items()])
+                 for j, row in left_row]
+
+
 Pair = Tuple[int, int]
 Triple = Tuple[int, int, int]
 
@@ -96,8 +107,9 @@ class BilinearStructure:
     vector of e_i·e_j (the product, or the bracket [e_i, e_j]); missing
     pairs give zero.  The constructor is the only writer of ``table`` and
     also builds its left index i -> [(j, e_i·e_j)], through which the
-    operation walks only the support of its left argument.  A subclass
-    names its operation in ``_wrong_degree`` and says in ``_lie`` whether
+    operation walks only the support of its left argument.  Row i of that
+    index on integer numerators (``_int_row``) is built when first read.  A
+    subclass names its operation in ``_wrong_degree`` and says in ``_lie`` whether
     its axioms are those of a graded Lie algebra.
     """
     _wrong_degree = "product %s*%s has an entry of wrong degree"
@@ -109,11 +121,12 @@ class BilinearStructure:
             raise ValueError("differential must be a degree +1 endomap")
         self.space = space
         self.table, self._left = _structure_constants(space, table, self._wrong_degree)
+        self._int_rows: List[Optional[IntRow]] = [None] * space.dim
         self.d = differential
 
     def with_differential(self, differential: GradedMap) -> "BilinearStructure":
-        """This structure with another d; the table and its left index are
-        shared, not rebuilt."""
+        """This structure with another d; the table, its left index and its
+        integer rows are shared, not rebuilt."""
         if differential.source != self.space or differential.degree != 1:
             raise ValueError("differential must be a degree +1 endomap")
         out = copy.copy(self)
@@ -130,6 +143,13 @@ class BilinearStructure:
     def table_entry(self, i: int, j: int) -> Vector:
         """e_i·e_j as a fresh dense vector."""
         return _dense(self.table.get((i, j), {}), self.dim)
+
+    def _int_row(self, i: int) -> IntRow:
+        """Row i of the left index on integer numerators, built once."""
+        row = self._int_rows[i]
+        if row is None:
+            row = self._int_rows[i] = _integer_row(self._left[i])
+        return row
 
     def _left_mul(self, i: int, w: SparseVec) -> SparseVec:
         """e_i·w for a sparse w."""
@@ -399,37 +419,44 @@ def quotient_algebra(a: NilpotentDgAlgebra, ideal: Sequence[Vector]
     """Quotient by a d-stable ideal given by spanning vectors."""
     # one echelon over the ideal's vectors, then the standard basis: the
     # basis vectors it keeps span a complement, and a vector's coordinates
-    # on them are its image in A/J
+    # on them are its image in A/J.  The projection is linear, so each
+    # basis vector is projected once and the quotient's table and d are
+    # read off A's nonzero constants and d's columns
     span = linalg.echelon(ideal)
     nj = span.count
-    std = [a.space.basis_vector(i) for i in range(a.dim)]
-    compl_idx = [i for i, v in enumerate(std) if span.add(v)]
+    compl_idx = [i for i in range(a.dim) if span.add({i: ONE})]
+    proj: List[SparseVec] = []
+    for k in range(a.dim):
+        coords = span.coords({k: ONE})
+        proj.append({n: coords[nj + i] for n, i in enumerate(compl_idx) if coords[nj + i]})
 
-    def project(v: Sequence[Fraction]) -> Vector:
-        coords = span.coords(v)
-        return [coords[nj + i] for i in compl_idx]
+    def project(v: SparseVec) -> SparseVec:
+        out: SparseVec = {}
+        for k, c in v.items():
+            for n, x in proj[k].items():
+                out[n] = out.get(n, ZERO) + c * x
+        return {n: out[n] for n in sorted(out) if out[n]}
 
     names = [a.space.names[i] for i in compl_idx]
     degs = [a.space.degrees[i] for i in compl_idx]
     space = GradedSpace(list(zip(names, degs)))
-    reps = [std[i] for i in compl_idx]
+    pos = {i: n for n, i in enumerate(compl_idx)}
     mult: Dict[Tuple[int, int], SparseVec] = {}
-    for i, u in enumerate(reps):
-        for j, v in enumerate(reps):
-            p = project(a.product(u, v))
-            if any(p):
-                mult[(i, j)] = _sparse(p)
+    for (i, j), row in a.table.items():
+        if i in pos and j in pos:
+            p = project(row)
+            if p:
+                mult[(pos[i], pos[j])] = p
     d = GradedMap(space, space, 1)
-    for i, u in enumerate(reps):
-        for j, c in enumerate(project(a.d.apply(u))):
-            if c:
-                d.set_entry(j, i, c)
-    q = NilpotentDgAlgebra(space, mult, d)
+    dcols = a.d.columns()
+    for n, i in enumerate(compl_idx):
+        for m, c in project(dcols[i]).items():
+            d.set_entry(m, n, c)
+    q = NilpotentDgAlgebra(space, {key: mult[key] for key in sorted(mult)}, d)
     pmap = GradedMap(a.space, space, 0)
-    for i in range(a.dim):
-        for j, c in enumerate(project(std[i])):
-            if c:
-                pmap.set_entry(j, i, c)
+    for k in range(a.dim):
+        for n, c in proj[k].items():
+            pmap.set_entry(n, k, c)
     return q, DgAlgebraMorphism(a, q, pmap, check=False)
 
 
@@ -763,6 +790,31 @@ def mapping_cone(a: NilpotentDgAlgebra, module_vectors: Sequence[Vector]) -> Map
 # A[t, dt]_eps and homotopies
 # ---------------------------------------------------------------------------
 
+def _column_index(vectors: Sequence[SparseVec], dim: int) -> List[List[Tuple[int, Fraction]]]:
+    """j -> [(k, vectors[k][j])] over the vectors with j in their support."""
+    cols: List[List[Tuple[int, Fraction]]] = [[] for _ in range(dim)]
+    for k, v in enumerate(vectors):
+        for j, c in v.items():
+            cols[j].append((k, c))
+    return cols
+
+
+def _products_with(left: LeftIndex, u: SparseVec, cols: List[List[Tuple[int, Fraction]]]
+                   ) -> List[Tuple[int, SparseVec]]:
+    """(k, u·v_k), in the order of k, for the vectors v_k of a column index
+    ``cols`` that meet some e_j with e_i e_j ≠ 0 for an e_i in u's support:
+    only those products are formed.  A product that cancels is empty."""
+    acc: Dict[int, SparseVec] = {}
+    for i, cu in u.items():
+        for j, row in left[i]:
+            for k, cv in cols[j]:
+                c = cu * cv
+                out = acc.setdefault(k, {})
+                for t, x in row.items():
+                    out[t] = out.get(t, ZERO) + c * x
+    return [(k, {t: x for t, x in acc[k].items() if x}) for k in sorted(acc)]
+
+
 def _ceil_frac(n: int, eps: Fraction) -> int:
     num, den = (n * eps.numerator), eps.denominator
     return -((-num) // den)
@@ -817,18 +869,26 @@ class DeRhamAlgebra:
 
         # (v ⊗ t^n1 (dt)) · (w ⊗ t^n2 (dt)) = ±(v·w) ⊗ t^(n1+n2) (dt), with
         # the sign (-1)^|w| when dt passes w.  Each product of two
-        # power-ideal basis vectors is formed once, sparsely, and solved for
-        # once in each block it lands in; only nonzero products are visited,
-        # in the order of the pairs of basis indices.
-        def nonzero_products(u: SparseVec, p2: int) -> List[Tuple[int, SparseVec]]:
-            """(k, u·v) over the basis vectors v = powers[p2][k] with u·v ≠ 0."""
-            prods = [a.sparse_product(u, v) for v in sparse[p2]]
-            return [(k, w) for k, w in enumerate(prods) if w]
-
-        products = {(p1, p2): [nonzero_products(u, p2) for u in sparse[p1]]
+        # power-ideal basis vectors that can be nonzero is formed once,
+        # through A's left index and a column index of each power basis,
+        # and solved for once per power ideal it lands in; the table is
+        # filled in the order of the pairs of basis indices.
+        cols = {p: _column_index(sparse[p], a.dim) for p in sparse}
+        products = {(p1, p2): [_products_with(a._left, u, cols[p2]) for u in sparse[p1]]
                     for p1 in sparse for p2 in sparse}
-        # v·w as an element of A[t,dt], by (p1, k1, p2, k2, target block)
-        rows: Dict[Tuple, SparseVec] = {}
+        block_power = {(n, is_dt): p for n, is_dt, p in blocks}
+        solved: Dict[Tuple, List[Tuple[int, Fraction]]] = {}
+
+        def coords_in(p: int, key: Tuple, w) -> List[Tuple[int, Fraction]]:
+            """The nonzero coordinates of w in the basis of A^(p+1), solved
+            once per key."""
+            if key not in solved:
+                c = echs[p].coords(w)
+                if c is None:
+                    raise CertificateError("coefficient escapes its power ideal")
+                solved[key] = [(k, x) for k, x in enumerate(c) if x]
+            return solved[key]
+
         mult: Dict[Tuple[int, int], SparseVec] = {}
         for n1, dt1, p1 in blocks:
             off1 = self._block_pos[(n1, dt1)][0]
@@ -839,21 +899,28 @@ class DeRhamAlgebra:
                     off2 = self._block_pos[(n2, dt2)][0]
                     tgt = (n1 + n2, dt1 or dt2)
                     for k2, w in products[(p1, p2)][k1]:
-                        key = (p1, k1, p2, k2, tgt)
-                        if key not in rows:
-                            rows[key] = self.element(*tgt, w)
+                        if not w:
+                            continue
+                        if tgt not in block_power:
+                            raise CertificateError("nonzero coefficient beyond the exact t-cap")
+                        pt = block_power[tgt]
+                        off = self._block_pos[tgt][0]
                         sgn = -ONE if dt1 and degs[p2][k2] % 2 else ONE
-                        mult[(off1 + k1, off2 + k2)] = {t: sgn * x
-                                                       for t, x in rows[key].items()}
+                        mult[(off1 + k1, off2 + k2)] = {
+                            off + k: sgn * x for k, x in coords_in(pt, (p1, k1, p2, k2, pt), w)}
+        # d(v ⊗ tⁿ) = dv ⊗ tⁿ ± n v ⊗ tⁿ⁻¹dt: dv is solved for once per power
+        # ideal, and v is the k-th basis vector of its own block
         d = GradedMap(space, space, 1)
-        for i, (n, is_dt, v) in enumerate(self._elems):
-            col = self.element(n, is_dt, a.d.apply(v))
-            if not is_dt and n > 0:
-                # the dt block follows the t block, so col stays in order
-                sgn = -n if a.space.vector_degree(v) % 2 else n
-                col.update(self.element(n, True, v, Fraction(sgn)))
-            for j, c in col.items():
-                d.set_entry(j, i, c)
+        for n, is_dt, p in blocks:
+            off = self._block_pos[(n, is_dt)][0]
+            for k, v in enumerate(powers[p]):
+                dv = solved[(p, k)] if (p, k) in solved else coords_in(p, (p, k), a.d.apply(v))
+                for t, x in dv:
+                    d.set_entry(off + t, off + k, x)
+                if not is_dt and n > 0:
+                    # the dt block follows the t block, so the column stays in order
+                    d.set_entry(self._block_pos[(n, True)][0] + k, off + k,
+                                Fraction(-n if degs[p][k] % 2 else n))
         self.algebra = NilpotentDgAlgebra(space, mult, d)
         self.include = DgAlgebraMorphism(
             a, self.algebra,

@@ -302,7 +302,7 @@ COMMANDS = {
 }
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="defalg",
         description="Exact deformation algebra: validate structures, compute "
@@ -316,7 +316,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "prorepresent (default 3)")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable report")
-    args = parser.parse_args(argv)
+    return parser
+
+
+# built once; argparse copies the --in list before appending to it
+_PARSER = _parser()
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = _PARSER.parse_args(argv)
     try:
         docs = []
         for path in args.inputs:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, lcm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -39,6 +39,11 @@ class Dgla(BilinearStructure):
     def bracket_vec(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
         return _bilinear(self._left, u, v, self.dim)
 
+    def _bracket_over(self, u: Sequence[Fraction], v: Sequence[Fraction],
+                      den: int) -> Vector:
+        """[u, v]/den."""
+        return [c / den if c else c for c in self.bracket_vec(u, v)]
+
     def validate(self) -> ValidationReport:
         """Check graded antisymmetry, Jacobi, Leibniz and d∘d = 0 on the
         structure constants (``_axiom_errors``).  Failing pairs and triples
@@ -58,10 +63,11 @@ class TensorDgla(Dgla):
         [x⊗a, y⊗b] = (-1)^{deg(a)·deg(y)} [x,y] ⊗ ab,
     certified by validate(); the differential is
         d(x⊗a) = dx ⊗ a + (-1)^{deg x} x ⊗ da.
-    ``bracket_vec`` reads L's and A's left indices directly.  The table
-    and its left index are built only when read (validate(),
-    table_entry()), each product of an L-constant with an A-constant its
-    own entry; ``nilpotency_class`` is read off A when first needed.
+    ``bracket_vec`` reads the integer rows of L's and A's left indices
+    directly.  The table and its left index are built only when read
+    (validate(), table_entry()), each product of an L-constant with an
+    A-constant its own entry; ``nilpotency_class`` is read off A when
+    first needed.
     """
 
     def __init__(self, l: Dgla, a: NilpotentDgAlgebra):
@@ -78,6 +84,7 @@ class TensorDgla(Dgla):
                 d.set_entry(i * na + q, i * na + p, -c if l.space.degrees[i] % 2 else c)
         self._odd_l = [deg % 2 for deg in l.space.degrees]
         self._odd_a = [deg % 2 for deg in a.space.degrees]
+        self._int_rows = [None] * space.dim     # read only when this is an L
 
     @cached_property
     def nilpotency_class(self) -> int:
@@ -102,23 +109,51 @@ class TensorDgla(Dgla):
 
     def bracket_vec(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
         """[u, v], walking the support of u through L's and A's left indices."""
+        return self._bracket_over(u, v, 1)
+
+    def _bracket_over(self, u: Sequence[Fraction], v: Sequence[Fraction],
+                      den: int) -> Vector:
+        """[u, v]/den, summed on Python-int numerators over one common
+        denominator: den times the lcm of the denominators of u's support,
+        of v's support and of the integer rows of L and of A that u's
+        support reads.  One Fraction is built per nonzero entry."""
         na, odd_l, odd_a = self.a.dim, self._odd_l, self._odd_a
-        out = [ZERO] * self.dim
-        for s, cu in enumerate(u):
-            if not cu:
-                continue
+        su = [(s, c) for s, c in enumerate(u) if c]
+        sv = su if u is v else [(t, c) for t, c in enumerate(v) if c]
+        if not su or not sv:
+            return [ZERO] * self.dim
+        du = lcm(*(c.denominator for _, c in su))
+        dv = du if sv is su else lcm(*(c.denominator for _, c in sv))
+        nv = [0] * self.dim
+        for t, c in sv:
+            nv[t] = c.numerator * (dv // c.denominator)
+        l_row, a_row = self.l._int_row, self.a._int_row
+        walk = []
+        dl = da = 1
+        for s, c in su:
             i, p = divmod(s, na)
-            for j, lrow in self.l._left[i]:
-                cj = -cu if odd_a[p] and odd_l[j] else cu
-                for q, arow in self.a._left[p]:
-                    cv = v[j * na + q]
+            lr, ar = l_row(i), a_row(p)
+            dl, da = lcm(dl, lr[0]), lcm(da, ar[0])
+            walk.append((c, odd_a[p], lr, ar))
+        out = [0] * self.dim
+        for c, flip, (dli, lrows), (dap, arows) in walk:
+            m = c.numerator * (du // c.denominator) * (dl // dli) * (da // dap)
+            for j, lrow in lrows:
+                mj = -m if flip and odd_l[j] else m
+                jb = j * na
+                for q, arow in arows:
+                    cv = nv[jb + q]
                     if cv:
-                        c = cj * cv
-                        for k, ck in lrow.items():
-                            ckc = c * ck
-                            for r, cr in arow.items():
-                                out[k * na + r] += ckc * cr
-        return out
+                        cq = mj * cv
+                        for k, ck in lrow:
+                            ckq = cq * ck
+                            kb = k * na
+                            for r, cr in arow:
+                                out[kb + r] += ckq * cr
+        total = du * dv * dl * da * den
+        if total == 1:
+            return [Fraction(n) if n else ZERO for n in out]
+        return [Fraction(n, total) if n else ZERO for n in out]
 
     def pair_index(self, i: int, p: int) -> int:
         return i * self.a.dim + p
@@ -161,9 +196,9 @@ def trivial_algebra_of_complex(c: Complex) -> NilpotentDgAlgebra:
 def mc_defect(t: Dgla, x: Sequence[Fraction]) -> Vector:
     """dx + ½[x, x]."""
     out = t.d.apply(x)
-    for k, c in enumerate(t.bracket_vec(x, x)):
+    for k, c in enumerate(t._bracket_over(x, x, 2)):
         if c:
-            out[k] += c / 2
+            out[k] += c
     return out
 
 

@@ -151,10 +151,18 @@ def _parse_block(lines, pos: int, until: Optional[str]) -> Tuple[InputDocument, 
     return InputDocument(kind, payload), pos
 
 
-def _take_basis(raw, fld="basis") -> Tuple[Tuple[str, int], ...]:
+def _take_list(raw, fld) -> List[Tuple[int, str]]:
+    """The (line, text) items of list field ``fld``, none when it is
+    absent; a scalar or a subdocument there is an error."""
     items = raw.pop(fld, [])
     if not isinstance(items, list):
-        raise DocumentError("'%s' must be a list field" % fld, items[0])
+        raise DocumentError("'%s' must be a list field" % fld,
+                            items[0] if isinstance(items, tuple) else None)
+    return items
+
+
+def _take_basis(raw, fld="basis") -> Tuple[Tuple[str, int], ...]:
+    items = _take_list(raw, fld)
     basis = []
     seen = set()
     for lno, body in items:
@@ -180,7 +188,7 @@ def _check_names(combo: Combo, names, lno: int) -> None:
 
 
 def _take_map(raw, fld, src_names, dst_names) -> Dict[str, Combo]:
-    items = raw.pop(fld, [])
+    items = _take_list(raw, fld)
     out: Dict[str, Combo] = {}
     for lno, body in items:
         lhs, arrow, rhs = body.partition("->")
@@ -199,7 +207,7 @@ def _take_map(raw, fld, src_names, dst_names) -> Dict[str, Combo]:
 
 
 def _take_table(raw, fld, names) -> Dict[Tuple[str, str], Combo]:
-    items = raw.pop(fld, [])
+    items = _take_list(raw, fld)
     out: Dict[Tuple[str, str], Combo] = {}
     for lno, body in items:
         lhs, arrow, rhs = body.partition("->")
@@ -221,10 +229,13 @@ def _take_table(raw, fld, names) -> Dict[Tuple[str, str], Combo]:
     return out
 
 
-def _take_scalar_int(raw, fld, lno_default=None) -> Optional[int]:
+def _take_scalar_int(raw, fld) -> Optional[int]:
     item = raw.pop(fld, None)
     if item is None:
         return None
+    if not isinstance(item, tuple):
+        raise DocumentError("'%s' must be a scalar field" % fld,
+                            item[0][0] if isinstance(item, list) and item else None)
     lno, text = item
     try:
         return int(text)
@@ -292,7 +303,7 @@ def _payload_graded(raw, kind) -> Dict:
     noun, shape = (("arity", "taylor item must be 'k | word -> combo'") if word_keys
                    else ("order", "item must be 'k | generator -> combo'"))
     items: Dict[Tuple[int, object], Combo] = {}
-    for lno, body in raw.pop(fld, []):
+    for lno, body in _take_list(raw, fld):
         lhs, arrow, rhs = body.partition("->")
         head, bar, key = lhs.partition("|")
         if not arrow or not bar:
@@ -343,14 +354,15 @@ def _payload_small_extension(raw) -> Dict:
 
 
 def _payload_mc_element(raw) -> Dict:
-    item = raw.pop("element", None)
+    item = raw.get("element")
     if item is None:
         raise DocumentError("mc_element requires an 'element' field")
     if isinstance(item, tuple):
-        lno, text = item
+        lno, text = raw.pop("element")
         combo = _parse_combo(text, lno)
     else:
-        combo = _sum_terms(t for lno, body in item for t in _parse_combo(body, lno))
+        combo = _sum_terms(t for lno, body in _take_list(raw, "element")
+                           for t in _parse_combo(body, lno))
     _finish(raw)
     return {"element": combo}
 

@@ -140,6 +140,19 @@ def random_invertible_degree0(rng, space):
     return m
 
 
+def rescaled(s, scales):
+    """The same structure (algebra or DGLA) in the basis e'_i = scales[i]·e_i:
+    e'_i e'_j = Σ s_i s_j c_k / s_k e'_k and d e'_i = Σ s_i d_ki / s_k e'_k.
+    Scales such as 1/2 and -2/3 give fractional structure constants."""
+    table = {(i, j): {k: scales[i] * scales[j] * c / scales[k] for k, c in row.items()}
+             for (i, j), row in s.table.items()}
+    d = GradedMap(s.space, s.space, 1, {(k, i): scales[i] * c / scales[k]
+                                        for (k, i), c in s.d.entries.items()})
+    if isinstance(s, Dgla):
+        return Dgla(s.space, table, d, s.nilpotency_class)
+    return type(s)(s.space, table, d)
+
+
 def random_complex(rng, max_dim=12):
     """A valid complex with known cohomology, then a change of basis."""
     n_h = rng.randint(0, 3)
@@ -411,6 +424,42 @@ def reference_kernel_extension(alpha):
     section = [linalg.solve(amat, b.space.basis_vector(j)) for j in range(b.dim)]
     return SimpleNamespace(iota=basis, d_i=di, errors=errs,
                            section=None if None in section else section)
+
+
+def dense_quotient_algebra(a, ideal):
+    """A/J the way it was before the projection was read off A's constants:
+    every product of two complement basis vectors formed densely and
+    projected through its own echelon solve, and likewise d of each.  Kept
+    as the reference for ``algebras.quotient_algebra``; returns the
+    quotient and the projection's graded map."""
+    span = linalg.echelon(ideal)
+    nj = span.count
+    std = [a.space.basis_vector(i) for i in range(a.dim)]
+    compl_idx = [i for i, v in enumerate(std) if span.add(v)]
+
+    def project(v):
+        coords = span.coords(v)
+        return [coords[nj + i] for i in compl_idx]
+
+    space = GradedSpace([(a.space.names[i], a.space.degrees[i]) for i in compl_idx])
+    reps = [std[i] for i in compl_idx]
+    mult = {}
+    for i, u in enumerate(reps):
+        for j, v in enumerate(reps):
+            p = project(a.product(u, v))
+            if any(p):
+                mult[(i, j)] = {k: c for k, c in enumerate(p) if c}
+    d = GradedMap(space, space, 1)
+    for i, u in enumerate(reps):
+        for j, c in enumerate(project(a.d.apply(u))):
+            if c:
+                d.set_entry(j, i, c)
+    pmap = GradedMap(a.space, space, 0)
+    for i in range(a.dim):
+        for j, c in enumerate(project(std[i])):
+            if c:
+                pmap.set_entry(j, i, c)
+    return NilpotentDgAlgebra(space, mult, d), pmap
 
 
 def extend_basis(base, candidates):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from defalg import linalg
-from defalg.algebras import (DgAlgebraMorphism, NilpotentDgAlgebra,
+from defalg.algebras import (DgAlgebraMorphism, NilpotentDgAlgebra, _ceil_frac,
                              chain_homotopic, check_homotopy,
                              constant_homotopy, de_rham_truncation,
                              factor_into_small_extensions, fiber_product,
@@ -20,8 +20,8 @@ from defalg.models import QuasismoothTrunc
 from conftest import (counterexample_algebras, counterexample_extension,
                       dense_de_rham, heisenberg, koszul_truncation, make_rng,
                       pairs_truncation, random_algebra, random_invertible_degree0,
-                      random_pair_truncation, reference_kernel_extension, sl2,
-                      sl2_odd)
+                      random_pair_truncation, reference_kernel_extension, rescaled,
+                      sl2, sl2_odd, dense_quotient_algebra)
 
 F = Fraction
 
@@ -83,6 +83,32 @@ def test_quotient_algebra_is_morphism():
     assert q.has_trivial_mult() or True  # uv lands in the killed ideal
     assert linalg.is_zero_vector(q.product(q.space.basis_vector(0),
                                            q.space.basis_vector(1)))
+
+
+def test_quotient_algebra_matches_dense_oracle():
+    """Quotients by Ann(A), by A² and by A³, some spanned redundantly and
+    some in fractional bases: the table, d and the projection equal the dense
+    construction's, in the same insertion order."""
+    rng = make_rng(23)
+    cases = 0
+    for _ in range(40):
+        a = random_algebra(rng)
+        if rng.randrange(2):
+            a = rescaled(a, [F(rng.choice([1, -1, 2])) / rng.choice([1, 2, 3])
+                             for _ in range(a.dim)])
+        powers = a.power_ideal_bases()
+        for ideal in (a.annihilator_basis(), powers[1] if len(powers) > 1 else [],
+                      powers[2] if len(powers) > 2 else []):
+            if ideal and rng.randrange(2):      # a redundant spanning set
+                ideal = ideal + [linalg.vec_add(ideal[0], ideal[-1])]
+            q, proj = quotient_algebra(a, ideal)
+            want, pmap = dense_quotient_algebra(a, ideal)
+            assert q.space == want.space
+            assert list(q.table.items()) == list(want.table.items())
+            assert list(q.d.entries.items()) == list(want.d.entries.items())
+            assert list(proj.map.entries.items()) == list(pmap.entries.items())
+            cases += bool(q.table)
+    assert cases >= 5
 
 
 def test_kernel_extension_structure():
@@ -379,6 +405,30 @@ def test_de_rham_table_equals_dense_oracle(eps):
         # keys, values and insertion order
         assert list(dr.algebra.table.items()) == list(mult.items()), name
         assert list(dr.algebra.d.entries.items()) == list(d.items()), name
+
+
+def test_de_rham_forms_only_the_nonzero_power_basis_products(monkeypatch):
+    """On the p1h2 truncation, A[t,dt] forms 89 of the 42² products of
+    power-basis vectors: exactly the nonzero ones, each once."""
+    import defalg.algebras as algebras
+    a = pairs_truncation(1, 2, 3).algebra()
+    powers = a.power_ideal_bases()
+    formed = []
+    real = algebras._products_with
+
+    def counting(*args):
+        out = real(*args)
+        formed.extend(out)
+        return out
+    monkeypatch.setattr(algebras, "_products_with", counting)
+    dr = de_rham_truncation(a, 1)
+    # the power ideals A^(p+1) that the blocks hold
+    used = {0} | {_ceil_frac(n, dr.eps) - 1 for n in range(1, dr.t_cap + 1)}
+    vectors = [v for p in used for v in powers[p]]
+    nonzero = sum(1 for u in vectors for v in vectors if any(a.product(u, v)))
+    assert len(vectors) == 42
+    assert len(formed) == nonzero == 89
+    assert all(w for _, w in formed)
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,37 @@ def test_linfty_fixtures_are_what_dgla_to_linfty_prints(capsys, tmp_path, fixtur
     assert data["tables"] == ({"defect arities": [3]} if broken else {})
 
 
+def test_gauge_fixture_runs_the_staged_search(capsys):
+    """koszul4_x.mc and koszul4_y.mc are e^a·0 and e^b·0 in sl2 ⊗ koszul4
+    (A² ≠ 0); gauge finds a witness, which maps x to y."""
+    from conftest import koszul_truncation
+    from defalg.dgla import gauge_act, tensor_dgla
+    l = docio.build(docio.parse(pathlib.Path(SL2).read_text()))
+    a = docio.build(docio.parse((FIXTURES / "koszul4.alg").read_text()))
+    assert not a.has_trivial_mult()
+    assert docio.print_document(docio.document_of_algebra(a)) == docio.print_document(
+        docio.document_of_algebra(koszul_truncation(1, 4).algebra()))
+    t = tensor_dgla(l, a)
+    elements = []
+    for name, terms in (("x", "1 e@s0 + 1 f@s0*s0 + 1 h@s0*s0*s0"),
+                        ("y", "-1 f@s0 + 2 h@s0*s0 + 1 e@s0*s0*s0*s0")):
+        gen = docio.build_mc_element(docio.parse("kind: mc_element\nelement: %s\n" % terms),
+                                     t.space)
+        want = gauge_act(t, gen, t.space.zero_vector())
+        path = FIXTURES / ("koszul4_%s.mc" % name)
+        assert docio.build_mc_element(docio.parse(path.read_text()), t.space) == want
+        elements.append(str(path))
+    code, data = run_json(capsys, "gauge", "--in", SL2, "--in", str(FIXTURES / "koszul4.alg"),
+                          "--in", elements[0], "--in", elements[1])
+    assert code == 0 and data["verdicts"] == [["gauge-equivalent", "YES"]]
+    witness = docio.build_mc_element(docio.parse(
+        "kind: mc_element\nelement: %s\n" % data["tables"]["witness"][0]), t.space)
+    x, y = (docio.build_mc_element(docio.parse(pathlib.Path(p).read_text()), t.space)
+            for p in elements)
+    assert any(c.denominator > 1 for c in witness)
+    assert gauge_act(t, witness, x) == y
+
+
 def test_minimalize(capsys, tmp_path):
     qs = tmp_path / "trunc.qs"
     qs.write_text(NON_MINIMAL)
@@ -388,6 +419,60 @@ def test_exit_two_on_component_order_out_of_range(capsys, tmp_path, command, tex
     assert code == 2
     assert "line 7" in err and "outside 1.." in err
     assert out == ""
+
+
+ONE_GEN = "basis:\n  u 1\n"
+# documents with a list field written as a scalar (or the other way round),
+# and the one-line error each gets
+FIELD_SHAPE_ERRORS = {
+    "basis": ("kind: dgla\nbasis: u 1\n", "line 2: 'basis' must be a list field"),
+    "basis-subdocument": ("kind: dgla\nbegin basis\nkind: graded_space\nend basis\n",
+                          "'basis' must be a list field"),
+    "complex-d": ("kind: complex\n" + ONE_GEN + "d: u -> 0\n",
+                  "line 4: 'd' must be a list field"),
+    "algebra-d": ("kind: nilpotent_dg_algebra\n" + ONE_GEN + "d: u -> 0\n",
+                  "line 4: 'd' must be a list field"),
+    "mult": ("kind: nilpotent_dg_algebra\n" + ONE_GEN + "mult: u u -> 0\n",
+             "line 4: 'mult' must be a list field"),
+    "bracket": ("kind: dgla\n" + ONE_GEN + "bracket: x\n",
+                "line 4: 'bracket' must be a list field"),
+    "alpha": (UV_SQUARE_EXT.split("alpha:")[0] + "alpha: u -> 1 u\n",
+              "line 18: 'alpha' must be a list field"),
+    "taylor": (LINFTY_HEAD.replace("taylor:\n", "taylor: x\n"),
+               "line 6: 'taylor' must be a list field"),
+    "quasismooth-d": ("kind: quasismooth\nbasis:\n  u 0\n  w 1\norder: 1\nd: 1 | u -> 1 w\n",
+                      "line 6: 'd' must be a list field"),
+    "order": ("kind: linfty\n" + ONE_GEN + "order:\n  2\n",
+              "line 5: 'order' must be a scalar field"),
+    "nilpotency": ("kind: dgla\n" + ONE_GEN + "nilpotency:\n", "'nilpotency' must be a scalar field"),
+    "element-subdocument": ("kind: mc_element\nbegin element\nkind: graded_space\nend element\n",
+                            "'element' must be a list field"),
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+@pytest.mark.parametrize("field", sorted(FIELD_SHAPE_ERRORS))
+def test_exit_two_on_field_of_the_wrong_shape(tmp_path, field, flags):
+    text, message = FIELD_SHAPE_ERRORS[field]
+    doc = tmp_path / "bad.doc"
+    doc.write_text(text)
+    proc = subprocess.run([sys.executable, *flags, "-m", "defalg.cli", "validate",
+                           "--in", str(doc)], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: %s\n" % message)
+
+
+def test_main_calls_do_not_share_input_lists(capsys, tmp_path):
+    # the parser is built once; each call reads only its own --in files
+    b = tmp_path / "b.alg"
+    b.write_text(B_ALGEBRA)
+    assert run(capsys, "validate", "--in", SL2, "--in", str(b))[0] == 0
+    code, out, _ = run(capsys, "validate", "--in", str(b))
+    assert code == 0
+    assert out == "command: validate\nnilpotent_dg_algebra: valid\nexit: 0\n"
+    code, out, err = run(capsys, "validate")
+    assert (code, out, err) == (0, "command: validate\nexit: 0\n", "")
+    assert run(capsys, "validate", "--in", SL2)[1] == \
+        "command: validate\ndgla: valid\nexit: 0\n"
 
 
 def test_exit_two_on_wrong_kind(capsys, tmp_path):

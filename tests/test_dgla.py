@@ -15,7 +15,7 @@ from defalg.models import QuasismoothTrunc
 from conftest import (counterexample_algebras, counterexample_element,
                       counterexample_extension, dense_contraction, dense_tensor_bracket,
                       dense_tensor_bracket_vec, direct_sum_dgla, heisenberg, make_rng,
-                      random_abelian_dgla, random_algebra, random_dgla, sl2,
+                      random_abelian_dgla, random_algebra, random_dgla, rescaled, sl2,
                       sl2_odd)
 
 F = Fraction
@@ -442,6 +442,68 @@ def test_tensor_bracket_matches_dense_oracle():
                 v = [F(rng.randint(-2, 2)) for _ in range(t.dim)]
                 assert Dgla.bracket_vec(t, u, v) == t.bracket_vec(u, v)
     assert flipped      # the Koszul sign decides some of the brackets
+
+
+def _fractional(rng, dim, zeros):
+    """A vector with entries such as 3/4 and -5/6, and some zeros."""
+    return [F(0) if rng.random() < zeros else
+            F(rng.choice([1, -1, 2, 3, -5])) / rng.choice([1, 1, 2, 4, 6])
+            for _ in range(dim)]
+
+
+def test_tensor_bracket_on_fractions_matches_dense_oracle():
+    """Fractional u and v, fractional constants in L and in A (a diagonal
+    change of basis by scales such as 1/2 and -2/3), u is v, zero vectors,
+    and both Koszul signs: the integer kernel gives the oracle's bracket,
+    and mc_defect gives dx + ½[x, x] from it."""
+    rng = make_rng(91)
+    scales = [F(1, 2), F(-2, 3), F(3), F(-1), F(5, 4), F(2), F(1, 6)]
+    flipped = fractional = 0
+    for l in (sl2_odd(), heisenberg()):
+        for a in _odd_algebras():
+            for lf, af in ((l, a), (rescaled(l, scales[:l.dim]),
+                                    rescaled(a, scales[-a.dim:] if a.dim else []))):
+                fractional += any(c.denominator > 1 for s in (lf, af)
+                                  for row in s.table.values() for c in row.values())
+                t = tensor_dgla(lf, af)
+                want = dense_tensor_bracket(lf, af)
+                flipped += sum(1 for (s, u), row in want.items()
+                               if any(row) and af.space.degrees[s % af.dim] % 2
+                               and lf.space.degrees[u // af.dim] % 2)
+                zero = t.space.zero_vector()
+                for _ in range(2):
+                    u = _fractional(rng, t.dim, 0.7)
+                    v = _fractional(rng, t.dim, 0.4)
+                    for x, y in ((u, v), (u, u), (u, zero), (zero, v)):
+                        assert t.bracket_vec(x, y) == dense_tensor_bracket_vec(want, x, y)
+                    half = [c / 2 for c in dense_tensor_bracket_vec(want, u, u)]
+                    assert mc_defect(t, u) == linalg.vec_add(t.d.apply(u), half)
+    assert flipped and fractional >= 6
+
+
+def test_with_differential_copies_build_no_integer_row_twice(monkeypatch):
+    import defalg.algebras as algebras
+    built = []
+    real = algebras._integer_row
+
+    def counting(left_row):
+        built.append(left_row)
+        return real(left_row)
+    monkeypatch.setattr(algebras, "_integer_row", counting)
+    r = QuasismoothTrunc(GradedSpace([("a", 0), ("b", 1)]), 3, {})
+    base = r.algebra()
+    d = GradedMap(base.space, base.space, 1)
+    d.set_entry(base.space.names.index("b"), base.space.names.index("a"), F(1))
+    copies = [base, base.with_differential(d), base.with_differential(d)]
+    l = sl2_odd()
+    rng = make_rng(92)
+    for a in copies + copies:
+        t = tensor_dgla(l, a)
+        x = _fractional(rng, t.dim, 0.2)
+        mc_defect(t, x)
+    rows = [left_row for s in (l, base) for left_row in s._left]
+    assert sorted(map(id, built)) == sorted(map(id, rows))
+    assert all(c._int_rows is base._int_rows for c in copies)
 
 
 def test_mc_lift_builds_no_tensor_table_and_no_ideal_powers(monkeypatch):
