@@ -52,13 +52,16 @@ class InputDocument:
 # parsing
 
 def _parse_rational(tok: str, line: int) -> Fraction:
-    try:
-        if "/" in tok:
-            num, den = tok.split("/", 1)
+    """``p`` or ``p/q`` in ASCII digits, p with an optional leading ``-``
+    and q unsigned and nonzero.  ``int`` alone would also take ``+3``,
+    ``1_000``, surrounding spaces and non-ASCII digits."""
+    num, slash, den = tok.partition("/")
+    if tok.isascii() and (num.isdigit() or num[:1] == "-" and num[1:].isdigit()):
+        if not slash:
+            return Fraction(int(num))
+        if den.isdigit() and den.strip("0"):
             return Fraction(int(num), int(den))
-        return Fraction(int(tok))
-    except (ValueError, ZeroDivisionError):
-        raise DocumentError("invalid rational %r" % tok, line)
+    raise DocumentError("invalid rational %r" % tok, line)
 
 
 def _sum_terms(terms: Iterable[Tuple[str, Fraction]]) -> Combo:

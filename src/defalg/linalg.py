@@ -1,10 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows, vectors are lists; every entry is a
-``fractions.Fraction``.  All routines are exact: there is no floating-point
-mode anywhere in the package.  ``Echelon`` is the one elimination engine:
-an incremental sparse echelon form.  Vectors are added one at a time, each
-is reduced against the rows stored so far, and the form answers
+Matrices are lists of rows, vectors are lists; every entry a routine
+takes or returns is a ``fractions.Fraction``.  All routines are exact:
+there is no floating-point mode anywhere in the package.  ``Echelon`` is
+the one elimination engine: an incremental sparse echelon form, its rows
+stored as Python ints over a row denominator.  Vectors are added one at a
+time, each is reduced against the rows stored so far, and the form answers
 independence and span coordinates without refactoring.  ``rank``,
 ``solve``, ``solve_in_span``, ``nullspace``, ``invert``, ``relations`` and
 ``independent_subset`` are views of it; each answers
@@ -16,6 +17,7 @@ heuristic to limit coefficient growth; no result depends on the choice.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 ZERO = Fraction(0)
@@ -72,59 +74,96 @@ class Echelon:
     the pivot columns of the rows stored before it, so one pass over the
     rows in order reduces a vector.  Each row also keeps its expression in
     the added vectors, which gives span coordinates.
+
+    A row is stored on Python ints as ``(pivot, {col: int}, den, {vector:
+    int}, e)``: the reduced row is the first dict over ``den``, which is
+    its pivot entry, and its expression is the second dict over ``e``.
+    Each is divided by the gcd of its ints, so the form is unique.
     """
 
     def __init__(self):
         self.count = 0        # vectors added, dependent ones included
         self.independent: List[int] = []    # the added vectors that were independent
-        # (pivot column, reduced row, row as a combination of added vectors)
-        self._rows: List[Tuple[int, SparseVec, SparseVec]] = []
+        self._rows: List[Tuple[int, Dict[int, int], int, Dict[int, int], int]] = []
 
     def _reduce(self, v: Union[SparseVec, Sequence[Fraction]]
-                ) -> Tuple[SparseVec, List[Tuple[int, Fraction]]]:
-        """The residual of v after elimination, and the (row, multiplier)
-        pairs subtracted: v = residual + sum of multiplier * row."""
-        r = dict(v) if isinstance(v, dict) else {j: x for j, x in enumerate(v) if x}
+                ) -> Tuple[Dict[int, int], List[Tuple[int, int, int]], int]:
+        """The residual of v after elimination as ints over a denominator,
+        the (row, c, D) triples subtracted and that denominator:
+        v = residual / den + sum of c / D * row."""
+        src = [(j, x) for j, x in (v.items() if isinstance(v, dict) else enumerate(v)) if x]
+        den = lcm(*(x.denominator for _, x in src))
+        r = {j: x.numerator * (den // x.denominator) for j, x in src}
         used = []
-        for k, (p, row, _) in enumerate(self._rows):
+        for k, (p, row, d, _, _) in enumerate(self._rows):
             c = r.get(p)
             if not c:
                 continue
-            used.append((k, c))
+            used.append((k, c, den))
+            if d != 1:              # r * (d / g) - (c / g) * row stays on ints
+                g = gcd(c, d)
+                if g != d:
+                    s = d // g
+                    den *= s
+                    for j in r:
+                        r[j] *= s
+                c //= g
             for j, x in row.items():
-                y = r.get(j, ZERO) - c * x
+                y = r.get(j, 0) - c * x
                 if y:
                     r[j] = y
                 else:
                     del r[j]
-        return r, used
+        return r, used, den
 
-    def _combine(self, used: List[Tuple[int, Fraction]], n: int) -> Vector:
-        """The n coordinates, in the added vectors, of sum multiplier * row."""
+    def _sum(self, used: List[Tuple[int, int, int]]) -> Tuple[Dict[int, int], int]:
+        """The sum of c / D times the rows' expressions, as ints over one
+        denominator (the last D is a multiple of the ones before it)."""
+        big = used[-1][2] if used else 1
+        den = lcm(*(self._rows[k][4] for k, _, _ in used))
+        acc: Dict[int, int] = {}
+        for k, c, d in used:
+            _, _, _, expr, e = self._rows[k]
+            m = c * (big // d) * (den // e)
+            for t, x in expr.items():
+                acc[t] = acc.get(t, 0) + m * x
+        return acc, big * den
+
+    def _combine(self, used: List[Tuple[int, int, int]], n: int, sign: int = 1) -> Vector:
+        """The n coordinates, in the added vectors, of sign times the sum of
+        c / D * row; a Fraction is built only for a nonzero one."""
+        acc, den = self._sum(used)
         out = [ZERO] * n
-        for k, c in used:
-            for t, x in self._rows[k][2].items():
-                out[t] += c * x
+        for t, x in acc.items():
+            if x:
+                out[t] = Fraction(sign * x, den)
         return out
 
     def _add(self, v: Union[SparseVec, Sequence[Fraction]]
-             ) -> Optional[List[Tuple[int, Fraction]]]:
+             ) -> Optional[List[Tuple[int, int, int]]]:
         """Add v.  None when v is independent of the vectors added before
-        it; otherwise the (row, multiplier) pairs that express it in them."""
-        r, used = self._reduce(v)
+        it; otherwise the (row, c, D) triples that express it in them."""
+        r, used, den = self._reduce(v)
         idx = self.count
         self.count += 1
         if not r:
             return used
         self.independent.append(idx)
-        p = min(r, key=lambda j: (r[j].denominator, abs(r[j].numerator), j))
-        inv = ONE / r[p]
-        row = {j: x * inv for j, x in r.items()}
-        combo = {idx: inv}
-        for k, c in used:
-            for t, x in self._rows[k][2].items():
-                combo[t] = combo.get(t, ZERO) - inv * c * x
-        self._rows.append((p, row, {t: x for t, x in combo.items() if x}))
+
+        def key(j):     # (denominator, |numerator|, column) of r[j] / den
+            g = gcd(r[j], den)
+            return den // g, abs(r[j]) // g, j
+        p = min(r, key=key)
+        c = r[p]
+        g = gcd(*r.values()) * (1 if c > 0 else -1)
+        row = {j: x // g for j, x in r.items()}
+        # the expression is (e_idx - acc / m) * den / c
+        acc, m = self._sum(used)
+        expr = {t: -x * den for t, x in acc.items() if x}
+        expr[idx] = m * den
+        e = m * c
+        h = gcd(e, *expr.values()) * (1 if e > 0 else -1)
+        self._rows.append((p, row, row[p], {t: x // h for t, x in expr.items()}, e // h))
         return None
 
     def add(self, v: Union[SparseVec, Sequence[Fraction]]) -> bool:
@@ -138,7 +177,7 @@ class Echelon:
         the solution that reduced row echelon form gives, with zeros off
         the greedy independent vectors.
         """
-        r, used = self._reduce(v)
+        r, used, _ = self._reduce(v)
         return None if r else self._combine(used, self.count)
 
     def relations_of(self, vectors: Sequence[Union[SparseVec, Sequence[Fraction]]]
@@ -154,7 +193,7 @@ class Echelon:
         out: List[Vector] = []
         for f, v in enumerate(vectors):
             if f not in independent:
-                rel = [-x for x in self.coords(v)]
+                rel = self._combine(self._reduce(v)[1], self.count, -1)
                 rel[f] = ONE
                 out.append(rel)
         return out
@@ -183,7 +222,7 @@ def relations(vectors: Sequence[Union[SparseVec, Sequence[Fraction]]]
     for f, v in enumerate(vectors):
         used = ech._add(v)
         if used is not None:
-            rel = [-x for x in ech._combine(used, len(vectors))]
+            rel = ech._combine(used, len(vectors), -1)
             rel[f] = ONE
             out.append(rel)
     return ech, out

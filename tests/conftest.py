@@ -153,6 +153,39 @@ def rescaled(s, scales):
     return type(s)(s.space, table, d)
 
 
+
+def transported(s, g):
+    """The same structure (algebra or DGLA) in the basis e'_i = g(e_i), for
+    an invertible degree-0 map g: constants and d in the new coordinates,
+    which are g⁻¹ of the old ones."""
+    n = s.dim
+    m = g.matrix()
+    inv = linalg.invert(m)
+    cols = [[m[a][i] for a in range(n)] for i in range(n)]
+
+    def new_coords(v):
+        out = {}
+        for k in range(n):
+            c = sum((inv[k][a] * v[a] for a in range(n) if v[a]), F(0))
+            if c:
+                out[k] = c
+        return out
+    table = {}
+    for i in range(n):
+        for j in range(n):
+            v = [F(0)] * n
+            for (a, b), row in s.table.items():
+                if cols[i][a] and cols[j][b]:
+                    for k, c in row.items():
+                        v[k] += cols[i][a] * cols[j][b] * c
+            if any(v):
+                table[(i, j)] = new_coords(v)
+    d = GradedMap(s.space, s.space, 1, {(k, i): c for i in range(n)
+                                        for k, c in new_coords(s.d.apply(cols[i])).items()})
+    if isinstance(s, Dgla):
+        return Dgla(s.space, table, d, s.nilpotency_class)
+    return type(s)(s.space, table, d)
+
 def random_complex(rng, max_dim=12):
     """A valid complex with known cohomology, then a change of basis."""
     n_h = rng.randint(0, 3)
@@ -581,6 +614,75 @@ def mat_mul(a, b):
     cols = len(b[0]) if b else 0
     return [[sum((row[k] * b[k][j] for k in range(len(b))), F(0)) for j in range(cols)]
             for row in a]
+
+
+# ---------------------------------------------------------------------------
+# reference echelon engine: ``linalg.Echelon`` as it was on Fraction rows
+
+class FractionEchelon:
+    """``linalg.Echelon`` computed entry by entry in Fractions, kept as its
+    oracle: the same pivots, rows and answers.  Each stored row is
+    (pivot column, row with a 1 at the pivot, row as a combination of the
+    added vectors)."""
+
+    def __init__(self):
+        self.count = 0
+        self.independent = []
+        self._rows = []
+
+    def _reduce(self, v):
+        """The residual of v, and the (row, multiplier) pairs subtracted."""
+        r = dict(v) if isinstance(v, dict) else {j: x for j, x in enumerate(v) if x}
+        used = []
+        for k, (p, row, _) in enumerate(self._rows):
+            c = r.get(p)
+            if not c:
+                continue
+            used.append((k, c))
+            for j, x in row.items():
+                y = r.get(j, F(0)) - c * x
+                if y:
+                    r[j] = y
+                else:
+                    del r[j]
+        return r, used
+
+    def _combine(self, used, n):
+        out = [F(0)] * n
+        for k, c in used:
+            for t, x in self._rows[k][2].items():
+                out[t] += c * x
+        return out
+
+    def add(self, v):
+        r, used = self._reduce(v)
+        idx = self.count
+        self.count += 1
+        if not r:
+            return False
+        self.independent.append(idx)
+        p = min(r, key=lambda j: (r[j].denominator, abs(r[j].numerator), j))
+        inv = 1 / r[p]
+        combo = {idx: inv}
+        for k, c in used:
+            for t, x in self._rows[k][2].items():
+                combo[t] = combo.get(t, F(0)) - inv * c * x
+        self._rows.append((p, {j: x * inv for j, x in r.items()},
+                           {t: x for t, x in combo.items() if x}))
+        return True
+
+    def coords(self, v):
+        r, used = self._reduce(v)
+        return None if r else self._combine(used, self.count)
+
+    def relations_of(self, vectors):
+        out = []
+        for f, v in enumerate(vectors):
+            if f not in self.independent:
+                rel = [-x for x in self.coords(v)]
+                rel[f] = F(1)
+                out.append(rel)
+        return out
 
 
 # ---------------------------------------------------------------------------

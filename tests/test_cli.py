@@ -461,6 +461,29 @@ def test_exit_two_on_field_of_the_wrong_shape(tmp_path, field, flags):
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: %s\n" % message)
 
 
+
+# rational tokens that Python's int() reads but docs/format.md does not
+# allow, and the error each gets; a '+' splits a combo into terms first
+OFF_FORMAT_RATIONALS = {
+    "underscore": ("1_000", "invalid rational '1_000'"),
+    "fullwidth": ("\uff11", "invalid rational '\uff11'"),
+    "signed-denominator": ("1/-2", "invalid rational '1/-2'"),
+    "plus": ("+3", "term '' must be 'coeff name'"),
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+@pytest.mark.parametrize("case", sorted(OFF_FORMAT_RATIONALS))
+def test_exit_two_on_rational_outside_the_format(tmp_path, case, flags):
+    token, message = OFF_FORMAT_RATIONALS[case]
+    mc = tmp_path / "x.mc"
+    mc.write_text("kind: mc_element\nelement: %s h@u + 1 e@v\n" % token, encoding="utf-8")
+    proc = subprocess.run([sys.executable, *flags, "-m", "defalg.cli", "obstruction",
+                           "--in", SL2, "--in", EXT, "--in", str(mc)], capture_output=True,
+                          env=dict(os.environ, PYTHONIOENCODING="utf-8"))
+    assert (proc.returncode, proc.stdout, proc.stderr.decode("utf-8")) == \
+        (2, b"", "error: line 2: %s\n" % message)
+
 def test_main_calls_do_not_share_input_lists(capsys, tmp_path):
     # the parser is built once; each call reads only its own --in files
     b = tmp_path / "b.alg"

@@ -225,6 +225,11 @@ def test_combo_sums_match_reference_and_roundtrip(terms, sep, data):
     ("1 a + 1/0 b", "line 2: invalid rational '1/0'"),
     ("2/ a", "line 2: invalid rational '2/'"),
     ("1.5 a", "line 2: invalid rational '1.5'"),
+    ("1_000 a", "line 2: invalid rational '1_000'"),
+    ("\uff11 a", "line 2: invalid rational '\uff11'"),
+    ("1/-2 a", "line 2: invalid rational '1/-2'"),
+    ("1/00 a", "line 2: invalid rational '1/00'"),
+    ("- a", "line 2: invalid rational '-'"),
 ])
 def test_combo_error_messages(element, message):
     with pytest.raises(DocumentError) as err:

@@ -9,6 +9,7 @@ square-zero check of a small extension document) are pinned on edge cases.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,8 +19,8 @@ from defalg.algebras import (BilinearStructure, DgAlgebraMorphism, NilpotentDgAl
                              fiber_product)
 from defalg.graded import GradedMap, GradedSpace
 from defalg.models import QuasismoothTrunc
-from conftest import (counterexample_extension, dense_violations, make_rng,
-                      random_algebra, rref_invert, rref_nullspace, rref_rank,
+from conftest import (FractionEchelon, counterexample_extension, dense_violations,
+                      make_rng, random_algebra, rref_invert, rref_nullspace, rref_rank,
                       rref_solve)
 
 F = Fraction
@@ -153,6 +154,106 @@ def test_invert_rejects_singular_and_non_square():
     with pytest.raises(ValueError):
         linalg.invert([[F(1), F(0)]])
     assert linalg.invert([]) == []
+
+
+# ---------------------------------------------------------------------------
+# the integer engine against the Fraction engine, on wide coefficients
+
+@st.composite
+def wide_vectors(draw, max_vectors=8):
+    """Vectors of one length with numerators and denominators up to 2**70,
+    as dense lists or sparse dicts: fresh ones, zero ones, and repeated,
+    scaled and summed copies of earlier ones."""
+    n = draw(st.integers(1, 6))
+    num, den = (draw(st.sampled_from([1, 6, 2 ** 70])) for _ in range(2))
+    entry = st.builds(F, st.integers(-num, num), st.integers(1, den))
+    fresh = st.lists(st.one_of(st.just(F(0)), entry), min_size=n, max_size=n)
+    dense = []
+    for _ in range(draw(st.integers(0, max_vectors))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "copy", "combo"]))
+        if kind == "zero":
+            dense.append([F(0)] * n)
+        elif kind == "fresh" or not dense:
+            dense.append(draw(fresh))
+        elif kind == "copy":
+            c = draw(entry)
+            dense.append([c * x for x in draw(st.sampled_from(dense))])
+        else:
+            c, u, w = draw(entry), draw(st.sampled_from(dense)), draw(st.sampled_from(dense))
+            dense.append([c * x + y for x, y in zip(u, w)])
+    vectors = [{j: x for j, x in enumerate(v) if x} if draw(st.booleans()) else v
+               for v in dense]
+    return n, dense, vectors, entry
+
+
+def as_fractions(ech):
+    """The stored rows of a ``linalg.Echelon`` in the oracle's form."""
+    return [(p, {j: F(x, d) for j, x in row.items()}, {t: F(x, e) for t, x in expr.items()})
+            for p, row, d, expr, e in ech._rows]
+
+
+@given(wide_vectors(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_echelon_matches_fraction_engine(drawn, data):
+    n, dense, vectors, entry = drawn
+    ech, ref = linalg.Echelon(), FractionEchelon()
+    for v in vectors:
+        assert ech.add(v) == ref.add(v)
+    assert (ech.count, ech.independent) == (ref.count, ref.independent)
+    assert as_fractions(ech) == ref._rows
+    for p, row, d, expr, e in ech._rows:
+        assert row[p] == d > 0 and gcd(*row.values()) == 1
+        assert e > 0 and gcd(e, *expr.values()) == 1
+    inside = [F(0)] * n
+    for v in dense:
+        c = data.draw(entry)
+        inside = [x + c * y for x, y in zip(inside, v)]
+    anywhere = data.draw(st.lists(entry, min_size=n, max_size=n))
+    for target in (inside, anywhere, [F(0)] * n):
+        assert ech.coords(target) == ref.coords(target)
+        assert ech.coords({j: x for j, x in enumerate(target) if x}) == ref.coords(target)
+    assert ech.coords(inside) is not None
+    rels = ref.relations_of(dense)
+    assert linalg.relations(vectors)[1] == rels
+    assert ech.relations_of(vectors) == rels
+
+
+@given(wide_vectors())
+@settings(max_examples=100, deadline=None)
+def test_solvers_match_references_on_wide_coefficients(drawn):
+    n, dense, vectors, _ = drawn
+    a = [list(row) for row in zip(*dense)]      # the vectors as columns
+    if not a:
+        return
+    assert linalg.nullspace(a) == rref_nullspace(a)
+    for b in dense + [[F(0)] * n, [F(1)] * n]:  # the columns of a, then two more
+        assert linalg.solve(a, b) == rref_solve(a, b)
+    square = [row[:n] for row in dense[:n]]
+    if len(square) == n:
+        ref = FractionEchelon()
+        for j in range(n):
+            ref.add({i: row[j] for i, row in enumerate(square) if row[j]})
+        try:
+            expect = rref_invert(square)
+        except ValueError:
+            assert len(ref.independent) < n
+            with pytest.raises(ValueError):
+                linalg.invert(square)
+        else:
+            cols = [ref.coords({k: F(1)}) for k in range(n)]
+            assert [[c[i] for c in cols] for i in range(n)] == expect
+            assert linalg.invert(square) == expect
+
+
+@given(wide_vectors(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_zero_coordinates_are_the_shared_zero(drawn, data):
+    # a coordinate is built as a Fraction only where it is nonzero
+    n, dense, vectors, entry = drawn
+    ech, rels = linalg.relations(vectors)
+    target = data.draw(st.lists(entry, min_size=n, max_size=n))
+    coords = [c for c in (ech.coords(v) for v in vectors + [target, [F(0)] * n]) if c]
+    assert all(x is linalg.ZERO for vec in rels + coords for x in vec if not x)
 
 
 try:

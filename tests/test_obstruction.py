@@ -19,8 +19,9 @@ from defalg.obstruction import (COMPARISON_SIGN, cohomology_bracket,
                                 primary_obstruction_extension, prop_cone,
                                 tangent_bracket, twist_extension)
 from conftest import (UV_M3_EXT, counterexample_extension, direct_sum_dgla,
-                      make_rng, random_abelian_dgla, random_dgla,
-                      random_section, sl2, sl2_odd)
+                      heisenberg, make_rng, mat_mul, random_abelian_dgla, random_dgla,
+                      random_invertible_degree0, random_section, rescaled, sl2,
+                      sl2_odd, transported)
 
 F = Fraction
 
@@ -604,3 +605,74 @@ def test_tangent_data_invariant_under_quasi_isomorphism():
                             rhs = linalg.vec_add(rhs, linalg.vec_scale(
                                 c1 * c2, cb_s.table_entry(k1, k2)))
                 assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# verdicts survive a change of basis
+
+def _new_basis(rng, s):
+    """s in a new basis, by fractional scales and then a unitriangular
+    change within each degree, with the matrix whose columns are the new
+    basis vectors in the old coordinates."""
+    scales = [F(rng.choice([1, -1, 2, -3, 5]), rng.choice([1, 2, 3, 4])) for _ in range(s.dim)]
+    g = random_invertible_degree0(rng, s.space)
+    gm = g.matrix()
+    m = [[scales[a] * gm[a][i] for i in range(s.dim)] for a in range(s.dim)]
+    return transported(rescaled(s, scales), g), m
+
+
+def _kron_apply(ml, ma, v):
+    """(ml ⊗ ma) v on the coordinates of L⊗A, pair (i, p) at i·dim A + p."""
+    na = len(ma)
+    out = [F(0)] * len(v)
+    for idx, c in enumerate(v):
+        if c:
+            j, q = divmod(idx, na)
+            for i in range(len(ml)):
+                for p in range(na):
+                    if ml[i][j] and ma[p][q]:
+                        out[i * na + p] += ml[i][j] * ma[p][q] * c
+    return out
+
+
+def test_verdicts_survive_a_change_of_basis(monkeypatch):
+    # L, A and B rewritten in fractional bases: the cohomology dimensions,
+    # the mc-lift and obstruction verdicts and the class's vanishing stay
+    # the same, and a lift carried back is an MC element over x; the
+    # echelon stores rows whose denominator is not 1 on the way
+    dens = []
+    real_add = linalg.Echelon._add
+
+    def add(self, v):
+        out = real_add(self, v)
+        dens.append(max((row[2] for row in self._rows), default=1))
+        return out
+    monkeypatch.setattr(linalg.Echelon, "_add", add)
+    extensions = [lambda: primary_obstruction_extension(-1, 0),
+                  lambda: primary_obstruction_extension(-1, -1), counterexample_extension]
+    verdicts = set()
+    for seed in range(60):
+        rng = make_rng(700 + seed)
+        l, e = rng.choice([sl2, sl2_odd, heisenberg])(), rng.choice(extensions)()
+        tb = tensor_dgla(l, e.b)
+        x = random_mc_over_trivial(rng, tb)
+        (l2, ml), (a2, ma), (b2, mb) = (_new_basis(rng, s) for s in (l, e.a, e.b))
+        alpha = mat_mul(mat_mul(linalg.invert(mb), e.alpha.map.matrix()), ma)
+        e2 = kernel_extension(DgAlgebraMorphism(a2, b2, GradedMap(
+            a2.space, b2.space, 0, {(j, i): c for j, row in enumerate(alpha)
+                                    for i, c in enumerate(row) if c})))
+        x2 = _kron_apply(linalg.invert(ml), linalg.invert(mb), x)
+        res, res2 = mc_lift(e, l, x), mc_lift(e2, l2, x2)
+        assert res2.lifted == res.lifted
+        assert def_tangent(l2).dims() == def_tangent(l).dims()
+        assert res2.i_cohomology.dims() == res.i_cohomology.dims()
+        if e.is_strictly_small():
+            ob, ob2 = obstruction_class(e, l, x), obstruction_class(e2, l2, x2)
+            assert ob2.is_zero == ob.is_zero == res.lifted
+        if res2.lifted:
+            back = _kron_apply(ml, ma, res2.lift)
+            assert mc_check(res.tensor_a, back)[0]
+            assert tensor_push(res.tensor_a, tb.space, e.alpha.map, e.b.dim).apply(back) == x
+        verdicts.add(res.lifted)
+    assert verdicts == {True, False}
+    assert any(d != 1 for d in dens)
