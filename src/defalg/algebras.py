@@ -33,18 +33,42 @@ def _dense(sv: SparseVec, dim: int) -> Vector:
     return v
 
 
-LeftIndex = List[List[Tuple[int, SparseVec]]]
-# one row of a left index on integer numerators: (den, [(j, [(k, den·c_k)])])
-IntRow = Tuple[int, List[Tuple[int, List[Tuple[int, int]]]]]
+LeftIndex = List[List[Tuple[int, Dict[int, int]]]]
+Pair = Tuple[int, int]
+Triple = Tuple[int, int, int]
 
 
-def _structure_constants(space: GradedSpace, table: Dict[Tuple[int, int], SparseVec],
-                         wrong_degree: str) -> Tuple[Dict[Tuple[int, int], SparseVec], LeftIndex]:
-    """The table with Fraction entries and no zero rows, and its left index
-    i -> [(j, row of e_i e_j)].  ``wrong_degree`` % (name_i, name_j) is the
-    error for an entry whose degree is not deg e_i + deg e_j."""
-    clean: Dict[Tuple[int, int], SparseVec] = {}
-    left: LeftIndex = [[] for _ in range(space.dim)]
+def _numerators(v: Dict) -> Tuple[Dict, int]:
+    """The nonzero entries of v as Python-int numerators over the lcm of
+    their denominators, and that lcm."""
+    den = lcm(*(c.denominator for c in v.values() if c))
+    return {k: c.numerator * (den // c.denominator) for k, c in v.items() if c}, den
+
+
+def _int_columns(m: GradedMap) -> Tuple[List[Dict[int, int]], int]:
+    """The columns of m on Python-int numerators over the lcm of the
+    denominators of its entries, and that lcm."""
+    entries, den = _numerators(m.entries)
+    cols: List[Dict[int, int]] = [{} for _ in range(m.source.dim)]
+    for (j, i), c in entries.items():
+        cols[i][j] = c
+    return cols, den
+
+
+def _over(nums: Sequence[int], den: int) -> Vector:
+    """The vector nums/den, one Fraction per nonzero entry."""
+    if den == 1:
+        return [Fraction(n) if n else ZERO for n in nums]
+    return [Fraction(n, den) if n else ZERO for n in nums]
+
+
+def _structure_constants(space: GradedSpace, table: Dict[Pair, SparseVec], wrong_degree: str
+                         ) -> Tuple[Dict[Pair, SparseVec], int, LeftIndex]:
+    """The table with Fraction entries and no zero rows, den (the lcm of its
+    denominators) and the integer left index i -> [(j, {k: den·c_k})].
+    ``wrong_degree`` % (name_i, name_j) is the error for an entry whose
+    degree is not deg e_i + deg e_j."""
+    clean: Dict[Pair, SparseVec] = {}
     for (i, j), row in table.items():
         row = {k: linalg.frac(c) for k, c in row.items() if c}
         if not row:
@@ -53,44 +77,51 @@ def _structure_constants(space: GradedSpace, table: Dict[Tuple[int, int], Sparse
             if space.degrees[k] != space.degrees[i] + space.degrees[j]:
                 raise ValueError(wrong_degree % (space.names[i], space.names[j]))
         clean[(i, j)] = row
-        left[i].append((j, row))
-    return clean, left
+    den = lcm(*(c.denominator for row in clean.values() for c in row.values()))
+    left: LeftIndex = [[] for _ in range(space.dim)]
+    for (i, j), row in clean.items():
+        left[i].append((j, {k: c.numerator * (den // c.denominator) for k, c in row.items()}))
+    return clean, den, left
 
 
-def _bilinear(left: LeftIndex, u: Sequence[Fraction], v: Sequence[Fraction],
-              dim: int) -> Vector:
-    """The sum of u_i v_j (e_i e_j), walking only the support of u."""
-    out = [ZERO] * dim
-    for i, cu in enumerate(u):
-        if not cu:
-            continue
+def _bilinear(s: "BilinearStructure", u: Sequence[Fraction], v: Sequence[Fraction],
+              den: int = 1) -> Vector:
+    """(Σ u_i v_j e_i e_j)/den, walking only the support of u through the
+    integer left index, over one denominator: den, s.den and the lcms of
+    the denominators of u's support and of the entries of v the walk reads
+    (only those are converted)."""
+    left = s._left
+    su = [(i, c) for i, c in enumerate(u) if c]
+    nv, dv = _numerators({j: v[j] for i, _ in su for j, _ in left[i]})
+    if not nv:
+        return [ZERO] * s.dim
+    du = lcm(*(c.denominator for _, c in su))
+    out = [0] * s.dim
+    for i, c in su:
+        m = c.numerator * (du // c.denominator)
         for j, row in left[i]:
-            cv = v[j]
-            if not cv:
-                continue
-            c = cu * cv
-            for k, ck in row.items():
-                out[k] += c * ck
-    return out
+            cv = nv.get(j)
+            if cv:
+                cm = m * cv
+                for k, ck in row.items():
+                    out[k] += cm * ck
+    return _over(out, du * dv * s.den * den)
 
 
-def _integer_row(left_row: List[Tuple[int, SparseVec]]) -> IntRow:
-    """A row i -> [(j, e_i e_j)] of a left index over the lcm of its
-    denominators, with the numerators as Python ints."""
-    den = lcm(*(c.denominator for _, row in left_row for c in row.values()))
-    return den, [(j, [(k, c.numerator * (den // c.denominator)) for k, c in row.items()])
-                 for j, row in left_row]
+def _right_index(left: LeftIndex) -> LeftIndex:
+    """The right index m -> [(i, e_i e_m)] of a left index."""
+    right: LeftIndex = [[] for _ in left]
+    for i, row_list in enumerate(left):
+        for m, row in row_list:
+            right[m].append((i, row))
+    return right
 
 
-Pair = Tuple[int, int]
-Triple = Tuple[int, int, int]
-
-
-def _add_scaled(defects: Dict, key, c: Fraction, row: SparseVec) -> None:
-    """defects[key] += c·row, sparsely."""
+def _add_scaled(defects: Dict, key, c: int, row: Dict[int, int]) -> None:
+    """defects[key] += c·row, sparsely, on Python ints."""
     out = defects.setdefault(key, {})
     for t, x in row.items():
-        out[t] = out.get(t, ZERO) + c * x
+        out[t] = out.get(t, 0) + c * x
 
 
 def _failing(defects: Dict) -> set:
@@ -104,13 +135,14 @@ class BilinearStructure:
     dg-algebras, DGLAs and L⊗A share.
 
     ``table`` maps a pair of basis indices (i, j) to the sparse coefficient
-    vector of e_i·e_j (the product, or the bracket [e_i, e_j]); missing
-    pairs give zero.  The constructor is the only writer of ``table`` and
-    also builds its left index i -> [(j, e_i·e_j)], through which the
-    operation walks only the support of its left argument.  Row i of that
-    index on integer numerators (``_int_row``) is built when first read.  A
-    subclass names its operation in ``_wrong_degree`` and says in ``_lie`` whether
-    its axioms are those of a graded Lie algebra.
+    vector of e_i·e_j (the product, or the bracket [e_i, e_j]) with
+    Fraction entries; missing pairs give zero.  The constructor is the only
+    writer of ``table`` and also builds the one index that every walk over
+    the constants reads: ``den``, the lcm of their denominators, and the
+    left index i -> [(j, {k: den·c_k})] on Python-int numerators, through
+    which the operation walks only the support of its left argument.  A
+    subclass names its operation in ``_wrong_degree`` and says in ``_lie``
+    whether its axioms are those of a graded Lie algebra.
     """
     _wrong_degree = "product %s*%s has an entry of wrong degree"
     _lie = False
@@ -120,13 +152,12 @@ class BilinearStructure:
         if differential.source != space or differential.degree != 1:
             raise ValueError("differential must be a degree +1 endomap")
         self.space = space
-        self.table, self._left = _structure_constants(space, table, self._wrong_degree)
-        self._int_rows: List[Optional[IntRow]] = [None] * space.dim
+        self.table, self.den, self._left = _structure_constants(space, table, self._wrong_degree)
         self.d = differential
 
     def with_differential(self, differential: GradedMap) -> "BilinearStructure":
-        """This structure with another d; the table, its left index and its
-        integer rows are shared, not rebuilt."""
+        """This structure with another d; the table and its integer index
+        are shared, not rebuilt."""
         if differential.source != self.space or differential.degree != 1:
             raise ValueError("differential must be a degree +1 endomap")
         out = copy.copy(self)
@@ -144,62 +175,55 @@ class BilinearStructure:
         """e_i·e_j as a fresh dense vector."""
         return _dense(self.table.get((i, j), {}), self.dim)
 
-    def _int_row(self, i: int) -> IntRow:
-        """Row i of the left index on integer numerators, built once."""
-        row = self._int_rows[i]
-        if row is None:
-            row = self._int_rows[i] = _integer_row(self._left[i])
-        return row
-
-    def _left_mul(self, i: int, w: SparseVec) -> SparseVec:
-        """e_i·w for a sparse w."""
-        out: SparseVec = {}
-        for j, row in self._left[i]:
-            cw = w.get(j)
-            if not cw:
-                continue
-            for k, ck in row.items():
-                out[k] = out.get(k, ZERO) + cw * ck
-        return {k: c for k, c in out.items() if c}
+    def _int_product(self, u: Dict[int, int], w: Dict[int, int]) -> Dict[int, int]:
+        """den·(u·w) for u and w on Python-int numerators; entries that
+        cancel are kept as 0."""
+        out: Dict[int, int] = {}
+        for i, cu in u.items():
+            for j, row in self._left[i]:
+                cw = w.get(j)
+                if cw:
+                    c = cu * cw
+                    for k, ck in row.items():
+                        out[k] = out.get(k, 0) + c * ck
+        return out
 
     def sparse_product(self, u: SparseVec, w: SparseVec) -> SparseVec:
         """u·w for sparse u and w."""
-        out: SparseVec = {}
-        for i, cu in u.items():
-            for k, c in self._left_mul(i, w).items():
-                out[k] = out.get(k, ZERO) + cu * c
-        return {k: c for k, c in out.items() if c}
+        (nu, du), (nw, dw) = _numerators(u), _numerators(w)
+        total = du * dw * self.den
+        return {k: Fraction(n, total) for k, n in self._int_product(nu, nw).items() if n}
 
     def _axiom_errors(self) -> Tuple[List[str], List[str], List[str], List[str]]:
         """The symmetry, associativity (Jacobi), Leibniz and d∘d errors of a
         graded algebra (``_lie`` False) or a graded Lie algebra (``_lie``
-        True), read from the structure constants and d's entries alone.
+        True), read from the integer index and d's entries alone.
 
         With s = (-1)^{|i||j|}, the defects are
           symmetry   e_i e_j - s e_j e_i        (Lie: e_i e_j + s e_j e_i), i <= j;
           triples    (e_i e_j) e_k - e_i (e_j e_k)   (Lie: + s e_j (e_i e_k));
           Leibniz    d(e_i e_j) - (d e_i) e_j - (-1)^{|i|} e_i (d e_j).
-        Each defect is accumulated sparsely by walking every nonzero constant
-        through the left index and a right index m -> [(i, e_i e_m)] built here
-        from the table itself, so no symmetry of the table is assumed.  Each
-        list names its failing pairs or triples in lexicographic order.
+        Each defect is accumulated sparsely on Python ints (triples over
+        den², Leibniz over den times d's denominator) by walking every
+        nonzero constant through the left and right indices, so no symmetry
+        of the table is assumed.  Each list names its failing pairs or
+        triples in lexicographic order.
         """
-        space, table, left, d, lie = self.space, self.table, self._left, self.d, self._lie
+        space, left, lie = self.space, self._left, self._lie
         odd = [deg % 2 for deg in space.degrees]
-        right: LeftIndex = [[] for _ in range(space.dim)]
-        for (i, m), row in table.items():
-            right[m].append((i, row))
+        right = _right_index(left)
+        ints = {(i, m): row for i, row_list in enumerate(left) for m, row in row_list}
 
         symmetry = []
-        for i, j in sorted({(min(p), max(p)) for p in table}):
+        for i, j in sorted({(min(p), max(p)) for p in ints}):
             s = -1 if odd[i] and odd[j] else 1
             if lie:
                 s = -s
-            if table.get((i, j), {}) != {k: s * c for k, c in table.get((j, i), {}).items()}:
+            if ints.get((i, j), {}) != {k: s * c for k, c in ints.get((j, i), {}).items()}:
                 symmetry.append((i, j))
 
-        triples: Dict[Triple, SparseVec] = {}
-        for (p, q), row in table.items():
+        triples: Dict[Triple, Dict[int, int]] = {}
+        for (p, q), row in ints.items():
             for m, c in row.items():
                 for k, r in left[m]:            # (e_p e_q) e_k
                     _add_scaled(triples, (p, q, k), c, r)
@@ -209,18 +233,19 @@ class BilinearStructure:
                     for j, r in right[m]:       # s e_j (e_p e_q) on (p, j, q)
                         _add_scaled(triples, (p, j, q), -c if odd[p] and odd[j] else c, r)
 
-        leibniz: Dict[Pair, SparseVec] = {}
-        dcols: List[SparseVec] = [{} for _ in range(space.dim)]
-        for (t, m), c in d.entries.items():
-            dcols[m][t] = c
-        for (i, j), row in table.items():       # d(e_i e_j)
+        leibniz: Dict[Pair, Dict[int, int]] = {}
+        dd: Dict[int, Dict[int, int]] = {}
+        dcols, _ = _int_columns(self.d)
+        for (i, j), row in ints.items():        # d(e_i e_j)
             for m, c in row.items():
                 _add_scaled(leibniz, (i, j), c, dcols[m])
-        for (p, q), c in d.entries.items():     # d e_q has c at p
-            for j, r in left[p]:                # -(d e_q) e_j
-                _add_scaled(leibniz, (q, j), -c, r)
-            for i, r in right[p]:               # -(-1)^{|i|} e_i (d e_q)
-                _add_scaled(leibniz, (i, q), c if odd[i] else -c, r)
+        for q, col in enumerate(dcols):
+            for p, c in col.items():            # d e_q has c at p
+                for j, r in left[p]:            # -(d e_q) e_j
+                    _add_scaled(leibniz, (q, j), -c, r)
+                for i, r in right[p]:           # -(-1)^{|i|} e_i (d e_q)
+                    _add_scaled(leibniz, (i, q), c if odd[i] else -c, r)
+                _add_scaled(dd, q, c, dcols[p])
 
         def messages(axiom: str, keys: List) -> List[str]:
             return ["%s fails on (%s)" % (axiom, ", ".join(space.names[t] for t in key))
@@ -230,7 +255,7 @@ class BilinearStructure:
                                    else ("graded commutativity", "associativity"))
         return (messages(sym_axiom, symmetry), messages(triple_axiom, sorted(_failing(triples))),
                 messages("Leibniz", sorted(_failing(leibniz))),
-                [] if d.compose(d).is_zero() else ["d∘d != 0"])
+                ["d∘d != 0"] if _failing(dd) else [])
 
 
 class NilpotentDgAlgebra(BilinearStructure):
@@ -245,7 +270,7 @@ class NilpotentDgAlgebra(BilinearStructure):
         return cls(space, {}, differential)
 
     def product(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-        return _bilinear(self._left, u, v, self.dim)
+        return _bilinear(self, u, v)
 
     def has_trivial_mult(self) -> bool:
         return not self.table
@@ -255,18 +280,29 @@ class NilpotentDgAlgebra(BilinearStructure):
 
         The basis of A^(n+1) is the greedy independent subset, in order, of
         the products e_i * w over i and over the basis vectors w of A^n.
+        The e_i·w of one w are formed in one pass over w's support through
+        the right index, on Python ints over den^n, which the echelon takes
+        as they are; only the returned vectors are Fractions.
         """
-        powers = [[self.space.basis_vector(i) for i in range(self.dim)]]
-        prev: List[SparseVec] = [{i: ONE} for i in range(self.dim)]
+        n, scale, right = self.dim, 1, _right_index(self._left)
+        powers = [[self.space.basis_vector(i) for i in range(n)]]
+        prev: List[Dict[int, int]] = [{i: 1} for i in range(n)]
         while prev:
-            ech = linalg.Echelon()
-            nxt = []
-            for i in range(self.dim):
-                for w in prev:
-                    p = self._left_mul(i, w)
+            prods: List[Dict[int, Dict[int, int]]] = []
+            for w in prev:
+                acc: Dict[int, Dict[int, int]] = {}
+                for j, cw in w.items():
+                    for i, row in right[j]:
+                        _add_scaled(acc, i, cw, row)
+                prods.append(acc)
+            ech, nxt = linalg.Echelon(), []
+            for i in range(n):
+                for acc in prods:
+                    p = acc.get(i)
                     if p and ech.add(p):
                         nxt.append(p)
-            powers.append([_dense(p, self.dim) for p in nxt])
+            scale *= self.den
+            powers.append([_over([p.get(k, 0) for k in range(n)], scale) for p in nxt])
             if len(nxt) == len(prev):
                 # not descending: not nilpotent; bail out (validate reports)
                 break
@@ -282,7 +318,8 @@ class NilpotentDgAlgebra(BilinearStructure):
 
     def annihilator_basis(self) -> List[Vector]:
         """Basis of Ann(A) = {x : x * A = 0} (two-sided by commutativity):
-        the relations among the maps e_i * -, flattened."""
+        the relations among the maps e_i * -, flattened from the integer
+        index (their common scale den leaves the relations as they are)."""
         n = self.dim
         return linalg.relations([{j * n + k: c for j, row in self._left[i]
                                   for k, c in row.items()} for i in range(n)])[1]
@@ -329,30 +366,39 @@ class DgAlgebraMorphism:
     def violations(self) -> List[str]:
         """Where f fails to commute with d or to be multiplicative.
 
-        f(e_i e_j) - f(e_i) f(e_j) is accumulated sparsely in one pass, as
-        in ``_axiom_errors``: each structure constant of the source is walked
-        through f's columns, and each f(e_i) through the target's left index
-        and an index b -> [(j, f_bj)] of f's rows.  Failing pairs are named
-        in the iteration order of the set of all pairs: the CLI prints this
-        list, so its order is part of the output.
+        f∘d - d∘f and f(e_i e_j) - f(e_i) f(e_j) are accumulated sparsely
+        on Python ints in one pass, as in ``_axiom_errors``: each structure
+        constant of the source is walked through f's columns, and each
+        f(e_i) through the target's left index and an index b -> [(j, f_bj)]
+        of f's rows, both terms over src.den·tgt.den·(f's denominator)².
+        Failing pairs are named in the iteration order of the set of all
+        pairs: the CLI prints this list, so its order is part of the output.
         """
         errs = []
-        f, src = self.map, self.source
-        if not f.compose(src.d) == self.target.d.compose(f):
+        src, tgt = self.source, self.target
+        cols, df = _int_columns(self.map)
+        (sd, dsd), (td, dtd) = _int_columns(src.d), _int_columns(tgt.d)
+        chain: Dict[int, Dict[int, int]] = {}
+        rows: List[List[Tuple[int, int]]] = [[] for _ in range(tgt.dim)]
+        for i, col in enumerate(sd):                    # f(d e_i) - d(f e_i)
+            for m, c in col.items():
+                _add_scaled(chain, i, c * dtd, cols[m])
+        for i, col in enumerate(cols):
+            for b, c in col.items():
+                _add_scaled(chain, i, -c * dsd, td[b])
+                rows[b].append((i, c))
+        if _failing(chain):
             errs.append("does not commute with differentials")
-        cols = f.columns()
-        rows: List[List[Tuple[int, Fraction]]] = [[] for _ in range(self.target.dim)]
-        for (b, j), c in f.entries.items():
-            rows[b].append((j, c))
-        defects: Dict[Pair, SparseVec] = {}
-        for (i, j), row in src.table.items():           # f(e_i e_j)
-            for m, c in row.items():
-                _add_scaled(defects, (i, j), c, cols[m])
+        defects: Dict[Pair, Dict[int, int]] = {}
+        for i, row_list in enumerate(src._left):        # f(e_i e_j)
+            for j, row in row_list:
+                for m, c in row.items():
+                    _add_scaled(defects, (i, j), c * df * tgt.den, cols[m])
         for i, col in enumerate(cols):                  # -f(e_i) f(e_j)
             for a, fa in col.items():
-                for b, prod in self.target._left[a]:
+                for b, prod in tgt._left[a]:
                     for j, fb in rows[b]:
-                        _add_scaled(defects, (i, j), -fa * fb, prod)
+                        _add_scaled(defects, (i, j), -fa * fb * src.den, prod)
         failing = _failing(defects)
         if failing:
             for (i, j) in set(list(src.table.keys())) | {
@@ -560,18 +606,17 @@ class SmallExtension:
         if self.a.dim != self.b.dim + self.i_complex.space.dim:
             errs.append("dimensions inconsistent with exactness")
         errs.extend(self.alpha.violations())
-        img = self.iota.columns()
+        img, _ = _int_columns(self.iota)
         for x in img:
-            if any(self.a.sparse_product(x, y) for y in img):
+            if any(any(self.a._int_product(x, y).values()) for y in img):
                 errs.append("kernel is not square-zero")
         return errs
 
     def is_strictly_small(self) -> bool:
         """A·I = 0: every basis element of A kills the image of I."""
-        img: List[SparseVec] = [{} for _ in range(self.i_complex.space.dim)]
-        for (j, k), c in self.iota.entries.items():
-            img[k][j] = c
-        return not any(self.a._left_mul(i, x) for x in img for i in range(self.a.dim))
+        img, _ = _int_columns(self.iota)
+        return not any(any(self.a._int_product({i: 1}, x).values())
+                       for x in img for i in range(self.a.dim))
 
     def is_acyclic(self) -> bool:
         return cohomology(self.i_complex).total_dim() == 0
@@ -790,29 +835,33 @@ def mapping_cone(a: NilpotentDgAlgebra, module_vectors: Sequence[Vector]) -> Map
 # A[t, dt]_eps and homotopies
 # ---------------------------------------------------------------------------
 
-def _column_index(vectors: Sequence[SparseVec], dim: int) -> List[List[Tuple[int, Fraction]]]:
-    """j -> [(k, vectors[k][j])] over the vectors with j in their support."""
-    cols: List[List[Tuple[int, Fraction]]] = [[] for _ in range(dim)]
+def _column_index(vectors: Sequence[SparseVec], dim: int
+                  ) -> Tuple[List[List[Tuple[int, int]]], int]:
+    """j -> [(k, vectors[k][j])] over the vectors with j in their support,
+    on Python-int numerators over the lcm of all their denominators, and
+    that lcm."""
+    den = lcm(*(c.denominator for v in vectors for c in v.values()))
+    cols: List[List[Tuple[int, int]]] = [[] for _ in range(dim)]
     for k, v in enumerate(vectors):
         for j, c in v.items():
-            cols[j].append((k, c))
-    return cols
+            cols[j].append((k, c.numerator * (den // c.denominator)))
+    return cols, den
 
 
-def _products_with(left: LeftIndex, u: SparseVec, cols: List[List[Tuple[int, Fraction]]]
-                   ) -> List[Tuple[int, SparseVec]]:
+def _products_with(a: NilpotentDgAlgebra, u: SparseVec,
+                   cols: Tuple[List[List[Tuple[int, int]]], int]) -> List[Tuple[int, SparseVec]]:
     """(k, u·v_k), in the order of k, for the vectors v_k of a column index
     ``cols`` that meet some e_j with e_i e_j ≠ 0 for an e_i in u's support:
-    only those products are formed.  A product that cancels is empty."""
-    acc: Dict[int, SparseVec] = {}
-    for i, cu in u.items():
-        for j, row in left[i]:
-            for k, cv in cols[j]:
-                c = cu * cv
-                out = acc.setdefault(k, {})
-                for t, x in row.items():
-                    out[t] = out.get(t, ZERO) + c * x
-    return [(k, {t: x for t, x in acc[k].items() if x}) for k in sorted(acc)]
+    only those products are formed, on Python ints through A's integer
+    index.  A product that cancels is empty."""
+    (nu, du), (index, dc) = _numerators(u), cols
+    acc: Dict[int, Dict[int, int]] = {}
+    for i, cu in nu.items():
+        for j, row in a._left[i]:
+            for k, cv in index[j]:
+                _add_scaled(acc, k, cu * cv, row)
+    total = du * dc * a.den
+    return [(k, {t: Fraction(x, total) for t, x in acc[k].items() if x}) for k in sorted(acc)]
 
 
 def _ceil_frac(n: int, eps: Fraction) -> int:
@@ -874,7 +923,7 @@ class DeRhamAlgebra:
         # and solved for once per power ideal it lands in; the table is
         # filled in the order of the pairs of basis indices.
         cols = {p: _column_index(sparse[p], a.dim) for p in sparse}
-        products = {(p1, p2): [_products_with(a._left, u, cols[p2]) for u in sparse[p1]]
+        products = {(p1, p2): [_products_with(a, u, cols[p2]) for u in sparse[p1]]
                     for p1 in sparse for p2 in sparse}
         block_power = {(n, is_dt): p for n, is_dt, p in blocks}
         solved: Dict[Tuple, List[Tuple[int, Fraction]]] = {}

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .algebras import (BilinearStructure, DgAlgebraMorphism, LeftIndex,
                        NilpotentDgAlgebra, SmallExtension, SparseVec, ValidationReport,
-                       _bilinear, factor_into_small_extensions)
+                       _bilinear, _over, factor_into_small_extensions)
 from .graded import Complex, Contraction, GradedMap, GradedSpace, cohomology
 from .linalg import ONE, ZERO, CertificateError, Vector
 
@@ -37,12 +37,12 @@ class Dgla(BilinearStructure):
         self.nilpotency_class = nilpotency_class
 
     def bracket_vec(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-        return _bilinear(self._left, u, v, self.dim)
+        return _bilinear(self, u, v)
 
     def _bracket_over(self, u: Sequence[Fraction], v: Sequence[Fraction],
                       den: int) -> Vector:
         """[u, v]/den."""
-        return [c / den if c else c for c in self.bracket_vec(u, v)]
+        return _bilinear(self, u, v, den)
 
     def validate(self) -> ValidationReport:
         """Check graded antisymmetry, Jacobi, Leibniz and d∘d = 0 on the
@@ -63,11 +63,11 @@ class TensorDgla(Dgla):
         [x⊗a, y⊗b] = (-1)^{deg(a)·deg(y)} [x,y] ⊗ ab,
     certified by validate(); the differential is
         d(x⊗a) = dx ⊗ a + (-1)^{deg x} x ⊗ da.
-    ``bracket_vec`` reads the integer rows of L's and A's left indices
-    directly.  The table and its left index are built only when read
-    (validate(), table_entry()), each product of an L-constant with an
-    A-constant its own entry; ``nilpotency_class`` is read off A when
-    first needed.
+    ``bracket_vec`` reads L's and A's integer left indices directly, over
+    ``den`` = L.den·A.den.  The table and this structure's own integer
+    index are built only when read (validate(), table_entry()), each
+    product of an L-constant with an A-constant its own entry;
+    ``nilpotency_class`` is read off A when first needed.
     """
 
     def __init__(self, l: Dgla, a: NilpotentDgAlgebra):
@@ -84,7 +84,7 @@ class TensorDgla(Dgla):
                 d.set_entry(i * na + q, i * na + p, -c if l.space.degrees[i] % 2 else c)
         self._odd_l = [deg % 2 for deg in l.space.degrees]
         self._odd_a = [deg % 2 for deg in a.space.degrees]
-        self._int_rows = [None] * space.dim     # read only when this is an L
+        self.den = l.den * a.den
 
     @cached_property
     def nilpotency_class(self) -> int:
@@ -104,7 +104,8 @@ class TensorDgla(Dgla):
     def _left(self) -> LeftIndex:
         left: LeftIndex = [[] for _ in range(self.dim)]
         for (s, t), row in self.table.items():
-            left[s].append((t, row))
+            left[s].append((t, {k: c.numerator * (self.den // c.denominator)
+                                for k, c in row.items()}))
         return left
 
     def bracket_vec(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
@@ -114,9 +115,9 @@ class TensorDgla(Dgla):
     def _bracket_over(self, u: Sequence[Fraction], v: Sequence[Fraction],
                       den: int) -> Vector:
         """[u, v]/den, summed on Python-int numerators over one common
-        denominator: den times the lcm of the denominators of u's support,
-        of v's support and of the integer rows of L and of A that u's
-        support reads.  One Fraction is built per nonzero entry."""
+        denominator: den·L.den·A.den times the lcm of the denominators of
+        u's support and of v's support.  One Fraction is built per nonzero
+        entry."""
         na, odd_l, odd_a = self.a.dim, self._odd_l, self._odd_a
         su = [(s, c) for s, c in enumerate(u) if c]
         sv = su if u is v else [(t, c) for t, c in enumerate(v) if c]
@@ -127,33 +128,24 @@ class TensorDgla(Dgla):
         nv = [0] * self.dim
         for t, c in sv:
             nv[t] = c.numerator * (dv // c.denominator)
-        l_row, a_row = self.l._int_row, self.a._int_row
-        walk = []
-        dl = da = 1
+        l_left, a_left = self.l._left, self.a._left
+        out = [0] * self.dim
         for s, c in su:
             i, p = divmod(s, na)
-            lr, ar = l_row(i), a_row(p)
-            dl, da = lcm(dl, lr[0]), lcm(da, ar[0])
-            walk.append((c, odd_a[p], lr, ar))
-        out = [0] * self.dim
-        for c, flip, (dli, lrows), (dap, arows) in walk:
-            m = c.numerator * (du // c.denominator) * (dl // dli) * (da // dap)
-            for j, lrow in lrows:
+            m, flip, arows = c.numerator * (du // c.denominator), odd_a[p], a_left[p]
+            for j, lrow in l_left[i]:
                 mj = -m if flip and odd_l[j] else m
                 jb = j * na
                 for q, arow in arows:
                     cv = nv[jb + q]
                     if cv:
                         cq = mj * cv
-                        for k, ck in lrow:
+                        for k, ck in lrow.items():
                             ckq = cq * ck
                             kb = k * na
-                            for r, cr in arow:
+                            for r, cr in arow.items():
                                 out[kb + r] += ckq * cr
-        total = du * dv * dl * da * den
-        if total == 1:
-            return [Fraction(n) if n else ZERO for n in out]
-        return [Fraction(n, total) if n else ZERO for n in out]
+        return _over(out, du * dv * self.den * den)
 
     def pair_index(self, i: int, p: int) -> int:
         return i * self.a.dim + p

@@ -64,6 +64,15 @@ def _parse_rational(tok: str, line: int) -> Fraction:
     raise DocumentError("invalid rational %r" % tok, line)
 
 
+def _parse_int(tok: str, what: str, line: int) -> int:
+    """An integer field: ASCII digits with an optional leading ``-``.
+    ``int`` alone would also take ``+0``, ``0_0``, surrounding spaces and
+    non-ASCII digits such as ``１``."""
+    if tok.isascii() and (tok.isdigit() or tok[:1] == "-" and tok[1:].isdigit()):
+        return int(tok)
+    raise DocumentError("%s %r is not an integer" % (what, tok), line)
+
+
 def _sum_terms(terms: Iterable[Tuple[str, Fraction]]) -> Combo:
     """One pass: each name once, in the order of its first term, with the
     sum of its coefficients; names whose sum is 0 are dropped."""
@@ -173,10 +182,7 @@ def _take_basis(raw, fld="basis") -> Tuple[Tuple[str, int], ...]:
         if len(parts) != 2:
             raise DocumentError("basis item must be 'name degree'", lno)
         name, deg = parts
-        try:
-            deg = int(deg)
-        except ValueError:
-            raise DocumentError("degree %r is not an integer" % parts[1], lno)
+        deg = _parse_int(deg, "degree", lno)
         if name in seen:
             raise DocumentError("duplicate basis name %r" % name, lno)
         seen.add(name)
@@ -239,11 +245,7 @@ def _take_scalar_int(raw, fld) -> Optional[int]:
     if not isinstance(item, tuple):
         raise DocumentError("'%s' must be a scalar field" % fld,
                             item[0][0] if isinstance(item, list) and item else None)
-    lno, text = item
-    try:
-        return int(text)
-    except ValueError:
-        raise DocumentError("%s must be an integer" % fld, lno)
+    return _parse_int(item[1], fld, item[0])
 
 
 def _finish(raw) -> None:
@@ -311,10 +313,7 @@ def _payload_graded(raw, kind) -> Dict:
         head, bar, key = lhs.partition("|")
         if not arrow or not bar:
             raise DocumentError(shape, lno)
-        try:
-            k = int(head)
-        except ValueError:
-            raise DocumentError("%s %r is not an integer" % (noun, head.strip()), lno)
+        k = _parse_int(head.strip(), noun, lno)
         if not 1 <= k <= order:
             raise DocumentError("%s %d is outside 1..%d (the order)" % (noun, k, order), lno)
         if word_keys:

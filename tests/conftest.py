@@ -414,6 +414,165 @@ def dense_violations(self) -> list:
     return errs
 
 
+# ---------------------------------------------------------------------------
+# the structure-constant walks on Fractions, kept as the oracles for the
+# integer index of ``BilinearStructure``: they read ``table`` alone
+
+def fraction_left(s):
+    """The left index i -> [(j, Fraction row of e_i e_j)] of s.table."""
+    left = [[] for _ in range(s.dim)]
+    for (i, j), row in s.table.items():
+        left[i].append((j, row))
+    return left
+
+
+def fraction_bilinear(s, u, v):
+    """Σ u_i v_j (e_i e_j) on Fractions, walking the support of u."""
+    left = fraction_left(s)
+    out = [F(0)] * s.dim
+    for i, cu in enumerate(u):
+        if cu:
+            for j, row in left[i]:
+                if v[j]:
+                    for k, ck in row.items():
+                        out[k] += cu * v[j] * ck
+    return out
+
+
+def fraction_left_mul(left, i, w):
+    """e_i·w for a sparse w through a Fraction left index, its zero
+    entries dropped."""
+    out = {}
+    for j, row in left[i]:
+        if w.get(j):
+            for k, ck in row.items():
+                out[k] = out.get(k, F(0)) + w[j] * ck
+    return {k: c for k, c in out.items() if c}
+
+
+def fraction_sparse_product(s, u, w):
+    out, left = {}, fraction_left(s)
+    for i, cu in u.items():
+        for k, c in fraction_left_mul(left, i, w).items():
+            out[k] = out.get(k, F(0)) + cu * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _add_scaled_fractions(defects, key, c, row):
+    out = defects.setdefault(key, {})
+    for t, x in row.items():
+        out[t] = out.get(t, F(0)) + c * x
+
+
+def _failing_fractions(defects):
+    return sorted(key for key, out in defects.items() if any(out.values()))
+
+
+def fraction_axiom_errors(s):
+    """BilinearStructure._axiom_errors() as the sparse walk over the
+    Fraction table and d's entries, with d∘d from ``GradedMap.compose``."""
+    table, left, lie, d = s.table, fraction_left(s), s._lie, s.d
+    odd = [deg % 2 for deg in s.space.degrees]
+    right = [[] for _ in range(s.dim)]
+    for (i, m), row in table.items():
+        right[m].append((i, row))
+    symmetry = []
+    for i, j in sorted({(min(p), max(p)) for p in table}):
+        sgn = (-1 if odd[i] and odd[j] else 1) * (-1 if lie else 1)
+        if table.get((i, j), {}) != {k: sgn * c for k, c in table.get((j, i), {}).items()}:
+            symmetry.append((i, j))
+    triples = {}
+    for (p, q), row in table.items():
+        for m, c in row.items():
+            for k, r in left[m]:
+                _add_scaled_fractions(triples, (p, q, k), c, r)
+            for i, r in right[m]:
+                _add_scaled_fractions(triples, (i, p, q), -c, r)
+                if lie:
+                    _add_scaled_fractions(triples, (p, i, q), -c if odd[p] and odd[i] else c, r)
+    leibniz = {}
+    dcols = d.columns()
+    for (i, j), row in table.items():
+        for m, c in row.items():
+            _add_scaled_fractions(leibniz, (i, j), c, dcols[m])
+    for (p, q), c in d.entries.items():
+        for j, r in left[p]:
+            _add_scaled_fractions(leibniz, (q, j), -c, r)
+        for i, r in right[p]:
+            _add_scaled_fractions(leibniz, (i, q), c if odd[i] else -c, r)
+
+    def messages(axiom, keys):
+        return ["%s fails on (%s)" % (axiom, ", ".join(s.space.names[t] for t in key))
+                for key in keys]
+    sym_axiom, triple_axiom = (("graded antisymmetry", "graded Jacobi") if lie
+                               else ("graded commutativity", "associativity"))
+    return (messages(sym_axiom, symmetry), messages(triple_axiom, _failing_fractions(triples)),
+            messages("Leibniz", _failing_fractions(leibniz)),
+            [] if d.compose(d).is_zero() else ["d∘d != 0"])
+
+
+def fraction_violations(self):
+    """DgAlgebraMorphism.violations() as the sparse walk over the Fraction
+    tables and f's entries, with the chain-map check from ``compose``."""
+    errs = []
+    f, src = self.map, self.source
+    if not f.compose(src.d) == self.target.d.compose(f):
+        errs.append("does not commute with differentials")
+    cols = f.columns()
+    rows = [[] for _ in range(self.target.dim)]
+    for (b, j), c in f.entries.items():
+        rows[b].append((j, c))
+    defects = {}
+    for (i, j), row in src.table.items():
+        for m, c in row.items():
+            _add_scaled_fractions(defects, (i, j), c, cols[m])
+    target_left = fraction_left(self.target)
+    for i, col in enumerate(cols):
+        for a, fa in col.items():
+            for b, prod in target_left[a]:
+                for j, fb in rows[b]:
+                    _add_scaled_fractions(defects, (i, j), -fa * fb, prod)
+    failing = set(_failing_fractions(defects))
+    if failing:
+        for (i, j) in set(list(src.table.keys())) | {
+                (i, j) for i in range(src.dim) for j in range(src.dim)}:
+            if (i, j) in failing:
+                errs.append("not multiplicative on (%s, %s)"
+                            % (src.space.names[i], src.space.names[j]))
+    return errs
+
+
+def fraction_power_ideal_bases(a):
+    """NilpotentDgAlgebra.power_ideal_bases() with each e_i·w formed on
+    Fractions by its own walk, i-major."""
+    left = fraction_left(a)
+    powers = [[a.space.basis_vector(i) for i in range(a.dim)]]
+    prev = [{i: F(1)} for i in range(a.dim)]
+    while prev:
+        ech = linalg.Echelon()
+        nxt = [p for i in range(a.dim) for w in prev
+               for p in [fraction_left_mul(left, i, w)] if p and ech.add(p)]
+        powers.append([[p.get(k, F(0)) for k in range(a.dim)] for p in nxt])
+        if len(nxt) == len(prev):
+            break
+        prev = nxt
+    return powers
+
+
+def fraction_annihilator_basis(a):
+    n, left = a.dim, fraction_left(a)
+    return linalg.relations([{j * n + k: c for j, row in left[i] for k, c in row.items()}
+                             for i in range(n)])[1]
+
+
+def fraction_extension_checks(e):
+    """(is_strictly_small(), the number of 'kernel is not square-zero'
+    errors of validate()) on Fractions."""
+    img, left = e.iota.columns(), fraction_left(e.a)
+    strict = not any(fraction_left_mul(left, i, x) for x in img for i in range(e.a.dim))
+    return strict, sum(1 for x in img if any(fraction_sparse_product(e.a, x, y) for y in img))
+
+
 def reference_kernel_extension(alpha):
     """A surjection packaged as a small extension the way it was before one
     echelon over alpha's columns answered everything: a null basis of

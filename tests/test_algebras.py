@@ -21,7 +21,7 @@ from conftest import (counterexample_algebras, counterexample_extension,
                       dense_de_rham, heisenberg, koszul_truncation, make_rng,
                       pairs_truncation, random_algebra, random_invertible_degree0,
                       random_pair_truncation, reference_kernel_extension, rescaled,
-                      sl2, sl2_odd, dense_quotient_algebra)
+                      sl2, sl2_odd, dense_quotient_algebra, fraction_left, fraction_left_mul)
 
 F = Fraction
 
@@ -429,6 +429,33 @@ def test_de_rham_forms_only_the_nonzero_power_basis_products(monkeypatch):
     assert len(vectors) == 42
     assert len(formed) == nonzero == 89
     assert all(w for _, w in formed)
+
+
+def test_power_ideal_bases_form_each_product_once(monkeypatch):
+    """On the p1h2 truncation, power_ideal_bases forms the e_i·w of each
+    basis vector w in one pass over w's support, one term per nonzero
+    e_i e_j with j in it, and hands each nonzero e_i·w to the echelon
+    once, i-major, as the Fraction walk forms them."""
+    import defalg.algebras as algebras
+    a = pairs_truncation(1, 2, 3).algebra()
+    terms, added = [], []
+    real_add, real_scaled = linalg.Echelon.add, algebras._add_scaled
+    monkeypatch.setattr(linalg.Echelon, "add",
+                        lambda self, v: added.append(dict(v)) or real_add(self, v))
+    monkeypatch.setattr(algebras, "_add_scaled",
+                        lambda *args: terms.append(args[1]) or real_scaled(*args))
+    powers = a.power_ideal_bases()
+    monkeypatch.undo()
+    assert a.den == 1 and [len(p) for p in powers] == [19, 15, 8, 0]
+    left = fraction_left(a)
+    want, n_terms = [], 0
+    for basis in powers[:-1]:
+        prev = [{k: c for k, c in enumerate(w) if c} for w in basis]
+        want += [p for i in range(a.dim) for w in prev
+                 for p in [fraction_left_mul(left, i, w)] if p]
+        n_terms += sum(1 for w in prev for j in w for i in range(a.dim) if (i, j) in a.table)
+    assert len(terms) == n_terms
+    assert [{k: c for k, c in v.items() if c} for v in added] == want
 
 
 # ---------------------------------------------------------------------------

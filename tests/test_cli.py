@@ -484,6 +484,36 @@ def test_exit_two_on_rational_outside_the_format(tmp_path, case, flags):
     assert (proc.returncode, proc.stdout, proc.stderr.decode("utf-8")) == \
         (2, b"", "error: line 2: %s\n" % message)
 
+# integer fields that Python's int() reads but docs/format.md does not
+# allow, and the error each gets; the first is a dgla that was read as
+# valid before integer fields followed the format
+OFF_FORMAT_INTEGERS = {
+    "degree-fullwidth": ("kind: dgla\nbasis:\n  e \uff11\n  f +0\n  g 0_0\n",
+                         "line 3: degree '\uff11' is not an integer"),
+    "degree-plus": ("kind: dgla\nbasis:\n  f +0\n", "line 3: degree '+0' is not an integer"),
+    "degree-underscore": ("kind: dgla\nbasis:\n  g 0_0\n",
+                          "line 3: degree '0_0' is not an integer"),
+    "nilpotency": ("kind: dgla\n" + ONE_GEN + "nilpotency: +2\n",
+                   "line 4: nilpotency '+2' is not an integer"),
+    "order": ("kind: linfty\n" + ONE_GEN + "order: 1_0\n", "line 4: order '1_0' is not an integer"),
+    "arity": ("kind: linfty\n" + ONE_GEN + "order: 2\ntaylor:\n  +1 | u -> 1 u\n",
+              "line 6: arity '+1' is not an integer"),
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+@pytest.mark.parametrize("case", sorted(OFF_FORMAT_INTEGERS))
+def test_exit_two_on_integer_outside_the_format(tmp_path, case, flags):
+    text, message = OFF_FORMAT_INTEGERS[case]
+    doc = tmp_path / "bad.doc"
+    doc.write_text(text, encoding="utf-8")
+    proc = subprocess.run([sys.executable, *flags, "-m", "defalg.cli", "validate",
+                           "--in", str(doc)], capture_output=True,
+                          env=dict(os.environ, PYTHONIOENCODING="utf-8"))
+    assert (proc.returncode, proc.stdout, proc.stderr.decode("utf-8")) == \
+        (2, b"", "error: %s\n" % message)
+
+
 def test_main_calls_do_not_share_input_lists(capsys, tmp_path):
     # the parser is built once; each call reads only its own --in files
     b = tmp_path / "b.alg"

@@ -481,29 +481,35 @@ def test_tensor_bracket_on_fractions_matches_dense_oracle():
     assert flipped and fractional >= 6
 
 
-def test_with_differential_copies_build_no_integer_row_twice(monkeypatch):
+def test_integer_index_is_built_once_and_shared_by_with_differential_copies(monkeypatch):
+    # the constructor builds den and the integer left index; copies with
+    # another d and the tensor brackets over them read that index and
+    # build none of their own
     import defalg.algebras as algebras
     built = []
-    real = algebras._integer_row
+    real = algebras._structure_constants
 
-    def counting(left_row):
-        built.append(left_row)
-        return real(left_row)
-    monkeypatch.setattr(algebras, "_integer_row", counting)
+    def counting(*args):
+        built.append(args[0])
+        return real(*args)
+    monkeypatch.setattr(algebras, "_structure_constants", counting)
     r = QuasismoothTrunc(GradedSpace([("a", 0), ("b", 1)]), 3, {})
     base = r.algebra()
+    assert built == [base.space]
     d = GradedMap(base.space, base.space, 1)
     d.set_entry(base.space.names.index("b"), base.space.names.index("a"), F(1))
     copies = [base, base.with_differential(d), base.with_differential(d)]
     l = sl2_odd()
+    built.clear()
     rng = make_rng(92)
     for a in copies + copies:
         t = tensor_dgla(l, a)
         x = _fractional(rng, t.dim, 0.2)
         mc_defect(t, x)
-    rows = [left_row for s in (l, base) for left_row in s._left]
-    assert sorted(map(id, built)) == sorted(map(id, rows))
-    assert all(c._int_rows is base._int_rows for c in copies)
+        a.product(x[:a.dim], x[-a.dim:])
+    assert built == []
+    assert all(c._left is base._left and c.den == base.den for c in copies)
+    assert copies[1].d == d and base.d.is_zero()
 
 
 def test_mc_lift_builds_no_tensor_table_and_no_ideal_powers(monkeypatch):

@@ -319,7 +319,7 @@ def test_violations_form_no_products_and_match_dense_reference(monkeypatch):
     rng = make_rng(52)
     keys = sorted(a.table)
     calls = []
-    for name in ("sparse_product", "_left_mul"):
+    for name in ("sparse_product", "_int_product"):
         real = getattr(BilinearStructure, name)
         monkeypatch.setattr(BilinearStructure, name,
                             lambda self, *args, real=real: calls.append(1) or real(self, *args))
