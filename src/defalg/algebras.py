@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
 from .graded import Complex, GradedMap, GradedSpace, cohomology, solve_homotopy
@@ -62,26 +62,36 @@ def _over(nums: Sequence[int], den: int) -> Vector:
     return [Fraction(n, den) if n else ZERO for n in nums]
 
 
-def _structure_constants(space: GradedSpace, table: Dict[Pair, SparseVec], wrong_degree: str
-                         ) -> Tuple[Dict[Pair, SparseVec], int, LeftIndex]:
-    """The table with Fraction entries and no zero rows, den (the lcm of its
-    denominators) and the integer left index i -> [(j, {k: den·c_k})].
-    ``wrong_degree`` % (name_i, name_j) is the error for an entry whose
-    degree is not deg e_i + deg e_j."""
-    clean: Dict[Pair, SparseVec] = {}
-    for (i, j), row in table.items():
-        row = {k: linalg.frac(c) for k, c in row.items() if c}
-        if not row:
-            continue
-        for k in row:
-            if space.degrees[k] != space.degrees[i] + space.degrees[j]:
-                raise ValueError(wrong_degree % (space.names[i], space.names[j]))
-        clean[(i, j)] = row
-    den = lcm(*(c.denominator for row in clean.values() for c in row.values()))
+def _structure_constants(space: GradedSpace, table: Union[Dict[Pair, SparseVec], Iterable],
+                         wrong_degree: str) -> Tuple[int, LeftIndex]:
+    """den, the lcm of the denominators of the constants, and the integer
+    left index i -> [(j, {k: den·c_k})], built in one pass over the
+    ((i, j), row) items of ``table`` (a dict, or an iterable of its items)
+    with zero entries and rows dropped.  Each row is stored on Python ints
+    over its own denominator and rescaled at the end only when the row
+    denominators differ.  ``wrong_degree`` % (name_i, name_j) is the error
+    for an entry whose degree is not deg e_i + deg e_j."""
+    degrees = space.degrees
     left: LeftIndex = [[] for _ in range(space.dim)]
-    for (i, j), row in clean.items():
-        left[i].append((j, {k: c.numerator * (den // c.denominator) for k, c in row.items()}))
-    return clean, den, left
+    by_den: Dict[int, List[Dict[int, int]]] = {}
+    for (i, j), row in (table.items() if isinstance(table, dict) else table):
+        nums, den = _numerators({k: c if isinstance(c, (int, Fraction)) else linalg.frac(c)
+                                 for k, c in row.items()})
+        if not nums:
+            continue
+        deg = degrees[i] + degrees[j]
+        if any(degrees[k] != deg for k in nums):
+            raise ValueError(wrong_degree % (space.names[i], space.names[j]))
+        left[i].append((j, nums))
+        by_den.setdefault(den, []).append(nums)
+    den = lcm(*by_den)
+    for row_den, rows in by_den.items():
+        if row_den != den:
+            scale = den // row_den
+            for nums in rows:
+                for k in nums:
+                    nums[k] *= scale
+    return den, left
 
 
 def _bilinear(s: "BilinearStructure", u: Sequence[Fraction], v: Sequence[Fraction],
@@ -134,30 +144,46 @@ class BilinearStructure:
     constants and a degree +1 differential d: the data that nilpotent
     dg-algebras, DGLAs and L⊗A share.
 
-    ``table`` maps a pair of basis indices (i, j) to the sparse coefficient
-    vector of e_i·e_j (the product, or the bracket [e_i, e_j]) with
-    Fraction entries; missing pairs give zero.  The constructor is the only
-    writer of ``table`` and also builds the one index that every walk over
-    the constants reads: ``den``, the lcm of their denominators, and the
-    left index i -> [(j, {k: den·c_k})] on Python-int numerators, through
-    which the operation walks only the support of its left argument.  A
-    subclass names its operation in ``_wrong_degree`` and says in ``_lie``
-    whether its axioms are those of a graded Lie algebra.
+    The constants are given as ``table``, a dict (or an iterable of its
+    items) from a pair of basis indices (i, j) to the sparse coefficient
+    vector of e_i·e_j (the product, or the bracket [e_i, e_j]); missing
+    pairs give zero.  They are stored once, as the index that every walk
+    reads: ``den``, the lcm of their denominators, and the left index
+    i -> [(j, {k: den·c_k})] on Python-int numerators, through which the
+    operation walks only the support of its left argument.  ``table``
+    itself is a read-only view of that index with Fraction entries, built
+    on first read.  A subclass names its operation in ``_wrong_degree``
+    and says in ``_lie`` whether its axioms are those of a graded Lie
+    algebra.
     """
     _wrong_degree = "product %s*%s has an entry of wrong degree"
     _lie = False
 
-    def __init__(self, space: GradedSpace, table: Dict[Pair, SparseVec],
+    def __init__(self, space: GradedSpace, table: Union[Dict[Pair, SparseVec], Iterable],
                  differential: GradedMap):
         if differential.source != space or differential.degree != 1:
             raise ValueError("differential must be a degree +1 endomap")
         self.space = space
-        self.table, self.den, self._left = _structure_constants(space, table, self._wrong_degree)
+        self.den, self._left = _structure_constants(space, table, self._wrong_degree)
         self.d = differential
 
+    def constants(self) -> Iterator[Tuple[int, int, SparseVec]]:
+        """(i, j, e_i·e_j) for the nonzero pairs in lexicographic order, each
+        product sparse with Fraction entries in the order of its indices,
+        read from the integer index."""
+        for i, row_list in enumerate(self._left):
+            for j, row in sorted(row_list, key=lambda item: item[0]):
+                yield i, j, {k: Fraction(row[k], self.den) for k in sorted(row)}
+
+    @cached_property
+    def table(self) -> Dict[Pair, SparseVec]:
+        """(i, j) -> e_i·e_j for the nonzero pairs: ``constants()`` as a
+        dict, built on first read."""
+        return {(i, j): row for i, j, row in self.constants()}
+
     def with_differential(self, differential: GradedMap) -> "BilinearStructure":
-        """This structure with another d; the table and its integer index
-        are shared, not rebuilt."""
+        """This structure with another d; the integer index is shared, not
+        rebuilt."""
         if differential.source != self.space or differential.degree != 1:
             raise ValueError("differential must be a degree +1 endomap")
         out = copy.copy(self)
@@ -172,8 +198,9 @@ class BilinearStructure:
         return Complex(self.space, self.d)
 
     def table_entry(self, i: int, j: int) -> Vector:
-        """e_i·e_j as a fresh dense vector."""
-        return _dense(self.table.get((i, j), {}), self.dim)
+        """e_i·e_j as a fresh dense vector, read from the integer index."""
+        row = next((row for m, row in self._left[i] if m == j), {})
+        return _over([row.get(k, 0) for k in range(self.dim)], self.den)
 
     def _int_product(self, u: Dict[int, int], w: Dict[int, int]) -> Dict[int, int]:
         """den·(u·w) for u and w on Python-int numerators; entries that
@@ -259,8 +286,8 @@ class BilinearStructure:
 
 
 class NilpotentDgAlgebra(BilinearStructure):
-    """Object of the category of nilpotent dg-algebras: ``table`` holds the
-    products e_i * e_j."""
+    """Object of the category of nilpotent dg-algebras: the constants are
+    the products e_i * e_j."""
 
     @classmethod
     def trivial(cls, space: GradedSpace, differential: Optional[GradedMap] = None
@@ -273,7 +300,7 @@ class NilpotentDgAlgebra(BilinearStructure):
         return _bilinear(self, u, v)
 
     def has_trivial_mult(self) -> bool:
-        return not self.table
+        return not any(self._left)
 
     def power_ideal_bases(self) -> List[List[Vector]]:
         """Bases of A = A^1 ⊇ A^2 ⊇ ...  down to the first zero power.
@@ -371,8 +398,8 @@ class DgAlgebraMorphism:
         constant of the source is walked through f's columns, and each
         f(e_i) through the target's left index and an index b -> [(j, f_bj)]
         of f's rows, both terms over src.den·tgt.den·(f's denominator)².
-        Failing pairs are named in the iteration order of the set of all
-        pairs: the CLI prints this list, so its order is part of the output.
+        Failing pairs are named in lexicographic order of their basis
+        indices.
         """
         errs = []
         src, tgt = self.source, self.target
@@ -399,13 +426,8 @@ class DgAlgebraMorphism:
                 for b, prod in tgt._left[a]:
                     for j, fb in rows[b]:
                         _add_scaled(defects, (i, j), -fa * fb * src.den, prod)
-        failing = _failing(defects)
-        if failing:
-            for (i, j) in set(list(src.table.keys())) | {
-                    (i, j) for i in range(src.dim) for j in range(src.dim)}:
-                if (i, j) in failing:
-                    errs.append("not multiplicative on (%s, %s)"
-                                % (src.space.names[i], src.space.names[j]))
+        errs.extend("not multiplicative on (%s, %s)" % (src.space.names[i], src.space.names[j])
+                    for i, j in sorted(_failing(defects)))
         return errs
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
@@ -466,8 +488,8 @@ def quotient_algebra(a: NilpotentDgAlgebra, ideal: Sequence[Vector]
     # one echelon over the ideal's vectors, then the standard basis: the
     # basis vectors it keeps span a complement, and a vector's coordinates
     # on them are its image in A/J.  The projection is linear, so each
-    # basis vector is projected once and the quotient's table and d are
-    # read off A's nonzero constants and d's columns
+    # basis vector is projected once and the quotient's constants and d
+    # are read off A's integer index (over den) and d's columns
     span = linalg.echelon(ideal)
     nj = span.count
     compl_idx = [i for i in range(a.dim) if span.add({i: ONE})]
@@ -476,29 +498,25 @@ def quotient_algebra(a: NilpotentDgAlgebra, ideal: Sequence[Vector]
         coords = span.coords({k: ONE})
         proj.append({n: coords[nj + i] for n, i in enumerate(compl_idx) if coords[nj + i]})
 
-    def project(v: SparseVec) -> SparseVec:
+    def project(v: Dict, den: int = 1) -> SparseVec:
         out: SparseVec = {}
         for k, c in v.items():
             for n, x in proj[k].items():
                 out[n] = out.get(n, ZERO) + c * x
-        return {n: out[n] for n in sorted(out) if out[n]}
+        return {n: out[n] / den for n in sorted(out) if out[n]}
 
     names = [a.space.names[i] for i in compl_idx]
     degs = [a.space.degrees[i] for i in compl_idx]
     space = GradedSpace(list(zip(names, degs)))
     pos = {i: n for n, i in enumerate(compl_idx)}
-    mult: Dict[Tuple[int, int], SparseVec] = {}
-    for (i, j), row in a.table.items():
-        if i in pos and j in pos:
-            p = project(row)
-            if p:
-                mult[(pos[i], pos[j])] = p
+    mult = (((pos[i], pos[j]), project(row, a.den)) for i, row_list in enumerate(a._left)
+            if i in pos for j, row in row_list if j in pos)
     d = GradedMap(space, space, 1)
     dcols = a.d.columns()
     for n, i in enumerate(compl_idx):
         for m, c in project(dcols[i]).items():
             d.set_entry(m, n, c)
-    q = NilpotentDgAlgebra(space, {key: mult[key] for key in sorted(mult)}, d)
+    q = NilpotentDgAlgebra(space, mult, d)
     pmap = GradedMap(a.space, space, 0)
     for k in range(a.dim):
         for n, c in proj[k].items():
@@ -514,10 +532,8 @@ def direct_product(a: NilpotentDgAlgebra, b: NilpotentDgAlgebra,
     basis += [(tags[1] + n, d) for n, d in b.space.basis]
     space = GradedSpace(basis)
     na = a.dim
-    mult: Dict[Tuple[int, int], SparseVec] = {}
-    for (i, j), row in a.table.items():
-        mult[(i, j)] = dict(row)
-    for (i, j), row in b.table.items():
+    mult: Dict[Tuple[int, int], SparseVec] = {(i, j): row for i, j, row in a.constants()}
+    for i, j, row in b.constants():
         mult[(i + na, j + na)] = {k + na: c for k, c in row.items()}
     d = GradedMap(space, space, 1)
     for (j, i), c in a.d.entries.items():
@@ -790,9 +806,7 @@ def mapping_cone(a: NilpotentDgAlgebra, module_vectors: Sequence[Vector]) -> Map
             raise ValueError("module is not an ideal (product escapes the span)")
         return coords
 
-    mult: Dict[Tuple[int, int], SparseVec] = {}
-    for (i, j), row in a.table.items():
-        mult[(i, j)] = dict(row)
+    mult: Dict[Tuple[int, int], SparseVec] = {(i, j): row for i, j, row in a.constants()}
     for i in range(na):
         ei = a.space.basis_vector(i)
         sgn = Fraction(-1 if a.space.degrees[i] % 2 else 1)

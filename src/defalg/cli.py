@@ -216,13 +216,10 @@ def cmd_primary_bracket(docs, args) -> Report:
     hb = cohomology_bracket(l)
     rep = Report("primary-bracket")
     table = []
-    for (i, j) in sorted(hb.table):
-        sv = hb.table[(i, j)]
-        combo = tuple((hb.space.names[k], c) for k, c in sorted(sv.items()) if c)
-        if combo:
-            table.append("[%s, %s] = %s" % (hb.space.names[i],
-                                            hb.space.names[j],
-                                            docio._format_combo(combo)))
+    for i, j, sv in hb.constants():
+        combo = tuple((hb.space.names[k], c) for k, c in sv.items())
+        table.append("[%s, %s] = %s" % (hb.space.names[i], hb.space.names[j],
+                                        docio._format_combo(combo)))
     rep.tables["bracket on cohomology"] = table
     rep.tables["dimensions"] = {k: len(hb.space.degree_indices(k))
                                 for k in sorted(set(hb.space.degrees))}

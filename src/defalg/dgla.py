@@ -24,8 +24,8 @@ from .linalg import ONE, ZERO, CertificateError, Vector
 
 
 class Dgla(BilinearStructure):
-    """Differential graded Lie algebra on a finite basis: ``table`` holds the
-    brackets [e_i, e_j].  ``nilpotency_class`` (optional) bounds the length
+    """Differential graded Lie algebra on a finite basis: the constants are
+    the brackets [e_i, e_j].  ``nilpotency_class`` (optional) bounds the length
     of nonzero iterated brackets, enabling exponentials.
     """
     _wrong_degree = "bracket [%s, %s] has an entry of wrong degree"
@@ -64,9 +64,9 @@ class TensorDgla(Dgla):
     certified by validate(); the differential is
         d(x⊗a) = dx ⊗ a + (-1)^{deg x} x ⊗ da.
     ``bracket_vec`` reads L's and A's integer left indices directly, over
-    ``den`` = L.den·A.den.  The table and this structure's own integer
-    index are built only when read (validate(), table_entry()), each
-    product of an L-constant with an A-constant its own entry;
+    ``den`` = L.den·A.den.  This structure's own integer index, each
+    product of an L-constant with an A-constant its own entry, is built
+    from theirs only when read (validate(), and the ``table`` view);
     ``nilpotency_class`` is read off A when first needed.
     """
 
@@ -92,20 +92,17 @@ class TensorDgla(Dgla):
         return nil - 1 if nil and nil > 1 else 1
 
     @cached_property
-    def table(self) -> Dict[Tuple[int, int], SparseVec]:
-        na = self.a.dim
-        return {(i * na + p, j * na + q): {
-                    k * na + r: (-ck if self._odd_a[p] and self._odd_l[j] else ck) * cr
-                    for k, ck in lrow.items() for r, cr in arow.items()}
-                for (i, j), lrow in self.l.table.items()
-                for (p, q), arow in self.a.table.items()}
-
-    @cached_property
     def _left(self) -> LeftIndex:
-        left: LeftIndex = [[] for _ in range(self.dim)]
-        for (s, t), row in self.table.items():
-            left[s].append((t, {k: c.numerator * (self.den // c.denominator)
-                                for k, c in row.items()}))
+        """The integer left index of L⊗A over den = L.den·A.den: the entry
+        of x_i⊗a_p with x_j⊗a_q is (-1)^{|a_p||x_j|} times the product of
+        their L- and A-numerators."""
+        na, odd_l, odd_a = self.a.dim, self._odd_l, self._odd_a
+        left: LeftIndex = []
+        for lrows in self.l._left:
+            for p, arows in enumerate(self.a._left):
+                left.append([(j * na + q, {k * na + r: (-ck if odd_a[p] and odd_l[j] else ck) * cr
+                                           for k, ck in lrow.items() for r, cr in arow.items()})
+                             for j, lrow in lrows for q, arow in arows])
         return left
 
     def bracket_vec(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
@@ -499,6 +496,7 @@ def derivations_dgla(a: NilpotentDgAlgebra) -> Tuple[Dgla, List[GradedMap]]:
     degs = a.space.degrees
     deg_range = sorted({dj - di for di in degs for dj in degs}) if n else []
     deriv_maps: List[GradedMap] = []
+    prods = {(i, j): row for i, j, row in a.constants()}
     for nn in deg_range:
         slots = [(j, i) for j in range(n) for i in range(n)
                  if degs[j] == degs[i] + nn]
@@ -509,20 +507,20 @@ def derivations_dgla(a: NilpotentDgAlgebra) -> Tuple[Dgla, List[GradedMap]]:
         # Leibniz: h(e_i e_j) = h(e_i) e_j + (-1)^{n·deg_i} e_i h(e_j)
         for i in range(n):
             for j in range(n):
-                pij = a.table_entry(i, j)
+                pij = prods.get((i, j), {})
                 sgn = Fraction(-1 if (nn % 2 and degs[i] % 2) else 1)
                 for r in range(n):
                     row = [ZERO] * len(slots)
                     # h(e_i e_j) term
-                    for k, ck in enumerate(pij):
-                        if ck and (r, k) in pos:
+                    for k, ck in pij.items():
+                        if (r, k) in pos:
                             row[pos[(r, k)]] += ck
                     # -h(e_i) e_j
                     for (jj, ii), kk in pos.items():
                         if ii == i:
-                            row[kk] -= a.table.get((jj, j), {}).get(r, ZERO)
+                            row[kk] -= prods.get((jj, j), {}).get(r, ZERO)
                         if ii == j:
-                            row[kk] -= sgn * a.table.get((i, jj), {}).get(r, ZERO)
+                            row[kk] -= sgn * prods.get((i, jj), {}).get(r, ZERO)
                     if any(row):
                         rows.append(row)
         basis = linalg.nullspace(rows) if rows else [

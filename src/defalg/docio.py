@@ -619,11 +619,9 @@ def document_of_complex(c: Complex) -> InputDocument:
 
 
 def _document_of_structure(kind: str, s: BilinearStructure, **extra) -> InputDocument:
-    table = {}
-    for (i, j), sv in s.table.items():
-        combo = tuple((s.space.names[k], c) for k, c in sorted(sv.items()) if c)
-        if combo:
-            table[(s.space.names[i], s.space.names[j])] = combo
+    names = s.space.names
+    table = {(names[i], names[j]): tuple((names[k], c) for k, c in sv.items())
+             for i, j, sv in s.constants()}
     return InputDocument(kind, {
         "basis": tuple(s.space.basis),
         "d": _map_payload(s.d, s.space, s.space),

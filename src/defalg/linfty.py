@@ -435,7 +435,7 @@ def dual_coalgebra(a: NilpotentDgAlgebra) -> DualCoalgebra:
     """Transpose multiplication and differential onto the dual space."""
     space = a.space.dual()
     cp: Dict[int, Dict[Tuple[int, int], Fraction]] = {}
-    for (i, j), row in a.table.items():
+    for i, j, row in a.constants():
         for k, c in row.items():
             cp.setdefault(k, {})[(i, j)] = cp.get(k, {}).get((i, j), ZERO) + c
     cod = a.d.transpose()

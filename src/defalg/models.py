@@ -16,9 +16,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
-from .algebras import (DgAlgebraMorphism, Homotopy, NilpotentDgAlgebra,
-                       SparseVec, _dense, check_homotopy, constant_homotopy,
-                       de_rham_truncation)
+from .algebras import (DgAlgebraMorphism, Homotopy, NilpotentDgAlgebra, _dense,
+                       check_homotopy, constant_homotopy, de_rham_truncation)
 from .dgla import Dgla, TensorDgla, mc_defect, tensor_dgla
 from .graded import (Complex, Contraction, GradedMap, GradedSpace, WordBasis,
                      cohomology)
@@ -32,9 +31,9 @@ class QuasismoothTrunc:
 
     ``basis`` holds the words of ⊕_{1≤k≤n} ⊙^k V; ``components[k]`` is the
     degree +1 map V → ⊙^k V, and the induced derivation on the words
-    squares to zero (checked).  The product table depends on (V, n) alone:
-    a truncation made by ``with_components`` shares the word basis and,
-    once built, the table with the one it was made from.
+    squares to zero (checked).  The products depend on (V, n) alone: a
+    truncation made by ``with_components`` shares the word basis and, once
+    built, the algebra's integer index with the one it was made from.
     """
 
     def __init__(self, v: GradedSpace, order: int,
@@ -105,14 +104,13 @@ class QuasismoothTrunc:
         if self._algebra is None:
             if self._products is None:
                 b = self.basis
-                table: Dict[Tuple[int, int], SparseVec] = {}
-                for p, wp in enumerate(b.words):
-                    # the words of length <= order - len(wp) come first
-                    for q in range(b.offsets[self.order + 1 - len(wp)]):
-                        res = b.position(wp + b.words[q])
-                        if res is not None:
-                            table[(p, q)] = {res[0]: Fraction(res[1])}
-                self._products = NilpotentDgAlgebra(b.space, table,
+                # the words of length <= order - len(wp) come first; each
+                # product is ±1 times one word, handed over as it is formed
+                products = (((p, q), {res[0]: res[1]})
+                            for p, wp in enumerate(b.words)
+                            for q in range(b.offsets[self.order + 1 - len(wp)])
+                            for res in [b.position(wp + b.words[q])] if res is not None)
+                self._products = NilpotentDgAlgebra(b.space, products,
                                                     GradedMap(b.space, b.space, 1))
             self._algebra = self._products.with_differential(self.differential())
         return self._algebra

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .algebras import (DgAlgebraMorphism, NilpotentDgAlgebra, SmallExtension,
-                       SparseVec, kernel_extension, mapping_cone, quotient_algebra)
+                       SparseVec, _dense, kernel_extension, mapping_cone, quotient_algebra)
 from .dgla import Dgla, TensorDgla, def_tangent, mc_lift
 from .graded import Contraction, GradedMap, GradedSpace, solve_homotopy
 from .linfty import LInftyStructure, linfty_to_dgla
@@ -74,12 +74,9 @@ def is_dg_morphism_to_shifted_kernel(e: SmallExtension, phi: GradedMap,
             or phi.degree != shift:
         return ["phi has wrong source/target/degree"]
     b = e.b
-    for i in range(b.dim):
-        for j in range(b.dim):
-            p = b.table_entry(i, j)
-            if not linalg.is_zero_vector(phi.apply(p)):
-                errs.append("phi does not kill %s*%s"
-                            % (b.space.names[i], b.space.names[j]))
+    for i, j, p in b.constants():
+        if not linalg.is_zero_vector(phi.apply(_dense(p, b.dim))):
+            errs.append("phi does not kill %s*%s" % (b.space.names[i], b.space.names[j]))
     sgn = Fraction(-1 if shift % 2 else 1)
     if phi.compose(b.d) != e.i_complex.d.compose(phi).scale(sgn):
         errs.append("phi is not a chain map into the shifted kernel")
@@ -98,7 +95,7 @@ def twist_extension(e: SmallExtension, phi: GradedMap) -> SmallExtension:
     d_phi = e.a.d + e.iota.compose(phi).compose(e.alpha.map)
     if not d_phi.compose(d_phi).is_zero():
         raise CertificateError("twisted differential must square to zero")
-    a_phi = NilpotentDgAlgebra(e.a.space, e.a.table, d_phi)
+    a_phi = e.a.with_differential(d_phi)
     alpha = DgAlgebraMorphism(a_phi, e.b, e.alpha.map)
     return SmallExtension(e.i_complex, a_phi, e.b, e.iota, alpha)
 
@@ -152,13 +149,7 @@ def lifting_defect(e: SmallExtension) -> LiftingDefect:
         raise CertificateError("lifting defect must be a dg-algebra morphism into I[2]")
 
     # descend to B/B² and decide null-homotopy by a linear solve
-    sq: List[Vector] = []
-    for i in range(b.dim):
-        for j in range(b.dim):
-            p = b.table_entry(i, j)
-            if not linalg.is_zero_vector(p):
-                sq.append(p)
-    bbar, pr = quotient_algebra(b, sq)
+    bbar, pr = quotient_algebra(b, [p for _, _, p in b.constants()])
     # delta_bar with delta = delta_bar ∘ pr: solve columnwise
     pr_ech = linalg.echelon(pr.map.columns())
     delta_bar = GradedMap(bbar.space, e.i_complex.space, 2)
@@ -182,7 +173,7 @@ def lifting_defect(e: SmallExtension) -> LiftingDefect:
     d_new = a.d - e.iota.compose(phi).compose(e.alpha.map)
     if not d_new.compose(d_new).is_zero():
         raise CertificateError("corrected lift must square to zero")
-    a_new = NilpotentDgAlgebra(a.space, a.table, d_new)
+    a_new = a.with_differential(d_new)
     corrected = SmallExtension(e.i_complex, a_new, b,
                                e.iota, DgAlgebraMorphism(a_new, b, e.alpha.map))
     return LiftingDefect(e, delta, bbar, pr, delta_bar, True, phibar, corrected)

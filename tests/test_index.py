@@ -7,11 +7,15 @@ annihilators and A[t,dt]) reads one index of Python-int numerators over one
 denominator.  The Fraction walks are kept in ``conftest`` as oracles; the
 inputs here are random structures rewritten in a basis with fractional
 scales whose numerators and denominators reach 2**70, some with one
-structure constant perturbed.
+structure constant perturbed.  The index is the only stored form of the
+constants, so the constructor is checked against its input too: with
+plain int entries, zeros and zero rows, given as a dict or streamed.
 """
 
 from fractions import Fraction
+from math import lcm
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from defalg.algebras import (DgAlgebraMorphism, de_rham_truncation, kernel_extension,
@@ -69,11 +73,37 @@ def fraction_report(s):
     return sym + triples + dd + leibniz + (["not nilpotent"] if idx is None else []), idx
 
 
-@given(any_structure)
+@given(any_structure, st.data())
 @settings(max_examples=150, deadline=None)
-def test_validate_matches_the_fraction_walks(s):
+def test_validate_matches_the_fraction_walks(s, data):
     report = s.validate()
     assert (report.errors, report.nilpotency_index) == fraction_report(s)
+    # the same constants given again with plain ints for integral entries,
+    # zero entries and zero rows mixed in, as a dict or as its items: the
+    # index keeps the nonzero entries over the lcm of all denominators
+    table, degs = {}, s.space.degrees
+    for pair, row in s.table.items():
+        row = {k: int(c) if c.denominator == 1 and data.draw(st.booleans()) else c
+               for k, c in row.items()}
+        if data.draw(st.booleans()):
+            row.setdefault(data.draw(st.integers(0, s.dim - 1)), 0)
+        table[pair] = row
+    if s.dim and data.draw(st.booleans()):
+        table.setdefault((data.draw(st.integers(0, s.dim - 1)), 0), {0: F(0)})
+    d = GradedMap(s.space, s.space, 1, dict(s.d.entries))
+    given_as = table if data.draw(st.booleans()) else iter(list(table.items()))
+    t = type(s)(s.space, given_as, d)
+    assert t.table == {pair: {k: c for k, c in row.items() if c}
+                       for pair, row in table.items() if any(row.values())}
+    assert t.den == lcm(*(F(c).denominator for row in table.values() for c in row.values()))
+    assert (t.validate().errors, t.validate().nilpotency_index) == fraction_report(s)
+    wrong = [(i, j, k) for i in range(s.dim) for j in range(s.dim) for k in range(s.dim)
+             if degs[k] != degs[i] + degs[j]]
+    if wrong:
+        i, j, k = data.draw(st.sampled_from(wrong))
+        table.setdefault((i, j), {})[k] = data.draw(nonzero)
+        with pytest.raises(ValueError, match="wrong degree"):
+            type(s)(s.space, table, d)
 
 
 @given(any_structure, st.data())

@@ -208,6 +208,23 @@ def test_with_components_shares_the_product_table():
     a0 = shell.algebra()
     moved = shell.with_components(r.components)
     a = moved.algebra()
-    assert a.table is a0.table and a._left is a0._left
+    assert a._left is a0._left and "table" not in vars(a)
     assert a.d == r.differential() and a0.d.is_zero()
     assert moved.basis is shell.basis and not shell.components
+
+
+def test_prorepresent_never_builds_the_table_view_of_r(monkeypatch):
+    # R is read only through its integer index: no order of the run reads
+    # the Fraction constants of R's algebra, whose view stays unbuilt
+    import defalg.algebras
+    read = []
+    real = defalg.algebras.BilinearStructure.constants
+
+    def recording(self):
+        read.append(self.space)
+        return real(self)
+
+    monkeypatch.setattr(defalg.algebras.BilinearStructure, "constants", recording)
+    rk, ve = kuranishi_prorepresent(sl2_odd(), order=8)
+    assert rk.algebra().space not in read and "table" not in vars(rk.algebra())
+    assert linalg.is_zero_vector(ve.defect())
