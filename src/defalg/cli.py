@@ -3,8 +3,9 @@
 ``defalg <command> --in <file> [--in <file>…] [--order N] [--json]``
 
 Exit status: 0 on success / verdict true, 1 on verdict false, 2 on input
-errors (unreadable files, syntax errors, schema mismatches), 3 when an
-exact certificate the program checks for its own result fails.  All numbers
+errors (unreadable files, syntax errors, schema mismatches, and an input
+algebra or DGLA found invalid once a certificate fails), 3 when an exact
+certificate the program checks for its own result fails.  All numbers
 in reports are exact rationals.
 """
 
@@ -18,8 +19,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import docio, linalg
-from .dgla import (Dgla, def_tangent, gauge_equivalent, mc_check, mc_lift,
-                   tensor_dgla, tensor_space)
+from .dgla import (def_tangent, gauge_equivalent, mc_check, mc_lift, tensor_dgla,
+                   tensor_space)
 from .graded import cohomology
 from .linfty import check_linfty, dgla_to_linfty
 from .models import h_r_tangent, is_minimal, kuranishi_prorepresent, minimalize
@@ -87,10 +88,6 @@ def _combo_str(space, vec) -> str:
     return docio._format_combo(docio._combo_of_vector(space, vec))
 
 
-def _dims_table(contraction) -> Dict[int, int]:
-    return contraction.dims()
-
-
 def cmd_validate(docs, args) -> Report:
     rep = Report("validate")
     ok_all = True
@@ -120,7 +117,7 @@ def cmd_cohomology(docs, args) -> Report:
         obj = docio.build(d)
         cx = obj if kind == "complex" else obj.complex()
         rep = Report("cohomology")
-        rep.tables["dimensions"] = _dims_table(cohomology(cx))
+        rep.tables["dimensions"] = cohomology(cx).dims()
         return rep
     raise SchemaError("cohomology needs a complex, algebra or dgla input")
 
@@ -128,7 +125,7 @@ def cmd_cohomology(docs, args) -> Report:
 def cmd_tangent(docs, args) -> Report:
     l = docio.build(_take(docs, "dgla"))
     rep = Report("tangent")
-    rep.tables["dimensions"] = _dims_table(def_tangent(l))
+    rep.tables["dimensions"] = def_tangent(l).dims()
     return rep
 
 
@@ -155,17 +152,7 @@ def _lift_from_inputs(docs):
     e = docio.build_small_extension(_take(docs, "small_extension"))
     x = docio.build_mc_element(_take(docs, "mc_element"),
                                tensor_space(l.space, e.b.space))
-    try:
-        return mc_lift(e, l, x)
-    except linalg.CertificateError:
-        # the algebras are validated only when a certificate fails: an
-        # invalid algebra is an input error, not a defect of the program
-        for name, alg in (("a", e.a), ("b", e.b)):
-            errs = alg.validate().errors
-            if errs:
-                raise docio.DocumentError("invalid small extension: algebra %s: %s"
-                                          % (name, "; ".join(errs)))
-        raise
+    return mc_lift(e, l, x)
 
 
 def cmd_mc_lift(docs, args) -> Report:
@@ -320,6 +307,23 @@ def _parser() -> argparse.ArgumentParser:
 _PARSER = _parser()
 
 
+def _raise_on_invalid_input(docs: List[docio.InputDocument]) -> None:
+    """DocumentError naming the first algebra or DGLA input, or algebra of
+    a small extension, that fails its axioms."""
+    for d in docs:
+        if d.kind in ("nilpotent_dg_algebra", "dgla"):
+            parts = [(d.kind, docio.build(d))]
+        elif d.kind == "small_extension":
+            e = docio.build_small_extension(d)
+            parts = [("small extension: algebra a", e.a), ("small extension: algebra b", e.b)]
+        else:
+            continue
+        for label, obj in parts:
+            errs = obj.validate().errors
+            if errs:
+                raise docio.DocumentError("invalid %s: %s" % (label, "; ".join(errs)))
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
@@ -331,7 +335,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             except OSError as exc:
                 raise SchemaError("cannot read %s: %s" % (path, exc))
             docs.append(docio.parse(text))
-        report = COMMANDS[args.command](docs, args)
+        try:
+            report = COMMANDS[args.command](list(docs), args)
+        except linalg.CertificateError:
+            # the inputs are validated only when a certificate fails: an
+            # invalid input is an input error, not a defect of the program
+            _raise_on_invalid_input(docs)
+            raise
     except (docio.DocumentError, SchemaError, ValueError) as err:
         sys.stderr.write("error: %s\n" % err)
         return 2

@@ -1,7 +1,11 @@
 """L-infinity structures on truncated reduced symmetric coalgebras.
 
-The coalgebra C(V) = ⊕_{1≤i≤n} ⊙^i(V[1]) with the unshuffle coproduct;
-the Chevalley-Eilenberg truncation of a structure, through which its
+The coalgebra C(V) = ⊕_{1≤i≤n} ⊙^i(V[1]), read through its dual
+truncation R/R^{n+1} on the dual letters: under the pairing of words with
+their monomials, the coproduct, the co-axioms, coderivations and
+coalgebra morphisms are the scaled transposes of the product, the
+algebra axioms, derivations and algebra morphisms there.  The
+Chevalley-Eilenberg truncation of a structure, through which its
 coderivation, the generalized Jacobi checker and the L-infinity
 Maurer-Cartan equation over nilpotent coefficients read the Taylor
 coefficients; the two-way dictionary with DGLAs, coalgebra morphisms from
@@ -17,81 +21,65 @@ from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .algebras import NilpotentDgAlgebra, SparseVec
+from .algebras import DgAlgebraMorphism, NilpotentDgAlgebra, SparseVec
 from .dgla import Dgla, tensor_space
-from .graded import (GradedMap, GradedSpace, WordBasis, koszul_sign, shift_space,
-                     unshuffles)
-from .linalg import ONE, ZERO, CertificateError, Vector
-from .models import QuasismoothTrunc
+from .graded import GradedMap, GradedSpace, WordBasis, shift_space
+from .linalg import ZERO, CertificateError, Vector
+from .models import QuasismoothTrunc, morphism_from_generators
 
 Word = Tuple[int, ...]
 
 
+def symmetry_factor(word: Word) -> int:
+    """m(w): the product of the factorials of the letter multiplicities of w."""
+    out = 1
+    for letter in set(word):
+        out *= factorial(word.count(letter))
+    return out
+
+
 class SymCoalgebra(WordBasis):
     """Reduced symmetric coalgebra on V[1], truncated at word length
-    ``order``: the word basis on the letters of V[1], with the
-    Koszul-signed unshuffle sum as coproduct.
+    ``order``: the word basis on the letters of V[1].
+
+    Its structure is read off ``dual``, the truncation R/R^{n+1} with zero
+    differential on the dual letters (V[1])^∨, whose words are the
+    coalgebra's words in the same order.  Under the pairing
+    ⟨x^u, w⟩ = m(u)·δ_uw (m the symmetry factor) the coproduct is the
+    scaled transpose of the product, so each co-axiom is the matching
+    axiom of the dual algebra.
     """
 
     def __init__(self, v: GradedSpace, order: int):
         super().__init__(shift_space(v, 1), order)
 
+    @cached_property
+    def dual(self) -> QuasismoothTrunc:
+        return QuasismoothTrunc(self.letters.dual(), self.order, {}, check=False)
+
     def coproduct(self, pos: int) -> Dict[Tuple[int, int], Fraction]:
-        """Reduced coproduct of a monomial as {(left, right): coefficient}."""
-        word = self.words[pos]
-        m = len(word)
-        degs = [self.letters.degrees[i] for i in word]
-        out: Dict[Tuple[int, int], Fraction] = {}
-        for r in range(1, m):
-            for sigma in unshuffles(r, m - r):
-                sgn = koszul_sign(sigma, degs)
-                left = tuple(word[sigma[t]] for t in range(r))
-                right = tuple(word[sigma[t]] for t in range(r, m))
-                pl, sl = self.position(left)
-                pr, sr = self.position(right)
-                key = (pl, pr)
-                out[key] = out.get(key, ZERO) + Fraction(sgn * sl * sr)
-        return {k: c for k, c in out.items() if c}
+        """Reduced coproduct of a monomial as {(left, right): coefficient}:
+        Δ(w)[(u, v)] is m(w)/(m(u)·m(v)) times the coefficient of x^w in
+        x^u·x^v (the Koszul-signed unshuffle sum)."""
+        words = self.words
+        mw = symmetry_factor(words[pos])
+        return {(u, v): row[pos] * mw / (symmetry_factor(words[u]) * symmetry_factor(words[v]))
+                for u, v, row in self.dual.algebra().constants() if pos in row}
 
     def check_cocommutative(self) -> bool:
-        for pos in range(len(self.words)):
-            cp = self.coproduct(pos)
-            for (a, b), c in cp.items():
-                da = self.space.degrees[a]
-                db = self.space.degrees[b]
-                sgn = Fraction(-1 if (da % 2 and db % 2) else 1)
-                if cp.get((b, a), ZERO) != sgn * c:
-                    return False
-        return True
+        return not self.dual.algebra()._axiom_errors()[0]
 
     def check_coassociative(self) -> bool:
-        for pos in range(len(self.words)):
-            lhs: Dict[Tuple[int, int, int], Fraction] = {}
-            rhs: Dict[Tuple[int, int, int], Fraction] = {}
-            for (a, b), c in self.coproduct(pos).items():
-                for (a1, a2), c2 in self.coproduct(a).items():
-                    key = (a1, a2, b)
-                    lhs[key] = lhs.get(key, ZERO) + c * c2
-                for (b1, b2), c2 in self.coproduct(b).items():
-                    key = (a, b1, b2)
-                    rhs[key] = rhs.get(key, ZERO) + c * c2
-            lhs = {k: c for k, c in lhs.items() if c}
-            rhs = {k: c for k, c in rhs.items() if c}
-            if lhs != rhs:
-                return False
-        return True
+        return not self.dual.algebra()._axiom_errors()[1]
 
-    def iterated_coproduct(self, pos: int, n: int) -> Dict[Word, Fraction]:
-        """Delta^{n-1}: component of the monomial in C^{⊗n} (positions)."""
-        cur: Dict[Word, Fraction] = {(pos,): ONE}
-        for _ in range(n - 1):
-            nxt: Dict[Word, Fraction] = {}
-            for tup, c in cur.items():
-                for (a, b), c2 in self.coproduct(tup[0]).items():
-                    key = (a, b) + tup[1:]
-                    nxt[key] = nxt.get(key, ZERO) + c * c2
-            cur = {k: c for k, c in nxt.items() if c}
-        return cur
+
+def _transpose(f: GradedMap, source: WordBasis, target: WordBasis) -> GradedMap:
+    """The transpose source → target of f under the pairing
+    ⟨x^u, w⟩ = m(u)·δ_uw of words with their duals: f maps the words of
+    ``target`` to those of ``source``, and fᵀ[a, b] = f[b, a]·m(b)/m(a)."""
+    return GradedMap(source.space, target.space, f.degree, {
+        (a, b): x * symmetry_factor(source.words[b]) / symmetry_factor(target.words[a])
+        for (b, a), x in f.entries.items()})
 
 
 class LInftyStructure:
@@ -123,25 +111,16 @@ class LInftyStructure:
 
     @cached_property
     def ce(self) -> QuasismoothTrunc:
-        """The Chevalley-Eilenberg truncation: R/R^{n+1} on the dual
-        letters (V[1])^∨ with d_k(x_t) = −Σ_u Q¹_k[t, u]/m(u)·x^u.  Its
-        words are the coalgebra's words, in the same order."""
-        dual = self.coalgebra.letters.dual()
-        shell = QuasismoothTrunc(dual, self.order, {}, check=False)
+        """The Chevalley-Eilenberg truncation: the coalgebra's ``dual``
+        with d_k(x_t) = −Σ_u Q¹_k[t, u]/m(u)·x^u.  Its words are the
+        coalgebra's words, in the same order."""
+        dual = self.coalgebra.dual
         comps = {}
         for k, q in self.taylor.items():
             words = self.coalgebra.powers[k].monomials
-            comps[k] = GradedMap(dual, shell.basis.powers[k].space, 1, {
+            comps[k] = GradedMap(dual.v, dual.basis.powers[k].space, 1, {
                 (u, t): -x / symmetry_factor(words[u]) for (t, u), x in q.entries.items()})
-        return shell.with_components(comps, check=False)
-
-
-def symmetry_factor(word: Word) -> int:
-    """m(w): the product of the factorials of the letter multiplicities of w."""
-    out = 1
-    for letter in set(word):
-        out *= factorial(word.count(letter))
-    return out
+        return dual.with_components(comps, check=False)
 
 
 def coderivation_from_taylor(s: LInftyStructure) -> GradedMap:
@@ -153,37 +132,15 @@ def coderivation_from_taylor(s: LInftyStructure) -> GradedMap:
     filtration is preserved and the coderivation identity
     ΔQ = (Q⊗Id + Id⊗Q)Δ holds (checked by check_coderivation).
     """
-    words = s.coalgebra.words
-    return GradedMap(s.coalgebra.space, s.coalgebra.space, 1, {
-        (u, w): -x * symmetry_factor(words[w]) / symmetry_factor(words[u])
-        for (w, u), x in s.ce.differential().entries.items()})
+    return -_transpose(s.ce.differential(), s.coalgebra, s.coalgebra)
 
 
 def check_coderivation(c: SymCoalgebra, q: GradedMap) -> bool:
-    """ΔQ = (Q⊗Id + Id⊗Q)Δ with the Koszul sign on Id⊗Q."""
-    for pos in range(len(c.words)):
-        lhs: Dict[Tuple[int, int], Fraction] = {}
-        qp = q.apply(c.space.basis_vector(pos))
-        for a, ca in enumerate(qp):
-            if ca:
-                for (x, y), c2 in c.coproduct(a).items():
-                    lhs[(x, y)] = lhs.get((x, y), ZERO) + ca * c2
-        rhs: Dict[Tuple[int, int], Fraction] = {}
-        for (a, b), c2 in c.coproduct(pos).items():
-            qa = q.apply(c.space.basis_vector(a))
-            for x, cx in enumerate(qa):
-                if cx:
-                    rhs[(x, b)] = rhs.get((x, b), ZERO) + c2 * cx
-            sgn = Fraction(-1 if c.space.degrees[a] % 2 else 1)
-            qb = q.apply(c.space.basis_vector(b))
-            for y, cy in enumerate(qb):
-                if cy:
-                    rhs[(a, y)] = rhs.get((a, y), ZERO) + sgn * c2 * cy
-        lhs = {k: v for k, v in lhs.items() if v}
-        rhs = {k: v for k, v in rhs.items() if v}
-        if lhs != rhs:
-            return False
-    return True
+    """ΔQ = (Q⊗Id + Id⊗Q)Δ with the Koszul sign on Id⊗Q: read on the dual
+    truncation, where it says that the scaled transpose of Q is a
+    derivation (the Leibniz list of the dual algebra with it as d)."""
+    return not c.dual.algebra().with_differential(
+        _transpose(q, c.dual.basis, c.dual.basis))._axiom_errors()[2]
 
 
 @dataclass
@@ -278,62 +235,26 @@ def coalgebra_morphism_from_linear(c: SymCoalgebra, m: GradedMap,
                                    d: SymCoalgebra) -> GradedMap:
     """θ = Σ_n (1/n!) ⊙ⁿ(m) ∘ Δ^{n-1} : C → C(W) for linear m: C → W[1].
 
-    m must have degree 0; θ is a coalgebra morphism with π∘θ = m.
+    m must have degree 0; θ is a coalgebra morphism with π∘θ = m.  It is
+    the scaled transpose of the algebra morphism of the dual truncations
+    with x_t ↦ Σ_w m[t, w]/m(w)·x^w.
     """
     if m.source != c.space or m.target != d.letters or m.degree != 0:
         raise ValueError("need a degree-0 map from the coalgebra to W[1]")
-    theta = GradedMap(c.space, d.space, 0)
-    for pos in range(len(c.words)):
-        acc: Dict[int, Fraction] = {}
-        for n in range(1, min(len(c.words[pos]), d.order) + 1):
-            coeff_n = Fraction(1, factorial(n))
-            for tup, cval in c.iterated_coproduct(pos, n).items():
-                # expand the product m(w₁)⊙…⊙m(wₙ) multilinearly
-                terms: List[Tuple[Word, Fraction]] = [((), cval)]
-                for p in tup:
-                    col = m.apply(c.space.basis_vector(p))
-                    nxt: List[Tuple[Word, Fraction]] = []
-                    for letters, cc in terms:
-                        for t, ct in enumerate(col):
-                            if ct:
-                                nxt.append((letters + (t,), cc * ct))
-                    terms = nxt
-                for letters, cc in terms:
-                    res = d.position(letters)
-                    if res is None:
-                        continue
-                    ppos, sgn = res
-                    acc[ppos] = acc.get(ppos, ZERO) + coeff_n * Fraction(sgn) * cc
-        for ppos, cval in acc.items():
-            if cval:
-                theta.set_entry(ppos, pos, cval)
-    return theta
+    images = [c.dual.basis.space.zero_vector() for _ in range(d.letters.dim)]
+    for (t, w), x in m.entries.items():
+        images[t][w] = x / symmetry_factor(c.words[w])
+    f = morphism_from_generators(d.dual, c.dual.algebra(), images, check=False)
+    return _transpose(f.map, c, d)
 
 
 def check_coalgebra_morphism(c: SymCoalgebra, d: SymCoalgebra,
                              theta: GradedMap) -> bool:
-    """Δ_D θ = (θ⊗θ) Δ_C on every monomial, within the truncation."""
-    for pos in range(len(c.words)):
-        lhs: Dict[Tuple[int, int], Fraction] = {}
-        tv = theta.apply(c.space.basis_vector(pos))
-        for a, ca in enumerate(tv):
-            if ca:
-                for (x, y), c2 in d.coproduct(a).items():
-                    lhs[(x, y)] = lhs.get((x, y), ZERO) + ca * c2
-        rhs: Dict[Tuple[int, int], Fraction] = {}
-        for (a, b), c2 in c.coproduct(pos).items():
-            ta = theta.apply(c.space.basis_vector(a))
-            tb = theta.apply(c.space.basis_vector(b))
-            for x, cx in enumerate(ta):
-                if cx:
-                    for y, cy in enumerate(tb):
-                        if cy:
-                            rhs[(x, y)] = rhs.get((x, y), ZERO) + c2 * cx * cy
-        lhs = {k: v for k, v in lhs.items() if v}
-        rhs = {k: v for k, v in rhs.items() if v}
-        if lhs != rhs:
-            return False
-    return True
+    """Δ_D θ = (θ⊗θ) Δ_C on every monomial, within the truncation: the
+    scaled transpose of θ is multiplicative on the dual truncations."""
+    f = DgAlgebraMorphism(d.dual.algebra(), c.dual.algebra(),
+                          _transpose(theta, d.dual.basis, c.dual.basis), check=False)
+    return not f.violations()
 
 
 def linfty_mc_check(s: LInftyStructure, a: NilpotentDgAlgebra,
@@ -390,45 +311,12 @@ class DualCoalgebra:
     codifferential: GradedMap
 
     def validate(self) -> List[str]:
-        errs = []
-        n = self.space.dim
-        for k in range(n):
-            cp = self.coproduct.get(k, {})
-            for (i, j), c in cp.items():
-                sgn = Fraction(-1 if (self.space.degrees[i] % 2
-                                      and self.space.degrees[j] % 2) else 1)
-                if cp.get((j, i), ZERO) != sgn * c:
-                    errs.append("cocommutativity fails at %s" % self.space.names[k])
-                    break
-        for k in range(n):
-            lhs: Dict[Tuple[int, int, int], Fraction] = {}
-            rhs: Dict[Tuple[int, int, int], Fraction] = {}
-            for (a, b), c in self.coproduct.get(k, {}).items():
-                for (a1, a2), c2 in self.coproduct.get(a, {}).items():
-                    key = (a1, a2, b)
-                    lhs[key] = lhs.get(key, ZERO) + c * c2
-                for (b1, b2), c2 in self.coproduct.get(b, {}).items():
-                    key = (a, b1, b2)
-                    rhs[key] = rhs.get(key, ZERO) + c * c2
-            if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
-                errs.append("coassociativity fails at %s" % self.space.names[k])
-        # conilpotency: iterated coproduct eventually vanishes
-        layer = {k: {(k,): ONE} for k in range(n)}
-        for _ in range(n + 1):
-            if all(not v for v in layer.values()):
-                break
-            nxt = {}
-            for k, terms in layer.items():
-                acc: Dict[Tuple[int, ...], Fraction] = {}
-                for tup, c in terms.items():
-                    for (a, b), c2 in self.coproduct.get(tup[0], {}).items():
-                        key = (a, b) + tup[1:]
-                        acc[key] = acc.get(key, ZERO) + c * c2
-                nxt[k] = {t: c for t, c in acc.items() if c}
-            layer = nxt
-        else:
-            errs.append("coproduct is not conilpotent")
-        return errs
+        """Cocommutativity, coassociativity and conilpotency, read as the
+        commutativity, associativity and nilpotency errors of the dual
+        algebra."""
+        a = dual_algebra(self)
+        comm, assoc, _, _ = a._axiom_errors()
+        return comm + assoc + (["not nilpotent"] if a.nilpotency_index() is None else [])
 
 
 def dual_coalgebra(a: NilpotentDgAlgebra) -> DualCoalgebra:

@@ -293,6 +293,19 @@ def random_section(e, rng):
     return out
 
 
+def perturb_one_entry(rng, f):
+    """f with one admissible entry (row degree = column degree + f.degree)
+    moved by a nonzero amount, or None when f admits no entry."""
+    slots = [(j, i) for i in range(f.source.dim) for j in range(f.target.dim)
+             if f.target.degrees[j] == f.source.degrees[i] + f.degree]
+    if not slots:
+        return None
+    j, i = rng.choice(slots)
+    out = GradedMap(f.source, f.target, f.degree, f.entries)
+    out.set_entry(j, i, out.entries.get((j, i), F(0)) + rng.choice([-2, -1, 1, F(1, 2)]))
+    return out
+
+
 def random_dgla(rng, max_dim=8):
     kind = rng.randrange(4)
     if kind == 0:
@@ -1120,3 +1133,180 @@ def reference_linfty_mc_check(s, a, m):
         power = {key: v for key, v in nxt.items() if v}
         n += 1
     return linalg.is_zero_vector(defect), defect
+
+
+# ---------------------------------------------------------------------------
+# reference coalgebra computations: the Koszul-signed unshuffle coproduct
+# and the loops over it that check the co-axioms, coderivations and
+# coalgebra morphisms, the axioms of a dual coalgebra read on its
+# coproduct, and the shifted-kernel check read on dense vectors, kept as
+# the oracles for their readings on dual algebras in ``defalg.linfty`` and
+# ``defalg.obstruction``
+
+def _nonzero(d):
+    return {k: c for k, c in d.items() if c}
+
+
+def reference_coproduct(c, pos):
+    """Reduced coproduct of a monomial as {(left, right): coefficient}, the
+    Koszul-signed sum over its unshuffles."""
+    from defalg.graded import koszul_sign, unshuffles
+    word = c.words[pos]
+    m = len(word)
+    degs = [c.letters.degrees[i] for i in word]
+    out = {}
+    for r in range(1, m):
+        for sigma in unshuffles(r, m - r):
+            sgn = koszul_sign(sigma, degs)
+            pl, sl = c.position(tuple(word[sigma[t]] for t in range(r)))
+            pr, sr = c.position(tuple(word[sigma[t]] for t in range(r, m)))
+            out[(pl, pr)] = out.get((pl, pr), F(0)) + F(sgn * sl * sr)
+    return _nonzero(out)
+
+
+def reference_cocommutative(c):
+    for pos in range(len(c.words)):
+        cp = reference_coproduct(c, pos)
+        for (a, b), x in cp.items():
+            sgn = -1 if c.space.degrees[a] % 2 and c.space.degrees[b] % 2 else 1
+            if cp.get((b, a), F(0)) != sgn * x:
+                return False
+    return True
+
+
+def _coassociativity_sides(coproduct, top):
+    """((Δ⊗Id)Δ, (Id⊗Δ)Δ) of the element ``top`` for a coproduct given as
+    a function of a basis index."""
+    lhs, rhs = {}, {}
+    for (a, b), x in coproduct(top).items():
+        for (a1, a2), y in coproduct(a).items():
+            lhs[(a1, a2, b)] = lhs.get((a1, a2, b), F(0)) + x * y
+        for (b1, b2), y in coproduct(b).items():
+            rhs[(a, b1, b2)] = rhs.get((a, b1, b2), F(0)) + x * y
+    return _nonzero(lhs), _nonzero(rhs)
+
+
+def reference_coassociative(c):
+    def coproduct(pos):
+        return reference_coproduct(c, pos)
+    return all(lhs == rhs for lhs, rhs in
+               (_coassociativity_sides(coproduct, pos) for pos in range(len(c.words))))
+
+
+def reference_iterated_coproduct(c, pos, n):
+    """Δ^{n-1}: the component of the monomial in C^{⊗n} (positions)."""
+    cur = {(pos,): F(1)}
+    for _ in range(n - 1):
+        nxt = {}
+        for tup, x in cur.items():
+            for (a, b), y in reference_coproduct(c, tup[0]).items():
+                key = (a, b) + tup[1:]
+                nxt[key] = nxt.get(key, F(0)) + x * y
+        cur = _nonzero(nxt)
+    return cur
+
+
+def reference_check_coderivation(c, q):
+    """ΔQ = (Q⊗Id + Id⊗Q)Δ with the Koszul sign on Id⊗Q, word by word."""
+    for pos in range(len(c.words)):
+        lhs = {}
+        for a, x in enumerate(q.column(pos)):
+            if x:
+                for key, y in reference_coproduct(c, a).items():
+                    lhs[key] = lhs.get(key, F(0)) + x * y
+        rhs = {}
+        for (a, b), y in reference_coproduct(c, pos).items():
+            for t, x in enumerate(q.column(a)):
+                if x:
+                    rhs[(t, b)] = rhs.get((t, b), F(0)) + y * x
+            sgn = -1 if c.space.degrees[a] % 2 else 1
+            for t, x in enumerate(q.column(b)):
+                if x:
+                    rhs[(a, t)] = rhs.get((a, t), F(0)) + sgn * y * x
+        if _nonzero(lhs) != _nonzero(rhs):
+            return False
+    return True
+
+
+def reference_coalgebra_morphism_from_linear(c, m, d):
+    """θ = Σ_n (1/n!) ⊙ⁿ(m) ∘ Δ^{n-1}, the product m(w₁)⊙…⊙m(wₙ) expanded
+    multilinearly."""
+    from math import factorial
+    theta = GradedMap(c.space, d.space, 0)
+    for pos in range(len(c.words)):
+        acc = {}
+        for n in range(1, min(len(c.words[pos]), d.order) + 1):
+            for tup, x in reference_iterated_coproduct(c, pos, n).items():
+                terms = [((), x)]
+                for p in tup:
+                    col = m.column(p)
+                    terms = [(letters + (t,), y * ct) for letters, y in terms
+                             for t, ct in enumerate(col) if ct]
+                for letters, y in terms:
+                    res = d.position(letters)
+                    if res is not None:
+                        acc[res[0]] = acc.get(res[0], F(0)) + F(res[1], factorial(n)) * y
+        for p, x in _nonzero(acc).items():
+            theta.set_entry(p, pos, x)
+    return theta
+
+
+def reference_check_coalgebra_morphism(c, d, theta):
+    """Δ_D θ = (θ⊗θ) Δ_C on every monomial, within the truncation."""
+    for pos in range(len(c.words)):
+        lhs = {}
+        for a, x in enumerate(theta.column(pos)):
+            if x:
+                for key, y in reference_coproduct(d, a).items():
+                    lhs[key] = lhs.get(key, F(0)) + x * y
+        rhs = {}
+        for (a, b), y in reference_coproduct(c, pos).items():
+            ta, tb = theta.column(a), theta.column(b)
+            for s, xs in enumerate(ta):
+                for t, xt in enumerate(tb):
+                    if xs and xt:
+                        rhs[(s, t)] = rhs.get((s, t), F(0)) + y * xs * xt
+        if _nonzero(lhs) != _nonzero(rhs):
+            return False
+    return True
+
+
+def reference_dual_coalgebra_failures(dc):
+    """(cocommutative, coassociative, conilpotent) of a DualCoalgebra, read
+    on its coproduct."""
+    n = dc.space.dim
+    degs = dc.space.degrees
+
+    def coproduct(k):
+        return dc.coproduct.get(k, {})
+    cocomm = all(coproduct(k).get((j, i), F(0)) == (-1 if degs[i] % 2 and degs[j] % 2 else 1) * x
+                 for k in range(n) for (i, j), x in coproduct(k).items())
+    coassoc = all(lhs == rhs for lhs, rhs in (_coassociativity_sides(coproduct, k)
+                                              for k in range(n)))
+    # conilpotent: the coproduct iterated n times on the first factor vanishes
+    layer = {(k, (k,)): F(1) for k in range(n)}
+    for _ in range(n):
+        nxt = {}
+        for (k, tup), x in layer.items():
+            for (a, b), y in coproduct(tup[0]).items():
+                key = (k, (a, b) + tup[1:])
+                nxt[key] = nxt.get(key, F(0)) + x * y
+        layer = _nonzero(nxt)
+    return cocomm, coassoc, not layer
+
+
+def reference_shifted_kernel_violations(e, phi, shift):
+    """Where phi: B -> I[shift] fails to be a dg-algebra morphism, in the
+    wording and order of ``DgAlgebraMorphism.violations``: the chain
+    condition phi d_B = (-1)^shift d_I phi, then phi(e_i e_j) = 0 on every
+    nonzero product of B, evaluated on dense vectors."""
+    b = e.b
+    errs = []
+    sgn = F(-1 if shift % 2 else 1)
+    if phi.compose(b.d) != e.i_complex.d.compose(phi).scale(sgn):
+        errs.append("does not commute with differentials")
+    for i, j, p in b.constants():
+        dense = [p.get(k, F(0)) for k in range(b.dim)]
+        if not linalg.is_zero_vector(phi.apply(dense)):
+            errs.append("not multiplicative on (%s, %s)" % (b.space.names[i], b.space.names[j]))
+    return errs

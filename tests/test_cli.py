@@ -561,6 +561,34 @@ def test_src_has_no_assert_statements():
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
 
 
+def test_src_reads_every_name_it_imports():
+    # an imported name that its module never reads is dead code
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "defalg"
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not imported - read, (path.name, sorted(imported - read))
+
+
+@pytest.mark.parametrize("order", [3, 5])
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_prorepresent_exit_two_on_invalid_dgla(order, flags):
+    # sl2_scaled_broken fails graded antisymmetry: from order 3 on the
+    # Kuranishi certificate fails, and the failure is traced to the input
+    proc = subprocess.run([sys.executable, *flags, "-m", "defalg.cli", "prorepresent",
+                           "--in", str(FIXTURES / "sl2_scaled_broken.dgla"),
+                           "--order", str(order)], capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: invalid dgla: graded antisymmetry fails on (h, f); ")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_defalg_seed_changes_nothing():
     # DEFALG_SEED seeds the test suite's generators; the program reads no
     # environment variable, and a value that is not a number is no error

@@ -15,7 +15,11 @@ from defalg.linfty import (LInftyStructure, SymCoalgebra, check_coderivation,
                            linfty_to_dgla)
 from defalg.models import QuasismoothTrunc
 from conftest import (heisenberg, make_rng, random_abelian_dgla, random_algebra,
-                      random_dgla, reference_check_linfty, reference_coderivation,
+                      perturb_one_entry, random_dgla, reference_check_coalgebra_morphism,
+                      reference_check_coderivation, reference_check_linfty,
+                      reference_coalgebra_morphism_from_linear, reference_coassociative,
+                      reference_cocommutative, reference_coderivation,
+                      reference_coproduct, reference_dual_coalgebra_failures,
                       reference_linfty_mc_check, sl2, sl2_odd)
 
 F = Fraction
@@ -294,3 +298,92 @@ def test_ce_truncation_is_the_kuranishi_model(l, order):
     assert sorted(ce.components) == sorted(r.components)
     for k, m in ce.components.items():
         assert m.entries == r.components[k].entries
+
+
+# ---------------------------------------------------------------------------
+# the coalgebra read through its dual truncation, against the unshuffle
+# oracles; half of the inputs of each check carry one perturbed entry
+
+
+def random_letters(rng, prefix, max_dim=4):
+    return GradedSpace([("%s%d" % (prefix, i), rng.randint(-1, 2))
+                        for i in range(rng.randint(1, max_dim))])
+
+
+def test_coproduct_and_coaxioms_match_unshuffle_oracles():
+    rng = make_rng(62)
+    words = 0
+    for _ in range(30):
+        v = random_letters(rng, "v")
+        for order in (1, 2, 3, 4):
+            c = SymCoalgebra(v, order)
+            for pos in range(len(c.words)):
+                assert c.coproduct(pos) == reference_coproduct(c, pos)
+            words += len(c.words)
+            assert c.check_cocommutative() == reference_cocommutative(c) is True
+            assert c.check_coassociative() == reference_coassociative(c) is True
+    assert words >= 600
+
+
+def test_coderivation_check_matches_unshuffle_oracle():
+    rng = make_rng(63)
+    verdicts = []
+    for case in range(120):
+        s = random_linfty(rng)
+        q = coderivation_from_taylor(s)
+        if case % 2:
+            q = perturb_one_entry(rng, q)
+            if q is None:
+                continue
+        got = check_coderivation(s.coalgebra, q)
+        assert got == reference_check_coderivation(s.coalgebra, q)
+        verdicts.append(got)
+    assert len(verdicts) >= 100
+    assert verdicts.count(True) >= 60 and verdicts.count(False) >= 10
+
+
+def test_coalgebra_morphism_matches_iterated_coproduct_oracle():
+    rng = make_rng(64)
+    verdicts = []
+    for case in range(120):
+        c = SymCoalgebra(random_letters(rng, "v", 3), rng.randint(1, 3))
+        d = c if case % 4 < 2 else SymCoalgebra(random_letters(rng, "w", 3), rng.randint(1, 3))
+        m = GradedMap(c.space, d.letters, 0)
+        for pos in range(c.space.dim):
+            for t in range(d.letters.dim):
+                if c.space.degrees[pos] == d.letters.degrees[t] and rng.random() < 0.5:
+                    m.set_entry(t, pos, F(rng.randint(-2, 2), rng.randint(1, 2)))
+        theta = coalgebra_morphism_from_linear(c, m, d)
+        assert theta == reference_coalgebra_morphism_from_linear(c, m, d)
+        if case % 2:
+            theta = perturb_one_entry(rng, theta)
+            if theta is None:
+                continue
+        got = check_coalgebra_morphism(c, d, theta)
+        assert got == reference_check_coalgebra_morphism(c, d, theta)
+        verdicts.append(got)
+    assert len(verdicts) >= 100
+    assert verdicts.count(True) >= 40 and verdicts.count(False) >= 10
+
+
+def test_dual_coalgebra_validate_matches_coproduct_oracle():
+    rng = make_rng(65)
+    verdicts = []
+    while len(verdicts) < 120:
+        c = dual_coalgebra(random_algebra(rng, max_dim=5))
+        if len(verdicts) % 2:
+            degs = c.space.degrees
+            slots = [(k, i, j) for k in range(len(degs)) for i in range(len(degs))
+                     for j in range(len(degs)) if degs[k] == degs[i] + degs[j]]
+            if not slots:
+                continue
+            k, i, j = rng.choice(slots)
+            row = c.coproduct.setdefault(k, {})
+            row[(i, j)] = row.get((i, j), F(0)) + rng.choice([-1, 1, F(1, 3)])
+        errs = c.validate()
+        cocomm, coassoc, conil = reference_dual_coalgebra_failures(c)
+        assert (not errs) == (cocomm and coassoc and conil)
+        assert any(e.startswith("graded commutativity") for e in errs) == (not cocomm)
+        assert any(e.startswith("associativity") for e in errs) == (not coassoc)
+        verdicts.append(not errs)
+    assert all(verdicts[::2]) and verdicts.count(False) >= 10

@@ -14,14 +14,16 @@ from defalg.graded import (Complex, GradedMap, GradedSpace,
                            ShortExactSequence, cohomology, connecting_hom)
 from defalg.linfty import check_linfty
 from defalg.obstruction import (COMPARISON_SIGN, cohomology_bracket,
+                                is_dg_morphism_to_shifted_kernel,
                                 lifting_defect, obstruction_class,
                                 primary_obstruction,
                                 primary_obstruction_extension, prop_cone,
                                 tangent_bracket, twist_extension)
 from conftest import (UV_M3_EXT, counterexample_extension, direct_sum_dgla,
-                      heisenberg, make_rng, mat_mul, random_abelian_dgla, random_dgla,
-                      random_invertible_degree0, random_section, rescaled, sl2,
-                      sl2_odd, transported)
+                      heisenberg, make_rng, mat_mul, perturb_one_entry,
+                      random_abelian_dgla, random_dgla, random_invertible_degree0,
+                      random_section, rescaled,
+                      reference_shifted_kernel_violations, sl2, sl2_odd, transported)
 
 F = Fraction
 
@@ -402,6 +404,42 @@ def random_derivation_twist(rng, e):
                     phi.set_entry(k, i, F(c))
         if all(linalg.is_zero_vector(phi.apply(p)) for p in products):
             return phi
+
+
+def random_kernel_morphism(rng, e, shift):
+    """phi = d_I h + (-1)^shift h d_B for a random h: B -> I of degree
+    shift - 1 that kills B², through B/B²: a dg-algebra morphism into
+    I[shift]."""
+    bbar, pr = quotient_algebra(e.b, [p for _, _, p in e.b.constants()])
+    ispace = e.i_complex.space
+    hbar = GradedMap(bbar.space, ispace, shift - 1)
+    for i in range(bbar.dim):
+        for k in range(ispace.dim):
+            if ispace.degrees[k] == bbar.space.degrees[i] + shift - 1:
+                hbar.set_entry(k, i, F(rng.randint(-2, 2)))
+    h = hbar.compose(pr.map)
+    return e.i_complex.d.compose(h) + h.compose(e.b.d).scale(F(-1) ** shift)
+
+
+def test_shifted_kernel_check_matches_dense_oracle():
+    rng = make_rng(70)
+    extensions = [genuine_defect_extension(), defect_extension_with_slack(),
+                  chain_lift_extension(), counterexample_extension(),
+                  primary_obstruction_extension(-1, -1), primary_obstruction_extension(-1, 0)]
+    verdicts = []
+    for case in range(120):
+        e = extensions[case // 2 % len(extensions)]
+        shift = 1 + case // 12 % 2
+        phi = random_kernel_morphism(rng, e, shift)
+        if case % 2:
+            phi = perturb_one_entry(rng, phi)
+            if phi is None:
+                continue
+        errs = is_dg_morphism_to_shifted_kernel(e, phi, shift)
+        assert errs == reference_shifted_kernel_violations(e, phi, shift)
+        verdicts.append(not errs)
+    assert len(verdicts) >= 100
+    assert verdicts.count(True) >= 60 and verdicts.count(False) >= 10
 
 
 def test_lifting_defect_not_null_homotopic():
