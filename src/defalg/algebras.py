@@ -14,7 +14,7 @@ import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
@@ -849,33 +849,48 @@ def mapping_cone(a: NilpotentDgAlgebra, module_vectors: Sequence[Vector]) -> Map
 # A[t, dt]_eps and homotopies
 # ---------------------------------------------------------------------------
 
-def _column_index(vectors: Sequence[SparseVec], dim: int
-                  ) -> Tuple[List[List[Tuple[int, int]]], int]:
-    """j -> [(k, vectors[k][j])] over the vectors with j in their support,
-    on Python-int numerators over the lcm of all their denominators, and
-    that lcm."""
-    den = lcm(*(c.denominator for v in vectors for c in v.values()))
-    cols: List[List[Tuple[int, int]]] = [[] for _ in range(dim)]
-    for k, v in enumerate(vectors):
-        for j, c in v.items():
-            cols[j].append((k, c.numerator * (den // c.denominator)))
-    return cols, den
+class _PowerBasis:
+    """A basis b_k of a power ideal of A on ints (``vecs[k]`` = den·b_k, and
+    the column index j -> [(k, vecs[k][j])]) with its coordinate map: the
+    entries at the pivot columns of one echelon over the b_k times the
+    inverse of the basis there (``inv`` over ``q``, a scaled permutation for
+    multiples of basis vectors), checked by forming the vector back."""
+
+    def __init__(self, vectors: List[SparseVec], dim: int):
+        self.den = lcm(*(c.denominator for v in vectors for c in v.values()))
+        self.vecs = [{j: c.numerator * (self.den // c.denominator) for j, c in v.items()}
+                     for v in vectors]
+        self.index = [[(k, v[j]) for k, v in enumerate(self.vecs) if j in v] for j in range(dim)]
+        self.inv, self.q = linalg.echelon(vectors).pivot_inverse()
+
+    def coords(self, w: Dict[int, int]) -> Dict[int, int]:
+        """q times the coordinates of w (on ints) in the b_k, the nonzero
+        ones in the order of k; CertificateError off their span."""
+        x: Dict[int, int] = {}
+        for t, c in w.items():
+            for k, z in self.inv.get(t, {}).items():
+                x[k] = x.get(k, 0) + c * z
+        back = {t: self.den * self.q * c for t, c in w.items()}
+        for k, c in x.items():
+            for t, n in self.vecs[k].items():
+                back[t] = back.get(t, 0) - c * n
+        if any(back.values()):
+            raise CertificateError("coefficient escapes its power ideal")
+        return {k: x[k] for k in sorted(x) if x[k]}
 
 
-def _products_with(a: NilpotentDgAlgebra, u: SparseVec,
-                   cols: Tuple[List[List[Tuple[int, int]]], int]) -> List[Tuple[int, SparseVec]]:
-    """(k, u·v_k), in the order of k, for the vectors v_k of a column index
-    ``cols`` that meet some e_j with e_i e_j ≠ 0 for an e_i in u's support:
-    only those products are formed, on Python ints through A's integer
-    index.  A product that cancels is empty."""
-    (nu, du), (index, dc) = _numerators(u), cols
+def _products_with(a: NilpotentDgAlgebra, u: Dict[int, int],
+                   index: List[List[Tuple[int, int]]]) -> List[Tuple[int, Dict[int, int]]]:
+    """(k, u·v_k) on ints over D_u·D_v·A.den, in the order of k, for the
+    vectors v_k (over D_v) of a column index that meet some e_j with e_i e_j
+    ≠ 0 for an e_i in u's support (over D_u): only those products are
+    formed, through A's integer index.  Entries that cancel are dropped."""
     acc: Dict[int, Dict[int, int]] = {}
-    for i, cu in nu.items():
+    for i, cu in u.items():
         for j, row in a._left[i]:
             for k, cv in index[j]:
                 _add_scaled(acc, k, cu * cv, row)
-    total = du * dc * a.den
-    return [(k, {t: Fraction(x, total) for t, x in acc[k].items() if x}) for k in sorted(acc)]
+    return [(k, {t: x for t, x in acc[k].items() if x}) for k in sorted(acc)]
 
 
 def _ceil_frac(n: int, eps: Fraction) -> int:
@@ -888,7 +903,8 @@ class DeRhamAlgebra:
 
     Exactly finite-dimensional: summands with ⌈n·eps⌉ at or above the
     nilpotency index of A vanish, so the t-degree cap is computed, never
-    guessed.
+    guessed.  The integer index is built straight from A's, on ints,
+    through each power ideal's coordinate map (``_PowerBasis``).
     """
 
     def __init__(self, a: NilpotentDgAlgebra, eps: Fraction):
@@ -912,16 +928,16 @@ class DeRhamAlgebra:
         for n in range(1, n_max + 1):
             p = _ceil_frac(n, eps) - 1
             blocks += [(n, False, p), (n, True, p)]
-        echs = {p: linalg.echelon(powers[p]) for _, _, p in blocks}
-        sparse = {p: [_sparse(v) for v in powers[p]] for p in echs}
-        degs = {p: [a.space.vector_degree(v) for v in powers[p]] for p in echs}
+        bases = {p: _PowerBasis([_sparse(v) for v in powers[p]], a.dim)
+                 for p in dict.fromkeys(p for _, _, p in blocks)}
+        degs = {p: [a.space.vector_degree(v) for v in powers[p]] for p in bases}
 
         basis = []
         self._elems: List[Tuple[int, bool, Vector]] = []
-        # (t-power, is_dt) -> (offset, echelon of the block's A-vectors)
-        self._block_pos: Dict[Tuple[int, bool], Tuple[int, linalg.Echelon]] = {}
+        # (t-power, is_dt) -> (offset, the power basis of the block's A-vectors)
+        self._block_pos: Dict[Tuple[int, bool], Tuple[int, _PowerBasis]] = {}
         for n, is_dt, p in blocks:
-            self._block_pos[(n, is_dt)] = (len(basis), echs[p])
+            self._block_pos[(n, is_dt)] = (len(basis), bases[p])
             for k, v in enumerate(powers[p]):
                 suffix = "" if n == 0 else ("*t%d" % n if not is_dt
                                             else ("*dt" if n == 1 else "*t%ddt" % (n - 1)))
@@ -932,27 +948,16 @@ class DeRhamAlgebra:
 
         # (v ⊗ t^n1 (dt)) · (w ⊗ t^n2 (dt)) = ±(v·w) ⊗ t^(n1+n2) (dt), with
         # the sign (-1)^|w| when dt passes w.  Each product of two
-        # power-ideal basis vectors that can be nonzero is formed once,
-        # through A's left index and a column index of each power basis,
-        # and solved for once per power ideal it lands in; the table is
-        # filled in the order of the pairs of basis indices.
-        cols = {p: _column_index(sparse[p], a.dim) for p in sparse}
-        products = {(p1, p2): [_products_with(a, u, cols[p2]) for u in sparse[p1]]
-                    for p1 in sparse for p2 in sparse}
+        # power-basis vectors that can be nonzero is formed once and read
+        # once per power ideal it lands in, over q·D_1·D_2·A.den; the rows
+        # are put over a common multiple m of those, then reduced by gcd.
+        products = {(p1, p2): [_products_with(a, u, bases[p2].index) for u in bases[p1].vecs]
+                    for p1 in bases for p2 in bases}
         block_power = {(n, is_dt): p for n, is_dt, p in blocks}
-        solved: Dict[Tuple, List[Tuple[int, Fraction]]] = {}
-
-        def coords_in(p: int, key: Tuple, w) -> List[Tuple[int, Fraction]]:
-            """The nonzero coordinates of w in the basis of A^(p+1), solved
-            once per key."""
-            if key not in solved:
-                c = echs[p].coords(w)
-                if c is None:
-                    raise CertificateError("coefficient escapes its power ideal")
-                solved[key] = [(k, x) for k, x in enumerate(c) if x]
-            return solved[key]
-
-        mult: Dict[Tuple[int, int], SparseVec] = {}
+        m = lcm(*(b.q for b in bases.values())) * a.den \
+            * lcm(*(b.den for b in bases.values())) ** 2
+        solved: Dict[Tuple, Dict[int, int]] = {}
+        left: LeftIndex = [[] for _ in range(space.dim)]
         for n1, dt1, p1 in blocks:
             off1 = self._block_pos[(n1, dt1)][0]
             for k1 in range(len(powers[p1])):
@@ -966,25 +971,37 @@ class DeRhamAlgebra:
                             continue
                         if tgt not in block_power:
                             raise CertificateError("nonzero coefficient beyond the exact t-cap")
-                        pt = block_power[tgt]
-                        off = self._block_pos[tgt][0]
-                        sgn = -ONE if dt1 and degs[p2][k2] % 2 else ONE
-                        mult[(off1 + k1, off2 + k2)] = {
-                            off + k: sgn * x for k, x in coords_in(pt, (p1, k1, p2, k2, pt), w)}
-        # d(v ⊗ tⁿ) = dv ⊗ tⁿ ± n v ⊗ tⁿ⁻¹dt: dv is solved for once per power
+                        off, pb = self._block_pos[tgt]
+                        key = (p1, k1, p2, k2, block_power[tgt])
+                        if key not in solved:
+                            solved[key] = pb.coords(w)
+                        c = (-1 if dt1 and degs[p2][k2] % 2 else 1) * m \
+                            // (pb.q * bases[p1].den * bases[p2].den * a.den)
+                        left[off1 + k1].append((off2 + k2, {off + k: c * x
+                                                            for k, x in solved[key].items()}))
+        rows = [row for row_list in left for _, row in row_list]
+        g = gcd(m, *(x for row in rows for x in row.values())) if m > 1 else 1
+        for row in rows if g > 1 else ():
+            for k in row:
+                row[k] //= g
+        # d(v ⊗ tⁿ) = dv ⊗ tⁿ ± n v ⊗ tⁿ⁻¹dt: dv is read once per power
         # ideal, and v is the k-th basis vector of its own block
+        dvs: Dict[Pair, List[Tuple[int, Fraction]]] = {}
         d = GradedMap(space, space, 1)
         for n, is_dt, p in blocks:
-            off = self._block_pos[(n, is_dt)][0]
+            off, pb = self._block_pos[(n, is_dt)]
             for k, v in enumerate(powers[p]):
-                dv = solved[(p, k)] if (p, k) in solved else coords_in(p, (p, k), a.d.apply(v))
-                for t, x in dv:
+                if (p, k) not in dvs:
+                    dv, dd = _numerators(dict(enumerate(a.d.apply(v))))
+                    dvs[(p, k)] = [(t, Fraction(x, pb.q * dd)) for t, x in pb.coords(dv).items()]
+                for t, x in dvs[(p, k)]:
                     d.set_entry(off + t, off + k, x)
                 if not is_dt and n > 0:
                     # the dt block follows the t block, so the column stays in order
                     d.set_entry(self._block_pos[(n, True)][0] + k, off + k,
                                 Fraction(-n if degs[p][k] % 2 else n))
-        self.algebra = NilpotentDgAlgebra(space, mult, d)
+        self.algebra = NilpotentDgAlgebra(space, (), d)
+        self.algebra.den, self.algebra._left = m // g, left
         self.include = DgAlgebraMorphism(
             a, self.algebra,
             GradedMap(a.space, space, 0, {(i, i): ONE for i in range(a.dim)}),
@@ -995,24 +1012,20 @@ class DeRhamAlgebra:
         basis, for a vector of A (dense or sparse) in the block's power ideal."""
         if (n, is_dt) not in self._block_pos:
             raise CertificateError("nonzero coefficient beyond the exact t-cap")
-        off, ech = self._block_pos[(n, is_dt)]
-        coords = ech.coords(vec)
-        if coords is None:
-            raise CertificateError("coefficient escapes its power ideal")
-        return {off + k: coef * c for k, c in enumerate(coords) if c}
+        off, pb = self._block_pos[(n, is_dt)]
+        nums, den = _numerators(vec if isinstance(vec, dict) else dict(enumerate(vec)))
+        return {off + k: coef * Fraction(x, pb.q * den) for k, x in pb.coords(nums).items()}
 
     def evaluate(self, s) -> DgAlgebraMorphism:
-        """Evaluation morphism e_s: t ↦ s, dt ↦ 0."""
+        """Evaluation morphism e_s: t ↦ s, dt ↦ 0, read off each block
+        vector's support."""
         s = linalg.frac(s)
         m = GradedMap(self.algebra.space, self.base.space, 0)
-        for i, (n, is_dt, v) in enumerate(self._elems):
-            if is_dt:
-                continue
+        for (n, is_dt), (off, pb) in self._block_pos.items():
             c = s ** n
-            if c:
-                for j, vc in enumerate(v):
-                    if vc:
-                        m.set_entry(j, i, m.entries.get((j, i), ZERO) + c * vc)
+            for k, v in enumerate(pb.vecs if c and not is_dt else ()):
+                for j, x in v.items():
+                    m.set_entry(j, off + k, c * Fraction(x, pb.den))
         return DgAlgebraMorphism(self.algebra, self.base, m, check=False)
 
     def reverse(self) -> DgAlgebraMorphism:

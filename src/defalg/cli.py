@@ -3,10 +3,11 @@
 ``defalg <command> --in <file> [--in <file>…] [--order N] [--json]``
 
 Exit status: 0 on success / verdict true, 1 on verdict false, 2 on input
-errors (unreadable files, syntax errors, schema mismatches, and an input
-algebra or DGLA found invalid once a certificate fails), 3 when an exact
-certificate the program checks for its own result fails.  All numbers
-in reports are exact rationals.
+errors (unreadable files, syntax errors, schema mismatches, an invalid DGLA
+given to a command no certificate guards, and an input algebra or DGLA
+found invalid once a certificate fails), 3 when an exact certificate the
+program checks for its own result fails.  All numbers in reports are
+exact rationals.
 """
 
 from __future__ import annotations
@@ -82,6 +83,14 @@ def _take(docs: List[docio.InputDocument], kind: str) -> docio.InputDocument:
             docs[i] = None
             return d
     raise SchemaError("command requires an input of kind %r" % kind)
+
+
+def _valid(label: str, obj):
+    """obj, or DocumentError naming ``label`` when it fails its axioms."""
+    errs = obj.validate().errors
+    if errs:
+        raise docio.DocumentError("invalid %s: %s" % (label, "; ".join(errs)))
+    return obj
 
 
 def _combo_str(space, vec) -> str:
@@ -199,7 +208,7 @@ def cmd_obstruction(docs, args) -> Report:
 
 
 def cmd_primary_bracket(docs, args) -> Report:
-    l = docio.build(_take(docs, "dgla"))
+    l = _valid("dgla", docio.build(_take(docs, "dgla")))
     hb = cohomology_bracket(l)
     rep = Report("primary-bracket")
     table = []
@@ -225,7 +234,7 @@ def cmd_linfty_check(docs, args) -> Report:
 
 
 def cmd_dgla_to_linfty(docs, args) -> Report:
-    l = docio.build(_take(docs, "dgla"))
+    l = _valid("dgla", docio.build(_take(docs, "dgla")))
     s = dgla_to_linfty(l, order=args.order)
     rep = Report("dgla-to-linfty")
     rep.documents.append(docio.print_document(docio.document_of_linfty(s)))
@@ -247,7 +256,7 @@ def cmd_minimalize(docs, args) -> Report:
 
 
 def cmd_prorepresent(docs, args) -> Report:
-    l = docio.build(_take(docs, "dgla"))
+    l = _valid("dgla", docio.build(_take(docs, "dgla")))
     r, ve = kuranishi_prorepresent(l, order=args.order)
     rep = Report("prorepresent")
     rep.verdicts.append(("minimal", "yes" if is_minimal(r) else "no"))
@@ -319,9 +328,7 @@ def _raise_on_invalid_input(docs: List[docio.InputDocument]) -> None:
         else:
             continue
         for label, obj in parts:
-            errs = obj.validate().errors
-            if errs:
-                raise docio.DocumentError("invalid %s: %s" % (label, "; ".join(errs)))
+            _valid(label, obj)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

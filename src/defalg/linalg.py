@@ -180,6 +180,16 @@ class Echelon:
         r, used, _ = self._reduce(v)
         return None if r else self._combine(used, self.count)
 
+    def pivot_inverse(self) -> Tuple[Dict[int, Dict[int, int]], int]:
+        """(inv, q): for w in the span of the added vectors, q times its
+        coordinates in them is the sum of w_p·inv[p] over the pivots p.
+        Reducing the unit vector at p reads only the pivot columns, so it
+        gives the vector of the span that is 1 at p and 0 at the others."""
+        sums = {p: self._sum(self._reduce({p: ONE})[1]) for p, *_ in self._rows}
+        q = lcm(*(d for _, d in sums.values()))
+        return {p: {t: x * (q // d) for t, x in acc.items() if x}
+                for p, (acc, d) in sums.items()}, q
+
     def relations_of(self, vectors: Sequence[Union[SparseVec, Sequence[Fraction]]]
                      ) -> List[Vector]:
         """The relations among ``vectors``, which must be the vectors added,

@@ -63,13 +63,17 @@ class QuasismoothTrunc:
             if m.entries:
                 self.components[k] = m
         self._algebra: Optional[NilpotentDgAlgebra] = None
+        self._differential: Optional[GradedMap] = None
         if check:
             d = self.differential()
             if not d.compose(d).is_zero():
                 raise ValueError("derivation does not square to zero on the truncation")
 
     def differential(self) -> GradedMap:
-        """The derivation extension of the components to the words."""
+        """The derivation extension of the components to the words, built
+        once per truncation and shared: no caller may change it."""
+        if self._differential is not None:
+            return self._differential
         b = self.basis
         d = GradedMap(b.space, b.space, 1)
         degs = self.v.degrees
@@ -98,6 +102,7 @@ class QuasismoothTrunc:
             for npos, c in acc.items():
                 if c:
                     d.set_entry(npos, pos, c)
+        self._differential = d
         return d
 
     def algebra(self) -> NilpotentDgAlgebra:
@@ -105,13 +110,12 @@ class QuasismoothTrunc:
             if self._products is None:
                 b = self.basis
                 # the words of length <= order - len(wp) come first; each
-                # product is ±1 times one word, handed over as it is formed
-                products = (((p, q), {res[0]: res[1]})
-                            for p, wp in enumerate(b.words)
-                            for q in range(b.offsets[self.order + 1 - len(wp)])
-                            for res in [b.position(wp + b.words[q])] if res is not None)
-                self._products = NilpotentDgAlgebra(b.space, products,
-                                                    GradedMap(b.space, b.space, 1))
+                # product is ±1 times one word, put straight into the index
+                self._products = NilpotentDgAlgebra(b.space, (), GradedMap(b.space, b.space, 1))
+                self._products._left = [
+                    [(q, {res[0]: res[1]}) for q in range(b.offsets[self.order + 1 - len(wp)])
+                     for res in [b.position(wp + b.words[q])] if res is not None]
+                    for wp in b.words]
             self._algebra = self._products.with_differential(self.differential())
         return self._algebra
 
@@ -165,12 +169,13 @@ def is_smooth_minimal(r: QuasismoothTrunc) -> Tuple[bool, Optional[Dict]]:
 def morphism_from_generators(r: QuasismoothTrunc, target: NilpotentDgAlgebra,
                              images: List[Vector], check: bool = True
                              ) -> DgAlgebraMorphism:
-    """The multiplicative extension of generator images to the monomials."""
+    """The multiplicative extension of generator images to the monomials:
+    a word's image is its prefix word's image times its last letter's."""
     m = GradedMap(r.basis.space, target.space, 0)
+    imgs: Dict[Word, Vector] = {}
     for pos, word in enumerate(r.basis.words):
-        vec = images[word[0]]
-        for letter in word[1:]:
-            vec = target.product(vec, images[letter])
+        vec = imgs[word] = (images[word[0]] if len(word) == 1
+                            else target.product(imgs[word[:-1]], images[word[-1]]))
         for j, c in enumerate(vec):
             if c:
                 m.set_entry(j, pos, c)
@@ -189,15 +194,17 @@ def invert_morphism(f: DgAlgebraMorphism) -> DgAlgebraMorphism:
 
 def change_of_generators(r: QuasismoothTrunc, new_v: GradedSpace,
                          images: List[Vector]
-                         ) -> Tuple[QuasismoothTrunc, DgAlgebraMorphism]:
+                         ) -> Tuple[QuasismoothTrunc, DgAlgebraMorphism, DgAlgebraMorphism]:
     """Re-present R on new generators given by elements of its algebra.
 
     The images must be degree-matching elements whose multiplicative
     extension is an isomorphism of the truncation (filtration-preserving
-    changes of coordinates).  Returns the new presentation and the
-    isomorphism G: new → old intertwining the differentials.
+    changes of coordinates).  Returns the new presentation (sharing R's
+    product index when on R's generators), the isomorphism G: new → old
+    intertwining the differentials, and G⁻¹.
     """
-    shell = QuasismoothTrunc(new_v, r.order, {}, check=False)
+    shell = (r.with_components({}, check=False) if new_v == r.v
+             else QuasismoothTrunc(new_v, r.order, {}, check=False))
     a_old = r.algebra()
     g = morphism_from_generators(shell, a_old, images, check=False)
     ginv = invert_morphism(g)
@@ -219,7 +226,7 @@ def change_of_generators(r: QuasismoothTrunc, new_v: GradedSpace,
         raise CertificateError("the conjugated differential is not the derivation "
                                "of its components")
     gmor = DgAlgebraMorphism(out.algebra(), a_old, g.map)
-    return out, gmor
+    return out, gmor, ginv
 
 
 @dataclass
@@ -238,7 +245,9 @@ def minimalize(r: QuasismoothTrunc) -> MinimalModel:
     coordinates so that d(v_i) = w_i exactly and the differential of the
     harmonic generators lands in pure-H monomials, then quotients the
     acyclic pairs away.  The homotopy sends v ↦ v⊗t, w ↦ d(v⊗t) and is
-    checked exactly at ε = 1.
+    checked exactly at ε = 1.  Each piece is built once: the second change
+    of coordinates shares the first one's product index, and g⁻¹ is
+    composed from the inverses that the two changes compute.
     """
     if is_minimal(r):
         ident = DgAlgebraMorphism.identity(r.algebra())
@@ -265,7 +274,7 @@ def minimalize(r: QuasismoothTrunc) -> MinimalModel:
         basis1.append(("w%d" % t, r.v.vector_degree(v) + 1))
         images1.append(a_old.d.apply(_embed_linear(r, v)))
     v1 = GradedSpace(basis1)
-    r1, g1 = change_of_generators(r, v1, images1)
+    r1, g1, g1inv = change_of_generators(r, v1, images1)
 
     nh, nw = len(harms), len(comps)
     h_idx = list(range(nh))
@@ -323,7 +332,7 @@ def minimalize(r: QuasismoothTrunc) -> MinimalModel:
                 if c:
                     images2[j] = linalg.vec_add(
                         images2[j], linalg.vec_scale(c, a1.space.basis_vector(cand[posn])))
-    r2, g2 = change_of_generators(r1, v1, images2)
+    r2, g2, g2inv = change_of_generators(r1, v1, images2)
     a2 = r2.algebra()
 
     # read off the minimal quotient S on the harmonic generators
@@ -363,7 +372,7 @@ def minimalize(r: QuasismoothTrunc) -> MinimalModel:
     # conjugate back through the coordinate changes; composites of the
     # morphisms checked above need no check of their own
     g = g1.compose(g2)
-    ginv = invert_morphism(g)
+    ginv = g2inv.compose(g1inv)
     pi = pi2.compose(ginv)
     gamma = g.compose(gamma2)
 

@@ -21,6 +21,7 @@ from conftest import (counterexample_algebras, counterexample_extension,
                       dense_de_rham, heisenberg, koszul_truncation, make_rng,
                       pairs_truncation, random_algebra, random_invertible_degree0,
                       random_pair_truncation, reference_kernel_extension, rescaled,
+                      transported,
                       sl2, sl2_odd, dense_quotient_algebra, fraction_left, fraction_left_mul)
 
 F = Fraction
@@ -396,15 +397,68 @@ def _de_rham_inputs():
     yield "koszul", koszul_truncation(1, 4).algebra()
 
 
+def _transported_de_rham_inputs():
+    # the same algebras in a basis changed within each degree, so that
+    # their power bases are not made of multiples of basis vectors; the two
+    # largest are left out, as the dense oracle takes seconds on each
+    rng = make_rng(18)
+    for name, a in _de_rham_inputs():
+        if name not in ("p2h1", "p1h2"):
+            yield name + " transported", transported(a, random_invertible_degree0(rng, a.space))
+
+
 @pytest.mark.parametrize("eps", [F(1), F(1, 2), F(2, 3), F(3)], ids=str)
 def test_de_rham_table_equals_dense_oracle(eps):
-    for name, a in _de_rham_inputs():
+    general = False
+    for name, a in list(_de_rham_inputs()) + list(_transported_de_rham_inputs()):
         dr = de_rham_truncation(a, eps)
         elems, mult, d = dense_de_rham(a, eps)
         assert dr._elems == elems, name
         # keys, values and insertion order
         assert list(dr.algebra.table.items()) == list(mult.items()), name
         assert list(dr.algebra.d.entries.items()) == list(d.items()), name
+        # block 0 holds A's basis; a vector of a power basis in a later
+        # block with two or more nonzero entries takes the general
+        # coordinate path
+        general = general or any(sum(1 for c in v if c) > 1 for n, _, v in dr._elems if n)
+    assert general
+
+
+def _de_rham_bad_inputs():
+    """Two algebras outside the axioms on which A[t,dt]_1 fails a check.
+
+    (1) x·x = y, y·y = z, all in degree 0, is commutative but not
+    associative: A² = (y, z), A³ = (z), A⁴ = 0, so the cap is t³, yet
+    (y⊗t²)·(y⊗t²) = z⊗t⁴ ≠ 0.  (2) a·a = b with d b = c breaks Leibniz:
+    b spans A², but d b leaves it.
+    """
+    space = GradedSpace([("x", 0), ("y", 0), ("z", 0)])
+    yield NilpotentDgAlgebra(space, {(0, 0): {1: F(1)}, (1, 1): {2: F(1)}},
+                             GradedMap(space, space, 1)), "beyond the exact t-cap"
+    space = GradedSpace([("a", 0), ("b", 0), ("c", 1)])
+    yield NilpotentDgAlgebra(space, {(0, 0): {1: F(1)}},
+                             GradedMap(space, space, 1, {(2, 1): F(1)})), \
+        "coefficient escapes its power ideal"
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["t-cap", "escapes"])
+def test_de_rham_certificate_errors(case):
+    a, message = list(_de_rham_bad_inputs())[case]
+    with pytest.raises(linalg.CertificateError, match=message):
+        de_rham_truncation(a, 1)
+
+
+def test_de_rham_element_certificate_errors():
+    # on the valid counterexample algebra: a vector of A off A², and a
+    # t-power above the cap
+    a, _ = counterexample_algebras()
+    dr = de_rham_truncation(a, 1)
+    outside = next(v for v in a.power_ideal_bases()[0]
+                   if linalg.echelon(a.power_ideal_bases()[1]).coords(v) is None)
+    with pytest.raises(linalg.CertificateError, match="coefficient escapes its power ideal"):
+        dr.element(2, False, outside)
+    with pytest.raises(linalg.CertificateError, match="beyond the exact t-cap"):
+        dr.element(dr.t_cap + 1, False, outside)
 
 
 def test_de_rham_forms_only_the_nonzero_power_basis_products(monkeypatch):

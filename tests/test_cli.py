@@ -195,13 +195,21 @@ def test_dgla_to_linfty_and_check(capsys, tmp_path):
 @pytest.mark.parametrize("fixture, order", [("sl2_odd.linf", "4"), ("jacobi_broken.linf", "3")])
 def test_linfty_fixtures_are_what_dgla_to_linfty_prints(capsys, tmp_path, fixture, order):
     from test_linfty import non_jacobi_mutation
-    dgla = SL2_ODD
+    from defalg.linfty import dgla_to_linfty
     if fixture == "jacobi_broken.linf":
         dgla = tmp_path / "jacobi_broken.dgla"
         dgla.write_text(docio.print_document(docio.document_of_dgla(non_jacobi_mutation())))
-    code, data = run_json(capsys, "dgla-to-linfty", "--in", str(dgla), "--order", order)
-    assert code == 0
-    assert data["documents"] == [(FIXTURES / fixture).read_text()]
+        # the command validates its DGLA and refuses this one, so the
+        # fixture is what the function it calls prints for that document
+        code, out, err = run(capsys, "dgla-to-linfty", "--in", str(dgla), "--order", order)
+        assert code == 2 and out == "" and "graded Jacobi fails" in err
+        s = dgla_to_linfty(docio.build(docio.parse(dgla.read_text())), order=int(order))
+        documents = [docio.print_document(docio.document_of_linfty(s))]
+    else:
+        code, data = run_json(capsys, "dgla-to-linfty", "--in", SL2_ODD, "--order", order)
+        assert code == 0
+        documents = data["documents"]
+    assert documents == [(FIXTURES / fixture).read_text()]
     code, data = run_json(capsys, "linfty-check", "--in", str(FIXTURES / fixture))
     broken = fixture == "jacobi_broken.linf"
     assert code == int(broken)
@@ -584,6 +592,22 @@ def test_prorepresent_exit_two_on_invalid_dgla(order, flags):
     proc = subprocess.run([sys.executable, *flags, "-m", "defalg.cli", "prorepresent",
                            "--in", str(FIXTURES / "sl2_scaled_broken.dgla"),
                            "--order", str(order)], capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: invalid dgla: graded antisymmetry fails on (h, f); ")
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["primary-bracket"], ["dgla-to-linfty", "--order", "3"],
+                                     ["prorepresent", "--order", "2"]],
+                         ids=["primary-bracket", "dgla-to-linfty", "prorepresent"])
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_unguarded_commands_exit_two_on_invalid_dgla(command, flags):
+    # no certificate guards these commands on sl2_scaled_broken (prorepresent
+    # at order 2 checks nothing that antisymmetry breaks), so the DGLA is
+    # validated before anything is computed
+    proc = subprocess.run([sys.executable, *flags, "-m", "defalg.cli", *command,
+                           "--in", str(FIXTURES / "sl2_scaled_broken.dgla")],
+                          capture_output=True, text=True)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: invalid dgla: graded antisymmetry fails on (h, f); ")
     assert proc.stderr.count("\n") == 1

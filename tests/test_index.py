@@ -25,7 +25,8 @@ from defalg.graded import GradedMap
 from conftest import (dense_de_rham, fraction_annihilator_basis, fraction_axiom_errors,
                       fraction_bilinear, fraction_extension_checks,
                       fraction_power_ideal_bases, fraction_sparse_product,
-                      fraction_violations, make_rng, random_algebra, random_dgla, rescaled)
+                      fraction_violations, make_rng, random_algebra, random_dgla,
+                      random_invertible_degree0, rescaled, transported)
 
 F = Fraction
 
@@ -165,11 +166,23 @@ def test_extension_checks_match_the_fraction_walks(a):
         assert e.validate().count("kernel is not square-zero") == not_square_zero
 
 
-@given(structures("algebra", perturb=False), st.sampled_from([F(1), F(1, 2), F(2, 3)]))
+@given(structures("algebra", perturb=False), st.sampled_from([F(1), F(1, 2), F(2, 3)]),
+       st.integers(0, 10 ** 6))
 @settings(max_examples=25, deadline=None)
-def test_de_rham_on_a_rescaled_algebra_matches_the_dense_oracle(a, eps):
-    dr = de_rham_truncation(a, eps)
-    elems, mult, d = dense_de_rham(a, eps)
-    assert dr._elems == elems
-    assert list(dr.algebra.table.items()) == list(mult.items())
-    assert list(dr.algebra.d.entries.items()) == list(d.items())
+def test_de_rham_on_a_rescaled_algebra_matches_the_dense_oracle(a, eps, seed):
+    # also in a basis changed within each degree, where the power bases
+    # are not made of multiples of basis vectors
+    g = random_invertible_degree0(make_rng(seed), a.space)
+    for b in (a, transported(a, g)):
+        dr = de_rham_truncation(b, eps)
+        elems, mult, d = dense_de_rham(b, eps)
+        assert dr._elems == elems
+        assert list(dr.algebra.table.items()) == list(mult.items())
+        assert list(dr.algebra.d.entries.items()) == list(d.items())
+        # each basis element is its own coordinate vector, and e_s sends
+        # v ⊗ tⁿ to sⁿ·v and the dt elements to 0
+        assert all(dr.element(n, dt, v) == {i: F(1)} for i, (n, dt, v) in enumerate(elems))
+        for s in (F(0), F(1), F(-2, 3)):
+            assert dr.evaluate(s).map.entries == {
+                (j, i): s ** n * x for i, (n, dt, v) in enumerate(elems) if not dt
+                for j, x in enumerate(v) if s ** n * x}

@@ -198,3 +198,23 @@ def test_echelon_coords_match_solve_in_span(first, data):
         sparse = ech.coords({j: x for j, x in enumerate(target) if x})
         assert sparse == expect
     assert ech.coords(inside) is not None
+
+
+@given(vector_lists(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_pivot_inverse_gives_the_coordinates_of_the_span(first, data):
+    # for a vector of the span, q times its coordinates are read off its
+    # entries at the pivot columns alone; with dependent vectors added they
+    # are the coordinates that coords() gives, zero off the greedy ones
+    n, vecs = first
+    ech = linalg.echelon(vecs)
+    inv, q = ech.pivot_inverse()
+    assert len(inv) == len(ech.independent)
+    inside = [F(0)] * n
+    for v in vecs:
+        inside = linalg.vec_add(inside, linalg.vec_scale(data.draw(rationals), v))
+    got = [F(0)] * len(vecs)
+    for p, col in inv.items():
+        for k, z in col.items():
+            got[k] += inside[p] * z / q
+    assert got == ech.coords(inside)

@@ -1,21 +1,24 @@
 """Quasismooth truncations, minimal models, and prorepresentability."""
 
+import pathlib
 from fractions import Fraction
 
 import pytest
 
-from defalg import linalg
-from defalg.algebras import DgAlgebraMorphism, check_homotopy
+from defalg import docio, linalg
+from defalg.algebras import DgAlgebraMorphism, NilpotentDgAlgebra, check_homotopy
 from defalg.dgla import Dgla, def_tangent
 from defalg.graded import Complex, GradedMap, GradedSpace, cohomology, \
     symmetric_power
 from defalg.models import (QuasismoothTrunc, h_r_tangent, is_minimal,
                            is_smooth_minimal, kuranishi_prorepresent,
-                           minimalize, morphism_lift, truncate)
+                           minimalize, morphism_from_generators, morphism_lift,
+                           truncate)
 from defalg.obstruction import COMPARISON_SIGN, cohomology_bracket
 from conftest import make_rng, sl2, sl2_odd
 
 F = Fraction
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "docs" / "fixtures"
 
 
 def non_minimal_trunc(order=3):
@@ -91,6 +94,81 @@ def test_minimalize_builds_one_de_rham_algebra(monkeypatch):
     mm = minimalize(non_minimal_trunc())
     assert len(built) == 1
     assert mm.homotopy.derham.base is mm.r.algebra()
+
+
+def _pairs_fixture():
+    return docio.build(docio.parse((FIXTURES / "pairs.qs").read_text(encoding="utf-8")))
+
+
+def test_minimalize_builds_each_piece_once(monkeypatch):
+    """On pairs.qs, minimalize builds one word-basis product index per
+    generators (the input's, the normalized ones shared by both coordinate
+    changes, and the harmonic ones), one derivation per truncation, and
+    inverts two matrices: g⁻¹ is composed from the coordinate changes'
+    inverses."""
+    import defalg.models as models
+    r = _pairs_fixture()
+    indexes, derivations, inverted = [], [], []
+    real_index, real_differential, real_invert = (models.NilpotentDgAlgebra,
+                                                  QuasismoothTrunc.differential, linalg.invert)
+
+    def index(space, *args):
+        indexes.append(tuple(space.basis))
+        return real_index(space, *args)
+
+    def differential(self):
+        d = real_differential(self)
+        derivations.append((self, d))
+        return d
+    monkeypatch.setattr(models, "NilpotentDgAlgebra", index)
+    monkeypatch.setattr(QuasismoothTrunc, "differential", differential)
+    monkeypatch.setattr(linalg, "invert", lambda m: inverted.append(m) or real_invert(m))
+    mm = minimalize(r)
+    monkeypatch.undo()
+    assert len(indexes) == len(set(indexes)) == 3
+    assert indexes[0] == tuple(r.basis.space.basis)
+    assert indexes[-1] == tuple(mm.s.basis.space.basis)
+    # every read of a truncation's derivation returns the one map built
+    # for it (the truncations are kept alive, so their ids are distinct)
+    built = {}
+    for t, d in derivations:
+        assert built.setdefault(id(t), d) is d
+    assert len(derivations) > len(built)
+    assert len(inverted) == 2
+    # the composed inverse is g⁻¹: π∘γ = Id and γ∘π ~ Id are checked on it
+    assert mm.pi.map.compose(mm.gamma.map) == GradedMap.identity(mm.s.algebra().space)
+    a = r.algebra()
+    gp = DgAlgebraMorphism(a, a, mm.gamma.map.compose(mm.pi.map))
+    assert check_homotopy(mm.homotopy, gp, DgAlgebraMorphism.identity(a))
+
+
+def test_morphism_from_generators_forms_one_product_per_word(monkeypatch):
+    # each generator goes to itself plus the first word of length 2 of its
+    # degree; every word's image is the left-to-right product of its
+    # letters' images, formed from its prefix's image with one product
+    r = _pairs_fixture()
+    a = r.algebra()
+    images = []
+    for i, deg in enumerate(r.v.degrees):
+        v = a.space.basis_vector(i)
+        pos = next(p for p, w in enumerate(r.basis.words)
+                   if len(w) == 2 and a.space.degrees[p] == deg)
+        v[pos] += F(-3, 2)
+        images.append(v)
+    real = NilpotentDgAlgebra.product
+    calls = []
+    monkeypatch.setattr(NilpotentDgAlgebra, "product",
+                        lambda self, u, v: calls.append(1) or real(self, u, v))
+    f = morphism_from_generators(r, a, images, check=False)
+    monkeypatch.undo()
+    # 7 words of length 2 and 8 of length 3: 15 products, where a fold over
+    # each word's letters forms 7 + 2·8 = 23
+    assert len(calls) == sum(1 for w in r.basis.words if len(w) >= 2) == 15
+    for pos, word in enumerate(r.basis.words):
+        vec = images[word[0]]
+        for letter in word[1:]:
+            vec = a.product(vec, images[letter])
+        assert f.map.column(pos) == vec, word
 
 
 def test_morphism_lift_of_section():
