@@ -62,26 +62,36 @@ def _over(nums: Sequence[int], den: int) -> Vector:
     return [Fraction(n, den) if n else ZERO for n in nums]
 
 
+_INT_ONLY = frozenset({int})
+
+
 def _structure_constants(space: GradedSpace, table: Union[Dict[Pair, SparseVec], Iterable],
                          wrong_degree: str) -> Tuple[int, LeftIndex]:
     """den, the lcm of the denominators of the constants, and the integer
     left index i -> [(j, {k: den·c_k})], built in one pass over the
     ((i, j), row) items of ``table`` (a dict, or an iterable of its items)
-    with zero entries and rows dropped.  Each row is stored on Python ints
-    over its own denominator and rescaled at the end only when the row
-    denominators differ.  ``wrong_degree`` % (name_i, name_j) is the error
-    for an entry whose degree is not deg e_i + deg e_j."""
+    with zero entries and rows dropped.  A row whose entries are all
+    Python ints, as a document's integral constants are, is stored as it
+    is over denominator 1, with no Fraction built; any other row is put on
+    Python ints over its own denominator.  Rows are rescaled at the end
+    only when the row denominators differ.  ``wrong_degree`` %
+    (name_i, name_j) is the error for an entry whose degree is not
+    deg e_i + deg e_j."""
     degrees = space.degrees
     left: LeftIndex = [[] for _ in range(space.dim)]
     by_den: Dict[int, List[Dict[int, int]]] = {}
     for (i, j), row in (table.items() if isinstance(table, dict) else table):
-        nums, den = _numerators({k: c if isinstance(c, (int, Fraction)) else linalg.frac(c)
-                                 for k, c in row.items()})
+        if _INT_ONLY.issuperset(map(type, row.values())):
+            nums, den = {k: c for k, c in row.items() if c}, 1
+        else:
+            nums, den = _numerators({k: c if isinstance(c, (int, Fraction)) else linalg.frac(c)
+                                     for k, c in row.items()})
         if not nums:
             continue
         deg = degrees[i] + degrees[j]
-        if any(degrees[k] != deg for k in nums):
-            raise ValueError(wrong_degree % (space.names[i], space.names[j]))
+        for k in nums:
+            if degrees[k] != deg:
+                raise ValueError(wrong_degree % (space.names[i], space.names[j]))
         left[i].append((j, nums))
         by_den.setdefault(den, []).append(nums)
     den = lcm(*by_den)
@@ -629,10 +639,11 @@ class SmallExtension:
         return errs
 
     def is_strictly_small(self) -> bool:
-        """A·I = 0: every basis element of A kills the image of I."""
+        """A·I = 0: every basis element of A with a nonzero product kills
+        the image of I."""
         img, _ = _int_columns(self.iota)
         return not any(any(self.a._int_product({i: 1}, x).values())
-                       for x in img for i in range(self.a.dim))
+                       for i, rows in enumerate(self.a._left) if rows for x in img)
 
     def is_acyclic(self) -> bool:
         return cohomology(self.i_complex).total_dim() == 0

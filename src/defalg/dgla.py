@@ -405,6 +405,10 @@ def gauge_equivalent(l: Dgla, a: NilpotentDgAlgebra, x: Sequence[Fraction],
     when A² = 0 (the orbit is x + d(L⊗A)⁰); otherwise it runs a staged
     linear search down a small-extension chain of A and answers UNKNOWN
     when a stage is inconclusive — the staging is sound, not complete.
+    Each stage of the chain is strictly small, so its correction lies in
+    the centre of L⊗A_j and joins the lifted witness by plain addition
+    (the BCH product with a central element); the final witness is
+    checked by ``gauge_act``.
     """
     t = tensor_dgla(l, a)
     for v in (x, y):
@@ -451,6 +455,9 @@ def gauge_equivalent(l: Dgla, a: NilpotentDgAlgebra, x: Sequence[Fraction],
         tj = tensor_dgla(l, stages[j]) if j else t      # A_0 = A
         tensors[j] = tj
         e = chain[j]
+        if not e.is_strictly_small():
+            raise CertificateError("a stage of the small-extension chain is not "
+                                   "strictly small")
         tii = tensor_dgla(l, trivial_algebra_of_complex(e.i_complex))
         emb = tensor_push(tii, tj.space, e.iota, e.a.dim)
         push = tensor_push(t, tj.space, projs[j].map, stages[j].dim)
@@ -473,10 +480,9 @@ def gauge_equivalent(l: Dgla, a: NilpotentDgAlgebra, x: Sequence[Fraction],
         c = tii.space.zero_vector()
         for pos, i in enumerate(deg0):
             c[i] = sol[pos]
-        c_in_j = emb.apply(c)
-        witness_vec = bch(tj.bracket_vec, c_in_j, lift_w,
-                          max(tj.nilpotency_class, 1)) if any(lift_w) or any(c_in_j) \
-            else tj.space.zero_vector()
+        # c lies in L⊗I with A_j·I = 0, so it is central in L⊗A_j and
+        # BCH(c, w) = c + w exactly
+        witness_vec = linalg.vec_add(emb.apply(c), lift_w)
     if gauge_act(t, witness_vec, x) == list(y):
         return GaugeDecision("YES", witness_vec)
     return GaugeDecision("UNKNOWN")

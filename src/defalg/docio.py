@@ -6,13 +6,20 @@ lines; subdocuments are bracketed by ``begin name`` / ``end name``.
 Scalars are exact rationals written ``p`` or ``p/q``.  Unlisted structure
 constants are zero.  Parsing is canonicalizing, so ``parse(print(x))``
 returns an equal document for every valid document.
+
+A parsed coefficient is a Python ``int`` when its token is integral and a
+``Fraction`` only for a ``p/q`` token (equal, and hashing the same, to the
+Fraction of the same value).  The structure constants of an algebra or a
+DGLA go from the document to the integer index with no Fraction built for
+an integral one; every ``GradedMap`` entry and vector coordinate built
+here is a Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .algebras import (BilinearStructure, DgAlgebraMorphism, NilpotentDgAlgebra,
                        SmallExtension, kernel_extension)
@@ -24,7 +31,8 @@ from .models import QuasismoothTrunc
 KINDS = ("graded_space", "complex", "nilpotent_dg_algebra", "dgla", "linfty",
          "small_extension", "mc_element", "quasismooth")
 
-Combo = Tuple[Tuple[str, Fraction], ...]
+Scalar = Union[int, Fraction]
+Combo = Tuple[Tuple[str, Scalar], ...]
 
 # the field holding the structure constants of each bilinear kind
 TABLE_FIELDS = {"nilpotent_dg_algebra": "mult", "dgla": "bracket"}
@@ -51,14 +59,15 @@ class InputDocument:
 # ---------------------------------------------------------------------------
 # parsing
 
-def _parse_rational(tok: str, line: int) -> Fraction:
+def _parse_rational(tok: str, line: int) -> Scalar:
     """``p`` or ``p/q`` in ASCII digits, p with an optional leading ``-``
-    and q unsigned and nonzero.  ``int`` alone would also take ``+3``,
-    ``1_000``, surrounding spaces and non-ASCII digits."""
+    and q unsigned and nonzero: an int for ``p``, a Fraction for ``p/q``.
+    ``int`` alone would also take ``+3``, ``1_000``, surrounding spaces and
+    non-ASCII digits."""
     num, slash, den = tok.partition("/")
     if tok.isascii() and (num.isdigit() or num[:1] == "-" and num[1:].isdigit()):
         if not slash:
-            return Fraction(int(num))
+            return int(num)
         if den.isdigit() and den.strip("0"):
             return Fraction(int(num), int(den))
     raise DocumentError("invalid rational %r" % tok, line)
@@ -73,16 +82,16 @@ def _parse_int(tok: str, what: str, line: int) -> int:
     raise DocumentError("%s %r is not an integer" % (what, tok), line)
 
 
-def _sum_terms(terms: Iterable[Tuple[str, Fraction]]) -> Combo:
+def _sum_terms(terms: Iterable[Tuple[str, Scalar]]) -> Combo:
     """One pass: each name once, in the order of its first term, with the
     sum of its coefficients; names whose sum is 0 are dropped."""
-    out: Dict[str, Fraction] = {}
+    out: Dict[str, Scalar] = {}
     for name, c in terms:
         out[name] = out[name] + c if name in out else c
     return tuple((name, c) for name, c in out.items() if c)
 
 
-def _parse_term(term: str, line: int) -> Tuple[str, Fraction]:
+def _parse_term(term: str, line: int) -> Tuple[str, Scalar]:
     parts = term.split()
     if len(parts) != 2:
         raise DocumentError("term %r must be 'coeff name'" % term.strip(), line)
@@ -93,6 +102,9 @@ def _parse_combo(text: str, line: int) -> Combo:
     text = text.strip()
     if text == "0":
         return ()
+    if "+" not in text:                 # one term: nothing to sum
+        name, c = _parse_term(text, line)
+        return ((name, c),) if c else ()
     return _sum_terms(_parse_term(term, line) for term in text.split("+"))
 
 
@@ -100,10 +112,10 @@ def _split_lines(text: str) -> List[Tuple[int, str, bool]]:
     """(line number, stripped content, was-indented) with comments removed."""
     out = []
     for i, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].rstrip()
-        if not body.strip():
-            continue
-        out.append((i, body.strip(), body[:1] in (" ", "\t")))
+        body = raw.partition("#")[0].rstrip()
+        content = body.lstrip()
+        if content:
+            out.append((i, content, body[0] in " \t"))
     return out
 
 
@@ -120,9 +132,10 @@ def _parse_block(lines, pos: int, until: Optional[str]) -> Tuple[InputDocument, 
     kind: Optional[str] = None
     raw: Dict[str, object] = {}
     current: Optional[str] = None
+    end = None if until is None else "end " + until
     while pos < len(lines):
         lno, body, indented = lines[pos]
-        if until is not None and body == "end " + until:
+        if body == end:
             break
         if indented:
             if current is None:
@@ -222,13 +235,12 @@ def _take_table(raw, fld, names) -> Dict[Tuple[str, str], Combo]:
         lhs, arrow, rhs = body.partition("->")
         if not arrow:
             raise DocumentError("table item must be 'name name -> combo'", lno)
-        parts = lhs.split()
-        if len(parts) != 2:
+        key = tuple(lhs.split())
+        if len(key) != 2:
             raise DocumentError("left side must be two names", lno)
-        for p in parts:
+        for p in key:
             if p not in names:
                 raise DocumentError("unknown name %r" % p, lno)
-        key = (parts[0], parts[1])
         if key in out:
             raise DocumentError("duplicate entry for %r" % (key,), lno)
         combo = _parse_combo(rhs, lno)
@@ -492,11 +504,14 @@ def build_complex(doc: InputDocument) -> Complex:
 
 
 def _build_structure(doc: InputDocument, cls, **extra):
-    """The algebra or DGLA of a document, its table read from the kind's field."""
+    """The algebra or DGLA of a document, its table read from the kind's
+    field as rows (i, j) -> {k: c} with the parsed coefficients as they
+    are: a row of int coefficients goes onto the integer index as it is."""
     space = GradedSpace(doc.payload["basis"])
+    index = space.index
     try:
         d = _map_from_payload(space, space, 1, doc.payload["d"])
-        table = {(space.index(n1), space.index(n2)): {space.index(n): c for n, c in combo}
+        table = {(index(n1), index(n2)): {index(n): c for n, c in combo}
                  for (n1, n2), combo in doc.payload[TABLE_FIELDS[doc.kind]].items()}
         return cls(space, table, d, **extra)
     except ValueError as exc:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import linalg
 from .algebras import (DgAlgebraMorphism, Homotopy, NilpotentDgAlgebra, _dense,
@@ -166,17 +166,31 @@ def is_smooth_minimal(r: QuasismoothTrunc) -> Tuple[bool, Optional[Dict]]:
                    "component": m}
 
 
+def _word_images(target: NilpotentDgAlgebra, images: List[Vector]
+                 ) -> Callable[[Word], Vector]:
+    """The image of a word under the multiplicative extension of the
+    generator images: its prefix word's image times its last letter's,
+    built on first read and kept with the images of its prefixes."""
+    imgs: Dict[Word, Vector] = {}
+
+    def image(word: Word) -> Vector:
+        vec = imgs.get(word)
+        if vec is None:
+            vec = imgs[word] = (images[word[0]] if len(word) == 1
+                                else target.product(image(word[:-1]), images[word[-1]]))
+        return vec
+    return image
+
+
 def morphism_from_generators(r: QuasismoothTrunc, target: NilpotentDgAlgebra,
                              images: List[Vector], check: bool = True
                              ) -> DgAlgebraMorphism:
-    """The multiplicative extension of generator images to the monomials:
-    a word's image is its prefix word's image times its last letter's."""
+    """The multiplicative extension of generator images to the monomials
+    (``_word_images`` on every word)."""
     m = GradedMap(r.basis.space, target.space, 0)
-    imgs: Dict[Word, Vector] = {}
+    image = _word_images(target, images)
     for pos, word in enumerate(r.basis.words):
-        vec = imgs[word] = (images[word[0]] if len(word) == 1
-                            else target.product(imgs[word[:-1]], images[word[-1]]))
-        for j, c in enumerate(vec):
+        for j, c in enumerate(image(word)):
             if c:
                 m.set_entry(j, pos, c)
     return DgAlgebraMorphism(r.algebra(), target, m, check=check)
@@ -292,16 +306,15 @@ def minimalize(r: QuasismoothTrunc) -> MinimalModel:
     images2: List[Vector] = [a1.space.basis_vector(i) for i in range(v1.dim)]
     ds_words: Dict[int, Dict[int, Fraction]] = {j: {} for j in h_idx}
     for k in range(2, r.order + 1):
-        # substitution of current images into the pure-H words so far
-        subst = morphism_from_generators(r1, a1,
-                                         images2, check=False).map
+        # substitution of the images at the start of order k into the
+        # pure-H words so far, built only for the words read
+        subst = _word_images(a1, list(images2))
         for j in h_idx:
             cur = a1.d.apply(images2[j])
             gamma_img = a1.space.zero_vector()
             for wpos, c in ds_words[j].items():
-                gamma_img = linalg.vec_add(gamma_img,
-                                           linalg.vec_scale(c, subst.apply(
-                                               a1.space.basis_vector(wpos))))
+                gamma_img = linalg.vec_add(gamma_img, linalg.vec_scale(
+                    c, subst(r1.basis.words[wpos])))
             defect = linalg.vec_sub(cur, gamma_img)
             dk = r1.basis.component(defect, k)
             if not any(dk):

@@ -3,6 +3,7 @@
 import os
 import random
 from fractions import Fraction
+from math import lcm
 from types import SimpleNamespace
 
 import pytest
@@ -1310,3 +1311,128 @@ def reference_shifted_kernel_violations(e, phi, shift):
         if not linalg.is_zero_vector(phi.apply(dense)):
             errs.append("not multiplicative on (%s, %s)" % (b.space.names[i], b.space.names[j]))
     return errs
+
+
+# ---------------------------------------------------------------------------
+# the Fraction path from the text of an algebra or DGLA document to the
+# integer index, and the staged gauge search that joins each stage's
+# correction by BCH: the oracles for the parser that reads integral
+# constants as Python ints and for the central stage corrections
+
+TABLE_WRONG_DEGREE = {"nilpotent_dg_algebra": ("mult", "product %s*%s has an entry of wrong degree"),
+                      "dgla": ("bracket", "bracket [%s, %s] has an entry of wrong degree")}
+
+
+def reference_combo(text):
+    """A combination with every coefficient a Fraction: the terms of each
+    name summed, in the order of the name's first term, zero sums dropped."""
+    text = text.strip()
+    if text == "0":
+        return ()
+    out = {}
+    for term in text.split("+"):
+        tok, name = term.split()
+        out[name] = out.get(name, F(0)) + F(tok)
+    return tuple((name, c) for name, c in out.items() if c)
+
+
+def reference_structure_payload(text):
+    """(kind, payload) of a well-formed ``nilpotent_dg_algebra`` or
+    ``dgla`` document (fields basis, d, the table field and nilpotency,
+    items indented), every coefficient a Fraction."""
+    kind, fld, payload = None, None, {"basis": [], "d": {}}
+    for line in text.splitlines():
+        body = line.split("#", 1)[0].rstrip()
+        if not body.strip():
+            continue
+        if not body[0].isspace():
+            fld, _, rest = body.partition(":")
+            if fld == "kind":
+                kind = rest.strip()
+                payload[TABLE_WRONG_DEGREE[kind][0]] = {}
+            elif fld == "nilpotency":
+                payload["nilpotency"] = int(rest)
+            continue
+        item = body.strip()
+        if fld == "basis":
+            name, deg = item.split()
+            payload["basis"].append((name, int(deg)))
+            continue
+        lhs, rhs = item.split("->")
+        combo = reference_combo(rhs)
+        if combo:
+            payload[fld][lhs.strip() if fld == "d" else tuple(lhs.split())] = combo
+    payload["basis"] = tuple(payload["basis"])
+    if kind == "dgla":
+        payload.setdefault("nilpotency", None)
+    return kind, payload
+
+
+def reference_build_structure(text):
+    """(kind, payload, den, left) for an algebra or DGLA document, its
+    constants read as Fractions and put on the integer index as the
+    Fraction parser did: each row over the lcm of its denominators, a
+    row of wrong degree a ValueError with the builder's message, all rows
+    rescaled at the end to the lcm of the row denominators."""
+    kind, payload = reference_structure_payload(text)
+    fld, wrong_degree = TABLE_WRONG_DEGREE[kind]
+    names = [n for n, _ in payload["basis"]]
+    degs = [d for _, d in payload["basis"]]
+    left = [[] for _ in names]
+    by_den = {}
+    for (n1, n2), combo in payload[fld].items():
+        i, j = names.index(n1), names.index(n2)
+        row = {names.index(n): c for n, c in combo}
+        den = lcm(*(c.denominator for c in row.values()))
+        nums = {k: c.numerator * (den // c.denominator) for k, c in row.items()}
+        if any(degs[k] != degs[i] + degs[j] for k in nums):
+            raise ValueError(wrong_degree % (n1, n2))
+        left[i].append((j, nums))
+        by_den.setdefault(den, []).append(nums)
+    den = lcm(*by_den)
+    for row_den, rows in by_den.items():
+        for nums in rows:
+            for k in nums:
+                nums[k] *= den // row_den
+    return kind, payload, den, left
+
+
+def reference_staged_witness(l, a, x, y):
+    """The witness of the staged search of ``gauge_equivalent`` with each
+    stage's correction c joined to the lifted witness w as BCH(c, w), or
+    None where that search answers UNKNOWN; x and y are MC elements of
+    L⊗A, A² ≠ 0."""
+    from defalg.algebras import DgAlgebraMorphism, factor_into_small_extensions
+    from defalg.dgla import (bch, gauge_act, tensor_dgla, tensor_push,
+                             trivial_algebra_of_complex)
+    t = tensor_dgla(l, a)
+    zero = NilpotentDgAlgebra.trivial(GradedSpace([]))
+    chain = factor_into_small_extensions(
+        DgAlgebraMorphism(a, zero, GradedMap(a.space, zero.space, 0), check=False))
+    stages = [e.a for e in chain] + [zero]
+    projs = [DgAlgebraMorphism.identity(a)]
+    for e in chain:
+        projs.append(e.alpha.compose(projs[-1]))
+    witness = []
+    tensors = {len(chain): tensor_dgla(l, zero)}
+    for j in range(len(chain) - 1, -1, -1):
+        tj = tensors[j] = tensor_dgla(l, stages[j])
+        e = chain[j]
+        tii = tensor_dgla(l, trivial_algebra_of_complex(e.i_complex))
+        push = tensor_push(t, tj.space, projs[j].map, stages[j].dim)
+        lift_w = tensor_push(tensors[j + 1], tj.space, e.section(),
+                             stages[j].dim).apply(witness) \
+            if stages[j + 1].dim else tj.space.zero_vector()
+        ri = e.kernel_coords(linalg.vec_sub(gauge_act(tj, lift_w, push.apply(x)),
+                                            push.apply(y)))
+        deg0 = tii.space.degree_indices(0)
+        dcols = tii.d.columns()
+        sol = linalg.solve_in_span([dcols[i] for i in deg0], ri)
+        if sol is None:
+            return None
+        c = tii.space.zero_vector()
+        for pos, i in enumerate(deg0):
+            c[i] = sol[pos]
+        c_in_j = tensor_push(tii, tj.space, e.iota, e.a.dim).apply(c)
+        witness = bch(tj.bracket_vec, c_in_j, lift_w, max(tj.nilpotency_class, 1))
+    return witness if gauge_act(t, witness, x) == list(y) else None

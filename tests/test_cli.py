@@ -96,6 +96,20 @@ def test_mc_lift_obstructed(capsys):
     assert "lifted: obstructed" in out
 
 
+@pytest.mark.parametrize("command", ["mc-lift", "obstruction"])
+def test_scaled_counterexample_has_the_readme_verdicts(capsys, command):
+    """counterexample_scaled.ext/.mc are the README extension and element in
+    a fractional basis (p/q tokens, multi-term rows): the same verdicts, and
+    the class is read in the new basis."""
+    scaled = [str(FIXTURES / ("counterexample_scaled" + ext)) for ext in (".ext", ".mc")]
+    code, data = run_json(capsys, command, "--in", SL2, "--in", EXT, "--in", MC)
+    scode, sdata = run_json(capsys, command, "--in", SL2, "--in", scaled[0],
+                            "--in", scaled[1])
+    assert (scode, sdata["verdicts"]) == (code, data["verdicts"]) and code == 1
+    key = "obstruction class" if command == "mc-lift" else "cokernel class"
+    assert (data["tables"][key], sdata["tables"][key]) == (["-1"], ["-2/3"])
+
+
 def test_obstruction_not_strictly_small(capsys):
     code, data = run_json(capsys, "obstruction", "--in", SL2, "--in", EXT,
                           "--in", MC)

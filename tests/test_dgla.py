@@ -14,9 +14,9 @@ from defalg.graded import Complex, GradedMap, GradedSpace, cohomology
 from defalg.models import QuasismoothTrunc
 from conftest import (counterexample_algebras, counterexample_element,
                       counterexample_extension, dense_contraction, dense_tensor_bracket,
-                      dense_tensor_bracket_vec, direct_sum_dgla, heisenberg, make_rng,
-                      random_abelian_dgla, random_algebra, random_dgla, rescaled, sl2,
-                      sl2_odd)
+                      dense_tensor_bracket_vec, direct_sum_dgla, heisenberg,
+                      koszul_truncation, make_rng, random_abelian_dgla, random_algebra, random_dgla,
+                      reference_staged_witness, rescaled, sl2, sl2_odd)
 
 F = Fraction
 
@@ -368,6 +368,42 @@ def test_gauge_equivalent_staged():
     dec = gauge_equivalent(l, a, t.space.zero_vector(), x, mode="decide")
     assert dec.verdict == "YES"
     assert gauge_act(t, dec.witness, t.space.zero_vector()) == x
+
+
+def test_staged_gauge_witness_is_the_bch_witness():
+    """Each stage of the staged search is strictly small, so its correction
+    is central and joining it to the lifted witness by addition gives the
+    witness that the BCH product gives: on random pairs e^g·0, e^h·0 over
+    Koszul truncations (A² ≠ 0, with degree-0 elements), some in a basis
+    with fractional scales, and on the koszul4 fixture pair."""
+    import pathlib
+    from defalg import docio
+    rng = make_rng(43)
+    cases = []
+    while len(cases) < 10:
+        l = random_dgla(rng)
+        a = koszul_truncation(rng.randint(1, 2), rng.randint(2, 3)).algebra()
+        if rng.random() < 0.5:
+            a = rescaled(a, [rng.choice([F(1, 2), F(-2, 3), F(3)]) for _ in range(a.dim)])
+        t = tensor_dgla(l, a)
+        cases.append((l, a, random_mc_element(rng, t)[0], random_mc_element(rng, t)[0]))
+    fixtures = pathlib.Path(__file__).resolve().parent.parent / "docs" / "fixtures"
+    l, a = (docio.build(docio.parse((fixtures / name).read_text()))
+            for name in ("sl2.dgla", "koszul4.alg"))
+    t = tensor_dgla(l, a)
+    cases.append((l, a) + tuple(
+        docio.build_mc_element(docio.parse((fixtures / name).read_text()), t.space)
+        for name in ("koszul4_x.mc", "koszul4_y.mc")))
+    found = 0
+    for l, a, x, y in cases:
+        if x == y:
+            continue
+        want = reference_staged_witness(l, a, x, y)
+        dec = gauge_equivalent(l, a, x, y, mode="decide")
+        assert dec.verdict == ("UNKNOWN" if want is None else "YES")
+        assert dec.witness == want
+        found += want is not None
+    assert found >= 8
 
 
 # ---- derivation DGLAs ------------------------------------------------------

@@ -319,3 +319,188 @@ def test_graded_lists_print_by_arity_then_key():
              ["  1 | x -> 1 y", "  2 | y -> 1 x*y"])]:
         printed = print_document(parse(text)).splitlines()
         assert printed[-len(want):] == want
+
+
+# ---------------------------------------------------------------------------
+# structure documents straight onto the integer index: integral constants
+# are read as Python ints, and the index, the validation errors, the error
+# text and the printed documents are those of the Fraction path
+
+integral_tokens = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70)).map(str)
+fractional_tokens = st.builds("{}/{}".format, st.integers(-2 ** 70, 2 ** 70),
+                              st.integers(1, 2 ** 70))
+tokens = st.one_of(integral_tokens, integral_tokens, fractional_tokens,
+                   st.sampled_from(["0", "-0", "1/2", "-2/3", "4/2"]))
+
+
+def negated(tok):
+    return tok[1:] if tok.startswith("-") else "-" + tok
+
+
+@st.composite
+def combo_texts(draw, targets):
+    """A combination of the names in ``targets``: fresh terms, repeated
+    names and terms that cancel an earlier one; "0" when there are none."""
+    terms = []
+    for _ in range(draw(st.integers(0, 4)) if targets else 0):
+        kind = draw(st.sampled_from(["fresh", "fresh", "repeat", "cancel"]))
+        if kind == "fresh" or not terms:
+            terms.append((draw(tokens), draw(st.sampled_from(targets))))
+        else:
+            tok, name = draw(st.sampled_from(terms))
+            terms.append((negated(tok) if kind == "cancel" else draw(tokens), name))
+    return " + ".join("%s %s" % t for t in terms) if terms else "0"
+
+
+@st.composite
+def structure_documents(draw):
+    """The text of a random algebra or DGLA document, its constants in
+    every token form; at most one table entry has a term of wrong degree."""
+    kind = draw(st.sampled_from(["nilpotent_dg_algebra", "dgla"]))
+    n = draw(st.integers(1, 5))
+    basis = [("e%d" % i, draw(st.integers(-1, 2))) for i in range(n)]
+    names = [nm for nm, _ in basis]
+
+    def of_degree(deg):
+        return [nm for nm, dg in basis if dg == deg]
+    lines = ["kind: " + kind, "basis:"] + ["  %s %d" % b for b in basis]
+    d_lines = ["  %s -> %s" % (nm, draw(combo_texts(of_degree(dg + 1))))
+               for nm, dg in basis if draw(st.booleans())]
+    if d_lines:
+        lines += ["d:"] + d_lines
+    pairs = draw(st.lists(st.tuples(st.sampled_from(range(n)), st.sampled_from(range(n))),
+                          unique=True, max_size=12))
+    wrong = draw(st.integers(-1, len(pairs) - 1))
+    rows = []
+    for t, (i, j) in enumerate(pairs):
+        deg = basis[i][1] + basis[j][1]
+        combo = draw(combo_texts(of_degree(deg)))
+        off = [nm for nm, dg in basis if dg != deg]
+        if t == wrong and off:
+            extra = "%s %s" % (draw(tokens.filter(lambda tok: F(tok) != 0)),
+                               draw(st.sampled_from(off)))
+            combo = extra if combo == "0" else combo + " + " + extra
+        rows.append("  %s %s -> %s" % (names[i], names[j], combo))
+    if rows:
+        lines += ["mult:" if kind == "nilpotent_dg_algebra" else "bracket:"] + rows
+    if kind == "dgla" and draw(st.booleans()):
+        lines.append("nilpotency: %d" % draw(st.integers(1, 3)))
+    return "\n".join(lines) + "\n"
+
+
+def _row_items(left):
+    return [[(j, list(row.items())) for j, row in rows] for rows in left]
+
+
+@given(structure_documents())
+@settings(max_examples=150, deadline=None)
+def test_structure_documents_match_the_fraction_path(text):
+    from conftest import reference_build_structure, reference_structure_payload
+    from defalg.algebras import NilpotentDgAlgebra
+    from defalg.dgla import Dgla
+    from defalg.graded import GradedMap, GradedSpace
+    kind, payload = reference_structure_payload(text)
+    doc = parse(text)
+    assert doc == docio.InputDocument(kind, payload)
+    assert print_document(doc) == print_document(docio.InputDocument(kind, payload))
+    assert parse(print_document(doc)) == doc
+    try:
+        _, _, den, left = reference_build_structure(text)
+    except ValueError as exc:
+        with pytest.raises(DocumentError) as err:
+            build(doc)
+        assert str(err.value) == str(exc)
+        return
+    s = build(doc)
+    assert (s.den, _row_items(s._left)) == (den, _row_items(left))
+    # the same structure built from the Fraction rows
+    space = GradedSpace(payload["basis"])
+    index = space.index
+    d = GradedMap(space, space, 1, {(index(n), index(src)): c
+                                    for src, combo in payload["d"].items() for n, c in combo})
+    fld = docio.TABLE_FIELDS[kind]
+    table = {(index(n1), index(n2)): {index(n): c for n, c in combo}
+             for (n1, n2), combo in payload[fld].items()}
+    if kind == "dgla":
+        ref, document_of = Dgla(space, table, d, payload["nilpotency"]), docio.document_of_dgla
+    else:
+        ref, document_of = NilpotentDgAlgebra(space, table, d), docio.document_of_algebra
+    assert (ref.den, _row_items(ref._left)) == (den, _row_items(left))
+    assert s.validate().errors == ref.validate().errors
+    assert print_document(document_of(s)) == print_document(document_of(ref))
+
+
+def _built_maps_and_vectors(path):
+    """Every GradedMap and vector that building a fixture makes: the
+    structures' differentials, a small extension's maps, the Taylor maps
+    and components of graded kinds, and an mc_element over its tensor
+    space."""
+    from defalg.dgla import tensor_dgla
+    doc = parse(path.read_text())
+    if doc.kind == "mc_element":
+        pair = {"counterexample.mc": "counterexample.ext",
+                "counterexample_scaled.mc": "counterexample_scaled.ext",
+                "koszul4_x.mc": "koszul4.alg", "koszul4_y.mc": "koszul4.alg"}[path.name]
+        base = build(parse((FIXTURES / pair).read_text()))
+        base = base.b if pair.endswith(".ext") else base
+        l = build(parse((FIXTURES / "sl2.dgla").read_text()))
+        return [], [docio.build_mc_element(doc, tensor_dgla(l, base).space)]
+    obj = build(doc)
+    if doc.kind in ("nilpotent_dg_algebra", "dgla"):
+        return [obj.d], [list(row.values()) for _, _, row in obj.constants()]
+    if doc.kind == "small_extension":
+        return [obj.a.d, obj.b.d, obj.alpha.map, obj.iota, obj.i_complex.d], []
+    if doc.kind == "linfty":
+        return list(obj.taylor.values()), []
+    return list(obj.components.values()), []
+
+
+def test_fixtures_build_fractions_only():
+    """Integral constants stop at the integer index: no GradedMap entry,
+    no constant read back and no element coordinate is a Python int."""
+    seen = set()
+    for path in sorted(FIXTURES.iterdir()):
+        maps, vectors = _built_maps_and_vectors(path)
+        seen.add(path.suffix)
+        for m in maps:
+            assert all(type(c) is F for c in m.entries.values()), path.name
+        for vec in vectors:
+            assert all(type(c) is F for c in vec), path.name
+    assert seen == {".ext", ".mc", ".linf", ".alg", ".qs", ".dgla"}
+
+
+def test_integral_constants_build_no_fraction(monkeypatch):
+    """counterexample.ext has integral coefficients only: parsing it
+    constructs no Fraction, its tables are read as Python ints, and the
+    integer index of each algebra is built with no Fraction and no pass
+    over denominators."""
+    import defalg.algebras as algebras
+    text = (FIXTURES / "counterexample.ext").read_text()
+    made, scans = [], []
+    real_new, real_constants, real_numerators = (F.__new__, algebras._structure_constants,
+                                                 algebras._numerators)
+
+    def new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+    monkeypatch.setattr(F, "__new__", new)
+    doc = parse(text)
+    assert made == []
+    counts = []
+
+    def constants(*args):
+        before = len(made)
+        out = real_constants(*args)
+        counts.append(len(made) - before)
+        return out
+    monkeypatch.setattr(algebras, "_structure_constants", constants)
+    monkeypatch.setattr(algebras, "_numerators",
+                        lambda v: scans.append(v) or real_numerators(v))
+    for nm in ("a", "b"):
+        rows = doc.payload[nm].payload["mult"].values()
+        assert all(type(c) is int for combo in rows for _, c in combo)
+        docio.build_algebra(doc.payload[nm])
+    monkeypatch.undo()
+    assert counts == [0, 0] and scans == []
+    e = docio.build_small_extension(doc)
+    assert (e.a.den, e.b.den) == (1, 1)

@@ -142,6 +142,79 @@ def test_minimalize_builds_each_piece_once(monkeypatch):
     assert check_homotopy(mm.homotopy, gp, DgAlgebraMorphism.identity(a))
 
 
+# an acyclic pair (u, w) beside harmonic generators h0, h1 whose
+# differential keeps the pure-H word h0·h1: the harmonic correction of
+# minimalize reads that word's image
+MIXED_QS = """kind: quasismooth
+basis:
+  u 0
+  w 1
+  h0 1
+  h1 1
+order: 3
+d:
+  1 | u -> 1 w
+  2 | h0 -> 1 h0*h1 + 1 w*h0
+  3 | h1 -> 1 u*w*h1 + 2 u*w*h0
+"""
+MIXED_MINIMAL = """kind: quasismooth
+basis:
+  h0 1
+  h1 1
+order: 3
+d:
+  2 | h0 -> 1 h0*h1
+"""
+
+
+@pytest.mark.parametrize("text, loop_words", [
+    ((FIXTURES / "pairs.qs").read_text(encoding="utf-8"), 0), (MIXED_QS, 1)])
+def test_minimalize_builds_only_the_word_images_it_reads(monkeypatch, text, loop_words):
+    """The harmonic correction substitutes the images at the start of each
+    order into the pure-H words read so far, and builds only those images
+    (with their prefixes), not a morphism over every word: minimalize
+    calls ``morphism_from_generators`` five times whatever the order (two
+    coordinate changes, π₂, γ₂ and the homotopy).  Every image the
+    correction reads equals the left-to-right product of its letters'
+    images, and the minimal model is the expected one (pairs.qs: its
+    golden output in test_cli)."""
+    import defalg.models as models
+    r = docio.build(docio.parse(text))
+    real_mfg, real_images = models.morphism_from_generators, models._word_images
+    depth, calls, reads = [0], [], []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        depth[0] += 1
+        try:
+            return real_mfg(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def recorded(target, images):
+        image, mine = real_images(target, images), not depth[0]
+
+        def read(word):
+            vec = image(word)
+            if mine:
+                reads.append((target, images, word, vec))
+            return vec
+        return read
+    monkeypatch.setattr(models, "morphism_from_generators", counted)
+    monkeypatch.setattr(models, "_word_images", recorded)
+    mm = minimalize(r)
+    monkeypatch.undo()
+    assert len(calls) == 5
+    assert len(reads) == loop_words < len(r.basis.words)
+    for target, images, word, vec in reads:
+        want = images[word[0]]
+        for letter in word[1:]:
+            want = target.product(want, images[letter])
+        assert vec == want, word
+    if text == MIXED_QS:
+        assert docio.print_document(docio.document_of_quasismooth(mm.s)) == MIXED_MINIMAL
+
+
 def test_morphism_from_generators_forms_one_product_per_word(monkeypatch):
     # each generator goes to itself plus the first word of length 2 of its
     # degree; every word's image is the left-to-right product of its
