@@ -472,13 +472,12 @@ def test_fixtures_build_fractions_only():
 def test_integral_constants_build_no_fraction(monkeypatch):
     """counterexample.ext has integral coefficients only: parsing it
     constructs no Fraction, its tables are read as Python ints, and the
-    integer index of each algebra is built with no Fraction and no pass
-    over denominators."""
+    integer index of each algebra is built with no Fraction, over
+    denominator 1."""
     import defalg.algebras as algebras
     text = (FIXTURES / "counterexample.ext").read_text()
-    made, scans = [], []
-    real_new, real_constants, real_numerators = (F.__new__, algebras._structure_constants,
-                                                 algebras._numerators)
+    made = []
+    real_new, real_constants = F.__new__, algebras._structure_constants
 
     def new(cls, *args, **kwargs):
         made.append(args)
@@ -494,13 +493,11 @@ def test_integral_constants_build_no_fraction(monkeypatch):
         counts.append(len(made) - before)
         return out
     monkeypatch.setattr(algebras, "_structure_constants", constants)
-    monkeypatch.setattr(algebras, "_numerators",
-                        lambda v: scans.append(v) or real_numerators(v))
     for nm in ("a", "b"):
         rows = doc.payload[nm].payload["mult"].values()
         assert all(type(c) is int for combo in rows for _, c in combo)
         docio.build_algebra(doc.payload[nm])
     monkeypatch.undo()
-    assert counts == [0, 0] and scans == []
+    assert counts == [0, 0]
     e = docio.build_small_extension(doc)
     assert (e.a.den, e.b.den) == (1, 1)
