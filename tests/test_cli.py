@@ -637,3 +637,20 @@ def test_defalg_seed_changes_nothing():
     assert plain.returncode == seeded.returncode == 0
     assert seeded.stdout == plain.stdout
     assert b"Traceback" not in seeded.stderr
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=[c["name"] for c in GOLDEN_CASES])
+def test_golden_output(capsys, case, fmt):
+    # tests/golden holds the exit code, stdout and stderr of each command, in
+    # text and --json, byte for byte: they pin the printed order of every
+    # combination, which the printers read off sparse vectors
+    root = GOLDEN.parent.parent
+    argv = [str(root / a) if "/" in a else a for a in case["argv"]]
+    code, out, err = run(capsys, *argv, *(["--json"] if fmt == "json" else []))
+    want = (GOLDEN / ("%s.%s" % (case["name"], fmt))).read_bytes().decode("utf-8")
+    assert (code, out, err) == (case["exit"], want, case["stderr"])
