@@ -19,18 +19,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Un
 
 from . import linalg
 from .graded import Complex, GradedMap, GradedSpace, cohomology, solve_homotopy
-from .linalg import ONE, ZERO, CertificateError, SparseVec, Vector
-
-
-def _sparse(vec: Sequence[Fraction]) -> SparseVec:
-    return {k: c for k, c in enumerate(vec) if c}
-
-
-def _dense(sv: SparseVec, dim: int) -> Vector:
-    v = [ZERO] * dim
-    for k, c in sv.items():
-        v[k] = c
-    return v
+from .linalg import ONE, ZERO, CertificateError, SparseVec
 
 
 LeftIndex = List[List[Tuple[int, Dict[int, int]]]]
@@ -53,13 +42,6 @@ def _int_columns(m: GradedMap) -> Tuple[List[Dict[int, int]], int]:
     for (j, i), c in entries.items():
         cols[i][j] = c
     return cols, den
-
-
-def _over(nums: Sequence[int], den: int) -> Vector:
-    """The vector nums/den, one Fraction per nonzero entry."""
-    if den == 1:
-        return [Fraction(n) if n else ZERO for n in nums]
-    return [Fraction(n, den) if n else ZERO for n in nums]
 
 
 _INT_ONLY = frozenset({int})
@@ -104,28 +86,28 @@ def _structure_constants(space: GradedSpace, table: Union[Dict[Pair, SparseVec],
     return den, left
 
 
-def _bilinear(s: "BilinearStructure", u: Sequence[Fraction], v: Sequence[Fraction],
-              den: int = 1) -> Vector:
+def _bilinear(s: "BilinearStructure", u: SparseVec, v: SparseVec,
+              den: int = 1) -> SparseVec:
     """(Σ u_i v_j e_i e_j)/den, walking only the support of u through the
     integer left index, over one denominator: den, s.den and the lcms of
-    the denominators of u's support and of the entries of v the walk reads
+    the denominators of u's entries and of the entries of v the walk reads
     (only those are converted)."""
     left = s._left
-    su = [(i, c) for i, c in enumerate(u) if c]
-    nv, dv = _numerators({j: v[j] for i, _ in su for j, _ in left[i]})
+    nv, dv = _numerators({j: v[j] for i in u for j, _ in left[i] if j in v})
     if not nv:
-        return [ZERO] * s.dim
-    du = lcm(*(c.denominator for _, c in su))
-    out = [0] * s.dim
-    for i, c in su:
+        return {}
+    du = lcm(*(c.denominator for c in u.values()))
+    out: Dict[int, int] = {}
+    for i, c in u.items():
         m = c.numerator * (du // c.denominator)
         for j, row in left[i]:
             cv = nv.get(j)
             if cv:
                 cm = m * cv
                 for k, ck in row.items():
-                    out[k] += cm * ck
-    return _over(out, du * dv * s.den * den)
+                    out[k] = out.get(k, 0) + cm * ck
+    total = du * dv * s.den * den
+    return {k: Fraction(n, total) for k, n in out.items() if n}
 
 
 def _right_index(left: LeftIndex) -> LeftIndex:
@@ -207,10 +189,10 @@ class BilinearStructure:
     def complex(self) -> Complex:
         return Complex(self.space, self.d)
 
-    def table_entry(self, i: int, j: int) -> Vector:
-        """e_i·e_j as a fresh dense vector, read from the integer index."""
+    def table_entry(self, i: int, j: int) -> SparseVec:
+        """e_i·e_j as a fresh vector, read from the integer index."""
         row = next((row for m, row in self._left[i] if m == j), {})
-        return _over([row.get(k, 0) for k in range(self.dim)], self.den)
+        return {k: Fraction(row[k], self.den) for k in sorted(row)}
 
     def _int_product(self, u: Dict[int, int], w: Dict[int, int]) -> Dict[int, int]:
         """den·(u·w) for u and w on Python-int numerators; entries that
@@ -224,12 +206,6 @@ class BilinearStructure:
                     for k, ck in row.items():
                         out[k] = out.get(k, 0) + c * ck
         return out
-
-    def sparse_product(self, u: SparseVec, w: SparseVec) -> SparseVec:
-        """u·w for sparse u and w."""
-        (nu, du), (nw, dw) = _numerators(u), _numerators(w)
-        total = du * dw * self.den
-        return {k: Fraction(n, total) for k, n in self._int_product(nu, nw).items() if n}
 
     def _axiom_errors(self) -> Tuple[List[str], List[str], List[str], List[str]]:
         """The symmetry, associativity (Jacobi), Leibniz and d∘d errors of a
@@ -306,13 +282,13 @@ class NilpotentDgAlgebra(BilinearStructure):
             differential = GradedMap.zero(space, space, 1)
         return cls(space, {}, differential)
 
-    def product(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
+    def product(self, u: SparseVec, v: SparseVec) -> SparseVec:
         return _bilinear(self, u, v)
 
     def has_trivial_mult(self) -> bool:
         return not any(self._left)
 
-    def power_ideal_bases(self) -> List[List[Vector]]:
+    def power_ideal_bases(self) -> List[List[SparseVec]]:
         """Bases of A = A^1 ⊇ A^2 ⊇ ...  down to the first zero power.
 
         The basis of A^(n+1) is the greedy independent subset, in order, of
@@ -322,7 +298,7 @@ class NilpotentDgAlgebra(BilinearStructure):
         as they are; only the returned vectors are Fractions.
         """
         n, scale, right = self.dim, 1, _right_index(self._left)
-        powers = [[self.space.basis_vector(i) for i in range(n)]]
+        powers: List[List[SparseVec]] = [[{i: ONE} for i in range(n)]]
         prev: List[Dict[int, int]] = [{i: 1} for i in range(n)]
         while prev:
             prods: List[Dict[int, Dict[int, int]]] = []
@@ -339,7 +315,8 @@ class NilpotentDgAlgebra(BilinearStructure):
                     if p and ech.add(p):
                         nxt.append(p)
             scale *= self.den
-            powers.append([_over([p.get(k, 0) for k in range(n)], scale) for p in nxt])
+            powers.append([{k: Fraction(x, scale) for k, x in sorted(p.items()) if x}
+                           for p in nxt])
             if len(nxt) == len(prev):
                 # not descending: not nilpotent; bail out (validate reports)
                 break
@@ -353,13 +330,14 @@ class NilpotentDgAlgebra(BilinearStructure):
             return None
         return len(powers)
 
-    def annihilator_basis(self) -> List[Vector]:
+    def annihilator_basis(self) -> List[SparseVec]:
         """Basis of Ann(A) = {x : x * A = 0} (two-sided by commutativity):
         the relations among the maps e_i * -, flattened from the integer
         index (their common scale den leaves the relations as they are)."""
         n = self.dim
-        return linalg.relations([{j * n + k: c for j, row in self._left[i]
+        rels = linalg.relations([{j * n + k: c for j, row in self._left[i]
                                   for k, c in row.items()} for i in range(n)])[1]
+        return [{i: c for i, c in enumerate(rel) if c} for rel in rels]
 
     def validate(self) -> "ValidationReport":
         """Check graded commutativity, associativity, d∘d = 0, Leibniz and
@@ -440,7 +418,7 @@ class DgAlgebraMorphism:
                     for i, j in sorted(_failing(defects)))
         return errs
 
-    def apply(self, v: Sequence[Fraction]) -> Vector:
+    def apply(self, v: SparseVec) -> SparseVec:
         return self.map.apply(v)
 
     def compose(self, other: "DgAlgebraMorphism") -> "DgAlgebraMorphism":
@@ -455,12 +433,11 @@ class DgAlgebraMorphism:
         return cls(a, a, GradedMap.identity(a.space), check=False)
 
 
-def subalgebra(ambient: NilpotentDgAlgebra, vectors: Sequence[Vector],
+def subalgebra(ambient: NilpotentDgAlgebra, vectors: Sequence[SparseVec],
                names: Optional[Sequence[str]] = None
                ) -> Tuple[NilpotentDgAlgebra, GradedMap]:
     """Sub-dg-algebra spanned by the given (independent, homogeneous,
     multiplicatively and differentially closed) vectors."""
-    vectors = [list(v) for v in vectors]
     degs = []
     for v in vectors:
         d = ambient.space.vector_degree(v)
@@ -478,8 +455,9 @@ def subalgebra(ambient: NilpotentDgAlgebra, vectors: Sequence[Vector],
             coords = span.coords(p)
             if coords is None:
                 raise ValueError("span is not closed under multiplication")
-            if any(coords):
-                mult[(i, j)] = _sparse(coords)
+            row = {k: c for k, c in enumerate(coords) if c}
+            if row:
+                mult[(i, j)] = row
     d = GradedMap(space, space, 1)
     for i, u in enumerate(vectors):
         coords = span.coords(ambient.d.apply(u))
@@ -492,7 +470,7 @@ def subalgebra(ambient: NilpotentDgAlgebra, vectors: Sequence[Vector],
     return NilpotentDgAlgebra(space, mult, d), incl
 
 
-def quotient_algebra(a: NilpotentDgAlgebra, ideal: Sequence[Vector]
+def quotient_algebra(a: NilpotentDgAlgebra, ideal: Sequence[SparseVec]
                      ) -> Tuple[NilpotentDgAlgebra, DgAlgebraMorphism]:
     """Quotient by a d-stable ideal given by spanning vectors."""
     # one echelon over the ideal's vectors, then the standard basis: the
@@ -560,7 +538,7 @@ class FiberProduct:
     algebra: NilpotentDgAlgebra
     proj_a: DgAlgebraMorphism
     proj_b: DgAlgebraMorphism
-    _basis_in_product: List[Vector] = field(default_factory=list)
+    _basis_in_product: List[SparseVec] = field(default_factory=list)
     _alpha: Optional[DgAlgebraMorphism] = None
     _beta: Optional[DgAlgebraMorphism] = None
 
@@ -574,10 +552,10 @@ class FiberProduct:
         src = f.source
         m = GradedMap(src.space, self.algebra.space, 0)
         span = linalg.echelon(self._basis_in_product)
+        na = f.target.dim
         for i in range(src.dim):
-            fa = f.map.column(i)
-            gb = g.map.column(i)
-            coords = span.coords(list(fa) + list(gb))
+            coords = span.coords({**f.map.column(i),
+                                  **{na + j: c for j, c in g.map.column(i).items()}})
             if coords is None:
                 raise ValueError("image does not land in the fiber product")
         # fill entries
@@ -596,10 +574,10 @@ def fiber_product(alpha: DgAlgebraMorphism, beta: DgAlgebraMorphism) -> FiberPro
     # kernel of (alpha - beta) on A + B
     kern = linalg.relations(alpha.map.columns() + (-beta.map).columns())[1]
     # pick a homogeneous kernel basis: split each vector by degree
-    homog: List[Vector] = []
-    for v in kern:
-        for comp in prod.space.homogeneous_components(v).values():
-            homog.append(comp)
+    homog: List[SparseVec] = []
+    for rel in kern:
+        homog.extend(prod.space.homogeneous_components(
+            {k: c for k, c in enumerate(rel) if c}).values())
     chosen = linalg.independent_subset(homog)
     basis = [homog[c] for c in chosen]
     sub, incl = subalgebra(prod, basis, names=["fp%d" % i for i in range(len(basis))])
@@ -655,20 +633,23 @@ class SmallExtension:
     def _iota_echelon(self) -> linalg.Echelon:
         return linalg.echelon(self.iota.columns())
 
-    def kernel_coords(self, v: Sequence[Fraction]) -> Optional[Vector]:
+    def kernel_coords(self, v: SparseVec) -> Optional[SparseVec]:
         """The coordinates in I of a vector of A, or None off ι(I).
 
         A vector of L⊗A for any L is read as its L-major blocks of dim A,
         and the result is the matching vector of L⊗I, or None when some
         block is off ι(I).  ι is injective, so the coordinates are unique.
         """
-        na = self.a.dim
-        out: Vector = []
-        for start in range(0, len(v), max(na, 1)):
-            block = self._iota_echelon.coords(v[start:start + na])
-            if block is None:
+        na, ni = self.a.dim, self.i_complex.space.dim
+        blocks: Dict[int, SparseVec] = {}
+        for k, c in v.items():
+            blocks.setdefault(k // na, {})[k % na] = c
+        out: SparseVec = {}
+        for b, block in blocks.items():
+            coords = self._iota_echelon.coords(block)
+            if coords is None:
                 return None
-            out.extend(block)
+            out.update((b * ni + t, c) for t, c in enumerate(coords) if c)
         return out
 
     @cached_property
@@ -687,7 +668,7 @@ class SmallExtension:
             pre = self._alpha_echelon.coords({j: ONE})
             if pre is None:
                 raise ValueError("alpha is not surjective")
-            cols.append(pre)
+            cols.append({i: c for i, c in enumerate(pre) if c})
         return GradedMap.from_columns(self.b.space, self.a.space, 0, cols)
 
 
@@ -700,7 +681,8 @@ def kernel_extension(alpha: DgAlgebraMorphism) -> SmallExtension:
     echelons are kept for ``validate()``, ``section()`` and
     ``kernel_coords``.
     """
-    alpha_ech, basis = linalg.relations(alpha.map.columns())
+    alpha_ech, rels = linalg.relations(alpha.map.columns())
+    basis = [{k: c for k, c in enumerate(rel) if c} for rel in rels]
     degs = [alpha.source.space.vector_degree(v) for v in basis]
     ispace = GradedSpace([("i%d" % k, d) for k, d in enumerate(degs)])
     di = GradedMap(ispace, ispace, 1)
@@ -734,10 +716,10 @@ def factor_into_small_extensions(alpha: DgAlgebraMorphism) -> List[SmallExtensio
         if not kern:
             break
         ann = current.source.annihilator_basis()
-        inter = _intersect_spans(kern, ann, current.source.dim)
+        inter = _intersect_spans(kern, ann)
         if not inter:
             raise CertificateError("ker ∩ Ann is zero, which nilpotency excludes")
-        homog: List[Vector] = []
+        homog: List[SparseVec] = []
         for v in inter:
             homog.extend(current.source.space.homogeneous_components(v).values())
         keep = linalg.independent_subset(homog)
@@ -754,18 +736,16 @@ def factor_into_small_extensions(alpha: DgAlgebraMorphism) -> List[SmallExtensio
     return chain
 
 
-def _intersect_spans(u: Sequence[Vector], w: Sequence[Vector], dim: int) -> List[Vector]:
+def _intersect_spans(u: Sequence[SparseVec], w: Sequence[SparseVec]) -> List[SparseVec]:
     if not u or not w:
         return []
     out = []
-    for sol in linalg.relations(list(u) + [[-x for x in v] for v in w])[1]:
-        vec = [ZERO] * dim
+    for sol in linalg.relations(list(u) + [{k: -x for k, x in v.items()} for v in w])[1]:
+        vec: SparseVec = {}
         for c, uc in enumerate(u):
             if sol[c]:
-                for r, x in enumerate(uc):
-                    if x:
-                        vec[r] += sol[c] * x
-        if any(vec):
+                linalg.add_into(vec, uc, sol[c])
+        if vec:
             out.append(vec)
     keep = linalg.independent_subset(out)
     return [out[k] for k in keep]
@@ -781,10 +761,10 @@ class MappingCone:
     include: DgAlgebraMorphism        # A -> C
     project: GradedMap                # C -> M[1] (a derivation over A)
     module_space: GradedSpace         # M[1]
-    module_vectors: List[Vector]      # basis of M inside A
+    module_vectors: List[SparseVec]   # basis of M inside A
 
 
-def mapping_cone(a: NilpotentDgAlgebra, module_vectors: Sequence[Vector]) -> MappingCone:
+def mapping_cone(a: NilpotentDgAlgebra, module_vectors: Sequence[SparseVec]) -> MappingCone:
     """Cone C = A ⊕ M[1] of the inclusion of a square-zero ideal M ⊆ A.
 
     Product (x, m)(y, n) = (xy, xn + my) with the shifted module structure;
@@ -792,10 +772,10 @@ def mapping_cone(a: NilpotentDgAlgebra, module_vectors: Sequence[Vector]) -> Map
     -d² block is zero when d_A² = 0; otherwise it makes C's differential
     square to zero, and it raises ValueError when d²(A) leaves M.
     """
-    mv = [list(v) for v in module_vectors]
+    mv = [dict(v) for v in module_vectors]
     for u in mv:
         for w in mv:
-            if not linalg.is_zero_vector(a.product(u, w)):
+            if a.product(u, w):
                 raise ValueError("module must satisfy M·M = 0")
     degs = []
     for v in mv:
@@ -811,7 +791,7 @@ def mapping_cone(a: NilpotentDgAlgebra, module_vectors: Sequence[Vector]) -> Map
 
     span = linalg.echelon(mv)
 
-    def mcoords(v: Vector) -> Vector:
+    def mcoords(v: SparseVec) -> List[Fraction]:
         coords = span.coords(v)
         if coords is None:
             raise ValueError("module is not an ideal (product escapes the span)")
@@ -819,16 +799,16 @@ def mapping_cone(a: NilpotentDgAlgebra, module_vectors: Sequence[Vector]) -> Map
 
     mult: Dict[Tuple[int, int], SparseVec] = {(i, j): row for i, j, row in a.constants()}
     for i in range(na):
-        ei = a.space.basis_vector(i)
+        ei = {i: ONE}
         sgn = Fraction(-1 if a.space.degrees[i] % 2 else 1)
         for k, w in enumerate(mv):
             # e_i · m_k = (-1)^{deg e_i} (e_i w)[1]
             p = a.product(ei, w)
-            if not linalg.is_zero_vector(p):
+            if p:
                 mult[(i, na + k)] = {na + t: sgn * c for t, c in enumerate(mcoords(p)) if c}
             # m_k · e_i = (w e_i)[1]
             q = a.product(w, ei)
-            if not linalg.is_zero_vector(q):
+            if q:
                 mult[(na + k, i)] = {na + t: c for t, c in enumerate(mcoords(q)) if c}
     d = GradedMap(space, space, 1)
     for (j, i), c in a.d.entries.items():
@@ -842,9 +822,8 @@ def mapping_cone(a: NilpotentDgAlgebra, module_vectors: Sequence[Vector]) -> Map
                 if c:
                     d.set_entry(na + t, i, -c)
     for k, w in enumerate(mv):
-        for j, c in enumerate(w):          # the inclusion component f: M[1] -> A[1]
-            if c:
-                d.set_entry(j, na + k, c)
+        for j, c in w.items():             # the inclusion component f: M[1] -> A[1]
+            d.set_entry(j, na + k, c)
         for t, c in enumerate(mcoords(a.d.apply(w))):
             if c:
                 d.set_entry(na + t, na + k, -c)
@@ -939,12 +918,12 @@ class DeRhamAlgebra:
         for n in range(1, n_max + 1):
             p = _ceil_frac(n, eps) - 1
             blocks += [(n, False, p), (n, True, p)]
-        bases = {p: _PowerBasis([_sparse(v) for v in powers[p]], a.dim)
+        bases = {p: _PowerBasis(powers[p], a.dim)
                  for p in dict.fromkeys(p for _, _, p in blocks)}
         degs = {p: [a.space.vector_degree(v) for v in powers[p]] for p in bases}
 
         basis = []
-        self._elems: List[Tuple[int, bool, Vector]] = []
+        self._elems: List[Tuple[int, bool, SparseVec]] = []
         # (t-power, is_dt) -> (offset, the power basis of the block's A-vectors)
         self._block_pos: Dict[Tuple[int, bool], Tuple[int, _PowerBasis]] = {}
         for n, is_dt, p in blocks:
@@ -1003,7 +982,7 @@ class DeRhamAlgebra:
             off, pb = self._block_pos[(n, is_dt)]
             for k, v in enumerate(powers[p]):
                 if (p, k) not in dvs:
-                    dv, dd = _numerators(dict(enumerate(a.d.apply(v))))
+                    dv, dd = _numerators(a.d.apply(v))
                     dvs[(p, k)] = [(t, Fraction(x, pb.q * dd)) for t, x in pb.coords(dv).items()]
                 for t, x in dvs[(p, k)]:
                     d.set_entry(off + t, off + k, x)
@@ -1018,13 +997,13 @@ class DeRhamAlgebra:
             GradedMap(a.space, space, 0, {(i, i): ONE for i in range(a.dim)}),
             check=False)
 
-    def element(self, n: int, is_dt: bool, vec, coef: Fraction = ONE) -> SparseVec:
-        """coef·(vec ⊗ tⁿ), or coef·(vec ⊗ tⁿ⁻¹dt), sparse in this algebra's
-        basis, for a vector of A (dense or sparse) in the block's power ideal."""
+    def element(self, n: int, is_dt: bool, vec: SparseVec, coef: Fraction = ONE) -> SparseVec:
+        """coef·(vec ⊗ tⁿ), or coef·(vec ⊗ tⁿ⁻¹dt), in this algebra's basis,
+        for a vector of A in the block's power ideal."""
         if (n, is_dt) not in self._block_pos:
             raise CertificateError("nonzero coefficient beyond the exact t-cap")
         off, pb = self._block_pos[(n, is_dt)]
-        nums, den = _numerators(vec if isinstance(vec, dict) else dict(enumerate(vec)))
+        nums, den = _numerators(vec)
         return {off + k: coef * Fraction(x, pb.q * den) for k, x in pb.coords(nums).items()}
 
     def evaluate(self, s) -> DgAlgebraMorphism:

@@ -97,6 +97,13 @@ def _combo_str(space, vec) -> str:
     return docio._format_combo(docio._combo_of_vector(space, vec))
 
 
+def _cohomology_class(res) -> List[Fraction]:
+    """The class of an mc_lift result in H²(L⊗I), one coordinate per
+    harmonic basis vector, as the reports list it."""
+    return [res.cohomology_class.get(k, linalg.ZERO)
+            for k in range(res.i_cohomology.harmonic_space.dim)]
+
+
 def cmd_validate(docs, args) -> Report:
     rep = Report("validate")
     ok_all = True
@@ -175,7 +182,7 @@ def cmd_mc_lift(docs, args) -> Report:
     else:
         rep.tables["obstruction class"] = list(res.obstruction_class)
         if res.cohomology_class is not None:
-            rep.tables["cohomology class"] = list(res.cohomology_class)
+            rep.tables["cohomology class"] = _cohomology_class(res)
         rep.exit_status = 1
     return rep
 
@@ -200,7 +207,7 @@ def cmd_obstruction(docs, args) -> Report:
     rep.verdicts.append(("strictly small", "yes" if small else "no"))
     rep.verdicts.append(("obstruction vanishes", "yes" if res.lifted else "no"))
     if small:
-        rep.tables["class in kernel cohomology"] = list(res.cohomology_class)
+        rep.tables["class in kernel cohomology"] = _cohomology_class(res)
     elif not res.lifted:
         rep.tables["cokernel class"] = list(res.obstruction_class)
     rep.exit_status = 0 if res.lifted else 1

@@ -13,14 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, lcm
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import linalg
 from .algebras import (BilinearStructure, DgAlgebraMorphism, LeftIndex,
                        NilpotentDgAlgebra, SmallExtension, SparseVec, ValidationReport,
-                       _bilinear, _over, factor_into_small_extensions)
+                       _bilinear, factor_into_small_extensions)
 from .graded import Complex, Contraction, GradedMap, GradedSpace, cohomology
-from .linalg import ONE, ZERO, CertificateError, Vector
+from .linalg import ONE, ZERO, CertificateError, Vector, add_into
 
 
 class Dgla(BilinearStructure):
@@ -36,11 +36,10 @@ class Dgla(BilinearStructure):
         super().__init__(space, bracket, differential)
         self.nilpotency_class = nilpotency_class
 
-    def bracket_vec(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
+    def bracket_vec(self, u: SparseVec, v: SparseVec) -> SparseVec:
         return _bilinear(self, u, v)
 
-    def _bracket_over(self, u: Sequence[Fraction], v: Sequence[Fraction],
-                      den: int) -> Vector:
+    def _bracket_over(self, u: SparseVec, v: SparseVec, den: int) -> SparseVec:
         """[u, v]/den."""
         return _bilinear(self, u, v, den)
 
@@ -105,56 +104,47 @@ class TensorDgla(Dgla):
                              for j, lrow in lrows for q, arow in arows])
         return left
 
-    def bracket_vec(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
+    def bracket_vec(self, u: SparseVec, v: SparseVec) -> SparseVec:
         """[u, v], walking the support of u through L's and A's left indices."""
         return self._bracket_over(u, v, 1)
 
-    def _bracket_over(self, u: Sequence[Fraction], v: Sequence[Fraction],
-                      den: int) -> Vector:
+    def _bracket_over(self, u: SparseVec, v: SparseVec, den: int) -> SparseVec:
         """[u, v]/den, summed on Python-int numerators over one common
         denominator: den·L.den·A.den times the lcm of the denominators of
-        u's support and of v's support.  One Fraction is built per nonzero
+        u's entries and of v's entries.  One Fraction is built per nonzero
         entry."""
+        if not u or not v:
+            return {}
         na, odd_l, odd_a = self.a.dim, self._odd_l, self._odd_a
-        su = [(s, c) for s, c in enumerate(u) if c]
-        sv = su if u is v else [(t, c) for t, c in enumerate(v) if c]
-        if not su or not sv:
-            return [ZERO] * self.dim
-        du = lcm(*(c.denominator for _, c in su))
-        dv = du if sv is su else lcm(*(c.denominator for _, c in sv))
-        nv = [0] * self.dim
-        for t, c in sv:
-            nv[t] = c.numerator * (dv // c.denominator)
+        du = lcm(*(c.denominator for c in u.values()))
+        dv = du if u is v else lcm(*(c.denominator for c in v.values()))
+        nv = {t: c.numerator * (dv // c.denominator) for t, c in v.items()}
         l_left, a_left = self.l._left, self.a._left
-        out = [0] * self.dim
-        for s, c in su:
+        out: Dict[int, int] = {}
+        for s, c in u.items():
             i, p = divmod(s, na)
             m, flip, arows = c.numerator * (du // c.denominator), odd_a[p], a_left[p]
             for j, lrow in l_left[i]:
                 mj = -m if flip and odd_l[j] else m
                 jb = j * na
                 for q, arow in arows:
-                    cv = nv[jb + q]
+                    cv = nv.get(jb + q)
                     if cv:
                         cq = mj * cv
                         for k, ck in lrow.items():
                             ckq = cq * ck
                             kb = k * na
                             for r, cr in arow.items():
-                                out[kb + r] += ckq * cr
-        return _over(out, du * dv * self.den * den)
+                                out[kb + r] = out.get(kb + r, 0) + ckq * cr
+        total = du * dv * self.den * den
+        return {k: Fraction(n, total) for k, n in out.items() if n}
 
     def pair_index(self, i: int, p: int) -> int:
         return i * self.a.dim + p
 
-    def elem(self, xvec: Sequence[Fraction], avec: Sequence[Fraction]) -> Vector:
-        out = self.space.zero_vector()
-        for i, cx in enumerate(xvec):
-            if cx:
-                for p, ca in enumerate(avec):
-                    if ca:
-                        out[self.pair_index(i, p)] += cx * ca
-        return out
+    def elem(self, xvec: SparseVec, avec: SparseVec) -> SparseVec:
+        """x ⊗ a for a vector x of L and a vector a of A."""
+        return {self.pair_index(i, p): cx * ca for i, cx in xvec.items() for p, ca in avec.items()}
 
 
 def tensor_space(l: GradedSpace, a: GradedSpace) -> GradedSpace:
@@ -182,27 +172,23 @@ def trivial_algebra_of_complex(c: Complex) -> NilpotentDgAlgebra:
     return NilpotentDgAlgebra(c.space, {}, c.d)
 
 
-def mc_defect(t: Dgla, x: Sequence[Fraction]) -> Vector:
+def mc_defect(t: Dgla, x: SparseVec) -> SparseVec:
     """dx + ½[x, x]."""
-    out = t.d.apply(x)
-    for k, c in enumerate(t._bracket_over(x, x, 2)):
-        if c:
-            out[k] += c
-    return out
+    return add_into(t.d.apply(x), t._bracket_over(x, x, 2))
 
 
-def mc_check(t: Dgla, x: Sequence[Fraction]) -> Tuple[bool, Vector]:
+def mc_check(t: Dgla, x: SparseVec) -> Tuple[bool, SparseVec]:
     deg = t.space.vector_degree(x)
     if deg not in (None, 1):
         raise ValueError("Maurer-Cartan candidates must have degree 1")
-    if deg is None and any(x):
+    if deg is None and x:
         raise ValueError("Maurer-Cartan candidates must be homogeneous of degree 1")
     h = mc_defect(t, x)
-    return linalg.is_zero_vector(h), h
+    return not h, h
 
 
-def bch(bracket: Callable[[Vector, Vector], Vector], u: Vector, w: Vector,
-        bound: int) -> Vector:
+def bch(bracket: Callable[[SparseVec, SparseVec], SparseVec], u: SparseVec, w: SparseVec,
+        bound: int) -> SparseVec:
     """Baker-Campbell-Hausdorff product by the Dynkin series.
 
     Exact: iterated brackets of length above ``bound`` are assumed (and in
@@ -210,15 +196,9 @@ def bch(bracket: Callable[[Vector, Vector], Vector], u: Vector, w: Vector,
     """
     if bound < 1:
         raise ValueError("nilpotency bound must be >= 1")
-    n_dim = len(u)
-    total = [ZERO] * n_dim
+    total: SparseVec = {}
 
-    def add(vec: Vector, c: Fraction):
-        for t in range(n_dim):
-            if vec[t]:
-                total[t] += c * vec[t]
-
-    def nested(word: List[Vector]) -> Vector:
+    def nested(word: List[SparseVec]) -> SparseVec:
         acc = word[-1]
         for letter in reversed(word[:-1]):
             acc = bracket(letter, acc)
@@ -242,18 +222,17 @@ def bch(bracket: Callable[[Vector, Vector], Vector], u: Vector, w: Vector,
             if len(comp) != n:
                 continue
             length = sum(r + s for r, s in comp)
-            word: List[Vector] = []
+            word: List[SparseVec] = []
             denom = n * length
             for r, s in comp:
                 word.extend([u] * r)
                 word.extend([w] * s)
                 denom *= factorial(r) * factorial(s)
-            coeff = Fraction((-1) ** (n - 1), denom)
-            add(nested(word), coeff)
+            add_into(total, nested(word), Fraction((-1) ** (n - 1), denom))
     return total
 
 
-def gauge_act(t: Dgla, a: Sequence[Fraction], x: Sequence[Fraction]) -> Vector:
+def gauge_act(t: Dgla, a: SparseVec, x: SparseVec) -> SparseVec:
     """e^a · x = exp(ad_a)(x + d) - d in the extended algebra L_d.
 
     With a of degree 0, ad_a(v + βd) = [a, v] - β·da; the sum is finite by
@@ -265,25 +244,23 @@ def gauge_act(t: Dgla, a: Sequence[Fraction], x: Sequence[Fraction]) -> Vector:
     if bound is None:
         raise ValueError("gauge action needs a certified nilpotency class")
     da = t.d.apply(a)
-    out = list(x)
-    term = list(x)
+    out = dict(x)
+    term = x
     beta = ONE
     k = 0
     while True:
         k += 1
         if k > bound + 1:
-            if any(term) or beta:
+            if term or beta:
                 raise ValueError("nilpotency bound exceeded in gauge action")
             break
-        nxt = t.bracket_vec(a, term)
+        term = t.bracket_vec(a, term)
         if beta:
-            nxt = linalg.vec_sub(nxt, linalg.vec_scale(beta, da))
+            add_into(term, da, -beta)
         beta = ZERO
-        term = nxt
-        if linalg.is_zero_vector(term):
+        if not term:
             break
-        c = Fraction(1, factorial(k))
-        out = linalg.vec_add(out, linalg.vec_scale(c, term))
+        add_into(out, term, Fraction(1, factorial(k)))
     return out
 
 
@@ -295,19 +272,19 @@ def def_tangent(l: Dgla) -> Contraction:
 @dataclass
 class McLiftResult:
     lifted: bool
-    lift: Optional[Vector]                 # MC element of L⊗A when lifted
-    lift_translations: List[Vector]        # basis of all lift differences, inside L⊗A
-    defect: Vector                         # defect of the section lift, in L⊗I
-    correction: Optional[Vector]           # ξ ∈ (L⊗I)¹ with T(ξ) = -defect, when lifted
+    lift: Optional[SparseVec]              # MC element of L⊗A when lifted
+    lift_translations: List[SparseVec]     # basis of all lift differences, inside L⊗A
+    defect: SparseVec                      # defect of the section lift, in L⊗I
+    correction: Optional[SparseVec]        # ξ ∈ (L⊗I)¹ with T(ξ) = -defect, when lifted
     obstruction_class: Optional[Vector]    # coordinates in coker(T) on (L⊗I)²
-    cohomology_class: Optional[Vector]     # coordinates in H²(L⊗I); strictly small only
+    cohomology_class: Optional[SparseVec]  # the class in H²(L⊗I); strictly small only
     tensor_a: TensorDgla
     tensor_i: TensorDgla
     i_cohomology: Contraction
     embed_i: GradedMap                     # L⊗I -> L⊗A
 
 
-def mc_lift(e: SmallExtension, l: Dgla, x: Sequence[Fraction],
+def mc_lift(e: SmallExtension, l: Dgla, x: SparseVec,
             section: Optional[GradedMap] = None) -> McLiftResult:
     """Lift an MC element through a square-zero extension, or obstruct.
 
@@ -330,8 +307,11 @@ def mc_lift(e: SmallExtension, l: Dgla, x: Sequence[Fraction],
     emb = tensor_push(ti, ta.space, e.iota, e.a.dim)
     if section is None:
         section = e.section()
-    nb = e.b.dim
-    y = [c for i in range(l.dim) for c in section.apply(x[i * nb:(i + 1) * nb])]
+    nb, na = e.b.dim, e.a.dim
+    blocks: Dict[int, SparseVec] = {}
+    for k, c in x.items():
+        blocks.setdefault(k // nb, {})[k % nb] = c
+    y = {i * na + q: c for i, block in blocks.items() for q, c in section.apply(block).items()}
     # s is injective of degree 0, so y has the degrees of x
     _, h = mc_check(ta, y)
     hi = e.kernel_coords(h)
@@ -345,8 +325,8 @@ def mc_lift(e: SmallExtension, l: Dgla, x: Sequence[Fraction],
     else:
         t_cols = []
         for i in deg1:
-            xi = emb.apply(ti.space.basis_vector(i))
-            col_i = e.kernel_coords(linalg.vec_add(ta.d.apply(xi), ta.bracket_vec(y, xi)))
+            xi = emb.column(i)
+            col_i = e.kernel_coords(add_into(ta.d.apply(xi), ta.bracket_vec(y, xi)))
             if col_i is None:
                 raise CertificateError("the lift operator escaped L⊗I: the kernel is not an ideal")
             t_cols.append(col_i)
@@ -360,19 +340,13 @@ def mc_lift(e: SmallExtension, l: Dgla, x: Sequence[Fraction],
         ccls = hcoh.class_of(hi)
         if ccls is None:
             raise CertificateError("the defect is not a cocycle of L⊗I")
-    translations: List[Vector] = []
-    for ker in kernel:
-        v = ti.space.zero_vector()
-        for pos, i in enumerate(deg1):
-            v[i] = ker[pos]
-        translations.append(emb.apply(v))
+    translations = [emb.apply({i: ker[pos] for pos, i in enumerate(deg1) if ker[pos]})
+                    for ker in kernel]
 
-    sol = t_ech.coords(linalg.vec_scale(Fraction(-1), hi))
+    sol = t_ech.coords({k: -c for k, c in hi.items()})
     if sol is not None:
-        xi = ti.space.zero_vector()
-        for pos, i in enumerate(deg1):
-            xi[i] = sol[pos]
-        lift = linalg.vec_add(y, emb.apply(xi))
+        xi = {i: sol[pos] for pos, i in enumerate(deg1) if sol[pos]}
+        lift = add_into(dict(y), emb.apply(xi))
         if not mc_check(ta, lift)[0]:
             raise CertificateError("the corrected lift fails Maurer-Cartan")
         return McLiftResult(True, lift, translations, hi, xi, None, ccls,
@@ -393,12 +367,12 @@ def mc_lift(e: SmallExtension, l: Dgla, x: Sequence[Fraction],
 @dataclass
 class GaugeDecision:
     verdict: str                 # "YES" | "NO" | "UNKNOWN"
-    witness: Optional[Vector] = None
+    witness: Optional[SparseVec] = None
 
 
-def gauge_equivalent(l: Dgla, a: NilpotentDgAlgebra, x: Sequence[Fraction],
-                     y: Sequence[Fraction], mode: str = "decide",
-                     witness: Optional[Sequence[Fraction]] = None) -> GaugeDecision:
+def gauge_equivalent(l: Dgla, a: NilpotentDgAlgebra, x: SparseVec,
+                     y: SparseVec, mode: str = "decide",
+                     witness: Optional[SparseVec] = None) -> GaugeDecision:
     """Gauge equivalence of MC elements of L⊗A.
 
     verify-mode checks a supplied witness exactly.  decide-mode is complete
@@ -408,7 +382,9 @@ def gauge_equivalent(l: Dgla, a: NilpotentDgAlgebra, x: Sequence[Fraction],
     Each stage of the chain is strictly small, so its correction lies in
     the centre of L⊗A_j and joins the lifted witness by plain addition
     (the BCH product with a central element); the final witness is
-    checked by ``gauge_act``.
+    checked by ``gauge_act``.  A chain of n strictly small stages gives
+    A_j^(n-j+1) = 0, so n - j bounds the nilpotency class of L⊗A_j and no
+    power ideal of A_j is computed.
     """
     t = tensor_dgla(l, a)
     for v in (x, y):
@@ -418,14 +394,14 @@ def gauge_equivalent(l: Dgla, a: NilpotentDgAlgebra, x: Sequence[Fraction],
     if mode == "verify":
         if witness is None:
             raise ValueError("verify mode needs a witness")
-        same = gauge_act(t, witness, x) == list(y)
+        same = gauge_act(t, witness, x) == y
         return GaugeDecision("YES" if same else "NO",
-                             list(witness) if same else None)
+                             dict(witness) if same else None)
     if mode != "decide":
         raise ValueError("mode must be 'verify' or 'decide'")
-    if list(x) == list(y):
-        return GaugeDecision("YES", t.space.zero_vector())
-    diff = linalg.vec_sub(list(x), list(y))
+    if x == y:
+        return GaugeDecision("YES", {})
+    diff = add_into(dict(x), y, -ONE)
     if a.has_trivial_mult():
         # orbit of x is x - d(L⊗A)⁰: a linear problem, complete
         deg0 = t.space.degree_indices(0)
@@ -433,10 +409,8 @@ def gauge_equivalent(l: Dgla, a: NilpotentDgAlgebra, x: Sequence[Fraction],
         sol = linalg.solve_in_span([dcols[i] for i in deg0], diff)
         if sol is None:
             return GaugeDecision("NO")
-        wit = t.space.zero_vector()
-        for pos, i in enumerate(deg0):
-            wit[i] = sol[pos]
-        if gauge_act(t, wit, x) != list(y):
+        wit = {i: sol[pos] for pos, i in enumerate(deg0) if sol[pos]}
+        if gauge_act(t, wit, x) != y:
             raise CertificateError("the gauge witness does not map x to y")
         return GaugeDecision("YES", wit)
 
@@ -449,10 +423,11 @@ def gauge_equivalent(l: Dgla, a: NilpotentDgAlgebra, x: Sequence[Fraction],
     projs = [DgAlgebraMorphism.identity(a)]
     for j in range(len(chain)):
         projs.append(chain[j].alpha.compose(projs[-1]))
-    witness_vec: Vector = []
+    witness_vec: SparseVec = {}
     tensors = {len(stages) - 1: tensor_dgla(l, zero)}
     for j in range(len(chain) - 1, -1, -1):
         tj = tensor_dgla(l, stages[j]) if j else t      # A_0 = A
+        tj.nilpotency_class = len(chain) - j
         tensors[j] = tj
         e = chain[j]
         if not e.is_strictly_small():
@@ -464,26 +439,22 @@ def gauge_equivalent(l: Dgla, a: NilpotentDgAlgebra, x: Sequence[Fraction],
         xj, yj = push.apply(x), push.apply(y)
         sec = e.section()
         tj1 = tensors[j + 1]
-        lift_w = tensor_push(tj1, tj.space, sec, stages[j].dim).apply(witness_vec) \
-            if stages[j + 1].dim else tj.space.zero_vector()
-        r = linalg.vec_sub(gauge_act(tj, lift_w, xj), yj)
-        ri = e.kernel_coords(r)
+        lift_w = tensor_push(tj1, tj.space, sec, stages[j].dim).apply(witness_vec)
+        ri = e.kernel_coords(add_into(gauge_act(tj, lift_w, xj), yj, -ONE))
         if ri is None:
             raise CertificateError("the gauge residue escaped the stage kernel")
-        if not linalg.is_zero_vector(tii.d.apply(ri)):
+        if tii.d.apply(ri):
             raise CertificateError("the gauge residue is not closed")
         deg0 = tii.space.degree_indices(0)
         dcols = tii.d.columns()
         sol = linalg.solve_in_span([dcols[i] for i in deg0], ri)
         if sol is None:
             return GaugeDecision("UNKNOWN")
-        c = tii.space.zero_vector()
-        for pos, i in enumerate(deg0):
-            c[i] = sol[pos]
+        c = {i: sol[pos] for pos, i in enumerate(deg0) if sol[pos]}
         # c lies in L⊗I with A_j·I = 0, so it is central in L⊗A_j and
         # BCH(c, w) = c + w exactly
-        witness_vec = linalg.vec_add(emb.apply(c), lift_w)
-    if gauge_act(t, witness_vec, x) == list(y):
+        witness_vec = add_into(emb.apply(c), lift_w)
+    if gauge_act(t, witness_vec, x) == y:
         return GaugeDecision("YES", witness_vec)
     return GaugeDecision("UNKNOWN")
 
@@ -539,8 +510,8 @@ def derivations_dgla(a: NilpotentDgAlgebra) -> Tuple[Dgla, List[GradedMap]]:
                     m.set_entry(j, i, b[k])
             deriv_maps.append(m)
 
-    def flat(m: GradedMap) -> Vector:
-        return [m.entries.get((j, i), ZERO) for j in range(n) for i in range(n)]
+    def flat(m: GradedMap) -> SparseVec:
+        return {j * n + i: c for (j, i), c in m.entries.items()}
 
     span = linalg.echelon(flat(m) for m in deriv_maps)
     space = GradedSpace([("D%d" % k, m.degree) for k, m in enumerate(deriv_maps)])

@@ -22,9 +22,10 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .algebras import (BilinearStructure, DgAlgebraMorphism, NilpotentDgAlgebra,
-                       SmallExtension, kernel_extension)
+                       SmallExtension, SparseVec, kernel_extension)
 from .dgla import Dgla
 from .graded import Complex, GradedMap, GradedSpace
+from .linalg import ZERO
 from .linfty import LInftyStructure, SymCoalgebra
 from .models import QuasismoothTrunc
 
@@ -473,11 +474,12 @@ def print_document(doc: InputDocument) -> str:
 # ---------------------------------------------------------------------------
 # building library objects from documents and back
 
-def _combo_vector(space: GradedSpace, combo: Combo):
-    v = space.zero_vector()
+def _combo_vector(space: GradedSpace, combo: Combo) -> SparseVec:
+    v: SparseVec = {}
     for n, c in combo:
-        v[space.index(n)] += c
-    return v
+        i = space.index(n)
+        v[i] = v.get(i, ZERO) + c
+    return {i: c for i, c in v.items() if c}
 
 
 def _map_from_payload(src: GradedSpace, dst: GradedSpace, degree: int,
@@ -613,8 +615,8 @@ def build(doc: InputDocument):
 
 # ---- documents from library objects ---------------------------------------
 
-def _combo_of_vector(space: GradedSpace, vec) -> Combo:
-    return tuple((space.names[i], c) for i, c in enumerate(vec) if c)
+def _combo_of_vector(space: GradedSpace, vec: SparseVec) -> Combo:
+    return tuple((space.names[i], vec[i]) for i in sorted(vec))
 
 
 def _map_payload(m: GradedMap, src: GradedSpace, dst: GradedSpace
@@ -656,8 +658,7 @@ def document_of_linfty(s: LInftyStructure) -> InputDocument:
     for k, m in s.taylor.items():
         pw = s.coalgebra.powers[k]
         for posn, word in enumerate(pw.monomials):
-            combo = _combo_of_vector(s.v, [
-                m.entries.get((j, posn), Fraction(0)) for j in range(s.v.dim)])
+            combo = _combo_of_vector(s.v, m.column(posn))
             if combo:
                 taylor[(k, tuple(s.v.names[l] for l in word))] = combo
     return InputDocument("linfty", {
@@ -671,7 +672,7 @@ def document_of_small_extension(e: SmallExtension) -> InputDocument:
         "alpha": _map_payload(e.alpha.map, e.a.space, e.b.space)})
 
 
-def document_of_mc_element(space: GradedSpace, vec) -> InputDocument:
+def document_of_mc_element(space: GradedSpace, vec: SparseVec) -> InputDocument:
     return InputDocument("mc_element", {
         "element": _combo_of_vector(space, vec)})
 

@@ -21,7 +21,7 @@ from math import comb
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
-from .linalg import ONE, ZERO, Vector
+from .linalg import ONE, ZERO, SparseVec, Vector
 
 __all__ = [
     "GradedSpace", "GradedMap", "Complex", "Splitting", "Contraction", "ShortExactSequence",
@@ -54,27 +54,20 @@ class GradedSpace:
     def degree_indices(self, k: int) -> List[int]:
         return [i for i, d in enumerate(self.degrees) if d == k]
 
-    def zero_vector(self) -> Vector:
-        return [ZERO] * self.dim
+    def basis_vector(self, i: int) -> SparseVec:
+        return {i: ONE}
 
-    def basis_vector(self, i: int) -> Vector:
-        v = self.zero_vector()
-        v[i] = ONE
-        return v
-
-    def vector_degree(self, v: Sequence[Fraction]) -> Optional[int]:
+    def vector_degree(self, v: SparseVec) -> Optional[int]:
         """Degree of a homogeneous vector; None for 0 or inhomogeneous."""
-        degs = {self.degrees[i] for i, c in enumerate(v) if c}
+        degs = {self.degrees[i] for i in v}
         if len(degs) == 1:
             return degs.pop()
         return None
 
-    def homogeneous_components(self, v: Sequence[Fraction]) -> Dict[int, Vector]:
-        out: Dict[int, Vector] = {}
-        for i, c in enumerate(v):
-            if c:
-                comp = out.setdefault(self.degrees[i], self.zero_vector())
-                comp[i] = c
+    def homogeneous_components(self, v: SparseVec) -> Dict[int, SparseVec]:
+        out: Dict[int, SparseVec] = {}
+        for i, c in v.items():
+            out.setdefault(self.degrees[i], {})[i] = c
         return out
 
     def dual(self) -> "GradedSpace":
@@ -128,30 +121,23 @@ class GradedMap:
 
     @classmethod
     def from_columns(cls, source: GradedSpace, target: GradedSpace, degree: int,
-                     columns: Sequence[Sequence[Fraction]]) -> "GradedMap":
+                     columns: Sequence[SparseVec]) -> "GradedMap":
         """columns[i] = image of the i-th source basis vector."""
-        entries = {}
-        for i, col in enumerate(columns):
-            for j, c in enumerate(col):
-                if c:
-                    entries[(j, i)] = c
-        return cls(source, target, degree, entries)
+        return cls(source, target, degree,
+                   {(j, i): c for i, col in enumerate(columns) for j, c in col.items()})
 
-    def column(self, i: int) -> Vector:
-        v = self.target.zero_vector()
-        for (j, ii), c in self.entries.items():
-            if ii == i:
-                v[j] = c
-        return v
+    def column(self, i: int) -> SparseVec:
+        return {j: c for (j, ii), c in self.entries.items() if ii == i}
 
-    def apply(self, v: Sequence[Fraction]) -> Vector:
-        out = self.target.zero_vector()
+    def apply(self, v: SparseVec) -> SparseVec:
+        out: SparseVec = {}
         for (j, i), c in self.entries.items():
-            if v[i]:
-                out[j] += c * v[i]
-        return out
+            x = v.get(i)
+            if x:
+                out[j] = out.get(j, ZERO) + c * x
+        return {j: x for j, x in out.items() if x}
 
-    def __call__(self, v: Sequence[Fraction]) -> Vector:
+    def __call__(self, v: SparseVec) -> SparseVec:
         return self.apply(v)
 
     def compose(self, other: "GradedMap") -> "GradedMap":
@@ -227,8 +213,9 @@ class GradedMap:
     def rank(self) -> int:
         return len(linalg.independent_subset(self.columns()))
 
-    def kernel_basis(self) -> List[Vector]:
-        return linalg.relations(self.columns())[1]
+    def kernel_basis(self) -> List[SparseVec]:
+        return [{i: c for i, c in enumerate(rel) if c}
+                for rel in linalg.relations(self.columns())[1]]
 
     def __repr__(self):
         return "GradedMap(deg=%d, %d entries)" % (self.degree, len(self.entries))
@@ -399,20 +386,22 @@ class WordBasis:
         res = self.powers[len(word)].index(word)
         return None if res is None else (self.offsets[len(word)] + res[0], res[1])
 
-    def component(self, vec: Sequence[Fraction], k: int) -> Vector:
-        """The ⊙^k-part of a vector on the words."""
+    def component(self, vec: SparseVec, k: int) -> SparseVec:
+        """The ⊙^k-part of a vector on the words, indexed by the positions
+        of the words of length k."""
         off = self.offsets[k]
-        return list(vec[off:off + len(self.powers[k].monomials)])
+        end = off + len(self.powers[k].monomials)
+        return {j - off: c for j, c in vec.items() if off <= j < end}
 
 
 class Splitting(NamedTuple):
     """C^k = B ⊕ H ⊕ W in one degree k, with Z^k = B ⊕ H: the boundaries,
     their chosen preimages in C^(k-1), the harmonic representatives and
     the complement W of the cocycles, which d maps onto B^(k+1)."""
-    boundaries: List[Vector]
-    preimages: List[Vector]
-    harmonics: List[Vector]
-    complements: List[Vector]
+    boundaries: List[SparseVec]
+    preimages: List[SparseVec]
+    harmonics: List[SparseVec]
+    complements: List[SparseVec]
 
 
 class Contraction:
@@ -487,16 +476,12 @@ class Contraction:
     def split(self, k: int) -> Splitting:
         """The splitting of C^k (all lists empty off the degrees of C)."""
         if k not in self._splits:
-            space = self.complex.space
-
-            def dense(sv: Dict[int, Fraction]) -> Vector:
-                return [sv.get(j, ZERO) for j in range(space.dim)]
             bounding = self._pivots.get(k - 1, ())
             self._splits[k] = Splitting(
-                [dense(self._dcols[i]) for i in bounding],
-                [space.basis_vector(i) for i in bounding],
-                [dense(h) for h in self._harmonic(k)[2]],
-                [space.basis_vector(i) for i in self._pivots.get(k, ())])
+                [self._dcols[i] for i in bounding],
+                [{i: ONE} for i in bounding],
+                self._harmonic(k)[2],
+                [{i: ONE} for i in self._pivots.get(k, ())])
         return self._splits[k]
 
     def dims(self) -> Dict[int, int]:
@@ -505,30 +490,32 @@ class Contraction:
     def dim(self, k: int) -> int:
         return self._dims.get(k, 0)
 
-    def representative(self, class_index: int) -> Vector:
+    def representative(self, class_index: int) -> SparseVec:
         k = self.harmonic_space.degrees[class_index]
-        return list(self.split(k).harmonics[class_index - self._offsets[k]])
+        return dict(self.split(k).harmonics[class_index - self._offsets[k]])
 
-    def class_of(self, v: Sequence[Fraction]) -> Optional[Vector]:
-        """Coordinates of [v] in the harmonic basis; None if v is not a cocycle.
+    def class_of(self, v: SparseVec) -> Optional[SparseVec]:
+        """[v] in the harmonic basis, a vector of ``harmonic_space``; None
+        if v is not a cocycle.
 
         Each homogeneous component of a cocycle lies in Z^k = B^k ⊕ H^k,
         where its coordinates are unique: they are read from the echelon
         over B^k and the cocycles (``_harmonic``)."""
-        if not linalg.is_zero_vector(self.complex.d.apply(v)):
+        if self.complex.d.apply(v):
             return None
-        out = self.harmonic_space.zero_vector()
+        out: SparseVec = {}
         for k, part in self.complex.space.homogeneous_components(v).items():
             ech, hpos, _ = self._harmonic(k)
             coords = ech.coords(part)
             for t, pos in enumerate(hpos):
-                out[self._offsets[k] + t] = coords[pos]
+                if coords[pos]:
+                    out[self._offsets[k] + t] = coords[pos]
         return out
 
-    def is_boundary(self, v: Sequence[Fraction]) -> Optional[Vector]:
+    def is_boundary(self, v: SparseVec) -> Optional[SparseVec]:
         """A preimage under d when v is a coboundary, else None."""
         cls = self.class_of(v)
-        if cls is None or not linalg.is_zero_vector(cls):
+        if cls is None or cls:
             return None
         return self.sigma.apply(v)
 
@@ -550,7 +537,7 @@ class Contraction:
         sigma = GradedMap(space, space, -1)
         for k, idx in self._by_degree.items():
             bnd, _, harm, comp = self.split(k)
-            inv = linalg.invert([[c[i] for c in bnd + harm + comp] for i in idx])
+            inv = linalg.invert([[c.get(i, ZERO) for c in bnd + harm + comp] for i in idx])
             nb = len(bnd)
             for pos, i in enumerate(idx):
                 for t in range(len(harm)):
@@ -667,18 +654,15 @@ def connecting_hom(ses: ShortExactSequence) -> GradedMap:
     pech = linalg.echelon(ses.project.columns())
     iech = linalg.echelon(ses.include.columns())
     for c in range(hq.harmonic_space.dim):
-        x = hq.representative(c)
-        y = pech.coords(x)
+        y = pech.coords(hq.representative(c))
         if y is None:
             raise linalg.CertificateError("projection not surjective on the representative")
-        dy = ses.total.d.apply(y)
-        z = iech.coords(dy)
+        z = iech.coords(ses.total.d.apply({i: x for i, x in enumerate(y) if x}))
         if z is None:
             raise linalg.CertificateError("d(lift) is not in the image of the inclusion")
-        cls = hs.class_of(z)
+        cls = hs.class_of({i: x for i, x in enumerate(z) if x})
         if cls is None:
             raise linalg.CertificateError("snake output is not a cocycle")
-        for j, coef in enumerate(cls):
-            if coef:
-                out.set_entry(j, c, coef)
+        for j, coef in cls.items():
+            out.set_entry(j, c, coef)
     return out

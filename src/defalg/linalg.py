@@ -1,7 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows, vectors are lists; every entry a routine
-takes or returns is a ``fractions.Fraction``.  All routines are exact:
+Matrices are lists of rows.  A vector of a graded space is a
+``SparseVec``, a dict ``{index: Fraction}`` that never holds a zero value;
+the coordinates of a vector in the vectors added to an ``Echelon`` are a
+list with one ``Fraction`` per added vector.  All routines are exact:
 there is no floating-point mode anywhere in the package.  ``Echelon`` is
 the one elimination engine: an incremental sparse echelon form, its rows
 stored as Python ints over a row denominator.  Vectors are added one at a
@@ -23,9 +25,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-Vector = List[Fraction]
+Vector = List[Fraction]             # coordinates in the vectors added to an Echelon
 Matrix = List[List[Fraction]]
-SparseVec = Dict[int, Fraction]
+SparseVec = Dict[int, Fraction]    # a vector of a graded space: no zero value
 
 
 class CertificateError(Exception):
@@ -45,24 +47,15 @@ def zeros(m: int, n: int) -> Matrix:
     return [[ZERO] * n for _ in range(m)]
 
 
-def zero_vector(n: int) -> Vector:
-    return [ZERO] * n
-
-
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    return [a + b for a, b in zip(u, v)]
-
-
-def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    return [a - b for a, b in zip(u, v)]
-
-
-def vec_scale(c: Fraction, v: Sequence[Fraction]) -> Vector:
-    return [c * a for a in v]
-
-
-def is_zero_vector(v: Sequence[Fraction]) -> bool:
-    return all(a == 0 for a in v)
+def add_into(acc: SparseVec, v: SparseVec, c: Fraction = ONE) -> SparseVec:
+    """acc += c·v in place, dropping the entries that cancel; returns acc."""
+    for k, x in v.items():
+        y = acc.get(k, ZERO) + c * x
+        if y:
+            acc[k] = y
+        else:
+            acc.pop(k, None)
+    return acc
 
 
 class Echelon:
@@ -260,7 +253,7 @@ def solve(a: Matrix, b: Sequence[Fraction]) -> Optional[Vector]:
 
 
 def solve_in_span(vectors: Sequence[Union[SparseVec, Sequence[Fraction]]],
-                  v: Sequence[Fraction]) -> Optional[Vector]:
+                  v: Union[SparseVec, Sequence[Fraction]]) -> Optional[Vector]:
     """Coordinates c of v in the span of the vectors (sum c_i vectors_i = v),
     zero off the greedy independent vectors, or None."""
     return echelon(vectors).coords(v)

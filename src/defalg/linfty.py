@@ -18,13 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from . import linalg
 from .algebras import DgAlgebraMorphism, NilpotentDgAlgebra, SparseVec
 from .dgla import Dgla, tensor_space
 from .graded import GradedMap, GradedSpace, WordBasis, shift_space
-from .linalg import ZERO, CertificateError, Vector
+from .linalg import ZERO, CertificateError
 from .models import QuasismoothTrunc, morphism_from_generators
 
 Word = Tuple[int, ...]
@@ -192,11 +191,8 @@ def dgla_to_linfty(l: Dgla, order: int = 3) -> LInftyStructure:
         q2 = GradedMap(c.powers[2].space, c.letters, 1)
         for pos, (i, j) in enumerate(c.powers[2].monomials):
             sgn = Fraction(-1 if l.space.degrees[i] % 2 else 1)
-            br = l.table_entry(i, j)
-            for t, ct in enumerate(br):
-                if ct:
-                    q2.set_entry(t, pos,
-                                 q2.entries.get((t, pos), ZERO) + sgn * ct)
+            for t, ct in l.table_entry(i, j).items():
+                q2.set_entry(t, pos, q2.entries.get((t, pos), ZERO) + sgn * ct)
         taylor[2] = q2
     return LInftyStructure(l.space, order, taylor)
 
@@ -224,8 +220,7 @@ def linfty_to_dgla(s: LInftyStructure) -> Dgla:
                     continue
                 pos, sgn0 = res
                 sgn = Fraction(sgn0) * (-1 if space.degrees[i] % 2 else 1)
-                col = q2.apply(p2.space.basis_vector(pos))
-                row = {t: sgn * ct for t, ct in enumerate(col) if ct}
+                row = {t: sgn * ct for t, ct in q2.column(pos).items()}
                 if row:
                     bracket[(i, j)] = row
     return Dgla(space, bracket, d)
@@ -241,7 +236,7 @@ def coalgebra_morphism_from_linear(c: SymCoalgebra, m: GradedMap,
     """
     if m.source != c.space or m.target != d.letters or m.degree != 0:
         raise ValueError("need a degree-0 map from the coalgebra to W[1]")
-    images = [c.dual.basis.space.zero_vector() for _ in range(d.letters.dim)]
+    images: List[SparseVec] = [{} for _ in range(d.letters.dim)]
     for (t, w), x in m.entries.items():
         images[t][w] = x / symmetry_factor(c.words[w])
     f = morphism_from_generators(d.dual, c.dual.algebra(), images, check=False)
@@ -258,7 +253,7 @@ def check_coalgebra_morphism(c: SymCoalgebra, d: SymCoalgebra,
 
 
 def linfty_mc_check(s: LInftyStructure, a: NilpotentDgAlgebra,
-                    m: Sequence[Fraction]) -> Tuple[bool, Vector]:
+                    m: SparseVec) -> Tuple[bool, SparseVec]:
     """The L-infinity Maurer-Cartan equation over nilpotent coefficients:
 
         (Id ⊗ d_A)(m) = Σ_n (1/n!) (Q¹_n ⊗ Id)(m^⊙n)
@@ -273,31 +268,32 @@ def linfty_mc_check(s: LInftyStructure, a: NilpotentDgAlgebra,
     sh = s.coalgebra.letters
     na = a.dim
     space = tensor_space(sh, a.space)
-    if any(x and space.degrees[i] for i, x in enumerate(m)):
+    if any(space.degrees[i] for i in m):
         raise ValueError("Maurer-Cartan candidates must have degree 0")
-    defect = space.zero_vector()
+    defect: Dict[int, Fraction] = {}
     # lhs: (Id ⊗ d_A)(m); the Koszul sign for moving d_A past v[1] is taken
     # with the unshifted degree, matching the tensor-product differential
-    for i in range(sh.dim):
-        sgn = Fraction(-1 if (sh.degrees[i] + 1) % 2 else 1)
-        for (q, p), cd in a.d.entries.items():
-            cv = m[i * na + p]
-            if cv:
-                defect[i * na + q] += sgn * cd * cv
+    dcols = a.d.columns()
+    images: List[SparseVec] = [{} for _ in range(sh.dim)]
+    for key, cv in m.items():
+        i, p = divmod(key, na)
+        images[i][p] = cv
+        c = -cv if (sh.degrees[i] + 1) % 2 else cv
+        for q, cd in dcols[p].items():
+            defect[i * na + q] = defect.get(i * na + q, ZERO) + cd * c
     # rhs: f(D x_t) = Σ_u D[u, t]·f(x^u), entered with the opposite sign
-    images = [{p: m[t * na + p] for p in range(na) if m[t * na + p]}
-              for t in range(sh.dim)]
     for k, dk in s.ce.components.items():
         for (u, t), x in dk.entries.items():
             word = s.coalgebra.powers[k].monomials[u]
             prod = images[word[0]]
             for letter in word[1:]:
-                prod = a.sparse_product(prod, images[letter]) if prod else prod
+                prod = a.product(prod, images[letter]) if prod else prod
             n_odd = sum(sh.degrees[l] % 2 for l in word)
             sgn = -x if n_odd * (n_odd - 1) // 2 % 2 else x
             for r, y in prod.items():
-                defect[t * na + r] += sgn * y
-    return linalg.is_zero_vector(defect), defect
+                defect[t * na + r] = defect.get(t * na + r, ZERO) + sgn * y
+    defect = {key: c for key, c in defect.items() if c}
+    return not defect, defect
 
 
 # ---------------------------------------------------------------------------

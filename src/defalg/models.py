@@ -16,12 +16,12 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import linalg
-from .algebras import (DgAlgebraMorphism, Homotopy, NilpotentDgAlgebra, _dense,
+from .algebras import (DgAlgebraMorphism, Homotopy, NilpotentDgAlgebra, SparseVec,
                        check_homotopy, constant_homotopy, de_rham_truncation)
 from .dgla import Dgla, TensorDgla, mc_defect, tensor_dgla
 from .graded import (Complex, Contraction, GradedMap, GradedSpace, WordBasis,
                      cohomology)
-from .linalg import ONE, ZERO, CertificateError, Vector
+from .linalg import ONE, ZERO, CertificateError, add_into
 
 Word = Tuple[int, ...]
 
@@ -166,14 +166,14 @@ def is_smooth_minimal(r: QuasismoothTrunc) -> Tuple[bool, Optional[Dict]]:
                    "component": m}
 
 
-def _word_images(target: NilpotentDgAlgebra, images: List[Vector]
-                 ) -> Callable[[Word], Vector]:
+def _word_images(target: NilpotentDgAlgebra, images: List[SparseVec]
+                 ) -> Callable[[Word], SparseVec]:
     """The image of a word under the multiplicative extension of the
     generator images: its prefix word's image times its last letter's,
     built on first read and kept with the images of its prefixes."""
-    imgs: Dict[Word, Vector] = {}
+    imgs: Dict[Word, SparseVec] = {}
 
-    def image(word: Word) -> Vector:
+    def image(word: Word) -> SparseVec:
         vec = imgs.get(word)
         if vec is None:
             vec = imgs[word] = (images[word[0]] if len(word) == 1
@@ -183,16 +183,15 @@ def _word_images(target: NilpotentDgAlgebra, images: List[Vector]
 
 
 def morphism_from_generators(r: QuasismoothTrunc, target: NilpotentDgAlgebra,
-                             images: List[Vector], check: bool = True
+                             images: List[SparseVec], check: bool = True
                              ) -> DgAlgebraMorphism:
     """The multiplicative extension of generator images to the monomials
     (``_word_images`` on every word)."""
     m = GradedMap(r.basis.space, target.space, 0)
     image = _word_images(target, images)
     for pos, word in enumerate(r.basis.words):
-        for j, c in enumerate(image(word)):
-            if c:
-                m.set_entry(j, pos, c)
+        for j, c in image(word).items():
+            m.set_entry(j, pos, c)
     return DgAlgebraMorphism(r.algebra(), target, m, check=check)
 
 
@@ -207,7 +206,7 @@ def invert_morphism(f: DgAlgebraMorphism) -> DgAlgebraMorphism:
 
 
 def change_of_generators(r: QuasismoothTrunc, new_v: GradedSpace,
-                         images: List[Vector]
+                         images: List[SparseVec]
                          ) -> Tuple[QuasismoothTrunc, DgAlgebraMorphism, DgAlgebraMorphism]:
     """Re-present R on new generators given by elements of its algebra.
 
@@ -227,14 +226,13 @@ def change_of_generators(r: QuasismoothTrunc, new_v: GradedSpace,
         dv = ginv.map.apply(a_old.d.apply(images[i]))
         for k in range(1, r.order + 1):
             part = shell.basis.component(dv, k)
-            if any(part):
+            if part:
                 m = comps.get(k)
                 if m is None:
                     m = GradedMap(new_v, shell.basis.powers[k].space, 1)
                     comps[k] = m
-                for j, c in enumerate(part):
-                    if c:
-                        m.set_entry(j, i, c)
+                for j, c in part.items():
+                    m.set_entry(j, i, c)
     out = shell.with_components(comps)
     if out.differential() != ginv.map.compose(a_old.d).compose(g.map):
         raise CertificateError("the conjugated differential is not the derivation "
@@ -270,23 +268,25 @@ def minimalize(r: QuasismoothTrunc) -> MinimalModel:
     coh = cohomology(Complex(r.v, d1, check=False))
     a_old = r.algebra()
 
-    # new linear coordinates: harmonic h_j, complements v_i, then w_i = d(v_i)
-    harms: List[Vector] = []
-    comps: List[Vector] = []
+    # new linear coordinates: harmonic h_j, complements v_i, then w_i = d(v_i);
+    # a vector of V is the same vector on the words, whose first ones are
+    # the letters in generator order
+    harms: List[SparseVec] = []
+    comps: List[SparseVec] = []
     for k in sorted(set(r.v.degrees)):
         harms.extend(coh.split(k).harmonics)
         comps.extend(coh.split(k).complements)
     basis1 = []
-    images1: List[Vector] = []
+    images1: List[SparseVec] = []
     for t, h in enumerate(harms):
         basis1.append(("h%d" % t, r.v.vector_degree(h)))
-        images1.append(_embed_linear(r, h))
+        images1.append(h)
     for t, v in enumerate(comps):
         basis1.append(("v%d" % t, r.v.vector_degree(v)))
-        images1.append(_embed_linear(r, v))
+        images1.append(v)
     for t, v in enumerate(comps):
         basis1.append(("w%d" % t, r.v.vector_degree(v) + 1))
-        images1.append(a_old.d.apply(_embed_linear(r, v)))
+        images1.append(a_old.d.apply(v))
     v1 = GradedSpace(basis1)
     r1, g1, g1inv = change_of_generators(r, v1, images1)
 
@@ -297,54 +297,43 @@ def minimalize(r: QuasismoothTrunc) -> MinimalModel:
     a1 = r1.algebra()
     # sanity: d(v_i) = w_i, d(w_i) = 0, d(h_j) has no length-1 part
     for t in range(nw):
-        if a1.d.apply(a1.space.basis_vector(v_idx[t])) != a1.space.basis_vector(w_idx[t]) \
-                or not linalg.is_zero_vector(a1.d.apply(a1.space.basis_vector(w_idx[t]))):
+        if a1.d.column(v_idx[t]) != {w_idx[t]: ONE} or a1.d.column(w_idx[t]):
             raise CertificateError("the new coordinates do not satisfy d(v) = w, d(w) = 0")
 
     # correct the harmonic generators so their differential is pure-H
     pure_h = _pure_h_selector(r1, set(h_idx))
-    images2: List[Vector] = [a1.space.basis_vector(i) for i in range(v1.dim)]
+    images2: List[SparseVec] = [{i: ONE} for i in range(v1.dim)]
     ds_words: Dict[int, Dict[int, Fraction]] = {j: {} for j in h_idx}
     for k in range(2, r.order + 1):
         # substitution of the images at the start of order k into the
-        # pure-H words so far, built only for the words read
+        # pure-H words so far, built only for the words read; an image
+        # corrected below is replaced, never changed in place
         subst = _word_images(a1, list(images2))
         for j in h_idx:
-            cur = a1.d.apply(images2[j])
-            gamma_img = a1.space.zero_vector()
+            defect = a1.d.apply(images2[j])
             for wpos, c in ds_words[j].items():
-                gamma_img = linalg.vec_add(gamma_img, linalg.vec_scale(
-                    c, subst(r1.basis.words[wpos])))
-            defect = linalg.vec_sub(cur, gamma_img)
+                add_into(defect, subst(r1.basis.words[wpos]), -c)
             dk = r1.basis.component(defect, k)
-            if not any(dk):
-                continue
             # split the order-k defect into pure-H words and a δ₀-image
-            rest = a1.space.zero_vector()
-            for wpos, c in enumerate(dk):
+            rest: SparseVec = {}
+            for wpos, c in sorted(dk.items()):
                 gpos = r1.basis.offsets[k] + wpos
-                if not c:
-                    continue
                 if pure_h[gpos]:
                     ds_words[j][gpos] = ds_words[j].get(gpos, ZERO) + c
                 else:
-                    rest[gpos] += c
-            if linalg.is_zero_vector(rest):
+                    rest[gpos] = c
+            if not rest:
                 continue
             # solve δ₀(g) = -rest with g a length-k word of matching degree
             cand = [gpos for gpos in range(a1.dim)
                     if len(r1.basis.words[gpos]) == k
                     and a1.space.degrees[gpos] == v1.degrees[j]]
-            cols = []
-            for gpos in cand:
-                cols.append(_delta0(r1, a1, gpos, v_idx, w_idx))
-            sol = linalg.solve_in_span(cols, linalg.vec_scale(Fraction(-1), rest))
+            cols = [_delta0(r1, a1, gpos) for gpos in cand]
+            sol = linalg.solve_in_span(cols, {g: -c for g, c in rest.items()})
             if sol is None:
                 raise CertificateError("the acyclic correction has no solution")
-            for posn, c in enumerate(sol):
-                if c:
-                    images2[j] = linalg.vec_add(
-                        images2[j], linalg.vec_scale(c, a1.space.basis_vector(cand[posn])))
+            images2[j] = add_into(dict(images2[j]),
+                                  {cand[posn]: c for posn, c in enumerate(sol) if c})
     r2, g2, g2inv = change_of_generators(r1, v1, images2)
     a2 = r2.algebra()
 
@@ -354,10 +343,7 @@ def minimalize(r: QuasismoothTrunc) -> MinimalModel:
     s_shell = QuasismoothTrunc(h_space, r.order, {}, check=False)
     for k, m in r2.components.items():
         for j in h_idx:
-            col = m.apply(v1.basis_vector(j))
-            for wpos, c in enumerate(col):
-                if not c:
-                    continue
+            for wpos, c in sorted(m.column(j).items()):
                 word = r2.basis.powers[k].monomials[wpos]
                 if not all(l in h_idx for l in word):
                     raise CertificateError("the harmonic differential is not pure-H "
@@ -373,12 +359,9 @@ def minimalize(r: QuasismoothTrunc) -> MinimalModel:
     a_s = s.algebra()
 
     # π₂, γ₂ and the homotopy on the normalized coordinates
-    pi_images = []
-    for j in range(v1.dim):
-        pi_images.append(a_s.space.basis_vector(h_idx.index(j)) if j in h_idx
-                         else a_s.space.zero_vector())
+    pi_images = [{h_idx.index(j): ONE} if j in h_idx else {} for j in range(v1.dim)]
     pi2 = morphism_from_generators(r2, a_s, pi_images)
-    gamma2 = morphism_from_generators(s, a2, [a2.space.basis_vector(j) for j in h_idx])
+    gamma2 = morphism_from_generators(s, a2, [{j: ONE} for j in h_idx])
     if pi2.map.compose(gamma2.map) != GradedMap.identity(a_s.space):
         raise CertificateError("π₂γ₂ is not the identity")
 
@@ -393,13 +376,13 @@ def minimalize(r: QuasismoothTrunc) -> MinimalModel:
     # w ↦ d(v⊗t), carried by g into A_old[t,dt]; composed with g⁻¹ it
     # starts at γπ and ends at Id
     dr = de_rham_truncation(a_old, 1)
-    hot_images: List[Vector] = []
+    hot_images: List[SparseVec] = []
     for j in range(v1.dim):
         gj = g.map.column(j)
         if j in h_idx:
             hot_images.append(dr.include.map.apply(gj))
         elif j in v_idx:
-            hot_images.append(_dense(dr.element(1, False, gj), dr.algebra.dim))
+            hot_images.append(dr.element(1, False, gj))
         else:
             hot_images.append(dr.algebra.d.apply(hot_images[v_idx[w_idx.index(j)]]))
     hmap = morphism_from_generators(r2, dr.algebra, hot_images,
@@ -410,31 +393,18 @@ def minimalize(r: QuasismoothTrunc) -> MinimalModel:
     return MinimalModel(r, s, pi, gamma, hot)
 
 
-def _embed_linear(r: QuasismoothTrunc, v: Vector) -> Vector:
-    out = r.basis.space.zero_vector()
-    out[:len(v)] = v  # the words of length 1 come first, in generator order
-    return out
-
-
 def _pure_h_selector(r1: QuasismoothTrunc, h_set) -> List[bool]:
     return [all(l in h_set for l in word) for word in r1.basis.words]
 
 
-def _delta0(r1: QuasismoothTrunc, a1: NilpotentDgAlgebra, gpos: int,
-            v_idx: List[int], w_idx: List[int]) -> Vector:
+def _delta0(r1: QuasismoothTrunc, a1: NilpotentDgAlgebra, gpos: int) -> SparseVec:
     """The length-preserving part of d on a monomial: the v ↦ w derivation."""
-    k = len(r1.basis.words[gpos])
-    full = a1.d.apply(a1.space.basis_vector(gpos))
-    out = a1.space.zero_vector()
-    part = r1.basis.component(full, k)
-    for wpos, c in enumerate(part):
-        if c:
-            out[r1.basis.offsets[k] + wpos] = c
-    return out
+    words = r1.basis.words
+    return {g: c for g, c in a1.d.column(gpos).items() if len(words[g]) == len(words[gpos])}
 
 
 def morphism_lift(s: QuasismoothTrunc, r: QuasismoothTrunc,
-                  linear_images: List[Vector]
+                  linear_images: List[SparseVec]
                   ) -> Optional[DgAlgebraMorphism]:
     """Staged lifting of generator images to a dg-algebra morphism S → R.
 
@@ -445,50 +415,43 @@ def morphism_lift(s: QuasismoothTrunc, r: QuasismoothTrunc,
     """
     a_s = s.algebra()
     a_r = r.algebra()
-    images = [list(v) for v in linear_images]
+    images = [dict(v) for v in linear_images]
     # corrections start at order 2: the prescribed linear part is kept
     for k in range(2, r.order + 1):
         phi = morphism_from_generators(s, a_r, images, check=False)
-        defects = []
-        for i in range(s.v.dim):
-            gen = a_s.space.basis_vector(i)
-            dft = linalg.vec_sub(phi.map.apply(a_s.d.apply(gen)),
-                                 a_r.d.apply(phi.map.apply(gen)))
-            defects.append(dft)
-        bad = [r.basis.component(d, k) for d in defects]
-        if not any(any(b) for b in bad):
+        bad = [r.basis.component(add_into(phi.map.apply(a_s.d.column(i)),
+                                          a_r.d.apply(phi.map.column(i)), -ONE), k)
+               for i in range(s.v.dim)]
+        if not any(bad):
             continue
-        # unknowns: order-k corrections c_i per generator
+        # unknowns: order-k corrections c_i per generator; the equations
+        # are the order-k parts of the generators' defects, generator-major
+        nk = len(r.basis.powers[k].monomials)
+        off = r.basis.offsets[k]
         slots: List[Tuple[int, int]] = []
         for i in range(s.v.dim):
-            for wpos in range(len(r.basis.powers[k].monomials) if r.v.dim else 0):
+            for wpos in range(nk):
                 if r.basis.powers[k].space.degrees[wpos] == s.v.degrees[i]:
                     slots.append((i, wpos))
         d1s = s.components.get(1)
-        cols: List[Vector] = []
+        cols: List[SparseVec] = []
         for (i, wpos) in slots:
-            col_parts: List[Vector] = [
-                [ZERO] * (len(r.basis.powers[k].monomials) if r.v.dim else 0)
-                for _ in range(s.v.dim)]
-            gvec = a_r.space.zero_vector()
-            gvec[r.basis.offsets[k] + wpos] = ONE
-            dg = r.basis.component(a_r.d.apply(gvec), k)
-            for t, c in enumerate(dg):
-                col_parts[i][t] -= c
+            col = {i * nk + t: -c
+                   for t, c in r.basis.component(a_r.d.column(off + wpos), k).items()}
             if d1s is not None:
                 for i2 in range(s.v.dim):
                     c = d1s.entries.get((i, i2))
                     if c:
-                        col_parts[i2][wpos] += c
-            cols.append([c for part in col_parts for c in part])
-        target = [ZERO - c for b in bad for c in b]
-        sol = linalg.solve_in_span(cols, target)
+                        add_into(col, {i2 * nk + wpos: c})
+            cols.append(col)
+        sol = linalg.solve_in_span(cols, {i * nk + t: -c for i, b in enumerate(bad)
+                                          for t, c in b.items()})
         if sol is None:
             return None
         for posn, c in enumerate(sol):
             if c:
                 i, wpos = slots[posn]
-                images[i][r.basis.offsets[k] + wpos] += c
+                add_into(images[i], {off + wpos: c})
     phi = morphism_from_generators(s, a_r, images, check=False)
     if phi.violations():
         return None
@@ -500,9 +463,9 @@ class VersalElement:
     l: Dgla
     base: QuasismoothTrunc
     tensor: TensorDgla
-    xi: Vector
+    xi: SparseVec
 
-    def defect(self) -> Vector:
+    def defect(self) -> SparseVec:
         return mc_defect(self.tensor, self.xi)
 
 
@@ -529,47 +492,41 @@ def kuranishi_prorepresent(l: Dgla, contraction: Optional[Contraction] = None,
     # that changes d rebuilds only d and the differential of L⊗R
     r = QuasismoothTrunc(v, order, {}, check=False)
     t = tensor_dgla(l, r.algebra())
-    xi = t.space.zero_vector()
-    for c in range(h.dim):
-        for i, cv in enumerate(reps[c]):
-            if cv:
-                xi[t.pair_index(i, c)] += cv  # the word of length 1 on generator c
+    # the word of length 1 on generator c is the c-th word
+    xi = {t.pair_index(i, c): cv for c in range(h.dim) for i, cv in reps[c].items()}
     hvec = mc_defect(t, xi)
+    na = r.basis.space.dim
     for k in range(2, order + 1):
         # extract the ⊙^k-part: a cocycle of L per monomial
         nmon = len(r.basis.powers[k].monomials)
         off = r.basis.offsets[k]
+        parts: Dict[int, SparseVec] = {}
+        for key, c in hvec.items():
+            i, w = divmod(key, na)
+            if off <= w < off + nmon:
+                parts.setdefault(w - off, {})[i] = c
         changed = False     # whether d changed; ξ needs no rebuild
-        for wpos in range(nmon):
-            hm = [hvec[t.pair_index(i, off + wpos)] for i in range(l.dim)]
-            if not any(hm):
-                continue
-            if not linalg.is_zero_vector(l.d.apply(hm)):
+        for wpos, hm in sorted(parts.items()):
+            if l.d.apply(hm):
                 raise CertificateError("the order-%d defect is not a cocycle" % k)
             cls = contraction.class_of(hm)
-            for c, cc in enumerate(cls):
-                if cc:
-                    sgn = Fraction(-1 if (1 + h.degrees[c]) % 2 else 1)
-                    m = comps.get(k)
-                    if m is None:
-                        m = GradedMap(v, r.basis.powers[k].space, 1)
-                        comps[k] = m
-                    m.set_entry(wpos, c,
-                                m.entries.get((wpos, c), ZERO) + sgn * cc)
-                    changed = True
-            harm_part = contraction.include.apply(cls)
-            exact = linalg.vec_sub(hm, harm_part)
-            svec = contraction.sigma.apply(exact)
-            for i, cv in enumerate(svec):
-                if cv:
-                    xi[t.pair_index(i, off + wpos)] -= cv
+            for c, cc in sorted(cls.items()):
+                sgn = Fraction(-1 if (1 + h.degrees[c]) % 2 else 1)
+                m = comps.get(k)
+                if m is None:
+                    m = GradedMap(v, r.basis.powers[k].space, 1)
+                    comps[k] = m
+                m.set_entry(wpos, c, m.entries.get((wpos, c), ZERO) + sgn * cc)
+                changed = True
+            exact = add_into(hm, contraction.include.apply(cls), -ONE)
+            add_into(xi, {t.pair_index(i, off + wpos): cv
+                          for i, cv in contraction.sigma.apply(exact).items()}, -ONE)
         if changed:
             r = r.with_components(comps, check=False)
             t = tensor_dgla(l, r.algebra())
         # the defect the next order starts from vanishes at this one
         hvec = mc_defect(t, xi)
-        if any(hvec[t.pair_index(i, off + wpos)]
-               for wpos in range(nmon) for i in range(l.dim)):
+        if any(off <= key % na < off + nmon for key in hvec):
             raise CertificateError("the Maurer-Cartan defect does not vanish "
                                    "at order %d" % k)
     d = r.algebra().d

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import graded, linalg
 from .algebras import (DgAlgebraMorphism, NilpotentDgAlgebra, SmallExtension,
@@ -18,7 +18,7 @@ from .algebras import (DgAlgebraMorphism, NilpotentDgAlgebra, SmallExtension,
 from .dgla import Dgla, TensorDgla, def_tangent, mc_lift
 from .graded import Contraction, GradedMap, GradedSpace, solve_homotopy
 from .linfty import LInftyStructure, linfty_to_dgla
-from .linalg import ONE, CertificateError, Vector
+from .linalg import ONE, CertificateError
 
 # Comparison sign between the tangent bracket assembled from primary
 # obstructions and the bracket induced on cohomology by the DGLA bracket.
@@ -30,18 +30,18 @@ COMPARISON_SIGN = 1
 class ObstructionClass:
     tensor_i: TensorDgla
     i_cohomology: Contraction
-    representative: Vector            # defect, coordinates in L⊗I
-    class_coords: Vector              # coordinates in H²(L⊗I)
-    lift: Optional[Vector]            # MC lift in L⊗A when the class is zero
-    certificate: Optional[Vector]     # s ∈ (L⊗I)¹ with ds = defect, when zero
+    representative: SparseVec         # defect, in L⊗I
+    class_coords: SparseVec           # the class in H²(L⊗I), on its harmonic basis
+    lift: Optional[SparseVec]         # MC lift in L⊗A when the class is zero
+    certificate: Optional[SparseVec]  # s ∈ (L⊗I)¹ with ds = defect, when zero
     embed_i: GradedMap
 
     @property
     def is_zero(self) -> bool:
-        return linalg.is_zero_vector(self.class_coords)
+        return not self.class_coords
 
 
-def obstruction_class(e: SmallExtension, l: Dgla, x: Sequence[Fraction],
+def obstruction_class(e: SmallExtension, l: Dgla, x: SparseVec,
                       section: Optional[GradedMap] = None) -> ObstructionClass:
     """The class in H²(L⊗I) obstructing an MC lift through a small extension.
 
@@ -55,8 +55,7 @@ def obstruction_class(e: SmallExtension, l: Dgla, x: Sequence[Fraction],
     if not e.is_strictly_small():
         raise ValueError("obstruction classes need a strictly small extension")
     res = mc_lift(e, l, x, section)
-    cert = None if res.correction is None \
-        else linalg.vec_scale(Fraction(-1), res.correction)
+    cert = None if res.correction is None else {k: -c for k, c in res.correction.items()}
     return ObstructionClass(res.tensor_i, res.i_cohomology, res.defect,
                             res.cohomology_class, res.lift, cert, res.embed_i)
 
@@ -120,9 +119,7 @@ def lifting_defect(e: SmallExtension) -> LiftingDefect:
     a, b = e.a, e.b
     # sanity: d restricts to the kernel differential and projects to d_B
     for k in range(e.i_complex.space.dim):
-        lhs = a.d.apply(e.iota.apply(e.i_complex.space.basis_vector(k)))
-        rhs = e.iota.apply(e.i_complex.d.apply(e.i_complex.space.basis_vector(k)))
-        if lhs != rhs:
+        if a.d.apply(e.iota.column(k)) != e.iota.apply(e.i_complex.d.column(k)):
             raise ValueError("differential does not restrict to d_I on the kernel")
     if e.alpha.map.compose(a.d) != b.d.compose(e.alpha.map):
         raise ValueError("differential does not lift d_B")
@@ -130,17 +127,14 @@ def lifting_defect(e: SmallExtension) -> LiftingDefect:
     sec = e.section()
     delta = GradedMap(b.space, e.i_complex.space, 2)
     for i in range(b.dim):
-        v = d2.apply(sec.apply(b.space.basis_vector(i)))
-        coords = e.kernel_coords(v)
+        coords = e.kernel_coords(d2.apply(sec.column(i)))
         if coords is None:
             raise CertificateError("d² escaped the kernel")
-        for k, c in enumerate(coords):
-            if c:
-                delta.set_entry(k, i, c)
+        for k, c in coords.items():
+            delta.set_entry(k, i, c)
     # δ is independent of the section: d²(ι I) = ι d_I² I = 0
     for k in range(e.i_complex.space.dim):
-        if not linalg.is_zero_vector(
-                d2.apply(e.iota.apply(e.i_complex.space.basis_vector(k)))):
+        if d2.apply(e.iota.column(k)):
             raise CertificateError("d² must kill the kernel")
     if is_dg_morphism_to_shifted_kernel(e, delta, 2):
         raise CertificateError("lifting defect must be a dg-algebra morphism into I[2]")
@@ -155,10 +149,8 @@ def lifting_defect(e: SmallExtension) -> LiftingDefect:
         pre = pr_ech.coords({col: ONE})
         if pre is None:
             raise CertificateError("the quotient map is not surjective")
-        v = delta.apply(pre)
-        for k, c in enumerate(v):
-            if c:
-                delta_bar.set_entry(k, col, c)
+        for k, c in delta.apply({i: x for i, x in enumerate(pre) if x}).items():
+            delta_bar.set_entry(k, col, c)
     if delta_bar.compose(pr.map) != delta:
         raise CertificateError("the lifting defect does not factor through B/B²")
 
@@ -202,9 +194,8 @@ def primary_obstruction_extension(i: int, j: int) -> SmallExtension:
     return kernel_extension(DgAlgebraMorphism(a, b, pm))
 
 
-def primary_obstruction(l: Dgla, i: int, j: int, x: Sequence[Fraction],
-                        y: Sequence[Fraction],
-                        coh: Optional[Contraction] = None) -> Vector:
+def primary_obstruction(l: Dgla, i: int, j: int, x: SparseVec, y: SparseVec,
+                        coh: Optional[Contraction] = None) -> SparseVec:
     """Q¹_ij: H^{1+i}(L) × H^{1+j}(L) → H^{2+i+j}(L) via the (u,v) extension.
 
     x, y are cocycle representatives of degrees 1+i, 1+j; the result is
@@ -216,15 +207,15 @@ def primary_obstruction(l: Dgla, i: int, j: int, x: Sequence[Fraction],
     for v, deg in ((x, 1 + i), (y, 1 + j)):
         if l.space.vector_degree(v) not in (None, deg):
             raise ValueError("representative has wrong degree")
-        if not linalg.is_zero_vector(l.d.apply(v)):
+        if l.d.apply(v):
             raise ValueError("representatives must be cocycles")
     e = primary_obstruction_extension(i, j)
     # x⊗u + y⊗v: L⊗B is L-major over B = <u, v>
-    ob = obstruction_class(e, l, [c for pair in zip(x, y) for c in pair])
-    # I = 𝕂uv with zero differential: read the defect off as an element
-    # of L of degree 2+i+j and take its class in H(L)
-    rep = [ob.representative[k] for k in range(l.dim)]
-    cls = coh.class_of(rep)
+    ob = obstruction_class(e, l, {**{2 * k: c for k, c in x.items()},
+                                  **{2 * k + 1: c for k, c in y.items()}})
+    # I = 𝕂uv with zero differential: the defect is an element of L of
+    # degree 2+i+j, and its class is taken in H(L)
+    cls = coh.class_of(ob.representative)
     if cls is None:
         raise CertificateError("the primary obstruction is not a cocycle")
     return cls
@@ -239,7 +230,7 @@ class TangentBracket:
     q2: GradedMap                          # Q¹₂: ⊙²(T[1]) → T[1]
     bracket_algebra: Dgla                  # the graded Lie algebra (T, [,])
 
-    def bracket(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
+    def bracket(self, u: SparseVec, v: SparseVec) -> SparseVec:
         return self.bracket_algebra.bracket_vec(u, v)
 
 
@@ -265,9 +256,8 @@ def tangent_bracket(l: Dgla, order: int = 3) -> TangentBracket:
         po = primary_obstruction(l, i, j, coh.representative(p),
                                  coh.representative(q), coh)
         sgn = Fraction(-1 if (i * j) % 2 else 1)
-        for k, ck in enumerate(po):
-            if ck:
-                q2.set_entry(k, pos, -sgn * ck)
+        for k, ck in po.items():
+            q2.set_entry(k, pos, -sgn * ck)
     s = LInftyStructure(t, max(order, 2), {2: q2})
     bracket_algebra = linfty_to_dgla(s)
     return TangentBracket(l, coh, t, s, q2, bracket_algebra)
@@ -285,7 +275,6 @@ def cohomology_bracket(l: Dgla, coh: Optional[Contraction] = None) -> Dgla:
             cls = coh.class_of(br)
             if cls is None:
                 raise CertificateError("bracket of cocycles must be a cocycle")
-            row = {k: c for k, c in enumerate(cls) if c}
-            if row:
-                bracket[(p, q)] = row
+            if cls:
+                bracket[(p, q)] = cls
     return Dgla(t, bracket, GradedMap(t, t, 1))

@@ -41,6 +41,64 @@ def make_rng(salt=0):
 
 
 # ---------------------------------------------------------------------------
+# dense vectors: a vector of a graded space as a list with one Fraction per
+# basis vector, the form the package's vectors had before they became
+# ``linalg.SparseVec`` dicts; kept for the dense oracles below
+
+def dense(v, n):
+    """The list form of a sparse vector of an n-dimensional space."""
+    return [v.get(i, F(0)) for i in range(n)]
+
+
+def sparse(v):
+    """The sparse form of a list vector: its nonzero entries."""
+    return {i: c for i, c in enumerate(v) if c}
+
+
+def zero_vector(n):
+    return [F(0)] * n
+
+
+def basis_vector(n, i):
+    v = zero_vector(n)
+    v[i] = F(1)
+    return v
+
+
+def vec_add(u, v):
+    return [a + b for a, b in zip(u, v)]
+
+
+def vec_sub(u, v):
+    return [a - b for a, b in zip(u, v)]
+
+
+def vec_scale(c, v):
+    return [c * a for a in v]
+
+
+def is_zero_vector(v):
+    return all(a == 0 for a in v)
+
+
+def dense_apply(m, v):
+    """``GradedMap.apply`` on list vectors."""
+    out = zero_vector(m.target.dim)
+    for (j, i), c in m.entries.items():
+        if v[i]:
+            out[j] += c * v[i]
+    return out
+
+
+def is_normal(v, n):
+    """Whether v is a sparse vector of an n-dimensional space in normal
+    form: a dict with int keys in range and no zero value."""
+    return isinstance(v, dict) and all(
+        type(i) is int and 0 <= i < n and isinstance(c, Fraction) and c
+        for i, c in v.items())
+
+
+# ---------------------------------------------------------------------------
 # standard fixtures
 
 def sl2():
@@ -95,10 +153,8 @@ def counterexample_extension():
 
 def counterexample_element(l, tb):
     """-h/2 ⊗ u + e ⊗ v in L ⊗ B for L = sl2."""
-    x = tb.space.zero_vector()
-    x[tb.pair_index(1, 0)] = F(-1, 2)     # h ⊗ u
-    x[tb.pair_index(0, 1)] = F(1)         # e ⊗ v
-    return x
+    return {tb.pair_index(1, 0): F(-1, 2),     # h ⊗ u
+            tb.pair_index(0, 1): F(1)}         # e ⊗ v
 
 
 def uv_extension_document(a_body, b_body, b_names):
@@ -182,7 +238,7 @@ def transported(s, g):
             if any(v):
                 table[(i, j)] = new_coords(v)
     d = GradedMap(s.space, s.space, 1, {(k, i): c for i in range(n)
-                                        for k, c in new_coords(s.d.apply(cols[i])).items()})
+                                        for k, c in new_coords(dense_apply(s.d, cols[i])).items()})
     if isinstance(s, Dgla):
         return Dgla(s.space, table, d, s.nilpotency_class)
     return type(s)(s.space, table, d)
@@ -287,10 +343,8 @@ def random_section(e, rng):
             c = F(rng.randint(-2, 2))
             if not c:
                 continue
-            col = e.iota.apply(e.i_complex.space.basis_vector(k))
-            for j, cj in enumerate(col):
-                if cj:
-                    out.set_entry(j, i, out.entries.get((j, i), F(0)) + c * cj)
+            for j, cj in e.iota.column(k).items():
+                out.set_entry(j, i, out.entries.get((j, i), F(0)) + c * cj)
     return out
 
 
@@ -331,19 +385,28 @@ def dense_algebra_report(self) -> ValidationReport:
     prods = {}
     for i in range(n):
         for j in range(n):
-            prods[(i, j)] = self.table_entry(i, j)
+            prods[(i, j)] = dense(self.table_entry(i, j), n)
+
+    def product(u, v):
+        return fraction_bilinear(self, u, v)
+
+    def d(v):
+        return dense_apply(self.d, v)
+
+    def e(i):
+        return basis_vector(n, i)
     for i in range(n):
         for j in range(i, n):
             sgn = -1 if (degs[i] % 2 and degs[j] % 2) else 1
             lhs = prods[(i, j)]
-            rhs = linalg.vec_scale(Fraction(sgn), prods[(j, i)])
+            rhs = vec_scale(Fraction(sgn), prods[(j, i)])
             if lhs != rhs:
                 errs.append("graded commutativity fails on (%s, %s)" % (names[i], names[j]))
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = self.product(prods[(i, j)], self.space.basis_vector(k))
-                rhs = self.product(self.space.basis_vector(i), prods[(j, k)])
+                lhs = product(prods[(i, j)], e(k))
+                rhs = product(e(i), prods[(j, k)])
                 if lhs != rhs:
                     errs.append("associativity fails on (%s, %s, %s)"
                                 % (names[i], names[j], names[k]))
@@ -352,13 +415,9 @@ def dense_algebra_report(self) -> ValidationReport:
         errs.append("d∘d != 0")
     for i in range(n):
         for j in range(n):
-            lhs = self.d.apply(prods[(i, j)])
+            lhs = d(prods[(i, j)])
             sgn = Fraction(-1 if degs[i] % 2 else 1)
-            rhs = linalg.vec_add(
-                self.product(self.d.apply(self.space.basis_vector(i)),
-                             self.space.basis_vector(j)),
-                linalg.vec_scale(sgn, self.product(self.space.basis_vector(i),
-                                                   self.d.apply(self.space.basis_vector(j)))))
+            rhs = vec_add(product(d(e(i)), e(j)), vec_scale(sgn, product(e(i), d(e(j)))))
             if lhs != rhs:
                 errs.append("Leibniz fails on (%s, %s)" % (names[i], names[j]))
     idx = self.nilpotency_index()
@@ -374,35 +433,41 @@ def dense_dgla_report(self) -> ValidationReport:
     n = self.dim
     degs = self.space.degrees
     names = self.space.names
+
+    def table_entry(i, j):
+        return dense(self.table_entry(i, j), n)
+
+    def bracket(u, v):
+        return fraction_bilinear(self, u, v)
+
+    def d(v):
+        return dense_apply(self.d, v)
     for i in range(n):
         for j in range(i, n):
             sgn = Fraction(-1 if (degs[i] % 2 and degs[j] % 2) else 1)
-            lhs = self.table_entry(i, j)
-            rhs = linalg.vec_scale(-sgn, self.table_entry(j, i))
+            lhs = table_entry(i, j)
+            rhs = vec_scale(-sgn, table_entry(j, i))
             if lhs != rhs:
                 errs.append("graded antisymmetry fails on (%s, %s)" % (names[i], names[j]))
     for i in range(n):
-        ei = self.space.basis_vector(i)
+        ei = basis_vector(n, i)
         for j in range(n):
-            ej = self.space.basis_vector(j)
+            ej = basis_vector(n, j)
             sgn = Fraction(-1 if (degs[i] % 2 and degs[j] % 2) else 1)
             for k in range(n):
-                lhs = self.bracket_vec(ei, self.table_entry(j, k))
-                rhs = linalg.vec_add(
-                    self.bracket_vec(self.table_entry(i, j), self.space.basis_vector(k)),
-                    linalg.vec_scale(sgn, self.bracket_vec(ej, self.table_entry(i, k))))
+                lhs = bracket(ei, table_entry(j, k))
+                rhs = vec_add(bracket(table_entry(i, j), basis_vector(n, k)),
+                              vec_scale(sgn, bracket(ej, table_entry(i, k))))
                 if lhs != rhs:
                     errs.append("graded Jacobi fails on (%s, %s, %s)"
                                 % (names[i], names[j], names[k]))
     for i in range(n):
-        ei = self.space.basis_vector(i)
+        ei = basis_vector(n, i)
         sgn = Fraction(-1 if degs[i] % 2 else 1)
         for j in range(n):
-            ej = self.space.basis_vector(j)
-            lhs = self.d.apply(self.table_entry(i, j))
-            rhs = linalg.vec_add(
-                self.bracket_vec(self.d.apply(ei), ej),
-                linalg.vec_scale(sgn, self.bracket_vec(ei, self.d.apply(ej))))
+            ej = basis_vector(n, j)
+            lhs = d(table_entry(i, j))
+            rhs = vec_add(bracket(d(ei), ej), vec_scale(sgn, bracket(ei, d(ej))))
             if lhs != rhs:
                 errs.append("Leibniz fails on (%s, %s)" % (names[i], names[j]))
     if not self.d.compose(self.d).is_zero():
@@ -556,13 +621,13 @@ def fraction_power_ideal_bases(a):
     """NilpotentDgAlgebra.power_ideal_bases() with each e_i·w formed on
     Fractions by its own walk, i-major."""
     left = fraction_left(a)
-    powers = [[a.space.basis_vector(i) for i in range(a.dim)]]
+    powers = [[{i: F(1)} for i in range(a.dim)]]
     prev = [{i: F(1)} for i in range(a.dim)]
     while prev:
         ech = linalg.Echelon()
         nxt = [p for i in range(a.dim) for w in prev
                for p in [fraction_left_mul(left, i, w)] if p and ech.add(p)]
-        powers.append([[p.get(k, F(0)) for k in range(a.dim)] for p in nxt])
+        powers.append(nxt)
         if len(nxt) == len(prev):
             break
         prev = nxt
@@ -571,8 +636,8 @@ def fraction_power_ideal_bases(a):
 
 def fraction_annihilator_basis(a):
     n, left = a.dim, fraction_left(a)
-    return linalg.relations([{j * n + k: c for j, row in left[i] for k, c in row.items()}
-                             for i in range(n)])[1]
+    return [sparse(rel) for rel in linalg.relations(
+        [{j * n + k: c for j, row in left[i] for k, c in row.items()} for i in range(n)])[1]]
 
 
 def fraction_extension_checks(e):
@@ -620,10 +685,10 @@ def reference_kernel_extension(alpha):
         errs.append("dimensions inconsistent with exactness")
     errs.extend(dense_violations(alpha))
     for x in basis:
-        if any(any(a.product(x, y)) for y in basis):
+        if any(a.product(x, y) for y in basis):
             errs.append("kernel is not square-zero")
     amat = alpha.map.matrix()
-    section = [linalg.solve(amat, b.space.basis_vector(j)) for j in range(b.dim)]
+    section = [linalg.solve(amat, basis_vector(b.dim, j)) for j in range(b.dim)]
     return SimpleNamespace(iota=basis, d_i=di, errors=errs,
                            section=None if None in section else section)
 
@@ -685,10 +750,8 @@ def dense_contraction(cx):
     for k in degs:
         src = by_degree[k]
         for c in linalg.independent_subset([dcols[i] for i in src]):
-            b = space.zero_vector()
-            for j, x in dcols[src[c]].items():
-                b[j] = x
-            boundary_data.setdefault(k + 1, []).append((b, space.basis_vector(src[c])))
+            b = dense(dcols[src[c]], space.dim)
+            boundary_data.setdefault(k + 1, []).append((b, basis_vector(space.dim, src[c])))
     out = SimpleNamespace(boundaries={}, boundary_preimages={}, harmonics={},
                           complements={}, dims={})
     harmonic_basis = []
@@ -696,7 +759,7 @@ def dense_contraction(cx):
         idx = by_degree[k]
         cocycles = []
         for nv in linalg.relations([dcols[i] for i in idx])[1]:
-            v = space.zero_vector()
+            v = zero_vector(space.dim)
             for pos, i in enumerate(idx):
                 v[i] = nv[pos]
             cocycles.append(v)
@@ -711,7 +774,7 @@ def dense_contraction(cx):
         harmonic_basis += [("H%d_%d" % (k, t), k, h) for t, h in enumerate(harm)]
     out.harmonic_space = GradedSpace([(nm, k) for nm, k, _ in harmonic_basis])
     out.include = GradedMap.from_columns(out.harmonic_space, space, 0,
-                                         [h for _, _, h in harmonic_basis])
+                                         [sparse(h) for _, _, h in harmonic_basis])
     out.project = GradedMap(space, out.harmonic_space, 0)
     out.sigma = GradedMap(space, space, -1)
     hoff = 0
@@ -731,12 +794,36 @@ def dense_contraction(cx):
         hoff += nh
 
     def class_of(v):
-        if not linalg.is_zero_vector(cx.d.apply(v)):
+        """[v] on the harmonic basis, for a list v, or None off the cocycles."""
+        if not is_zero_vector(dense_apply(cx.d, v)):
             return None
-        return out.project.apply(v)
+        return dense_apply(out.project, v)
 
     out.class_of = class_of
     return out
+
+
+def dense_mc_defect(t, x):
+    """dx + ½[x, x] on list vectors, the bracket summed over ``t.table``."""
+    return vec_add(dense_apply(t.d, x), [c / 2 for c in fraction_bilinear(t, x, x)])
+
+
+def dense_gauge_act(t, a, x):
+    """e^a · x = exp(ad_a)(x + d) - d on list vectors, the brackets summed
+    over ``t.table``; the series stops at its first zero term."""
+    from math import factorial
+    da = dense_apply(t.d, a)
+    out, term, beta, k = list(x), list(x), F(1), 0
+    while True:
+        k += 1
+        assert k <= t.nilpotency_class + 1, "nilpotency bound exceeded in gauge action"
+        term = fraction_bilinear(t, a, term)
+        if beta:
+            term = vec_sub(term, vec_scale(beta, da))
+        beta = F(0)
+        if is_zero_vector(term):
+            return out
+        out = vec_add(out, vec_scale(F(1, factorial(k)), term))
 
 
 def dense_tensor_bracket(l, a):
@@ -748,11 +835,11 @@ def dense_tensor_bracket(l, a):
     table = {}
     for i in range(l.dim):
         for j in range(l.dim):
-            xij = l.table_entry(i, j)
+            xij = dense(l.table_entry(i, j), l.dim)
             for p in range(na):
                 sgn = -1 if a.space.degrees[p] % 2 and l.space.degrees[j] % 2 else 1
                 for q in range(na):
-                    apq = a.table_entry(p, q)
+                    apq = dense(a.table_entry(p, q), na)
                     table[(i * na + p, j * na + q)] = [
                         sgn * xij[k] * apq[r] for k in range(l.dim) for r in range(na)]
     return table
@@ -925,7 +1012,7 @@ def rref_nullspace(a):
 def rref_solve(a, b):
     """One solution of A x = b read off the rref of [A | b], or None."""
     if not a:
-        return [] if linalg.is_zero_vector(b) else ([] if not b else None)
+        return [] if is_zero_vector(b) else ([] if not b else None)
     n = len(a[0])
     r, pivots = rref([a[i][:] + [b[i]] for i in range(len(a))])
     if pivots and pivots[-1] == n:
@@ -958,10 +1045,10 @@ def dense_de_rham(a, eps):
     n_max = 0
     while _ceil_frac(n_max + 1, eps) < len(powers):
         n_max += 1
-    blocks = {(0, False): [a.space.basis_vector(i) for i in range(a.dim)]}
+    blocks = {(0, False): [basis_vector(a.dim, i) for i in range(a.dim)]}
     for n in range(1, n_max + 1):
         for dt in (False, True):
-            blocks[(n, dt)] = powers[_ceil_frac(n, eps) - 1]
+            blocks[(n, dt)] = [dense(v, a.dim) for v in powers[_ceil_frac(n, eps) - 1]]
     elems, offsets = [], {}
     for (n, dt), vecs in blocks.items():
         offsets[(n, dt)] = len(elems)
@@ -969,7 +1056,7 @@ def dense_de_rham(a, eps):
     solved = {}
 
     def put(n, dt, vec, out, coef):
-        if linalg.is_zero_vector(vec):
+        if is_zero_vector(vec):
             return
         key = (n, dt, tuple(vec))
         if key not in solved:
@@ -985,19 +1072,19 @@ def dense_de_rham(a, eps):
             if dt1 and dt2:
                 continue
             out = [F(0)] * len(elems)
-            sgn = F(-1 if dt1 and a.space.vector_degree(v2) % 2 else 1)
-            put(n1 + n2, dt1 or dt2, a.product(v1, v2), out, sgn)
+            sgn = F(-1 if dt1 and a.space.vector_degree(sparse(v2)) % 2 else 1)
+            put(n1 + n2, dt1 or dt2, fraction_bilinear(a, v1, v2), out, sgn)
             row = {k: c for k, c in enumerate(out) if c}
             if row:
                 mult[(i, j)] = row
     d = {}
     for i, (n, dt, v) in enumerate(elems):
         out = [F(0)] * len(elems)
-        put(n, dt, a.d.apply(v), out, F(1))
+        put(n, dt, dense_apply(a.d, v), out, F(1))
         if not dt and n > 0:
-            put(n, True, v, out, F(-n if a.space.vector_degree(v) % 2 else n))
+            put(n, True, v, out, F(-n if a.space.vector_degree(sparse(v)) % 2 else n))
         d.update({(j, i): c for j, c in enumerate(out) if c})
-    return elems, mult, d
+    return [(n, dt, sparse(v)) for n, dt, v in elems], mult, d
 
 
 def pairs_truncation(n_pairs, n_h, order):
@@ -1054,9 +1141,7 @@ def reference_coderivation(s):
                 if res is None:
                     continue
                 lpos, lsgn = res
-                for t, ct in enumerate(qk.column(lpos)):
-                    if not ct:
-                        continue
+                for t, ct in qk.column(lpos).items():
                     res2 = c.position((t,) + rest)
                     if res2 is None:
                         continue
@@ -1077,10 +1162,9 @@ def reference_check_linfty(s):
     for k in range(1, s.order + 1):
         dm = GradedMap(c.powers[k].space, c.letters, 2)
         for col in range(len(c.powers[k].monomials)):
-            v = qq.apply(c.space.basis_vector(c.offsets[k] + col))
-            for t in range(c.letters.dim):
-                if v[t]:
-                    dm.set_entry(t, col, v[t])
+            for t, x in qq.column(c.offsets[k] + col).items():
+                if t < c.letters.dim:
+                    dm.set_entry(t, col, x)
         if not dm.is_zero():
             defects[k] = dm
     assert qq.is_zero() == (not defects)
@@ -1095,7 +1179,7 @@ def reference_linfty_mc_check(s, a, m):
     c = s.coalgebra
     sh = c.letters
     na = a.dim
-    defect = tensor_space(sh, a.space).zero_vector()
+    defect = zero_vector(tensor_space(sh, a.space).dim)
     for i in range(sh.dim):
         sgn = F(-1 if (sh.degrees[i] + 1) % 2 else 1)
         for (q, p), cd in a.d.entries.items():
@@ -1112,9 +1196,8 @@ def reference_linfty_mc_check(s, a, m):
                 if res is None:
                     continue
                 pos, sgn0 = res
-                for t, ct in enumerate(qn.column(pos)):
-                    if ct:
-                        defect[t * na + p] -= F(sgn0, factorial(n)) * ct * cv
+                for t, ct in qn.column(pos).items():
+                    defect[t * na + p] -= F(sgn0, factorial(n)) * ct * cv
         nxt = {}
         if n < s.order:
             for (word, p), cv in power.items():
@@ -1133,7 +1216,7 @@ def reference_linfty_mc_check(s, a, m):
                             nxt[(w2, r)] = nxt.get((w2, r), F(0)) + sgn * s2 * cv * c2 * c3
         power = {key: v for key, v in nxt.items() if v}
         n += 1
-    return linalg.is_zero_vector(defect), defect
+    return is_zero_vector(defect), defect
 
 
 # ---------------------------------------------------------------------------
@@ -1211,19 +1294,16 @@ def reference_check_coderivation(c, q):
     """ΔQ = (Q⊗Id + Id⊗Q)Δ with the Koszul sign on Id⊗Q, word by word."""
     for pos in range(len(c.words)):
         lhs = {}
-        for a, x in enumerate(q.column(pos)):
-            if x:
-                for key, y in reference_coproduct(c, a).items():
-                    lhs[key] = lhs.get(key, F(0)) + x * y
+        for a, x in q.column(pos).items():
+            for key, y in reference_coproduct(c, a).items():
+                lhs[key] = lhs.get(key, F(0)) + x * y
         rhs = {}
         for (a, b), y in reference_coproduct(c, pos).items():
-            for t, x in enumerate(q.column(a)):
-                if x:
-                    rhs[(t, b)] = rhs.get((t, b), F(0)) + y * x
+            for t, x in q.column(a).items():
+                rhs[(t, b)] = rhs.get((t, b), F(0)) + y * x
             sgn = -1 if c.space.degrees[a] % 2 else 1
-            for t, x in enumerate(q.column(b)):
-                if x:
-                    rhs[(a, t)] = rhs.get((a, t), F(0)) + sgn * y * x
+            for t, x in q.column(b).items():
+                rhs[(a, t)] = rhs.get((a, t), F(0)) + sgn * y * x
         if _nonzero(lhs) != _nonzero(rhs):
             return False
     return True
@@ -1240,9 +1320,9 @@ def reference_coalgebra_morphism_from_linear(c, m, d):
             for tup, x in reference_iterated_coproduct(c, pos, n).items():
                 terms = [((), x)]
                 for p in tup:
-                    col = m.column(p)
+                    col = sorted(m.column(p).items())
                     terms = [(letters + (t,), y * ct) for letters, y in terms
-                             for t, ct in enumerate(col) if ct]
+                             for t, ct in col]
                 for letters, y in terms:
                     res = d.position(letters)
                     if res is not None:
@@ -1256,17 +1336,14 @@ def reference_check_coalgebra_morphism(c, d, theta):
     """Δ_D θ = (θ⊗θ) Δ_C on every monomial, within the truncation."""
     for pos in range(len(c.words)):
         lhs = {}
-        for a, x in enumerate(theta.column(pos)):
-            if x:
-                for key, y in reference_coproduct(d, a).items():
-                    lhs[key] = lhs.get(key, F(0)) + x * y
+        for a, x in theta.column(pos).items():
+            for key, y in reference_coproduct(d, a).items():
+                lhs[key] = lhs.get(key, F(0)) + x * y
         rhs = {}
         for (a, b), y in reference_coproduct(c, pos).items():
-            ta, tb = theta.column(a), theta.column(b)
-            for s, xs in enumerate(ta):
-                for t, xt in enumerate(tb):
-                    if xs and xt:
-                        rhs[(s, t)] = rhs.get((s, t), F(0)) + y * xs * xt
+            for s, xs in theta.column(a).items():
+                for t, xt in theta.column(b).items():
+                    rhs[(s, t)] = rhs.get((s, t), F(0)) + y * xs * xt
         if _nonzero(lhs) != _nonzero(rhs):
             return False
     return True
@@ -1307,8 +1384,7 @@ def reference_shifted_kernel_violations(e, phi, shift):
     if phi.compose(b.d) != e.i_complex.d.compose(phi).scale(sgn):
         errs.append("does not commute with differentials")
     for i, j, p in b.constants():
-        dense = [p.get(k, F(0)) for k in range(b.dim)]
-        if not linalg.is_zero_vector(phi.apply(dense)):
+        if not is_zero_vector(dense_apply(phi, dense(p, b.dim))):
             errs.append("not multiplicative on (%s, %s)" % (b.space.names[i], b.space.names[j]))
     return errs
 
@@ -1413,7 +1489,7 @@ def reference_staged_witness(l, a, x, y):
     projs = [DgAlgebraMorphism.identity(a)]
     for e in chain:
         projs.append(e.alpha.compose(projs[-1]))
-    witness = []
+    witness = {}
     tensors = {len(chain): tensor_dgla(l, zero)}
     for j in range(len(chain) - 1, -1, -1):
         tj = tensors[j] = tensor_dgla(l, stages[j])
@@ -1421,18 +1497,15 @@ def reference_staged_witness(l, a, x, y):
         tii = tensor_dgla(l, trivial_algebra_of_complex(e.i_complex))
         push = tensor_push(t, tj.space, projs[j].map, stages[j].dim)
         lift_w = tensor_push(tensors[j + 1], tj.space, e.section(),
-                             stages[j].dim).apply(witness) \
-            if stages[j + 1].dim else tj.space.zero_vector()
-        ri = e.kernel_coords(linalg.vec_sub(gauge_act(tj, lift_w, push.apply(x)),
-                                            push.apply(y)))
+                             stages[j].dim).apply(witness)
+        ri = e.kernel_coords(linalg.add_into(gauge_act(tj, lift_w, push.apply(x)),
+                                             push.apply(y), F(-1)))
         deg0 = tii.space.degree_indices(0)
         dcols = tii.d.columns()
         sol = linalg.solve_in_span([dcols[i] for i in deg0], ri)
         if sol is None:
             return None
-        c = tii.space.zero_vector()
-        for pos, i in enumerate(deg0):
-            c[i] = sol[pos]
+        c = {i: sol[pos] for pos, i in enumerate(deg0) if sol[pos]}
         c_in_j = tensor_push(tii, tj.space, e.iota, e.a.dim).apply(c)
         witness = bch(tj.bracket_vec, c_in_j, lift_w, max(tj.nilpotency_class, 1))
-    return witness if gauge_act(t, witness, x) == list(y) else None
+    return witness if gauge_act(t, witness, x) == y else None

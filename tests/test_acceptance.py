@@ -33,7 +33,7 @@ from defalg.obstruction import (cohomology_bracket, lifting_defect,
 from conftest import (counterexample_element, counterexample_extension,
                       direct_sum_dgla, make_rng, random_abelian_dgla,
                       random_algebra, random_complex, random_dgla,
-                      random_section, sl2, sl2_odd)
+                      random_section, sl2, sl2_odd, dense, sparse)
 from test_obstruction import (_product_extension, _random_phi,
                               defect_extension_with_slack,
                               random_derivation_twist, signed_kernel_push)
@@ -121,11 +121,11 @@ def test_criterion_02_cohomology_correctness():
         coh = cohomology(cx)
         for k in set(cx.space.degrees):
             idx = cx.space.degree_indices(k)
-            dk = [cx.d.apply(cx.space.basis_vector(i)) for i in idx]
-            z = len(idx) - (linalg.rank([list(v) for v in dk]) if dk else 0)
+            dk = [dense(cx.d.column(i), cx.space.dim) for i in idx]
+            z = len(idx) - (linalg.rank(dk) if dk else 0)
             prev = cx.space.degree_indices(k - 1)
-            dp = [cx.d.apply(cx.space.basis_vector(i)) for i in prev]
-            b = linalg.rank([list(v) for v in dp]) if dp else 0
+            dp = [dense(cx.d.column(i), cx.space.dim) for i in prev]
+            b = linalg.rank(dp) if dp else 0
             assert z - b == coh.dim(k)
 
 
@@ -153,20 +153,19 @@ def test_criterion_04_gauge_mc_suite():
         t = tensor_dgla(l, alg)
         if t.nilpotency_class is None or not t.space.degree_indices(0):
             continue
-        g0 = t.space.zero_vector()
-        g1 = t.space.zero_vector()
+        g0, g1 = [F(0)] * t.dim, [F(0)] * t.dim
         for i in t.space.degree_indices(0):
             g0[i] = F(rng.randint(-2, 2))
             g1[i] = F(rng.randint(-2, 2))
-        x = gauge_act(t, g0, t.space.zero_vector())
+        g0, g1 = sparse(g0), sparse(g1)
+        x = gauge_act(t, g0, {})
         ok, _ = mc_check(t, x)
         assert ok
         y = gauge_act(t, g1, x)
         ok, _ = mc_check(t, y)
         assert ok
         # action property: e^a e^b = e^{bch(a, b)}
-        rhs = gauge_act(t, bch(t.bracket_vec, g1, g0, t.nilpotency_class),
-                        t.space.zero_vector())
+        rhs = gauge_act(t, bch(t.bracket_vec, g1, g0, t.nilpotency_class), {})
         assert y == rhs
         done += 1
     done = 0
@@ -176,18 +175,16 @@ def test_criterion_04_gauge_mc_suite():
         t = tensor_dgla(l, alg)
         deg0 = t.space.degree_indices(0)
         deg1 = t.space.degree_indices(1)
-        dk = [t.d.apply(t.space.basis_vector(i)) for i in deg1]
-        z1 = len(deg1) - (linalg.rank([list(v) for v in dk]) if dk else 0)
-        dp = [t.d.apply(t.space.basis_vector(i)) for i in deg0]
-        b1 = linalg.rank([list(v) for v in dp]) if dp else 0
+        dk = [dense(t.d.column(i), t.dim) for i in deg1]
+        z1 = len(deg1) - (linalg.rank(dk) if dk else 0)
+        dp = [dense(t.d.column(i), t.dim) for i in deg0]
+        b1 = linalg.rank(dp) if dp else 0
         assert z1 - b1 == cohomology(t.complex()).dim(1)
         # gauge orbits are translations by exact elements
         if deg0 and deg1:
-            x = t.space.zero_vector()
-            c = t.space.zero_vector()
-            for i in deg0:
-                c[i] = F(rng.randint(-2, 2))
-            assert gauge_act(t, c, x) == linalg.vec_sub(x, t.d.apply(c))
+            x = {}
+            c = sparse([F(rng.randint(-2, 2)) if d == 0 else F(0) for d in t.space.degrees])
+            assert gauge_act(t, c, x) == linalg.add_into(dict(x), t.d.apply(c), F(-1))
         done += 1
     done = 0
     while done < 30:                      # stabilizer: e^a b = b
@@ -196,20 +193,16 @@ def test_criterion_04_gauge_mc_suite():
         t = tensor_dgla(l, alg)
         if t.nilpotency_class is None or not t.space.degree_indices(0):
             continue
-        g = t.space.zero_vector()
-        for i in t.space.degree_indices(0):
-            g[i] = F(rng.randint(-2, 2))
-        b = gauge_act(t, g, t.space.zero_vector())
+        g = sparse([F(rng.randint(-2, 2)) if d == 0 else F(0) for d in t.space.degrees])
+        b = gauge_act(t, g, {})
         deg0 = t.space.degree_indices(0)
-        cols = [linalg.vec_sub(t.bracket_vec(t.space.basis_vector(i), b),
-                               t.d.apply(t.space.basis_vector(i)))
+        cols = [linalg.add_into(t.bracket_vec(t.space.basis_vector(i), b),
+                                t.d.column(i), F(-1))
                 for i in deg0]
-        ns = linalg.nullspace([[cols[c][r] for c in range(len(cols))]
+        ns = linalg.nullspace([[cols[c].get(r, F(0)) for c in range(len(cols))]
                                for r in range(t.dim)])
         for coeffs in ns:
-            a = t.space.zero_vector()
-            for cf, i in zip(coeffs, deg0):
-                a[i] = cf
+            a = {i: cf for cf, i in zip(coeffs, deg0) if cf}
             assert gauge_act(t, a, b) == b
         done += 1
 
@@ -236,9 +229,7 @@ def test_criterion_06_obstruction_laws():
     e = primary_obstruction_extension(-1, 0)
     tb = tensor_dgla(l, e.b)
     for _ in range(10):
-        x = tb.space.zero_vector()
-        for i in tb.space.degree_indices(1):
-            x[i] = F(rng.randint(-2, 2))
+        x = sparse([F(rng.randint(-2, 2)) if d == 1 else F(0) for d in tb.space.degrees])
         base = obstruction_class(e, l, x)
         for _ in range(3):
             again = obstruction_class(e, l, x, random_section(e, rng))
@@ -254,8 +245,8 @@ def test_criterion_06_obstruction_laws():
         pi1 = GradedMap(ep.i_complex.space, e1.i_complex.space, 0)
         i1mat = e1.iota.matrix()
         for k in range(ep.i_complex.space.dim):
-            v = pa1.apply(ep.iota.apply(ep.i_complex.space.basis_vector(k)))
-            coords = linalg.solve(i1mat, v)
+            v = pa1.apply(ep.iota.column(k))
+            coords = linalg.solve(i1mat, dense(v, e1.a.dim))
             assert coords is not None
             for j, c in enumerate(coords):
                 if c:
@@ -264,9 +255,7 @@ def test_criterion_06_obstruction_laws():
         tb1 = tensor_dgla(l, e1.b)
         push_b = tensor_push(tbp, tb1.space, pb1, e1.b.dim)
         for _ in range(5):
-            x = tbp.space.zero_vector()
-            for i in tbp.space.degree_indices(1):
-                x[i] = F(rng.randint(-2, 2))
+            x = sparse([F(rng.randint(-2, 2)) if d == 1 else F(0) for d in tbp.space.degrees])
             ob = obstruction_class(ep, l, x, random_section(ep, rng))
             ob1 = obstruction_class(e1, l, push_b.apply(x),
                                     random_section(e1, rng))
@@ -287,14 +276,12 @@ def test_criterion_06_obstruction_laws():
         ephi = twist_extension(et, phi)
         ti = tensor_dgla(l, trivial_algebra_of_complex(et.i_complex))
         tbt = tensor_dgla(l, et.b)
-        x = tbt.space.zero_vector()
-        for i in tbt.space.degree_indices(1):
-            x[i] = F(rng.randint(-2, 2))
+        x = sparse([F(rng.randint(-2, 2)) if d == 1 else F(0) for d in tbt.space.degrees])
         sec = random_section(et, rng)
         ob = obstruction_class(et, l, x, sec)
         obp = obstruction_class(ephi, l, x, sec)
         shift = signed_kernel_push(l, tbt, ti, phi, x)
-        assert obp.representative == linalg.vec_add(ob.representative, shift)
+        assert obp.representative == linalg.add_into(dict(ob.representative), shift)
         count += 1
     # homotopy-class independence of the lifting defect under derivation
     # twists (which are exactly the degree-1 maps killing B²)
@@ -349,9 +336,7 @@ def test_criterion_07_linfty_suite():
             continue
         t = tensor_dgla(l, a)
         s = dgla_to_linfty(l, order=3)
-        x = t.space.zero_vector()
-        for i in t.space.degree_indices(1):
-            x[i] = F(rng.randint(-2, 2))
+        x = sparse([F(rng.randint(-2, 2)) if d == 1 else F(0) for d in t.space.degrees])
         ok, defect = linfty_mc_check(s, a, x)
         assert defect == mc_defect(t, x)
         assert ok == (mc_check(t, x)[0])
@@ -364,11 +349,9 @@ def test_criterion_07_linfty_suite():
         a = NilpotentDgAlgebra.trivial(cx.space, cx.d)   # A² = 0
         t = tensor_dgla(l, a)
         s = dgla_to_linfty(l, order=3)
-        x = t.space.zero_vector()
-        for i in t.space.degree_indices(1):
-            x[i] = F(rng.randint(-2, 2))
+        x = sparse([F(rng.randint(-2, 2)) if d == 1 else F(0) for d in t.space.degrees])
         ok, _ = linfty_mc_check(s, a, x)
-        assert ok == linalg.is_zero_vector(t.d.apply(x))
+        assert ok == (t.d.apply(x) == {})
         done += 1
 
 
@@ -389,12 +372,12 @@ def test_criterion_08_tangent_bracket():
             got = tb.bracket_algebra.table_entry(p, q)
             want = l.table_entry(p, q)
             for k in range(3):
-                if want[k]:
+                if k in want:
                     if sign is None:
                         sign = got[k] / want[k]
                     assert got[k] == sign * want[k]
                 else:
-                    assert not got[k]
+                    assert k not in got
     assert sign in (F(1), F(-1))
 
 
@@ -454,7 +437,7 @@ def test_criterion_10_prorepresentability():
     rk, ve = kuranishi_prorepresent(l, order=3)
     assert is_minimal(rk)                     # d₁ = 0
     assert rk.algebra().validate().ok         # d² = 0
-    assert linalg.is_zero_vector(ve.defect())  # MC defect 0 mod order 4
+    assert ve.defect() == {}  # MC defect 0 mod order 4
     d2 = rk.components[2]
     assert 3 not in rk.components
     # with generators x_e, x_h, x_f: d x_e = 2s x_e x_h, d x_h = -s x_e x_f,
@@ -474,7 +457,7 @@ def test_criterion_10_prorepresentability():
         rr, vv = kuranishi_prorepresent(ll, order=3)
         assert is_minimal(rr)
         assert rr.algebra().validate().ok
-        assert linalg.is_zero_vector(vv.defect())
+        assert vv.defect() == {}
         assert is_smooth_minimal(rr)[0] == (not rr.components)
         # d₂ is dual to the tangent bracket up to one global sign
         cb = cohomology_bracket(ll)
@@ -486,7 +469,7 @@ def test_criterion_10_prorepresentability():
         for c in range(rr.v.dim):
             for pos, (a, b) in enumerate(pp2.monomials):
                 got = dd2.entries.get((pos, c), F(0))
-                want = cb.table_entry(a, b)[c]
+                want = cb.table_entry(a, b).get(c, F(0))
                 if a == b:
                     want = want / 2
                 if want:

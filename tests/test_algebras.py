@@ -22,7 +22,8 @@ from conftest import (counterexample_algebras, counterexample_extension,
                       pairs_truncation, random_algebra, random_invertible_degree0,
                       random_pair_truncation, reference_kernel_extension, rescaled,
                       transported,
-                      sl2, sl2_odd, dense_quotient_algebra, fraction_left, fraction_left_mul)
+                      sl2, sl2_odd, dense_quotient_algebra, fraction_left, fraction_left_mul,
+                      basis_vector, sparse)
 
 F = Fraction
 
@@ -36,7 +37,7 @@ def test_counterexample_algebra_validates():
     dw = a.space.basis_vector(3)
     assert a.product(u, v) == dw
     assert a.product(u, w) == dw
-    assert linalg.is_zero_vector(a.product(v, w))
+    assert a.product(v, w) == {}
     assert a.d.apply(w) == dw
 
 
@@ -82,8 +83,7 @@ def test_quotient_algebra_is_morphism():
     assert not proj.violations()
     assert q.dim == 2
     assert q.has_trivial_mult() or True  # uv lands in the killed ideal
-    assert linalg.is_zero_vector(q.product(q.space.basis_vector(0),
-                                           q.space.basis_vector(1)))
+    assert q.product(q.space.basis_vector(0), q.space.basis_vector(1)) == {}
 
 
 def test_quotient_algebra_matches_dense_oracle():
@@ -101,7 +101,7 @@ def test_quotient_algebra_matches_dense_oracle():
         for ideal in (a.annihilator_basis(), powers[1] if len(powers) > 1 else [],
                       powers[2] if len(powers) > 2 else []):
             if ideal and rng.randrange(2):      # a redundant spanning set
-                ideal = ideal + [linalg.vec_add(ideal[0], ideal[-1])]
+                ideal = ideal + [linalg.add_into(dict(ideal[0]), ideal[-1])]
             q, proj = quotient_algebra(a, ideal)
             want, pmap = dense_quotient_algebra(a, ideal)
             assert q.space == want.space
@@ -162,7 +162,7 @@ def test_section_matches_solve():
         amat = ext.alpha.map.matrix()
         want = [linalg.solve(amat, ext.b.space.basis_vector(j)) for j in range(ext.b.dim)]
         sec = ext.section()
-        assert [sec.column(j) for j in range(ext.b.dim)] == want
+        assert [sec.column(j) for j in range(ext.b.dim)] == [sparse(w) for w in want]
         assert ext.alpha.map.compose(sec) == GradedMap.identity(ext.b.space)
 
 
@@ -235,8 +235,8 @@ def test_kernel_extension_matches_reference_construction():
         else:
             surjective += 1
             sec = e.section()
-            assert [sec.column(j) for j in range(e.b.dim)] == ref.section
-        coef = [F(rng.randint(-3, 3)) for _ in range(ni)]
+            assert [sec.column(j) for j in range(e.b.dim)] == [sparse(w) for w in ref.section]
+        coef = sparse([F(rng.randint(-3, 3)) for _ in range(ni)])
         assert e.kernel_coords(e.iota.apply(coef)) == coef
         checked += 1
     assert checked > surjective
@@ -258,7 +258,7 @@ def test_small_extension_document_builds_one_echelon_over_alpha(monkeypatch):
     with open(path / "counterexample.ext") as fh:
         e = docio.build_small_extension(docio.parse(fh.read()))
     e.section()
-    e.kernel_coords(e.a.space.zero_vector())
+    e.kernel_coords({})
     lists = [vs for _, vs in added.values()]
     assert lists.count(e.alpha.map.columns()) == 1
     assert lists.count(e.iota.columns()) == 1
@@ -420,7 +420,7 @@ def test_de_rham_table_equals_dense_oracle(eps):
         # block 0 holds A's basis; a vector of a power basis in a later
         # block with two or more nonzero entries takes the general
         # coordinate path
-        general = general or any(sum(1 for c in v if c) > 1 for n, _, v in dr._elems if n)
+        general = general or any(len(v) > 1 for n, _, v in dr._elems if n)
     assert general
 
 
@@ -479,7 +479,7 @@ def test_de_rham_forms_only_the_nonzero_power_basis_products(monkeypatch):
     # the power ideals A^(p+1) that the blocks hold
     used = {0} | {_ceil_frac(n, dr.eps) - 1 for n in range(1, dr.t_cap + 1)}
     vectors = [v for p in used for v in powers[p]]
-    nonzero = sum(1 for u in vectors for v in vectors if any(a.product(u, v)))
+    nonzero = sum(1 for u in vectors for v in vectors if a.product(u, v))
     assert len(vectors) == 42
     assert len(formed) == nonzero == 89
     assert all(w for _, w in formed)
@@ -504,7 +504,7 @@ def test_power_ideal_bases_form_each_product_once(monkeypatch):
     left = fraction_left(a)
     want, n_terms = [], 0
     for basis in powers[:-1]:
-        prev = [{k: c for k, c in enumerate(w) if c} for w in basis]
+        prev = [dict(w) for w in basis]
         want += [p for i in range(a.dim) for w in prev
                  for p in [fraction_left_mul(left, i, w)] if p]
         n_terms += sum(1 for w in prev for j in w for i in range(a.dim) if (i, j) in a.table)
@@ -527,14 +527,14 @@ def structure_sum(table, u, v, dim):
 def naive_power_dims(a):
     """dim A^n for n = 1, 2, ... by the dense loop: every product e_i w over
     the previous basis, kept when it raises the rank."""
-    basis = [a.space.basis_vector(i) for i in range(a.dim)]
+    basis = [basis_vector(a.dim, i) for i in range(a.dim)]
     dims = [len(basis)]
     while basis:
         kept, rk = [], 0
         for i in range(a.dim):
             for w in basis:
-                p = structure_sum(a.table, a.space.basis_vector(i), w, a.dim)
-                if linalg.rank([list(v) for v in kept] + [p]) > rk:
+                p = structure_sum(a.table, basis_vector(a.dim, i), w, a.dim)
+                if linalg.rank(kept + [p]) > rk:
                     kept.append(p)
                     rk += 1
         dims.append(len(kept))
@@ -599,7 +599,7 @@ def test_product_matches_structure_sum(a, data):
     vec = st.lists(st.one_of(st.just(F(0)), coefficients),
                    min_size=a.dim, max_size=a.dim)
     u, v = data.draw(vec), data.draw(vec)
-    assert a.product(u, v) == structure_sum(a.table, u, v, a.dim)
+    assert a.product(sparse(u), sparse(v)) == sparse(structure_sum(a.table, u, v, a.dim))
 
 
 @given(st.integers(0, 7), st.data())
@@ -623,4 +623,4 @@ def test_bracket_vec_matches_structure_sum(which, data):
     vec = st.lists(st.one_of(st.just(F(0)), coefficients),
                    min_size=l.dim, max_size=l.dim)
     u, v = data.draw(vec), data.draw(vec)
-    assert l.bracket_vec(u, v) == structure_sum(l.table, u, v, l.dim)
+    assert l.bracket_vec(sparse(u), sparse(v)) == sparse(structure_sum(l.table, u, v, l.dim))

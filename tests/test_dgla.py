@@ -16,7 +16,8 @@ from conftest import (counterexample_algebras, counterexample_element,
                       counterexample_extension, dense_contraction, dense_tensor_bracket,
                       dense_tensor_bracket_vec, direct_sum_dgla, heisenberg,
                       koszul_truncation, make_rng, random_abelian_dgla, random_algebra, random_dgla,
-                      reference_staged_witness, rescaled, sl2, sl2_odd)
+                      reference_staged_witness, rescaled, sl2, sl2_odd, dense, dense_apply,
+                      sparse, vec_add)
 
 F = Fraction
 
@@ -30,7 +31,7 @@ def test_table_entry_returns_a_fresh_vector():
     l = sl2()
     v = l.table_entry(0, 2)
     v[1] += 5
-    assert l.table_entry(0, 2) == [F(0), F(1), F(0)]
+    assert l.table_entry(0, 2) == {1: F(1)}
 
 
 def test_tensor_dgla_signs_certified():
@@ -55,7 +56,7 @@ def test_tensor_dgla_nilpotency():
         acc = t.space.basis_vector(min(1, t.dim - 1))
         for _ in range(depth):
             acc = t.bracket_vec(v, acc)
-        assert linalg.is_zero_vector(acc)
+        assert acc == {}
 
 
 # ---- BCH against an exact matrix-logarithm oracle --------------------------
@@ -111,36 +112,43 @@ def commutator_bracket(u, w):
     return vec_of([[ab[i][j] - ba[i][j] for j in range(N)] for i in range(N)])
 
 
+def sparse_commutator(u, w):
+    dim = N * (N - 1) // 2
+    return sparse(commutator_bracket(dense(u, dim), dense(w, dim)))
+
+
 def test_bch_against_matrix_oracle():
     rng = make_rng(32)
     dim = N * (N - 1) // 2
     for _ in range(15):
         u = [F(rng.randint(-2, 2)) for _ in range(dim)]
         w = [F(rng.randint(-2, 2)) for _ in range(dim)]
-        z = bch(commutator_bracket, u, w, 3)
-        assert mat_of(z) == mlog(mmul(mexp(mat_of(u)), mexp(mat_of(w))))
+        z = bch(sparse_commutator, sparse(u), sparse(w), 3)
+        assert mat_of(dense(z, dim)) == mlog(mmul(mexp(mat_of(u)), mexp(mat_of(w))))
 
 
 def test_bch_degenerate_cases():
     dim = N * (N - 1) // 2
-    zero = [F(0)] * dim
-    u = [F(1)] * dim
-    assert bch(commutator_bracket, u, zero, 3) == u
-    assert bch(commutator_bracket, zero, u, 3) == u
+    u = {i: F(1) for i in range(dim)}
+    assert bch(sparse_commutator, u, {}, 3) == u
+    assert bch(sparse_commutator, {}, u, 3) == u
     # u and -u are inverse
-    minus = [-c for c in u]
-    assert bch(commutator_bracket, u, minus, 3) == zero
+    minus = {i: -c for i, c in u.items()}
+    assert bch(sparse_commutator, u, minus, 3) == {}
 
 
 # ---- gauge action ----------------------------------------------------------
 
+def random_degree0(rng, t, bound=2):
+    """A random element of (L⊗A)⁰ with integer coefficients in ±bound."""
+    return sparse([F(rng.randint(-bound, bound)) if d == 0 else F(0)
+                   for d in t.space.degrees])
+
+
 def random_mc_element(rng, t):
     """An MC element obtained by gauging 0: x = e^a * 0."""
-    deg0 = t.space.degree_indices(0)
-    a = t.space.zero_vector()
-    for i in deg0:
-        a[i] = F(rng.randint(-2, 2))
-    return gauge_act(t, a, t.space.zero_vector()), a
+    a = random_degree0(rng, t)
+    return gauge_act(t, a, {}), a
 
 
 def test_gauge_act_preserves_mc():
@@ -155,10 +163,7 @@ def test_gauge_act_preserves_mc():
         x, _ = random_mc_element(rng, t)
         ok, _ = mc_check(t, x)
         assert ok
-        deg0 = t.space.degree_indices(0)
-        g = t.space.zero_vector()
-        for i in deg0:
-            g[i] = F(rng.randint(-2, 2))
+        g = random_degree0(rng, t)
         y = gauge_act(t, g, x)
         ok, _ = mc_check(t, y)
         assert ok
@@ -175,12 +180,11 @@ def test_gauge_action_group_law():
         if t.nilpotency_class is None or not t.space.degree_indices(0):
             continue
         x, _ = random_mc_element(rng, t)
-        deg0 = t.space.degree_indices(0)
-        a = t.space.zero_vector()
-        b = t.space.zero_vector()
-        for i in deg0:
+        a, b = {}, {}
+        for i in t.space.degree_indices(0):
             a[i] = F(rng.randint(-1, 1))
             b[i] = F(rng.randint(-1, 1))
+        a, b = sparse(dense(a, t.dim)), sparse(dense(b, t.dim))
         lhs = gauge_act(t, a, gauge_act(t, b, x))
         rhs = gauge_act(t, bch(t.bracket_vec, a, b, t.nilpotency_class), x)
         assert lhs == rhs
@@ -205,13 +209,11 @@ def test_gauge_stabilizer_law():
         cols = []
         for i in deg0:
             e = t.space.basis_vector(i)
-            cols.append(linalg.vec_sub(t.bracket_vec(e, b), t.d.apply(e)))
-        ns = linalg.nullspace([[cols[c][r] for c in range(len(cols))]
+            cols.append(linalg.add_into(t.bracket_vec(e, b), t.d.apply(e), F(-1)))
+        ns = linalg.nullspace([[cols[c].get(r, F(0)) for c in range(len(cols))]
                                for r in range(t.dim)])
         for coeffs in ns:
-            a = t.space.zero_vector()
-            for c, i in zip(coeffs, deg0):
-                a[i] = c
+            a = {i: c for c, i in zip(coeffs, deg0) if c}
             assert gauge_act(t, a, b) == b
         done += 1
 
@@ -241,7 +243,7 @@ def test_zero_element_always_lifts():
     l = sl2()
     e = counterexample_extension()
     tb = tensor_dgla(l, e.b)
-    res = mc_lift(e, l, tb.space.zero_vector())
+    res = mc_lift(e, l, {})
     assert res.lifted
     ok, _ = mc_check(res.tensor_a, res.lift)
     assert ok
@@ -268,16 +270,11 @@ def test_lift_through_strictly_small_extension():
         x_up, _ = random_mc_element(rng, t)
         tb = tensor_dgla(l, e.b)
         # push x_up down to B, then lift back: must succeed
-        x = [F(0)] * (l.dim * e.b.dim)
-        amat = e.alpha.map
-        for i in range(l.dim):
-            for p in range(a.dim):
-                c = x_up[t.pair_index(i, p)]
-                if c:
-                    col = amat.column(p)
-                    for qq, cc in enumerate(col):
-                        if cc:
-                            x[tb.pair_index(i, qq)] += c * cc
+        x = {}
+        for key, c in x_up.items():
+            i, p = divmod(key, a.dim)
+            linalg.add_into(x, {tb.pair_index(i, qq): cc
+                                for qq, cc in e.alpha.map.column(p).items()}, c)
         ok, _ = mc_check(tb, x)
         assert ok
         res = mc_lift(e, l, x)
@@ -291,10 +288,10 @@ def test_lift_translations_are_lifts():
     l = sl2()
     e = counterexample_extension()
     tb = tensor_dgla(l, e.b)
-    res = mc_lift(e, l, tb.space.zero_vector())
+    res = mc_lift(e, l, {})
     assert res.lifted
     for v in res.lift_translations:
-        cand = linalg.vec_add(res.lift, v)
+        cand = linalg.add_into(dict(res.lift), v)
         ok, _ = mc_check(res.tensor_a, cand)
         assert ok
 
@@ -307,8 +304,7 @@ def test_gauge_equivalent_verify_mode():
     a = random_algebra(rng, max_dim=5)
     t = tensor_dgla(l, a)
     x, g = random_mc_element(rng, t)
-    dec = gauge_equivalent(l, a, t.space.zero_vector(), x,
-                           mode="verify", witness=g)
+    dec = gauge_equivalent(l, a, {}, x, mode="verify", witness=g)
     assert dec.verdict == "YES"
 
 
@@ -324,11 +320,9 @@ def test_gauge_equivalent_abelian_complete():
         deg1 = t.space.degree_indices(1)
         if not deg1:
             continue
-        x = t.space.zero_vector()
-        c = t.space.zero_vector()
-        for i in deg0:
-            c[i] = F(rng.randint(-2, 2))
-        y = linalg.vec_sub(x, t.d.apply(c))
+        x = {}
+        c = random_degree0(rng, t)
+        y = linalg.add_into(dict(x), t.d.apply(c), F(-1))
         okx, _ = mc_check(t, x)
         oky, _ = mc_check(t, y)
         if not (okx and oky):
@@ -354,7 +348,7 @@ def test_gauge_equivalent_distinguishes_classes():
         y = coh.representative(
             [i for i in range(coh.harmonic_space.dim)
              if coh.harmonic_space.degrees[i] == 1][0])
-        dec = gauge_equivalent(l, a, t.space.zero_vector(), y, mode="decide")
+        dec = gauge_equivalent(l, a, {}, y, mode="decide")
         assert dec.verdict == "NO"
         done += 1
 
@@ -365,9 +359,9 @@ def test_gauge_equivalent_staged():
     a, _ = counterexample_algebras()
     t = tensor_dgla(l, a)
     x, g = random_mc_element(rng, t)
-    dec = gauge_equivalent(l, a, t.space.zero_vector(), x, mode="decide")
+    dec = gauge_equivalent(l, a, {}, x, mode="decide")
     assert dec.verdict == "YES"
-    assert gauge_act(t, dec.witness, t.space.zero_vector()) == x
+    assert gauge_act(t, dec.witness, {}) == x
 
 
 def test_staged_gauge_witness_is_the_bch_witness():
@@ -423,12 +417,10 @@ def test_derivations_dgla_validates():
                 for j in range(a.dim):
                     lhs = h.apply(a.table_entry(i, j))
                     sgn = F(-1 if (n % 2 and a.space.degrees[i] % 2) else 1)
-                    rhs = linalg.vec_add(
-                        a.product(h.apply(a.space.basis_vector(i)),
-                                  a.space.basis_vector(j)),
-                        linalg.vec_scale(sgn, a.product(
-                            a.space.basis_vector(i),
-                            h.apply(a.space.basis_vector(j)))))
+                    rhs = linalg.add_into(
+                        a.product(h.apply(a.space.basis_vector(i)), a.space.basis_vector(j)),
+                        a.product(a.space.basis_vector(i), h.apply(a.space.basis_vector(j))),
+                        sgn)
                     assert lhs == rhs
 
 
@@ -464,18 +456,19 @@ def test_tensor_bracket_matches_dense_oracle():
             for _ in range(6):
                 u = [F(rng.choice([0, 0, 1, -1, 2])) for _ in range(t.dim)]
                 v = [F(rng.choice([0, 1, -2, 3])) for _ in range(t.dim)]
-                assert t.bracket_vec(u, v) == dense_tensor_bracket_vec(want, u, v)
+                assert t.bracket_vec(sparse(u), sparse(v)) == \
+                    sparse(dense_tensor_bracket_vec(want, u, v))
             for s, u in want:
                 assert t.bracket_vec(t.space.basis_vector(s),
-                                     t.space.basis_vector(u)) == want[(s, u)]
+                                     t.space.basis_vector(u)) == sparse(want[(s, u)])
             # the lazily built table holds exactly the nonzero brackets, and
             # its left index gives the same brackets as the view
             assert {key: [row.get(k, F(0)) for k in range(t.dim)]
                     for key, row in t.table.items()} == \
                 {key: row for key, row in want.items() if any(row)}
             for _ in range(3):
-                u = [F(rng.randint(-2, 2)) for _ in range(t.dim)]
-                v = [F(rng.randint(-2, 2)) for _ in range(t.dim)]
+                u = sparse([F(rng.randint(-2, 2)) for _ in range(t.dim)])
+                v = sparse([F(rng.randint(-2, 2)) for _ in range(t.dim)])
                 assert Dgla.bracket_vec(t, u, v) == t.bracket_vec(u, v)
     assert flipped      # the Koszul sign decides some of the brackets
 
@@ -506,14 +499,17 @@ def test_tensor_bracket_on_fractions_matches_dense_oracle():
                 flipped += sum(1 for (s, u), row in want.items()
                                if any(row) and af.space.degrees[s % af.dim] % 2
                                and lf.space.degrees[u // af.dim] % 2)
-                zero = t.space.zero_vector()
+                zero = [F(0)] * t.dim
                 for _ in range(2):
                     u = _fractional(rng, t.dim, 0.7)
                     v = _fractional(rng, t.dim, 0.4)
-                    for x, y in ((u, v), (u, u), (u, zero), (zero, v)):
-                        assert t.bracket_vec(x, y) == dense_tensor_bracket_vec(want, x, y)
+                    su, sv = sparse(u), sparse(v)
+                    for x, y, sx, sy in ((u, v, su, sv), (u, u, su, su), (u, zero, su, {}),
+                                         (zero, v, {}, sv)):
+                        assert t.bracket_vec(sx, sy) == \
+                            sparse(dense_tensor_bracket_vec(want, x, y))
                     half = [c / 2 for c in dense_tensor_bracket_vec(want, u, u)]
-                    assert mc_defect(t, u) == linalg.vec_add(t.d.apply(u), half)
+                    assert mc_defect(t, su) == sparse(vec_add(dense_apply(t.d, u), half))
     assert flipped and fractional >= 6
 
 
@@ -541,8 +537,8 @@ def test_integer_index_is_built_once_and_shared_by_with_differential_copies(monk
     for a in copies + copies:
         t = tensor_dgla(l, a)
         x = _fractional(rng, t.dim, 0.2)
-        mc_defect(t, x)
-        a.product(x[:a.dim], x[-a.dim:])
+        mc_defect(t, sparse(x))
+        a.product(sparse(x[:a.dim]), sparse(x[-a.dim:]))
     assert built == []
     assert all(c._left is base._left and c.den == base.den for c in copies)
     assert copies[1].d == d and base.d.is_zero()
@@ -558,7 +554,7 @@ def test_mc_lift_builds_no_tensor_table_and_no_ideal_powers(monkeypatch):
     def no_powers(self):
         raise AssertionError("mc_lift computed ideal powers")
     monkeypatch.setattr(NilpotentDgAlgebra, "power_ideal_bases", no_powers)
-    for ext, elem in [(e, x)] + [(s, [F(0)] * (l.dim * s.b.dim)) for s in stages]:
+    for ext, elem in [(e, x)] + [(s, {}) for s in stages]:
         res = mc_lift(ext, l, elem)
         for t in (res.tensor_a, res.tensor_i):
             assert not {"bracket", "_left", "nilpotency_class"} & set(vars(t))
@@ -575,9 +571,8 @@ def test_mc_lift_on_strictly_small_extension_inverts_nothing(monkeypatch):
     assert e.is_strictly_small()
     l = sl2_odd()
     tb = tensor_dgla(l, a3)
-    x = tb.space.zero_vector()
-    x[tb.pair_index(0, a3.space.index("u"))] = F(1)      # e ⊗ u
-    x[tb.pair_index(3, a3.space.index("t"))] = F(-2)     # E ⊗ t
+    x = {tb.pair_index(0, a3.space.index("u")): F(1),      # e ⊗ u
+         tb.pair_index(3, a3.space.index("t")): F(-2)}     # E ⊗ t
     assert mc_check(tb, x)[0]
     calls = []
     real = linalg.invert
@@ -586,7 +581,7 @@ def test_mc_lift_on_strictly_small_extension_inverts_nothing(monkeypatch):
     assert calls == []
     assert res.lifted and mc_check(res.tensor_a, res.lift)[0]
     ref = dense_contraction(res.tensor_i.complex())
-    assert res.cohomology_class == ref.class_of(res.defect)
+    assert res.cohomology_class == sparse(ref.class_of(dense(res.defect, res.tensor_i.dim)))
 
 
 def test_mc_lift_on_strictly_small_extension_eliminates_each_degree_once(monkeypatch):
@@ -602,9 +597,8 @@ def test_mc_lift_on_strictly_small_extension_eliminates_each_degree_once(monkeyp
     pair = GradedSpace([("p", 0), ("q", 1)])
     l = direct_sum_dgla(sl2_odd(), Dgla(pair, {}, GradedMap(pair, pair, 1, {(1, 0): F(1)})))
     tb = tensor_dgla(l, a3)
-    x = tb.space.zero_vector()
-    x[tb.pair_index(0, a3.space.index("t*u"))] = F(1)
-    x[tb.pair_index(2, a3.space.index("t*v"))] = F(1)
+    x = {tb.pair_index(0, a3.space.index("t*u")): F(1),
+         tb.pair_index(2, a3.space.index("t*v")): F(1)}
     echelons, related = {}, []
     real_add, real_relations, real_of = (linalg.Echelon._add, linalg.relations,
                                          linalg.Echelon.relations_of)
@@ -631,8 +625,9 @@ def test_mc_lift_on_strictly_small_extension_eliminates_each_degree_once(monkeyp
     assert degrees(vs for _, vs in echelons.values()) == sorted(by_degree)
     assert degrees(related) == [1, 2]
     ref = dense_contraction(ti.complex())
-    assert not res.lifted and any(res.cohomology_class)
-    assert res.cohomology_class == ref.class_of(res.defect)
+    assert not res.lifted and res.cohomology_class
+    assert res.cohomology_class == sparse(ref.class_of(dense(res.defect, ti.dim)))
     # the obstruction extends T's echelon afterwards; degree 1 is unchanged
     split = res.i_cohomology.split(1)
-    assert split.boundaries == ref.boundaries[1] and split.harmonics == ref.harmonics[1]
+    assert split.boundaries == [sparse(v) for v in ref.boundaries[1]]
+    assert split.harmonics == [sparse(v) for v in ref.harmonics[1]]

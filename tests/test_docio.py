@@ -444,7 +444,7 @@ def _built_maps_and_vectors(path):
         base = build(parse((FIXTURES / pair).read_text()))
         base = base.b if pair.endswith(".ext") else base
         l = build(parse((FIXTURES / "sl2.dgla").read_text()))
-        return [], [docio.build_mc_element(doc, tensor_dgla(l, base).space)]
+        return [], [list(docio.build_mc_element(doc, tensor_dgla(l, base).space).values())]
     obj = build(doc)
     if doc.kind in ("nilpotent_dg_algebra", "dgla"):
         return [obj.d], [list(row.values()) for _, _, row in obj.constants()]

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from defalg import linalg
-from conftest import extend_basis, identity, make_rng, mat_mul, mat_vec, rref
+from conftest import (extend_basis, identity, is_zero_vector, make_rng, mat_mul, mat_vec, rref,
+                      vec_add, vec_scale)
 
 F = Fraction
 
@@ -68,7 +69,7 @@ def test_nullspace_is_kernel_basis():
         a = random_matrix(rng, m, n)
         ns = linalg.nullspace(a)
         for v in ns:
-            assert linalg.is_zero_vector(mat_vec(a, v))
+            assert is_zero_vector(mat_vec(a, v))
         assert len(ns) == n - linalg.rank([row[:] for row in a])
         if ns:
             assert linalg.rank([v[:] for v in ns]) == len(ns)
@@ -114,7 +115,7 @@ def test_solve_in_span_exactness(vectors, target):
     if coords is not None:
         acc = [F(0)] * 3
         for c, v in zip(coords, vectors):
-            acc = linalg.vec_add(acc, linalg.vec_scale(c, v))
+            acc = vec_add(acc, vec_scale(c, v))
         assert acc == list(target)
     else:
         assert linalg.rank([list(v) for v in vectors]) < \
@@ -140,10 +141,10 @@ def vector_lists(draw, max_vectors=8):
             out.append(draw(sparse_vec))
         elif kind == "copy":
             v = draw(st.sampled_from(out))
-            out.append(linalg.vec_scale(draw(rationals), v))
+            out.append(vec_scale(draw(rationals), v))
         else:
             u, w = draw(st.sampled_from(out)), draw(st.sampled_from(out))
-            out.append(linalg.vec_add(linalg.vec_scale(draw(rationals), u), w))
+            out.append(vec_add(vec_scale(draw(rationals), u), w))
     return n, out
 
 
@@ -189,7 +190,7 @@ def test_echelon_coords_match_solve_in_span(first, data):
     assert ech.count == len(vecs)
     inside = [F(0)] * n
     for v in vecs:
-        inside = linalg.vec_add(inside, linalg.vec_scale(data.draw(rationals), v))
+        inside = vec_add(inside, vec_scale(data.draw(rationals), v))
     anywhere = data.draw(st.lists(rationals, min_size=n, max_size=n))
     for target in (inside, anywhere, [F(0)] * n):
         expect = linalg.solve_in_span(vecs, target)
@@ -212,7 +213,7 @@ def test_pivot_inverse_gives_the_coordinates_of_the_span(first, data):
     assert len(inv) == len(ech.independent)
     inside = [F(0)] * n
     for v in vecs:
-        inside = linalg.vec_add(inside, linalg.vec_scale(data.draw(rationals), v))
+        inside = vec_add(inside, vec_scale(data.draw(rationals), v))
     got = [F(0)] * len(vecs)
     for p, col in inv.items():
         for k, z in col.items():

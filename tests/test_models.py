@@ -223,11 +223,9 @@ def test_morphism_from_generators_forms_one_product_per_word(monkeypatch):
     a = r.algebra()
     images = []
     for i, deg in enumerate(r.v.degrees):
-        v = a.space.basis_vector(i)
         pos = next(p for p, w in enumerate(r.basis.words)
                    if len(w) == 2 and a.space.degrees[p] == deg)
-        v[pos] += F(-3, 2)
-        images.append(v)
+        images.append({i: F(1), pos: F(-3, 2)})
     real = NilpotentDgAlgebra.product
     calls = []
     monkeypatch.setattr(NilpotentDgAlgebra, "product",
@@ -277,7 +275,7 @@ def test_kuranishi_sl2():
     assert rk.v.dim == 3 and all(d == 1 for d in rk.v.degrees)
     # the versal element satisfies Maurer-Cartan through the captured order
     dft = ve.defect()
-    assert linalg.is_zero_vector(dft)
+    assert dft == {}
     # quadratic differential only, of full rank
     d2 = rk.components.get(2)
     assert d2 is not None and 3 not in rk.components
@@ -298,7 +296,7 @@ def test_kuranishi_sl2_quadratic_part_is_dual_bracket():
     for c in range(3):
         for pos, (a, b) in enumerate(p2.monomials):
             got = d2.entries.get((pos, c), F(0))
-            want = cb.table_entry(a, b)[c]
+            want = cb.table_entry(a, b).get(c, F(0))
             if a == b:
                 want = want / 2          # x_a x_a appears once in ½[ξ,ξ]
             if want:
@@ -317,7 +315,7 @@ def test_kuranishi_abelian_is_smooth():
     rk, ve = kuranishi_prorepresent(ab, order=3)
     assert rk.v.dim == 0 or not rk.components
     assert is_smooth_minimal(rk)[0]
-    assert linalg.is_zero_vector(ve.defect())
+    assert ve.defect() == {}
 
 
 def test_kuranishi_mixed_degrees():
@@ -328,7 +326,7 @@ def test_kuranishi_mixed_degrees():
     coh = def_tangent(l)
     want = sorted(1 - d for d in coh.harmonic_space.degrees)
     assert sorted(rk.v.degrees) == want
-    assert linalg.is_zero_vector(ve.defect())
+    assert ve.defect() == {}
     # tangent dimensions of the model match the DGLA cohomology
     for i in (-1, 0, 1, 2):
         assert h_r_tangent(rk, i) == coh.dims().get(i, 0)
@@ -350,7 +348,7 @@ def test_prorepresent_builds_one_product_table(monkeypatch):
     rk, ve = kuranishi_prorepresent(l, order=4)
     assert len(built) == 1 and built[0] == rk.algebra().space
     assert ve.tensor.a is rk.algebra()
-    assert linalg.is_zero_vector(ve.defect())
+    assert ve.defect() == {}
 
 
 def test_with_components_shares_the_product_table():
@@ -378,4 +376,4 @@ def test_prorepresent_never_builds_the_table_view_of_r(monkeypatch):
     monkeypatch.setattr(defalg.algebras.BilinearStructure, "constants", recording)
     rk, ve = kuranishi_prorepresent(sl2_odd(), order=8)
     assert rk.algebra().space not in read and "table" not in vars(rk.algebra())
-    assert linalg.is_zero_vector(ve.defect())
+    assert ve.defect() == {}
