@@ -335,9 +335,8 @@ class NilpotentDgAlgebra(BilinearStructure):
         the relations among the maps e_i * -, flattened from the integer
         index (their common scale den leaves the relations as they are)."""
         n = self.dim
-        rels = linalg.relations([{j * n + k: c for j, row in self._left[i]
+        return linalg.relations([{j * n + k: c for j, row in self._left[i]
                                   for k, c in row.items()} for i in range(n)])[1]
-        return [{i: c for i, c in enumerate(rel) if c} for rel in rels]
 
     def validate(self) -> "ValidationReport":
         """Check graded commutativity, associativity, d∘d = 0, Leibniz and
@@ -452,10 +451,9 @@ def subalgebra(ambient: NilpotentDgAlgebra, vectors: Sequence[SparseVec],
     for i, u in enumerate(vectors):
         for j, v in enumerate(vectors):
             p = ambient.product(u, v)
-            coords = span.coords(p)
-            if coords is None:
+            row = span.coords(p)
+            if row is None:
                 raise ValueError("span is not closed under multiplication")
-            row = {k: c for k, c in enumerate(coords) if c}
             if row:
                 mult[(i, j)] = row
     d = GradedMap(space, space, 1)
@@ -463,28 +461,35 @@ def subalgebra(ambient: NilpotentDgAlgebra, vectors: Sequence[SparseVec],
         coords = span.coords(ambient.d.apply(u))
         if coords is None:
             raise ValueError("span is not closed under the differential")
-        for j, c in enumerate(coords):
-            if c:
-                d.set_entry(j, i, c)
+        for j, c in coords.items():
+            d.set_entry(j, i, c)
     incl = GradedMap.from_columns(space, ambient.space, 0, vectors)
     return NilpotentDgAlgebra(space, mult, d), incl
 
 
 def quotient_algebra(a: NilpotentDgAlgebra, ideal: Sequence[SparseVec]
                      ) -> Tuple[NilpotentDgAlgebra, DgAlgebraMorphism]:
-    """Quotient by a d-stable ideal given by spanning vectors."""
-    # one echelon over the ideal's vectors, then the standard basis: the
-    # basis vectors it keeps span a complement, and a vector's coordinates
-    # on them are its image in A/J.  The projection is linear, so each
-    # basis vector is projected once and the quotient's constants and d
-    # are read off A's integer index (over den) and d's columns
+    """Quotient by a d-stable ideal given by spanning vectors.
+
+    One echelon over the ideal's vectors, then the standard basis: the
+    basis vectors it keeps span a complement, and a vector's coordinates
+    on them are its image in A/J.  The projection is linear, so each basis
+    vector is projected once and the quotient's constants and d are read
+    off A's integer index (over den) and d's columns.  A kept basis vector
+    projects to itself without a solve: it is one of the independent
+    vectors of the echelon, whose expression in them is unique, so its
+    coordinates are 1 at its own position.  Only the others are solved.
+    """
     span = linalg.echelon(ideal)
     nj = span.count
     compl_idx = [i for i in range(a.dim) if span.add({i: ONE})]
+    pos = {i: n for n, i in enumerate(compl_idx)}
     proj: List[SparseVec] = []
     for k in range(a.dim):
-        coords = span.coords({k: ONE})
-        proj.append({n: coords[nj + i] for n, i in enumerate(compl_idx) if coords[nj + i]})
+        if k in pos:
+            proj.append({pos[k]: ONE})
+        else:
+            proj.append({pos[t - nj]: c for t, c in span.coords({k: ONE}).items() if t >= nj})
 
     def project(v: Dict, den: int = 1) -> SparseVec:
         out: SparseVec = {}
@@ -496,7 +501,6 @@ def quotient_algebra(a: NilpotentDgAlgebra, ideal: Sequence[SparseVec]
     names = [a.space.names[i] for i in compl_idx]
     degs = [a.space.degrees[i] for i in compl_idx]
     space = GradedSpace(list(zip(names, degs)))
-    pos = {i: n for n, i in enumerate(compl_idx)}
     mult = (((pos[i], pos[j]), project(row, a.den)) for i, row_list in enumerate(a._left)
             if i in pos for j, row in row_list if j in pos)
     d = GradedMap(space, space, 1)
@@ -558,10 +562,8 @@ class FiberProduct:
                                   **{na + j: c for j, c in g.map.column(i).items()}})
             if coords is None:
                 raise ValueError("image does not land in the fiber product")
-        # fill entries
-            for j, c in enumerate(coords):
-                if c:
-                    m.set_entry(j, i, c)
+            for j, c in coords.items():
+                m.set_entry(j, i, c)
         return DgAlgebraMorphism(src, self.algebra, m, check=False)
 
 
@@ -576,8 +578,7 @@ def fiber_product(alpha: DgAlgebraMorphism, beta: DgAlgebraMorphism) -> FiberPro
     # pick a homogeneous kernel basis: split each vector by degree
     homog: List[SparseVec] = []
     for rel in kern:
-        homog.extend(prod.space.homogeneous_components(
-            {k: c for k, c in enumerate(rel) if c}).values())
+        homog.extend(prod.space.homogeneous_components(rel).values())
     chosen = linalg.independent_subset(homog)
     basis = [homog[c] for c in chosen]
     sub, incl = subalgebra(prod, basis, names=["fp%d" % i for i in range(len(basis))])
@@ -649,7 +650,7 @@ class SmallExtension:
             coords = self._iota_echelon.coords(block)
             if coords is None:
                 return None
-            out.update((b * ni + t, c) for t, c in enumerate(coords) if c)
+            out.update((b * ni + t, c) for t, c in coords.items())
         return out
 
     @cached_property
@@ -668,7 +669,7 @@ class SmallExtension:
             pre = self._alpha_echelon.coords({j: ONE})
             if pre is None:
                 raise ValueError("alpha is not surjective")
-            cols.append({i: c for i, c in enumerate(pre) if c})
+            cols.append(pre)
         return GradedMap.from_columns(self.b.space, self.a.space, 0, cols)
 
 
@@ -681,8 +682,7 @@ def kernel_extension(alpha: DgAlgebraMorphism) -> SmallExtension:
     echelons are kept for ``validate()``, ``section()`` and
     ``kernel_coords``.
     """
-    alpha_ech, rels = linalg.relations(alpha.map.columns())
-    basis = [{k: c for k, c in enumerate(rel) if c} for rel in rels]
+    alpha_ech, basis = linalg.relations(alpha.map.columns())
     degs = [alpha.source.space.vector_degree(v) for v in basis]
     ispace = GradedSpace([("i%d" % k, d) for k, d in enumerate(degs)])
     di = GradedMap(ispace, ispace, 1)
@@ -691,9 +691,8 @@ def kernel_extension(alpha: DgAlgebraMorphism) -> SmallExtension:
         coords = span.coords(alpha.source.d.apply(v))
         if coords is None:
             raise ValueError("kernel is not stable under the differential")
-        for j, c in enumerate(coords):
-            if c:
-                di.set_entry(j, k, c)
+        for j, c in coords.items():
+            di.set_entry(j, k, c)
     iota = GradedMap.from_columns(ispace, alpha.source.space, 0, basis)
     e = SmallExtension(Complex(ispace, di), alpha.source, alpha.target, iota, alpha)
     e._alpha_echelon, e._iota_echelon = alpha_ech, span
@@ -706,17 +705,27 @@ def factor_into_small_extensions(alpha: DgAlgebraMorphism) -> List[SmallExtensio
     At each step the kernel is cut down by J = ker ∩ Ann(A), which is
     automatically square-zero, annihilated by A and differential-stable;
     quotient by J and repeat until the induced map is injective.
+
+    When the map is zero, as on every stage of a chain A -> 0, the kernel
+    is all of A and J = Ann(A): the kernel basis would be the standard
+    basis, and intersecting its span with Ann's would hand back Ann's own
+    basis vectors, in their order and with their entries, so neither is
+    computed.
     """
     if not alpha.is_surjective():
         raise ValueError("morphism is not surjective")
     chain: List[SmallExtension] = []
     current = alpha
     while True:
-        kern = current.map.kernel_basis()
-        if not kern:
-            break
-        ann = current.source.annihilator_basis()
-        inter = _intersect_spans(kern, ann)
+        if current.map.is_zero():
+            if not current.source.dim:
+                break
+            inter = current.source.annihilator_basis()
+        else:
+            kern = current.map.kernel_basis()
+            if not kern:
+                break
+            inter = _intersect_spans(kern, current.source.annihilator_basis())
         if not inter:
             raise CertificateError("ker ∩ Ann is zero, which nilpotency excludes")
         homog: List[SparseVec] = []
@@ -742,9 +751,9 @@ def _intersect_spans(u: Sequence[SparseVec], w: Sequence[SparseVec]) -> List[Spa
     out = []
     for sol in linalg.relations(list(u) + [{k: -x for k, x in v.items()} for v in w])[1]:
         vec: SparseVec = {}
-        for c, uc in enumerate(u):
-            if sol[c]:
-                linalg.add_into(vec, uc, sol[c])
+        for c, x in sol.items():
+            if c < len(u):
+                linalg.add_into(vec, u[c], x)
         if vec:
             out.append(vec)
     keep = linalg.independent_subset(out)
@@ -791,7 +800,7 @@ def mapping_cone(a: NilpotentDgAlgebra, module_vectors: Sequence[SparseVec]) -> 
 
     span = linalg.echelon(mv)
 
-    def mcoords(v: SparseVec) -> List[Fraction]:
+    def mcoords(v: SparseVec) -> SparseVec:
         coords = span.coords(v)
         if coords is None:
             raise ValueError("module is not an ideal (product escapes the span)")
@@ -805,11 +814,11 @@ def mapping_cone(a: NilpotentDgAlgebra, module_vectors: Sequence[SparseVec]) -> 
             # e_i · m_k = (-1)^{deg e_i} (e_i w)[1]
             p = a.product(ei, w)
             if p:
-                mult[(i, na + k)] = {na + t: sgn * c for t, c in enumerate(mcoords(p)) if c}
+                mult[(i, na + k)] = {na + t: sgn * c for t, c in mcoords(p).items()}
             # m_k · e_i = (w e_i)[1]
             q = a.product(w, ei)
             if q:
-                mult[(na + k, i)] = {na + t: c for t, c in enumerate(mcoords(q)) if c}
+                mult[(na + k, i)] = {na + t: c for t, c in mcoords(q).items()}
     d = GradedMap(space, space, 1)
     for (j, i), c in a.d.entries.items():
         d.set_entry(j, i, c)
@@ -818,15 +827,13 @@ def mapping_cone(a: NilpotentDgAlgebra, module_vectors: Sequence[SparseVec]) -> 
             coords = span.coords(col)
             if coords is None:
                 raise ValueError("d² does not map A into the module")
-            for t, c in enumerate(coords):
-                if c:
-                    d.set_entry(na + t, i, -c)
+            for t, c in coords.items():
+                d.set_entry(na + t, i, -c)
     for k, w in enumerate(mv):
         for j, c in w.items():             # the inclusion component f: M[1] -> A[1]
             d.set_entry(j, na + k, c)
-        for t, c in enumerate(mcoords(a.d.apply(w))):
-            if c:
-                d.set_entry(na + t, na + k, -c)
+        for t, c in mcoords(a.d.apply(w)).items():
+            d.set_entry(na + t, na + k, -c)
     cone = NilpotentDgAlgebra(space, mult, d)
     incl = DgAlgebraMorphism(a, cone, GradedMap(a.space, space, 0,
                              {(i, i): ONE for i in range(na)}), check=False)

@@ -20,7 +20,7 @@ from .algebras import (BilinearStructure, DgAlgebraMorphism, LeftIndex,
                        NilpotentDgAlgebra, SmallExtension, SparseVec, ValidationReport,
                        _bilinear, factor_into_small_extensions)
 from .graded import Complex, Contraction, GradedMap, GradedSpace, cohomology
-from .linalg import ONE, ZERO, CertificateError, Vector, add_into
+from .linalg import ONE, ZERO, CertificateError, add_into
 
 
 class Dgla(BilinearStructure):
@@ -74,15 +74,15 @@ class TensorDgla(Dgla):
         self.a = a
         nl, na = l.dim, a.dim
         self.space = space = tensor_space(l.space, a.space)
-        self.d = d = GradedMap(space, space, 1)
-        for (j, i), c in l.d.entries.items():
-            for p in range(na):
-                d.set_entry(j * na + p, i * na + p, c)
-        for (q, p), c in a.d.entries.items():
-            for i in range(nl):
-                d.set_entry(i * na + q, i * na + p, -c if l.space.degrees[i] % 2 else c)
-        self._odd_l = [deg % 2 for deg in l.space.degrees]
+        self._odd_l = odd_l = [deg % 2 for deg in l.space.degrees]
         self._odd_a = [deg % 2 for deg in a.space.degrees]
+        # the entries of dx⊗a (block j ≠ i) and of ±x⊗da (block i, q ≠ p)
+        # never collide, and each has degree 1 because d_L's and d_A's have
+        self.d = d = GradedMap(space, space, 1)
+        d.entries = {(j * na + p, i * na + p): c
+                     for (j, i), c in l.d.entries.items() for p in range(na)}
+        d.entries.update(((i * na + q, i * na + p), -c if odd_l[i] else c)
+                         for (q, p), c in a.d.entries.items() for i in range(nl))
         self.den = l.den * a.den
 
     @cached_property
@@ -159,12 +159,14 @@ def tensor_dgla(l: Dgla, a: NilpotentDgAlgebra) -> TensorDgla:
 
 def tensor_push(src: TensorDgla, dst_space: GradedSpace, f: GradedMap,
                 dst_adim: int) -> GradedMap:
-    """The map 1⊗f : L⊗A -> L⊗A' induced by a coefficient map f: A -> A'."""
+    """The map 1⊗f : L⊗A -> L⊗A' induced by a coefficient map f: A -> A'.
+
+    Its entries are f's, one copy per basis vector x_i of L: they never
+    collide, and x_i⊗f has f's degree."""
     out = GradedMap(src.space, dst_space, f.degree)
-    for (q, p), c in f.entries.items():
-        for i in range(src.l.dim):
-            out.set_entry(i * dst_adim + q, i * src.a.dim + p,
-                          out.entries.get((i * dst_adim + q, i * src.a.dim + p), ZERO) + c)
+    na = src.a.dim
+    out.entries = {(i * dst_adim + q, i * na + p): c
+                   for (q, p), c in f.entries.items() for i in range(src.l.dim)}
     return out
 
 
@@ -276,7 +278,7 @@ class McLiftResult:
     lift_translations: List[SparseVec]     # basis of all lift differences, inside L⊗A
     defect: SparseVec                      # defect of the section lift, in L⊗I
     correction: Optional[SparseVec]        # ξ ∈ (L⊗I)¹ with T(ξ) = -defect, when lifted
-    obstruction_class: Optional[Vector]    # coordinates in coker(T) on (L⊗I)²
+    obstruction_class: Optional[List[Fraction]]  # coordinates in coker(T) on (L⊗I)²
     cohomology_class: Optional[SparseVec]  # the class in H²(L⊗I); strictly small only
     tensor_a: TensorDgla
     tensor_i: TensorDgla
@@ -340,12 +342,11 @@ def mc_lift(e: SmallExtension, l: Dgla, x: SparseVec,
         ccls = hcoh.class_of(hi)
         if ccls is None:
             raise CertificateError("the defect is not a cocycle of L⊗I")
-    translations = [emb.apply({i: ker[pos] for pos, i in enumerate(deg1) if ker[pos]})
-                    for ker in kernel]
+    translations = [emb.apply({deg1[pos]: c for pos, c in ker.items()}) for ker in kernel]
 
     sol = t_ech.coords({k: -c for k, c in hi.items()})
     if sol is not None:
-        xi = {i: sol[pos] for pos, i in enumerate(deg1) if sol[pos]}
+        xi = {deg1[pos]: c for pos, c in sol.items()}
         lift = add_into(dict(y), emb.apply(xi))
         if not mc_check(ta, lift)[0]:
             raise CertificateError("the corrected lift fails Maurer-Cartan")
@@ -357,7 +358,7 @@ def mc_lift(e: SmallExtension, l: Dgla, x: SparseVec,
     coords = t_ech.coords(hi)
     if coords is None:
         raise CertificateError("the defect is outside im(T) + the chosen complement")
-    cls = [coords[len(t_cols) + k] for k in chosen]
+    cls = [coords.get(len(t_cols) + k, ZERO) for k in chosen]
     if not any(cls):
         raise CertificateError("an unsolvable system has a zero cokernel class")
     return McLiftResult(False, None, translations, hi, None, cls, ccls,
@@ -409,7 +410,7 @@ def gauge_equivalent(l: Dgla, a: NilpotentDgAlgebra, x: SparseVec,
         sol = linalg.solve_in_span([dcols[i] for i in deg0], diff)
         if sol is None:
             return GaugeDecision("NO")
-        wit = {i: sol[pos] for pos, i in enumerate(deg0) if sol[pos]}
+        wit = {deg0[pos]: c for pos, c in sol.items()}
         if gauge_act(t, wit, x) != y:
             raise CertificateError("the gauge witness does not map x to y")
         return GaugeDecision("YES", wit)
@@ -450,7 +451,7 @@ def gauge_equivalent(l: Dgla, a: NilpotentDgAlgebra, x: SparseVec,
         sol = linalg.solve_in_span([dcols[i] for i in deg0], ri)
         if sol is None:
             return GaugeDecision("UNKNOWN")
-        c = {i: sol[pos] for pos, i in enumerate(deg0) if sol[pos]}
+        c = {deg0[pos]: x for pos, x in sol.items()}
         # c lies in L⊗I with A_j·I = 0, so it is central in L⊗A_j and
         # BCH(c, w) = c + w exactly
         witness_vec = add_into(emb.apply(c), lift_w)
@@ -480,35 +481,31 @@ def derivations_dgla(a: NilpotentDgAlgebra) -> Tuple[Dgla, List[GradedMap]]:
         if not slots:
             continue
         pos = {s: k for k, s in enumerate(slots)}
-        rows: List[Vector] = []
+        rows: List[SparseVec] = []
         # Leibniz: h(e_i e_j) = h(e_i) e_j + (-1)^{n·deg_i} e_i h(e_j)
         for i in range(n):
             for j in range(n):
                 pij = prods.get((i, j), {})
                 sgn = Fraction(-1 if (nn % 2 and degs[i] % 2) else 1)
                 for r in range(n):
-                    row = [ZERO] * len(slots)
+                    row: Dict[int, Fraction] = {}
                     # h(e_i e_j) term
                     for k, ck in pij.items():
                         if (r, k) in pos:
-                            row[pos[(r, k)]] += ck
+                            row[pos[(r, k)]] = row.get(pos[(r, k)], ZERO) + ck
                     # -h(e_i) e_j
                     for (jj, ii), kk in pos.items():
                         if ii == i:
-                            row[kk] -= prods.get((jj, j), {}).get(r, ZERO)
+                            row[kk] = row.get(kk, ZERO) - prods.get((jj, j), {}).get(r, ZERO)
                         if ii == j:
-                            row[kk] -= sgn * prods.get((i, jj), {}).get(r, ZERO)
-                    if any(row):
+                            row[kk] = row.get(kk, ZERO) - sgn * prods.get((i, jj), {}).get(r, ZERO)
+                    row = {k: c for k, c in row.items() if c}
+                    if row:
                         rows.append(row)
-        basis = linalg.nullspace(rows) if rows else [
-            [ONE if t == k else ZERO for t in range(len(slots))]
-            for k in range(len(slots))]
+        basis = linalg.nullspace(rows, len(slots)) if rows else [
+            {k: ONE} for k in range(len(slots))]
         for b in basis:
-            m = GradedMap(a.space, a.space, nn)
-            for (j, i), k in pos.items():
-                if b[k]:
-                    m.set_entry(j, i, b[k])
-            deriv_maps.append(m)
+            deriv_maps.append(GradedMap(a.space, a.space, nn, {slots[k]: c for k, c in b.items()}))
 
     def flat(m: GradedMap) -> SparseVec:
         return {j * n + i: c for (j, i), c in m.entries.items()}
@@ -520,10 +517,9 @@ def derivations_dgla(a: NilpotentDgAlgebra) -> Tuple[Dgla, List[GradedMap]]:
         for j, hj in enumerate(deriv_maps):
             sgn = Fraction(-1 if (hi.degree % 2 and hj.degree % 2) else 1)
             comm_map = hi.compose(hj) - hj.compose(hi).scale(sgn)
-            coords = span.coords(flat(comm_map))
-            if coords is None:
+            row = span.coords(flat(comm_map))
+            if row is None:
                 raise CertificateError("a commutator escaped the derivation space")
-            row = {k: c for k, c in enumerate(coords) if c}
             if row:
                 bracket[(i, j)] = row
     d = GradedMap(space, space, 1)
@@ -533,7 +529,6 @@ def derivations_dgla(a: NilpotentDgAlgebra) -> Tuple[Dgla, List[GradedMap]]:
         coords = span.coords(flat(dm))
         if coords is None:
             raise CertificateError("[d, h] escaped the derivation space")
-        for j, c in enumerate(coords):
-            if c:
-                d.set_entry(j, i, c)
+        for j, c in coords.items():
+            d.set_entry(j, i, c)
     return Dgla(space, bracket, d), deriv_maps

@@ -14,6 +14,7 @@ and multiplies the differential by (-1)^n.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -21,7 +22,7 @@ from math import comb
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
-from .linalg import ONE, ZERO, SparseVec, Vector
+from .linalg import ONE, ZERO, SparseVec
 
 __all__ = [
     "GradedSpace", "GradedMap", "Complex", "Splitting", "Contraction", "ShortExactSequence",
@@ -192,12 +193,6 @@ class GradedMap:
                 and self.target == other.target and self.degree == other.degree
                 and self.entries == other.entries)
 
-    def matrix(self) -> linalg.Matrix:
-        m = linalg.zeros(self.target.dim, self.source.dim)
-        for (j, i), c in self.entries.items():
-            m[j][i] = c
-        return m
-
     def transpose(self) -> "GradedMap":
         """Plain transpose between dual spaces (no signs)."""
         return GradedMap(self.target.dual(), self.source.dual(), self.degree,
@@ -214,8 +209,7 @@ class GradedMap:
         return len(linalg.independent_subset(self.columns()))
 
     def kernel_basis(self) -> List[SparseVec]:
-        return [{i: c for i, c in enumerate(rel) if c}
-                for rel in linalg.relations(self.columns())[1]]
+        return linalg.relations(self.columns())[1]
 
     def __repr__(self):
         return "GradedMap(deg=%d, %d entries)" % (self.degree, len(self.entries))
@@ -377,6 +371,7 @@ class WordBasis:
             words.extend(self.powers[k].monomials)
         self.space = GradedSpace(basis)
         self.words: Tuple[Tuple[int, ...], ...] = tuple(words)
+        self._odd = [d % 2 for d in letters.degrees]
 
     def position(self, word: Sequence[int]) -> Optional[Tuple[int, int]]:
         """(position, sign) of an arbitrary word of length 1..order; None
@@ -385,6 +380,28 @@ class WordBasis:
             raise ValueError("word length outside truncation")
         res = self.powers[len(word)].index(word)
         return None if res is None else (self.offsets[len(word)] + res[0], res[1])
+
+    def product(self, p: Sequence[int], q: Sequence[int]) -> Optional[Tuple[int, int]]:
+        """(position, sign) of the product of two canonical words whose
+        lengths sum to at most order; None when it is zero.
+
+        The words are merged (``sorted`` finds the two sorted runs of p + q
+        and merges them), and each odd letter of q carries the Koszul sign
+        of the odd letters of p greater than it, which it crosses; it finds
+        them by bisecting p's odd letters.  An odd letter in both words
+        makes the product zero."""
+        odd, sign = self._odd, 1
+        p_odd = [a for a in p if odd[a]]
+        if p_odd:
+            for b in q:
+                if odd[b]:
+                    k = bisect_right(p_odd, b)
+                    if k and p_odd[k - 1] == b:
+                        return None
+                    if (len(p_odd) - k) % 2:
+                        sign = -sign
+        word = tuple(sorted(p + q))
+        return self.offsets[len(word)] + self.powers[len(word)]._mono_index[word], sign
 
     def component(self, vec: SparseVec, k: int) -> SparseVec:
         """The ⊙^k-part of a vector on the words, indexed by the positions
@@ -422,14 +439,14 @@ class Contraction:
     """
 
     def __init__(self, cx: Complex,
-                 eliminated: Optional[Dict[int, Tuple[linalg.Echelon, List[Vector]]]] = None):
+                 eliminated: Optional[Dict[int, Tuple[linalg.Echelon, List[SparseVec]]]] = None):
         self.complex = cx
         space = cx.space
         self._dcols = cx.d.columns()
         self._by_degree = {k: space.degree_indices(k) for k in sorted(set(space.degrees))}
         self._pivots: Dict[int, List[int]] = {}    # k -> i in C^k with d e_i spanning B^(k+1)
         self._echelons: Dict[int, linalg.Echelon] = {}  # k -> echelon until Z^k is read
-        self._relations: Dict[int, List[Vector]] = {}   # k -> Z^k in C^k coordinates
+        self._relations: Dict[int, List[SparseVec]] = {}  # k -> Z^k in C^k coordinates
         for k, idx in self._by_degree.items():
             if eliminated and k in eliminated:
                 ech, self._relations[k] = eliminated[k]
@@ -448,7 +465,7 @@ class Contraction:
                                          List[Dict[int, Fraction]]]] = {}
         self._splits: Dict[int, Splitting] = {}
 
-    def _cocycles(self, k: int) -> List[Vector]:
+    def _cocycles(self, k: int) -> List[SparseVec]:
         """Z^k in C^k coordinates, read off the degree's echelon when first
         needed (empty off the degrees of C)."""
         if k not in self._relations:
@@ -466,7 +483,7 @@ class Contraction:
             ech = linalg.echelon(self._dcols[i] for i in self._pivots.get(k - 1, ()))
             positions, harmonics = [], []
             for rel in self._cocycles(k):
-                z = {idx[pos]: x for pos, x in enumerate(rel) if x}
+                z = {idx[pos]: x for pos, x in rel.items()}
                 if ech.add(z):
                     positions.append(ech.count - 1)
                     harmonics.append(z)
@@ -508,7 +525,7 @@ class Contraction:
             ech, hpos, _ = self._harmonic(k)
             coords = ech.coords(part)
             for t, pos in enumerate(hpos):
-                if coords[pos]:
+                if pos in coords:
                     out[self._offsets[k] + t] = coords[pos]
         return out
 
@@ -537,13 +554,15 @@ class Contraction:
         sigma = GradedMap(space, space, -1)
         for k, idx in self._by_degree.items():
             bnd, _, harm, comp = self.split(k)
-            inv = linalg.invert([[c.get(i, ZERO) for c in bnd + harm + comp] for i in idx])
-            nb = len(bnd)
-            for pos, i in enumerate(idx):
-                for t in range(len(harm)):
-                    proj.set_entry(self._offsets[k] + t, i, inv[nb + t][pos])
-                for t, j in enumerate(self._pivots.get(k - 1, ())):
-                    sigma.set_entry(j, i, inv[t][pos])
+            where = {i: pos for pos, i in enumerate(idx)}
+            inv = linalg.invert([{where[i]: x for i, x in c.items()} for c in bnd + harm + comp])
+            nb, nh, bounding = len(bnd), len(harm), self._pivots.get(k - 1, ())
+            for i, col in zip(idx, inv):
+                for t, c in col.items():
+                    if t < nb:
+                        sigma.set_entry(bounding[t], i, c)
+                    elif t < nb + nh:
+                        proj.set_entry(self._offsets[k] + t - nb, i, c)
         return proj, sigma
 
     @property
@@ -556,7 +575,7 @@ class Contraction:
 
 
 def cohomology(cx: Complex,
-               eliminated: Optional[Dict[int, Tuple[linalg.Echelon, List[Vector]]]] = None
+               eliminated: Optional[Dict[int, Tuple[linalg.Echelon, List[SparseVec]]]] = None
                ) -> Contraction:
     """Cohomology with a contraction datum (see Contraction)."""
     return Contraction(cx, eliminated)
@@ -591,8 +610,7 @@ def solve_homotopy(d_source: GradedMap, d_target: GradedMap, t: GradedMap
     sol = linalg.echelon(cols).coords({r * src.dim + c: x for (r, c), x in t.entries.items()})
     if sol is None:
         return None
-    return GradedMap(src, tgt, t.degree - 1,
-                     {slot: x for slot, x in zip(slots, sol) if x})
+    return GradedMap(src, tgt, t.degree - 1, {slots[pos]: x for pos, x in sol.items()})
 
 
 def is_chain_map(f: GradedMap, source: Complex, target: Complex) -> bool:
@@ -657,10 +675,10 @@ def connecting_hom(ses: ShortExactSequence) -> GradedMap:
         y = pech.coords(hq.representative(c))
         if y is None:
             raise linalg.CertificateError("projection not surjective on the representative")
-        z = iech.coords(ses.total.d.apply({i: x for i, x in enumerate(y) if x}))
+        z = iech.coords(ses.total.d.apply(y))
         if z is None:
             raise linalg.CertificateError("d(lift) is not in the image of the inclusion")
-        cls = hs.class_of({i: x for i, x in enumerate(z) if x})
+        cls = hs.class_of(z)
         if cls is None:
             raise linalg.CertificateError("snake output is not a cocycle")
         for j, coef in cls.items():

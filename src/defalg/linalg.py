@@ -1,33 +1,31 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows.  A vector of a graded space is a
-``SparseVec``, a dict ``{index: Fraction}`` that never holds a zero value;
-the coordinates of a vector in the vectors added to an ``Echelon`` are a
-list with one ``Fraction`` per added vector.  All routines are exact:
-there is no floating-point mode anywhere in the package.  ``Echelon`` is
-the one elimination engine: an incremental sparse echelon form, its rows
-stored as Python ints over a row denominator.  Vectors are added one at a
-time, each is reduced against the rows stored so far, and the form answers
-independence and span coordinates without refactoring.  ``rank``,
-``solve``, ``solve_in_span``, ``nullspace``, ``invert``, ``relations`` and
-``independent_subset`` are views of it; each answers
-what reduced row echelon form would (the greedy independent vectors as
-pivots, zeros off them).  Pivots are chosen by a smallest-denominator
-heuristic to limit coefficient growth; no result depends on the choice.
+A vector is a ``SparseVec``, a dict ``{index: Fraction}`` that never holds
+a zero value; the coordinates of a vector in the vectors added to an
+``Echelon`` are a ``SparseVec`` too, keyed by the position of each added
+vector, in increasing order.  All routines are exact: there is no
+floating-point mode anywhere in the package.  ``Echelon`` is the one
+elimination engine: an incremental sparse echelon form, its rows stored as
+Python ints over a row denominator.  Vectors are added one at a time, each
+is reduced against the rows stored so far, and the form answers
+independence and span coordinates without refactoring.
+``solve_in_span``, ``nullspace``, ``invert``, ``relations`` and
+``independent_subset`` are views of it; each answers what reduced row
+echelon form would (the greedy independent vectors as pivots, zeros off
+them).  Pivots are chosen by a smallest-denominator heuristic to limit
+coefficient growth; no result depends on the choice.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-Vector = List[Fraction]             # coordinates in the vectors added to an Echelon
-Matrix = List[List[Fraction]]
-SparseVec = Dict[int, Fraction]    # a vector of a graded space: no zero value
+SparseVec = Dict[int, Fraction]    # a vector or its coordinates: no zero value
 
 
 class CertificateError(Exception):
@@ -41,10 +39,6 @@ def frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
-
-
-def zeros(m: int, n: int) -> Matrix:
-    return [[ZERO] * n for _ in range(m)]
 
 
 def add_into(acc: SparseVec, v: SparseVec, c: Fraction = ONE) -> SparseVec:
@@ -61,12 +55,12 @@ def add_into(acc: SparseVec, v: SparseVec, c: Fraction = ONE) -> SparseVec:
 class Echelon:
     """Incremental sparse row echelon form of the vectors added so far.
 
-    Vectors are dense sequences or sparse ``{index: Fraction}`` dicts.  The
-    stored rows are the added vectors that were independent of the ones
-    before them, reduced: each row has a 1 at its pivot column and a 0 at
-    the pivot columns of the rows stored before it, so one pass over the
-    rows in order reduces a vector.  Each row also keeps its expression in
-    the added vectors, which gives span coordinates.
+    Vectors are ``SparseVec`` dicts.  The stored rows are the added vectors
+    that were independent of the ones before them, reduced: each row has a
+    1 at its pivot column and a 0 at the pivot columns of the rows stored
+    before it, so one pass over the rows in order reduces a vector.  Each
+    row also keeps its expression in the added vectors, which gives span
+    coordinates.
 
     A row is stored on Python ints as ``(pivot, {col: int}, den, {vector:
     int}, e)``: the reduced row is the first dict over ``den``, which is
@@ -79,12 +73,11 @@ class Echelon:
         self.independent: List[int] = []    # the added vectors that were independent
         self._rows: List[Tuple[int, Dict[int, int], int, Dict[int, int], int]] = []
 
-    def _reduce(self, v: Union[SparseVec, Sequence[Fraction]]
-                ) -> Tuple[Dict[int, int], List[Tuple[int, int, int]], int]:
+    def _reduce(self, v: SparseVec) -> Tuple[Dict[int, int], List[Tuple[int, int, int]], int]:
         """The residual of v after elimination as ints over a denominator,
         the (row, c, D) triples subtracted and that denominator:
         v = residual / den + sum of c / D * row."""
-        src = [(j, x) for j, x in (v.items() if isinstance(v, dict) else enumerate(v)) if x]
+        src = [(j, x) for j, x in v.items() if x]
         den = lcm(*(x.denominator for _, x in src))
         r = {j: x.numerator * (den // x.denominator) for j, x in src}
         used = []
@@ -122,18 +115,14 @@ class Echelon:
                 acc[t] = acc.get(t, 0) + m * x
         return acc, big * den
 
-    def _combine(self, used: List[Tuple[int, int, int]], n: int, sign: int = 1) -> Vector:
-        """The n coordinates, in the added vectors, of sign times the sum of
-        c / D * row; a Fraction is built only for a nonzero one."""
+    def _combine(self, used: List[Tuple[int, int, int]], sign: int = 1) -> SparseVec:
+        """The coordinates, in the added vectors, of sign times the sum of
+        c / D * row, keyed by position in increasing order; a Fraction is
+        built only for a nonzero one."""
         acc, den = self._sum(used)
-        out = [ZERO] * n
-        for t, x in acc.items():
-            if x:
-                out[t] = Fraction(sign * x, den)
-        return out
+        return {t: Fraction(sign * x, den) for t, x in sorted(acc.items()) if x}
 
-    def _add(self, v: Union[SparseVec, Sequence[Fraction]]
-             ) -> Optional[List[Tuple[int, int, int]]]:
+    def _add(self, v: SparseVec) -> Optional[List[Tuple[int, int, int]]]:
         """Add v.  None when v is independent of the vectors added before
         it; otherwise the (row, c, D) triples that express it in them."""
         r, used, den = self._reduce(v)
@@ -159,11 +148,11 @@ class Echelon:
         self._rows.append((p, row, row[p], {t: x // h for t, x in expr.items()}, e // h))
         return None
 
-    def add(self, v: Union[SparseVec, Sequence[Fraction]]) -> bool:
+    def add(self, v: SparseVec) -> bool:
         """Add v; True iff it is independent of the vectors added before."""
         return self._add(v) is None
 
-    def coords(self, v: Union[SparseVec, Sequence[Fraction]]) -> Optional[Vector]:
+    def coords(self, v: SparseVec) -> Optional[SparseVec]:
         """Coordinates of v in the added vectors, or None outside their span.
 
         Vectors that were dependent when added get coordinate 0: this is
@@ -171,7 +160,7 @@ class Echelon:
         the greedy independent vectors.
         """
         r, used, _ = self._reduce(v)
-        return None if r else self._combine(used, self.count)
+        return None if r else self._combine(used)
 
     def pivot_inverse(self) -> Tuple[Dict[int, Dict[int, int]], int]:
         """(inv, q): for w in the span of the added vectors, q times its
@@ -183,8 +172,7 @@ class Echelon:
         return {p: {t: x * (q // d) for t, x in acc.items() if x}
                 for p, (acc, d) in sums.items()}, q
 
-    def relations_of(self, vectors: Sequence[Union[SparseVec, Sequence[Fraction]]]
-                     ) -> List[Vector]:
+    def relations_of(self, vectors: Sequence[SparseVec]) -> List[SparseVec]:
         """The relations among ``vectors``, which must be the vectors added,
         in order: what ``relations`` gives, built after the fact.
 
@@ -193,16 +181,16 @@ class Echelon:
         added and gives the same coordinates.
         """
         independent = set(self.independent)
-        out: List[Vector] = []
+        out: List[SparseVec] = []
         for f, v in enumerate(vectors):
             if f not in independent:
-                rel = self._combine(self._reduce(v)[1], self.count, -1)
+                rel = self._combine(self._reduce(v)[1], -1)
                 rel[f] = ONE
                 out.append(rel)
         return out
 
 
-def echelon(vectors: Iterable[Union[SparseVec, Sequence[Fraction]]]) -> Echelon:
+def echelon(vectors: Iterable[SparseVec]) -> Echelon:
     """One ``Echelon`` over the vectors, added in order."""
     ech = Echelon()
     for v in vectors:
@@ -210,64 +198,53 @@ def echelon(vectors: Iterable[Union[SparseVec, Sequence[Fraction]]]) -> Echelon:
     return ech
 
 
-def relations(vectors: Sequence[Union[SparseVec, Sequence[Fraction]]]
-              ) -> Tuple[Echelon, List[Vector]]:
+def relations(vectors: Sequence[SparseVec]) -> Tuple[Echelon, List[SparseVec]]:
     """The echelon over the vectors, and the relations among them.
 
     For each vector f that depends on the ones before it, in order, the
-    relation is e_f minus f's coordinates in them.  This is the null basis
-    of the matrix with these columns that its reduced row echelon form
-    gives: the pivots are the greedy independent columns, and column f of
-    the reduced form holds f's coordinates on them.
+    relation is e_f minus f's coordinates in them (f is its last key).
+    This is the null basis of the matrix with these columns that its
+    reduced row echelon form gives: the pivots are the greedy independent
+    columns, and column f of the reduced form holds f's coordinates on them.
     """
     ech = Echelon()
-    out: List[Vector] = []
+    out: List[SparseVec] = []
     for f, v in enumerate(vectors):
         used = ech._add(v)
         if used is not None:
-            rel = ech._combine(used, len(vectors), -1)
+            rel = ech._combine(used, -1)
             rel[f] = ONE
             out.append(rel)
     return ech, out
 
 
-def _columns(a: Matrix) -> List[SparseVec]:
-    return [{i: row[j] for i, row in enumerate(a) if row[j]}
-            for j in range(len(a[0]) if a else 0)]
+def nullspace(rows: Sequence[SparseVec], n: int) -> List[SparseVec]:
+    """Basis of the v in n unknowns with row·v = 0 for every row: the
+    relations among the columns of the matrix with these rows."""
+    cols: List[SparseVec] = [{} for _ in range(n)]
+    for r, row in enumerate(rows):
+        for j, x in row.items():
+            cols[j][r] = x
+    return relations(cols)[1]
 
 
-def rank(a: Matrix) -> int:
-    """The number of independent rows."""
-    return len(independent_subset(a))
-
-
-def nullspace(a: Matrix) -> List[Vector]:
-    """Basis of the right null space of ``a`` (n-vectors with A v = 0)."""
-    return relations(_columns(a))[1]
-
-
-def solve(a: Matrix, b: Sequence[Fraction]) -> Optional[Vector]:
-    """One solution of A x = b, zero off the greedy independent columns,
-    or None if inconsistent."""
-    return solve_in_span(_columns(a), b)
-
-
-def solve_in_span(vectors: Sequence[Union[SparseVec, Sequence[Fraction]]],
-                  v: Union[SparseVec, Sequence[Fraction]]) -> Optional[Vector]:
+def solve_in_span(vectors: Sequence[SparseVec], v: SparseVec) -> Optional[SparseVec]:
     """Coordinates c of v in the span of the vectors (sum c_i vectors_i = v),
     zero off the greedy independent vectors, or None."""
     return echelon(vectors).coords(v)
 
 
-def independent_subset(vectors: Sequence[Union[SparseVec, Sequence[Fraction]]]) -> List[int]:
+def independent_subset(vectors: Sequence[SparseVec]) -> List[int]:
     """Indices of a maximal linearly independent subset (greedy, in order)."""
     return echelon(vectors).independent
 
 
-def invert(a: Matrix) -> Matrix:
-    """The inverse of a square matrix; ValueError if it has none."""
-    ech, rels = relations(_columns(a))
-    cols = [ech.coords({k: ONE}) for k in range(len(a))]
+def invert(columns: Sequence[SparseVec]) -> List[SparseVec]:
+    """The columns of the inverse of the square matrix with these n
+    columns (column k is the coordinates of e_k in them); ValueError if
+    it has none."""
+    ech, rels = relations(columns)
+    cols = [ech.coords({k: ONE}) for k in range(len(columns))]
     if rels or None in cols:
         raise ValueError("matrix is not invertible")
-    return [[c[i] for c in cols] for i in range(ech.count)]
+    return cols

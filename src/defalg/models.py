@@ -114,7 +114,7 @@ class QuasismoothTrunc:
                 self._products = NilpotentDgAlgebra(b.space, (), GradedMap(b.space, b.space, 1))
                 self._products._left = [
                     [(q, {res[0]: res[1]}) for q in range(b.offsets[self.order + 1 - len(wp)])
-                     for res in [b.position(wp + b.words[q])] if res is not None]
+                     for res in [b.product(wp, b.words[q])] if res is not None]
                     for wp in b.words]
             self._algebra = self._products.with_differential(self.differential())
         return self._algebra
@@ -196,12 +196,11 @@ def morphism_from_generators(r: QuasismoothTrunc, target: NilpotentDgAlgebra,
 
 
 def invert_morphism(f: DgAlgebraMorphism) -> DgAlgebraMorphism:
-    inv = linalg.invert(f.map.matrix())
-    m = GradedMap(f.target.space, f.source.space, 0)
-    for j in range(f.source.dim):
-        for i in range(f.target.dim):
-            if inv[j][i]:
-                m.set_entry(j, i, inv[j][i])
+    if f.source.dim != f.target.dim:
+        raise ValueError("matrix is not invertible")
+    inv = linalg.invert(f.map.columns())
+    m = GradedMap(f.target.space, f.source.space, 0,
+                  dict(sorted(((j, i), c) for i, col in enumerate(inv) for j, c in col.items())))
     return DgAlgebraMorphism(f.target, f.source, m, check=False)
 
 
@@ -333,7 +332,7 @@ def minimalize(r: QuasismoothTrunc) -> MinimalModel:
             if sol is None:
                 raise CertificateError("the acyclic correction has no solution")
             images2[j] = add_into(dict(images2[j]),
-                                  {cand[posn]: c for posn, c in enumerate(sol) if c})
+                                  {cand[posn]: c for posn, c in sol.items()})
     r2, g2, g2inv = change_of_generators(r1, v1, images2)
     a2 = r2.algebra()
 
@@ -448,10 +447,9 @@ def morphism_lift(s: QuasismoothTrunc, r: QuasismoothTrunc,
                                           for t, c in b.items()})
         if sol is None:
             return None
-        for posn, c in enumerate(sol):
-            if c:
-                i, wpos = slots[posn]
-                add_into(images[i], {off + wpos: c})
+        for posn, c in sol.items():
+            i, wpos = slots[posn]
+            add_into(images[i], {off + wpos: c})
     phi = morphism_from_generators(s, a_r, images, check=False)
     if phi.violations():
         return None

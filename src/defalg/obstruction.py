@@ -149,7 +149,7 @@ def lifting_defect(e: SmallExtension) -> LiftingDefect:
         pre = pr_ech.coords({col: ONE})
         if pre is None:
             raise CertificateError("the quotient map is not surjective")
-        for k, c in delta.apply({i: x for i, x in enumerate(pre) if x}).items():
+        for k, c in delta.apply(pre).items():
             delta_bar.set_entry(k, col, c)
     if delta_bar.compose(pr.map) != delta:
         raise CertificateError("the lifting defect does not factor through B/B²")

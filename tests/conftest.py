@@ -55,6 +55,12 @@ def sparse(v):
     return {i: c for i, c in enumerate(v) if c}
 
 
+def densify(v, n):
+    """The list form of sparse coordinates in n vectors, or None for None:
+    how the oracles below and the tests read ``linalg`` coordinates."""
+    return None if v is None else dense(v, n)
+
+
 def zero_vector(n):
     return [F(0)] * n
 
@@ -88,6 +94,53 @@ def dense_apply(m, v):
         if v[i]:
             out[j] += c * v[i]
     return out
+
+
+# ---------------------------------------------------------------------------
+# dense matrix views: a matrix as a list of rows, and solutions and null
+# vectors as lists, the forms ``linalg`` gave before its coordinates became
+# ``SparseVec`` dicts; each is a view of the sparse routines, kept as an
+# oracle beside the reference eliminations below
+
+def matrix(f):
+    """The matrix of a ``GradedMap``: row j, column i holds entry (j, i)."""
+    m = [[F(0)] * f.source.dim for _ in range(f.target.dim)]
+    for (j, i), c in f.entries.items():
+        m[j][i] = c
+    return m
+
+
+def columns(a):
+    """The columns of a matrix, as sparse vectors."""
+    return [{i: row[j] for i, row in enumerate(a) if row[j]}
+            for j in range(len(a[0]) if a else 0)]
+
+
+def rank(a):
+    """The number of independent rows of a matrix."""
+    return len(linalg.independent_subset([sparse(row) for row in a]))
+
+
+def nullspace(a):
+    """Basis of the right null space of a matrix, as lists."""
+    n = len(a[0]) if a else 0
+    return [dense(v, n) for v in linalg.nullspace([sparse(row) for row in a], n)]
+
+
+def solve(a, b):
+    """One solution of A x = b as a list, zero off the greedy independent
+    columns, or None if inconsistent."""
+    return densify(linalg.solve_in_span(columns(a), sparse(b)), len(a[0]) if a else 0)
+
+
+def invert(a):
+    """The inverse of a square matrix as a list of rows; ValueError if it
+    has none."""
+    if any(len(row) != len(a) for row in a):
+        raise ValueError("matrix is not invertible")
+    cols = linalg.invert(columns(a))
+    return [dense({k: c[i] for k, c in enumerate(cols) if i in c}, len(a))
+            for i in range(len(a))]
 
 
 def is_normal(v, n):
@@ -216,8 +269,8 @@ def transported(s, g):
     an invertible degree-0 map g: constants and d in the new coordinates,
     which are g⁻¹ of the old ones."""
     n = s.dim
-    m = g.matrix()
-    inv = linalg.invert(m)
+    m = matrix(g)
+    inv = invert(m)
     cols = [[m[a][i] for a in range(n)] for i in range(n)]
 
     def new_coords(v):
@@ -262,7 +315,7 @@ def random_complex(rng, max_dim=12):
     for t in range(n_p):
         d.set_entry(n_h + 2 * t + 1, n_h + 2 * t, F(rng.choice([1, 2, -1])))
     g = random_invertible_degree0(rng, space)
-    ginv = linalg.invert(g.matrix())
+    ginv = invert(matrix(g))
     gm = GradedMap(space, space, 0,
                    {(j, i): ginv[j][i] for j in range(space.dim)
                     for i in range(space.dim) if ginv[j][i]})
@@ -636,8 +689,8 @@ def fraction_power_ideal_bases(a):
 
 def fraction_annihilator_basis(a):
     n, left = a.dim, fraction_left(a)
-    return [sparse(rel) for rel in linalg.relations(
-        [{j * n + k: c for j, row in left[i] for k, c in row.items()} for i in range(n)])[1]]
+    return linalg.relations(
+        [{j * n + k: c for j, row in left[i] for k, c in row.items()} for i in range(n)])[1]
 
 
 def fraction_extension_checks(e):
@@ -669,15 +722,15 @@ def reference_kernel_extension(alpha):
         coords = linalg.solve_in_span(basis, a.d.apply(v))
         if coords is None:
             raise ValueError("kernel is not stable under the differential")
-        di.update({(j, k): c for j, c in enumerate(coords) if c})
+        di.update({(j, k): c for j, c in coords.items()})
     iota = GradedMap.from_columns(ispace, a.space, 0, basis)
     d_i = GradedMap(ispace, ispace, 1, di)
     errs = []
     if iota.compose(d_i) != a.d.compose(iota):
         errs.append("iota is not a chain map")
-    if linalg.rank(iota.matrix()) != len(basis):
+    if rank(matrix(iota)) != len(basis):
         errs.append("iota is not injective")
-    if linalg.rank(alpha.map.matrix()) != b.dim:
+    if rank(matrix(alpha.map)) != b.dim:
         errs.append("alpha is not surjective")
     if not alpha.map.compose(iota).is_zero():
         errs.append("alpha ∘ iota != 0")
@@ -687,10 +740,33 @@ def reference_kernel_extension(alpha):
     for x in basis:
         if any(a.product(x, y) for y in basis):
             errs.append("kernel is not square-zero")
-    amat = alpha.map.matrix()
-    section = [linalg.solve(amat, basis_vector(b.dim, j)) for j in range(b.dim)]
+    amat = matrix(alpha.map)
+    section = [solve(amat, basis_vector(b.dim, j)) for j in range(b.dim)]
     return SimpleNamespace(iota=basis, d_i=di, errors=errs,
                            section=None if None in section else section)
+
+
+def reference_small_extension_chain(alpha):
+    """``algebras.factor_into_small_extensions`` with every stage on the
+    general route, J = ker ∩ Ann from a kernel basis and an intersection of
+    spans, also when the map is zero.  Kept as the reference for the zero
+    map, where the chain reads Ann(A_j) alone."""
+    from defalg.algebras import (DgAlgebraMorphism, _intersect_spans, kernel_extension,
+                                 quotient_algebra)
+    chain, current = [], alpha
+    while True:
+        kern = current.map.kernel_basis()
+        if not kern:
+            return chain
+        inter = _intersect_spans(kern, current.source.annihilator_basis())
+        homog = []
+        for v in inter:
+            homog.extend(current.source.space.homogeneous_components(v).values())
+        j_basis = [homog[k] for k in linalg.independent_subset(homog)]
+        q, proj = quotient_algebra(current.source, j_basis)
+        chain.append(kernel_extension(proj))
+        current = DgAlgebraMorphism(q, current.target,
+                                    current.map.compose(chain[-1].section()), check=False)
 
 
 def dense_quotient_algebra(a, ideal):
@@ -705,7 +781,7 @@ def dense_quotient_algebra(a, ideal):
     compl_idx = [i for i, v in enumerate(std) if span.add(v)]
 
     def project(v):
-        coords = span.coords(v)
+        coords = dense(span.coords(v), span.count)
         return [coords[nj + i] for i in compl_idx]
 
     space = GradedSpace([(a.space.names[i], a.space.degrees[i]) for i in compl_idx])
@@ -731,9 +807,9 @@ def dense_quotient_algebra(a, ideal):
 
 def extend_basis(base, candidates):
     """Indices into ``candidates`` extending ``base`` to a basis of
-    span(base + candidates), greedily in order."""
-    ech = linalg.echelon(base)
-    return [idx for idx, v in enumerate(candidates) if ech.add(v)]
+    span(base + candidates), greedily in order; the vectors are lists."""
+    ech = linalg.echelon(sparse(v) for v in base)
+    return [idx for idx, v in enumerate(candidates) if ech.add(sparse(v))]
 
 
 def dense_contraction(cx):
@@ -760,8 +836,8 @@ def dense_contraction(cx):
         cocycles = []
         for nv in linalg.relations([dcols[i] for i in idx])[1]:
             v = zero_vector(space.dim)
-            for pos, i in enumerate(idx):
-                v[i] = nv[pos]
+            for pos, c in nv.items():
+                v[idx[pos]] = c
             cocycles.append(v)
         bnd = [b for b, _ in boundary_data.get(k, [])]
         harm = [cocycles[e] for e in extend_basis(bnd, cocycles)]
@@ -781,7 +857,7 @@ def dense_contraction(cx):
     for k in degs:
         idx = by_degree[k]
         cols = out.boundaries[k] + out.harmonics[k] + out.complements[k]
-        inv = linalg.invert([[c[i] for c in cols] for i in idx])
+        inv = invert([[c[i] for c in cols] for i in idx])
         nb, nh = len(out.boundaries[k]), len(out.harmonics[k])
         for pos, i in enumerate(idx):
             for t in range(nh):
@@ -1505,7 +1581,7 @@ def reference_staged_witness(l, a, x, y):
         sol = linalg.solve_in_span([dcols[i] for i in deg0], ri)
         if sol is None:
             return None
-        c = {i: sol[pos] for pos, i in enumerate(deg0) if sol[pos]}
+        c = {deg0[pos]: x for pos, x in sol.items()}
         c_in_j = tensor_push(tii, tj.space, e.iota, e.a.dim).apply(c)
         witness = bch(tj.bracket_vec, c_in_j, lift_w, max(tj.nilpotency_class, 1))
     return witness if gauge_act(t, witness, x) == y else None

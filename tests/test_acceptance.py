@@ -33,7 +33,8 @@ from defalg.obstruction import (cohomology_bracket, lifting_defect,
 from conftest import (counterexample_element, counterexample_extension,
                       direct_sum_dgla, make_rng, random_abelian_dgla,
                       random_algebra, random_complex, random_dgla,
-                      random_section, sl2, sl2_odd, dense, sparse)
+                      random_section, sl2, sl2_odd, dense, matrix, nullspace, rank, solve,
+                      sparse)
 from test_obstruction import (_product_extension, _random_phi,
                               defect_extension_with_slack,
                               random_derivation_twist, signed_kernel_push)
@@ -122,10 +123,10 @@ def test_criterion_02_cohomology_correctness():
         for k in set(cx.space.degrees):
             idx = cx.space.degree_indices(k)
             dk = [dense(cx.d.column(i), cx.space.dim) for i in idx]
-            z = len(idx) - (linalg.rank(dk) if dk else 0)
+            z = len(idx) - (rank(dk) if dk else 0)
             prev = cx.space.degree_indices(k - 1)
             dp = [dense(cx.d.column(i), cx.space.dim) for i in prev]
-            b = linalg.rank(dp) if dp else 0
+            b = rank(dp) if dp else 0
             assert z - b == coh.dim(k)
 
 
@@ -176,9 +177,9 @@ def test_criterion_04_gauge_mc_suite():
         deg0 = t.space.degree_indices(0)
         deg1 = t.space.degree_indices(1)
         dk = [dense(t.d.column(i), t.dim) for i in deg1]
-        z1 = len(deg1) - (linalg.rank(dk) if dk else 0)
+        z1 = len(deg1) - (rank(dk) if dk else 0)
         dp = [dense(t.d.column(i), t.dim) for i in deg0]
-        b1 = linalg.rank(dp) if dp else 0
+        b1 = rank(dp) if dp else 0
         assert z1 - b1 == cohomology(t.complex()).dim(1)
         # gauge orbits are translations by exact elements
         if deg0 and deg1:
@@ -199,8 +200,8 @@ def test_criterion_04_gauge_mc_suite():
         cols = [linalg.add_into(t.bracket_vec(t.space.basis_vector(i), b),
                                 t.d.column(i), F(-1))
                 for i in deg0]
-        ns = linalg.nullspace([[cols[c].get(r, F(0)) for c in range(len(cols))]
-                               for r in range(t.dim)])
+        ns = nullspace([[cols[c].get(r, F(0)) for c in range(len(cols))]
+                        for r in range(t.dim)])
         for coeffs in ns:
             a = {i: cf for cf, i in zip(coeffs, deg0) if cf}
             assert gauge_act(t, a, b) == b
@@ -243,10 +244,10 @@ def test_criterion_06_obstruction_laws():
         e2 = primary_obstruction_extension(*ij2)
         ep, pa1, pb1 = _product_extension(e1, e2)
         pi1 = GradedMap(ep.i_complex.space, e1.i_complex.space, 0)
-        i1mat = e1.iota.matrix()
+        i1mat = matrix(e1.iota)
         for k in range(ep.i_complex.space.dim):
             v = pa1.apply(ep.iota.column(k))
-            coords = linalg.solve(i1mat, dense(v, e1.a.dim))
+            coords = solve(i1mat, dense(v, e1.a.dim))
             assert coords is not None
             for j, c in enumerate(coords):
                 if c:

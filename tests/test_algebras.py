@@ -23,7 +23,8 @@ from conftest import (counterexample_algebras, counterexample_extension,
                       random_pair_truncation, reference_kernel_extension, rescaled,
                       transported,
                       sl2, sl2_odd, dense_quotient_algebra, fraction_left, fraction_left_mul,
-                      basis_vector, sparse)
+                      basis_vector, dense, matrix, rank, reference_small_extension_chain,
+                      solve, sparse)
 
 F = Fraction
 
@@ -159,8 +160,9 @@ def test_section_matches_solve():
         exts += factor_into_small_extensions(
             DgAlgebraMorphism(a, zero, GradedMap(a.space, zero.space, 0), check=False))
     for ext in exts:
-        amat = ext.alpha.map.matrix()
-        want = [linalg.solve(amat, ext.b.space.basis_vector(j)) for j in range(ext.b.dim)]
+        amat = matrix(ext.alpha.map)
+        want = [solve(amat, dense(ext.b.space.basis_vector(j), ext.b.dim))
+                for j in range(ext.b.dim)]
         sec = ext.section()
         assert [sec.column(j) for j in range(ext.b.dim)] == [sparse(w) for w in want]
         assert ext.alpha.map.compose(sec) == GradedMap.identity(ext.b.space)
@@ -292,6 +294,37 @@ def test_factor_random_surjections():
         chain = factor_into_small_extensions(proj)
         for stage in chain:
             assert not stage.validate()
+
+
+def _stage_data(e):
+    """What a stage of a chain holds, in insertion order."""
+    return (e.a.space.basis, list(e.a.constants()), list(e.a.d.entries.items()),
+            e.b.space.basis, list(e.b.constants()), list(e.b.d.entries.items()),
+            e.i_complex.space.basis, list(e.i_complex.d.entries.items()),
+            list(e.iota.entries.items()), list(e.alpha.map.entries.items()))
+
+
+def test_zero_target_chain_equals_the_ker_ann_route():
+    # on a map to 0 the kernel is all of A_j and J = Ann(A_j): the chain
+    # that computes neither the kernel basis nor the intersection of spans
+    # equals, stage by stage, the chain that computes both
+    rng = make_rng(23)
+    algebras = [koszul_truncation(2, 4).algebra(), pairs_truncation(1, 2, 3).algebra(),
+                counterexample_algebras()[0], NilpotentDgAlgebra.trivial(GradedSpace([]))]
+    for _ in range(12):
+        a = random_algebra(rng)
+        scales = [F(rng.choice([1, -1, 2, -3]), rng.choice([1, 2, 5])) for _ in range(a.dim)]
+        algebras += [a, transported(a, random_invertible_degree0(rng, a.space)),
+                     rescaled(a, scales)]
+    zero = NilpotentDgAlgebra.trivial(GradedSpace([]))
+    stages = 0
+    for a in algebras:
+        alpha = DgAlgebraMorphism(a, zero, GradedMap(a.space, zero.space, 0), check=False)
+        got = factor_into_small_extensions(alpha)
+        assert [_stage_data(e) for e in got] == \
+            [_stage_data(e) for e in reference_small_extension_chain(alpha)]
+        stages += len(got)
+    assert stages > len(algebras)
 
 
 def test_mapping_cone_of_identity_is_acyclic():
@@ -534,7 +567,7 @@ def naive_power_dims(a):
         for i in range(a.dim):
             for w in basis:
                 p = structure_sum(a.table, basis_vector(a.dim, i), w, a.dim)
-                if linalg.rank(kept + [p]) > rk:
+                if rank(kept + [p]) > rk:
                     kept.append(p)
                     rk += 1
         dims.append(len(kept))

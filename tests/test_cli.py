@@ -669,3 +669,22 @@ def test_staged_gauge_computes_no_power_ideal(capsys, monkeypatch):
                                    for a in case["argv"]])
     assert calls == []
     assert (code, out, err) == (0, (GOLDEN / "gauge-koszul4-staged.txt").read_text(), "")
+
+
+def test_staged_gauge_computes_no_kernel_basis_or_intersection(capsys, monkeypatch):
+    # every stage of the chain A -> 0 has the zero map, whose kernel is all
+    # of A_j, so J = Ann(A_j) is read without a kernel basis or an
+    # intersection of spans; the output is the recorded one
+    from defalg import algebras
+    from defalg.graded import GradedMap
+    calls = []
+    real_kernel, real_intersect = GradedMap.kernel_basis, algebras._intersect_spans
+    monkeypatch.setattr(GradedMap, "kernel_basis",
+                        lambda self: calls.append("kernel_basis") or real_kernel(self))
+    monkeypatch.setattr(algebras, "_intersect_spans",
+                        lambda u, w: calls.append("_intersect_spans") or real_intersect(u, w))
+    case = next(c for c in GOLDEN_CASES if c["name"] == "gauge-koszul4-staged")
+    code, out, err = run(capsys, *[str(GOLDEN.parent.parent / a) if "/" in a else a
+                                   for a in case["argv"]])
+    assert calls == []
+    assert (code, out, err) == (0, (GOLDEN / "gauge-koszul4-staged.txt").read_text(), "")

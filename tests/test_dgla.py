@@ -9,7 +9,7 @@ from defalg.algebras import (DgAlgebraMorphism, NilpotentDgAlgebra,
                              factor_into_small_extensions, kernel_extension)
 from defalg.dgla import (Dgla, bch, def_tangent, derivations_dgla, gauge_act,
                          gauge_equivalent, mc_check, mc_defect, mc_lift,
-                         tensor_dgla, trivial_algebra_of_complex)
+                         tensor_dgla, tensor_push, trivial_algebra_of_complex)
 from defalg.graded import Complex, GradedMap, GradedSpace, cohomology
 from defalg.models import QuasismoothTrunc
 from conftest import (counterexample_algebras, counterexample_element,
@@ -17,7 +17,7 @@ from conftest import (counterexample_algebras, counterexample_element,
                       dense_tensor_bracket_vec, direct_sum_dgla, heisenberg,
                       koszul_truncation, make_rng, random_abelian_dgla, random_algebra, random_dgla,
                       reference_staged_witness, rescaled, sl2, sl2_odd, dense, dense_apply,
-                      sparse, vec_add)
+                      nullspace, sparse, vec_add)
 
 F = Fraction
 
@@ -43,6 +43,60 @@ def test_tensor_dgla_signs_certified():
             continue
         t = tensor_dgla(l, a)
         assert t.validate().ok
+
+
+def _set_entry_tensor_d(l, a, space):
+    """d on L⊗A built entry by entry through ``set_entry``."""
+    nl, na = l.dim, a.dim
+    d = GradedMap(space, space, 1)
+    for (j, i), c in l.d.entries.items():
+        for p in range(na):
+            d.set_entry(j * na + p, i * na + p, c)
+    for (q, p), c in a.d.entries.items():
+        for i in range(nl):
+            d.set_entry(i * na + q, i * na + p, -c if l.space.degrees[i] % 2 else c)
+    return d
+
+
+def _set_entry_tensor_push(src, dst_space, f, dst_adim):
+    """1⊗f built entry by entry through ``set_entry``, adding to what is there."""
+    out = GradedMap(src.space, dst_space, f.degree)
+    for (q, p), c in f.entries.items():
+        for i in range(src.l.dim):
+            out.set_entry(i * dst_adim + q, i * src.a.dim + p,
+                          out.entries.get((i * dst_adim + q, i * src.a.dim + p), F(0)) + c)
+    return out
+
+
+def test_tensor_d_and_push_equal_their_set_entry_builds():
+    # the entries of d on L⊗A and of 1⊗f are taken straight from the
+    # factors' entries: they equal the maps built through set_entry, with
+    # the entries in the same order
+    rng = make_rng(32)
+    zero = NilpotentDgAlgebra.trivial(GradedSpace([]))
+    pushes = 0
+    for _ in range(25):
+        l, a = random_dgla(rng), random_algebra(rng, max_dim=6)
+        t = tensor_dgla(l, a)
+        want = _set_entry_tensor_d(l, a, t.space)
+        assert t.d == want and list(t.d.entries.items()) == list(want.entries.items())
+        # (source tensor, target algebra, f): 1, 0, and a stage's α, s∘α and ι
+        cases = [(t, a, GradedMap.identity(a.space)),
+                 (t, zero, GradedMap(a.space, zero.space, 0))]
+        chain = factor_into_small_extensions(DgAlgebraMorphism(
+            a, zero, GradedMap(a.space, zero.space, 0), check=False))
+        if chain:
+            e = chain[0]
+            ti = tensor_dgla(l, trivial_algebra_of_complex(e.i_complex))
+            cases += [(t, e.b, e.alpha.map), (t, a, e.section().compose(e.alpha.map)),
+                      (ti, a, e.iota)]
+        for src, target, f in cases:
+            dst = tensor_dgla(l, target)
+            got = tensor_push(src, dst.space, f, target.dim)
+            want = _set_entry_tensor_push(src, dst.space, f, target.dim)
+            assert got == want and list(got.entries.items()) == list(want.entries.items())
+            pushes += bool(got.entries)
+    assert pushes > 25
 
 
 def test_tensor_dgla_nilpotency():
@@ -210,8 +264,8 @@ def test_gauge_stabilizer_law():
         for i in deg0:
             e = t.space.basis_vector(i)
             cols.append(linalg.add_into(t.bracket_vec(e, b), t.d.apply(e), F(-1)))
-        ns = linalg.nullspace([[cols[c].get(r, F(0)) for c in range(len(cols))]
-                               for r in range(t.dim)])
+        ns = nullspace([[cols[c].get(r, F(0)) for c in range(len(cols))]
+                        for r in range(t.dim)])
         for coeffs in ns:
             a = {i: c for c, i in zip(coeffs, deg0) if c}
             assert gauge_act(t, a, b) == b

@@ -2,7 +2,9 @@
 
 Every solver in ``defalg.linalg`` and the kernel and rank of ``GradedMap``
 are views of ``linalg.Echelon``; the reference answers are read off the
-reduced row echelon form in ``conftest.rref``.  The sparse multiplicativity
+reduced row echelon form in ``conftest.rref``, and the sparse coordinates
+are read as lists through ``conftest.densify`` and the dense matrix views
+(``rank``, ``nullspace``, ``solve``, ``invert``) kept there.  The sparse multiplicativity
 check of ``DgAlgebraMorphism`` is compared with its dense reference loop, and
 the callers that read kernels and products sparsely (the fiber product, the
 square-zero check of a small extension document) are pinned on edge cases.
@@ -19,9 +21,9 @@ from defalg.algebras import (BilinearStructure, DgAlgebraMorphism, NilpotentDgAl
                              fiber_product)
 from defalg.graded import GradedMap, GradedSpace
 from defalg.models import QuasismoothTrunc
-from conftest import (FractionEchelon, counterexample_extension, dense_violations,
-                      make_rng, random_algebra, rref_invert, rref_nullspace, rref_rank,
-                      rref_solve, sparse)
+from conftest import (FractionEchelon, counterexample_extension, dense, dense_violations,
+                      densify, invert, is_normal, make_rng, nullspace, random_algebra, rank,
+                      rref_invert, rref_nullspace, rref_rank, rref_solve, solve, sparse)
 
 F = Fraction
 
@@ -56,7 +58,7 @@ def matrices(draw, max_rows=6, max_cols=6):
 
 
 def columns_of(a, n):
-    return [[row[j] for row in a] for j in range(n)]
+    return [{i: row[j] for i, row in enumerate(a) if row[j]} for j in range(n)]
 
 
 def padded(a, n):
@@ -76,26 +78,26 @@ def right_hand_sides(draw, a, n):
 @settings(max_examples=200, deadline=None)
 def test_solvers_match_reference_rref(a, data):
     n = len(a[0]) if a else data.draw(st.integers(0, 4))
-    cols = columns_of(a, n) if a else [[] for _ in range(n)]
-    assert linalg.rank(a) == rref_rank(a)
-    assert linalg.nullspace(a) == rref_nullspace(a)
+    cols = columns_of(a, n)
+    assert rank(a) == rref_rank(a)
+    assert nullspace(a) == rref_nullspace(a)
     ech, rels = linalg.relations(cols)
-    assert rels == rref_nullspace(padded(a, n))
+    assert [dense(r, n) for r in rels] == rref_nullspace(padded(a, n))
     assert ech.count == n
     for b in right_hand_sides(data.draw, a, n):
         expect = rref_solve(a, b)
-        assert linalg.solve(a, b) == expect
+        assert solve(a, b) == expect
         if a:
-            assert linalg.solve_in_span(cols, b) == expect
-            assert ech.coords(b) == expect
+            assert densify(linalg.solve_in_span(cols, sparse(b)), n) == expect
+            assert densify(ech.coords(sparse(b)), n) == expect
     if len(a) == n:
         try:
             expect = rref_invert(a)
         except ValueError:
             with pytest.raises(ValueError):
-                linalg.invert(a)
+                invert(a)
         else:
-            assert linalg.invert(a) == expect
+            assert invert(a) == expect
 
 
 @given(matrices(), st.data())
@@ -110,19 +112,19 @@ def test_graded_map_rank_and_kernel_match_reference_rref(a, data):
     assert f.kernel_basis() == [sparse(v) for v in rref_nullspace(padded(a, n))]
     ech = linalg.echelon(f.columns())
     for b in right_hand_sides(data.draw, a, n):
-        assert ech.coords(b) == rref_solve(padded(a, n), b + [F(0)])
+        assert densify(ech.coords(sparse(b)), n) == rref_solve(padded(a, n), b + [F(0)])
 
 
 @pytest.mark.parametrize("a", [[], [[], []], [[F(0), F(0)]], [[F(0)], [F(0)]]])
 def test_empty_and_zero_matrices(a):
     n = len(a[0]) if a else 0
-    assert linalg.rank(a) == rref_rank(a) == 0
-    assert linalg.nullspace(a) == rref_nullspace(a)
+    assert rank(a) == rref_rank(a) == 0
+    assert nullspace(a) == rref_nullspace(a)
     b = [F(0)] * len(a)
-    assert linalg.solve(a, b) == rref_solve(a, b) == [F(0)] * n
+    assert solve(a, b) == rref_solve(a, b) == [F(0)] * n
     if a:
         b[0] = F(1)
-        assert linalg.solve(a, b) is None and rref_solve(a, b) is None
+        assert solve(a, b) is None and rref_solve(a, b) is None
     assert linalg.relations([])[1] == []
 
 
@@ -137,21 +139,26 @@ def test_kernel_basis_with_zero_dimensional_target():
 def test_relations_are_the_dependent_vectors_minus_their_coordinates():
     u, w = [F(1), F(2)], [F(0), F(1)]
     vectors = [u, [F(2), F(4)], w, [F(0), F(0)], [F(1), F(3)]]
-    ech, rels = linalg.relations(vectors)
-    assert rels == [[F(-2), F(1), F(0), F(0), F(0)],
-                    [F(0), F(0), F(0), F(1), F(0)],
-                    [F(-1), F(0), F(-1), F(0), F(1)]]
+    ech, rels = linalg.relations([sparse(v) for v in vectors])
+    assert [dense(r, 5) for r in rels] == [[F(-2), F(1), F(0), F(0), F(0)],
+                                           [F(0), F(0), F(0), F(1), F(0)],
+                                           [F(-1), F(0), F(-1), F(0), F(1)]]
     assert ech.count == 5
-    assert ech.coords([F(3), F(7)]) == [F(3), F(0), F(1), F(0), F(0)]
+    assert densify(ech.coords({0: F(3), 1: F(7)}), 5) == [F(3), F(0), F(1), F(0), F(0)]
 
 
 def test_invert_rejects_singular_and_non_square():
     with pytest.raises(ValueError):
-        linalg.invert([[F(1), F(2)], [F(2), F(4)]])
+        invert([[F(1), F(2)], [F(2), F(4)]])
     with pytest.raises(ValueError):
-        linalg.invert([[F(1)], [F(2)]])
+        invert([[F(1)], [F(2)]])
     with pytest.raises(ValueError):
-        linalg.invert([[F(1), F(0)]])
+        invert([[F(1), F(0)]])
+    assert invert([]) == []
+    with pytest.raises(ValueError):
+        linalg.invert([{0: F(1), 1: F(2)}])
+    with pytest.raises(ValueError):
+        linalg.invert([{0: F(1)}, {}])
     assert linalg.invert([]) == []
 
 
@@ -161,7 +168,7 @@ def test_invert_rejects_singular_and_non_square():
 @st.composite
 def wide_vectors(draw, max_vectors=8):
     """Vectors of one length with numerators and denominators up to 2**70,
-    as dense lists or sparse dicts: fresh ones, zero ones, and repeated,
+    as dense lists and as sparse dicts: fresh ones, zero ones, and repeated,
     scaled and summed copies of earlier ones."""
     n = draw(st.integers(1, 6))
     num, den = (draw(st.sampled_from([1, 6, 2 ** 70])) for _ in range(2))
@@ -180,9 +187,7 @@ def wide_vectors(draw, max_vectors=8):
         else:
             c, u, w = draw(entry), draw(st.sampled_from(dense)), draw(st.sampled_from(dense))
             dense.append([c * x + y for x, y in zip(u, w)])
-    vectors = [{j: x for j, x in enumerate(v) if x} if draw(st.booleans()) else v
-               for v in dense]
-    return n, dense, vectors, entry
+    return n, dense, [sparse(v) for v in dense], entry
 
 
 def as_fractions(ech):
@@ -209,12 +214,11 @@ def test_echelon_matches_fraction_engine(drawn, data):
         inside = [x + c * y for x, y in zip(inside, v)]
     anywhere = data.draw(st.lists(entry, min_size=n, max_size=n))
     for target in (inside, anywhere, [F(0)] * n):
-        assert ech.coords(target) == ref.coords(target)
-        assert ech.coords({j: x for j, x in enumerate(target) if x}) == ref.coords(target)
-    assert ech.coords(inside) is not None
+        assert densify(ech.coords(sparse(target)), ech.count) == ref.coords(target)
+    assert ech.coords(sparse(inside)) is not None
     rels = ref.relations_of(dense)
-    assert linalg.relations(vectors)[1] == rels
-    assert ech.relations_of(vectors) == rels
+    assert [densify(r, ech.count) for r in linalg.relations(vectors)[1]] == rels
+    assert [densify(r, ech.count) for r in ech.relations_of(vectors)] == rels
 
 
 @given(wide_vectors())
@@ -224,9 +228,9 @@ def test_solvers_match_references_on_wide_coefficients(drawn):
     a = [list(row) for row in zip(*dense)]      # the vectors as columns
     if not a:
         return
-    assert linalg.nullspace(a) == rref_nullspace(a)
+    assert nullspace(a) == rref_nullspace(a)
     for b in dense + [[F(0)] * n, [F(1)] * n]:  # the columns of a, then two more
-        assert linalg.solve(a, b) == rref_solve(a, b)
+        assert solve(a, b) == rref_solve(a, b)
     square = [row[:n] for row in dense[:n]]
     if len(square) == n:
         ref = FractionEchelon()
@@ -237,22 +241,68 @@ def test_solvers_match_references_on_wide_coefficients(drawn):
         except ValueError:
             assert len(ref.independent) < n
             with pytest.raises(ValueError):
-                linalg.invert(square)
+                invert(square)
         else:
             cols = [ref.coords({k: F(1)}) for k in range(n)]
             assert [[c[i] for c in cols] for i in range(n)] == expect
-            assert linalg.invert(square) == expect
+            assert invert(square) == expect
 
 
 @given(wide_vectors(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_zero_coordinates_are_the_shared_zero(drawn, data):
-    # a coordinate is built as a Fraction only where it is nonzero
+    # a coordinate is built as a Fraction only where it is nonzero: the
+    # coordinates hold no zero at all
     n, dense, vectors, entry = drawn
     ech, rels = linalg.relations(vectors)
     target = data.draw(st.lists(entry, min_size=n, max_size=n))
-    coords = [c for c in (ech.coords(v) for v in vectors + [target, [F(0)] * n]) if c]
-    assert all(x is linalg.ZERO for vec in rels + coords for x in vec if not x)
+    coords = [c for c in (ech.coords(v) for v in vectors + [sparse(target), {}]) if c is not None]
+    assert all(is_normal(vec, ech.count) for vec in rels + coords)
+
+
+def is_sorted_normal(v, n):
+    """A SparseVec over n positions, its keys in increasing order."""
+    return is_normal(v, n) and list(v) == sorted(v)
+
+
+@given(wide_vectors(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_sparse_coordinates_match_the_dense_oracles(drawn, data):
+    # coords, relations, relations_of and the columns of invert are
+    # SparseVecs keyed by position in increasing order; read as lists they
+    # are what the Fraction engine and the reduced row echelon form give,
+    # on dependent and zero vectors and fractional entries
+    n, dense, vectors, entry = drawn
+    m = len(vectors)
+    ech, rels = linalg.relations(vectors)
+    ref = FractionEchelon()
+    for v in dense:
+        ref.add(v)
+    inside = [F(0)] * n
+    for v in dense:
+        c = data.draw(entry)
+        inside = [x + c * y for x, y in zip(inside, v)]
+    anywhere = data.draw(st.lists(entry, min_size=n, max_size=n))
+    for target in (inside, anywhere, [F(0)] * n):
+        got = ech.coords(sparse(target))
+        assert densify(got, m) == ref.coords(target)
+        assert got is None or is_sorted_normal(got, m)
+    want = ref.relations_of(dense)
+    for got in (rels, ech.relations_of(vectors), linalg.echelon(vectors).relations_of(vectors)):
+        assert all(is_sorted_normal(r, m) for r in got)
+        assert [densify(r, m) for r in got] == want
+    if m >= n:
+        square = vectors[:n]                    # the columns of an n x n matrix
+        rows = [[v.get(i, F(0)) for v in square] for i in range(n)]
+        try:
+            expect = rref_invert(rows)
+        except ValueError:
+            with pytest.raises(ValueError):
+                linalg.invert(square)
+        else:
+            cols = linalg.invert(square)
+            assert all(is_sorted_normal(c, n) for c in cols)
+            assert [[c.get(i, F(0)) for c in cols] for i in range(n)] == expect
 
 
 try:
@@ -268,9 +318,9 @@ def test_rank_and_nullity_match_sympy(a):
     n = len(a[0]) if a else 0
     sm = sympy.Matrix(len(a), n, [sympy.Rational(x.numerator, x.denominator)
                                   for row in a for x in row])
-    assert linalg.rank(a) == sm.rank()
+    assert rank(a) == sm.rank()
     if a:
-        assert len(linalg.nullspace(a)) == len(sm.nullspace()) == n - sm.rank()
+        assert len(nullspace(a)) == len(sm.nullspace()) == n - sm.rank()
 
 
 # ---------------------------------------------------------------------------

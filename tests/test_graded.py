@@ -13,7 +13,9 @@ from defalg.graded import (Complex, Contraction, GradedMap, GradedSpace,
                            connecting_hom, is_chain_map, is_quasiiso,
                            koszul_sign, shift, shift_space, solve_homotopy,
                            symmetric_power, unshuffles, WordBasis)
-from conftest import dense, dense_contraction, make_rng, random_complex, rref_solve, sparse
+from defalg.models import QuasismoothTrunc
+from conftest import (dense, dense_contraction, make_rng, matrix, random_complex, rank,
+                      rref_solve, sparse)
 
 F = Fraction
 
@@ -173,11 +175,11 @@ def test_rank_identity_cocycles_boundaries():
         for k in set(cx.space.degrees):
             idx = cx.space.degree_indices(k)
             dk = [cx.d.apply(cx.space.basis_vector(i)) for i in idx]
-            rank_dk = linalg.rank([dense(v, cx.space.dim) for v in dk]) if dk else 0
+            rank_dk = rank([dense(v, cx.space.dim) for v in dk]) if dk else 0
             z = len(idx) - rank_dk
             prev = cx.space.degree_indices(k - 1)
             dprev = [cx.d.apply(cx.space.basis_vector(i)) for i in prev]
-            b = linalg.rank([dense(v, cx.space.dim) for v in dprev]) if dprev else 0
+            b = rank([dense(v, cx.space.dim) for v in dprev]) if dprev else 0
             assert z - b == c.dim(k)
 
 
@@ -207,7 +209,7 @@ def test_connecting_hom_two_term_example():
     ses = ShortExactSequence(sub, total, quot, incl, proj)
     assert not ses.validate()
     delta = connecting_hom(ses)
-    assert delta.matrix() == [[F(1)]]
+    assert matrix(delta) == [[F(1)]]
 
 
 def test_connecting_hom_certificate_is_explicit(monkeypatch):
@@ -252,6 +254,34 @@ def test_word_basis_positions():
             wb.position(word)
     # positions within the length-2 words
     assert wb.component({i: F(i) for i in range(1, wb.space.dim)}, 2) == {0: F(2), 1: F(3)}
+
+
+@given(st.lists(st.integers(-2, 3), min_size=1, max_size=5), st.integers(2, 6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_word_product_merges_like_canonical_monomial(degrees, order, data):
+    # the product of two canonical words, formed by merging them, is the
+    # canonical monomial of their concatenation with its Koszul sign, or
+    # None when an odd letter is in both
+    v = GradedSpace([("x%d" % i, d) for i, d in enumerate(degrees)])
+    wb = WordBasis(v, order)
+    p = data.draw(st.sampled_from(wb.words[:wb.offsets[order]]))
+    q = data.draw(st.sampled_from(wb.words[:wb.offsets[order + 1 - len(p)]]))
+    cm = canonical_monomial(p + q, degrees)
+    want = None if cm is None else (wb.words.index(cm[0]), cm[1])
+    assert wb.product(p, q) == want == wb.position(p + q)
+
+
+def test_truncation_products_match_the_sorted_concatenation():
+    # QuasismoothTrunc.algebra() reads each product off the merge; it is
+    # what sorting the concatenated word gives, entry for entry and in order
+    v = GradedSpace([("a", 0), ("b", 1), ("c", 1), ("e", 2), ("f", -1)])
+    for order in (1, 2, 4):
+        left = QuasismoothTrunc(v, order, {}).algebra()._left
+        b = WordBasis(v, order)
+        assert left == [
+            [(q, {res[0]: res[1]}) for q in range(b.offsets[order + 1 - len(wp)])
+             for res in [b.position(wp + b.words[q])] if res is not None]
+            for wp in b.words]
 
 
 def test_solve_homotopy_matches_dense_solve_over_the_slots():

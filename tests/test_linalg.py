@@ -1,4 +1,8 @@
-"""Exact linear algebra: solver correctness against direct verification."""
+"""Exact linear algebra: solver correctness against direct verification.
+
+Vectors are drawn as lists and handed to ``linalg`` in sparse form; the
+dense matrix views (``rank``, ``solve``, ``nullspace``, ``invert``) and
+``densify``, which reads sparse coordinates as lists, are in conftest."""
 
 from fractions import Fraction
 
@@ -6,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from defalg import linalg
-from conftest import (extend_basis, identity, is_zero_vector, make_rng, mat_mul, mat_vec, rref,
-                      vec_add, vec_scale)
+from conftest import (densify, extend_basis, identity, invert, is_zero_vector, make_rng,
+                      mat_mul, mat_vec, nullspace, rank, rref, solve, sparse, vec_add,
+                      vec_scale)
 
 F = Fraction
 
@@ -39,7 +44,7 @@ def test_solve_verifies_and_detects_inconsistency():
         a = random_matrix(rng, m, n)
         x = [F(rng.randint(-3, 3)) for _ in range(n)]
         b = mat_vec(a, x)
-        sol = linalg.solve(a, b)
+        sol = solve(a, b)
         assert sol is not None
         assert mat_vec(a, sol) == b
 
@@ -51,12 +56,12 @@ def test_solve_none_only_when_out_of_span():
         m, n = rng.randint(2, 6), rng.randint(1, 4)
         a = random_matrix(rng, m, n)
         b = [F(rng.randint(-3, 3)) for _ in range(m)]
-        sol = linalg.solve(a, b)
+        sol = solve(a, b)
         if sol is None:
             hits += 1
             cols = [[a[i][j] for i in range(m)] for j in range(n)]
-            assert linalg.rank([row[:] for row in a]) < \
-                linalg.rank([c[:] for c in cols] + [b])
+            assert rank([row[:] for row in a]) < \
+                rank([c[:] for c in cols] + [b])
         else:
             assert mat_vec(a, sol) == b
     assert hits > 0
@@ -67,12 +72,12 @@ def test_nullspace_is_kernel_basis():
     for _ in range(40):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         a = random_matrix(rng, m, n)
-        ns = linalg.nullspace(a)
+        ns = nullspace(a)
         for v in ns:
             assert is_zero_vector(mat_vec(a, v))
-        assert len(ns) == n - linalg.rank([row[:] for row in a])
+        assert len(ns) == n - rank([row[:] for row in a])
         if ns:
-            assert linalg.rank([v[:] for v in ns]) == len(ns)
+            assert rank([v[:] for v in ns]) == len(ns)
 
 
 def test_invert_roundtrip():
@@ -81,9 +86,9 @@ def test_invert_roundtrip():
     while done < 25:
         n = rng.randint(1, 5)
         a = random_matrix(rng, n, n)
-        if linalg.rank([row[:] for row in a]) < n:
+        if rank([row[:] for row in a]) < n:
             continue
-        inv = linalg.invert(a)
+        inv = invert(a)
         assert mat_mul(a, inv) == identity(n)
         assert mat_mul(inv, a) == identity(n)
         done += 1
@@ -95,15 +100,15 @@ def test_independent_subset_and_extend_basis():
         n = rng.randint(1, 5)
         vecs = [ [F(rng.randint(-2, 2)) for _ in range(n)]
                  for _ in range(rng.randint(0, 6)) ]
-        chosen = linalg.independent_subset(vecs)
+        chosen = linalg.independent_subset([sparse(v) for v in vecs])
         sub = [vecs[i] for i in chosen]
-        assert linalg.rank([v[:] for v in sub]) == len(sub)
+        assert rank([v[:] for v in sub]) == len(sub)
         for v in vecs:
-            assert linalg.solve_in_span(sub, v) is not None
+            assert linalg.solve_in_span([sparse(u) for u in sub], sparse(v)) is not None
         cands = [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(3)]
         ext = extend_basis(sub, cands)
         full = sub + [cands[i] for i in ext]
-        assert linalg.rank([v[:] for v in full]) == len(full)
+        assert rank([v[:] for v in full]) == len(full)
 
 
 @given(st.lists(st.lists(rationals, min_size=3, max_size=3),
@@ -111,15 +116,16 @@ def test_independent_subset_and_extend_basis():
        st.lists(rationals, min_size=3, max_size=3))
 @settings(max_examples=60, deadline=None)
 def test_solve_in_span_exactness(vectors, target):
-    coords = linalg.solve_in_span(vectors, target)
+    coords = densify(linalg.solve_in_span([sparse(v) for v in vectors], sparse(target)),
+                     len(vectors))
     if coords is not None:
         acc = [F(0)] * 3
         for c, v in zip(coords, vectors):
             acc = vec_add(acc, vec_scale(c, v))
         assert acc == list(target)
     else:
-        assert linalg.rank([list(v) for v in vectors]) < \
-            linalg.rank([list(v) for v in vectors] + [list(target)])
+        assert rank([list(v) for v in vectors]) < \
+            rank([list(v) for v in vectors] + [list(target)])
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +157,10 @@ def vector_lists(draw, max_vectors=8):
 def greedy_by_rank(base, candidates):
     """Indices into candidates that raise the rank of base + chosen."""
     rows = [list(v) for v in base]
-    rk = linalg.rank(rows) if rows else 0
+    rk = rank(rows) if rows else 0
     chosen = []
     for idx, v in enumerate(candidates):
-        new_rank = linalg.rank(rows + [list(v)])
+        new_rank = rank(rows + [list(v)])
         if new_rank > rk:
             rows.append(list(v))
             chosen.append(idx)
@@ -166,7 +172,7 @@ def greedy_by_rank(base, candidates):
 @settings(max_examples=80, deadline=None)
 def test_independent_subset_and_extend_basis_match_rank(first, second):
     n, vecs = first
-    assert linalg.independent_subset(vecs) == greedy_by_rank([], vecs)
+    assert linalg.independent_subset([sparse(v) for v in vecs]) == greedy_by_rank([], vecs)
     cands = [(v + [F(0)] * n)[:n] for v in second[1]]
     assert extend_basis(vecs, cands) == greedy_by_rank(vecs, cands)
 
@@ -174,7 +180,7 @@ def test_independent_subset_and_extend_basis_match_rank(first, second):
 @given(vector_lists())
 @settings(max_examples=80, deadline=None)
 def test_relations_after_the_fact_match_relations(first):
-    _, vecs = first
+    vecs = [sparse(v) for v in first[1]]
     ech, rels = linalg.relations(vecs)
     assert linalg.echelon(vecs).relations_of(vecs) == rels
     assert ech.relations_of(vecs) == rels
@@ -186,19 +192,16 @@ def test_echelon_coords_match_solve_in_span(first, data):
     n, vecs = first
     ech = linalg.Echelon()
     for v in vecs:
-        ech.add(v)
+        ech.add(sparse(v))
     assert ech.count == len(vecs)
     inside = [F(0)] * n
     for v in vecs:
         inside = vec_add(inside, vec_scale(data.draw(rationals), v))
     anywhere = data.draw(st.lists(rationals, min_size=n, max_size=n))
     for target in (inside, anywhere, [F(0)] * n):
-        expect = linalg.solve_in_span(vecs, target)
-        got = ech.coords(target)
-        assert got == expect
-        sparse = ech.coords({j: x for j, x in enumerate(target) if x})
-        assert sparse == expect
-    assert ech.coords(inside) is not None
+        expect = linalg.solve_in_span([sparse(v) for v in vecs], sparse(target))
+        assert ech.coords(sparse(target)) == expect
+    assert ech.coords(sparse(inside)) is not None
 
 
 @given(vector_lists(), st.data())
@@ -208,7 +211,7 @@ def test_pivot_inverse_gives_the_coordinates_of_the_span(first, data):
     # entries at the pivot columns alone; with dependent vectors added they
     # are the coordinates that coords() gives, zero off the greedy ones
     n, vecs = first
-    ech = linalg.echelon(vecs)
+    ech = linalg.echelon(sparse(v) for v in vecs)
     inv, q = ech.pivot_inverse()
     assert len(inv) == len(ech.independent)
     inside = [F(0)] * n
@@ -218,4 +221,4 @@ def test_pivot_inverse_gives_the_coordinates_of_the_span(first, data):
     for p, col in inv.items():
         for k, z in col.items():
             got[k] += inside[p] * z / q
-    assert got == ech.coords(inside)
+    assert got == densify(ech.coords(sparse(inside)), len(vecs))

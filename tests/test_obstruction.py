@@ -24,7 +24,7 @@ from conftest import (UV_M3_EXT, counterexample_extension, direct_sum_dgla,
                       random_abelian_dgla, random_dgla, random_invertible_degree0,
                       random_section, rescaled,
                       reference_shifted_kernel_violations, sl2, sl2_odd, transported,
-                      dense, sparse)
+                      dense, invert, matrix, solve, sparse)
 
 F = Fraction
 
@@ -76,11 +76,11 @@ def test_kernel_coords_match_solve():
     exts = [e0] + factor_into_small_extensions(e0.alpha) + [
         primary_obstruction_extension(i, j) for i, j in ((0, 0), (-1, 0), (1, -1))]
     for e in exts:
-        iota_m = e.iota.matrix()
+        iota_m = matrix(e.iota)
         # basis vectors of A, in ι(I) or not, and a random vector of ι(I)
         for k in range(e.a.dim):
             v = e.a.space.basis_vector(k)
-            sol = linalg.solve(iota_m, dense(v, e.a.dim))
+            sol = solve(iota_m, dense(v, e.a.dim))
             assert e.kernel_coords(v) == (None if sol is None else sparse(sol))
         c = sparse([F(rng.randint(-3, 3)) for _ in range(e.i_complex.space.dim)])
         assert e.kernel_coords(e.iota.apply(c)) == c
@@ -93,10 +93,10 @@ def test_kernel_coords_match_solve():
         cc = [F(rng.randint(-3, 3)) for _ in range(ti.dim)]
         w = emb.apply(sparse(cc))
         assert e.kernel_coords(w) == sparse(cc)
-        assert linalg.solve(emb.matrix(), dense(w, ta.dim)) == cc
+        assert solve(matrix(emb), dense(w, ta.dim)) == cc
         linalg.add_into(w, {ta.pair_index(l.dim - 1, p): x for p, x in off.items()})
         assert e.kernel_coords(w) is None
-        assert linalg.solve(emb.matrix(), dense(w, ta.dim)) is None
+        assert solve(matrix(emb), dense(w, ta.dim)) is None
 
 
 @pytest.mark.parametrize("combo", ["1 e@u + 1 f@v", "1 e@uv"],
@@ -156,10 +156,10 @@ def test_obstruction_base_change():
     assert not e.validate()
     # the kernel map I -> I1 closing the square with pa1
     pi1 = GradedMap(e.i_complex.space, e1.i_complex.space, 0)
-    i1mat = e1.iota.matrix()
+    i1mat = matrix(e1.iota)
     for k in range(e.i_complex.space.dim):
         v = pa1.apply(e.iota.column(k))
-        coords = linalg.solve(i1mat, dense(v, e1.a.dim))
+        coords = solve(i1mat, dense(v, e1.a.dim))
         assert coords is not None
         for j, c in enumerate(coords):
             if c:
@@ -639,7 +639,7 @@ def _new_basis(rng, s):
     basis vectors in the old coordinates."""
     scales = [F(rng.choice([1, -1, 2, -3, 5]), rng.choice([1, 2, 3, 4])) for _ in range(s.dim)]
     g = random_invertible_degree0(rng, s.space)
-    gm = g.matrix()
+    gm = matrix(g)
     m = [[scales[a] * gm[a][i] for i in range(s.dim)] for a in range(s.dim)]
     return transported(rescaled(s, scales), g), m
 
@@ -680,11 +680,11 @@ def test_verdicts_survive_a_change_of_basis(monkeypatch):
         tb = tensor_dgla(l, e.b)
         x = random_mc_over_trivial(rng, tb)
         (l2, ml), (a2, ma), (b2, mb) = (_new_basis(rng, s) for s in (l, e.a, e.b))
-        alpha = mat_mul(mat_mul(linalg.invert(mb), e.alpha.map.matrix()), ma)
+        alpha = mat_mul(mat_mul(invert(mb), matrix(e.alpha.map)), ma)
         e2 = kernel_extension(DgAlgebraMorphism(a2, b2, GradedMap(
             a2.space, b2.space, 0, {(j, i): c for j, row in enumerate(alpha)
                                     for i, c in enumerate(row) if c})))
-        x2 = sparse(_kron_apply(linalg.invert(ml), linalg.invert(mb), dense(x, tb.dim)))
+        x2 = sparse(_kron_apply(invert(ml), invert(mb), dense(x, tb.dim)))
         res, res2 = mc_lift(e, l, x), mc_lift(e2, l2, x2)
         assert res2.lifted == res.lifted
         assert def_tangent(l2).dims() == def_tangent(l).dims()
