@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
 from .graded import Complex, GradedMap, GradedSpace, cohomology, solve_homotopy
@@ -37,10 +37,10 @@ def _numerators(v: Dict) -> Tuple[Dict, int]:
 def _int_columns(m: GradedMap) -> Tuple[List[Dict[int, int]], int]:
     """The columns of m on Python-int numerators over the lcm of the
     denominators of its entries, and that lcm."""
-    entries, den = _numerators(m.entries)
+    den = lcm(*(c.denominator for _, col in m.nonzero_columns() for c in col.values()))
     cols: List[Dict[int, int]] = [{} for _ in range(m.source.dim)]
-    for (j, i), c in entries.items():
-        cols[i][j] = c
+    for i, col in m.nonzero_columns():
+        cols[i] = {j: c.numerator * (den // c.denominator) for j, c in col.items()}
     return cols, den
 
 
@@ -432,6 +432,26 @@ class DgAlgebraMorphism:
         return cls(a, a, GradedMap.identity(a.space), check=False)
 
 
+def push_blocks(v: SparseVec, n: int, m: int,
+                f: Callable[[SparseVec], Optional[SparseVec]]) -> Optional[SparseVec]:
+    """(1⊗f)(v) for a vector v of L⊗A, for any L, and f from the vectors
+    of A (dim n) to those of A' (dim m), such as a GradedMap: v is read as
+    its L-major blocks of dim n, and f sends each block to the block of
+    the same basis vector of L in L⊗A'.  None when f gives None on some
+    block."""
+    blocks: Dict[int, SparseVec] = {}
+    for k, c in v.items():
+        i, p = divmod(k, n)
+        blocks.setdefault(i, {})[p] = c
+    out: SparseVec = {}
+    for i, block in blocks.items():
+        img = f(block)
+        if img is None:
+            return None
+        out.update((i * m + q, c) for q, c in img.items())
+    return out
+
+
 def subalgebra(ambient: NilpotentDgAlgebra, vectors: Sequence[SparseVec],
                names: Optional[Sequence[str]] = None
                ) -> Tuple[NilpotentDgAlgebra, GradedMap]:
@@ -456,13 +476,10 @@ def subalgebra(ambient: NilpotentDgAlgebra, vectors: Sequence[SparseVec],
                 raise ValueError("span is not closed under multiplication")
             if row:
                 mult[(i, j)] = row
-    d = GradedMap(space, space, 1)
-    for i, u in enumerate(vectors):
-        coords = span.coords(ambient.d.apply(u))
-        if coords is None:
-            raise ValueError("span is not closed under the differential")
-        for j, c in coords.items():
-            d.set_entry(j, i, c)
+    dcols = [span.coords(ambient.d.apply(u)) for u in vectors]
+    if None in dcols:
+        raise ValueError("span is not closed under the differential")
+    d = GradedMap.from_columns(space, space, 1, dcols)
     incl = GradedMap.from_columns(space, ambient.space, 0, vectors)
     return NilpotentDgAlgebra(space, mult, d), incl
 
@@ -503,16 +520,9 @@ def quotient_algebra(a: NilpotentDgAlgebra, ideal: Sequence[SparseVec]
     space = GradedSpace(list(zip(names, degs)))
     mult = (((pos[i], pos[j]), project(row, a.den)) for i, row_list in enumerate(a._left)
             if i in pos for j, row in row_list if j in pos)
-    d = GradedMap(space, space, 1)
-    dcols = a.d.columns()
-    for n, i in enumerate(compl_idx):
-        for m, c in project(dcols[i]).items():
-            d.set_entry(m, n, c)
+    d = GradedMap.from_columns(space, space, 1, [project(a.d.column(i)) for i in compl_idx])
     q = NilpotentDgAlgebra(space, mult, d)
-    pmap = GradedMap(a.space, space, 0)
-    for k in range(a.dim):
-        for n, c in proj[k].items():
-            pmap.set_entry(n, k, c)
+    pmap = GradedMap.from_columns(a.space, space, 0, proj)
     return q, DgAlgebraMorphism(a, q, pmap, check=False)
 
 
@@ -527,11 +537,8 @@ def direct_product(a: NilpotentDgAlgebra, b: NilpotentDgAlgebra,
     mult: Dict[Tuple[int, int], SparseVec] = {(i, j): row for i, j, row in a.constants()}
     for i, j, row in b.constants():
         mult[(i + na, j + na)] = {k + na: c for k, c in row.items()}
-    d = GradedMap(space, space, 1)
-    for (j, i), c in a.d.entries.items():
-        d.set_entry(j, i, c)
-    for (j, i), c in b.d.entries.items():
-        d.set_entry(j + na, i + na, c)
+    d = GradedMap.from_columns(space, space, 1, a.d.columns() + [
+        {j + na: c for j, c in col.items()} for col in b.d.columns()])
     pa = GradedMap(space, a.space, 0, {(i, i): ONE for i in range(na)})
     pb = GradedMap(space, b.space, 0, {(i, i + na): ONE for i in range(b.dim)})
     return NilpotentDgAlgebra(space, mult, d), pa, pb
@@ -554,16 +561,13 @@ class FiberProduct:
             if lhs != rhs:
                 raise ValueError("cone condition alpha∘f = beta∘g fails")
         src = f.source
-        m = GradedMap(src.space, self.algebra.space, 0)
         span = linalg.echelon(self._basis_in_product)
         na = f.target.dim
-        for i in range(src.dim):
-            coords = span.coords({**f.map.column(i),
-                                  **{na + j: c for j, c in g.map.column(i).items()}})
-            if coords is None:
-                raise ValueError("image does not land in the fiber product")
-            for j, c in coords.items():
-                m.set_entry(j, i, c)
+        cols = [span.coords({**f.map.column(i), **{na + j: c for j, c in g.map.column(i).items()}})
+                for i in range(src.dim)]
+        if None in cols:
+            raise ValueError("image does not land in the fiber product")
+        m = GradedMap.from_columns(src.space, self.algebra.space, 0, cols)
         return DgAlgebraMorphism(src, self.algebra, m, check=False)
 
 
@@ -641,17 +645,7 @@ class SmallExtension:
         and the result is the matching vector of L⊗I, or None when some
         block is off ι(I).  ι is injective, so the coordinates are unique.
         """
-        na, ni = self.a.dim, self.i_complex.space.dim
-        blocks: Dict[int, SparseVec] = {}
-        for k, c in v.items():
-            blocks.setdefault(k // na, {})[k % na] = c
-        out: SparseVec = {}
-        for b, block in blocks.items():
-            coords = self._iota_echelon.coords(block)
-            if coords is None:
-                return None
-            out.update((b * ni + t, c) for t, c in coords.items())
-        return out
+        return push_blocks(v, self.a.dim, self.i_complex.space.dim, self._iota_echelon.coords)
 
     @cached_property
     def _alpha_echelon(self) -> linalg.Echelon:
@@ -685,14 +679,11 @@ def kernel_extension(alpha: DgAlgebraMorphism) -> SmallExtension:
     alpha_ech, basis = linalg.relations(alpha.map.columns())
     degs = [alpha.source.space.vector_degree(v) for v in basis]
     ispace = GradedSpace([("i%d" % k, d) for k, d in enumerate(degs)])
-    di = GradedMap(ispace, ispace, 1)
     span = linalg.echelon(basis)
-    for k, v in enumerate(basis):
-        coords = span.coords(alpha.source.d.apply(v))
-        if coords is None:
-            raise ValueError("kernel is not stable under the differential")
-        for j, c in coords.items():
-            di.set_entry(j, k, c)
+    dcols = [span.coords(alpha.source.d.apply(v)) for v in basis]
+    if None in dcols:
+        raise ValueError("kernel is not stable under the differential")
+    di = GradedMap.from_columns(ispace, ispace, 1, dcols)
     iota = GradedMap.from_columns(ispace, alpha.source.space, 0, basis)
     e = SmallExtension(Complex(ispace, di), alpha.source, alpha.target, iota, alpha)
     e._alpha_echelon, e._iota_echelon = alpha_ech, span
@@ -732,13 +723,12 @@ def factor_into_small_extensions(alpha: DgAlgebraMorphism) -> List[SmallExtensio
         for v in inter:
             homog.extend(current.source.space.homogeneous_components(v).values())
         keep = linalg.independent_subset(homog)
-        j_basis = [homog[k] for k in keep]
-        # d-stability of J = ker ∩ Ann
-        j_span = linalg.echelon(j_basis)
-        if any(j_span.coords(current.source.d.apply(v)) is None for v in j_basis):
-            raise CertificateError("ker ∩ Ann is not differential-stable")
-        q, proj = quotient_algebra(current.source, j_basis)
-        chain.append(kernel_extension(proj))
+        q, proj = quotient_algebra(current.source, [homog[k] for k in keep])
+        # the kernel of proj is J, so this checks that J is d-stable
+        try:
+            chain.append(kernel_extension(proj))
+        except ValueError as exc:
+            raise CertificateError("ker ∩ Ann: %s" % exc) from exc
         # induced morphism q -> B on the quotient, through the stage's section
         newmap = current.map.compose(chain[-1].section())
         current = DgAlgebraMorphism(q, current.target, newmap, check=False)
@@ -819,22 +809,16 @@ def mapping_cone(a: NilpotentDgAlgebra, module_vectors: Sequence[SparseVec]) -> 
             q = a.product(w, ei)
             if q:
                 mult[(na + k, i)] = {na + t: c for t, c in mcoords(q).items()}
-    d = GradedMap(space, space, 1)
-    for (j, i), c in a.d.entries.items():
-        d.set_entry(j, i, c)
-    for i, col in enumerate(a.d.compose(a.d).columns()):
-        if col:
-            coords = span.coords(col)
-            if coords is None:
-                raise ValueError("d² does not map A into the module")
-            for t, c in coords.items():
-                d.set_entry(na + t, i, -c)
-    for k, w in enumerate(mv):
-        for j, c in w.items():             # the inclusion component f: M[1] -> A[1]
-            d.set_entry(j, na + k, c)
-        for t, c in mcoords(a.d.apply(w)).items():
-            d.set_entry(na + t, na + k, -c)
-    cone = NilpotentDgAlgebra(space, mult, d)
+    cols = []
+    dd = a.d.compose(a.d)
+    for i, col in enumerate(a.d.columns()):
+        coords = span.coords(dd.column(i))
+        if coords is None:
+            raise ValueError("d² does not map A into the module")
+        cols.append({**col, **{na + t: -c for t, c in coords.items()}})
+    for w in mv:        # w is the inclusion component f: M[1] -> A[1]
+        cols.append({**w, **{na + t: -c for t, c in mcoords(a.d.apply(w)).items()}})
+    cone = NilpotentDgAlgebra(space, mult, GradedMap.from_columns(space, space, 1, cols))
     incl = DgAlgebraMorphism(a, cone, GradedMap(a.space, space, 0,
                              {(i, i): ONE for i in range(na)}), check=False)
     proj = GradedMap(space, mod_space, 0,
@@ -984,20 +968,19 @@ class DeRhamAlgebra:
         # d(v ⊗ tⁿ) = dv ⊗ tⁿ ± n v ⊗ tⁿ⁻¹dt: dv is read once per power
         # ideal, and v is the k-th basis vector of its own block
         dvs: Dict[Pair, List[Tuple[int, Fraction]]] = {}
-        d = GradedMap(space, space, 1)
+        dcols: List[SparseVec] = []
         for n, is_dt, p in blocks:
             off, pb = self._block_pos[(n, is_dt)]
             for k, v in enumerate(powers[p]):
                 if (p, k) not in dvs:
                     dv, dd = _numerators(a.d.apply(v))
                     dvs[(p, k)] = [(t, Fraction(x, pb.q * dd)) for t, x in pb.coords(dv).items()]
-                for t, x in dvs[(p, k)]:
-                    d.set_entry(off + t, off + k, x)
+                col = {off + t: x for t, x in dvs[(p, k)]}
                 if not is_dt and n > 0:
                     # the dt block follows the t block, so the column stays in order
-                    d.set_entry(self._block_pos[(n, True)][0] + k, off + k,
-                                Fraction(-n if degs[p][k] % 2 else n))
-        self.algebra = NilpotentDgAlgebra(space, (), d)
+                    col[self._block_pos[(n, True)][0] + k] = Fraction(-n if degs[p][k] % 2 else n)
+                dcols.append(col)
+        self.algebra = NilpotentDgAlgebra(space, (), GradedMap.from_columns(space, space, 1, dcols))
         self.algebra.den, self.algebra._left = m // g, left
         self.include = DgAlgebraMorphism(
             a, self.algebra,
@@ -1017,27 +1000,29 @@ class DeRhamAlgebra:
         """Evaluation morphism e_s: t ↦ s, dt ↦ 0, read off each block
         vector's support."""
         s = linalg.frac(s)
-        m = GradedMap(self.algebra.space, self.base.space, 0)
+        cols: Dict[int, SparseVec] = {}
         for (n, is_dt), (off, pb) in self._block_pos.items():
             c = s ** n
             for k, v in enumerate(pb.vecs if c and not is_dt else ()):
-                for j, x in v.items():
-                    m.set_entry(j, off + k, c * Fraction(x, pb.den))
+                cols[off + k] = {j: c * Fraction(x, pb.den) for j, x in v.items()}
+        m = GradedMap.from_columns(self.algebra.space, self.base.space, 0, cols)
         return DgAlgebraMorphism(self.algebra, self.base, m, check=False)
 
     def reverse(self) -> DgAlgebraMorphism:
         """The reparametrization t ↦ 1 - t, dt ↦ -dt (an automorphism)."""
         from math import comb
         space = self.algebra.space
-        m = GradedMap(space, space, 0)
-        for i, (n, is_dt, v) in enumerate(self._elems):
+        cols: List[SparseVec] = []
+        for n, is_dt, v in self._elems:
             # t^n -> (1-t)^n; t^(n-1)dt -> -(1-t)^(n-1)dt, whose t^k dt term
-            # lies in block (k+1, dt)
+            # lies in block (k+1, dt), so the terms never share an entry
             top, sgn = (n - 1, -1) if is_dt else (n, 1)
+            col: SparseVec = {}
             for k in range(top + 1):
                 coef = Fraction(sgn * comb(top, k) * (-1) ** k)
-                for j, c in self.element(k + is_dt, is_dt, v, coef).items():
-                    m.set_entry(j, i, c)
+                col.update(self.element(k + is_dt, is_dt, v, coef))
+            cols.append(col)
+        m = GradedMap.from_columns(space, space, 0, cols)
         return DgAlgebraMorphism(self.algebra, self.algebra, m, check=False)
 
 

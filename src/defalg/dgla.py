@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from . import linalg
 from .algebras import (BilinearStructure, DgAlgebraMorphism, LeftIndex,
                        NilpotentDgAlgebra, SmallExtension, SparseVec, ValidationReport,
-                       _bilinear, factor_into_small_extensions)
+                       _bilinear, factor_into_small_extensions, push_blocks)
 from .graded import Complex, Contraction, GradedMap, GradedSpace, cohomology
 from .linalg import ONE, ZERO, CertificateError, add_into
 
@@ -76,13 +76,17 @@ class TensorDgla(Dgla):
         self.space = space = tensor_space(l.space, a.space)
         self._odd_l = odd_l = [deg % 2 for deg in l.space.degrees]
         self._odd_a = [deg % 2 for deg in a.space.degrees]
-        # the entries of dx⊗a (block j ≠ i) and of ±x⊗da (block i, q ≠ p)
-        # never collide, and each has degree 1 because d_L's and d_A's have
-        self.d = d = GradedMap(space, space, 1)
-        d.entries = {(j * na + p, i * na + p): c
-                     for (j, i), c in l.d.entries.items() for p in range(na)}
-        d.entries.update(((i * na + q, i * na + p), -c if odd_l[i] else c)
-                         for (q, p), c in a.d.entries.items() for i in range(nl))
+        # column x_i⊗a_p is dx_i⊗a_p (blocks j ≠ i) plus ±x_i⊗da_p (block i)
+        cols: Dict[int, SparseVec] = {}
+        for i, lcol in l.d.nonzero_columns():
+            for p in range(na):
+                cols[i * na + p] = {j * na + p: c for j, c in lcol.items()}
+        for p, acol in a.d.nonzero_columns():
+            for i in range(nl):
+                col = cols.setdefault(i * na + p, {})
+                for q, c in acol.items():
+                    col[i * na + q] = -c if odd_l[i] else c
+        self.d = GradedMap.from_columns(space, space, 1, cols)
         self.den = l.den * a.den
 
     @cached_property
@@ -155,19 +159,6 @@ def tensor_space(l: GradedSpace, a: GradedSpace) -> GradedSpace:
 
 def tensor_dgla(l: Dgla, a: NilpotentDgAlgebra) -> TensorDgla:
     return TensorDgla(l, a)
-
-
-def tensor_push(src: TensorDgla, dst_space: GradedSpace, f: GradedMap,
-                dst_adim: int) -> GradedMap:
-    """The map 1⊗f : L⊗A -> L⊗A' induced by a coefficient map f: A -> A'.
-
-    Its entries are f's, one copy per basis vector x_i of L: they never
-    collide, and x_i⊗f has f's degree."""
-    out = GradedMap(src.space, dst_space, f.degree)
-    na = src.a.dim
-    out.entries = {(i * dst_adim + q, i * na + p): c
-                   for (q, p), c in f.entries.items() for i in range(src.l.dim)}
-    return out
 
 
 def trivial_algebra_of_complex(c: Complex) -> NilpotentDgAlgebra:
@@ -283,7 +274,6 @@ class McLiftResult:
     tensor_a: TensorDgla
     tensor_i: TensorDgla
     i_cohomology: Contraction
-    embed_i: GradedMap                     # L⊗I -> L⊗A
 
 
 def mc_lift(e: SmallExtension, l: Dgla, x: SparseVec,
@@ -306,14 +296,10 @@ def mc_lift(e: SmallExtension, l: Dgla, x: SparseVec,
     """
     ti = tensor_dgla(l, trivial_algebra_of_complex(e.i_complex))
     ta = tensor_dgla(l, e.a)
-    emb = tensor_push(ti, ta.space, e.iota, e.a.dim)
     if section is None:
         section = e.section()
-    nb, na = e.b.dim, e.a.dim
-    blocks: Dict[int, SparseVec] = {}
-    for k, c in x.items():
-        blocks.setdefault(k // nb, {})[k % nb] = c
-    y = {i * na + q: c for i, block in blocks.items() for q, c in section.apply(block).items()}
+    ni, nb, na = e.i_complex.space.dim, e.b.dim, e.a.dim
+    y = push_blocks(x, nb, na, section)
     # s is injective of degree 0, so y has the degrees of x
     _, h = mc_check(ta, y)
     hi = e.kernel_coords(h)
@@ -327,7 +313,7 @@ def mc_lift(e: SmallExtension, l: Dgla, x: SparseVec,
     else:
         t_cols = []
         for i in deg1:
-            xi = emb.column(i)
+            xi = push_blocks({i: ONE}, ni, na, e.iota)
             col_i = e.kernel_coords(add_into(ta.d.apply(xi), ta.bracket_vec(y, xi)))
             if col_i is None:
                 raise CertificateError("the lift operator escaped L⊗I: the kernel is not an ideal")
@@ -342,16 +328,16 @@ def mc_lift(e: SmallExtension, l: Dgla, x: SparseVec,
         ccls = hcoh.class_of(hi)
         if ccls is None:
             raise CertificateError("the defect is not a cocycle of L⊗I")
-    translations = [emb.apply({deg1[pos]: c for pos, c in ker.items()}) for ker in kernel]
+    translations = [push_blocks({deg1[pos]: c for pos, c in ker.items()}, ni, na, e.iota)
+                    for ker in kernel]
 
     sol = t_ech.coords({k: -c for k, c in hi.items()})
     if sol is not None:
         xi = {deg1[pos]: c for pos, c in sol.items()}
-        lift = add_into(dict(y), emb.apply(xi))
+        lift = add_into(dict(y), push_blocks(xi, ni, na, e.iota))
         if not mc_check(ta, lift)[0]:
             raise CertificateError("the corrected lift fails Maurer-Cartan")
-        return McLiftResult(True, lift, translations, hi, xi, None, ccls,
-                            ta, ti, hcoh, emb)
+        return McLiftResult(True, lift, translations, hi, xi, None, ccls, ta, ti, hcoh)
     # obstruction: coordinates of h in a complement of im(T) inside (L⊗I)²
     chosen = [k for k, i in enumerate(ti.space.degree_indices(2))
               if t_ech.add(ti.space.basis_vector(i))]
@@ -361,8 +347,7 @@ def mc_lift(e: SmallExtension, l: Dgla, x: SparseVec,
     cls = [coords.get(len(t_cols) + k, ZERO) for k in chosen]
     if not any(cls):
         raise CertificateError("an unsolvable system has a zero cokernel class")
-    return McLiftResult(False, None, translations, hi, None, cls, ccls,
-                        ta, ti, hcoh, emb)
+    return McLiftResult(False, None, translations, hi, None, cls, ccls, ta, ti, hcoh)
 
 
 @dataclass
@@ -419,29 +404,22 @@ def gauge_equivalent(l: Dgla, a: NilpotentDgAlgebra, x: SparseVec,
     zero = NilpotentDgAlgebra.trivial(GradedSpace([]))
     to_zero = DgAlgebraMorphism(a, zero, GradedMap(a.space, zero.space, 0), check=False)
     chain = factor_into_small_extensions(to_zero)
-    # projections A -> A_j (A_0 = A; chain[j]: A_j -> A_{j+1})
-    stages = [chain[j].a for j in range(len(chain))] + [zero]
-    projs = [DgAlgebraMorphism.identity(a)]
-    for j in range(len(chain)):
-        projs.append(chain[j].alpha.compose(projs[-1]))
+    # x and y carried down the chain (A_0 = A; chain[j]: A_j -> A_{j+1})
+    xs, ys = [x], [y]
+    for e in chain:
+        xs.append(push_blocks(xs[-1], e.a.dim, e.b.dim, e.alpha.map))
+        ys.append(push_blocks(ys[-1], e.a.dim, e.b.dim, e.alpha.map))
     witness_vec: SparseVec = {}
-    tensors = {len(stages) - 1: tensor_dgla(l, zero)}
     for j in range(len(chain) - 1, -1, -1):
-        tj = tensor_dgla(l, stages[j]) if j else t      # A_0 = A
-        tj.nilpotency_class = len(chain) - j
-        tensors[j] = tj
         e = chain[j]
+        tj = tensor_dgla(l, e.a) if j else t      # A_0 = A
+        tj.nilpotency_class = len(chain) - j
         if not e.is_strictly_small():
             raise CertificateError("a stage of the small-extension chain is not "
                                    "strictly small")
         tii = tensor_dgla(l, trivial_algebra_of_complex(e.i_complex))
-        emb = tensor_push(tii, tj.space, e.iota, e.a.dim)
-        push = tensor_push(t, tj.space, projs[j].map, stages[j].dim)
-        xj, yj = push.apply(x), push.apply(y)
-        sec = e.section()
-        tj1 = tensors[j + 1]
-        lift_w = tensor_push(tj1, tj.space, sec, stages[j].dim).apply(witness_vec)
-        ri = e.kernel_coords(add_into(gauge_act(tj, lift_w, xj), yj, -ONE))
+        lift_w = push_blocks(witness_vec, e.b.dim, e.a.dim, e.section())
+        ri = e.kernel_coords(add_into(gauge_act(tj, lift_w, xs[j]), ys[j], -ONE))
         if ri is None:
             raise CertificateError("the gauge residue escaped the stage kernel")
         if tii.d.apply(ri):
@@ -454,7 +432,7 @@ def gauge_equivalent(l: Dgla, a: NilpotentDgAlgebra, x: SparseVec,
         c = {deg0[pos]: x for pos, x in sol.items()}
         # c lies in L⊗I with A_j·I = 0, so it is central in L⊗A_j and
         # BCH(c, w) = c + w exactly
-        witness_vec = add_into(emb.apply(c), lift_w)
+        witness_vec = add_into(push_blocks(c, e.i_complex.space.dim, e.a.dim, e.iota), lift_w)
     if gauge_act(t, witness_vec, x) == y:
         return GaugeDecision("YES", witness_vec)
     return GaugeDecision("UNKNOWN")
@@ -508,7 +486,7 @@ def derivations_dgla(a: NilpotentDgAlgebra) -> Tuple[Dgla, List[GradedMap]]:
             deriv_maps.append(GradedMap(a.space, a.space, nn, {slots[k]: c for k, c in b.items()}))
 
     def flat(m: GradedMap) -> SparseVec:
-        return {j * n + i: c for (j, i), c in m.entries.items()}
+        return {j * n + i: c for i, col in m.nonzero_columns() for j, c in col.items()}
 
     span = linalg.echelon(flat(m) for m in deriv_maps)
     space = GradedSpace([("D%d" % k, m.degree) for k, m in enumerate(deriv_maps)])
@@ -522,13 +500,12 @@ def derivations_dgla(a: NilpotentDgAlgebra) -> Tuple[Dgla, List[GradedMap]]:
                 raise CertificateError("a commutator escaped the derivation space")
             if row:
                 bracket[(i, j)] = row
-    d = GradedMap(space, space, 1)
-    for i, hi in enumerate(deriv_maps):
+    dcols = []
+    for hi in deriv_maps:
         sgn = Fraction(-1 if hi.degree % 2 else 1)
         dm = a.d.compose(hi) - hi.compose(a.d).scale(sgn)
         coords = span.coords(flat(dm))
         if coords is None:
             raise CertificateError("[d, h] escaped the derivation space")
-        for j, c in coords.items():
-            d.set_entry(j, i, c)
-    return Dgla(space, bracket, d), deriv_maps
+        dcols.append(coords)
+    return Dgla(space, bracket, GradedMap.from_columns(space, space, 1, dcols)), deriv_maps

@@ -484,12 +484,8 @@ def _combo_vector(space: GradedSpace, combo: Combo) -> SparseVec:
 
 def _map_from_payload(src: GradedSpace, dst: GradedSpace, degree: int,
                       table: Dict[str, Combo]) -> GradedMap:
-    m = GradedMap(src, dst, degree)
-    for name, combo in table.items():
-        i = src.index(name)
-        for n, c in combo:
-            m.set_entry(dst.index(n), i, c)
-    return m
+    return GradedMap(src, dst, degree, {(dst.index(n), src.index(name)): c
+                                        for name, combo in table.items() for n, c in combo})
 
 
 def build_space(doc: InputDocument) -> GradedSpace:
@@ -535,13 +531,10 @@ def _graded_maps(doc: InputDocument, powers, letters: GradedSpace
     d_k: ``letters`` → ⊙^k from a quasismooth one."""
     v = GradedSpace(doc.payload["basis"])
     word_keys = doc.kind == "linfty"
-    maps: Dict[int, GradedMap] = {}
+    entries: Dict[int, Dict[Tuple[int, int], Fraction]] = {}
     for (k, key), combo in doc.payload[GRADED_FIELDS[doc.kind]].items():
         pw = powers[k]
-        m = maps.get(k)
-        if m is None:
-            m = maps[k] = GradedMap(pw.space, letters, 1) if word_keys \
-                else GradedMap(letters, pw.space, 1)
+        acc = entries.setdefault(k, {})
         for n, c in combo:
             word, letter = (key, n) if word_keys else (n, key)
             res = pw.index(tuple(v.index(l) for l in (word if word_keys else word.split("*"))))
@@ -549,8 +542,9 @@ def _graded_maps(doc: InputDocument, powers, letters: GradedSpace
                 raise DocumentError("word %r is zero in the symmetric power" % (word,))
             posn, sgn = res
             j, i = (v.index(letter), posn) if word_keys else (posn, v.index(letter))
-            m.set_entry(j, i, m.entries.get((j, i), Fraction(0)) + Fraction(sgn) * c)
-    return maps
+            acc[(j, i)] = acc.get((j, i), Fraction(0)) + Fraction(sgn) * c
+    return {k: GradedMap(powers[k].space, letters, 1, acc) if word_keys
+            else GradedMap(letters, powers[k].space, 1, acc) for k, acc in entries.items()}
 
 
 def build_linfty(doc: InputDocument) -> LInftyStructure:

@@ -19,10 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, ItemsView, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import linalg
-from .linalg import ONE, ZERO, SparseVec
+from .linalg import ONE, ZERO, SparseVec, add_into
 
 __all__ = [
     "GradedSpace", "GradedMap", "Complex", "Splitting", "Contraction", "ShortExactSequence",
@@ -84,11 +85,20 @@ class GradedSpace:
         return "GradedSpace(%s)" % (", ".join("%s:%d" % b for b in self.basis),)
 
 
+_ZERO_COLUMN: SparseVec = MappingProxyType({})    # a zero column, shared and read-only
+
+
 class GradedMap:
     """Degree-homogeneous linear map between graded spaces.
 
-    Entries are kept sparsely as {(target_index, source_index): Fraction};
-    an entry is admissible only when deg(target) = deg(source) + degree.
+    The map is stored as its nonzero columns {source index: SparseVec}, the
+    images of the source basis vectors: no column is empty and no entry is
+    zero.  An entry is admissible only when deg(target) = deg(source) +
+    degree.  The constructor takes entries {(target index, source index):
+    c} and checks their degrees, as documents arrive through it.
+    ``from_columns`` takes columns that the program has built
+    degree-homogeneous and keeps them as they are; ``column`` and
+    ``columns`` return the stored ones, so none of them may be changed.
     """
 
     def __init__(self, source: GradedSpace, target: GradedSpace, degree: int,
@@ -96,21 +106,33 @@ class GradedMap:
         self.source = source
         self.target = target
         self.degree = int(degree)
-        self.entries: Dict[Tuple[int, int], Fraction] = {}
-        if entries:
-            for (j, i), c in entries.items():
-                self.set_entry(j, i, c)
+        self._cols: Dict[int, SparseVec] = {}
+        sdeg, tdeg = source.degrees, target.degrees
+        for (j, i), c in (entries or {}).items():
+            c = linalg.frac(c)
+            if c:
+                if tdeg[j] != sdeg[i] + self.degree:
+                    raise self._degree_error(j, i)
+                self._cols.setdefault(i, {})[j] = c
+
+    def _degree_error(self, j: int, i: int) -> ValueError:
+        return ValueError("entry (%s <- %s) violates degree %d homogeneity"
+                          % (self.target.names[j], self.source.names[i], self.degree))
 
     def set_entry(self, j: int, i: int, c) -> None:
+        """Set one entry.  Column i is replaced, not changed in place."""
         c = linalg.frac(c)
-        if c == 0:
-            self.entries.pop((j, i), None)
-            return
-        if self.target.degrees[j] != self.source.degrees[i] + self.degree:
-            raise ValueError(
-                "entry (%s <- %s) violates degree %d homogeneity"
-                % (self.target.names[j], self.source.names[i], self.degree))
-        self.entries[(j, i)] = c
+        col = dict(self._cols.get(i, ()))
+        if c:
+            if self.target.degrees[j] != self.source.degrees[i] + self.degree:
+                raise self._degree_error(j, i)
+            col[j] = c
+        else:
+            col.pop(j, None)
+        if col:
+            self._cols[i] = col
+        else:
+            self._cols.pop(i, None)
 
     @classmethod
     def zero(cls, source: GradedSpace, target: GradedSpace, degree: int) -> "GradedMap":
@@ -118,58 +140,66 @@ class GradedMap:
 
     @classmethod
     def identity(cls, space: GradedSpace) -> "GradedMap":
-        return cls(space, space, 0, {(i, i): ONE for i in range(space.dim)})
+        return cls.from_columns(space, space, 0, [{i: ONE} for i in range(space.dim)])
 
     @classmethod
     def from_columns(cls, source: GradedSpace, target: GradedSpace, degree: int,
-                     columns: Sequence[SparseVec]) -> "GradedMap":
-        """columns[i] = image of the i-th source basis vector."""
-        return cls(source, target, degree,
-                   {(j, i): c for i, col in enumerate(columns) for j, c in col.items()})
+                     columns: Union[Sequence[SparseVec], Dict[int, SparseVec]]) -> "GradedMap":
+        """The map whose column i, the image of the i-th source basis
+        vector, is columns[i]: ``columns`` is a list over the source basis
+        or a dict of columns.  Empty columns are dropped and the others
+        kept as they are."""
+        out = cls(source, target, degree)
+        out._cols = {i: col for i, col in (columns.items() if isinstance(columns, dict)
+                                           else enumerate(columns)) if col}
+        return out
 
     def column(self, i: int) -> SparseVec:
-        return {j: c for (j, ii), c in self.entries.items() if ii == i}
+        return self._cols.get(i, _ZERO_COLUMN)
+
+    def nonzero_columns(self) -> ItemsView[int, SparseVec]:
+        """The pairs (i, column i) of the nonzero columns."""
+        return self._cols.items()
+
+    def columns(self) -> List[SparseVec]:
+        """The images of the source basis vectors, in order."""
+        cols = self._cols
+        return [cols.get(i, _ZERO_COLUMN) for i in range(self.source.dim)]
 
     def apply(self, v: SparseVec) -> SparseVec:
+        """The sum of the columns on v's support, weighted by v."""
         out: SparseVec = {}
-        for (j, i), c in self.entries.items():
-            x = v.get(i)
-            if x:
-                out[j] = out.get(j, ZERO) + c * x
-        return {j: x for j, x in out.items() if x}
+        cols = self._cols
+        for i, x in v.items():
+            col = cols.get(i)
+            if col:
+                add_into(out, col, x)
+        return out
 
     def __call__(self, v: SparseVec) -> SparseVec:
         return self.apply(v)
 
     def compose(self, other: "GradedMap") -> "GradedMap":
-        """self after other."""
+        """self after other: self applied to each column of other."""
         if other.target is not self.source and other.target != self.source:
             raise ValueError("composition shape mismatch")
         out = GradedMap(other.source, self.target, self.degree + other.degree)
-        by_col: Dict[int, List[Tuple[int, Fraction]]] = {}
-        for (j, i), c in self.entries.items():
-            by_col.setdefault(i, []).append((j, c))
-        acc: Dict[Tuple[int, int], Fraction] = {}
-        for (k, i), c in other.entries.items():
-            for (j, c2) in by_col.get(k, ()):
-                key = (j, i)
-                acc[key] = acc.get(key, ZERO) + c2 * c
-        for key, c in acc.items():
-            if c:
-                out.entries[key] = c
+        for i, col in other._cols.items():
+            img = self.apply(col)
+            if img:
+                out._cols[i] = img
         return out
 
     def __add__(self, other: "GradedMap") -> "GradedMap":
         if (self.source != other.source or self.target != other.target
                 or self.degree != other.degree):
             raise ValueError("sum shape mismatch")
-        out = GradedMap(self.source, self.target, self.degree, dict(self.entries))
-        for key, c in other.entries.items():
-            s = out.entries.get(key, ZERO) + c
-            if s:
-                out.entries[key] = s
-            else:
-                out.entries.pop(key, None)
+        out = GradedMap(self.source, self.target, self.degree)
+        cols = out._cols
+        cols.update((i, dict(col)) for i, col in self._cols.items())
+        for i, col in other._cols.items():
+            if not add_into(cols.setdefault(i, {}), col):
+                del cols[i]
         return out
 
     def __sub__(self, other: "GradedMap") -> "GradedMap":
@@ -182,28 +212,24 @@ class GradedMap:
         c = linalg.frac(c)
         out = GradedMap(self.source, self.target, self.degree)
         if c:
-            out.entries = {k: c * v for k, v in self.entries.items()}
+            out._cols = {i: {j: c * x for j, x in col.items()} for i, col in self._cols.items()}
         return out
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self._cols
 
     def __eq__(self, other):
         return (isinstance(other, GradedMap) and self.source == other.source
                 and self.target == other.target and self.degree == other.degree
-                and self.entries == other.entries)
+                and self._cols == other._cols)
 
     def transpose(self) -> "GradedMap":
         """Plain transpose between dual spaces (no signs)."""
-        return GradedMap(self.target.dual(), self.source.dual(), self.degree,
-                         {(i, j): c for (j, i), c in self.entries.items()})
-
-    def columns(self) -> List[linalg.SparseVec]:
-        """The images of the source basis vectors, as sparse vectors."""
-        cols: List[linalg.SparseVec] = [{} for _ in range(self.source.dim)]
-        for (j, i), c in self.entries.items():
-            cols[i][j] = c
-        return cols
+        out = GradedMap(self.target.dual(), self.source.dual(), self.degree)
+        for i, col in self._cols.items():
+            for j, c in col.items():
+                out._cols.setdefault(j, {})[i] = c
+        return out
 
     def rank(self) -> int:
         return len(linalg.independent_subset(self.columns()))
@@ -212,7 +238,8 @@ class GradedMap:
         return linalg.relations(self.columns())[1]
 
     def __repr__(self):
-        return "GradedMap(deg=%d, %d entries)" % (self.degree, len(self.entries))
+        return "GradedMap(deg=%d, %d entries)" % (
+            self.degree, sum(len(col) for col in self._cols.values()))
 
 
 class Complex:
@@ -278,10 +305,8 @@ def unshuffles(p: int, q: int) -> List[Tuple[int, ...]]:
 
 def shift(c: Complex, n: int) -> Complex:
     """Shift C[n]: degree k becomes k - n, differential scaled by (-1)^n."""
-    space = GradedSpace([(name, d - n) for name, d in c.space.basis])
-    sgn = -1 if n % 2 else 1
-    d = GradedMap(space, space, 1,
-                  {key: sgn * v for key, v in c.d.entries.items()})
+    space = shift_space(c.space, n)
+    d = GradedMap.from_columns(space, space, 1, c.d.scale(-1 if n % 2 else 1).columns())
     return Complex(space, d, check=False)
 
 
@@ -550,8 +575,8 @@ class Contraction:
         basis [B | H | W]: p takes the H-coordinates, sigma sends the
         B-coordinates back to the basis vectors they are the images of."""
         space = self.complex.space
-        proj = GradedMap(space, self.harmonic_space, 0)
-        sigma = GradedMap(space, space, -1)
+        proj: Dict[int, SparseVec] = {}
+        sigma: Dict[int, SparseVec] = {}
         for k, idx in self._by_degree.items():
             bnd, _, harm, comp = self.split(k)
             where = {i: pos for pos, i in enumerate(idx)}
@@ -560,10 +585,11 @@ class Contraction:
             for i, col in zip(idx, inv):
                 for t, c in col.items():
                     if t < nb:
-                        sigma.set_entry(bounding[t], i, c)
+                        sigma.setdefault(i, {})[bounding[t]] = c
                     elif t < nb + nh:
-                        proj.set_entry(self._offsets[k] + t - nb, i, c)
-        return proj, sigma
+                        proj.setdefault(i, {})[self._offsets[k] + t - nb] = c
+        return (GradedMap.from_columns(space, self.harmonic_space, 0, proj),
+                GradedMap.from_columns(space, space, -1, sigma))
 
     @property
     def project(self) -> GradedMap:
@@ -594,20 +620,19 @@ def solve_homotopy(d_source: GradedMap, d_target: GradedMap, t: GradedMap
     slots = [(j, i) for j in range(tgt.dim) for i in range(src.dim)
              if tgt.degrees[j] == src.degrees[i] + t.degree - 1]
     rows_of_source: Dict[int, List[Tuple[int, Fraction]]] = {}
-    for (i, c), x in d_source.entries.items():
-        rows_of_source.setdefault(i, []).append((c, x))
-    cols_of_target: Dict[int, List[Tuple[int, Fraction]]] = {}
-    for (r, j), x in d_target.entries.items():
-        cols_of_target.setdefault(j, []).append((r, x))
+    for c, dcol in d_source.nonzero_columns():
+        for i, x in dcol.items():
+            rows_of_source.setdefault(i, []).append((c, x))
     cols = []
     for j, i in slots:
         col: Dict[int, Fraction] = {}
-        for r, x in cols_of_target.get(j, ()):     # (d X)[r, i] += d[r, j]
+        for r, x in d_target.column(j).items():    # (d X)[r, i] += d[r, j]
             col[r * src.dim + i] = col.get(r * src.dim + i, ZERO) + x
         for c, x in rows_of_source.get(i, ()):     # (X d)[j, c] += d[i, c]
             col[j * src.dim + c] = col.get(j * src.dim + c, ZERO) + x
         cols.append({key: x for key, x in col.items() if x})
-    sol = linalg.echelon(cols).coords({r * src.dim + c: x for (r, c), x in t.entries.items()})
+    sol = linalg.echelon(cols).coords({r * src.dim + c: x for c, tcol in t.nonzero_columns()
+                                       for r, x in tcol.items()})
     if sol is None:
         return None
     return GradedMap(src, tgt, t.degree - 1, {slots[pos]: x for pos, x in sol.items()})
@@ -668,7 +693,7 @@ def connecting_hom(ses: ShortExactSequence) -> GradedMap:
         raise ValueError("not a short exact sequence: " + "; ".join(errs))
     hq = cohomology(ses.quotient)
     hs = cohomology(ses.sub)
-    out = GradedMap(hq.harmonic_space, hs.harmonic_space, 1)
+    out: Dict[int, SparseVec] = {}
     pech = linalg.echelon(ses.project.columns())
     iech = linalg.echelon(ses.include.columns())
     for c in range(hq.harmonic_space.dim):
@@ -681,6 +706,5 @@ def connecting_hom(ses: ShortExactSequence) -> GradedMap:
         cls = hs.class_of(z)
         if cls is None:
             raise linalg.CertificateError("snake output is not a cocycle")
-        for j, coef in cls.items():
-            out.set_entry(j, c, coef)
-    return out
+        out[c] = cls
+    return GradedMap.from_columns(hq.harmonic_space, hs.harmonic_space, 1, out)

@@ -76,9 +76,12 @@ def _transpose(f: GradedMap, source: WordBasis, target: WordBasis) -> GradedMap:
     """The transpose source → target of f under the pairing
     ⟨x^u, w⟩ = m(u)·δ_uw of words with their duals: f maps the words of
     ``target`` to those of ``source``, and fᵀ[a, b] = f[b, a]·m(b)/m(a)."""
-    return GradedMap(source.space, target.space, f.degree, {
-        (a, b): x * symmetry_factor(source.words[b]) / symmetry_factor(target.words[a])
-        for (b, a), x in f.entries.items()})
+    cols: Dict[int, SparseVec] = {}
+    for a, col in f.nonzero_columns():
+        for b, x in col.items():
+            cols.setdefault(b, {})[a] = \
+                x * symmetry_factor(source.words[b]) / symmetry_factor(target.words[a])
+    return GradedMap.from_columns(source.space, target.space, f.degree, cols)
 
 
 class LInftyStructure:
@@ -102,7 +105,7 @@ class LInftyStructure:
             if q.source != self.coalgebra.powers[k].space \
                     or q.target != self.coalgebra.letters or q.degree != 1:
                 raise ValueError("Q¹_%d has wrong source/target/degree" % k)
-            if q.entries:
+            if not q.is_zero():
                 self.taylor[k] = q
 
     def is_minimal(self) -> bool:
@@ -117,8 +120,11 @@ class LInftyStructure:
         comps = {}
         for k, q in self.taylor.items():
             words = self.coalgebra.powers[k].monomials
-            comps[k] = GradedMap(dual.v, dual.basis.powers[k].space, 1, {
-                (u, t): -x / symmetry_factor(words[u]) for (t, u), x in q.entries.items()})
+            cols: Dict[int, SparseVec] = {}
+            for u, col in q.nonzero_columns():
+                for t, x in col.items():
+                    cols.setdefault(t, {})[u] = -x / symmetry_factor(words[u])
+            comps[k] = GradedMap.from_columns(dual.v, dual.basis.powers[k].space, 1, cols)
         return dual.with_components(comps, check=False)
 
 
@@ -161,15 +167,14 @@ def check_linfty(s: LInftyStructure) -> LInftyReport:
     c = s.coalgebra
     d = s.ce.differential()
     dd = d.compose(d)
-    defects: Dict[int, GradedMap] = {}
-    for (w, t), x in dd.entries.items():
-        if t >= c.letters.dim:
-            continue
-        k = len(c.words[w])
-        dm = defects.get(k)
-        if dm is None:
-            dm = defects[k] = GradedMap(c.powers[k].space, c.letters, 2)
-        dm.set_entry(t, w - c.offsets[k], symmetry_factor(c.words[w]) * x)
+    cols: Dict[int, Dict[int, SparseVec]] = {}
+    for t in range(c.letters.dim):
+        for w, x in dd.column(t).items():
+            k = len(c.words[w])
+            cols.setdefault(k, {}).setdefault(w - c.offsets[k], {})[t] = \
+                symmetry_factor(c.words[w]) * x
+    defects = {k: GradedMap.from_columns(c.powers[k].space, c.letters, 2, kcols)
+               for k, kcols in cols.items()}
     full_zero = dd.is_zero()
     if full_zero != (not defects):
         raise CertificateError("D² must vanish on the words iff on the generators")
@@ -183,17 +188,11 @@ def check_linfty(s: LInftyStructure) -> LInftyReport:
 def dgla_to_linfty(l: Dgla, order: int = 3) -> LInftyStructure:
     """Dictionary: Q¹₁(w[1]) = -(dw)[1], Q¹₂(w₁[1]⊙w₂[1]) = (-1)^{w̄₁}[w₁,w₂][1]."""
     c = SymCoalgebra(l.space, order)
-    q1 = GradedMap(c.powers[1].space, c.letters, 1)
-    for (j, i), cv in l.d.entries.items():
-        q1.set_entry(j, i, -cv)
-    taylor = {1: q1}
+    taylor = {1: GradedMap.from_columns(c.powers[1].space, c.letters, 1, (-l.d).columns())}
     if order >= 2:
-        q2 = GradedMap(c.powers[2].space, c.letters, 1)
-        for pos, (i, j) in enumerate(c.powers[2].monomials):
-            sgn = Fraction(-1 if l.space.degrees[i] % 2 else 1)
-            for t, ct in l.table_entry(i, j).items():
-                q2.set_entry(t, pos, q2.entries.get((t, pos), ZERO) + sgn * ct)
-        taylor[2] = q2
+        taylor[2] = GradedMap.from_columns(c.powers[2].space, c.letters, 1, [
+            {t: -ct if l.space.degrees[i] % 2 else ct for t, ct in l.table_entry(i, j).items()}
+            for i, j in c.powers[2].monomials])
     return LInftyStructure(l.space, order, taylor)
 
 
@@ -204,11 +203,9 @@ def linfty_to_dgla(s: LInftyStructure) -> Dgla:
             raise ValueError("structure has a nonzero Taylor coefficient of arity >= 3")
     c = s.coalgebra
     space = s.v
-    d = GradedMap(space, space, 1)
     q1 = s.taylor.get(1)
-    if q1 is not None:
-        for (j, i), cv in q1.entries.items():
-            d.set_entry(j, i, -cv)
+    d = GradedMap(space, space, 1) if q1 is None else \
+        GradedMap.from_columns(space, space, 1, (-q1).columns())
     bracket: Dict[Tuple[int, int], SparseVec] = {}
     q2 = s.taylor.get(2)
     if q2 is not None and s.order >= 2:
@@ -237,8 +234,9 @@ def coalgebra_morphism_from_linear(c: SymCoalgebra, m: GradedMap,
     if m.source != c.space or m.target != d.letters or m.degree != 0:
         raise ValueError("need a degree-0 map from the coalgebra to W[1]")
     images: List[SparseVec] = [{} for _ in range(d.letters.dim)]
-    for (t, w), x in m.entries.items():
-        images[t][w] = x / symmetry_factor(c.words[w])
+    for w, col in m.nonzero_columns():
+        for t, x in col.items():
+            images[t][w] = x / symmetry_factor(c.words[w])
     f = morphism_from_generators(d.dual, c.dual.algebra(), images, check=False)
     return _transpose(f.map, c, d)
 
@@ -283,15 +281,16 @@ def linfty_mc_check(s: LInftyStructure, a: NilpotentDgAlgebra,
             defect[i * na + q] = defect.get(i * na + q, ZERO) + cd * c
     # rhs: f(D x_t) = Σ_u D[u, t]·f(x^u), entered with the opposite sign
     for k, dk in s.ce.components.items():
-        for (u, t), x in dk.entries.items():
-            word = s.coalgebra.powers[k].monomials[u]
-            prod = images[word[0]]
-            for letter in word[1:]:
-                prod = a.product(prod, images[letter]) if prod else prod
-            n_odd = sum(sh.degrees[l] % 2 for l in word)
-            sgn = -x if n_odd * (n_odd - 1) // 2 % 2 else x
-            for r, y in prod.items():
-                defect[t * na + r] = defect.get(t * na + r, ZERO) + sgn * y
+        for t, col in dk.nonzero_columns():
+            for u, x in col.items():
+                word = s.coalgebra.powers[k].monomials[u]
+                prod = images[word[0]]
+                for letter in word[1:]:
+                    prod = a.product(prod, images[letter]) if prod else prod
+                n_odd = sum(sh.degrees[l] % 2 for l in word)
+                sgn = -x if n_odd * (n_odd - 1) // 2 % 2 else x
+                for r, y in prod.items():
+                    defect[t * na + r] = defect.get(t * na + r, ZERO) + sgn * y
     defect = {key: c for key, c in defect.items() if c}
     return not defect, defect
 
@@ -337,6 +336,5 @@ def dual_algebra(c: DualCoalgebra) -> NilpotentDgAlgebra:
             if cv:
                 mult.setdefault((i, j), {})[k] = \
                     mult.get((i, j), {}).get(k, ZERO) + cv
-    d = GradedMap(space, space, 1,
-                  {(i, j): cv for (j, i), cv in c.codifferential.entries.items()})
-    return NilpotentDgAlgebra(space, mult, d)
+    d = c.codifferential.transpose()
+    return NilpotentDgAlgebra(space, mult, GradedMap.from_columns(space, space, 1, d.columns()))

@@ -60,7 +60,7 @@ class QuasismoothTrunc:
             if m.source != self.v or m.degree != 1 or \
                     m.target != self.basis.powers[k].space:
                 raise ValueError("component d_%d has wrong source/target/degree" % k)
-            if m.entries:
+            if not m.is_zero():
                 self.components[k] = m
         self._algebra: Optional[NilpotentDgAlgebra] = None
         self._differential: Optional[GradedMap] = None
@@ -75,35 +75,39 @@ class QuasismoothTrunc:
         if self._differential is not None:
             return self._differential
         b = self.basis
-        d = GradedMap(b.space, b.space, 1)
-        degs = self.v.degrees
-        # images[letter]: the words u of d(letter), with their coefficients
-        images: List[List[Tuple[Word, Fraction]]] = [[] for _ in range(self.v.dim)]
+        odd = [deg % 2 for deg in self.v.degrees]
+        # images[letter]: the words u of d(letter), with the parities of
+        # their degrees and their coefficients
+        images: List[List[Tuple[Word, int, Fraction]]] = [[] for _ in range(self.v.dim)]
         for k, m in self.components.items():
-            for letter, col in enumerate(m.columns()):
-                images[letter].extend((b.powers[k].monomials[upos], c)
+            pw = b.powers[k]
+            for letter, col in m.nonzero_columns():
+                images[letter].extend((pw.monomials[upos], pw.space.degrees[upos] % 2, c)
                                       for upos, c in sorted(col.items()))
+        cols: Dict[int, SparseVec] = {}
         for pos, word in enumerate(b.words):
+            # word[:t] + u + word[t+1:] is (the word without letter t)·u
+            # times the Koszul sign of moving u past the suffix word[t+1:]
             acc: Dict[int, Fraction] = {}
             prefix_sign = 1
             for t, letter in enumerate(word):
-                for u, c in images[letter]:
-                    seq = word[:t] + u + word[t + 1:]
-                    if len(seq) > self.order:
-                        continue
-                    res = b.position(seq)
-                    if res is None:
-                        continue
-                    npos, sgn = res
-                    acc[npos] = acc.get(npos, ZERO) + \
-                        Fraction(prefix_sign * sgn) * c
-                if degs[letter] % 2:
+                if images[letter]:
+                    rest = word[:t] + word[t + 1:]
+                    # the suffix's parity: the word's, less the prefix's and letter t's
+                    suffix_odd = b.space.degrees[pos] % 2 ^ (prefix_sign < 0) ^ odd[letter]
+                    for u, u_odd, c in images[letter]:
+                        res = b.product(rest, u) if len(rest) + len(u) <= self.order else None
+                        if res is not None:
+                            npos, sgn = res
+                            if u_odd and suffix_odd:
+                                sgn = -sgn
+                            acc[npos] = acc.get(npos, ZERO) + Fraction(prefix_sign * sgn) * c
+                if odd[letter]:
                     prefix_sign = -prefix_sign
-            for npos, c in acc.items():
-                if c:
-                    d.set_entry(npos, pos, c)
-        self._differential = d
-        return d
+            if acc:
+                cols[pos] = {npos: c for npos, c in acc.items() if c}
+        self._differential = GradedMap.from_columns(b.space, b.space, 1, cols)
+        return self._differential
 
     def algebra(self) -> NilpotentDgAlgebra:
         if self._algebra is None:
@@ -139,9 +143,7 @@ def h_r_tangent(r: QuasismoothTrunc, i: int) -> int:
     """Tangent dimension in degree i: H^{i-1} of the dual of (V, d₁)."""
     d1 = r.components.get(1)
     dual = r.v.dual()
-    entries = {} if d1 is None else \
-        {(ii, jj): c for (jj, ii), c in d1.entries.items()}
-    dt = GradedMap(dual, dual, 1, entries)
+    dt = GradedMap(dual, dual, 1) if d1 is None else d1.transpose()
     coh = cohomology(Complex(dual, dt, check=False))
     return coh.dim(i - 1)
 
@@ -160,8 +162,7 @@ def is_smooth_minimal(r: QuasismoothTrunc) -> Tuple[bool, Optional[Dict]]:
         return True, None
     k = min(r.components)
     m = r.components[k]
-    gen = next(i for i in range(r.v.dim)
-               if any(m.entries.get((j, i)) for j in range(m.target.dim)))
+    gen = next(i for i in range(r.v.dim) if m.column(i))
     return False, {"order": k, "generator": r.v.names[gen],
                    "component": m}
 
@@ -186,21 +187,18 @@ def morphism_from_generators(r: QuasismoothTrunc, target: NilpotentDgAlgebra,
                              images: List[SparseVec], check: bool = True
                              ) -> DgAlgebraMorphism:
     """The multiplicative extension of generator images to the monomials
-    (``_word_images`` on every word)."""
-    m = GradedMap(r.basis.space, target.space, 0)
+    (``_word_images`` on every word), which keeps the images as its
+    columns: none of them may be changed afterwards."""
     image = _word_images(target, images)
-    for pos, word in enumerate(r.basis.words):
-        for j, c in image(word).items():
-            m.set_entry(j, pos, c)
+    m = GradedMap.from_columns(r.basis.space, target.space, 0,
+                               [image(word) for word in r.basis.words])
     return DgAlgebraMorphism(r.algebra(), target, m, check=check)
 
 
 def invert_morphism(f: DgAlgebraMorphism) -> DgAlgebraMorphism:
     if f.source.dim != f.target.dim:
         raise ValueError("matrix is not invertible")
-    inv = linalg.invert(f.map.columns())
-    m = GradedMap(f.target.space, f.source.space, 0,
-                  dict(sorted(((j, i), c) for i, col in enumerate(inv) for j, c in col.items())))
+    m = GradedMap.from_columns(f.target.space, f.source.space, 0, linalg.invert(f.map.columns()))
     return DgAlgebraMorphism(f.target, f.source, m, check=False)
 
 
@@ -220,19 +218,15 @@ def change_of_generators(r: QuasismoothTrunc, new_v: GradedSpace,
     a_old = r.algebra()
     g = morphism_from_generators(shell, a_old, images, check=False)
     ginv = invert_morphism(g)
-    comps: Dict[int, GradedMap] = {}
+    cols: Dict[int, Dict[int, SparseVec]] = {}
     for i in range(new_v.dim):
         dv = ginv.map.apply(a_old.d.apply(images[i]))
         for k in range(1, r.order + 1):
             part = shell.basis.component(dv, k)
             if part:
-                m = comps.get(k)
-                if m is None:
-                    m = GradedMap(new_v, shell.basis.powers[k].space, 1)
-                    comps[k] = m
-                for j, c in part.items():
-                    m.set_entry(j, i, c)
-    out = shell.with_components(comps)
+                cols.setdefault(k, {})[i] = part
+    out = shell.with_components({k: GradedMap.from_columns(
+        new_v, shell.basis.powers[k].space, 1, kcols) for k, kcols in cols.items()})
     if out.differential() != ginv.map.compose(a_old.d).compose(g.map):
         raise CertificateError("the conjugated differential is not the derivation "
                                "of its components")
@@ -338,7 +332,7 @@ def minimalize(r: QuasismoothTrunc) -> MinimalModel:
 
     # read off the minimal quotient S on the harmonic generators
     h_space = GradedSpace([v1.basis[j] for j in h_idx])
-    s_comps: Dict[int, GradedMap] = {}
+    s_cols: Dict[int, Dict[int, SparseVec]] = {}
     s_shell = QuasismoothTrunc(h_space, r.order, {}, check=False)
     for k, m in r2.components.items():
         for j in h_idx:
@@ -349,12 +343,9 @@ def minimalize(r: QuasismoothTrunc) -> MinimalModel:
                                            "after correction")
                 pos, sgn = s_shell.basis.powers[k].index(
                     tuple(h_idx.index(l) for l in word))
-                sm = s_comps.get(k)
-                if sm is None:
-                    sm = GradedMap(h_space, s_shell.basis.powers[k].space, 1)
-                    s_comps[k] = sm
-                sm.set_entry(pos, j, sm.entries.get((pos, j), ZERO) + Fraction(sgn) * c)
-    s = s_shell.with_components(s_comps)
+                add_into(s_cols.setdefault(k, {}).setdefault(j, {}), {pos: c}, Fraction(sgn))
+    s = s_shell.with_components({k: GradedMap.from_columns(
+        h_space, s_shell.basis.powers[k].space, 1, kcols) for k, kcols in s_cols.items()})
     a_s = s.algebra()
 
     # π₂, γ₂ and the homotopy on the normalized coordinates
@@ -414,7 +405,7 @@ def morphism_lift(s: QuasismoothTrunc, r: QuasismoothTrunc,
     """
     a_s = s.algebra()
     a_r = r.algebra()
-    images = [dict(v) for v in linear_images]
+    images = list(linear_images)
     # corrections start at order 2: the prescribed linear part is kept
     for k in range(2, r.order + 1):
         phi = morphism_from_generators(s, a_r, images, check=False)
@@ -439,7 +430,7 @@ def morphism_lift(s: QuasismoothTrunc, r: QuasismoothTrunc,
                    for t, c in r.basis.component(a_r.d.column(off + wpos), k).items()}
             if d1s is not None:
                 for i2 in range(s.v.dim):
-                    c = d1s.entries.get((i, i2))
+                    c = d1s.column(i2).get(i)
                     if c:
                         add_into(col, {i2 * nk + wpos: c})
             cols.append(col)
@@ -449,7 +440,8 @@ def morphism_lift(s: QuasismoothTrunc, r: QuasismoothTrunc,
             return None
         for posn, c in sol.items():
             i, wpos = slots[posn]
-            add_into(images[i], {off + wpos: c})
+            # phi keeps images[i] as a column, so it is replaced, not changed
+            images[i] = add_into(dict(images[i]), {off + wpos: c})
     phi = morphism_from_generators(s, a_r, images, check=False)
     if phi.violations():
         return None
@@ -503,23 +495,19 @@ def kuranishi_prorepresent(l: Dgla, contraction: Optional[Contraction] = None,
             i, w = divmod(key, na)
             if off <= w < off + nmon:
                 parts.setdefault(w - off, {})[i] = c
-        changed = False     # whether d changed; ξ needs no rebuild
+        kcols: Dict[int, SparseVec] = {}    # d_k's columns; with none, d is unchanged
         for wpos, hm in sorted(parts.items()):
             if l.d.apply(hm):
                 raise CertificateError("the order-%d defect is not a cocycle" % k)
             cls = contraction.class_of(hm)
             for c, cc in sorted(cls.items()):
                 sgn = Fraction(-1 if (1 + h.degrees[c]) % 2 else 1)
-                m = comps.get(k)
-                if m is None:
-                    m = GradedMap(v, r.basis.powers[k].space, 1)
-                    comps[k] = m
-                m.set_entry(wpos, c, m.entries.get((wpos, c), ZERO) + sgn * cc)
-                changed = True
+                kcols.setdefault(c, {})[wpos] = sgn * cc
             exact = add_into(hm, contraction.include.apply(cls), -ONE)
             add_into(xi, {t.pair_index(i, off + wpos): cv
                           for i, cv in contraction.sigma.apply(exact).items()}, -ONE)
-        if changed:
+        if kcols:
+            comps[k] = GradedMap.from_columns(v, r.basis.powers[k].space, 1, kcols)
             r = r.with_components(comps, check=False)
             t = tensor_dgla(l, r.algebra())
         # the defect the next order starts from vanishes at this one

@@ -34,7 +34,6 @@ class ObstructionClass:
     class_coords: SparseVec           # the class in H²(L⊗I), on its harmonic basis
     lift: Optional[SparseVec]         # MC lift in L⊗A when the class is zero
     certificate: Optional[SparseVec]  # s ∈ (L⊗I)¹ with ds = defect, when zero
-    embed_i: GradedMap
 
     @property
     def is_zero(self) -> bool:
@@ -57,7 +56,7 @@ def obstruction_class(e: SmallExtension, l: Dgla, x: SparseVec,
     res = mc_lift(e, l, x, section)
     cert = None if res.correction is None else {k: -c for k, c in res.correction.items()}
     return ObstructionClass(res.tensor_i, res.i_cohomology, res.defect,
-                            res.cohomology_class, res.lift, cert, res.embed_i)
+                            res.cohomology_class, res.lift, cert)
 
 
 def is_dg_morphism_to_shifted_kernel(e: SmallExtension, phi: GradedMap,
@@ -75,7 +74,7 @@ def is_dg_morphism_to_shifted_kernel(e: SmallExtension, phi: GradedMap,
         return ["phi has wrong source/target/degree"]
     shifted = graded.shift(e.i_complex, shift)
     return DgAlgebraMorphism(e.b, NilpotentDgAlgebra.trivial(shifted.space, shifted.d),
-                             GradedMap(e.b.space, shifted.space, 0, phi.entries),
+                             GradedMap.from_columns(e.b.space, shifted.space, 0, phi.columns()),
                              check=False).violations()
 
 
@@ -124,14 +123,10 @@ def lifting_defect(e: SmallExtension) -> LiftingDefect:
     if e.alpha.map.compose(a.d) != b.d.compose(e.alpha.map):
         raise ValueError("differential does not lift d_B")
     d2 = a.d.compose(a.d)
-    sec = e.section()
-    delta = GradedMap(b.space, e.i_complex.space, 2)
-    for i in range(b.dim):
-        coords = e.kernel_coords(d2.apply(sec.column(i)))
-        if coords is None:
-            raise CertificateError("d² escaped the kernel")
-        for k, c in coords.items():
-            delta.set_entry(k, i, c)
+    cols = [e.kernel_coords(d2.apply(col)) for col in e.section().columns()]
+    if None in cols:
+        raise CertificateError("d² escaped the kernel")
+    delta = GradedMap.from_columns(b.space, e.i_complex.space, 2, cols)
     # δ is independent of the section: d²(ι I) = ι d_I² I = 0
     for k in range(e.i_complex.space.dim):
         if d2.apply(e.iota.column(k)):
@@ -143,14 +138,12 @@ def lifting_defect(e: SmallExtension) -> LiftingDefect:
     bbar, pr = quotient_algebra(b, [p for _, _, p in b.constants()])
     # delta_bar with delta = delta_bar ∘ pr: solve columnwise
     pr_ech = linalg.echelon(pr.map.columns())
-    delta_bar = GradedMap(bbar.space, e.i_complex.space, 2)
-    for col in range(bbar.dim):
-        # a preimage of the quotient basis vector
-        pre = pr_ech.coords({col: ONE})
-        if pre is None:
-            raise CertificateError("the quotient map is not surjective")
-        for k, c in delta.apply(pre).items():
-            delta_bar.set_entry(k, col, c)
+    # a preimage of each quotient basis vector
+    pres = [pr_ech.coords({col: ONE}) for col in range(bbar.dim)]
+    if None in pres:
+        raise CertificateError("the quotient map is not surjective")
+    delta_bar = GradedMap.from_columns(bbar.space, e.i_complex.space, 2,
+                                       [delta.apply(pre) for pre in pres])
     if delta_bar.compose(pr.map) != delta:
         raise CertificateError("the lifting defect does not factor through B/B²")
 
@@ -174,8 +167,8 @@ def prop_cone(e: SmallExtension) -> Tuple[NilpotentDgAlgebra, DgAlgebraMorphism]
     extension even when the differential on A does not square to zero."""
     ni = e.i_complex.space.dim
     cone = mapping_cone(e.a, [e.iota.column(k) for k in range(ni)]).algebra
-    gamma = DgAlgebraMorphism(cone, e.b,
-                              GradedMap(cone.space, e.b.space, 0, e.alpha.map.entries))
+    gamma = DgAlgebraMorphism(
+        cone, e.b, GradedMap.from_columns(cone.space, e.b.space, 0, e.alpha.map.columns()))
     return cone, gamma
 
 
@@ -188,9 +181,7 @@ def primary_obstruction_extension(i: int, j: int) -> SmallExtension:
     a = NilpotentDgAlgebra(asp, mult, GradedMap(asp, asp, 1))
     bsp = GradedSpace([("u", du), ("v", dv)])
     b = NilpotentDgAlgebra.trivial(bsp, GradedMap(bsp, bsp, 1))
-    pm = GradedMap(asp, bsp, 0)
-    pm.set_entry(0, 0, ONE)
-    pm.set_entry(1, 1, ONE)
+    pm = GradedMap(asp, bsp, 0, {(0, 0): ONE, (1, 1): ONE})
     return kernel_extension(DgAlgebraMorphism(a, b, pm))
 
 
@@ -248,16 +239,14 @@ def tangent_bracket(l: Dgla, order: int = 3) -> TangentBracket:
     t = coh.harmonic_space
     s0 = LInftyStructure(t, max(order, 2), {})
     c = s0.coalgebra
-    q2 = GradedMap(c.powers[2].space, c.letters, 1)
-    for pos, (p, q) in enumerate(c.powers[2].monomials):
-        dp = t.degrees[p]
-        dq = t.degrees[q]
-        i, j = dp - 1, dq - 1
+    cols = []
+    for p, q in c.powers[2].monomials:
+        i, j = t.degrees[p] - 1, t.degrees[q] - 1
         po = primary_obstruction(l, i, j, coh.representative(p),
                                  coh.representative(q), coh)
         sgn = Fraction(-1 if (i * j) % 2 else 1)
-        for k, ck in po.items():
-            q2.set_entry(k, pos, -sgn * ck)
+        cols.append({k: -sgn * ck for k, ck in po.items()})
+    q2 = GradedMap.from_columns(c.powers[2].space, c.letters, 1, cols)
     s = LInftyStructure(t, max(order, 2), {2: q2})
     bracket_algebra = linfty_to_dgla(s)
     return TangentBracket(l, coh, t, s, q2, bracket_algebra)

@@ -87,10 +87,26 @@ def is_zero_vector(v):
     return all(a == 0 for a in v)
 
 
+def entries(m):
+    """The entries {(target index, source index): c} of a ``GradedMap``,
+    read off its columns in order of source index."""
+    return {(j, i): c for i, col in enumerate(m.columns()) for j, c in col.items()}
+
+
+def tensor_push(src, dst_space, f, dst_adim):
+    """The map 1⊗f: L⊗A -> L⊗A' of a coefficient map f: A -> A', built
+    whole from f's entries, one copy per basis vector x_i of L; the
+    package pushes vectors block by block instead (``push_blocks``)."""
+    na = src.a.dim
+    return GradedMap(src.space, dst_space, f.degree,
+                     {(i * dst_adim + q, i * na + p): c for (q, p), c in entries(f).items()
+                      for i in range(src.l.dim)})
+
+
 def dense_apply(m, v):
     """``GradedMap.apply`` on list vectors."""
     out = zero_vector(m.target.dim)
-    for (j, i), c in m.entries.items():
+    for (j, i), c in entries(m).items():
         if v[i]:
             out[j] += c * v[i]
     return out
@@ -105,7 +121,7 @@ def dense_apply(m, v):
 def matrix(f):
     """The matrix of a ``GradedMap``: row j, column i holds entry (j, i)."""
     m = [[F(0)] * f.source.dim for _ in range(f.target.dim)]
-    for (j, i), c in f.entries.items():
+    for (j, i), c in entries(f).items():
         m[j][i] = c
     return m
 
@@ -257,7 +273,7 @@ def rescaled(s, scales):
     table = {(i, j): {k: scales[i] * scales[j] * c / scales[k] for k, c in row.items()}
              for (i, j), row in s.table.items()}
     d = GradedMap(s.space, s.space, 1, {(k, i): scales[i] * c / scales[k]
-                                        for (k, i), c in s.d.entries.items()})
+                                        for (k, i), c in entries(s.d).items()})
     if isinstance(s, Dgla):
         return Dgla(s.space, table, d, s.nilpotency_class)
     return type(s)(s.space, table, d)
@@ -345,7 +361,7 @@ def random_pair_truncation(rng, max_gens=3, max_order=3):
     d1 = GradedMap(v, p1.space, 1)
     for t in range(n_p):
         d1.set_entry(n_free + 2 * t + 1, n_free + 2 * t, F(1))
-    comps = {1: d1} if d1.entries else {}
+    comps = {1: d1} if entries(d1) else {}
     return QuasismoothTrunc(v, order, comps).algebra()
 
 
@@ -378,9 +394,9 @@ def direct_sum_dgla(l1, l2):
     for (i, j), sv in l2.table.items():
         br[(i + n1, j + n1)] = {k + n1: c for k, c in sv.items()}
     d = GradedMap(sp, sp, 1)
-    for (j, i), c in l1.d.entries.items():
+    for (j, i), c in entries(l1.d).items():
         d.set_entry(j, i, c)
-    for (j, i), c in l2.d.entries.items():
+    for (j, i), c in entries(l2.d).items():
         d.set_entry(j + n1, i + n1, c)
     return Dgla(sp, br, d)
 
@@ -388,7 +404,7 @@ def direct_sum_dgla(l1, l2):
 def random_section(e, rng):
     """A random set-linear section of alpha (section + arbitrary I-shift)."""
     sec = e.section()
-    out = GradedMap(e.b.space, e.a.space, 0, dict(sec.entries))
+    out = GradedMap(e.b.space, e.a.space, 0, dict(entries(sec)))
     for i in range(e.b.dim):
         for k in range(e.i_complex.space.dim):
             if e.i_complex.space.degrees[k] != e.b.space.degrees[i]:
@@ -397,7 +413,7 @@ def random_section(e, rng):
             if not c:
                 continue
             for j, cj in e.iota.column(k).items():
-                out.set_entry(j, i, out.entries.get((j, i), F(0)) + c * cj)
+                out.set_entry(j, i, entries(out).get((j, i), F(0)) + c * cj)
     return out
 
 
@@ -409,8 +425,8 @@ def perturb_one_entry(rng, f):
     if not slots:
         return None
     j, i = rng.choice(slots)
-    out = GradedMap(f.source, f.target, f.degree, f.entries)
-    out.set_entry(j, i, out.entries.get((j, i), F(0)) + rng.choice([-2, -1, 1, F(1, 2)]))
+    out = GradedMap(f.source, f.target, f.degree, entries(f))
+    out.set_entry(j, i, entries(out).get((j, i), F(0)) + rng.choice([-2, -1, 1, F(1, 2)]))
     return out
 
 
@@ -628,7 +644,7 @@ def fraction_axiom_errors(s):
     for (i, j), row in table.items():
         for m, c in row.items():
             _add_scaled_fractions(leibniz, (i, j), c, dcols[m])
-    for (p, q), c in d.entries.items():
+    for (p, q), c in entries(d).items():
         for j, r in left[p]:
             _add_scaled_fractions(leibniz, (q, j), -c, r)
         for i, r in right[p]:
@@ -653,7 +669,7 @@ def fraction_violations(self):
         errs.append("does not commute with differentials")
     cols = f.columns()
     rows = [[] for _ in range(self.target.dim)]
-    for (b, j), c in f.entries.items():
+    for (b, j), c in entries(f).items():
         rows[b].append((j, c))
     defects = {}
     for (i, j), row in src.table.items():
@@ -866,7 +882,7 @@ def dense_contraction(cx):
                 for j, pc in enumerate(out.boundary_preimages[k][t]):
                     if pc and inv[t][pos]:
                         out.sigma.set_entry(
-                            j, i, out.sigma.entries.get((j, i), F(0)) + inv[t][pos] * pc)
+                            j, i, entries(out.sigma).get((j, i), F(0)) + inv[t][pos] * pc)
         hoff += nh
 
     def class_of(v):
@@ -946,6 +962,19 @@ def mat_mul(a, b):
     cols = len(b[0]) if b else 0
     return [[sum((row[k] * b[k][j] for k in range(len(b))), F(0)) for j in range(cols)]
             for row in a]
+
+
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_scale(c, a):
+    return [[c * x for x in row] for row in a]
+
+
+def mat_transpose(a, n_cols):
+    """The transpose of a matrix with n_cols columns (and maybe no rows)."""
+    return [[row[j] for row in a] for j in range(n_cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -1183,6 +1212,29 @@ def pairs_truncation(n_pairs, n_h, order):
     return QuasismoothTrunc(v, order, {1: d1, 2: d2} if n_h else {1: d1})
 
 
+def reference_differential(r):
+    """QuasismoothTrunc.differential() with each spliced word
+    word[:t] + u + word[t+1:] placed by ``WordBasis.position``, which sorts
+    it with its Koszul sign."""
+    b = r.basis
+    images = [[] for _ in range(r.v.dim)]
+    for k, m in r.components.items():
+        for letter, col in enumerate(m.columns()):
+            images[letter].extend((b.powers[k].monomials[upos], c) for upos, c in sorted(col.items()))
+    out = {}
+    for pos, word in enumerate(b.words):
+        prefix_sign = 1
+        for t, letter in enumerate(word):
+            for u, c in images[letter]:
+                seq = word[:t] + u + word[t + 1:]
+                res = b.position(seq) if len(seq) <= r.order else None
+                if res is not None:
+                    out[(res[0], pos)] = out.get((res[0], pos), F(0)) + prefix_sign * res[1] * c
+            if r.v.degrees[letter] % 2:
+                prefix_sign = -prefix_sign
+    return GradedMap(b.space, b.space, 1, out)
+
+
 def koszul_truncation(pairs, order):
     """The acyclic truncation on Koszul pairs (s_k:0, r_k:1), d s_k = r_k."""
     v = GradedSpace([(name % k, deg) for k in range(pairs)
@@ -1258,7 +1310,7 @@ def reference_linfty_mc_check(s, a, m):
     defect = zero_vector(tensor_space(sh, a.space).dim)
     for i in range(sh.dim):
         sgn = F(-1 if (sh.degrees[i] + 1) % 2 else 1)
-        for (q, p), cd in a.d.entries.items():
+        for (q, p), cd in entries(a.d).items():
             if m[i * na + p]:
                 defect[i * na + q] += sgn * cd * m[i * na + p]
     power = {((i,), p): m[i * na + p] for i in range(sh.dim) for p in range(na)
@@ -1555,8 +1607,7 @@ def reference_staged_witness(l, a, x, y):
     None where that search answers UNKNOWN; x and y are MC elements of
     L⊗A, A² ≠ 0."""
     from defalg.algebras import DgAlgebraMorphism, factor_into_small_extensions
-    from defalg.dgla import (bch, gauge_act, tensor_dgla, tensor_push,
-                             trivial_algebra_of_complex)
+    from defalg.dgla import bch, gauge_act, tensor_dgla, trivial_algebra_of_complex
     t = tensor_dgla(l, a)
     zero = NilpotentDgAlgebra.trivial(GradedSpace([]))
     chain = factor_into_small_extensions(

@@ -17,8 +17,7 @@ from defalg.algebras import (DgAlgebraMorphism, NilpotentDgAlgebra,
                              SmallExtension, factor_into_small_extensions,
                              kernel_extension, mapping_cone, quotient_algebra)
 from defalg.dgla import (Dgla, bch, def_tangent, gauge_act, mc_check,
-                         mc_defect, mc_lift, tensor_dgla, tensor_push,
-                         trivial_algebra_of_complex)
+                         mc_defect, mc_lift, tensor_dgla, trivial_algebra_of_complex)
 from defalg.graded import (Complex, GradedMap, GradedSpace, cohomology,
                            is_quasiiso, koszul_sign, symmetric_power,
                            unshuffles)
@@ -34,7 +33,7 @@ from conftest import (counterexample_element, counterexample_extension,
                       direct_sum_dgla, make_rng, random_abelian_dgla,
                       random_algebra, random_complex, random_dgla,
                       random_section, sl2, sl2_odd, dense, matrix, nullspace, rank, solve,
-                      sparse)
+                      sparse, entries, tensor_push)
 from test_obstruction import (_product_extension, _random_phi,
                               defect_extension_with_slack,
                               random_derivation_twist, signed_kernel_push)
@@ -395,7 +394,7 @@ def random_truncation(rng, max_gens=3, max_order=4):
     d1 = GradedMap(v, symmetric_power(v, 1).space, 1)
     for t in range(n_p):
         d1.set_entry(n_free + 2 * t + 1, n_free + 2 * t, F(1))
-    comps = {1: d1} if d1.entries else {}
+    comps = {1: d1} if entries(d1) else {}
     return QuasismoothTrunc(v, order, comps)
 
 
@@ -415,8 +414,8 @@ def test_criterion_09_minimal_models():
         assert check_homotopy(mm.homotopy, gp, DgAlgebraMorphism.identity(a))
         # tangent dims = cohomology of (V, d₁)
         d1v = GradedMap(r.v, r.v, 1)
-        for (pos, i), c in r.components.get(
-                1, GradedMap(r.v, r.v, 1)).entries.items():
+        for (pos, i), c in entries(r.components.get(
+                1, GradedMap(r.v, r.v, 1))).items():
             d1v.set_entry(pos, i, c)
         coh = cohomology(Complex(r.v, d1v))
         for g in set(r.v.degrees) | set(mm.s.v.degrees):
@@ -445,7 +444,7 @@ def test_criterion_10_prorepresentability():
     # d x_f = 2s x_h x_f for one global sign s
     p2 = rk.basis.powers[2]
     cols = {}
-    for (pos, i), c in d2.entries.items():
+    for (pos, i), c in entries(d2).items():
         cols[(p2.monomials[pos], i)] = c
     s = cols[((0, 1), 0)] / 2
     assert s in (F(1), F(-1))
@@ -469,7 +468,7 @@ def test_criterion_10_prorepresentability():
         sign = None
         for c in range(rr.v.dim):
             for pos, (a, b) in enumerate(pp2.monomials):
-                got = dd2.entries.get((pos, c), F(0))
+                got = entries(dd2).get((pos, c), F(0))
                 want = cb.table_entry(a, b).get(c, F(0))
                 if a == b:
                     want = want / 2

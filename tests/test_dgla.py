@@ -6,10 +6,10 @@ import pytest
 
 from defalg import linalg
 from defalg.algebras import (DgAlgebraMorphism, NilpotentDgAlgebra,
-                             factor_into_small_extensions, kernel_extension)
+                             factor_into_small_extensions, kernel_extension, push_blocks)
 from defalg.dgla import (Dgla, bch, def_tangent, derivations_dgla, gauge_act,
                          gauge_equivalent, mc_check, mc_defect, mc_lift,
-                         tensor_dgla, tensor_push, trivial_algebra_of_complex)
+                         tensor_dgla, trivial_algebra_of_complex)
 from defalg.graded import Complex, GradedMap, GradedSpace, cohomology
 from defalg.models import QuasismoothTrunc
 from conftest import (counterexample_algebras, counterexample_element,
@@ -17,7 +17,7 @@ from conftest import (counterexample_algebras, counterexample_element,
                       dense_tensor_bracket_vec, direct_sum_dgla, heisenberg,
                       koszul_truncation, make_rng, random_abelian_dgla, random_algebra, random_dgla,
                       reference_staged_witness, rescaled, sl2, sl2_odd, dense, dense_apply,
-                      nullspace, sparse, vec_add)
+                      nullspace, sparse, vec_add, entries, tensor_push)
 
 F = Fraction
 
@@ -49,29 +49,20 @@ def _set_entry_tensor_d(l, a, space):
     """d on L⊗A built entry by entry through ``set_entry``."""
     nl, na = l.dim, a.dim
     d = GradedMap(space, space, 1)
-    for (j, i), c in l.d.entries.items():
+    for (j, i), c in entries(l.d).items():
         for p in range(na):
             d.set_entry(j * na + p, i * na + p, c)
-    for (q, p), c in a.d.entries.items():
+    for (q, p), c in entries(a.d).items():
         for i in range(nl):
             d.set_entry(i * na + q, i * na + p, -c if l.space.degrees[i] % 2 else c)
     return d
 
 
-def _set_entry_tensor_push(src, dst_space, f, dst_adim):
-    """1⊗f built entry by entry through ``set_entry``, adding to what is there."""
-    out = GradedMap(src.space, dst_space, f.degree)
-    for (q, p), c in f.entries.items():
-        for i in range(src.l.dim):
-            out.set_entry(i * dst_adim + q, i * src.a.dim + p,
-                          out.entries.get((i * dst_adim + q, i * src.a.dim + p), F(0)) + c)
-    return out
-
-
 def test_tensor_d_and_push_equal_their_set_entry_builds():
-    # the entries of d on L⊗A and of 1⊗f are taken straight from the
-    # factors' entries: they equal the maps built through set_entry, with
-    # the entries in the same order
+    # the columns of d on L⊗A are taken straight from the factors'
+    # columns: d equals the map built through set_entry, with the entries
+    # in the same order.  Pushing a vector along 1⊗f block by block
+    # equals applying the whole map 1⊗f
     rng = make_rng(32)
     zero = NilpotentDgAlgebra.trivial(GradedSpace([]))
     pushes = 0
@@ -79,7 +70,7 @@ def test_tensor_d_and_push_equal_their_set_entry_builds():
         l, a = random_dgla(rng), random_algebra(rng, max_dim=6)
         t = tensor_dgla(l, a)
         want = _set_entry_tensor_d(l, a, t.space)
-        assert t.d == want and list(t.d.entries.items()) == list(want.entries.items())
+        assert t.d == want and list(entries(t.d).items()) == list(entries(want).items())
         # (source tensor, target algebra, f): 1, 0, and a stage's α, s∘α and ι
         cases = [(t, a, GradedMap.identity(a.space)),
                  (t, zero, GradedMap(a.space, zero.space, 0))]
@@ -91,11 +82,14 @@ def test_tensor_d_and_push_equal_their_set_entry_builds():
             cases += [(t, e.b, e.alpha.map), (t, a, e.section().compose(e.alpha.map)),
                       (ti, a, e.iota)]
         for src, target, f in cases:
-            dst = tensor_dgla(l, target)
-            got = tensor_push(src, dst.space, f, target.dim)
-            want = _set_entry_tensor_push(src, dst.space, f, target.dim)
-            assert got == want and list(got.entries.items()) == list(want.entries.items())
-            pushes += bool(got.entries)
+            whole = tensor_push(src, tensor_dgla(l, target).space, f, target.dim)
+            vecs = [{i: F(1)} for i in range(src.dim)]
+            vecs.append({i: F(rng.randint(-3, 3), rng.randint(1, 2)) for i in range(src.dim)
+                         if rng.random() < 0.5})
+            for v in vecs:
+                got = push_blocks(v, src.a.dim, target.dim, f)
+                assert got == whole.apply(v)
+                pushes += bool(got)
     assert pushes > 25
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from defalg import docio
 from defalg.docio import DocumentError, build, parse, print_document
 from defalg.linfty import LInftyStructure, dgla_to_linfty
-from conftest import make_rng, random_algebra, random_complex, random_dgla
+from conftest import entries, make_rng, random_algebra, random_complex, random_dgla
 
 F = Fraction
 
@@ -463,7 +463,7 @@ def test_fixtures_build_fractions_only():
         maps, vectors = _built_maps_and_vectors(path)
         seen.add(path.suffix)
         for m in maps:
-            assert all(type(c) is F for c in m.entries.values()), path.name
+            assert all(type(c) is F for c in entries(m).values()), path.name
         for vec in vectors:
             assert all(type(c) is F for c in vec), path.name
     assert seen == {".ext", ".mc", ".linf", ".alg", ".qs", ".dgla"}

@@ -21,7 +21,7 @@ from defalg.algebras import (BilinearStructure, DgAlgebraMorphism, NilpotentDgAl
                              fiber_product)
 from defalg.graded import GradedMap, GradedSpace
 from defalg.models import QuasismoothTrunc
-from conftest import (FractionEchelon, counterexample_extension, dense, dense_violations,
+from conftest import (entries, FractionEchelon, counterexample_extension, dense, dense_violations,
                       densify, invert, is_normal, make_rng, nullspace, random_algebra, rank,
                       rref_invert, rref_nullspace, rref_rank, rref_solve, solve, sparse)
 
@@ -345,7 +345,7 @@ def test_violations_match_dense_reference():
         if b is a:
             ident = GradedMap.identity(a.space)
             maps.append(ident)
-            bumped = dict(ident.entries)
+            bumped = dict(entries(ident))
             i = rng.randrange(a.dim) if a.dim else None
             if i is not None:
                 bumped[(i, i)] = F(2)

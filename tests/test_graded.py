@@ -14,7 +14,8 @@ from defalg.graded import (Complex, Contraction, GradedMap, GradedSpace,
                            koszul_sign, shift, shift_space, solve_homotopy,
                            symmetric_power, unshuffles, WordBasis)
 from defalg.models import QuasismoothTrunc
-from conftest import (dense, dense_contraction, make_rng, matrix, random_complex, rank,
+from conftest import (entries, dense, dense_contraction, is_normal, make_rng, mat_add, mat_mul,
+                      mat_scale, mat_transpose, mat_vec, matrix, random_complex, rank, rref_rank,
                       rref_solve, sparse)
 
 F = Fraction
@@ -235,6 +236,129 @@ def test_graded_map_degree_enforcement():
     assert m.apply({0: F(1)}) == {1: F(1)}
 
 
+# ---------------------------------------------------------------------------
+# the column form of GradedMap against dense matrices
+
+coefficients = st.one_of(
+    st.sampled_from([F(1), F(-1), F(1, 2), F(-2, 3), F(5, 4)]),
+    st.builds(lambda n, d, neg: F(-n if neg else n, d), st.integers(1, 2 ** 70),
+              st.integers(1, 2 ** 70), st.booleans()))
+
+spaces = st.lists(st.integers(-1, 2), max_size=5).map(
+    lambda degs: GradedSpace([("e%d" % i, d) for i, d in enumerate(degs)]))
+
+
+@st.composite
+def graded_maps(draw, source=None, target=None, degree=None):
+    """(m, a): a GradedMap built from its entries by the constructor, and
+    its matrix a.  Every admissible entry is drawn nonzero, zero, or left
+    out, so some entries handed to the constructor are zeros."""
+    source = draw(spaces) if source is None else source
+    target = draw(spaces) if target is None else target
+    degree = draw(st.integers(-1, 1)) if degree is None else degree
+    a = [[F(0)] * source.dim for _ in range(target.dim)]
+    given_entries = {}
+    for j in range(target.dim):
+        for i in range(source.dim):
+            if target.degrees[j] == source.degrees[i] + degree:
+                kind = draw(st.sampled_from(["none", "zero", "coefficient", "coefficient"]))
+                if kind != "none":
+                    a[j][i] = F(0) if kind == "zero" else draw(coefficients)
+                    given_entries[(j, i)] = a[j][i]
+    return GradedMap(source, target, degree, given_entries), a
+
+
+def vectors(n):
+    return st.dictionaries(st.integers(0, n - 1), coefficients, max_size=n) if n else st.just({})
+
+
+def snapshot(m):
+    """A copy of everything a map holds, to check that it is not changed."""
+    return (m.source, m.target, m.degree, [dict(col) for col in m.columns()])
+
+
+@given(graded_maps(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_column_form_matches_dense_matrices(drawn, data):
+    m, a = drawn
+    n, k = m.source.dim, m.target.dim
+    before = snapshot(m)
+    # columns: the matrix's columns, sparse; the stored ones are nonzero
+    assert [dense(col, k) for col in m.columns()] == mat_transpose(a, n)
+    assert all(col and is_normal(col, k) for _, col in m.nonzero_columns())
+    assert [i for i, _ in sorted(m.nonzero_columns())] == [i for i in range(n)
+                                                            if any(row[i] for row in a)]
+    v = data.draw(vectors(n))
+    v_before = dict(v)
+    img = m.apply(v)
+    assert is_normal(img, k) and dense(img, k) == mat_vec(a, dense(v, n))
+    assert m(v) == img and v == v_before
+    c = data.draw(st.one_of(st.just(F(0)), coefficients))
+    assert matrix(m.scale(c)) == mat_scale(c, a) and matrix(-m) == mat_scale(F(-1), a)
+    t = m.transpose()
+    assert (t.source, t.target, t.degree) == (m.target.dual(), m.source.dual(), m.degree)
+    assert matrix(t) == mat_transpose(a, n)
+    # ==: the same columns, however built, and any one entry changed
+    assert m == GradedMap.from_columns(m.source, m.target, m.degree, [dict(col) for col in m.columns()])
+    assert m == GradedMap.from_columns(m.source, m.target, m.degree, dict(m.nonzero_columns()))
+    assert m.is_zero() == (not any(any(row) for row in a))
+    slots = [(j, i) for j in range(k) for i in range(n)
+             if m.target.degrees[j] == m.source.degrees[i] + m.degree]
+    if slots:
+        j, i = data.draw(st.sampled_from(slots))
+        other = GradedMap(m.source, m.target, m.degree, entries(m))
+        other.set_entry(j, i, a[j][i] + data.draw(coefficients))
+        assert other != m and m == GradedMap(m.source, m.target, m.degree, entries(m))
+    # the kernel: independent null vectors, as many as the nullity
+    kernel = m.kernel_basis()
+    assert all(not any(mat_vec(a, dense(z, n))) for z in kernel)
+    assert len(kernel) == n - rref_rank(a) == rank([dense(z, n) for z in kernel])
+    assert m.rank() == rref_rank(a)
+    assert snapshot(m) == before
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_column_form_sums_and_composites_match_dense_matrices(data):
+    s, t, u = data.draw(spaces), data.draw(spaces), data.draw(spaces)
+    d1, d2 = data.draw(st.integers(-1, 1)), data.draw(st.integers(-1, 1))
+    m1, a1 = data.draw(graded_maps(s, t, d1))
+    m2, a2 = data.draw(graded_maps(s, t, d1))
+    m3, a3 = data.draw(graded_maps(t, u, d2))
+    before = [snapshot(m) for m in (m1, m2, m3)]
+    total, diff, comp = m1 + m2, m1 - m2, m3.compose(m1)
+    assert matrix(total) == mat_add(a1, a2)
+    assert matrix(diff) == mat_add(a1, mat_scale(F(-1), a2))
+    assert (comp.source, comp.target, comp.degree) == (s, u, d1 + d2)
+    assert matrix(comp) == (mat_mul(a3, a1) if t.dim else [[F(0)] * s.dim for _ in range(u.dim)])
+    for out, rows in ((total, t.dim), (diff, t.dim), (comp, u.dim)):
+        assert all(col and is_normal(col, rows) for _, col in out.nonzero_columns())
+    assert (m1 - m1).is_zero() and m1 + m2 == m2 + m1
+    assert [snapshot(m) for m in (m1, m2, m3)] == before
+    # the results hold columns of their own: changing one leaves the inputs
+    for out in (total, diff, comp):
+        for i, _ in list(out.nonzero_columns()):
+            out.set_entry(next(iter(out.column(i))), i, 0)
+    assert [snapshot(m) for m in (m1, m2, m3)] == before
+
+
+def test_degree_violating_entries_raise():
+    v = GradedSpace([("a", 0), ("b", 1), ("c", 1)])
+    with pytest.raises(ValueError, match=r"entry \(a <- b\) violates degree 1 homogeneity"):
+        GradedMap(v, v, 1, {(2, 0): F(1), (0, 1): F(3)})
+    m = GradedMap(v, v, 1, {(0, 1): F(0)})      # a zero entry is never checked or kept
+    assert m.is_zero()
+    with pytest.raises(ValueError, match=r"entry \(b <- c\) violates degree 1 homogeneity"):
+        m.set_entry(1, 2, F(1))
+    assert m.is_zero()
+    # the zero column handed out is shared, so it is read-only
+    m.set_entry(1, 0, F(2))
+    for col in (m.column(1), m.columns()[2]):
+        with pytest.raises(TypeError):
+            col[2] = F(1)
+    assert m.columns() == [{1: F(2)}, {}, {}]
+
+
 def test_complex_rejects_nonsquare_zero():
     v = GradedSpace([("a", 0), ("b", 1), ("c", 2)])
     d = GradedMap(v, v, 1, {(1, 0): F(1), (2, 1): F(1)})
@@ -303,15 +427,15 @@ def test_solve_homotopy_matches_dense_solve_over_the_slots():
                 for i in range(src.space.dim):
                     if tgt.space.degrees[j] == src.space.degrees[i] + deg \
                             and rng.random() < 0.5:
-                        t.set_entry(j, i, t.entries.get((j, i), F(0)) + 1)
+                        t.set_entry(j, i, entries(t).get((j, i), F(0)) + 1)
         cols = []
         for s in slots:
             unit = GradedMap(src.space, tgt.space, deg - 1, {s: F(1)})
             comb = tgt.d.compose(unit) + unit.compose(src.d)
-            cols.append([comb.entries.get((r, c), F(0)) for r in range(tgt.space.dim)
+            cols.append([entries(comb).get((r, c), F(0)) for r in range(tgt.space.dim)
                          for c in range(src.space.dim)])
         rows = [[col[k] for col in cols] for k in range(tgt.space.dim * src.space.dim)]
-        rhs = [t.entries.get((r, c), F(0)) for r in range(tgt.space.dim)
+        rhs = [entries(t).get((r, c), F(0)) for r in range(tgt.space.dim)
                for c in range(src.space.dim)]
         want = rref_solve(rows, rhs)
         got = solve_homotopy(src.d, tgt.d, t)

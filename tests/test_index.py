@@ -22,7 +22,7 @@ from defalg.algebras import (DgAlgebraMorphism, de_rham_truncation, kernel_exten
                              quotient_algebra)
 from defalg.dgla import Dgla
 from defalg.graded import GradedMap
-from conftest import (dense_de_rham, fraction_annihilator_basis, fraction_axiom_errors,
+from conftest import (entries, dense_de_rham, fraction_annihilator_basis, fraction_axiom_errors,
                       fraction_bilinear, fraction_extension_checks,
                       fraction_power_ideal_bases, fraction_sparse_product,
                       fraction_violations, make_rng, random_algebra, random_dgla,
@@ -47,7 +47,7 @@ def structures(draw, kind, perturb=True):
     if not perturb:
         return s
     table = {pair: dict(row) for pair, row in s.table.items()}
-    d = GradedMap(s.space, s.space, 1, dict(s.d.entries))
+    d = GradedMap(s.space, s.space, 1, dict(entries(s.d)))
     where = draw(st.sampled_from(["none", "table", "d"]))
     if where == "table" and table:
         row = table[draw(st.sampled_from(sorted(table)))]
@@ -57,7 +57,7 @@ def structures(draw, kind, perturb=True):
         js = s.space.degree_indices(s.space.degrees[i] + 1)
         if js:
             j = draw(st.sampled_from(js))
-            d.set_entry(j, i, d.entries.get((j, i), F(0)) + draw(nonzero))
+            d.set_entry(j, i, entries(d).get((j, i), F(0)) + draw(nonzero))
     return type(s)(s.space, table, d)
 
 
@@ -91,7 +91,7 @@ def test_validate_matches_the_fraction_walks(s, data):
         table[pair] = row
     if s.dim and data.draw(st.booleans()):
         table.setdefault((data.draw(st.integers(0, s.dim - 1)), 0), {0: F(0)})
-    d = GradedMap(s.space, s.space, 1, dict(s.d.entries))
+    d = GradedMap(s.space, s.space, 1, dict(entries(s.d)))
     given_as = table if data.draw(st.booleans()) else iter(list(table.items()))
     t = type(s)(s.space, given_as, d)
     assert t.table == {pair: {k: c for k, c in row.items() if c}
@@ -178,11 +178,11 @@ def test_de_rham_on_a_rescaled_algebra_matches_the_dense_oracle(a, eps, seed):
         elems, mult, d = dense_de_rham(b, eps)
         assert dr._elems == elems
         assert list(dr.algebra.table.items()) == list(mult.items())
-        assert list(dr.algebra.d.entries.items()) == list(d.items())
+        assert list(entries(dr.algebra.d).items()) == list(d.items())
         # each basis element is its own coordinate vector, and e_s sends
         # v ⊗ tⁿ to sⁿ·v and the dt elements to 0
         assert all(dr.element(n, dt, v) == {i: F(1)} for i, (n, dt, v) in enumerate(elems))
         for s in (F(0), F(1), F(-2, 3)):
-            assert dr.evaluate(s).map.entries == {
+            assert entries(dr.evaluate(s).map) == {
                 (j, i): s ** n * x for i, (n, dt, v) in enumerate(elems) if not dt
                 for j, x in v.items() if s ** n * x}

@@ -9,7 +9,7 @@ from defalg.algebras import (DgAlgebraMorphism, NilpotentDgAlgebra,
                              SmallExtension, factor_into_small_extensions,
                              kernel_extension, quotient_algebra)
 from defalg.dgla import (Dgla, def_tangent, mc_check, mc_lift, tensor_dgla,
-                         tensor_push, trivial_algebra_of_complex)
+                         trivial_algebra_of_complex)
 from defalg.graded import (Complex, GradedMap, GradedSpace,
                            ShortExactSequence, cohomology, connecting_hom)
 from defalg.linfty import check_linfty
@@ -24,7 +24,7 @@ from conftest import (UV_M3_EXT, counterexample_extension, direct_sum_dgla,
                       random_abelian_dgla, random_dgla, random_invertible_degree0,
                       random_section, rescaled,
                       reference_shifted_kernel_violations, sl2, sl2_odd, transported,
-                      dense, invert, matrix, solve, sparse)
+                      dense, invert, matrix, solve, sparse, entries, tensor_push)
 
 F = Fraction
 
@@ -137,9 +137,9 @@ def _product_extension(e1, e2):
     ap, pa1, pa2 = direct_product(e1.a, e2.a)
     bp, pb1, pb2 = direct_product(e1.b, e2.b)
     am = GradedMap(ap.space, bp.space, 0)
-    for (j, i), c in e1.alpha.map.entries.items():
+    for (j, i), c in entries(e1.alpha.map).items():
         am.set_entry(j, i, c)
-    for (j, i), c in e2.alpha.map.entries.items():
+    for (j, i), c in entries(e2.alpha.map).items():
         am.set_entry(j + e1.b.dim, i + e1.a.dim, c)
     e = kernel_extension(DgAlgebraMorphism(ap, bp, am))
     return e, pa1, pb1
@@ -191,7 +191,8 @@ def test_obstruction_abelian_is_connecting_hom():
             tb = tensor_dgla(l, e.b)
             probe = obstruction_class(e, l, {})
             ses = ShortExactSequence(probe.tensor_i.complex(), ta.complex(),
-                                     tb.complex(), probe.embed_i,
+                                     tb.complex(),
+                                     tensor_push(probe.tensor_i, ta.space, e.iota, e.a.dim),
                                      tensor_push(ta, tb.space, e.alpha.map,
                                                  e.b.dim))
             assert not ses.validate()

@@ -11,7 +11,7 @@ from fractions import Fraction
 from defalg.algebras import NilpotentDgAlgebra, de_rham_truncation
 from defalg.dgla import Dgla, derivations_dgla, tensor_dgla
 from defalg.graded import GradedMap, GradedSpace
-from conftest import (counterexample_algebras, dense_algebra_report,
+from conftest import (entries, counterexample_algebras, dense_algebra_report,
                       dense_dgla_report, make_rng, random_algebra, random_dgla,
                       random_pair_truncation)
 
@@ -47,8 +47,8 @@ def _perturbed_differential(space, d, rng):
     if not slots:
         return None
     j, i = rng.choice(slots)
-    out = GradedMap(space, space, 1, dict(d.entries))
-    out.set_entry(j, i, out.entries.get((j, i), F(0)) + rng.choice([1, -1, 2]))
+    out = GradedMap(space, space, 1, dict(entries(d)))
+    out.set_entry(j, i, entries(out).get((j, i), F(0)) + rng.choice([1, -1, 2]))
     return out
 
 
