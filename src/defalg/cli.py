@@ -191,7 +191,7 @@ def cmd_gauge(docs, args) -> Report:
     l, a, t = _tensor_inputs(docs)
     x = docio.build_mc_element(_take(docs, "mc_element"), t.space)
     y = docio.build_mc_element(_take(docs, "mc_element"), t.space)
-    dec = gauge_equivalent(l, a, x, y, mode="decide")
+    dec = gauge_equivalent(l, a, x, y)
     rep = Report("gauge")
     rep.verdicts.append(("gauge-equivalent", dec.verdict))
     if dec.witness is not None:

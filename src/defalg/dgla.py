@@ -357,50 +357,30 @@ class GaugeDecision:
 
 
 def gauge_equivalent(l: Dgla, a: NilpotentDgAlgebra, x: SparseVec,
-                     y: SparseVec, mode: str = "decide",
-                     witness: Optional[SparseVec] = None) -> GaugeDecision:
-    """Gauge equivalence of MC elements of L⊗A.
+                     y: SparseVec) -> GaugeDecision:
+    """Gauge equivalence of MC elements of L⊗A, by one staged linear
+    search down a small-extension chain A = A_0 → A_1 → … → A_n = 0.
 
-    verify-mode checks a supplied witness exactly.  decide-mode is complete
-    when A² = 0 (the orbit is x + d(L⊗A)⁰); otherwise it runs a staged
-    linear search down a small-extension chain of A and answers UNKNOWN
-    when a stage is inconclusive — the staging is sound, not complete.
-    Each stage of the chain is strictly small, so its correction lies in
+    Each stage A_j → A_{j+1} is strictly small, so its correction lies in
     the centre of L⊗A_j and joins the lifted witness by plain addition
-    (the BCH product with a central element); the final witness is
-    checked by ``gauge_act``.  A chain of n strictly small stages gives
-    A_j^(n-j+1) = 0, so n - j bounds the nilpotency class of L⊗A_j and no
-    power ideal of A_j is computed.
+    (the BCH product with a central element).  The top stage A_{n-1} → 0
+    has A_{n-1}² = 0: there gauge acts by x ↦ x - da, and equivalence
+    pushes forward along A → A_{n-1}, so a residue outside d(L⊗A_{n-1})⁰
+    answers NO, for any A.  When A² = 0 the chain has one stage and the
+    decision is complete.  A lower stage without a linear correction
+    answers UNKNOWN: the staging is sound, not complete.  A YES witness w
+    is checked by ``gauge_act``; callers holding their own witness check
+    ``gauge_act(tensor_dgla(l, a), w, x) == y``.  A chain of n strictly
+    small stages gives A_j^(n-j+1) = 0, so n - j bounds the nilpotency
+    class of L⊗A_j and no power ideal of A_j is computed.
     """
     t = tensor_dgla(l, a)
     for v in (x, y):
         ok, _ = mc_check(t, v)
         if not ok:
             raise ValueError("inputs must satisfy Maurer-Cartan")
-    if mode == "verify":
-        if witness is None:
-            raise ValueError("verify mode needs a witness")
-        same = gauge_act(t, witness, x) == y
-        return GaugeDecision("YES" if same else "NO",
-                             dict(witness) if same else None)
-    if mode != "decide":
-        raise ValueError("mode must be 'verify' or 'decide'")
     if x == y:
         return GaugeDecision("YES", {})
-    diff = add_into(dict(x), y, -ONE)
-    if a.has_trivial_mult():
-        # orbit of x is x - d(L⊗A)⁰: a linear problem, complete
-        deg0 = t.space.degree_indices(0)
-        dcols = t.d.columns()
-        sol = linalg.solve_in_span([dcols[i] for i in deg0], diff)
-        if sol is None:
-            return GaugeDecision("NO")
-        wit = {deg0[pos]: c for pos, c in sol.items()}
-        if gauge_act(t, wit, x) != y:
-            raise CertificateError("the gauge witness does not map x to y")
-        return GaugeDecision("YES", wit)
-
-    # staged search down a small-extension chain of A -> 0
     zero = NilpotentDgAlgebra.trivial(GradedSpace([]))
     to_zero = DgAlgebraMorphism(a, zero, GradedMap(a.space, zero.space, 0), check=False)
     chain = factor_into_small_extensions(to_zero)
@@ -428,14 +408,16 @@ def gauge_equivalent(l: Dgla, a: NilpotentDgAlgebra, x: SparseVec,
         dcols = tii.d.columns()
         sol = linalg.solve_in_span([dcols[i] for i in deg0], ri)
         if sol is None:
-            return GaugeDecision("UNKNOWN")
+            # at the top stage the lifted witness is empty and the residue
+            # is x_j - y_j, so x and y are inequivalent already over A_j
+            return GaugeDecision("NO" if j == len(chain) - 1 else "UNKNOWN")
         c = {deg0[pos]: x for pos, x in sol.items()}
         # c lies in L⊗I with A_j·I = 0, so it is central in L⊗A_j and
         # BCH(c, w) = c + w exactly
         witness_vec = add_into(push_blocks(c, e.i_complex.space.dim, e.a.dim, e.iota), lift_w)
-    if gauge_act(t, witness_vec, x) == y:
-        return GaugeDecision("YES", witness_vec)
-    return GaugeDecision("UNKNOWN")
+    if gauge_act(t, witness_vec, x) != y:
+        raise CertificateError("the gauge witness does not map x to y")
+    return GaugeDecision("YES", witness_vec)
 
 
 # ---------------------------------------------------------------------------

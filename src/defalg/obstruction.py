@@ -20,11 +20,6 @@ from .graded import Contraction, GradedMap, GradedSpace, solve_homotopy
 from .linfty import LInftyStructure, linfty_to_dgla
 from .linalg import ONE, CertificateError
 
-# Comparison sign between the tangent bracket assembled from primary
-# obstructions and the bracket induced on cohomology by the DGLA bracket.
-# Determined once by the sl(2) fixture in the test suite.
-COMPARISON_SIGN = 1
-
 
 @dataclass
 class ObstructionClass:
@@ -232,8 +227,8 @@ def tangent_bracket(l: Dgla, order: int = 3) -> TangentBracket:
     j = deg c₂ - 1; the (-1)^{ij} converts the dual-pairing convention of
     the (u,v)-extension into the symmetric-coalgebra one.  The assembled
     arity-2 coderivation squares to zero (graded Jacobi), and the induced
-    graded Lie algebra agrees with the cohomology bracket of L up to the
-    global COMPARISON_SIGN.
+    graded Lie algebra is the bracket induced on H(L) by the bracket of L
+    (``cohomology_bracket``), with no sign between them.
     """
     coh = def_tangent(l)
     t = coh.harmonic_space

@@ -1235,6 +1235,11 @@ def reference_differential(r):
     return GradedMap(b.space, b.space, 1, out)
 
 
+def free_sr_truncation(order):
+    """The truncation on s (degree 0) and r (degree 1) with d = 0."""
+    return QuasismoothTrunc(GradedSpace([("s", 0), ("r", 1)]), order, {})
+
+
 def koszul_truncation(pairs, order):
     """The acyclic truncation on Koszul pairs (s_k:0, r_k:1), d s_k = r_k."""
     v = GradedSpace([(name % k, deg) for k in range(pairs)
@@ -1519,9 +1524,11 @@ def reference_shifted_kernel_violations(e, phi, shift):
 
 # ---------------------------------------------------------------------------
 # the Fraction path from the text of an algebra or DGLA document to the
-# integer index, and the staged gauge search that joins each stage's
-# correction by BCH: the oracles for the parser that reads integral
-# constants as Python ints and for the central stage corrections
+# integer index, the linear gauge decision on A² = 0 and the staged gauge
+# search that joins each stage's correction by BCH: the oracles for the
+# parser that reads integral constants as Python ints, for the one-stage
+# chain of an algebra with zero product and for the central stage
+# corrections
 
 TABLE_WRONG_DEGREE = {"nilpotent_dg_algebra": ("mult", "product %s*%s has an entry of wrong degree"),
                       "dgla": ("bracket", "bracket [%s, %s] has an entry of wrong degree")}
@@ -1601,11 +1608,31 @@ def reference_build_structure(text):
     return kind, payload, den, left
 
 
+def reference_linear_gauge(l, a, x, y):
+    """The gauge decision on A² = 0, where the orbit of x is x - d(L⊗A)⁰:
+    a linear problem, complete.  ("YES", witness) or ("NO", None)."""
+    from defalg.dgla import gauge_act, tensor_dgla
+    t = tensor_dgla(l, a)
+    assert a.has_trivial_mult(), "the linear decision needs A² = 0"
+    if x == y:
+        return "YES", {}
+    deg0 = t.space.degree_indices(0)
+    dcols = t.d.columns()
+    sol = linalg.solve_in_span([dcols[i] for i in deg0], linalg.add_into(dict(x), y, F(-1)))
+    if sol is None:
+        return "NO", None
+    wit = {deg0[pos]: c for pos, c in sol.items()}
+    assert gauge_act(t, wit, x) == y
+    return "YES", wit
+
+
 def reference_staged_witness(l, a, x, y):
-    """The witness of the staged search of ``gauge_equivalent`` with each
-    stage's correction c joined to the lifted witness w as BCH(c, w), or
-    None where that search answers UNKNOWN; x and y are MC elements of
-    L⊗A, A² ≠ 0."""
+    """(witness, depth) of the staged search of ``gauge_equivalent`` with
+    each stage's correction c joined to the lifted witness w as BCH(c, w).
+    When a stage has no linear correction the witness is None and depth
+    counts the stages above it: 0 for the top stage A_{n-1} → 0, where
+    that search answers NO, more for a lower stage, where it answers
+    UNKNOWN.  Otherwise depth is None; x and y are MC elements of L⊗A."""
     from defalg.algebras import DgAlgebraMorphism, factor_into_small_extensions
     from defalg.dgla import bch, gauge_act, tensor_dgla, trivial_algebra_of_complex
     t = tensor_dgla(l, a)
@@ -1631,8 +1658,9 @@ def reference_staged_witness(l, a, x, y):
         dcols = tii.d.columns()
         sol = linalg.solve_in_span([dcols[i] for i in deg0], ri)
         if sol is None:
-            return None
+            return None, len(chain) - 1 - j
         c = {deg0[pos]: x for pos, x in sol.items()}
         c_in_j = tensor_push(tii, tj.space, e.iota, e.a.dim).apply(c)
         witness = bch(tj.bracket_vec, c_in_j, lift_w, max(tj.nilpotency_class, 1))
-    return witness if gauge_act(t, witness, x) == y else None
+    assert gauge_act(t, witness, x) == y
+    return witness, None

@@ -14,8 +14,9 @@ from defalg.graded import Complex, GradedMap, GradedSpace, cohomology
 from defalg.models import QuasismoothTrunc
 from conftest import (counterexample_algebras, counterexample_element,
                       counterexample_extension, dense_contraction, dense_tensor_bracket,
-                      dense_tensor_bracket_vec, direct_sum_dgla, heisenberg,
-                      koszul_truncation, make_rng, random_abelian_dgla, random_algebra, random_dgla,
+                      dense_tensor_bracket_vec, direct_sum_dgla, free_sr_truncation, heisenberg,
+                      koszul_truncation, make_rng, random_abelian_dgla, random_algebra,
+                      random_complex, random_dgla, reference_linear_gauge,
                       reference_staged_witness, rescaled, sl2, sl2_odd, dense, dense_apply,
                       nullspace, sparse, vec_add, entries, tensor_push)
 
@@ -347,13 +348,19 @@ def test_lift_translations_are_lifts():
 # ---- gauge equivalence decision -------------------------------------------
 
 def test_gauge_equivalent_verify_mode():
+    """A caller holding its own witness g checks it with ``gauge_act``;
+    the decision on the same pair never answers NO, and its own witness
+    passes the same check."""
     rng = make_rng(38)
     l = sl2()
     a = random_algebra(rng, max_dim=5)
     t = tensor_dgla(l, a)
     x, g = random_mc_element(rng, t)
-    dec = gauge_equivalent(l, a, {}, x, mode="verify", witness=g)
-    assert dec.verdict == "YES"
+    assert gauge_act(t, g, {}) == x
+    dec = gauge_equivalent(l, a, {}, x)
+    assert dec.verdict != "NO"
+    if dec.verdict == "YES":
+        assert gauge_act(t, dec.witness, {}) == x
 
 
 def test_gauge_equivalent_abelian_complete():
@@ -375,7 +382,7 @@ def test_gauge_equivalent_abelian_complete():
         oky, _ = mc_check(t, y)
         if not (okx and oky):
             continue
-        dec = gauge_equivalent(l, a, x, y, mode="decide")
+        dec = gauge_equivalent(l, a, x, y)
         assert dec.verdict == "YES"
         assert gauge_act(t, dec.witness, x) == y
         done += 1
@@ -396,7 +403,7 @@ def test_gauge_equivalent_distinguishes_classes():
         y = coh.representative(
             [i for i in range(coh.harmonic_space.dim)
              if coh.harmonic_space.degrees[i] == 1][0])
-        dec = gauge_equivalent(l, a, {}, y, mode="decide")
+        dec = gauge_equivalent(l, a, {}, y)
         assert dec.verdict == "NO"
         done += 1
 
@@ -407,9 +414,103 @@ def test_gauge_equivalent_staged():
     a, _ = counterexample_algebras()
     t = tensor_dgla(l, a)
     x, g = random_mc_element(rng, t)
-    dec = gauge_equivalent(l, a, {}, x, mode="decide")
+    dec = gauge_equivalent(l, a, {}, x)
     assert dec.verdict == "YES"
     assert gauge_act(t, dec.witness, {}) == x
+
+
+def random_cocycle(rng, t):
+    """A random cocycle of L⊗A of degree 1: an integer combination of the
+    relations among the differentials of the degree-1 basis vectors."""
+    idx = t.space.degree_indices(1)
+    dcols = t.d.columns()
+    out = {}
+    for z in linalg.relations([dcols[i] for i in idx])[1]:
+        linalg.add_into(out, {idx[pos]: c for pos, c in z.items()}, F(rng.randint(-2, 2)))
+    return out
+
+
+def test_staged_gauge_matches_the_linear_decision_on_square_zero_algebras():
+    """On A² = 0 the small-extension chain has one stage, and the staged
+    search gives the verdict and the witness of the linear decision (the
+    orbit of x is x - d(L⊗A)⁰) on random L, A, x and y: y = x - dc, or an
+    independent cocycle."""
+    rng = make_rng(44)
+    verdicts = {"YES": 0, "NO": 0}
+    while sum(verdicts.values()) < 60:
+        l = random_dgla(rng, max_dim=5)
+        cx, _ = random_complex(rng, max_dim=6)
+        a = NilpotentDgAlgebra.trivial(cx.space, cx.d)
+        t = tensor_dgla(l, a)
+        if not t.space.degree_indices(1):
+            continue
+        x = random_cocycle(rng, t)
+        if rng.random() < 0.5:
+            y = linalg.add_into(dict(x), t.d.apply(random_degree0(rng, t)), F(-1))
+        else:
+            y = random_cocycle(rng, t)
+        want, wit = reference_linear_gauge(l, a, x, y)
+        dec = gauge_equivalent(l, a, x, y)
+        assert (dec.verdict, dec.witness) == (want, wit)
+        verdicts[want] += 1
+    assert min(verdicts.values()) >= 10
+
+
+def test_top_stage_residue_outside_the_boundaries_answers_no():
+    """Over the d = 0 free truncation on s:0, r:1 at orders 3-6 with
+    L = sl2, x = ℓ⊗r and y = ℓ'⊗r with ℓ ≠ ℓ' in L⁰ already differ over
+    the top stage A_{n-1} of the chain, where the product is zero and
+    d(L⊗A_{n-1})⁰ = 0: the pair is inequivalent, and the search answers
+    NO with no witness."""
+    rng = make_rng(45)
+    l = sl2()
+    pairs = 0
+    for order in range(3, 7):
+        a = free_sr_truncation(order).algebra()
+        t = tensor_dgla(l, a)
+        r = a.space.names.index("r")
+        ells = [{i: F(1)} for i in range(l.dim)]
+        ells += [{i: F(rng.randint(-3, 3)) for i in range(l.dim)} for _ in range(3)]
+        ells = [{i: c for i, c in ell.items() if c} for ell in ells]
+        for ell in ells:
+            for ell2 in ells:
+                if ell == ell2:
+                    continue
+                x = t.elem(ell, {r: F(1)})
+                y = t.elem(ell2, {r: F(1)})
+                dec = gauge_equivalent(l, a, x, y)
+                assert (dec.verdict, dec.witness) == ("NO", None)
+                pairs += 1
+    assert pairs >= 16
+
+
+def test_pairs_in_one_orbit_never_answer_no():
+    """y = g·x for random g of degree 0, over Koszul truncations (x = e^a·0)
+    and d = 0 free truncations on s:0, r:1 with L = sl2 (x any element of
+    degree 1, MC because sl2 sits in degree 0 and odd elements of A
+    multiply to zero): the answer is never NO, and every YES witness maps
+    x to y."""
+    rng = make_rng(46)
+    verdicts = {"YES": 0, "UNKNOWN": 0}
+    for k in range(60):
+        if k % 3:
+            l = random_dgla(rng, max_dim=5)
+            a = koszul_truncation(rng.randint(1, 2), rng.randint(2, 3)).algebra()
+            t = tensor_dgla(l, a)
+            x = random_mc_element(rng, t)[0]
+        else:
+            l = sl2()
+            a = free_sr_truncation(rng.randint(3, 6)).algebra()
+            t = tensor_dgla(l, a)
+            x = sparse([F(rng.randint(-2, 2)) if d == 1 else F(0) for d in t.space.degrees])
+            assert mc_check(t, x)[0]
+        y = gauge_act(t, random_degree0(rng, t), x)
+        dec = gauge_equivalent(l, a, x, y)
+        assert dec.verdict != "NO"
+        if dec.verdict == "YES":
+            assert gauge_act(t, dec.witness, x) == y
+        verdicts[dec.verdict] += 1
+    assert min(verdicts.values()) >= 5
 
 
 def test_staged_gauge_witness_is_the_bch_witness():
@@ -417,7 +518,10 @@ def test_staged_gauge_witness_is_the_bch_witness():
     is central and joining it to the lifted witness by addition gives the
     witness that the BCH product gives: on random pairs e^g·0, e^h·0 over
     Koszul truncations (A² ≠ 0, with degree-0 elements), some in a basis
-    with fractional scales, and on the koszul4 fixture pair."""
+    with fractional scales, and on the koszul4 fixture pair.  Where a
+    stage has no linear correction, the search answers NO at the top
+    stage and UNKNOWN below it: on pairs ℓ⊗r, ℓ'⊗r and ℓ⊗r, g·(ℓ⊗r) over
+    d = 0 free truncations on s:0, r:1."""
     import pathlib
     from defalg import docio
     rng = make_rng(43)
@@ -436,16 +540,25 @@ def test_staged_gauge_witness_is_the_bch_witness():
     cases.append((l, a) + tuple(
         docio.build_mc_element(docio.parse((fixtures / name).read_text()), t.space)
         for name in ("koszul4_x.mc", "koszul4_y.mc")))
-    found = 0
+    l = sl2()
+    for order in (3, 4):
+        a = free_sr_truncation(order).algebra()
+        t = tensor_dgla(l, a)
+        r = a.space.names.index("r")
+        x = t.elem({0: F(1)}, {r: F(1)})
+        cases.append((l, a, x, t.elem({2: F(1)}, {r: F(1)})))
+        cases.append((l, a, x, gauge_act(t, random_degree0(rng, t), x)))
+    found = {"YES": 0, "NO": 0, "UNKNOWN": 0}
     for l, a, x, y in cases:
         if x == y:
             continue
-        want = reference_staged_witness(l, a, x, y)
-        dec = gauge_equivalent(l, a, x, y, mode="decide")
-        assert dec.verdict == ("UNKNOWN" if want is None else "YES")
+        want, depth = reference_staged_witness(l, a, x, y)
+        verdict = "YES" if depth is None else "NO" if depth == 0 else "UNKNOWN"
+        dec = gauge_equivalent(l, a, x, y)
+        assert dec.verdict == verdict
         assert dec.witness == want
-        found += want is not None
-    assert found >= 8
+        found[verdict] += 1
+    assert found["YES"] >= 8 and found["NO"] >= 2 and found["UNKNOWN"] >= 1
 
 
 # ---- derivation DGLAs ------------------------------------------------------

@@ -14,7 +14,7 @@ from defalg.models import (QuasismoothTrunc, h_r_tangent, is_minimal,
                            is_smooth_minimal, kuranishi_prorepresent,
                            minimalize, morphism_from_generators, morphism_lift,
                            truncate)
-from defalg.obstruction import COMPARISON_SIGN, cohomology_bracket
+from defalg.obstruction import cohomology_bracket
 from conftest import (entries, koszul_truncation, make_rng, pairs_truncation,
                       reference_differential, sl2, sl2_odd)
 
