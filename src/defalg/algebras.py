@@ -73,7 +73,7 @@ def _structure_constants(space: GradedSpace, table: Union[Dict[Pair, SparseVec],
         deg = degrees[i] + degrees[j]
         for k in nums:
             if degrees[k] != deg:
-                raise ValueError(wrong_degree % (space.names[i], space.names[j]))
+                raise ValueError(wrong_degree % (space.name(i), space.name(j)))
         left[i].append((j, nums))
         by_den.setdefault(den, []).append(nums)
     den = lcm(*by_den)
@@ -144,9 +144,11 @@ class BilinearStructure:
     i -> [(j, {k: den·c_k})] on Python-int numerators, through which the
     operation walks only the support of its left argument.  ``table``
     itself is a read-only view of that index with Fraction entries, built
-    on first read.  A subclass names its operation in ``_wrong_degree``
-    and says in ``_lie`` whether its axioms are those of a graded Lie
-    algebra.
+    on first read.  ``_left[i]`` is read row by row; a walk over every row
+    reads ``rows()``, the whole index as a list, which a truncation's
+    algebra, whose rows are built on first read, completes in one pass.
+    A subclass names its operation in ``_wrong_degree`` and says in
+    ``_lie`` whether its axioms are those of a graded Lie algebra.
     """
     _wrong_degree = "product %s*%s has an entry of wrong degree"
     _lie = False
@@ -159,11 +161,18 @@ class BilinearStructure:
         self.den, self._left = _structure_constants(space, table, self._wrong_degree)
         self.d = differential
 
+    def rows(self) -> LeftIndex:
+        """The whole left index as a list over the basis.  A left index
+        that builds its rows on first read (a truncation's) is a dict,
+        which completes them in one pass."""
+        left = self._left
+        return left if isinstance(left, list) else left.rows()
+
     def constants(self) -> Iterator[Tuple[int, int, SparseVec]]:
         """(i, j, e_i·e_j) for the nonzero pairs in lexicographic order, each
         product sparse with Fraction entries in the order of its indices,
         read from the integer index."""
-        for i, row_list in enumerate(self._left):
+        for i, row_list in enumerate(self.rows()):
             for j, row in sorted(row_list, key=lambda item: item[0]):
                 yield i, j, {k: Fraction(row[k], self.den) for k in sorted(row)}
 
@@ -222,7 +231,7 @@ class BilinearStructure:
         of the table is assumed.  Each list names its failing pairs or
         triples in lexicographic order.
         """
-        space, left, lie = self.space, self._left, self._lie
+        space, left, lie = self.space, self.rows(), self._lie
         odd = [deg % 2 for deg in space.degrees]
         right = _right_index(left)
         ints = {(i, m): row for i, row_list in enumerate(left) for m, row in row_list}
@@ -261,7 +270,7 @@ class BilinearStructure:
                 _add_scaled(dd, q, c, dcols[p])
 
         def messages(axiom: str, keys: List) -> List[str]:
-            return ["%s fails on (%s)" % (axiom, ", ".join(space.names[t] for t in key))
+            return ["%s fails on (%s)" % (axiom, ", ".join(space.name(t) for t in key))
                     for key in keys]
 
         sym_axiom, triple_axiom = (("graded antisymmetry", "graded Jacobi") if lie
@@ -286,7 +295,7 @@ class NilpotentDgAlgebra(BilinearStructure):
         return _bilinear(self, u, v)
 
     def has_trivial_mult(self) -> bool:
-        return not any(self._left)
+        return not any(self.rows())
 
     def power_ideal_bases(self) -> List[List[SparseVec]]:
         """Bases of A = A^1 ⊇ A^2 ⊇ ...  down to the first zero power.
@@ -297,7 +306,7 @@ class NilpotentDgAlgebra(BilinearStructure):
         the right index, on Python ints over den^n, which the echelon takes
         as they are; only the returned vectors are Fractions.
         """
-        n, scale, right = self.dim, 1, _right_index(self._left)
+        n, scale, right = self.dim, 1, _right_index(self.rows())
         powers: List[List[SparseVec]] = [[{i: ONE} for i in range(n)]]
         prev: List[Dict[int, int]] = [{i: 1} for i in range(n)]
         while prev:
@@ -335,8 +344,8 @@ class NilpotentDgAlgebra(BilinearStructure):
         the relations among the maps e_i * -, flattened from the integer
         index (their common scale den leaves the relations as they are)."""
         n = self.dim
-        return linalg.relations([{j * n + k: c for j, row in self._left[i]
-                                  for k, c in row.items()} for i in range(n)])[1]
+        return linalg.relations([{j * n + k: c for j, row in row_list for k, c in row.items()}
+                                 for row_list in self.rows()])[1]
 
     def validate(self) -> "ValidationReport":
         """Check graded commutativity, associativity, d∘d = 0, Leibniz and
@@ -404,16 +413,17 @@ class DgAlgebraMorphism:
         if _failing(chain):
             errs.append("does not commute with differentials")
         defects: Dict[Pair, Dict[int, int]] = {}
-        for i, row_list in enumerate(src._left):        # f(e_i e_j)
+        tgt_left = tgt.rows()
+        for i, row_list in enumerate(src.rows()):       # f(e_i e_j)
             for j, row in row_list:
                 for m, c in row.items():
                     _add_scaled(defects, (i, j), c * df * tgt.den, cols[m])
         for i, col in enumerate(cols):                  # -f(e_i) f(e_j)
             for a, fa in col.items():
-                for b, prod in tgt._left[a]:
+                for b, prod in tgt_left[a]:
                     for j, fb in rows[b]:
                         _add_scaled(defects, (i, j), -fa * fb * src.den, prod)
-        errs.extend("not multiplicative on (%s, %s)" % (src.space.names[i], src.space.names[j])
+        errs.extend("not multiplicative on (%s, %s)" % (src.space.name(i), src.space.name(j))
                     for i, j in sorted(_failing(defects)))
         return errs
 
@@ -518,7 +528,7 @@ def quotient_algebra(a: NilpotentDgAlgebra, ideal: Sequence[SparseVec]
     names = [a.space.names[i] for i in compl_idx]
     degs = [a.space.degrees[i] for i in compl_idx]
     space = GradedSpace(list(zip(names, degs)))
-    mult = (((pos[i], pos[j]), project(row, a.den)) for i, row_list in enumerate(a._left)
+    mult = (((pos[i], pos[j]), project(row, a.den)) for i, row_list in enumerate(a.rows())
             if i in pos for j, row in row_list if j in pos)
     d = GradedMap.from_columns(space, space, 1, [project(a.d.column(i)) for i in compl_idx])
     q = NilpotentDgAlgebra(space, mult, d)
@@ -626,7 +636,7 @@ class SmallExtension:
         the image of I."""
         img, _ = _int_columns(self.iota)
         return not any(any(self.a._int_product({i: 1}, x).values())
-                       for i, rows in enumerate(self.a._left) if rows for x in img)
+                       for i, rows in enumerate(self.a.rows()) if rows for x in img)
 
     def is_acyclic(self) -> bool:
         return cohomology(self.i_complex).total_dim() == 0

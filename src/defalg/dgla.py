@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, lcm
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import linalg
 from .algebras import (BilinearStructure, DgAlgebraMorphism, LeftIndex,
@@ -43,6 +43,9 @@ class Dgla(BilinearStructure):
         """[u, v]/den."""
         return _bilinear(self, u, v, den)
 
+    def differentiate(self, v: SparseVec) -> SparseVec:
+        return self.d.apply(v)
+
     def validate(self) -> ValidationReport:
         """Check graded antisymmetry, Jacobi, Leibniz and d∘d = 0 on the
         structure constants (``_axiom_errors``).  Failing pairs and triples
@@ -57,37 +60,60 @@ class Dgla(BilinearStructure):
 class TensorDgla(Dgla):
     """L ⊗ A for a DGLA L and a nilpotent dg-algebra A, as a view of both.
 
-    Basis pairs x_i ⊗ a_p indexed L-major.  The bracket follows the
-    Koszul-consistent convention
+    Basis pairs x_i ⊗ a_p indexed L-major, named x_i@a_p when a name is
+    read.  The bracket follows the Koszul-consistent convention
         [x⊗a, y⊗b] = (-1)^{deg(a)·deg(y)} [x,y] ⊗ ab,
     certified by validate(); the differential is
-        d(x⊗a) = dx ⊗ a + (-1)^{deg x} x ⊗ da.
+        d(x⊗a) = dx ⊗ a + (-1)^{deg x} x ⊗ da,
+    one column formula (``_d_columns``) that ``differentiate`` applies on a
+    vector's support and that builds the map ``d`` when it is first read.
     ``bracket_vec`` reads L's and A's integer left indices directly, over
     ``den`` = L.den·A.den.  This structure's own integer index, each
     product of an L-constant with an A-constant its own entry, is built
     from theirs only when read (validate(), and the ``table`` view);
-    ``nilpotency_class`` is read off A when first needed.
+    ``nilpotency_class`` is read off A when first needed.  ``space`` may
+    be given: the space of an L⊗A' with A' on A's basis.
     """
 
-    def __init__(self, l: Dgla, a: NilpotentDgAlgebra):
+    def __init__(self, l: Dgla, a: NilpotentDgAlgebra, space: Optional[GradedSpace] = None):
         self.l = l
         self.a = a
-        nl, na = l.dim, a.dim
-        self.space = space = tensor_space(l.space, a.space)
-        self._odd_l = odd_l = [deg % 2 for deg in l.space.degrees]
+        self.space = tensor_space(l.space, a.space) if space is None else space
+        self._odd_l = [deg % 2 for deg in l.space.degrees]
         self._odd_a = [deg % 2 for deg in a.space.degrees]
-        # column x_i⊗a_p is dx_i⊗a_p (blocks j ≠ i) plus ±x_i⊗da_p (block i)
-        cols: Dict[int, SparseVec] = {}
-        for i, lcol in l.d.nonzero_columns():
-            for p in range(na):
-                cols[i * na + p] = {j * na + p: c for j, c in lcol.items()}
-        for p, acol in a.d.nonzero_columns():
-            for i in range(nl):
-                col = cols.setdefault(i * na + p, {})
-                for q, c in acol.items():
-                    col[i * na + q] = -c if odd_l[i] else c
-        self.d = GradedMap.from_columns(space, space, 1, cols)
         self.den = l.den * a.den
+
+    def _d_columns(self, support: Iterable[int]) -> Iterator[Tuple[int, SparseVec]]:
+        """(s, d(x_i⊗a_p)) for each s = i·dim A + p in ``support`` whose
+        column is nonzero: dx_i⊗a_p, in the blocks j ≠ i, then
+        (-1)^{|x_i|} x_i⊗da_p, in block i."""
+        na, odd_l = self.a.dim, self._odd_l
+        l_column, a_column = self.l.d.column, self.a.d.column
+        for s in support:
+            i, p = divmod(s, na)
+            lcol, acol = l_column(i), a_column(p)
+            if lcol or acol:
+                col = {j * na + p: c for j, c in lcol.items()}
+                ib, odd = i * na, odd_l[i]
+                col.update((ib + q, -c if odd else c) for q, c in acol.items())
+                yield s, col
+
+    @cached_property
+    def d(self) -> GradedMap:
+        na = self.a.dim
+        support = {i * na + p for i, _ in self.l.d.nonzero_columns() for p in range(na)}
+        support.update(i * na + p for p, _ in self.a.d.nonzero_columns()
+                       for i in range(self.l.dim))
+        return GradedMap.from_columns(self.space, self.space, 1,
+                                      dict(self._d_columns(sorted(support))))
+
+    def differentiate(self, v: SparseVec) -> SparseVec:
+        """dv, summed over v's support column by column, as ``d.apply``
+        sums, without building d."""
+        out: SparseVec = {}
+        for s, col in self._d_columns(v):
+            add_into(out, col, v[s])
+        return out
 
     @cached_property
     def nilpotency_class(self) -> int:
@@ -101,8 +127,8 @@ class TensorDgla(Dgla):
         their L- and A-numerators."""
         na, odd_l, odd_a = self.a.dim, self._odd_l, self._odd_a
         left: LeftIndex = []
-        for lrows in self.l._left:
-            for p, arows in enumerate(self.a._left):
+        for lrows in self.l.rows():
+            for p, arows in enumerate(self.a.rows()):
                 left.append([(j * na + q, {k * na + r: (-ck if odd_a[p] and odd_l[j] else ck) * cr
                                            for k, ck in lrow.items() for r, cr in arow.items()})
                              for j, lrow in lrows for q, arow in arows])
@@ -152,13 +178,29 @@ class TensorDgla(Dgla):
 
 
 def tensor_space(l: GradedSpace, a: GradedSpace) -> GradedSpace:
-    """The graded space of L⊗A: basis x_i@a_p, L-major."""
-    return GradedSpace([(l.names[i] + "@" + a.names[p], l.degrees[i] + a.degrees[p])
-                        for i in range(l.dim) for p in range(a.dim)])
+    """The graded space of L⊗A: basis x_i@a_p, L-major.  A name is read
+    through the factors' names, and the index of a name through their
+    name indices."""
+    na = a.dim
+
+    def name(s: int) -> str:
+        return l.name(s // na) + "@" + a.name(s % na)
+
+    def lookup(name: str) -> int:
+        x, sep, y = name.partition("@")
+        if sep:
+            try:
+                return l.index(x) * na + a.index(y)
+            except KeyError:
+                pass
+        raise KeyError(name)
+    return GradedSpace.joined([dl + da for dl in l.degrees for da in a.degrees],
+                              name, (l, a), "@", lookup)
 
 
-def tensor_dgla(l: Dgla, a: NilpotentDgAlgebra) -> TensorDgla:
-    return TensorDgla(l, a)
+def tensor_dgla(l: Dgla, a: NilpotentDgAlgebra, space: Optional[GradedSpace] = None
+                ) -> TensorDgla:
+    return TensorDgla(l, a, space)
 
 
 def trivial_algebra_of_complex(c: Complex) -> NilpotentDgAlgebra:
@@ -167,7 +209,7 @@ def trivial_algebra_of_complex(c: Complex) -> NilpotentDgAlgebra:
 
 def mc_defect(t: Dgla, x: SparseVec) -> SparseVec:
     """dx + ½[x, x]."""
-    return add_into(t.d.apply(x), t._bracket_over(x, x, 2))
+    return add_into(t.differentiate(x), t._bracket_over(x, x, 2))
 
 
 def mc_check(t: Dgla, x: SparseVec) -> Tuple[bool, SparseVec]:

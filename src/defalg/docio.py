@@ -610,7 +610,9 @@ def build(doc: InputDocument):
 # ---- documents from library objects ---------------------------------------
 
 def _combo_of_vector(space: GradedSpace, vec: SparseVec) -> Combo:
-    return tuple((space.names[i], vec[i]) for i in sorted(vec))
+    """The combination of a vector, naming only the basis vectors in its
+    support."""
+    return tuple((space.name(i), vec[i]) for i in sorted(vec))
 
 
 def _map_payload(m: GradedMap, src: GradedSpace, dst: GradedSpace
@@ -619,7 +621,7 @@ def _map_payload(m: GradedMap, src: GradedSpace, dst: GradedSpace
     for i in range(src.dim):
         combo = _combo_of_vector(dst, m.column(i))
         if combo:
-            out[src.names[i]] = combo
+            out[src.name(i)] = combo
     return out
 
 

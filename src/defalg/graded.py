@@ -20,7 +20,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 from types import MappingProxyType
-from typing import Dict, ItemsView, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, ItemsView, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 from . import linalg
 from .linalg import ONE, ZERO, SparseVec, add_into
@@ -28,29 +29,92 @@ from .linalg import ONE, ZERO, SparseVec, add_into
 __all__ = [
     "GradedSpace", "GradedMap", "Complex", "Splitting", "Contraction", "ShortExactSequence",
     "koszul_sign", "unshuffles", "shift", "symmetric_power",
-    "SymmetricPower", "WordBasis", "cohomology", "solve_homotopy", "is_quasiiso",
-    "connecting_hom",
+    "SymmetricPower", "WordBasis", "MAX_WORDS", "word_count", "cohomology", "solve_homotopy",
+    "is_quasiiso", "connecting_hom",
 ]
 
 
 class GradedSpace:
-    """Finite-dimensional graded vector space with a named homogeneous basis."""
+    """Finite-dimensional graded vector space with a named homogeneous basis.
+
+    A space is given its (name, degree) pairs, or (``joined``) its degrees
+    and a function that names each index by joining the names of factor
+    spaces with a separator: ``x@a`` for L⊗A, ``*`` for words.  ``names``,
+    ``basis`` and the name index are then built only when read, ``name(i)``
+    names one index, and ``index`` may read a name through the factors.
+    ``dim`` is the number of degrees, and equality compares the degrees
+    before the names.
+    """
 
     def __init__(self, basis: Sequence[Tuple[str, int]]):
         basis = tuple((str(n), int(d)) for n, d in basis)
         names = [n for n, _ in basis]
-        if len(set(names)) != len(names):
-            raise ValueError("basis names must be unique")
         self.basis = basis
         self.names = tuple(names)
         self.degrees = tuple(d for _, d in basis)
         self._index = {n: i for i, n in enumerate(names)}
+        self.index = self._index.__getitem__      # a name is read straight off the dict
+        self._lookup: Optional[Callable[[str], int]] = None
+        self._parts: Tuple[Tuple["GradedSpace", ...], str] = ((), "")
+        self._check_unique()
+
+    @classmethod
+    def joined(cls, degrees: Sequence[int], name: Callable[[int], str],
+               factors: Sequence["GradedSpace"], sep: str,
+               lookup: Optional[Callable[[str], int]] = None) -> "GradedSpace":
+        """The space whose i-th basis vector has degree degrees[i] and the
+        name name(i), made of names of ``factors`` joined by ``sep``.
+        Distinct tuples of factor names join to distinct names unless a
+        factor name contains ``sep``: only then are the names built here,
+        to check that they are unique.  ``lookup(name)`` (optional) is the
+        index of a name, or KeyError; it is used while no factor name
+        contains ``sep``."""
+        out = cls.__new__(cls)
+        out.degrees = tuple(degrees)
+        out._name = name
+        out._lookup = lookup
+        out._parts = (tuple(factors), sep)
+        if any(f._contains(sep) for f in factors):
+            out._lookup = None
+            out._check_unique()
+        return out
+
+    def _check_unique(self) -> None:
+        if len(self._index) != len(self.degrees):
+            raise ValueError("basis names must be unique")
+
+    def _contains(self, sep: str) -> bool:
+        """Whether some basis name may contain ``sep``: read off the
+        factors' names and separator for a joined space."""
+        factors, own = self._parts
+        if not factors:
+            return any(sep in n for n in self.names)
+        return sep == own or any(f._contains(sep) for f in factors)
+
+    @cached_property
+    def names(self) -> Tuple[str, ...]:
+        return tuple(map(self._name, range(len(self.degrees))))
+
+    @cached_property
+    def basis(self) -> Tuple[Tuple[str, int], ...]:
+        return tuple(zip(self.names, self.degrees))
+
+    @cached_property
+    def _index(self) -> Dict[str, int]:
+        return {n: i for i, n in enumerate(self.names)}
+
+    def name(self, i: int) -> str:
+        """The name of basis vector i, without building the others."""
+        names = self.__dict__.get("names")
+        return names[i] if names is not None else self._name(i)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.degrees)
 
     def index(self, name: str) -> int:
+        if self._lookup is not None:
+            return self._lookup(name)
         return self._index[name]
 
     def degree_indices(self, k: int) -> List[int]:
@@ -76,10 +140,11 @@ class GradedSpace:
         return GradedSpace([(n + "^", -d) for n, d in self.basis])
 
     def __eq__(self, other):
-        return isinstance(other, GradedSpace) and self.basis == other.basis
+        return self is other or (isinstance(other, GradedSpace) and self.degrees == other.degrees
+                                 and self.names == other.names)
 
     def __hash__(self):
-        return hash(self.basis)
+        return hash(self.degrees)
 
     def __repr__(self):
         return "GradedSpace(%s)" % (", ".join("%s:%d" % b for b in self.basis),)
@@ -117,7 +182,7 @@ class GradedMap:
 
     def _degree_error(self, j: int, i: int) -> ValueError:
         return ValueError("entry (%s <- %s) violates degree %d homogeneity"
-                          % (self.target.names[j], self.source.names[i], self.degree))
+                          % (self.target.name(j), self.source.name(i), self.degree))
 
     def set_entry(self, j: int, i: int, c) -> None:
         """Set one entry.  Column i is replaced, not changed in place."""
@@ -337,6 +402,14 @@ def canonical_monomial(indices: Sequence[int], degrees: Sequence[int]
     return tuple(idx), sign
 
 
+def _word_space(letters: GradedSpace, words: Sequence[Tuple[int, ...]],
+                degrees: Sequence[int]) -> GradedSpace:
+    """The space spanned by ``words`` of the given degrees on ``letters``,
+    each word named by its letters' names joined by ``*``."""
+    return GradedSpace.joined(degrees, lambda p: "*".join(map(letters.name, words[p])),
+                              (letters,), "*")
+
+
 class SymmetricPower:
     """Graded-symmetric power of a graded space with canonical monomials."""
 
@@ -352,11 +425,8 @@ class SymmetricPower:
                 monos.append(t)
         self.monomials: Tuple[Tuple[int, ...], ...] = tuple(monos)
         self._mono_index = {m: i for i, m in enumerate(monos)}
-        basis = []
-        for m in monos:
-            name = "*".join(v.names[i] for i in m)
-            basis.append((name, sum(v.degrees[i] for i in m)))
-        self.space = GradedSpace(basis)
+        degree = v.degrees.__getitem__
+        self.space = _word_space(v, self.monomials, [sum(map(degree, m)) for m in monos])
 
     def index(self, indices: Sequence[int]) -> Optional[Tuple[int, int]]:
         """(monomial position, sign) of an arbitrary word; None when zero."""
@@ -371,31 +441,51 @@ def symmetric_power(v: GradedSpace, n: int) -> SymmetricPower:
     return SymmetricPower(v, n)
 
 
+MAX_WORDS = 50_000    # the largest word basis a truncation may have
+
+
+def word_count(letters: GradedSpace, order: int) -> int:
+    """The number of nonzero words of length 1..order on ``letters``,
+    counted without forming any: a word takes each of the o odd letters
+    at most once and any multiset of the e even ones, so there are
+    Σ_j C(o, j)·C(e + order - j, e) words of length at most order, the
+    empty word included."""
+    odd = sum(d % 2 for d in letters.degrees)
+    even = letters.dim - odd
+    return sum(comb(odd, j) * comb(even + order - j, even)
+               for j in range(min(odd, order) + 1)) - 1
+
+
 class WordBasis:
     """The monomial basis of ⊕_{1≤k≤order} ⊙^k V, V = ``letters``.
 
     ``words`` are the canonical monomials, shortest first and in the order
     of ``powers[k].monomials`` within each length; ``offsets[k]`` is the
     position of the first word of length k and ``space`` the graded space
-    the words span.
+    the words span.  A basis of more than ``MAX_WORDS`` words, or an
+    order above that number, is refused before any word is formed.
     """
 
     def __init__(self, letters: GradedSpace, order: int):
         if order < 1:
             raise ValueError("order must be >= 1")
+        count = word_count(letters, order)
+        if count > MAX_WORDS or order > MAX_WORDS:
+            raise ValueError("a truncation at order %d on %d letters has %d words; the cap is "
+                             "%d words and order %d" % (order, letters.dim, count, MAX_WORDS,
+                                                        MAX_WORDS))
         self.letters = letters
         self.order = order
         self.powers: Dict[int, SymmetricPower] = {
             k: SymmetricPower(letters, k) for k in range(1, order + 1)}
         self.offsets: Dict[int, int] = {}
-        basis = []
         words: List[Tuple[int, ...]] = []
         for k in range(1, order + 1):
             self.offsets[k] = len(words)
-            basis.extend(self.powers[k].space.basis)
             words.extend(self.powers[k].monomials)
-        self.space = GradedSpace(basis)
         self.words: Tuple[Tuple[int, ...], ...] = tuple(words)
+        self.space = _word_space(letters, self.words, [
+            d for k in range(1, order + 1) for d in self.powers[k].space.degrees])
         self._odd = [d % 2 for d in letters.degrees]
 
     def position(self, word: Sequence[int]) -> Optional[Tuple[int, int]]:

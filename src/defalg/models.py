@@ -26,14 +26,43 @@ from .linalg import ONE, ZERO, CertificateError, add_into
 Word = Tuple[int, ...]
 
 
+class _WordRows(dict):
+    """The left index of a truncation's products, word p -> [(q, {p·q: ±1})],
+    each row built on first read (``__missing__``) from the words q short
+    enough to multiply with p; the constants are ±1, so ``den`` is 1.
+    ``rows()`` builds the missing ones in one pass and keeps the list."""
+
+    def __init__(self, basis: WordBasis):
+        super().__init__()
+        self.basis = basis
+        self.complete: Optional[List] = None
+
+    def __missing__(self, p: int) -> List[Tuple[int, Dict[int, int]]]:
+        b = self.basis
+        wp = b.words[p]
+        # the words of length <= order - len(wp) come first; each product
+        # is ±1 times one word
+        row = self[p] = [(q, {res[0]: res[1]}) for q in range(b.offsets[b.order + 1 - len(wp)])
+                         for res in [b.product(wp, b.words[q])] if res is not None]
+        return row
+
+    def rows(self) -> List[List[Tuple[int, Dict[int, int]]]]:
+        if self.complete is None:
+            self.complete = [self[p] for p in range(len(self.basis.words))]
+        return self.complete
+
+
 class QuasismoothTrunc:
     """R/R^{n+1} for R complete quasismooth on generators V.
 
     ``basis`` holds the words of ⊕_{1≤k≤n} ⊙^k V; ``components[k]`` is the
     degree +1 map V → ⊙^k V, and the induced derivation on the words
-    squares to zero (checked).  The products depend on (V, n) alone: a
-    truncation made by ``with_components`` shares the word basis and, once
-    built, the algebra's integer index with the one it was made from.
+    squares to zero (checked).  The products depend on (V, n) alone, and
+    the algebra's row of a word p is built when it is first read: the
+    brackets of L⊗R read only the rows of ξ's support, while the checks
+    that walk every row build the rest in one pass.  A truncation made by
+    ``with_components`` shares the word basis and the rows built so far
+    with the one it was made from.
     """
 
     def __init__(self, v: GradedSpace, order: int,
@@ -113,13 +142,8 @@ class QuasismoothTrunc:
         if self._algebra is None:
             if self._products is None:
                 b = self.basis
-                # the words of length <= order - len(wp) come first; each
-                # product is ±1 times one word, put straight into the index
                 self._products = NilpotentDgAlgebra(b.space, (), GradedMap(b.space, b.space, 1))
-                self._products._left = [
-                    [(q, {res[0]: res[1]}) for q in range(b.offsets[self.order + 1 - len(wp)])
-                     for res in [b.product(wp, b.words[q])] if res is not None]
-                    for wp in b.words]
+                self._products._left = _WordRows(b)
             self._algebra = self._products.with_differential(self.differential())
         return self._algebra
 
@@ -478,8 +502,8 @@ def kuranishi_prorepresent(l: Dgla, contraction: Optional[Contraction] = None,
     v = GradedSpace([("x_" + h.names[c].replace("^", ""), 1 - h.degrees[c])
                      for c in range(h.dim)])
     comps: Dict[int, GradedMap] = {}
-    # one word basis and one product table serve every order: an order
-    # that changes d rebuilds only d and the differential of L⊗R
+    # one word basis, one product index and one space of L⊗R serve every
+    # order: an order that changes d rebuilds only d
     r = QuasismoothTrunc(v, order, {}, check=False)
     t = tensor_dgla(l, r.algebra())
     # the word of length 1 on generator c is the c-th word
@@ -509,7 +533,7 @@ def kuranishi_prorepresent(l: Dgla, contraction: Optional[Contraction] = None,
         if kcols:
             comps[k] = GradedMap.from_columns(v, r.basis.powers[k].space, 1, kcols)
             r = r.with_components(comps, check=False)
-            t = tensor_dgla(l, r.algebra())
+            t = tensor_dgla(l, r.algebra(), t.space)
         # the defect the next order starts from vanishes at this one
         hvec = mc_defect(t, xi)
         if any(off <= key % na < off + nmon for key in hvec):

@@ -1,5 +1,6 @@
 """Shared fixtures: standard algebras and randomized valid instances."""
 
+import itertools
 import os
 import random
 from fractions import Fraction
@@ -1210,6 +1211,38 @@ def pairs_truncation(n_pairs, n_h, order):
             pos, sgn = p2.index((2 * k + 1, 2 * n_pairs + j))
             d2.set_entry(pos, 2 * n_pairs + j, F(sgn * (-1) ** (j + k)))
     return QuasismoothTrunc(v, order, {1: d1, 2: d2} if n_h else {1: d1})
+
+
+def reference_tensor_space(l, a):
+    """The graded space of L⊗A with every name x_i@a_p built at once, as
+    ``GradedSpace`` checks them: the oracle for the names that
+    ``dgla.tensor_space`` builds only when read."""
+    return GradedSpace([(l.names[i] + "@" + a.names[p], l.degrees[i] + a.degrees[p])
+                        for i in range(l.dim) for p in range(a.dim)])
+
+
+def reference_monomials(v, n):
+    """The canonical monomials of the n-th graded-symmetric power of v: the
+    sorted index tuples that repeat no odd letter."""
+    return [t for t in itertools.combinations_with_replacement(range(v.dim), n)
+            if not any(a == b and v.degrees[a] % 2 for a, b in zip(t, t[1:]))]
+
+
+def reference_word_space(v, words):
+    """The space spanned by ``words`` on the letters v, every word named at
+    once by its letters' names joined by ``*``."""
+    return GradedSpace([("*".join(v.names[i] for i in w), sum(v.degrees[i] for i in w))
+                        for w in words])
+
+
+def reference_truncation_rows(b):
+    """The whole product table of the truncation on a word basis b, as its
+    integer left index: word p -> [(q, {p·q: ±1})] over the words q with
+    len(p) + len(q) <= order, each product placed by sorting the
+    concatenated word (``WordBasis.position``)."""
+    return [[(q, {res[0]: res[1]}) for q in range(b.offsets[b.order + 1 - len(wp)])
+             for res in [b.position(wp + b.words[q])] if res is not None]
+            for wp in b.words]
 
 
 def reference_differential(r):

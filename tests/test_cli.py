@@ -688,3 +688,24 @@ def test_staged_gauge_computes_no_kernel_basis_or_intersection(capsys, monkeypat
                                    for a in case["argv"]])
     assert calls == []
     assert (code, out, err) == (0, (GOLDEN / "gauge-koszul4-staged.txt").read_text(), "")
+
+
+def test_word_cap_exits_2_on_every_order_before_forming_a_word(capsys, monkeypatch, tmp_path):
+    # --order and a quasismooth order: are refused by the count of words,
+    # 295,360 on three even and three odd letters at order 60, before any
+    # word is formed (a formed word would fail the test, not fill memory)
+    import defalg.graded
+    from defalg.graded import MAX_WORDS
+
+    def no_words(*args):
+        raise AssertionError("a word was formed")
+    monkeypatch.setattr(defalg.graded, "SymmetricPower", no_words)
+    qs = tmp_path / "big.qs"
+    qs.write_text("kind: quasismooth\nbasis:\n" + "".join(
+        "  x%d %d\n" % (i, i % 2) for i in range(6)) + "order: 60\n", encoding="utf-8")
+    message = ("error: a truncation at order 60 on 6 letters has 295360 words; the cap is "
+               "%d words and order %d\n" % (MAX_WORDS, MAX_WORDS))
+    for argv in (["prorepresent", "--in", SL2_ODD, "--order", "60"],
+                 ["dgla-to-linfty", "--in", SL2_ODD, "--order", "60"],
+                 ["minimalize", "--in", str(qs)]):
+        assert run(capsys, *argv) == (2, "", message)

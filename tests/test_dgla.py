@@ -61,8 +61,8 @@ def _set_entry_tensor_d(l, a, space):
 
 def test_tensor_d_and_push_equal_their_set_entry_builds():
     # the columns of d on L⊗A are taken straight from the factors'
-    # columns: d equals the map built through set_entry, with the entries
-    # in the same order.  Pushing a vector along 1⊗f block by block
+    # columns: d, and d on a vector, equal the map built through set_entry,
+    # with the entries in the same order.  Pushing a vector along 1⊗f block by block
     # equals applying the whole map 1⊗f
     rng = make_rng(32)
     zero = NilpotentDgAlgebra.trivial(GradedSpace([]))
@@ -71,6 +71,14 @@ def test_tensor_d_and_push_equal_their_set_entry_builds():
         l, a = random_dgla(rng), random_algebra(rng, max_dim=6)
         t = tensor_dgla(l, a)
         want = _set_entry_tensor_d(l, a, t.space)
+        # differentiate applies the same columns on a vector's support
+        # without building d, and sums them in the order d.apply does
+        fresh = tensor_dgla(l, a)
+        for v in [{i: F(1)} for i in range(t.dim)] + [
+                {i: F(rng.randint(-3, 3), rng.randint(1, 2)) for i in range(t.dim)
+                 if rng.random() < 0.5}]:
+            assert list(fresh.differentiate(v).items()) == list(want.apply(v).items())
+        assert "d" not in vars(fresh)
         assert t.d == want and list(entries(t.d).items()) == list(entries(want).items())
         # (source tensor, target algebra, f): 1, 0, and a stage's α, s∘α and ι
         cases = [(t, a, GradedMap.identity(a.space)),

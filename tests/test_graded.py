@@ -12,11 +12,12 @@ from defalg.graded import (Complex, Contraction, GradedMap, GradedSpace,
                            ShortExactSequence, canonical_monomial, cohomology,
                            connecting_hom, is_chain_map, is_quasiiso,
                            koszul_sign, shift, shift_space, solve_homotopy,
-                           symmetric_power, unshuffles, WordBasis)
+                           symmetric_power, unshuffles, word_count, MAX_WORDS, WordBasis)
 from defalg.models import QuasismoothTrunc
 from conftest import (entries, dense, dense_contraction, is_normal, make_rng, mat_add, mat_mul,
-                      mat_scale, mat_transpose, mat_vec, matrix, random_complex, rank, rref_rank,
-                      rref_solve, sparse)
+                      mat_scale, mat_transpose, mat_vec, matrix, random_complex, rank,
+                      reference_monomials, reference_tensor_space, reference_truncation_rows,
+                      reference_word_space, rref_rank, rref_solve, sparse)
 
 F = Fraction
 
@@ -400,12 +401,116 @@ def test_truncation_products_match_the_sorted_concatenation():
     # what sorting the concatenated word gives, entry for entry and in order
     v = GradedSpace([("a", 0), ("b", 1), ("c", 1), ("e", 2), ("f", -1)])
     for order in (1, 2, 4):
-        left = QuasismoothTrunc(v, order, {}).algebra()._left
-        b = WordBasis(v, order)
-        assert left == [
-            [(q, {res[0]: res[1]}) for q in range(b.offsets[order + 1 - len(wp)])
-             for res in [b.position(wp + b.words[q])] if res is not None]
-            for wp in b.words]
+        left = QuasismoothTrunc(v, order, {}).algebra().rows()
+        assert left == reference_truncation_rows(WordBasis(v, order))
+
+
+# names drawn from an alphabet with both separators, so that joined names
+# collide now and then
+_NAMES = st.text(alphabet="ab@*", max_size=3)
+
+
+@st.composite
+def named_spaces(draw, max_dim=4):
+    names = draw(st.lists(_NAMES, min_size=0, max_size=max_dim, unique=True))
+    return GradedSpace([(n, draw(st.integers(-2, 2))) for n in names])
+
+
+def _built(make):
+    """What make() returns, or the message of the ValueError it raises."""
+    try:
+        return make()
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_same_space(lazy, eager, strangers):
+    """The lazily named space reads like the eager oracle: the same names,
+    basis, indices, equality and hash; names not in it are KeyErrors with
+    the name as their argument in both."""
+    if isinstance(eager, str):
+        assert lazy == eager
+        return
+    assert not isinstance(lazy, str)
+    assert lazy.dim == eager.dim and lazy.degrees == eager.degrees
+    assert [lazy.name(i) for i in range(lazy.dim)] == list(eager.names)
+    assert lazy.names == eager.names and lazy.basis == eager.basis
+    assert lazy == eager and eager == lazy and hash(lazy) == hash(eager)
+    for i, n in enumerate(eager.names):
+        assert lazy.index(n) == eager.index(n) == i
+    for n in strangers:
+        if n not in eager.names:
+            for space in (lazy, eager):
+                with pytest.raises(KeyError) as err:
+                    space.index(n)
+                assert err.value.args == (n,)
+
+
+@given(named_spaces(), named_spaces(), st.lists(st.text(alphabet="ab@*", max_size=6)))
+@settings(max_examples=300, deadline=None)
+def test_tensor_space_names_match_the_eager_oracle(l, a, strangers):
+    from defalg.dgla import tensor_space
+    # the lazy space first, so its names are read only through its methods
+    lazy = _built(lambda: tensor_space(l, a))
+    assert_same_space(lazy, _built(lambda: reference_tensor_space(l, a)), strangers)
+
+
+@given(named_spaces(), st.integers(1, 3), st.lists(st.text(alphabet="ab@*", max_size=6)))
+@settings(max_examples=300, deadline=None)
+def test_word_space_names_match_the_eager_oracle(v, order, strangers):
+    lazy = _built(lambda: WordBasis(v, order))
+    eager = _built(lambda: reference_word_space(
+        v, [w for k in range(1, order + 1) for w in reference_monomials(v, k)]))
+    assert_same_space(lazy if isinstance(lazy, str) else lazy.space, eager, strangers)
+    for k in range(1, order + 1):
+        lazy = _built(lambda: symmetric_power(v, k).space)
+        assert_same_space(lazy, _built(lambda: reference_word_space(
+            v, reference_monomials(v, k))), strangers)
+
+
+def test_joined_names_are_built_only_when_read():
+    from defalg.dgla import tensor_space
+    l = GradedSpace([("e", 0), ("f", 1)])
+    r = WordBasis(GradedSpace([("x", 0), ("y", 1)]), 3).space
+    t = tensor_space(l, r)
+    assert t.dim == 2 * r.dim and t.name(2 * r.dim - 1) == "f@x*x*y"
+    assert not {"names", "basis", "_index"} & (set(vars(t)) | set(vars(r)))
+    # a tensor name is looked up through the factors' name indices
+    assert t.index("f@x*y") == r.dim + r.names.index("x*y")
+    assert not {"names", "basis", "_index"} & set(vars(t))
+
+
+def test_word_count_is_the_length_of_the_word_basis():
+    for degrees in ([0], [1], [0, 1], [1, 1, 3], [0, 2, 1, -1], [0, 0, 0, 1, 1, 1]):
+        v = GradedSpace([("x%d" % i, d) for i, d in enumerate(degrees)])
+        for order in range(1, 6):
+            assert word_count(v, order) == len(WordBasis(v, order).words)
+
+
+def test_word_cap_refuses_by_the_count_before_forming_a_word(monkeypatch):
+    # the count of an sl2_odd-shaped basis (three even, three odd letters):
+    # 4,088 words at order 14, which the cap allows ten times over, and
+    # 295,360 at order 60, which it refuses before any word is formed
+    v = GradedSpace([("x%d" % i, i % 2) for i in range(6)])
+    assert word_count(v, 14) == 4088 and MAX_WORDS >= 10 * 4088
+    assert word_count(v, 60) == 295360 > MAX_WORDS
+    import defalg.graded
+
+    def no_words(*args):
+        raise AssertionError("a word was formed")
+    monkeypatch.setattr(defalg.graded, "SymmetricPower", no_words)
+    for order in (60, MAX_WORDS + 1):
+        with pytest.raises(ValueError) as err:
+            WordBasis(v, order)
+        assert str(err.value) == (
+            "a truncation at order %d on 6 letters has %d words; the cap is %d words and "
+            "order %d" % (order, word_count(v, order), MAX_WORDS, MAX_WORDS))
+    # odd letters alone give at most 2^o - 1 words, so a long order is
+    # refused by the order
+    odd = GradedSpace([("y", 1)])
+    assert word_count(odd, 10 ** 12) == 1
+    with pytest.raises(ValueError):
+        WordBasis(odd, 10 ** 12)
 
 
 def test_solve_homotopy_matches_dense_solve_over_the_slots():

@@ -16,7 +16,7 @@ from defalg.models import (QuasismoothTrunc, h_r_tangent, is_minimal,
                            truncate)
 from defalg.obstruction import cohomology_bracket
 from conftest import (entries, koszul_truncation, make_rng, pairs_truncation,
-                      reference_differential, sl2, sl2_odd)
+                      reference_differential, reference_truncation_rows, sl2, sl2_odd)
 
 F = Fraction
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "docs" / "fixtures"
@@ -377,6 +377,39 @@ def test_prorepresent_builds_one_product_table(monkeypatch):
     assert len(built) == 1 and built[0] == rk.algebra().space
     assert ve.tensor.a is rk.algebra()
     assert ve.defect() == {}
+
+
+@pytest.mark.parametrize("order", range(3, 9))
+def test_prorepresent_builds_rows_that_match_the_eager_table(order):
+    # R's rows are built only where the brackets of L⊗R read them; each
+    # one is the eager table's row, and so is every row built afterwards
+    r, ve = kuranishi_prorepresent(sl2_odd(), order=order)
+    rows, table = r.algebra()._left, reference_truncation_rows(r.basis)
+    assert 0 < len(rows) < len(table)
+    assert all(row == table[p] for p, row in rows.items())
+    assert r.algebra().rows() == table and ve.defect() == {}
+
+
+def test_truncation_rows_built_in_any_order_match_the_eager_table():
+    rng = make_rng(241)
+    for _ in range(12):
+        v = GradedSpace([("x%d" % i, rng.randint(-1, 2)) for i in range(rng.randint(1, 4))])
+        r = QuasismoothTrunc(v, rng.randint(3, 8), {})
+        a, table = r.algebra(), reference_truncation_rows(r.basis)
+        read = rng.sample(range(a.dim), min(a.dim, 6))
+        assert [a._left[p] for p in read] == [table[p] for p in read]
+        # a copy with another differential shares the rows built so far
+        moved = r.with_components({}).algebra()
+        assert moved._left is a._left and moved.rows() == table
+        assert set(a._left) == set(range(a.dim))
+
+
+def test_prorepresent_at_order_8_forms_few_products():
+    # only ξ's words are multiplied: at order 8 on sl2_odd the rows built
+    # hold at most 3,000 of the 26,418 nonzero products of the full table
+    r, _ = kuranishi_prorepresent(sl2_odd(), order=8)
+    assert sum(len(row) for row in r.algebra()._left.values()) <= 3000
+    assert sum(len(row) for row in reference_truncation_rows(r.basis)) == 26418
 
 
 def test_with_components_shares_the_product_table():
