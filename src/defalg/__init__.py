@@ -8,6 +8,6 @@ models — all in exact rational arithmetic.
 
 from .graded import (GradedSpace, GradedMap, Complex, Contraction,
                      ShortExactSequence, koszul_sign, unshuffles, shift,
-                     symmetric_power, cohomology, is_quasiiso, connecting_hom)
+                     cohomology, is_quasiiso, connecting_hom)
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 from .algebras import (BilinearStructure, DgAlgebraMorphism, NilpotentDgAlgebra,
                        SmallExtension, SparseVec, kernel_extension)
 from .dgla import Dgla
-from .graded import Complex, GradedMap, GradedSpace
+from .graded import Complex, GradedMap, GradedSpace, WordBasis
 from .linalg import ZERO
 from .linfty import LInftyStructure, SymCoalgebra
 from .models import QuasismoothTrunc
@@ -524,35 +524,34 @@ def build_dgla(doc: InputDocument) -> Dgla:
     return _build_structure(doc, Dgla, nilpotency_class=doc.payload.get("nilpotency"))
 
 
-def _graded_maps(doc: InputDocument, powers, letters: GradedSpace
-                 ) -> Dict[int, GradedMap]:
-    """The maps of a ``k | key -> combo`` list, words placed in ``powers``
-    with their signs: Q¹_k: ⊙^k → ``letters`` from a linfty document,
-    d_k: ``letters`` → ⊙^k from a quasismooth one."""
-    v = GradedSpace(doc.payload["basis"])
+def _graded_maps(doc: InputDocument, basis: WordBasis) -> Dict[int, GradedMap]:
+    """The maps of a ``k | key -> combo`` list, each word placed in
+    ``basis`` with its sign (``WordBasis.position``): Q¹_k from the words
+    to the letters from a linfty document, d_k from the letters to the
+    words from a quasismooth one."""
+    letters = basis.letters
     word_keys = doc.kind == "linfty"
     entries: Dict[int, Dict[Tuple[int, int], Fraction]] = {}
     for (k, key), combo in doc.payload[GRADED_FIELDS[doc.kind]].items():
-        pw = powers[k]
         acc = entries.setdefault(k, {})
         for n, c in combo:
             word, letter = (key, n) if word_keys else (n, key)
-            res = pw.index(tuple(v.index(l) for l in (word if word_keys else word.split("*"))))
+            res = basis.position([letters.index(l)
+                                  for l in (word if word_keys else word.split("*"))])
             if res is None:
                 raise DocumentError("word %r is zero in the symmetric power" % (word,))
             posn, sgn = res
-            j, i = (v.index(letter), posn) if word_keys else (posn, v.index(letter))
+            j, i = (letters.index(letter), posn) if word_keys else (posn, letters.index(letter))
             acc[(j, i)] = acc.get((j, i), Fraction(0)) + Fraction(sgn) * c
-    return {k: GradedMap(powers[k].space, letters, 1, acc) if word_keys
-            else GradedMap(letters, powers[k].space, 1, acc) for k, acc in entries.items()}
+    return {k: GradedMap(basis.space, letters, 1, acc) if word_keys
+            else GradedMap(letters, basis.space, 1, acc) for k, acc in entries.items()}
 
 
 def build_linfty(doc: InputDocument) -> LInftyStructure:
     space = GradedSpace(doc.payload["basis"])
     try:
         coalg = SymCoalgebra(space, doc.payload["order"])
-        return LInftyStructure(space, coalg.order,
-                               _graded_maps(doc, coalg.powers, coalg.letters), coalg)
+        return LInftyStructure(space, coalg.order, _graded_maps(doc, coalg), coalg)
     except ValueError as exc:
         raise DocumentError(str(exc))
 
@@ -586,7 +585,7 @@ def build_quasismooth(doc: InputDocument) -> QuasismoothTrunc:
     v = GradedSpace(doc.payload["basis"])
     try:
         shell = QuasismoothTrunc(v, doc.payload["order"], {}, check=False)
-        return shell.with_components(_graded_maps(doc, shell.basis.powers, v))
+        return shell.with_components(_graded_maps(doc, shell.basis))
     except ValueError as exc:
         raise DocumentError(str(exc))
 
@@ -652,11 +651,9 @@ def document_of_dgla(l: Dgla) -> InputDocument:
 def document_of_linfty(s: LInftyStructure) -> InputDocument:
     taylor = {}
     for k, m in s.taylor.items():
-        pw = s.coalgebra.powers[k]
-        for posn, word in enumerate(pw.monomials):
-            combo = _combo_of_vector(s.v, m.column(posn))
-            if combo:
-                taylor[(k, tuple(s.v.names[l] for l in word))] = combo
+        for w, col in sorted(m.nonzero_columns()):
+            taylor[(k, tuple(s.v.names[l] for l in s.coalgebra.words[w]))] = \
+                _combo_of_vector(s.v, col)
     return InputDocument("linfty", {
         "basis": tuple(s.v.basis), "order": s.order, "taylor": taylor})
 
@@ -677,7 +674,7 @@ def document_of_quasismooth(r: QuasismoothTrunc) -> InputDocument:
     d = {}
     for k, m in r.components.items():
         for i in range(r.v.dim):
-            combo = _combo_of_vector(r.basis.powers[k].space, m.column(i))
+            combo = _combo_of_vector(r.basis.space, m.column(i))
             if combo:
                 d[(k, r.v.names[i])] = combo
     return InputDocument("quasismooth", {

@@ -1,10 +1,10 @@
 """Exact graded linear algebra over the rationals.
 
 Graded vector spaces with a finite homogeneous basis, degree-shifting linear
-maps, Koszul signs, unshuffles, shifts, graded-symmetric powers and the
-word basis of their truncated sum, complexes and their cohomology with an
-explicit contraction (homotopy) datum, quasi-isomorphism tests and
-connecting homomorphisms.
+maps, Koszul signs, unshuffles, shifts, the word basis of a truncated
+graded-symmetric algebra ⊕_{k≤n} ⊙^k V (one position per word, for every
+length), complexes and their cohomology with an explicit contraction
+(homotopy) datum, quasi-isomorphism tests and connecting homomorphisms.
 
 Grading convention: a single cohomological integer degree; the differential
 always has degree +1; the shift V[n] puts a degree-k element in degree k-n
@@ -28,9 +28,8 @@ from .linalg import ONE, ZERO, SparseVec, add_into
 
 __all__ = [
     "GradedSpace", "GradedMap", "Complex", "Splitting", "Contraction", "ShortExactSequence",
-    "koszul_sign", "unshuffles", "shift", "symmetric_power",
-    "SymmetricPower", "WordBasis", "MAX_WORDS", "word_count", "cohomology", "solve_homotopy",
-    "is_quasiiso", "connecting_hom",
+    "koszul_sign", "unshuffles", "shift", "WordBasis", "MAX_WORDS", "word_count", "cohomology",
+    "solve_homotopy", "is_quasiiso", "connecting_hom",
 ]
 
 
@@ -402,45 +401,6 @@ def canonical_monomial(indices: Sequence[int], degrees: Sequence[int]
     return tuple(idx), sign
 
 
-def _word_space(letters: GradedSpace, words: Sequence[Tuple[int, ...]],
-                degrees: Sequence[int]) -> GradedSpace:
-    """The space spanned by ``words`` of the given degrees on ``letters``,
-    each word named by its letters' names joined by ``*``."""
-    return GradedSpace.joined(degrees, lambda p: "*".join(map(letters.name, words[p])),
-                              (letters,), "*")
-
-
-class SymmetricPower:
-    """Graded-symmetric power of a graded space with canonical monomials."""
-
-    def __init__(self, v: GradedSpace, n: int):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        self.base = v
-        self.n = n
-        monos = []
-        for t in itertools.combinations_with_replacement(range(v.dim), n):
-            # t is sorted, so it is zero iff it repeats an odd letter
-            if not any(a == b and v.degrees[a] % 2 for a, b in zip(t, t[1:])):
-                monos.append(t)
-        self.monomials: Tuple[Tuple[int, ...], ...] = tuple(monos)
-        self._mono_index = {m: i for i, m in enumerate(monos)}
-        degree = v.degrees.__getitem__
-        self.space = _word_space(v, self.monomials, [sum(map(degree, m)) for m in monos])
-
-    def index(self, indices: Sequence[int]) -> Optional[Tuple[int, int]]:
-        """(monomial position, sign) of an arbitrary word; None when zero."""
-        cm = canonical_monomial(indices, self.base.degrees)
-        if cm is None:
-            return None
-        mono, sign = cm
-        return self._mono_index[mono], sign
-
-
-def symmetric_power(v: GradedSpace, n: int) -> SymmetricPower:
-    return SymmetricPower(v, n)
-
-
 MAX_WORDS = 50_000    # the largest word basis a truncation may have
 
 
@@ -456,14 +416,27 @@ def word_count(letters: GradedSpace, order: int) -> int:
                for j in range(min(odd, order) + 1)) - 1
 
 
+def _words_of_length(odd: Sequence[int], k: int) -> List[Tuple[int, ...]]:
+    """The canonical monomials of length k on letters of the parities
+    ``odd``: the sorted letter tuples that repeat no odd letter (a sorted
+    tuple is zero iff it does), in ``combinations_with_replacement``
+    order."""
+    return [t for t in itertools.combinations_with_replacement(range(len(odd)), k)
+            if not any(a == b and odd[a] for a, b in zip(t, t[1:]))]
+
+
 class WordBasis:
     """The monomial basis of ⊕_{1≤k≤order} ⊙^k V, V = ``letters``.
 
-    ``words`` are the canonical monomials, shortest first and in the order
-    of ``powers[k].monomials`` within each length; ``offsets[k]`` is the
-    position of the first word of length k and ``space`` the graded space
-    the words span.  A basis of more than ``MAX_WORDS`` words, or an
-    order above that number, is refused before any word is formed.
+    ``words`` are the canonical monomials, shortest first and in
+    ``combinations_with_replacement`` order within each length, so the
+    first dim V words are the letters; a word's position among them is its
+    only address.  ``offsets[k]`` is the position of the first word of
+    length k, ``of_length(k)`` the positions of the words of length k and
+    ``space`` the graded space the words span, each word named by its
+    letters' names joined by ``*``.  A basis of more than ``MAX_WORDS``
+    words, or an order above that number, is refused before any word is
+    formed.
     """
 
     def __init__(self, letters: GradedSpace, order: int):
@@ -476,25 +449,31 @@ class WordBasis:
                                                         MAX_WORDS))
         self.letters = letters
         self.order = order
-        self.powers: Dict[int, SymmetricPower] = {
-            k: SymmetricPower(letters, k) for k in range(1, order + 1)}
+        self._odd = [d % 2 for d in letters.degrees]
         self.offsets: Dict[int, int] = {}
         words: List[Tuple[int, ...]] = []
         for k in range(1, order + 1):
             self.offsets[k] = len(words)
-            words.extend(self.powers[k].monomials)
+            words.extend(_words_of_length(self._odd, k))
         self.words: Tuple[Tuple[int, ...], ...] = tuple(words)
-        self.space = _word_space(letters, self.words, [
-            d for k in range(1, order + 1) for d in self.powers[k].space.degrees])
-        self._odd = [d % 2 for d in letters.degrees]
+        self._positions = {w: i for i, w in enumerate(words)}
+        degree = letters.degrees.__getitem__
+        self.space = GradedSpace.joined([sum(map(degree, w)) for w in words],
+                                        lambda p: "*".join(map(letters.name, words[p])),
+                                        (letters,), "*")
+
+    def of_length(self, k: int) -> range:
+        """The positions of the words of length k."""
+        return range(self.offsets[k], self.offsets.get(k + 1, len(self.words)))
 
     def position(self, word: Sequence[int]) -> Optional[Tuple[int, int]]:
-        """(position, sign) of an arbitrary word of length 1..order; None
-        when it is zero."""
+        """(position, sign) of an arbitrary word of length 1..order: the
+        position of its canonical monomial and the Koszul sign of sorting
+        it there; None when it is zero."""
         if not 1 <= len(word) <= self.order:
             raise ValueError("word length outside truncation")
-        res = self.powers[len(word)].index(word)
-        return None if res is None else (self.offsets[len(word)] + res[0], res[1])
+        cm = canonical_monomial(word, self.letters.degrees)
+        return None if cm is None else (self._positions[cm[0]], cm[1])
 
     def product(self, p: Sequence[int], q: Sequence[int]) -> Optional[Tuple[int, int]]:
         """(position, sign) of the product of two canonical words whose
@@ -515,15 +494,13 @@ class WordBasis:
                         return None
                     if (len(p_odd) - k) % 2:
                         sign = -sign
-        word = tuple(sorted(p + q))
-        return self.offsets[len(word)] + self.powers[len(word)]._mono_index[word], sign
+        return self._positions[tuple(sorted(p + q))], sign
 
     def component(self, vec: SparseVec, k: int) -> SparseVec:
-        """The ⊙^k-part of a vector on the words, indexed by the positions
-        of the words of length k."""
-        off = self.offsets[k]
-        end = off + len(self.powers[k].monomials)
-        return {j - off: c for j, c in vec.items() if off <= j < end}
+        """The ⊙^k-part of a vector on the words: its entries on the words
+        of length k."""
+        span = self.of_length(k)
+        return {j: c for j, c in vec.items() if j in span}
 
 
 class Splitting(NamedTuple):

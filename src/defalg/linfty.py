@@ -85,7 +85,9 @@ def _transpose(f: GradedMap, source: WordBasis, target: WordBasis) -> GradedMap:
 
 
 class LInftyStructure:
-    """Taylor coefficients Q¹_k : ⊙^k(V[1]) → V[1] of degree +1, k ≤ order."""
+    """Taylor coefficients Q¹_k : ⊙^k(V[1]) → V[1] of degree +1, k ≤ order,
+    each a map from the coalgebra's words with its entries on the words
+    of length k."""
 
     def __init__(self, v: GradedSpace, order: int,
                  taylor: Dict[int, GradedMap], coalgebra: Optional[SymCoalgebra] = None):
@@ -102,8 +104,9 @@ class LInftyStructure:
         for k, q in taylor.items():
             if not 1 <= k <= order:
                 raise ValueError("taylor coefficient arity outside truncation")
-            if q.source != self.coalgebra.powers[k].space \
-                    or q.target != self.coalgebra.letters or q.degree != 1:
+            span = coalgebra.of_length(k)
+            if q.source != coalgebra.space or q.target != coalgebra.letters or \
+                    q.degree != 1 or any(u not in span for u, _ in q.nonzero_columns()):
                 raise ValueError("Q¹_%d has wrong source/target/degree" % k)
             if not q.is_zero():
                 self.taylor[k] = q
@@ -116,15 +119,14 @@ class LInftyStructure:
         """The Chevalley-Eilenberg truncation: the coalgebra's ``dual``
         with d_k(x_t) = −Σ_u Q¹_k[t, u]/m(u)·x^u.  Its words are the
         coalgebra's words, in the same order."""
-        dual = self.coalgebra.dual
+        dual, words = self.coalgebra.dual, self.coalgebra.words
         comps = {}
         for k, q in self.taylor.items():
-            words = self.coalgebra.powers[k].monomials
             cols: Dict[int, SparseVec] = {}
             for u, col in q.nonzero_columns():
                 for t, x in col.items():
                     cols.setdefault(t, {})[u] = -x / symmetry_factor(words[u])
-            comps[k] = GradedMap.from_columns(dual.v, dual.basis.powers[k].space, 1, cols)
+            comps[k] = GradedMap.from_columns(dual.v, dual.basis.space, 1, cols)
         return dual.with_components(comps, check=False)
 
 
@@ -170,10 +172,9 @@ def check_linfty(s: LInftyStructure) -> LInftyReport:
     cols: Dict[int, Dict[int, SparseVec]] = {}
     for t in range(c.letters.dim):
         for w, x in dd.column(t).items():
-            k = len(c.words[w])
-            cols.setdefault(k, {}).setdefault(w - c.offsets[k], {})[t] = \
+            cols.setdefault(len(c.words[w]), {}).setdefault(w, {})[t] = \
                 symmetry_factor(c.words[w]) * x
-    defects = {k: GradedMap.from_columns(c.powers[k].space, c.letters, 2, kcols)
+    defects = {k: GradedMap.from_columns(c.space, c.letters, 2, kcols)
                for k, kcols in cols.items()}
     full_zero = dd.is_zero()
     if full_zero != (not defects):
@@ -188,12 +189,14 @@ def check_linfty(s: LInftyStructure) -> LInftyReport:
 def dgla_to_linfty(l: Dgla, order: int = 3) -> LInftyStructure:
     """Dictionary: Q¹₁(w[1]) = -(dw)[1], Q¹₂(w₁[1]⊙w₂[1]) = (-1)^{w̄₁}[w₁,w₂][1]."""
     c = SymCoalgebra(l.space, order)
-    taylor = {1: GradedMap.from_columns(c.powers[1].space, c.letters, 1, (-l.d).columns())}
+    # the first dim L words are the letters
+    taylor = {1: GradedMap.from_columns(c.space, c.letters, 1, (-l.d).columns())}
     if order >= 2:
-        taylor[2] = GradedMap.from_columns(c.powers[2].space, c.letters, 1, [
-            {t: -ct if l.space.degrees[i] % 2 else ct for t, ct in l.table_entry(i, j).items()}
-            for i, j in c.powers[2].monomials])
-    return LInftyStructure(l.space, order, taylor)
+        odd = [d % 2 for d in l.space.degrees]
+        taylor[2] = GradedMap.from_columns(c.space, c.letters, 1, {
+            w: {t: -ct if odd[i] else ct for t, ct in l.table_entry(i, j).items()}
+            for w in c.of_length(2) for i, j in [c.words[w]]})
+    return LInftyStructure(l.space, order, taylor, c)
 
 
 def linfty_to_dgla(s: LInftyStructure) -> Dgla:
@@ -209,10 +212,9 @@ def linfty_to_dgla(s: LInftyStructure) -> Dgla:
     bracket: Dict[Tuple[int, int], SparseVec] = {}
     q2 = s.taylor.get(2)
     if q2 is not None and s.order >= 2:
-        p2 = c.powers[2]
         for i in range(space.dim):
             for j in range(space.dim):
-                res = p2.index((i, j))
+                res = c.position((i, j))
                 if res is None:
                     continue
                 pos, sgn0 = res
@@ -280,10 +282,10 @@ def linfty_mc_check(s: LInftyStructure, a: NilpotentDgAlgebra,
         for q, cd in dcols[p].items():
             defect[i * na + q] = defect.get(i * na + q, ZERO) + cd * c
     # rhs: f(D x_t) = Σ_u D[u, t]·f(x^u), entered with the opposite sign
-    for k, dk in s.ce.components.items():
+    for dk in s.ce.components.values():
         for t, col in dk.nonzero_columns():
             for u, x in col.items():
-                word = s.coalgebra.powers[k].monomials[u]
+                word = s.coalgebra.words[u]
                 prod = images[word[0]]
                 for letter in word[1:]:
                     prod = a.product(prod, images[letter]) if prod else prod

@@ -1,7 +1,8 @@
 """Truncated complete quasismooth dg-algebras and their model theory.
 
-Polynomial truncations R/R^{n+1} = ⊕_{1≤i≤n} ⊙^i V with a derivation
-differential given by components d_k: V → ⊙^k V, minimality and
+Polynomial truncations R/R^{n+1} = ⊕_{1≤i≤n} ⊙^i V on the words of
+``graded.WordBasis``, with a derivation differential given by components
+d_k: V → ⊙^k V, each a map into the words, minimality and
 smoothness tests, the minimalization algorithm with explicit projection,
 section and homotopy, staged lifting of morphisms through the order
 tower, and the order-by-order construction of a minimal prorepresenting
@@ -56,8 +57,9 @@ class QuasismoothTrunc:
     """R/R^{n+1} for R complete quasismooth on generators V.
 
     ``basis`` holds the words of ⊕_{1≤k≤n} ⊙^k V; ``components[k]`` is the
-    degree +1 map V → ⊙^k V, and the induced derivation on the words
-    squares to zero (checked).  The products depend on (V, n) alone, and
+    degree +1 map d_k: V → ⊙^k V, a map from V to ``basis.space`` with its
+    entries on the words of length k, and the induced derivation on the
+    words squares to zero (checked).  The products depend on (V, n) alone, and
     the algebra's row of a word p is built when it is first read: the
     brackets of L⊗R read only the rows of ξ's support, while the checks
     that walk every row build the rest in one pass.  A truncation made by
@@ -86,8 +88,9 @@ class QuasismoothTrunc:
         for k, m in components.items():
             if not 1 <= k <= self.order:
                 raise ValueError("component order outside truncation")
-            if m.source != self.v or m.degree != 1 or \
-                    m.target != self.basis.powers[k].space:
+            span = self.basis.of_length(k)
+            if m.source != self.v or m.degree != 1 or m.target != self.basis.space or \
+                    any(j not in span for _, col in m.nonzero_columns() for j in col):
                 raise ValueError("component d_%d has wrong source/target/degree" % k)
             if not m.is_zero():
                 self.components[k] = m
@@ -108,11 +111,10 @@ class QuasismoothTrunc:
         # images[letter]: the words u of d(letter), with the parities of
         # their degrees and their coefficients
         images: List[List[Tuple[Word, int, Fraction]]] = [[] for _ in range(self.v.dim)]
-        for k, m in self.components.items():
-            pw = b.powers[k]
+        for m in self.components.values():
             for letter, col in m.nonzero_columns():
-                images[letter].extend((pw.monomials[upos], pw.space.degrees[upos] % 2, c)
-                                      for upos, c in sorted(col.items()))
+                images[letter].extend((b.words[u], b.space.degrees[u] % 2, c)
+                                      for u, c in sorted(col.items()))
         cols: Dict[int, SparseVec] = {}
         for pos, word in enumerate(b.words):
             # word[:t] + u + word[t+1:] is (the word without letter t)·u
@@ -138,6 +140,13 @@ class QuasismoothTrunc:
         self._differential = GradedMap.from_columns(b.space, b.space, 1, cols)
         return self._differential
 
+    def linear_part(self) -> GradedMap:
+        """d₁ read as the map V → V: the first dim V words are the
+        letters."""
+        d1 = self.components.get(1)
+        return GradedMap.from_columns(self.v, self.v, 1, {} if d1 is None
+                                      else dict(d1.nonzero_columns()))
+
     def algebra(self) -> NilpotentDgAlgebra:
         if self._algebra is None:
             if self._products is None:
@@ -156,19 +165,18 @@ def is_minimal(r: QuasismoothTrunc) -> bool:
 
 
 def truncate(r: QuasismoothTrunc, order: int) -> QuasismoothTrunc:
-    comps = {}
-    for k, m in r.components.items():
-        if k <= order:
-            comps[k] = m
-    return QuasismoothTrunc(r.v, order, comps, check=False)
+    """R/R^{order+1}: the words of length at most order come first in R's
+    basis, so the components up to that length keep their columns."""
+    out = QuasismoothTrunc(r.v, order, {}, check=False)
+    return out.with_components({k: GradedMap.from_columns(
+        r.v, out.basis.space, 1, dict(m.nonzero_columns()))
+        for k, m in r.components.items() if k <= order}, check=False)
 
 
 def h_r_tangent(r: QuasismoothTrunc, i: int) -> int:
     """Tangent dimension in degree i: H^{i-1} of the dual of (V, d₁)."""
-    d1 = r.components.get(1)
-    dual = r.v.dual()
-    dt = GradedMap(dual, dual, 1) if d1 is None else d1.transpose()
-    coh = cohomology(Complex(dual, dt, check=False))
+    dt = r.linear_part().transpose()
+    coh = cohomology(Complex(dt.source, dt, check=False))
     return coh.dim(i - 1)
 
 
@@ -242,15 +250,13 @@ def change_of_generators(r: QuasismoothTrunc, new_v: GradedSpace,
     a_old = r.algebra()
     g = morphism_from_generators(shell, a_old, images, check=False)
     ginv = invert_morphism(g)
+    words = shell.basis.words
     cols: Dict[int, Dict[int, SparseVec]] = {}
     for i in range(new_v.dim):
-        dv = ginv.map.apply(a_old.d.apply(images[i]))
-        for k in range(1, r.order + 1):
-            part = shell.basis.component(dv, k)
-            if part:
-                cols.setdefault(k, {})[i] = part
+        for w, c in ginv.map.apply(a_old.d.apply(images[i])).items():
+            cols.setdefault(len(words[w]), {}).setdefault(i, {})[w] = c
     out = shell.with_components({k: GradedMap.from_columns(
-        new_v, shell.basis.powers[k].space, 1, kcols) for k, kcols in cols.items()})
+        new_v, shell.basis.space, 1, kcols) for k, kcols in cols.items()})
     if out.differential() != ginv.map.compose(a_old.d).compose(g.map):
         raise CertificateError("the conjugated differential is not the derivation "
                                "of its components")
@@ -281,8 +287,7 @@ def minimalize(r: QuasismoothTrunc) -> MinimalModel:
     if is_minimal(r):
         ident = DgAlgebraMorphism.identity(r.algebra())
         return MinimalModel(r, r, ident, ident, constant_homotopy(ident))
-    d1 = r.components.get(1, GradedMap(r.v, r.v, 1))
-    coh = cohomology(Complex(r.v, d1, check=False))
+    coh = cohomology(Complex(r.v, r.linear_part(), check=False))
     a_old = r.algebra()
 
     # new linear coordinates: harmonic h_j, complements v_i, then w_i = d(v_i);
@@ -328,13 +333,11 @@ def minimalize(r: QuasismoothTrunc) -> MinimalModel:
         subst = _word_images(a1, list(images2))
         for j in h_idx:
             defect = a1.d.apply(images2[j])
-            for wpos, c in ds_words[j].items():
-                add_into(defect, subst(r1.basis.words[wpos]), -c)
-            dk = r1.basis.component(defect, k)
+            for gpos, c in ds_words[j].items():
+                add_into(defect, subst(r1.basis.words[gpos]), -c)
             # split the order-k defect into pure-H words and a δ₀-image
             rest: SparseVec = {}
-            for wpos, c in sorted(dk.items()):
-                gpos = r1.basis.offsets[k] + wpos
+            for gpos, c in sorted(r1.basis.component(defect, k).items()):
                 if pure_h[gpos]:
                     ds_words[j][gpos] = ds_words[j].get(gpos, ZERO) + c
                 else:
@@ -342,9 +345,8 @@ def minimalize(r: QuasismoothTrunc) -> MinimalModel:
             if not rest:
                 continue
             # solve δ₀(g) = -rest with g a length-k word of matching degree
-            cand = [gpos for gpos in range(a1.dim)
-                    if len(r1.basis.words[gpos]) == k
-                    and a1.space.degrees[gpos] == v1.degrees[j]]
+            cand = [gpos for gpos in r1.basis.of_length(k)
+                    if a1.space.degrees[gpos] == v1.degrees[j]]
             cols = [_delta0(r1, a1, gpos) for gpos in cand]
             sol = linalg.solve_in_span(cols, {g: -c for g, c in rest.items()})
             if sol is None:
@@ -360,16 +362,15 @@ def minimalize(r: QuasismoothTrunc) -> MinimalModel:
     s_shell = QuasismoothTrunc(h_space, r.order, {}, check=False)
     for k, m in r2.components.items():
         for j in h_idx:
-            for wpos, c in sorted(m.column(j).items()):
-                word = r2.basis.powers[k].monomials[wpos]
+            for gpos, c in sorted(m.column(j).items()):
+                word = r2.basis.words[gpos]
                 if not all(l in h_idx for l in word):
                     raise CertificateError("the harmonic differential is not pure-H "
                                            "after correction")
-                pos, sgn = s_shell.basis.powers[k].index(
-                    tuple(h_idx.index(l) for l in word))
+                pos, sgn = s_shell.basis.position(tuple(h_idx.index(l) for l in word))
                 add_into(s_cols.setdefault(k, {}).setdefault(j, {}), {pos: c}, Fraction(sgn))
     s = s_shell.with_components({k: GradedMap.from_columns(
-        h_space, s_shell.basis.powers[k].space, 1, kcols) for k, kcols in s_cols.items()})
+        h_space, s_shell.basis.space, 1, kcols) for k, kcols in s_cols.items()})
     a_s = s.algebra()
 
     # π₂, γ₂ and the homotopy on the normalized coordinates
@@ -440,32 +441,27 @@ def morphism_lift(s: QuasismoothTrunc, r: QuasismoothTrunc,
             continue
         # unknowns: order-k corrections c_i per generator; the equations
         # are the order-k parts of the generators' defects, generator-major
-        nk = len(r.basis.powers[k].monomials)
-        off = r.basis.offsets[k]
-        slots: List[Tuple[int, int]] = []
-        for i in range(s.v.dim):
-            for wpos in range(nk):
-                if r.basis.powers[k].space.degrees[wpos] == s.v.degrees[i]:
-                    slots.append((i, wpos))
+        n = a_r.dim
+        slots = [(i, w) for i in range(s.v.dim) for w in r.basis.of_length(k)
+                 if a_r.space.degrees[w] == s.v.degrees[i]]
         d1s = s.components.get(1)
         cols: List[SparseVec] = []
-        for (i, wpos) in slots:
-            col = {i * nk + t: -c
-                   for t, c in r.basis.component(a_r.d.column(off + wpos), k).items()}
+        for (i, w) in slots:
+            col = {i * n + t: -c for t, c in r.basis.component(a_r.d.column(w), k).items()}
             if d1s is not None:
                 for i2 in range(s.v.dim):
                     c = d1s.column(i2).get(i)
                     if c:
-                        add_into(col, {i2 * nk + wpos: c})
+                        add_into(col, {i2 * n + w: c})
             cols.append(col)
-        sol = linalg.solve_in_span(cols, {i * nk + t: -c for i, b in enumerate(bad)
+        sol = linalg.solve_in_span(cols, {i * n + t: -c for i, b in enumerate(bad)
                                           for t, c in b.items()})
         if sol is None:
             return None
         for posn, c in sol.items():
-            i, wpos = slots[posn]
+            i, w = slots[posn]
             # phi keeps images[i] as a column, so it is replaced, not changed
-            images[i] = add_into(dict(images[i]), {off + wpos: c})
+            images[i] = add_into(dict(images[i]), {w: c})
     phi = morphism_from_generators(s, a_r, images, check=False)
     if phi.violations():
         return None
@@ -512,31 +508,30 @@ def kuranishi_prorepresent(l: Dgla, contraction: Optional[Contraction] = None,
     na = r.basis.space.dim
     for k in range(2, order + 1):
         # extract the ⊙^k-part: a cocycle of L per monomial
-        nmon = len(r.basis.powers[k].monomials)
-        off = r.basis.offsets[k]
+        span = r.basis.of_length(k)
         parts: Dict[int, SparseVec] = {}
         for key, c in hvec.items():
             i, w = divmod(key, na)
-            if off <= w < off + nmon:
-                parts.setdefault(w - off, {})[i] = c
+            if w in span:
+                parts.setdefault(w, {})[i] = c
         kcols: Dict[int, SparseVec] = {}    # d_k's columns; with none, d is unchanged
-        for wpos, hm in sorted(parts.items()):
+        for w, hm in sorted(parts.items()):
             if l.d.apply(hm):
                 raise CertificateError("the order-%d defect is not a cocycle" % k)
             cls = contraction.class_of(hm)
             for c, cc in sorted(cls.items()):
                 sgn = Fraction(-1 if (1 + h.degrees[c]) % 2 else 1)
-                kcols.setdefault(c, {})[wpos] = sgn * cc
+                kcols.setdefault(c, {})[w] = sgn * cc
             exact = add_into(hm, contraction.include.apply(cls), -ONE)
-            add_into(xi, {t.pair_index(i, off + wpos): cv
+            add_into(xi, {t.pair_index(i, w): cv
                           for i, cv in contraction.sigma.apply(exact).items()}, -ONE)
         if kcols:
-            comps[k] = GradedMap.from_columns(v, r.basis.powers[k].space, 1, kcols)
+            comps[k] = GradedMap.from_columns(v, r.basis.space, 1, kcols)
             r = r.with_components(comps, check=False)
             t = tensor_dgla(l, r.algebra(), t.space)
         # the defect the next order starts from vanishes at this one
         hvec = mc_defect(t, xi)
-        if any(off <= key % na < off + nmon for key in hvec):
+        if any(key % na in span for key in hvec):
             raise CertificateError("the Maurer-Cartan defect does not vanish "
                                    "at order %d" % k)
     d = r.algebra().d

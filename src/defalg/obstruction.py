@@ -17,7 +17,7 @@ from .algebras import (DgAlgebraMorphism, NilpotentDgAlgebra, SmallExtension,
                        SparseVec, kernel_extension, mapping_cone, quotient_algebra)
 from .dgla import Dgla, TensorDgla, def_tangent, mc_lift
 from .graded import Contraction, GradedMap, GradedSpace, solve_homotopy
-from .linfty import LInftyStructure, linfty_to_dgla
+from .linfty import LInftyStructure, SymCoalgebra, linfty_to_dgla
 from .linalg import ONE, CertificateError
 
 
@@ -220,7 +220,10 @@ class TangentBracket:
         return self.bracket_algebra.bracket_vec(u, v)
 
 
-def tangent_bracket(l: Dgla, order: int = 3) -> TangentBracket:
+JACOBI_ORDER = 3    # the arity at which check_linfty sees graded Jacobi
+
+
+def tangent_bracket(l: Dgla) -> TangentBracket:
     """The graded Lie bracket on T = H(L) assembled from primary obstructions.
 
     Q¹₂(c₁[1]⊙c₂[1]) = (-1)^{ij} · (-Q¹_ij(c₁, c₂)) with i = deg c₁ - 1,
@@ -228,21 +231,22 @@ def tangent_bracket(l: Dgla, order: int = 3) -> TangentBracket:
     the (u,v)-extension into the symmetric-coalgebra one.  The assembled
     arity-2 coderivation squares to zero (graded Jacobi), and the induced
     graded Lie algebra is the bracket induced on H(L) by the bracket of L
-    (``cohomology_bracket``), with no sign between them.
+    (``cohomology_bracket``), with no sign between them.  The structure is
+    truncated at ``JACOBI_ORDER``.
     """
     coh = def_tangent(l)
     t = coh.harmonic_space
-    s0 = LInftyStructure(t, max(order, 2), {})
-    c = s0.coalgebra
-    cols = []
-    for p, q in c.powers[2].monomials:
+    c = SymCoalgebra(t, JACOBI_ORDER)
+    cols: Dict[int, SparseVec] = {}
+    for w in c.of_length(2):
+        p, q = c.words[w]
         i, j = t.degrees[p] - 1, t.degrees[q] - 1
         po = primary_obstruction(l, i, j, coh.representative(p),
                                  coh.representative(q), coh)
         sgn = Fraction(-1 if (i * j) % 2 else 1)
-        cols.append({k: -sgn * ck for k, ck in po.items()})
-    q2 = GradedMap.from_columns(c.powers[2].space, c.letters, 1, cols)
-    s = LInftyStructure(t, max(order, 2), {2: q2})
+        cols[w] = {k: -sgn * ck for k, ck in po.items()}
+    q2 = GradedMap.from_columns(c.space, c.letters, 1, cols)
+    s = LInftyStructure(t, JACOBI_ORDER, {2: q2}, c)
     bracket_algebra = linfty_to_dgla(s)
     return TangentBracket(l, coh, t, s, q2, bracket_algebra)
 

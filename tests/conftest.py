@@ -12,7 +12,7 @@ import pytest
 from defalg import linalg
 from defalg.algebras import NilpotentDgAlgebra, ValidationReport
 from defalg.dgla import Dgla
-from defalg.graded import Complex, GradedMap, GradedSpace, symmetric_power
+from defalg.graded import Complex, GradedMap, GradedSpace
 from defalg.models import QuasismoothTrunc
 
 F = Fraction
@@ -357,13 +357,13 @@ def random_pair_truncation(rng, max_gens=3, max_order=3):
         basis.append(("s%d" % t, k))
         basis.append(("t%d" % t, k + 1))
     v = GradedSpace(basis)
-    order = rng.randint(1, max_order)
-    p1 = symmetric_power(v, 1)
-    d1 = GradedMap(v, p1.space, 1)
+    shell = QuasismoothTrunc(v, rng.randint(1, max_order), {}, check=False)
+    # the first dim v words are the letters
+    d1 = GradedMap(v, shell.basis.space, 1)
     for t in range(n_p):
         d1.set_entry(n_free + 2 * t + 1, n_free + 2 * t, F(1))
     comps = {1: d1} if entries(d1) else {}
-    return QuasismoothTrunc(v, order, comps).algebra()
+    return shell.with_components(comps).algebra()
 
 
 def random_algebra(rng, max_dim=8):
@@ -1201,16 +1201,16 @@ def pairs_truncation(n_pairs, n_h, order):
     for k in range(n_pairs):
         basis += [("u%d" % k, 0), ("w%d" % k, 1)]
     basis += [("h%d" % j, 1) for j in range(n_h)]
-    v = GradedSpace(basis)
-    p1, p2 = symmetric_power(v, 1), symmetric_power(v, 2)
-    d1 = GradedMap(v, p1.space, 1)
-    d2 = GradedMap(v, p2.space, 1)
+    shell = QuasismoothTrunc(GradedSpace(basis), order, {}, check=False)
+    v, b = shell.v, shell.basis
+    d1 = GradedMap(v, b.space, 1)
+    d2 = GradedMap(v, b.space, 1)
     for k in range(n_pairs):
         d1.set_entry(2 * k + 1, 2 * k, F((-1) ** k))
         for j in range(n_h):
-            pos, sgn = p2.index((2 * k + 1, 2 * n_pairs + j))
+            pos, sgn = b.position((2 * k + 1, 2 * n_pairs + j))
             d2.set_entry(pos, 2 * n_pairs + j, F(sgn * (-1) ** (j + k)))
-    return QuasismoothTrunc(v, order, {1: d1, 2: d2} if n_h else {1: d1})
+    return shell.with_components({1: d1, 2: d2} if n_h else {1: d1})
 
 
 def reference_tensor_space(l, a):
@@ -1251,9 +1251,9 @@ def reference_differential(r):
     it with its Koszul sign."""
     b = r.basis
     images = [[] for _ in range(r.v.dim)]
-    for k, m in r.components.items():
+    for m in r.components.values():
         for letter, col in enumerate(m.columns()):
-            images[letter].extend((b.powers[k].monomials[upos], c) for upos, c in sorted(col.items()))
+            images[letter].extend((b.words[u], c) for u, c in sorted(col.items()))
     out = {}
     for pos, word in enumerate(b.words):
         prefix_sign = 1
@@ -1275,11 +1275,12 @@ def free_sr_truncation(order):
 
 def koszul_truncation(pairs, order):
     """The acyclic truncation on Koszul pairs (s_k:0, r_k:1), d s_k = r_k."""
-    v = GradedSpace([(name % k, deg) for k in range(pairs)
-                     for name, deg in (("s%d", 0), ("r%d", 1))])
-    d1 = GradedMap(v, symmetric_power(v, 1).space, 1,
+    shell = QuasismoothTrunc(GradedSpace([(name % k, deg) for k in range(pairs)
+                                          for name, deg in (("s%d", 0), ("r%d", 1))]),
+                             order, {}, check=False)
+    d1 = GradedMap(shell.v, shell.basis.space, 1,
                    {(2 * k + 1, 2 * k): F(1) for k in range(pairs)})
-    return QuasismoothTrunc(v, order, {1: d1})
+    return shell.with_components({1: d1})
 
 
 # ---------------------------------------------------------------------------
@@ -1303,7 +1304,7 @@ def reference_coderivation(s):
                 sgn = koszul_sign(sigma, degs)
                 left = tuple(word[sigma[t]] for t in range(k))
                 rest = tuple(word[sigma[t]] for t in range(k, m))
-                res = c.powers[k].index(left)
+                res = c.position(left)
                 if res is None:
                     continue
                 lpos, lsgn = res
@@ -1326,9 +1327,9 @@ def reference_check_linfty(s):
     qq = q.compose(q)
     defects = {}
     for k in range(1, s.order + 1):
-        dm = GradedMap(c.powers[k].space, c.letters, 2)
-        for col in range(len(c.powers[k].monomials)):
-            for t, x in qq.column(c.offsets[k] + col).items():
+        dm = GradedMap(c.space, c.letters, 2)
+        for col in c.of_length(k):
+            for t, x in qq.column(col).items():
                 if t < c.letters.dim:
                     dm.set_entry(t, col, x)
         if not dm.is_zero():
@@ -1358,7 +1359,7 @@ def reference_linfty_mc_check(s, a, m):
         qn = s.taylor.get(n)
         if qn is not None:
             for (word, p), cv in power.items():
-                res = c.powers[n].index(word)
+                res = c.position(word)
                 if res is None:
                     continue
                 pos, sgn0 = res

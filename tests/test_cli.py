@@ -699,7 +699,7 @@ def test_word_cap_exits_2_on_every_order_before_forming_a_word(capsys, monkeypat
 
     def no_words(*args):
         raise AssertionError("a word was formed")
-    monkeypatch.setattr(defalg.graded, "SymmetricPower", no_words)
+    monkeypatch.setattr(defalg.graded, "_words_of_length", no_words)
     qs = tmp_path / "big.qs"
     qs.write_text("kind: quasismooth\nbasis:\n" + "".join(
         "  x%d %d\n" % (i, i % 2) for i in range(6)) + "order: 60\n", encoding="utf-8")

@@ -501,3 +501,74 @@ def test_integral_constants_build_no_fraction(monkeypatch):
     assert counts == [0, 0]
     e = docio.build_small_extension(doc)
     assert (e.a.den, e.b.den) == (1, 1)
+
+
+def _permutation_sign(word, sigma, odd):
+    """The sign of reading ``word`` in the order ``sigma``: -1 per pair of
+    odd letters that the permutation swaps."""
+    swaps = sum(1 for t in range(len(sigma)) for u in range(t + 1, len(sigma))
+                if sigma[t] > sigma[u] and odd[word[sigma[t]]] and odd[word[sigma[u]]])
+    return -1 if swaps % 2 else 1
+
+
+@given(st.lists(st.integers(-1, 2), min_size=1, max_size=4), st.integers(1, 4),
+       st.sampled_from(["quasismooth", "linfty"]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_permuted_words_build_the_canonical_maps_times_their_signs(degrees, order, kind, data):
+    # a document whose words list their letters in any order builds the
+    # maps of the document with the sorted words, each word's entries
+    # multiplied by the Koszul sign of its permutation.  A quasismooth
+    # document has only d_order, at order >= 2, so that d² = 0 however
+    # the signs fall
+    from conftest import reference_monomials
+    from defalg.graded import GradedSpace
+    linfty = kind == "linfty"
+    order = max(order, 1 if linfty else 2)
+    names = ["x%d" % i for i in range(len(degrees))]
+    # the letters' degrees where the words live: V[1] for a linfty document
+    shifted = [d - 1 if linfty else d for d in degrees]
+    odd = [d % 2 for d in shifted]
+    letters = GradedSpace(list(zip(names, shifted)))
+    words = [w for k in (range(1, order + 1) if linfty else [order])
+             for w in reference_monomials(letters, k)]
+    perms = {w: data.draw(st.permutations(range(len(w)))) for w in words}
+    signs = {w: _permutation_sign(w, perms[w], odd) for w in words}
+    coeff = st.integers(-3, 3).filter(bool)
+    items = []          # (k, key, [(coefficient, name)]) for both documents
+    if linfty:
+        for w in words:
+            deg = sum(shifted[a] for a in w)
+            targets = [t for t in range(len(names)) if shifted[t] == deg + 1]
+            if targets and data.draw(st.booleans()):
+                items.append((w, [(data.draw(coeff), names[t]) for t in targets]))
+    else:
+        for i in range(len(names)):
+            ws = [w for w in words if sum(shifted[a] for a in w) == shifted[i] + 1]
+            if ws:
+                items.append((i, [(data.draw(coeff), w) for w in ws]))
+
+    def document(permute):
+        def spell(w):
+            letters_of = [w[t] for t in perms[w]] if permute else w
+            return (" " if linfty else "*").join(names[a] for a in letters_of)
+        lines = ["kind: %s" % kind, "basis:"] + ["  %s %d" % nd for nd in zip(names, degrees)]
+        lines += ["order: %d" % order, "taylor:" if linfty else "d:"]
+        for key, terms in items:
+            if linfty:
+                lhs = "%d | %s" % (len(key), spell(key))
+                rhs = " + ".join("%d %s" % ct for ct in terms)
+            else:
+                lhs = "%d | %s" % (order, names[key])
+                rhs = " + ".join("%d %s" % (c, spell(w)) for c, w in terms)
+            lines.append("  %s -> %s" % (lhs, rhs))
+        return build(parse("\n".join(lines) + "\n"))
+
+    canonical, permuted = document(False), document(True)
+    maps = (lambda x: x.taylor) if linfty else (lambda x: x.components)
+    basis = canonical.coalgebra if linfty else canonical.basis
+    assert maps(canonical).keys() == maps(permuted).keys()
+    for k, m in maps(canonical).items():
+        got = entries(maps(permuted)[k])
+        want = {(j, i): c * signs[basis.words[i if linfty else j]]
+                for (j, i), c in entries(m).items()}
+        assert got == want and got

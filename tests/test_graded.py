@@ -12,7 +12,7 @@ from defalg.graded import (Complex, Contraction, GradedMap, GradedSpace,
                            ShortExactSequence, canonical_monomial, cohomology,
                            connecting_hom, is_chain_map, is_quasiiso,
                            koszul_sign, shift, shift_space, solve_homotopy,
-                           symmetric_power, unshuffles, word_count, MAX_WORDS, WordBasis)
+                           unshuffles, word_count, MAX_WORDS, WordBasis)
 from defalg.models import QuasismoothTrunc
 from conftest import (entries, dense, dense_contraction, is_normal, make_rng, mat_add, mat_mul,
                       mat_scale, mat_transpose, mat_vec, matrix, random_complex, rank,
@@ -74,19 +74,24 @@ def test_canonical_monomial():
 
 
 def test_symmetric_power_index_consistency():
+    # the words of each length are the oracle's monomials of that power,
+    # in its order, and a word of length 2 is placed among them with the
+    # sign of sorting it
     v = GradedSpace([("a", 1), ("b", 2), ("c", 1)])
-    p = symmetric_power(v, 2)
+    wb = WordBasis(v, 3)
+    for k in (1, 2, 3):
+        assert [wb.words[p] for p in wb.of_length(k)] == reference_monomials(v, k)
     for word in itertools.product(range(3), repeat=2):
-        res = p.index(word)
+        res = wb.position(word)
         cm = canonical_monomial(word, v.degrees)
         if cm is None:
             assert res is None
         else:
             pos, sgn = res
-            assert p.monomials[pos] == cm[0] and sgn == cm[1]
+            assert pos in wb.of_length(2) and wb.words[pos] == cm[0] and sgn == cm[1]
     # aa is zero (odd), bb survives (even)
-    assert p.index((0, 0)) is None
-    assert p.index((1, 1)) is not None
+    assert wb.position((0, 0)) is None
+    assert wb.position((1, 1)) is not None
 
 
 def test_shift_space_and_complex():
@@ -377,8 +382,9 @@ def test_word_basis_positions():
     for word in ((), (0, 0, 0, 0)):
         with pytest.raises(ValueError):
             wb.position(word)
-    # positions within the length-2 words
-    assert wb.component({i: F(i) for i in range(1, wb.space.dim)}, 2) == {0: F(2), 1: F(3)}
+    # the ⊙²-part keeps its positions among all words
+    assert list(wb.of_length(2)) == [2, 3] and list(wb.of_length(3)) == [4, 5]
+    assert wb.component({i: F(i) for i in range(1, wb.space.dim)}, 2) == {2: F(2), 3: F(3)}
 
 
 @given(st.lists(st.integers(-2, 3), min_size=1, max_size=5), st.integers(2, 6), st.data())
@@ -462,10 +468,6 @@ def test_word_space_names_match_the_eager_oracle(v, order, strangers):
     eager = _built(lambda: reference_word_space(
         v, [w for k in range(1, order + 1) for w in reference_monomials(v, k)]))
     assert_same_space(lazy if isinstance(lazy, str) else lazy.space, eager, strangers)
-    for k in range(1, order + 1):
-        lazy = _built(lambda: symmetric_power(v, k).space)
-        assert_same_space(lazy, _built(lambda: reference_word_space(
-            v, reference_monomials(v, k))), strangers)
 
 
 def test_joined_names_are_built_only_when_read():
@@ -498,7 +500,7 @@ def test_word_cap_refuses_by_the_count_before_forming_a_word(monkeypatch):
 
     def no_words(*args):
         raise AssertionError("a word was formed")
-    monkeypatch.setattr(defalg.graded, "SymmetricPower", no_words)
+    monkeypatch.setattr(defalg.graded, "_words_of_length", no_words)
     for order in (60, MAX_WORDS + 1):
         with pytest.raises(ValueError) as err:
             WordBasis(v, order)

@@ -173,10 +173,22 @@ def test_morphism_criterion_reduces_to_linear_data():
     theta = coalgebra_morphism_from_linear(c, m, c)
     assert check_coalgebra_morphism(c, c, theta)
     # on a length-2 word, θ is the induced ⊙²(m): here 4·Id
-    off = c.offsets[2]
-    for t in range(len(c.powers[2].monomials)):
-        img = theta.apply(c.space.basis_vector(off + t))
-        assert img == {off + t: F(4)}
+    for w in c.of_length(2):
+        assert theta.apply(c.space.basis_vector(w)) == {w: F(4)}
+
+
+def test_taylor_coefficient_on_a_word_of_another_length_is_refused():
+    # Q¹_k reads all the words of C(V[1]), so the length of each word it
+    # reads is checked: in V[1], x has degree -1 and y degree 0, and Q¹_2
+    # may send x⊙y to y, not x or x⊙y⊙y (all of degree -1)
+    v = GradedSpace([("x", 0), ("y", 1)])
+    c = SymCoalgebra(v, 3)
+    xy, xyy = c.position((0, 1))[0], c.position((0, 1, 1))[0]
+    assert LInftyStructure(v, 3, {2: GradedMap(c.space, c.letters, 1, {(1, xy): F(1)})}, c)
+    for word in (0, xyy):
+        with pytest.raises(ValueError) as err:
+            LInftyStructure(v, 3, {2: GradedMap(c.space, c.letters, 1, {(1, word): F(1)})}, c)
+        assert str(err.value) == "Q¹_2 has wrong source/target/degree"
 
 
 def test_dual_coalgebra_and_double_dual():
@@ -207,10 +219,10 @@ def random_taylor(rng, v, order, arities, density):
     c = SymCoalgebra(v, order)
     taylor = {}
     for k in arities:
-        q = GradedMap(c.powers[k].space, c.letters, 1)
-        for u in range(len(c.powers[k].monomials)):
+        q = GradedMap(c.space, c.letters, 1)
+        for u in c.of_length(k):
             for t in range(c.letters.dim):
-                if c.letters.degrees[t] == c.powers[k].space.degrees[u] + 1 \
+                if c.letters.degrees[t] == c.space.degrees[u] + 1 \
                         and rng.random() < density:
                     q.set_entry(t, u, F(rng.randint(-3, 3), rng.randint(1, 2)))
         taylor[k] = q
@@ -253,9 +265,9 @@ def test_ce_reading_matches_coalgebra_oracles():
         ok, arities, defects = reference_check_linfty(s)
         assert (rep.ok, rep.defect_arities, rep.defects) == (ok, arities, defects)
         failing += not ok
-        repeated_even += any(len(set(w)) < len(w) for k, q in s.taylor.items()
+        repeated_even += any(len(set(w)) < len(w) for q in s.taylor.values()
                              for (_, u), _ in entries(q).items()
-                             for w in [c.powers[k].monomials[u]])
+                             for w in [c.words[u]])
     assert failing >= 20 and repeated_even >= 1
 
 

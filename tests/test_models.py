@@ -8,8 +8,7 @@ import pytest
 from defalg import docio, linalg
 from defalg.algebras import DgAlgebraMorphism, NilpotentDgAlgebra, check_homotopy
 from defalg.dgla import Dgla, def_tangent
-from defalg.graded import Complex, GradedMap, GradedSpace, cohomology, \
-    symmetric_power
+from defalg.graded import Complex, GradedMap, GradedSpace, cohomology
 from defalg.models import (QuasismoothTrunc, h_r_tangent, is_minimal,
                            is_smooth_minimal, kuranishi_prorepresent,
                            minimalize, morphism_from_generators, morphism_lift,
@@ -24,14 +23,14 @@ FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "docs" / "fixtures"
 
 def non_minimal_trunc(order=3):
     """V = {u:0, w:1, h:1} with d(u) = w and d(h) = w·h."""
-    v = GradedSpace([("u", 0), ("w", 1), ("h", 1)])
-    p1 = symmetric_power(v, 1)
-    p2 = symmetric_power(v, 2)
-    d1 = GradedMap(v, p1.space, 1, {(1, 0): F(1)})
-    d2 = GradedMap(v, p2.space, 1)
-    pos, sgn = p2.index((1, 2))
+    shell = QuasismoothTrunc(GradedSpace([("u", 0), ("w", 1), ("h", 1)]), order, {},
+                             check=False)
+    v, b = shell.v, shell.basis
+    d1 = GradedMap(v, b.space, 1, {(1, 0): F(1)})
+    d2 = GradedMap(v, b.space, 1)
+    pos, sgn = b.position((1, 2))
     d2.set_entry(pos, 2, F(sgn))
-    return QuasismoothTrunc(v, order, {1: d1, 2: d2})
+    return shell.with_components({1: d1, 2: d2})
 
 
 def test_differential_matches_the_sorted_spliced_words():
@@ -43,15 +42,15 @@ def test_differential_matches_the_sorted_spliced_words():
               kuranishi_prorepresent(sl2_odd(), order=6)[0], kuranishi_prorepresent(sl2(), order=4)[0]]
     for _ in range(30):
         v = GradedSpace([("x%d" % i, rng.choice([-1, 0, 1, 2])) for i in range(rng.randint(1, 4))])
-        order = rng.randint(1, 4)
+        shell = QuasismoothTrunc(v, rng.randint(1, 4), {}, check=False)
+        b = shell.basis
         comps = {}
-        for k in range(1, order + 1):
-            pw = symmetric_power(v, k)
-            comps[k] = GradedMap(v, pw.space, 1, {
+        for k in range(1, shell.order + 1):
+            comps[k] = GradedMap(v, b.space, 1, {
                 (j, i): F(rng.randint(-2, 2), rng.randint(1, 3))
-                for i in range(v.dim) for j in range(pw.space.dim)
-                if pw.space.degrees[j] == v.degrees[i] + 1 and rng.random() < 0.5})
-        truncs.append(QuasismoothTrunc(v, order, comps, check=False))
+                for i in range(v.dim) for j in b.of_length(k)
+                if b.space.degrees[j] == v.degrees[i] + 1 and rng.random() < 0.5})
+        truncs.append(shell.with_components(comps, check=False))
     nonzero = 0
     for r in truncs:
         got, want = r.differential(), reference_differential(r)
@@ -283,15 +282,26 @@ def test_morphism_lift_of_section():
             mm.s.algebra().space.basis_vector(i)
 
 
+def test_component_on_a_word_of_another_length_is_refused():
+    # d_k maps V into all the words, so the length of each word it reaches
+    # is checked: d_2(a) may reach a*b, not b or a*a*b (all of degree 1)
+    shell = QuasismoothTrunc(GradedSpace([("a", 0), ("b", 1)]), 3, {}, check=False)
+    b = shell.basis
+    ab, aab = b.position((0, 1))[0], b.position((0, 0, 1))[0]
+    assert shell.with_components({2: GradedMap(shell.v, b.space, 1, {(ab, 0): F(1)})})
+    for word in (1, aab):
+        with pytest.raises(ValueError) as err:
+            shell.with_components({2: GradedMap(shell.v, b.space, 1, {(word, 0): F(1)})})
+        assert str(err.value) == "component d_2 has wrong source/target/degree"
+
+
 def test_morphism_lift_honest_failure():
     # S has one closed degree-1 generator; in R the candidate image z has
     # d(z) = q, so no multiplicative chain map extends the assignment
     vs = GradedSpace([("s1", 1)])
     s = QuasismoothTrunc(vs, 2, {})
-    vt = GradedSpace([("z", 1), ("q", 2)])
-    p1 = symmetric_power(vt, 1)
-    d1 = GradedMap(vt, p1.space, 1, {(1, 0): F(1)})
-    r = QuasismoothTrunc(vt, 2, {1: d1})
+    shell = QuasismoothTrunc(GradedSpace([("z", 1), ("q", 2)]), 2, {}, check=False)
+    r = shell.with_components({1: GradedMap(shell.v, shell.basis.space, 1, {(1, 0): F(1)})})
     bad = morphism_lift(s, r, [r.algebra().space.basis_vector(0)])
     assert bad is None
 
@@ -319,10 +329,10 @@ def test_kuranishi_sl2_quadratic_part_is_dual_bracket():
     rk, _ = kuranishi_prorepresent(l, order=3)
     cb = cohomology_bracket(l)
     d2 = rk.components[2]
-    p2 = rk.basis.powers[2]
     sign = None
     for c in range(3):
-        for pos, (a, b) in enumerate(p2.monomials):
+        for pos in rk.basis.of_length(2):
+            a, b = rk.basis.words[pos]
             got = entries(d2).get((pos, c), F(0))
             want = cb.table_entry(a, b).get(c, F(0))
             if a == b:
