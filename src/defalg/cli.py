@@ -113,8 +113,10 @@ def cmd_validate(docs, args) -> Report:
             rep.verdicts.append(("mc_element", "skipped (needs ambient)"))
             continue
         if d.kind in ("nilpotent_dg_algebra", "dgla"):
-            r = obj.validate()
-            errs = list(r.errors)
+            errs = list(obj.validate().errors)
+        elif d.kind == "small_extension":      # the extension itself is checked on build
+            errs = ["algebra %s: %s" % (side, err) for side, alg in (("a", obj.a), ("b", obj.b))
+                    for err in alg.validate().errors]
         else:
             errs = []      # construction already validated
         ok_all = ok_all and not errs

@@ -1,10 +1,11 @@
 """Differential graded Lie algebras and Maurer-Cartan theory.
 
 DGLAs by bracket structure constants, the tensor DGLA L⊗A over a nilpotent
-dg-algebra A, the Maurer-Cartan equation, the extended algebra L_d, the
-gauge action through the Baker-Campbell-Hausdorff product, tangent spaces,
-lifting through small extensions, and a (sound, partially complete) gauge
-equivalence decision procedure.
+dg-algebra A with its twisted differential d_x = d + [x, −], the
+Maurer-Cartan equation, the extended algebra L_d, the gauge action through
+the Baker-Campbell-Hausdorff product, tangent spaces, lifting through small
+extensions (whose operator is d_y on L⊗I), and a (sound, partially
+complete) gauge equivalence decision procedure.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class Dgla(BilinearStructure):
         self.nilpotency_class = nilpotency_class
 
     def bracket_vec(self, u: SparseVec, v: SparseVec) -> SparseVec:
-        return _bilinear(self, u, v)
+        return self._bracket_over(u, v, 1)
 
     def _bracket_over(self, u: SparseVec, v: SparseVec, den: int) -> SparseVec:
         """[u, v]/den."""
@@ -64,15 +65,17 @@ class TensorDgla(Dgla):
     read.  The bracket follows the Koszul-consistent convention
         [x⊗a, y⊗b] = (-1)^{deg(a)·deg(y)} [x,y] ⊗ ab,
     certified by validate(); the differential is
-        d(x⊗a) = dx ⊗ a + (-1)^{deg x} x ⊗ da,
-    one column formula (``_d_columns``) that ``differentiate`` applies on a
-    vector's support and that builds the map ``d`` when it is first read.
-    ``bracket_vec`` reads L's and A's integer left indices directly, over
-    ``den`` = L.den·A.den.  This structure's own integer index, each
-    product of an L-constant with an A-constant its own entry, is built
-    from theirs only when read (validate(), and the ``table`` view);
-    ``nilpotency_class`` is read off A when first needed.  ``space`` may
-    be given: the space of an L⊗A' with A' on A's basis.
+        d(x⊗a) = dx ⊗ a + (-1)^{deg x} x ⊗ da.
+    It and the twisted differential d_x = d + [x, −] at an element x are
+    one column formula, ``_d_columns(support, x)``: ``differentiate(v, x)``
+    sums it over v's support, and the map ``d``, its x = 0 case over every
+    column, is built when it is first read.  Brackets read L's and A's
+    integer left indices directly, over ``den`` = L.den·A.den.  This
+    structure's own integer index, each product of an L-constant with an
+    A-constant its own entry, is built from theirs only when read
+    (validate(), and the ``table`` view); ``nilpotency_class`` is read off
+    A when first needed.  ``space`` may be given: the space of an L⊗A'
+    with A' on A's basis.
     """
 
     def __init__(self, l: Dgla, a: NilpotentDgAlgebra, space: Optional[GradedSpace] = None):
@@ -83,35 +86,36 @@ class TensorDgla(Dgla):
         self._odd_a = [deg % 2 for deg in a.space.degrees]
         self.den = l.den * a.den
 
-    def _d_columns(self, support: Iterable[int]) -> Iterator[Tuple[int, SparseVec]]:
-        """(s, d(x_i⊗a_p)) for each s = i·dim A + p in ``support`` whose
-        column is nonzero: dx_i⊗a_p, in the blocks j ≠ i, then
-        (-1)^{|x_i|} x_i⊗da_p, in block i."""
+    def _d_columns(self, support: Iterable[int], x: Optional[SparseVec] = None
+                   ) -> Iterator[Tuple[int, SparseVec]]:
+        """(s, d_x e_s) for each s = i·dim A + p in ``support`` whose column
+        is nonzero, e_s = x_i⊗a_p: dx_i⊗a_p, in the blocks j ≠ i, then
+        (-1)^{|x_i|} x_i⊗da_p, in block i, then [x, e_s] when x is given.
+        With x empty this is d."""
         na, odd_l = self.a.dim, self._odd_l
         l_column, a_column = self.l.d.column, self.a.d.column
         for s in support:
             i, p = divmod(s, na)
             lcol, acol = l_column(i), a_column(p)
-            if lcol or acol:
-                col = {j * na + p: c for j, c in lcol.items()}
+            col = {j * na + p: c for j, c in lcol.items()} if lcol else {}
+            if acol:
                 ib, odd = i * na, odd_l[i]
                 col.update((ib + q, -c if odd else c) for q, c in acol.items())
+            if x:
+                add_into(col, self._bracket_over(x, {s: ONE}, 1))
+            if col:
                 yield s, col
 
     @cached_property
     def d(self) -> GradedMap:
-        na = self.a.dim
-        support = {i * na + p for i, _ in self.l.d.nonzero_columns() for p in range(na)}
-        support.update(i * na + p for p, _ in self.a.d.nonzero_columns()
-                       for i in range(self.l.dim))
         return GradedMap.from_columns(self.space, self.space, 1,
-                                      dict(self._d_columns(sorted(support))))
+                                      dict(self._d_columns(range(self.dim))))
 
-    def differentiate(self, v: SparseVec) -> SparseVec:
-        """dv, summed over v's support column by column, as ``d.apply``
-        sums, without building d."""
+    def differentiate(self, v: SparseVec, x: Optional[SparseVec] = None) -> SparseVec:
+        """d_x v = dv + [x, v], summed over v's support column by column,
+        as ``d.apply`` sums, without building d."""
         out: SparseVec = {}
-        for s, col in self._d_columns(v):
+        for s, col in self._d_columns(v, x):
             add_into(out, col, v[s])
         return out
 
@@ -133,10 +137,6 @@ class TensorDgla(Dgla):
                                            for k, ck in lrow.items() for r, cr in arow.items()})
                              for j, lrow in lrows for q, arow in arows])
         return left
-
-    def bracket_vec(self, u: SparseVec, v: SparseVec) -> SparseVec:
-        """[u, v], walking the support of u through L's and A's left indices."""
-        return self._bracket_over(u, v, 1)
 
     def _bracket_over(self, u: SparseVec, v: SparseVec, den: int) -> SparseVec:
         """[u, v]/den, summed on Python-int numerators over one common
@@ -278,7 +278,7 @@ def gauge_act(t: Dgla, a: SparseVec, x: SparseVec) -> SparseVec:
     bound = t.nilpotency_class
     if bound is None:
         raise ValueError("gauge action needs a certified nilpotency class")
-    da = t.d.apply(a)
+    da = t.differentiate(a)
     out = dict(x)
     term = x
     beta = ONE
@@ -350,16 +350,12 @@ def mc_lift(e: SmallExtension, l: Dgla, x: SparseVec,
     deg1 = ti.space.degree_indices(1)
     strict = e.is_strictly_small()
     if strict:      # A·I = 0 makes [y, ξ] zero, and ι is a chain map: T = d on L⊗I
-        dcols = ti.d.columns()
-        t_cols = [dcols[i] for i in deg1]
-    else:
-        t_cols = []
-        for i in deg1:
-            xi = push_blocks({i: ONE}, ni, na, e.iota)
-            col_i = e.kernel_coords(add_into(ta.d.apply(xi), ta.bracket_vec(y, xi)))
-            if col_i is None:
-                raise CertificateError("the lift operator escaped L⊗I: the kernel is not an ideal")
-            t_cols.append(col_i)
+        t_cols = [ti.d.column(i) for i in deg1]
+    else:           # T(ξ) = d_y(ιξ) = d(ιξ) + [y, ιξ], read back in L⊗I
+        t_cols = [e.kernel_coords(ta.differentiate(push_blocks({i: ONE}, ni, na, e.iota), y))
+                  for i in deg1]
+        if None in t_cols:
+            raise CertificateError("the lift operator escaped L⊗I: the kernel is not an ideal")
     # one echelon over T's columns; its relations span ker T, all lift
     # translations.  On a strictly small extension it is the contraction's
     # echelon in degree 1, and only H² is read
@@ -444,16 +440,16 @@ def gauge_equivalent(l: Dgla, a: NilpotentDgAlgebra, x: SparseVec,
         ri = e.kernel_coords(add_into(gauge_act(tj, lift_w, xs[j]), ys[j], -ONE))
         if ri is None:
             raise CertificateError("the gauge residue escaped the stage kernel")
-        if tii.d.apply(ri):
+        if tii.differentiate(ri):
             raise CertificateError("the gauge residue is not closed")
-        deg0 = tii.space.degree_indices(0)
-        dcols = tii.d.columns()
-        sol = linalg.solve_in_span([dcols[i] for i in deg0], ri)
+        # the nonzero columns of d on (L⊗I)⁰; a zero column adds nothing
+        cols = list(tii._d_columns(tii.space.degree_indices(0)))
+        sol = linalg.solve_in_span([col for _, col in cols], ri)
         if sol is None:
             # at the top stage the lifted witness is empty and the residue
             # is x_j - y_j, so x and y are inequivalent already over A_j
             return GaugeDecision("NO" if j == len(chain) - 1 else "UNKNOWN")
-        c = {deg0[pos]: x for pos, x in sol.items()}
+        c = {cols[pos][0]: x for pos, x in sol.items()}
         # c lies in L⊗I with A_j·I = 0, so it is central in L⊗A_j and
         # BCH(c, w) = c + w exactly
         witness_vec = add_into(push_blocks(c, e.i_complex.space.dim, e.a.dim, e.iota), lift_w)

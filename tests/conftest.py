@@ -901,6 +901,26 @@ def dense_mc_defect(t, x):
     return vec_add(dense_apply(t.d, x), [c / 2 for c in fraction_bilinear(t, x, x)])
 
 
+def dense_twisted_differential(t, x):
+    """The matrix of d_x = d + [x, −] on L⊗A as a list of rows: d from its
+    defining formula d(x_i⊗a_p) = dx_i⊗a_p + (-1)^{|x_i|} x_i⊗da_p on the
+    factors' matrices, and column s of [x, −] summed over ``t.table``."""
+    ld, ad, na = matrix(t.l.d), matrix(t.a.d), t.a.dim
+    m = [[F(0)] * t.dim for _ in range(t.dim)]
+    for i in range(t.l.dim):
+        sgn = -1 if t.l.space.degrees[i] % 2 else 1
+        for p in range(na):
+            for j in range(t.l.dim):
+                m[j * na + p][i * na + p] += ld[j][i]
+            for q in range(na):
+                m[i * na + q][i * na + p] += sgn * ad[q][p]
+    for (r, s), row in t.table.items():
+        if x.get(r):
+            for k, c in row.items():
+                m[k][s] += x[r] * c
+    return m
+
+
 def dense_gauge_act(t, a, x):
     """e^a · x = exp(ad_a)(x + d) - d on list vectors, the brackets summed
     over ``t.table``; the series stops at its first zero term."""

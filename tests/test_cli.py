@@ -671,6 +671,26 @@ def test_staged_gauge_computes_no_power_ideal(capsys, monkeypatch):
     assert (code, out, err) == (0, (GOLDEN / "gauge-koszul4-staged.txt").read_text(), "")
 
 
+def test_gauge_builds_no_whole_tensor_d(capsys, monkeypatch):
+    # the staged search reads the degree-0 columns of d on L⊗I and the
+    # gauge action differentiates one vector, so no TensorDgla builds its
+    # whole d: every gauge case (koszul4, free_sr3, square_zero) prints the
+    # recorded output with d made to fail
+    from defalg.dgla import TensorDgla
+
+    def no_d(self):
+        raise AssertionError("a whole tensor d was built")
+    monkeypatch.setattr(TensorDgla, "d", property(no_d))
+    cases = [c for c in GOLDEN_CASES if c["argv"][0] == "gauge"]
+    assert {"koszul4.alg", "free_sr3.alg", "square_zero.alg"} <= {
+        a.rsplit("/", 1)[-1] for c in cases for a in c["argv"]}
+    for case in cases:
+        code, out, err = run(capsys, *[str(GOLDEN.parent.parent / a) if "/" in a else a
+                                       for a in case["argv"]])
+        want = (GOLDEN / ("%s.txt" % case["name"])).read_text(encoding="utf-8")
+        assert (code, out, err) == (case["exit"], want, case["stderr"])
+
+
 def test_staged_gauge_computes_no_kernel_basis_or_intersection(capsys, monkeypatch):
     # every stage of the chain A -> 0 has the zero map, whose kernel is all
     # of A_j, so J = Ann(A_j) is read without a kernel basis or an

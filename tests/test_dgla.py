@@ -1,8 +1,10 @@
 """DGLAs: tensor constructions, BCH, gauge action, Maurer-Cartan lifting."""
 
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from defalg import linalg
 from defalg.algebras import (DgAlgebraMorphism, NilpotentDgAlgebra,
@@ -18,7 +20,8 @@ from conftest import (counterexample_algebras, counterexample_element,
                       koszul_truncation, make_rng, random_abelian_dgla, random_algebra,
                       random_complex, random_dgla, reference_linear_gauge,
                       reference_staged_witness, rescaled, sl2, sl2_odd, dense, dense_apply,
-                      nullspace, sparse, vec_add, entries, tensor_push)
+                      nullspace, sparse, vec_add, entries, tensor_push, densify,
+                      dense_twisted_differential, is_normal, mat_vec, matrix, solve)
 
 F = Fraction
 
@@ -100,6 +103,91 @@ def test_tensor_d_and_push_equal_their_set_entry_builds():
                 assert got == whole.apply(v)
                 pushes += bool(got)
     assert pushes > 25
+
+
+COEFFS = st.sampled_from([F(-2), F(-1), F(1, 2), F(1), F(3)])
+
+
+@st.composite
+def structures(draw, cls, prefix, max_dim=5):
+    """A structure of class ``cls`` on at most ``max_dim`` basis vectors of
+    degrees -1..2: random constants and d of the right degrees, with no
+    axiom imposed (the twisted differential is a formula in them)."""
+    degs = draw(st.lists(st.integers(-1, 2), min_size=1, max_size=max_dim))
+    n = len(degs)
+    space = GradedSpace([("%s%d" % (prefix, k), deg) for k, deg in enumerate(degs)])
+    slots = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
+             if degs[k] == degs[i] + degs[j]]
+    table = {}
+    if slots:
+        for (i, j, k), c in draw(st.dictionaries(st.sampled_from(slots), COEFFS,
+                                                 max_size=8)).items():
+            table.setdefault((i, j), {})[k] = c
+    d_slots = [(j, i) for i in range(n) for j in range(n) if degs[j] == degs[i] + 1]
+    d = draw(st.dictionaries(st.sampled_from(d_slots), COEFFS, max_size=4)) if d_slots else {}
+    return cls(space, table, GradedMap(space, space, 1, d))
+
+
+@given(structures(Dgla, "x"), structures(NilpotentDgAlgebra, "a"), st.data())
+@settings(max_examples=200, deadline=None)
+def test_twisted_differential_matches_the_dense_oracle(l, a, data):
+    # d_x = d + [x, −] on L⊗A, column by column and on a vector, equals the
+    # dense d + ad_x built from the defining formula and t.table, x = {}
+    # included; no whole d is built, and with x = {} it is d
+    t = tensor_dgla(l, a)
+    vecs = st.dictionaries(st.integers(0, t.dim - 1), COEFFS, max_size=4)
+    x, v = data.draw(vecs, label="x"), data.draw(vecs, label="v")
+    want = dense_twisted_differential(t, x)
+    cols = dict(t._d_columns(range(t.dim), x))
+    assert all(col and is_normal(col, t.dim) for col in cols.values())
+    assert [densify(cols.get(s, {}), t.dim) for s in range(t.dim)] == \
+        [[row[s] for row in want] for s in range(t.dim)]
+    got = t.differentiate(v, x)
+    assert is_normal(got, t.dim) and densify(got, t.dim) == mat_vec(want, densify(v, t.dim))
+    assert "d" not in vars(t)
+    if not x:
+        assert dict(t.d.nonzero_columns()) == cols and t.differentiate(v) == got
+
+
+def test_lift_operator_is_d_y_read_back_in_i(monkeypatch):
+    # on the counterexample (A·I ≠ 0) mc_lift's T has the columns
+    # d_y(ιξ) = d(ιξ) + [y, ιξ] of the dense oracle at the section lift y,
+    # read back in I, for each basis vector ξ of (L⊗I)¹; the bracket
+    # changes some column
+    l, e = sl2(), counterexample_extension()
+    tb, ta = tensor_dgla(l, e.b), tensor_dgla(l, e.a)
+    ti = tensor_dgla(l, trivial_algebra_of_complex(e.i_complex))
+    ni, na = ti.a.dim, ta.a.dim
+    seen = []
+    real = linalg.relations
+
+    def relations(vectors):
+        if sys._getframe(1).f_code.co_name == "mc_lift":
+            seen.append(list(vectors))
+        return real(vectors)
+    monkeypatch.setattr(linalg, "relations", relations)
+    corrected = {tb.space.index(name): F(-1) for name in ("e@u", "e@v", "h@u", "h@v", "f@u")}
+    iota = matrix(e.iota)
+
+    def read_back(w):
+        blocks = [solve(iota, w[j * na:(j + 1) * na]) for j in range(l.dim)]
+        assert None not in blocks
+        return [c for block in blocks for c in block]
+    for x, lifted in ((counterexample_element(l, tb), False), (corrected, True)):
+        seen.clear()
+        assert mc_lift(e, l, x).lifted is lifted
+        [t_cols] = seen
+        y = push_blocks(x, e.b.dim, na, e.section())
+        dense_dy, dense_d = dense_twisted_differential(ta, y), dense_twisted_differential(ta, {})
+        deg1 = ti.space.degree_indices(1)
+        assert len(t_cols) == len(deg1)
+        bracket_seen = False
+        for i, col in zip(deg1, t_cols):
+            xi = densify(push_blocks({i: F(1)}, ni, na, e.iota), ta.dim)
+            want = read_back(mat_vec(dense_dy, xi))
+            assert densify(col, ti.dim) == want
+            bracket_seen |= want != read_back(mat_vec(dense_d, xi))
+        assert bracket_seen
 
 
 def test_tensor_dgla_nilpotency():
@@ -727,6 +815,9 @@ def test_mc_lift_builds_no_tensor_table_and_no_ideal_powers(monkeypatch):
         res = mc_lift(ext, l, elem)
         for t in (res.tensor_a, res.tensor_i):
             assert not {"bracket", "_left", "nilpotency_class"} & set(vars(t))
+        # T is read off d_y column by column, or off the d of L⊗I that the
+        # contraction builds: no whole d of L⊗A
+        assert "d" not in vars(res.tensor_a)
 
 
 def test_mc_lift_on_strictly_small_extension_inverts_nothing(monkeypatch):
