@@ -11,6 +11,7 @@ surjections into small extensions.
 from __future__ import annotations
 
 import copy
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -18,13 +19,37 @@ from math import gcd, lcm
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
-from .graded import Complex, GradedMap, GradedSpace, cohomology, solve_homotopy
+from .graded import Complex, GradedMap, GradedSpace, cohomology
 from .linalg import ONE, ZERO, CertificateError, SparseVec
 
 
-LeftIndex = List[List[Tuple[int, Dict[int, int]]]]
+Row = List[Tuple[int, Dict[int, int]]]
+LeftIndex = List[Row]
 Pair = Tuple[int, int]
 Triple = Tuple[int, int, int]
+# a power ideal's basis, the echelon whose independent vectors are scale
+# times that basis (none for A's own basis), and scale
+PowerIdeal = Tuple[List[SparseVec], Optional[linalg.Echelon], int]
+
+
+class _LazyRows(dict):
+    """A left index i -> [(j, {k: den·c_k})] over n basis vectors whose row
+    i is built by ``row(i)`` when first read (``__missing__``); ``rows()``
+    builds the missing ones in one pass and keeps the list."""
+
+    def __init__(self, n: int, row: Callable[[int], Row]):
+        super().__init__()
+        self.n, self.row = n, row
+        self.complete: Optional[List[Row]] = None
+
+    def __missing__(self, i: int) -> Row:
+        row = self[i] = self.row(i)
+        return row
+
+    def rows(self) -> List[Row]:
+        if self.complete is None:
+            self.complete = [self[i] for i in range(self.n)]
+        return self.complete
 
 
 def _numerators(v: Dict) -> Tuple[Dict, int]:
@@ -145,10 +170,11 @@ class BilinearStructure:
     operation walks only the support of its left argument.  ``table``
     itself is a read-only view of that index with Fraction entries, built
     on first read.  ``_left[i]`` is read row by row; a walk over every row
-    reads ``rows()``, the whole index as a list, which a truncation's
-    algebra, whose rows are built on first read, completes in one pass.
-    A subclass names its operation in ``_wrong_degree`` and says in
-    ``_lie`` whether its axioms are those of a graded Lie algebra.
+    reads ``rows()``, the whole index as a list, which an index whose rows
+    are built on first read (``_LazyRows``: a truncation's algebra, and
+    A[t,dt]_eps) completes in one pass.  A subclass names its operation in
+    ``_wrong_degree`` and says in ``_lie`` whether its axioms are those of
+    a graded Lie algebra.
     """
     _wrong_degree = "product %s*%s has an entry of wrong degree"
     _lie = False
@@ -163,8 +189,8 @@ class BilinearStructure:
 
     def rows(self) -> LeftIndex:
         """The whole left index as a list over the basis.  A left index
-        that builds its rows on first read (a truncation's) is a dict,
-        which completes them in one pass."""
+        that builds its rows on first read is a ``_LazyRows``, which
+        completes them in one pass."""
         left = self._left
         return left if isinstance(left, list) else left.rows()
 
@@ -298,34 +324,42 @@ class NilpotentDgAlgebra(BilinearStructure):
         return not any(self.rows())
 
     def power_ideal_bases(self) -> List[List[SparseVec]]:
-        """Bases of A = A^1 ⊇ A^2 ⊇ ...  down to the first zero power.
+        """Bases of A = A^1 ⊇ A^2 ⊇ ...  down to the first zero power."""
+        return [basis for basis, _, _ in self._power_ideals()]
+
+    def _power_ideals(self) -> List[PowerIdeal]:
+        """(basis, echelon, scale) for A = A^1 ⊇ A^2 ⊇ ...  down to the first
+        zero power.
 
         The basis of A^(n+1) is the greedy independent subset, in order, of
         the products e_i * w over i and over the basis vectors w of A^n.
         The e_i·w of one w are formed in one pass over w's support through
         the right index, on Python ints over den^n, which the echelon takes
-        as they are; only the returned vectors are Fractions.
+        as they are: its independent vectors are ``scale`` = den^n times
+        the basis, whose vectors alone are Fractions.  A's own basis, the
+        unit vectors, has no echelon.
         """
         n, scale, right = self.dim, 1, _right_index(self.rows())
-        powers: List[List[SparseVec]] = [[{i: ONE} for i in range(n)]]
+        powers: List[PowerIdeal] = [([{i: ONE} for i in range(n)], None, 1)]
         prev: List[Dict[int, int]] = [{i: 1} for i in range(n)]
         while prev:
-            prods: List[Dict[int, Dict[int, int]]] = []
+            # the products e_i·w, gathered by i in the order of the w
+            by_i: Dict[int, List[Dict[int, int]]] = {}
             for w in prev:
                 acc: Dict[int, Dict[int, int]] = {}
                 for j, cw in w.items():
                     for i, row in right[j]:
                         _add_scaled(acc, i, cw, row)
-                prods.append(acc)
+                for i, p in acc.items():
+                    by_i.setdefault(i, []).append(p)
             ech, nxt = linalg.Echelon(), []
-            for i in range(n):
-                for acc in prods:
-                    p = acc.get(i)
-                    if p and ech.add(p):
+            for i in sorted(by_i):
+                for p in by_i[i]:
+                    if ech.add(p):
                         nxt.append(p)
             scale *= self.den
-            powers.append([{k: Fraction(x, scale) for k, x in sorted(p.items()) if x}
-                           for p in nxt])
+            powers.append(([{k: Fraction(x, scale) for k, x in sorted(p.items()) if x}
+                            for p in nxt], ech, scale))
             if len(nxt) == len(prev):
                 # not descending: not nilpotent; bail out (validate reports)
                 break
@@ -394,6 +428,7 @@ class DgAlgebraMorphism:
         constant of the source is walked through f's columns, and each
         f(e_i) through the target's left index and an index b -> [(j, f_bj)]
         of f's rows, both terms over src.den·tgt.den·(f's denominator)².
+        The target's rows are read one at a time, only those of f's image.
         Failing pairs are named in lexicographic order of their basis
         indices.
         """
@@ -413,7 +448,7 @@ class DgAlgebraMorphism:
         if _failing(chain):
             errs.append("does not commute with differentials")
         defects: Dict[Pair, Dict[int, int]] = {}
-        tgt_left = tgt.rows()
+        tgt_left = tgt._left
         for i, row_list in enumerate(src.rows()):       # f(e_i e_j)
             for j, row in row_list:
                 for m, c in row.items():
@@ -843,16 +878,31 @@ def mapping_cone(a: NilpotentDgAlgebra, module_vectors: Sequence[SparseVec]) -> 
 class _PowerBasis:
     """A basis b_k of a power ideal of A on ints (``vecs[k]`` = den·b_k, and
     the column index j -> [(k, vecs[k][j])]) with its coordinate map: the
-    entries at the pivot columns of one echelon over the b_k times the
-    inverse of the basis there (``inv`` over ``q``, a scaled permutation for
-    multiples of basis vectors), checked by forming the vector back."""
+    entries at the pivot columns times ``inv`` over ``q``, read off the
+    echelon that found the basis among the products (``_power_ideals``),
+    checked by forming the vector back.  A's own basis, the unit vectors,
+    has the identity for its map."""
 
-    def __init__(self, vectors: List[SparseVec], dim: int):
+    def __init__(self, vectors: List[SparseVec], ech: Optional[linalg.Echelon], scale: int,
+                 dim: int):
         self.den = lcm(*(c.denominator for v in vectors for c in v.values()))
         self.vecs = [{j: c.numerator * (self.den // c.denominator) for j, c in v.items()}
                      for v in vectors]
-        self.index = [[(k, v[j]) for k, v in enumerate(self.vecs) if j in v] for j in range(dim)]
-        self.inv, self.q = linalg.echelon(vectors).pivot_inverse()
+        self.index: List[List[Tuple[int, int]]] = [[] for _ in range(dim)]
+        for k, v in enumerate(self.vecs):
+            for j, x in v.items():
+                self.index[j].append((k, x))
+        if ech is None:
+            self.inv, self.q = {i: {i: 1} for i in range(dim)}, 1
+            return
+        # the echelon's independent vectors are scale·b_k, at the positions
+        # ech.independent among all the vectors added to it
+        inv, q = ech.pivot_inverse()
+        at = {t: k for k, t in enumerate(ech.independent)}
+        g = gcd(q, scale)
+        self.inv = {p: {at[t]: x * (scale // g) for t, x in row.items()}
+                    for p, row in inv.items()}
+        self.q = q // g
 
     def coords(self, w: Dict[int, int]) -> Dict[int, int]:
         """q times the coordinates of w (on ints) in the b_k, the nonzero
@@ -875,13 +925,14 @@ def _products_with(a: NilpotentDgAlgebra, u: Dict[int, int],
     """(k, u·v_k) on ints over D_u·D_v·A.den, in the order of k, for the
     vectors v_k (over D_v) of a column index that meet some e_j with e_i e_j
     ≠ 0 for an e_i in u's support (over D_u): only those products are
-    formed, through A's integer index.  Entries that cancel are dropped."""
+    formed, through A's integer index.  Entries that cancel are dropped,
+    and so is a product that cancels to zero."""
     acc: Dict[int, Dict[int, int]] = {}
     for i, cu in u.items():
         for j, row in a._left[i]:
             for k, cv in index[j]:
                 _add_scaled(acc, k, cu * cv, row)
-    return [(k, {t: x for t, x in acc[k].items() if x}) for k in sorted(acc)]
+    return [(k, w) for k in sorted(acc) for w in [{t: x for t, x in acc[k].items() if x}] if w]
 
 
 def _ceil_frac(n: int, eps: Fraction) -> int:
@@ -894,8 +945,11 @@ class DeRhamAlgebra:
 
     Exactly finite-dimensional: summands with ⌈n·eps⌉ at or above the
     nilpotency index of A vanish, so the t-degree cap is computed, never
-    guessed.  The integer index is built straight from A's, on ints,
-    through each power ideal's coordinate map (``_PowerBasis``).
+    guessed.  The basis, d and the products past the cap, which must
+    vanish, are formed at construction.  The integer index is a view of
+    A's, on ints, through each power ideal's coordinate map
+    (``_PowerBasis``): a product row is built when it is first read, and a
+    walk over every row (``rows()``) builds the rest in one pass.
     """
 
     def __init__(self, a: NilpotentDgAlgebra, eps: Fraction):
@@ -904,24 +958,37 @@ class DeRhamAlgebra:
             raise ValueError("epsilon must be positive")
         self.base = a
         self.eps = eps
-        powers = a.power_ideal_bases()
-        nil = len(powers)  # A^nil = 0
-        if powers[-1]:
+        ideals = a._power_ideals()
+        nil = len(ideals)  # A^nil = 0
+        if ideals[-1][0]:
             raise ValueError("base algebra is not nilpotent")
         n_max = 0
         while _ceil_frac(n_max + 1, eps) < nil:
             n_max += 1
         self.t_cap = n_max
 
-        # blocks: (t-power n, is_dt, p), holding the basis powers[p] of
-        # A^(p+1); block 0 holds the basis of A itself, which is powers[0]
+        # blocks: (t-power n, is_dt, p), holding the basis of A^(p+1); block
+        # 0 holds the basis of A itself
         blocks = [(0, False, 0)]
         for n in range(1, n_max + 1):
             p = _ceil_frac(n, eps) - 1
             blocks += [(n, False, p), (n, True, p)]
-        bases = {p: _PowerBasis(powers[p], a.dim)
+        bases = {p: _PowerBasis(*ideals[p], a.dim)
                  for p in dict.fromkeys(p for _, _, p in blocks)}
-        degs = {p: [a.space.vector_degree(v) for v in powers[p]] for p in bases}
+        degs = {p: [a.space.vector_degree(v) for v in ideals[p][0]] for p in bases}
+        powers = {p: ideals[p][0] for p in bases}
+        del ideals          # the echelons are not kept
+
+        # a product past the cap lies in A^i·A^j with i + j >= nil, which
+        # is 0 in a nilpotent algebra; for the power i of a t-block, the
+        # least power j whose t-blocks reach past the cap with it covers the
+        # larger ones, as the powers descend
+        last = {p: n for n, _, p in blocks[1:]}     # the largest t-power holding A^(p+1)
+        for p1, n1 in last.items():
+            p2 = min((p for p, n in last.items() if n1 + n > n_max), default=None)
+            if p2 is not None and any(_products_with(a, u, bases[p2].index)
+                                      for u in bases[p1].vecs):
+                raise CertificateError("nonzero coefficient beyond the exact t-cap")
 
         basis = []
         self._elems: List[Tuple[int, bool, SparseVec]] = []
@@ -937,44 +1004,6 @@ class DeRhamAlgebra:
                 self._elems.append((n, is_dt, v))
         space = GradedSpace(basis)
 
-        # (v ⊗ t^n1 (dt)) · (w ⊗ t^n2 (dt)) = ±(v·w) ⊗ t^(n1+n2) (dt), with
-        # the sign (-1)^|w| when dt passes w.  Each product of two
-        # power-basis vectors that can be nonzero is formed once and read
-        # once per power ideal it lands in, over q·D_1·D_2·A.den; the rows
-        # are put over a common multiple m of those, then reduced by gcd.
-        products = {(p1, p2): [_products_with(a, u, bases[p2].index) for u in bases[p1].vecs]
-                    for p1 in bases for p2 in bases}
-        block_power = {(n, is_dt): p for n, is_dt, p in blocks}
-        m = lcm(*(b.q for b in bases.values())) * a.den \
-            * lcm(*(b.den for b in bases.values())) ** 2
-        solved: Dict[Tuple, Dict[int, int]] = {}
-        left: LeftIndex = [[] for _ in range(space.dim)]
-        for n1, dt1, p1 in blocks:
-            off1 = self._block_pos[(n1, dt1)][0]
-            for k1 in range(len(powers[p1])):
-                for n2, dt2, p2 in blocks:
-                    if dt1 and dt2:
-                        continue
-                    off2 = self._block_pos[(n2, dt2)][0]
-                    tgt = (n1 + n2, dt1 or dt2)
-                    for k2, w in products[(p1, p2)][k1]:
-                        if not w:
-                            continue
-                        if tgt not in block_power:
-                            raise CertificateError("nonzero coefficient beyond the exact t-cap")
-                        off, pb = self._block_pos[tgt]
-                        key = (p1, k1, p2, k2, block_power[tgt])
-                        if key not in solved:
-                            solved[key] = pb.coords(w)
-                        c = (-1 if dt1 and degs[p2][k2] % 2 else 1) * m \
-                            // (pb.q * bases[p1].den * bases[p2].den * a.den)
-                        left[off1 + k1].append((off2 + k2, {off + k: c * x
-                                                            for k, x in solved[key].items()}))
-        rows = [row for row_list in left for _, row in row_list]
-        g = gcd(m, *(x for row in rows for x in row.values())) if m > 1 else 1
-        for row in rows if g > 1 else ():
-            for k in row:
-                row[k] //= g
         # d(v ⊗ tⁿ) = dv ⊗ tⁿ ± n v ⊗ tⁿ⁻¹dt: dv is read once per power
         # ideal, and v is the k-th basis vector of its own block
         dvs: Dict[Pair, List[Tuple[int, Fraction]]] = {}
@@ -991,7 +1020,43 @@ class DeRhamAlgebra:
                     col[self._block_pos[(n, True)][0] + k] = Fraction(-n if degs[p][k] % 2 else n)
                 dcols.append(col)
         self.algebra = NilpotentDgAlgebra(space, (), GradedMap.from_columns(space, space, 1, dcols))
-        self.algebra.den, self.algebra._left = m // g, left
+
+        # (v ⊗ t^n1 (dt)) · (w ⊗ t^n2 (dt)) = ±(v·w) ⊗ t^(n1+n2) (dt), with
+        # the sign (-1)^|w| when dt passes w.  Each product of two
+        # power-basis vectors that can be nonzero is formed once, when a row
+        # of its left factor is first read, and solved once per power ideal
+        # it lands in, over q·D_1·D_2·A.den; the rows are over the common
+        # multiple m of those.  The rows do not refer back to this object,
+        # so it is freed as soon as it is not read, with no cycle to collect.
+        block_pos = self._block_pos
+        block_power = {(n, is_dt): p for n, is_dt, p in blocks}
+        starts = [block_pos[(n, is_dt)][0] for n, is_dt, _ in blocks]
+        m = lcm(*(b.q for b in bases.values())) * a.den \
+            * lcm(*(b.den for b in bases.values())) ** 2
+        formed: Dict[Triple, Row] = {}
+        solved: Dict[Tuple, Dict[int, int]] = {}
+
+        def row(i: int) -> Row:
+            b = bisect_right(starts, i) - 1
+            n1, dt1, p1 = blocks[b]
+            k1 = i - starts[b]
+            out = []
+            for (n2, dt2, p2), off2 in zip(blocks, starts):
+                tgt = (n1 + n2, dt1 or dt2)
+                if (dt1 and dt2) or tgt not in block_power:     # dt² = 0; past the cap
+                    continue
+                if (p1, k1, p2) not in formed:
+                    formed[(p1, k1, p2)] = _products_with(a, bases[p1].vecs[k1], bases[p2].index)
+                off, pb = block_pos[tgt]
+                scale = m // (pb.q * bases[p1].den * bases[p2].den * a.den)
+                for k2, w in formed[(p1, k1, p2)]:
+                    key = (p1, k1, p2, k2, block_power[tgt])
+                    if key not in solved:
+                        solved[key] = pb.coords(w)
+                    c = -scale if dt1 and degs[p2][k2] % 2 else scale
+                    out.append((off2 + k2, {off + k: c * x for k, x in solved[key].items()}))
+            return out
+        self.algebra.den, self.algebra._left = m, _LazyRows(space.dim, row)
         self.include = DgAlgebraMorphism(
             a, self.algebra,
             GradedMap(a.space, space, 0, {(i, i): ONE for i in range(a.dim)}),
@@ -1076,15 +1141,3 @@ def constant_homotopy(f: DgAlgebraMorphism, eps=1) -> Homotopy:
     dr = de_rham_truncation(f.target, eps)
     return Homotopy(f.source, f.target, dr, dr.include.map.compose(f.map))
 
-
-def chain_homotopic(f: DgAlgebraMorphism, g: DgAlgebraMorphism
-                    ) -> Tuple[bool, Optional[GradedMap]]:
-    """Decide homotopy for morphisms between trivial-multiplication algebras.
-
-    For A² = 0 = B² homotopy in the dg-algebra sense coincides with chain
-    homotopy, so f - g = dσ + σd is a linear problem.
-    """
-    if not (f.source.has_trivial_mult() and f.target.has_trivial_mult()):
-        raise ValueError("decision requires trivial multiplications")
-    sigma = solve_homotopy(f.source.d, f.target.d, f.map - g.map)
-    return sigma is not None, sigma

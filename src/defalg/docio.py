@@ -187,6 +187,9 @@ def _take_list(raw, fld) -> List[Tuple[int, str]]:
     return items
 
 
+_STAR_IN_NAME = "basis name %r contains '*', which joins the letters of a word"
+
+
 def _take_basis(raw, fld="basis") -> Tuple[Tuple[str, int], ...]:
     items = _take_list(raw, fld)
     basis = []
@@ -310,13 +313,23 @@ def _payload_graded(raw, kind) -> Dict:
     """A linfty or quasismooth document: one list of ``k | key -> combo``
     items with k in 1..order.  A linfty ``taylor`` key is a word of k
     letters and its combo sums letters; a quasismooth ``d`` key is a
-    generator and its combo sums words of k letters written ``a*b``."""
+    generator and its combo sums words of k letters written ``a*b``, so a
+    quasismooth generator name may not contain ``*``."""
     basis = _take_basis(raw)
     names = {n for n, _ in basis}
     order = _take_scalar_int(raw, "order")
     if order is None:
         raise DocumentError("%s requires an 'order' field" % kind)
     word_keys = kind == "linfty"
+    starred = [n for n, _ in basis if "*" in n] if not word_keys else []
+    if starred:
+        # names that make two words' names collide keep the error that
+        # building the truncation gives them
+        try:
+            WordBasis(GradedSpace(basis), order)
+        except ValueError as exc:
+            raise DocumentError(str(exc))
+        raise DocumentError(_STAR_IN_NAME % starred[0])
     fld = GRADED_FIELDS[kind]
     noun, shape = (("arity", "taylor item must be 'k | word -> combo'") if word_keys
                    else ("order", "item must be 'k | generator -> combo'"))
@@ -671,6 +684,11 @@ def document_of_mc_element(space: GradedSpace, vec: SparseVec) -> InputDocument:
 
 
 def document_of_quasismooth(r: QuasismoothTrunc) -> InputDocument:
+    """The document of a truncation; DocumentError when a generator name
+    contains ``*``, which joins the letters of the words it writes."""
+    bad = next((name for name in r.v.names if "*" in name), None)
+    if bad is not None:
+        raise DocumentError(_STAR_IN_NAME % bad)
     d = {}
     for k, m in r.components.items():
         for i in range(r.v.dim):

@@ -19,6 +19,7 @@ coefficient growth; no result depends on the choice.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -66,12 +67,20 @@ class Echelon:
     int}, e)``: the reduced row is the first dict over ``den``, which is
     its pivot entry, and its expression is the second dict over ``e``.
     Each is divided by the gcd of its ints, so the form is unique.
+
+    A row has zeros at the pivots of the rows before it, so subtracting
+    row k changes the residual only at the pivots of later rows.  The
+    rows to subtract are therefore found through the pivot -> row index
+    ``_pivot_row``, smallest row first: the rows whose pivots the vector
+    meets, and those whose pivots a subtraction creates.  They are the
+    rows, in the order, that a pass over every row would subtract.
     """
 
     def __init__(self):
         self.count = 0        # vectors added, dependent ones included
         self.independent: List[int] = []    # the added vectors that were independent
         self._rows: List[Tuple[int, Dict[int, int], int, Dict[int, int], int]] = []
+        self._pivot_row: Dict[int, int] = {}
 
     def _reduce(self, v: SparseVec) -> Tuple[Dict[int, int], List[Tuple[int, int, int]], int]:
         """The residual of v after elimination as ints over a denominator,
@@ -81,9 +90,14 @@ class Echelon:
         den = lcm(*(x.denominator for _, x in src))
         r = {j: x.numerator * (den // x.denominator) for j, x in src}
         used = []
-        for k, (p, row, d, _, _) in enumerate(self._rows):
+        pivot_row, rows = self._pivot_row, self._rows
+        todo = [pivot_row[j] for j in r if j in pivot_row] if pivot_row else []
+        heapify(todo)
+        while todo:
+            k = heappop(todo)
+            p, row, d, _, _ = rows[k]
             c = r.get(p)
-            if not c:
+            if not c:               # cancelled, or a duplicate of a row done
                 continue
             used.append((k, c, den))
             if d != 1:              # r * (d / g) - (c / g) * row stays on ints
@@ -95,11 +109,18 @@ class Echelon:
                         r[j] *= s
                 c //= g
             for j, x in row.items():
-                y = r.get(j, 0) - c * x
-                if y:
-                    r[j] = y
+                y = r.get(j)
+                if y is None:       # a new entry, maybe at a later row's pivot
+                    r[j] = -c * x
+                    t = pivot_row.get(j)
+                    if t is not None:
+                        heappush(todo, t)
                 else:
-                    del r[j]
+                    y -= c * x
+                    if y:
+                        r[j] = y
+                    else:
+                        del r[j]
         return r, used, den
 
     def _sum(self, used: List[Tuple[int, int, int]]) -> Tuple[Dict[int, int], int]:
@@ -145,6 +166,7 @@ class Echelon:
         expr[idx] = m * den
         e = m * c
         h = gcd(e, *expr.values()) * (1 if e > 0 else -1)
+        self._pivot_row[p] = len(self._rows)
         self._rows.append((p, row, row[p], {t: x // h for t, x in expr.items()}, e // h))
         return None
 

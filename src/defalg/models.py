@@ -14,11 +14,12 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import linalg
-from .algebras import (DgAlgebraMorphism, Homotopy, NilpotentDgAlgebra, SparseVec,
-                       check_homotopy, constant_homotopy, de_rham_truncation)
+from .algebras import (DgAlgebraMorphism, Homotopy, NilpotentDgAlgebra, Row, SparseVec,
+                       _LazyRows, check_homotopy, constant_homotopy, de_rham_truncation)
 from .dgla import Dgla, TensorDgla, mc_defect, tensor_dgla
 from .graded import (Complex, Contraction, GradedMap, GradedSpace, WordBasis,
                      cohomology)
@@ -27,30 +28,13 @@ from .linalg import ONE, ZERO, CertificateError, add_into
 Word = Tuple[int, ...]
 
 
-class _WordRows(dict):
-    """The left index of a truncation's products, word p -> [(q, {p·q: ±1})],
-    each row built on first read (``__missing__``) from the words q short
-    enough to multiply with p; the constants are ±1, so ``den`` is 1.
-    ``rows()`` builds the missing ones in one pass and keeps the list."""
-
-    def __init__(self, basis: WordBasis):
-        super().__init__()
-        self.basis = basis
-        self.complete: Optional[List] = None
-
-    def __missing__(self, p: int) -> List[Tuple[int, Dict[int, int]]]:
-        b = self.basis
-        wp = b.words[p]
-        # the words of length <= order - len(wp) come first; each product
-        # is ±1 times one word
-        row = self[p] = [(q, {res[0]: res[1]}) for q in range(b.offsets[b.order + 1 - len(wp)])
-                         for res in [b.product(wp, b.words[q])] if res is not None]
-        return row
-
-    def rows(self) -> List[List[Tuple[int, Dict[int, int]]]]:
-        if self.complete is None:
-            self.complete = [self[p] for p in range(len(self.basis.words))]
-        return self.complete
+def _word_row(b: WordBasis, p: int) -> Row:
+    """The row of word p in a truncation's left index, [(q, {p·q: ±1})]
+    over the words q short enough to multiply with p: they come first, and
+    each product is ±1 times one word, so ``den`` is 1."""
+    wp = b.words[p]
+    return [(q, {res[0]: res[1]}) for q in range(b.offsets[b.order + 1 - len(wp)])
+            for res in [b.product(wp, b.words[q])] if res is not None]
 
 
 class QuasismoothTrunc:
@@ -152,7 +136,7 @@ class QuasismoothTrunc:
             if self._products is None:
                 b = self.basis
                 self._products = NilpotentDgAlgebra(b.space, (), GradedMap(b.space, b.space, 1))
-                self._products._left = _WordRows(b)
+                self._products._left = _LazyRows(len(b.words), partial(_word_row, b))
             self._algebra = self._products.with_differential(self.differential())
         return self._algebra
 
@@ -162,15 +146,6 @@ class QuasismoothTrunc:
 
 def is_minimal(r: QuasismoothTrunc) -> bool:
     return 1 not in r.components
-
-
-def truncate(r: QuasismoothTrunc, order: int) -> QuasismoothTrunc:
-    """R/R^{order+1}: the words of length at most order come first in R's
-    basis, so the components up to that length keep their columns."""
-    out = QuasismoothTrunc(r.v, order, {}, check=False)
-    return out.with_components({k: GradedMap.from_columns(
-        r.v, out.basis.space, 1, dict(m.nonzero_columns()))
-        for k, m in r.components.items() if k <= order}, check=False)
 
 
 def h_r_tangent(r: QuasismoothTrunc, i: int) -> int:

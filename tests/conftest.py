@@ -4,15 +4,15 @@ import itertools
 import os
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from types import SimpleNamespace
 
 import pytest
 
 from defalg import linalg
 from defalg.algebras import NilpotentDgAlgebra, ValidationReport
-from defalg.dgla import Dgla
-from defalg.graded import Complex, GradedMap, GradedSpace
+from defalg.dgla import Dgla, tensor_dgla
+from defalg.graded import Complex, GradedMap, GradedSpace, solve_homotopy
 from defalg.models import QuasismoothTrunc
 
 F = Fraction
@@ -199,6 +199,25 @@ def heisenberg():
     space = GradedSpace([("x", 0), ("y", 0), ("z", 0)])
     br = {(0, 1): {2: F(1)}, (1, 0): {2: F(-1)}}
     return Dgla(space, br, GradedMap(space, space, 1), nilpotency_class=2)
+
+
+def heisenberg_cochains():
+    """N, the augmentation ideal of CE*(𝔥₃): x, y, z of degree 1 with
+    dz = xy, and their exterior products (dim 7), as a truncation."""
+    v = GradedSpace([("x", 1), ("y", 1), ("z", 1)])
+    shell = QuasismoothTrunc(v, 3, {}, check=False)
+    d2 = GradedMap(v, shell.basis.space, 1)
+    pos, sgn = shell.basis.position((0, 1))
+    d2.set_entry(pos, 2, F(sgn))
+    return shell.with_components({2: d2})
+
+
+def sl2_heisenberg():
+    """L = sl2 ⊗ N for N = ``heisenberg_cochains()``: a non-formal DGLA of
+    dim 21 with H(L) of dims {1: 6, 2: 6, 3: 3}, whose Kuranishi map has
+    no quadratic part on H¹ (Goldman–Millson, Nomizu)."""
+    t = tensor_dgla(sl2(), heisenberg_cochains().algebra())
+    return Dgla(t.space, {(i, j): row for i, j, row in t.constants()}, t.d)
 
 
 def counterexample_algebras():
@@ -1067,6 +1086,38 @@ class FractionEchelon:
         return out
 
 
+class ScanEchelon(linalg.Echelon):
+    """``linalg.Echelon`` with the rows to subtract found by a pass over
+    every stored row, as before the pivot lookup, kept as its oracle: the
+    same rows, in the same order, with the same arithmetic."""
+
+    def _reduce(self, v):
+        src = [(j, x) for j, x in v.items() if x]
+        den = lcm(*(x.denominator for _, x in src))
+        r = {j: x.numerator * (den // x.denominator) for j, x in src}
+        used = []
+        for k, (p, row, d, _, _) in enumerate(self._rows):
+            c = r.get(p)
+            if not c:
+                continue
+            used.append((k, c, den))
+            if d != 1:
+                g = gcd(c, d)
+                if g != d:
+                    s = d // g
+                    den *= s
+                    for j in r:
+                        r[j] *= s
+                c //= g
+            for j, x in row.items():
+                y = r.get(j, 0) - c * x
+                if y:
+                    r[j] = y
+                else:
+                    del r[j]
+        return r, used, den
+
+
 # ---------------------------------------------------------------------------
 # reference linear algebra: dense Gauss-Jordan elimination, kept as the
 # oracle for the echelon engine in ``defalg.linalg``
@@ -1211,6 +1262,25 @@ def dense_de_rham(a, eps):
             put(n, True, v, out, F(-n if a.space.vector_degree(sparse(v)) % 2 else n))
         d.update({(j, i): c for j, c in enumerate(out) if c})
     return [(n, dt, sparse(v)) for n, dt, v in elems], mult, d
+
+
+def chain_homotopic(f, g):
+    """(f ~ g, σ) for dg-algebra morphisms between trivial-multiplication
+    algebras, where homotopy is chain homotopy: f - g = dσ + σd, a linear
+    problem for ``solve_homotopy``."""
+    if not (f.source.has_trivial_mult() and f.target.has_trivial_mult()):
+        raise ValueError("decision requires trivial multiplications")
+    sigma = solve_homotopy(f.source.d, f.target.d, f.map - g.map)
+    return sigma is not None, sigma
+
+
+def truncate(r, order):
+    """R/R^{order+1}: the words of length at most order come first in R's
+    basis, so the components up to that length keep their columns."""
+    out = QuasismoothTrunc(r.v, order, {}, check=False)
+    return out.with_components({k: GradedMap.from_columns(
+        r.v, out.basis.space, 1, dict(m.nonzero_columns()))
+        for k, m in r.components.items() if k <= order}, check=False)
 
 
 def pairs_truncation(n_pairs, n_h, order):

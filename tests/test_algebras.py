@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from defalg import linalg
 from defalg.algebras import (DgAlgebraMorphism, NilpotentDgAlgebra, _ceil_frac,
-                             chain_homotopic, check_homotopy,
+                             check_homotopy,
                              constant_homotopy, de_rham_truncation,
                              factor_into_small_extensions, fiber_product,
                              kernel_extension, mapping_cone, quotient_algebra)
@@ -17,7 +17,7 @@ from defalg.graded import (Complex, GradedMap, GradedSpace, cohomology,
                            is_quasiiso)
 from defalg.dgla import Dgla, tensor_dgla
 from defalg.models import QuasismoothTrunc
-from conftest import (entries, counterexample_algebras, counterexample_extension,
+from conftest import (chain_homotopic, entries, counterexample_algebras, counterexample_extension,
                       dense_de_rham, heisenberg, koszul_truncation, make_rng,
                       pairs_truncation, random_algebra, random_invertible_degree0,
                       random_pair_truncation, reference_kernel_extension, rescaled,
@@ -495,6 +495,26 @@ def test_de_rham_certificate_errors(case):
         de_rham_truncation(a, 1)
 
 
+@pytest.mark.parametrize("eps", [F(1), F(1, 2), F(2, 3), F(3)], ids=str)
+def test_de_rham_t_cap_error_exactly_when_a_product_passes_the_cap(eps):
+    """On the non-associative algebra of ``_de_rham_bad_inputs``, the check
+    at construction, which forms one product of power ideals per t-block,
+    fails exactly when the dense oracle meets a nonzero product of two
+    basis elements past the cap (its block lookup fails)."""
+    a, message = list(_de_rham_bad_inputs())[0]
+    try:
+        dense_de_rham(a, eps)
+        past = False
+    except KeyError:
+        past = True
+    assert past == (eps != 3)
+    if past:
+        with pytest.raises(linalg.CertificateError, match=message):
+            de_rham_truncation(a, eps)
+    else:
+        assert de_rham_truncation(a, eps).algebra.rows()
+
+
 def test_de_rham_element_certificate_errors():
     # on the valid counterexample algebra: a vector of A off A², and a
     # t-power above the cap
@@ -509,8 +529,9 @@ def test_de_rham_element_certificate_errors():
 
 
 def test_de_rham_forms_only_the_nonzero_power_basis_products(monkeypatch):
-    """On the p1h2 truncation, A[t,dt] forms 89 of the 42² products of
-    power-basis vectors: exactly the nonzero ones, each once."""
+    """On the p1h2 truncation, A[t,dt] with every row read forms 89 of the
+    42² products of power-basis vectors: exactly the nonzero ones, each
+    once."""
     import defalg.algebras as algebras
     a = pairs_truncation(1, 2, 3).algebra()
     powers = a.power_ideal_bases()
@@ -523,6 +544,7 @@ def test_de_rham_forms_only_the_nonzero_power_basis_products(monkeypatch):
         return out
     monkeypatch.setattr(algebras, "_products_with", counting)
     dr = de_rham_truncation(a, 1)
+    dr.algebra.rows()
     # the power ideals A^(p+1) that the blocks hold
     used = {0} | {_ceil_frac(n, dr.eps) - 1 for n in range(1, dr.t_cap + 1)}
     vectors = [v for p in used for v in powers[p]]

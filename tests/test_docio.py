@@ -73,6 +73,27 @@ def test_quasismooth_roundtrip():
         == r.differential()
 
 
+def test_quasismooth_names_with_the_word_separator_are_refused(capsys, tmp_path):
+    """A generator named like the Chevalley–Eilenberg letters of L⊗A
+    (``e@x*y^``) would print words that parse back into other letters, so
+    both printing and parsing refuse it: the CLI exits 2 on such a
+    document, naming it.  Names that make two words' names collide keep
+    the error that building the truncation gives them (the golden case
+    ``minimalize-star-names``)."""
+    from conftest import sl2_heisenberg
+    from defalg.cli import main
+    r = dgla_to_linfty(sl2_heisenberg(), 2).ce
+    bad = next(n for n in r.v.names if "*" in n)
+    message = "basis name %r contains '*', which joins the letters of a word" % bad
+    with pytest.raises(DocumentError) as err:
+        docio.document_of_quasismooth(r)
+    assert str(err.value) == message
+    doc = tmp_path / "ce.qs"
+    doc.write_text("kind: quasismooth\nbasis:\n  %s 0\norder: 2\n" % bad)
+    assert main(["minimalize", "--in", str(doc)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
 def test_parse_error_locations():
     cases = [("kind: dgla\nbasis:\n  x q\n", "line 3"),
              ("basis:\n  x 1\n", "kind"),
@@ -279,6 +300,8 @@ QS_HEAD = "kind: quasismooth\nbasis:\n  x 1\n  y 2\n"
     (LINFTY_HEAD + "order: 2\ntaylor:\n  1 | a -> 1 a\n",
      "entry (a <- a) violates degree 1 homogeneity"),
     (QS_HEAD + "d:\n  2 | y -> 1 x*x\n", "quasismooth requires an 'order' field"),
+    (QS_HEAD.replace("y 2", "y*z 2") + "order: 2\n",
+     "basis name 'y*z' contains '*', which joins the letters of a word"),
     (QS_HEAD + "order: 2\nd:\n  2 | y 1 x*x\n",
      "line 7: item must be 'k | generator -> combo'"),
     (QS_HEAD + "order: 2\nd:\n  2 y -> 1 x*x\n",

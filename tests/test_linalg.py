@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from defalg import linalg
-from conftest import (densify, extend_basis, identity, invert, is_zero_vector, make_rng,
+from conftest import (ScanEchelon, densify, extend_basis, identity, invert, is_zero_vector, make_rng,
                       mat_mul, mat_vec, nullspace, rank, rref, solve, sparse, vec_add,
                       vec_scale)
 
@@ -222,3 +222,57 @@ def test_pivot_inverse_gives_the_coordinates_of_the_span(first, data):
         for k, z in col.items():
             got[k] += inside[p] * z / q
     assert got == densify(ech.coords(sparse(inside)), len(vecs))
+
+
+# ---------------------------------------------------------------------------
+# the pivot lookup against a pass over every row
+
+@st.composite
+def sparse_runs(draw):
+    """Sparse vectors on up to 16 columns, all with int entries or all with
+    Fraction ones, among them zero vectors, scaled duplicates and sums of
+    earlier vectors (dependent runs), and a target in their span."""
+    n = draw(st.integers(1, 16))
+    ints = draw(st.booleans())
+    scalar = st.integers(-4, 4) if ints else rationals
+    entry = st.one_of(st.just(0), st.just(0), st.just(0), scalar)
+    out = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "copy", "combo"]))
+        if kind == "fresh" or (kind != "zero" and not out):
+            v = {j: x for j, x in enumerate(draw(st.lists(entry, min_size=n, max_size=n))) if x}
+        elif kind == "zero":
+            v = {}
+        else:
+            parts = draw(st.lists(st.sampled_from(out), min_size=1,
+                                  max_size=1 if kind == "copy" else 4))
+            acc = {}
+            for u in parts:
+                linalg.add_into(acc, u, draw(scalar) or 1)
+            v = {j: int(x) if ints else x for j, x in acc.items()}
+        out.append(v)
+    target = {}
+    for v in out:
+        linalg.add_into(target, v, draw(scalar))
+    return n, out, target
+
+
+@given(sparse_runs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_pivot_lookup_subtracts_the_rows_that_a_scan_does(run, data):
+    """The echelon that finds its rows through the pivot -> row index
+    stores the rows, the independent vectors, the coordinates, the
+    relations and the pivot inverse of the one that scans every row."""
+    n, vecs, target = run
+    ech, scan = linalg.Echelon(), ScanEchelon()
+    assert [ech.add(v) for v in vecs] == [scan.add(v) for v in vecs]
+    assert ech._rows == scan._rows and ech.independent == scan.independent
+    assert ech._pivot_row == {p: k for k, (p, *_) in enumerate(scan._rows)}
+    anywhere = {j: x for j, x in enumerate(data.draw(
+        st.lists(st.one_of(st.just(F(0)), rationals), min_size=n, max_size=n))) if x}
+    for v in (target, anywhere, {}):
+        assert ech._reduce(v) == scan._reduce(v)
+        assert ech.coords(v) == scan.coords(v)
+    assert ech.coords(target) is not None
+    assert ech.relations_of(vecs) == scan.relations_of(vecs)
+    assert ech.pivot_inverse() == scan.pivot_inverse()

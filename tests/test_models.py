@@ -6,16 +6,18 @@ from fractions import Fraction
 import pytest
 
 from defalg import docio, linalg
-from defalg.algebras import DgAlgebraMorphism, NilpotentDgAlgebra, check_homotopy
+from defalg.algebras import (DgAlgebraMorphism, NilpotentDgAlgebra, check_homotopy,
+                             de_rham_truncation)
 from defalg.dgla import Dgla, def_tangent
+from defalg.linfty import dgla_to_linfty
 from defalg.graded import Complex, GradedMap, GradedSpace, cohomology
 from defalg.models import (QuasismoothTrunc, h_r_tangent, is_minimal,
                            is_smooth_minimal, kuranishi_prorepresent,
-                           minimalize, morphism_from_generators, morphism_lift,
-                           truncate)
+                           minimalize, morphism_from_generators, morphism_lift)
 from defalg.obstruction import cohomology_bracket
 from conftest import (entries, koszul_truncation, make_rng, pairs_truncation,
-                      reference_differential, reference_truncation_rows, sl2, sl2_odd)
+                      reference_differential, reference_truncation_rows, sl2, sl2_heisenberg,
+                      sl2_odd, truncate)
 
 F = Fraction
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "docs" / "fixtures"
@@ -121,6 +123,43 @@ def test_minimalize_builds_one_de_rham_algebra(monkeypatch):
     mm = minimalize(non_minimal_trunc())
     assert len(built) == 1
     assert mm.homotopy.derham.base is mm.r.algebra()
+
+
+def test_minimalize_reads_only_the_rows_of_its_homotopy():
+    """On the p1h2 truncation, minimalize's check of the homotopy builds 37
+    of the 103 product rows of A[t,dt]_1, and they are the rows that a
+    walk over every row builds."""
+    mm = minimalize(pairs_truncation(1, 2, 3))
+    dr = mm.homotopy.derham
+    read = dict(dr.algebra._left)
+    assert (len(read), dr.algebra.dim) == (37, 103)
+    full = de_rham_truncation(dr.base, 1).algebra
+    rows = full.rows()
+    assert full.den == dr.algebra.den
+    assert all(rows[i] == row for i, row in read.items())
+
+
+def test_minimalize_on_the_ce_truncation_of_sl2_heisenberg():
+    """Item 14's non-formal L = sl2 ⊗ N: the minimal model of its order-3
+    Chevalley–Eilenberg truncation (1,825 words) has one generator per
+    class of H(L), of degree 1 - deg; d₂ has its 12 entries on the three
+    generators dual to H³, and the six dual to H² have d₂ = 0 and a cubic
+    d₃ with 22 entries (no quadratic part on H¹, as for the Heisenberg
+    group)."""
+    l = sl2_heisenberg()
+    coh = cohomology(l.complex())
+    assert l.validate().ok and {k: coh.dim(k) for k in (0, 1, 2, 3, 4)} == \
+        {0: 0, 1: 6, 2: 6, 3: 3, 4: 0}
+    r = dgla_to_linfty(l, 3).ce
+    assert len(r.basis.words) == 1825
+    s = minimalize(r).s
+    assert is_minimal(s) and sorted(s.v.degrees) == [-2] * 3 + [-1] * 6 + [0] * 6
+    support = {k: {j: len(col) for j, col in m.nonzero_columns()}
+               for k, m in s.components.items()}
+    assert set(support) == {2, 3}
+    assert {s.v.degrees[j] for j in support[2]} == {-2} and len(support[2]) == 3
+    assert {s.v.degrees[j] for j in support[3]} == {-1} and len(support[3]) == 6
+    assert sum(support[2].values()) == 12 and sum(support[3].values()) == 22
 
 
 def _pairs_fixture():
