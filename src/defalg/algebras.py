@@ -1113,19 +1113,11 @@ class Homotopy:
     derham: DeRhamAlgebra
     h: GradedMap       # source.space -> derham.algebra.space
 
-    @property
-    def epsilon(self) -> Fraction:
-        return self.derham.eps
-
     def as_morphism(self) -> DgAlgebraMorphism:
         return DgAlgebraMorphism(self.source, self.derham.algebra, self.h)
 
     def endpoint(self, s) -> GradedMap:
         return self.derham.evaluate(s).map.compose(self.h)
-
-    def reversed(self) -> "Homotopy":
-        return Homotopy(self.source, self.target, self.derham,
-                        self.derham.reverse().map.compose(self.h))
 
 
 def check_homotopy(h: Homotopy, f: DgAlgebraMorphism, g: DgAlgebraMorphism) -> bool:

@@ -43,12 +43,12 @@ class QuasismoothTrunc:
     ``basis`` holds the words of ⊕_{1≤k≤n} ⊙^k V; ``components[k]`` is the
     degree +1 map d_k: V → ⊙^k V, a map from V to ``basis.space`` with its
     entries on the words of length k, and the induced derivation on the
-    words squares to zero (checked).  The products depend on (V, n) alone, and
-    the algebra's row of a word p is built when it is first read: the
-    brackets of L⊗R read only the rows of ξ's support, while the checks
-    that walk every row build the rest in one pass.  A truncation made by
-    ``with_components`` shares the word basis and the rows built so far
-    with the one it was made from.
+    words squares to zero (checked on the letters).  The products depend
+    on (V, n) alone, and the algebra's row of a word p is built when it is
+    first read: the brackets of L⊗R read only the rows of ξ's support,
+    while the checks that walk every row build the rest in one pass.  A
+    truncation made by ``with_components`` shares the word basis and the
+    rows built so far with the one it was made from.
     """
 
     def __init__(self, v: GradedSpace, order: int,
@@ -80,49 +80,54 @@ class QuasismoothTrunc:
                 self.components[k] = m
         self._algebra: Optional[NilpotentDgAlgebra] = None
         self._differential: Optional[GradedMap] = None
-        if check:
-            d = self.differential()
-            if not d.compose(d).is_zero():
-                raise ValueError("derivation does not square to zero on the truncation")
+        if check and self.square_on_letters():
+            raise ValueError("derivation does not square to zero on the truncation")
 
     def differential(self) -> GradedMap:
         """The derivation extension of the components to the words, built
-        once per truncation and shared: no caller may change it."""
+        once per truncation and shared: no caller may change it.
+
+        A letter's column is its image under the components.  Words come
+        shortest first, so a longer word p·ℓ, ℓ its last letter, finds the
+        column of its prefix p built and takes
+        d(p·ℓ) = d(p)·ℓ + (−1)^{|p|} p·d(ℓ).  Each column lists its words
+        in increasing position."""
         if self._differential is not None:
             return self._differential
-        b = self.basis
-        odd = [deg % 2 for deg in self.v.degrees]
-        # images[letter]: the words u of d(letter), with the parities of
-        # their degrees and their coefficients
-        images: List[List[Tuple[Word, int, Fraction]]] = [[] for _ in range(self.v.dim)]
-        for m in self.components.values():
-            for letter, col in m.nonzero_columns():
-                images[letter].extend((b.words[u], b.space.degrees[u] % 2, c)
-                                      for u, c in sorted(col.items()))
+        b, n = self.basis, self.order
+        words = b.words
         cols: Dict[int, SparseVec] = {}
-        for pos, word in enumerate(b.words):
-            # word[:t] + u + word[t+1:] is (the word without letter t)·u
-            # times the Koszul sign of moving u past the suffix word[t+1:]
+        for letter in range(self.v.dim):
+            col = {u: c for k in sorted(self.components)
+                   for u, c in sorted(self.components[k].column(letter).items())}
+            if col:
+                cols[letter] = col
+        # a word's column is built from its letters': none when they have none
+        for pos in range(self.v.dim, len(words) if cols else 0):
+            p, last = words[pos][:-1], words[pos][-1]
+            ppos = b.position(p)[0]
             acc: Dict[int, Fraction] = {}
-            prefix_sign = 1
-            for t, letter in enumerate(word):
-                if images[letter]:
-                    rest = word[:t] + word[t + 1:]
-                    # the suffix's parity: the word's, less the prefix's and letter t's
-                    suffix_odd = b.space.degrees[pos] % 2 ^ (prefix_sign < 0) ^ odd[letter]
-                    for u, u_odd, c in images[letter]:
-                        res = b.product(rest, u) if len(rest) + len(u) <= self.order else None
-                        if res is not None:
-                            npos, sgn = res
-                            if u_odd and suffix_odd:
-                                sgn = -sgn
-                            acc[npos] = acc.get(npos, ZERO) + Fraction(prefix_sign * sgn) * c
-                if odd[letter]:
-                    prefix_sign = -prefix_sign
-            if acc:
-                cols[pos] = {npos: c for npos, c in acc.items() if c}
+            for u, c in cols.get(ppos, {}).items():
+                res = b.product(words[u], (last,)) if len(words[u]) < n else None
+                if res is not None:
+                    acc[res[0]] = acc.get(res[0], ZERO) + (c if res[1] > 0 else -c)
+            sign = -1 if b.space.degrees[ppos] % 2 else 1
+            for u, c in cols.get(last, {}).items():
+                res = b.product(p, words[u]) if len(p) + len(words[u]) <= n else None
+                if res is not None:
+                    acc[res[0]] = acc.get(res[0], ZERO) + (c if res[1] == sign else -c)
+            col = {u: acc[u] for u in sorted(acc) if acc[u]}
+            if col:
+                cols[pos] = col
         self._differential = GradedMap.from_columns(b.space, b.space, 1, cols)
         return self._differential
+
+    def square_on_letters(self) -> Dict[int, SparseVec]:
+        """d(d x_t) for each letter x_t where it is nonzero.  d is odd, so
+        d² = ½[d, d] is a derivation of the truncation: it vanishes on the
+        words exactly when this is empty."""
+        d = self.differential()
+        return {t: dd for t in range(self.v.dim) for dd in [d.apply(d.column(t))] if dd}
 
     def linear_part(self) -> GradedMap:
         """d₁ read as the map V → V: the first dim V words are the
@@ -509,8 +514,7 @@ def kuranishi_prorepresent(l: Dgla, contraction: Optional[Contraction] = None,
         if any(key % na in span for key in hvec):
             raise CertificateError("the Maurer-Cartan defect does not vanish "
                                    "at order %d" % k)
-    d = r.algebra().d
-    if not d.compose(d).is_zero():
+    if r.square_on_letters():
         raise CertificateError("the derivation does not square to zero on the truncation")
     if not is_minimal(r):
         raise CertificateError("the prorepresenting truncation is not minimal")

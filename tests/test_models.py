@@ -15,7 +15,7 @@ from defalg.models import (QuasismoothTrunc, h_r_tangent, is_minimal,
                            is_smooth_minimal, kuranishi_prorepresent,
                            minimalize, morphism_from_generators, morphism_lift)
 from defalg.obstruction import cohomology_bracket
-from conftest import (entries, koszul_truncation, make_rng, pairs_truncation,
+from conftest import (entries, koszul_truncation, make_rng, pairs_truncation, random_dgla,
                       reference_differential, reference_truncation_rows, sl2, sl2_heisenberg,
                       sl2_odd, truncate)
 
@@ -35,29 +35,83 @@ def non_minimal_trunc(order=3):
     return shell.with_components({1: d1, 2: d2})
 
 
+def random_truncation(rng, density):
+    """A truncation on 1-4 letters of degrees -1..2 and of order 1-4, with
+    components of every length: each admissible entry is present with
+    probability ``density``, and d² = 0 is not imposed."""
+    v = GradedSpace([("x%d" % i, rng.choice([-1, 0, 1, 2])) for i in range(rng.randint(1, 4))])
+    shell = QuasismoothTrunc(v, rng.randint(1, 4), {}, check=False)
+    b = shell.basis
+    comps = {}
+    for k in range(1, shell.order + 1):
+        comps[k] = GradedMap(v, b.space, 1, {
+            (j, i): F(rng.randint(-2, 2), rng.randint(1, 3))
+            for i in range(v.dim) for j in b.of_length(k)
+            if b.space.degrees[j] == v.degrees[i] + 1 and rng.random() < density})
+    return shell.with_components(comps, check=False)
+
+
+def perturbed_bracket(rng, l):
+    """l with one bracket constant [e_i, e_j] moved, and [e_j, e_i] with it
+    by graded antisymmetry, so that Jacobi may fail."""
+    deg = l.space.degrees
+    slots = [(i, j, t) for i in range(l.dim) for j in range(i, l.dim) for t in range(l.dim)
+             if deg[t] == deg[i] + deg[j] and (i < j or deg[i] % 2)]
+    if not slots:
+        return l
+    i, j, t = rng.choice(slots)
+    table = {(a, b): dict(row) for a, b, row in l.constants()}
+    c = rng.choice([-1, 1, F(1, 2)])
+    for a, b, x in {(i, j, c), (j, i, -c if deg[i] * deg[j] % 2 == 0 else c)}:
+        row = table.setdefault((a, b), {})
+        row[t] = row.get(t, F(0)) + x
+        if not row[t]:
+            del row[t]
+    return Dgla(l.space, {ab: row for ab, row in table.items() if row}, l.d)
+
+
+def test_square_on_letters_is_the_letter_columns_of_d_squared():
+    """d² is a derivation, so its letter columns decide whether it vanishes:
+    square_on_letters() has the nonzero letter columns of d∘d, and it is
+    empty exactly when d∘d vanishes on every word."""
+    rng = make_rng(6)
+    truncs = [random_truncation(rng, 1.0) for _ in range(150)]
+    # Jacobi's defect has arity 3, so the CE truncations have order 3 or 4
+    truncs += [dgla_to_linfty(perturbed_bracket(rng, random_dgla(rng, max_dim=4)),
+                              rng.randint(3, 4)).ce for _ in range(30)]
+    failing = []
+    for r in truncs:
+        d = r.differential()
+        dd = d.compose(d)
+        got = r.square_on_letters()
+        assert got == {t: dd.column(t) for t in range(r.v.dim) if dd.column(t)}
+        assert (not got) == dd.is_zero()
+        if got:
+            failing.append(r)
+            with pytest.raises(ValueError, match="does not square to zero"):
+                r.with_components(r.components)
+        else:
+            r.with_components(r.components)
+    assert len(failing) >= 40 and len(truncs) - len(failing) >= 40
+    assert sum(r in truncs[150:] for r in failing) >= 10
+
+
 def test_differential_matches_the_sorted_spliced_words():
-    # differential() multiplies the word without letter t by d(letter t)
-    # and moves the product past the suffix; the reference sorts the
-    # spliced word through WordBasis.position
+    # differential() takes d(p·ℓ) = d(p)·ℓ ± p·d(ℓ) from its prefix's
+    # column; the reference splices d(letter t) into the word at t and sorts
+    # the spliced word through WordBasis.position.  sl2 ⊗ N's hull is not
+    # formal: it has d₂ and a cubic d₃
     rng = make_rng(5)
     truncs = [non_minimal_trunc(4), pairs_truncation(2, 1, 4), koszul_truncation(2, 3),
-              kuranishi_prorepresent(sl2_odd(), order=6)[0], kuranishi_prorepresent(sl2(), order=4)[0]]
-    for _ in range(30):
-        v = GradedSpace([("x%d" % i, rng.choice([-1, 0, 1, 2])) for i in range(rng.randint(1, 4))])
-        shell = QuasismoothTrunc(v, rng.randint(1, 4), {}, check=False)
-        b = shell.basis
-        comps = {}
-        for k in range(1, shell.order + 1):
-            comps[k] = GradedMap(v, b.space, 1, {
-                (j, i): F(rng.randint(-2, 2), rng.randint(1, 3))
-                for i in range(v.dim) for j in b.of_length(k)
-                if b.space.degrees[j] == v.degrees[i] + 1 and rng.random() < 0.5})
-        truncs.append(shell.with_components(comps, check=False))
+              kuranishi_prorepresent(sl2_odd(), order=6)[0], kuranishi_prorepresent(sl2(), order=4)[0],
+              kuranishi_prorepresent(sl2_heisenberg(), order=4)[0]]
+    truncs += [random_truncation(rng, 0.5) for _ in range(30)]
     nonzero = 0
     for r in truncs:
         got, want = r.differential(), reference_differential(r)
         assert got == want
-        assert [list(col) for col in got.columns()] == [list(col) for col in want.columns()]
+        # each column lists its words in increasing position
+        assert all(list(col) == sorted(col) for col in got.columns())
         nonzero += not got.is_zero()
     assert nonzero > 20
 
