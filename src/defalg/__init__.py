@@ -6,8 +6,4 @@ obstruction calculus, tangent brackets, and minimal / prorepresenting
 models — all in exact rational arithmetic.
 """
 
-from .graded import (GradedSpace, GradedMap, Complex, Contraction,
-                     ShortExactSequence, koszul_sign, unshuffles, shift,
-                     cohomology, is_quasiiso, connecting_hom)
-
 __version__ = "0.1.0"

@@ -52,13 +52,6 @@ class _LazyRows(dict):
         return self.complete
 
 
-def _numerators(v: Dict) -> Tuple[Dict, int]:
-    """The nonzero entries of v as Python-int numerators over the lcm of
-    their denominators, and that lcm."""
-    den = lcm(*(c.denominator for c in v.values() if c))
-    return {k: c.numerator * (den // c.denominator) for k, c in v.items() if c}, den
-
-
 def _int_columns(m: GradedMap) -> Tuple[List[Dict[int, int]], int]:
     """The columns of m on Python-int numerators over the lcm of the
     denominators of its entries, and that lcm."""
@@ -91,8 +84,8 @@ def _structure_constants(space: GradedSpace, table: Union[Dict[Pair, SparseVec],
         if _INT_ONLY.issuperset(map(type, row.values())):
             nums, den = {k: c for k, c in row.items() if c}, 1
         else:
-            nums, den = _numerators({k: c if isinstance(c, (int, Fraction)) else linalg.frac(c)
-                                     for k, c in row.items()})
+            nums, den = linalg.numerators({k: c if isinstance(c, (int, Fraction))
+                                           else linalg.frac(c) for k, c in row.items()})
         if not nums:
             continue
         deg = degrees[i] + degrees[j]
@@ -113,26 +106,13 @@ def _structure_constants(space: GradedSpace, table: Union[Dict[Pair, SparseVec],
 
 def _bilinear(s: "BilinearStructure", u: SparseVec, v: SparseVec,
               den: int = 1) -> SparseVec:
-    """(Σ u_i v_j e_i e_j)/den, walking only the support of u through the
-    integer left index, over one denominator: den, s.den and the lcms of
-    the denominators of u's entries and of the entries of v the walk reads
-    (only those are converted)."""
-    left = s._left
-    nv, dv = _numerators({j: v[j] for i in u for j, _ in left[i] if j in v})
-    if not nv:
-        return {}
-    du = lcm(*(c.denominator for c in u.values()))
-    out: Dict[int, int] = {}
-    for i, c in u.items():
-        m = c.numerator * (du // c.denominator)
-        for j, row in left[i]:
-            cv = nv.get(j)
-            if cv:
-                cm = m * cv
-                for k, ck in row.items():
-                    out[k] = out.get(k, 0) + cm * ck
+    """(Σ u_i v_j e_i e_j)/den: u and v on Python-int numerators, walked
+    by ``_int_product`` through the integer left index, over one
+    denominator (den, s.den and the lcms of u's and v's denominators)."""
+    nu, du = linalg.numerators(u)
+    nv, dv = linalg.numerators(v)
     total = du * dv * s.den * den
-    return {k: Fraction(n, total) for k, n in out.items() if n}
+    return {k: Fraction(n, total) for k, n in s._int_product(nu, nv).items() if n}
 
 
 def _right_index(left: LeftIndex) -> LeftIndex:
@@ -1012,7 +992,7 @@ class DeRhamAlgebra:
             off, pb = self._block_pos[(n, is_dt)]
             for k, v in enumerate(powers[p]):
                 if (p, k) not in dvs:
-                    dv, dd = _numerators(a.d.apply(v))
+                    dv, dd = linalg.numerators(a.d.apply(v))
                     dvs[(p, k)] = [(t, Fraction(x, pb.q * dd)) for t, x in pb.coords(dv).items()]
                 col = {off + t: x for t, x in dvs[(p, k)]}
                 if not is_dt and n > 0:
@@ -1062,14 +1042,14 @@ class DeRhamAlgebra:
             GradedMap(a.space, space, 0, {(i, i): ONE for i in range(a.dim)}),
             check=False)
 
-    def element(self, n: int, is_dt: bool, vec: SparseVec, coef: Fraction = ONE) -> SparseVec:
-        """coef·(vec ⊗ tⁿ), or coef·(vec ⊗ tⁿ⁻¹dt), in this algebra's basis,
-        for a vector of A in the block's power ideal."""
+    def element(self, n: int, is_dt: bool, vec: SparseVec) -> SparseVec:
+        """vec ⊗ tⁿ, or vec ⊗ tⁿ⁻¹dt, in this algebra's basis, for a
+        vector of A in the block's power ideal."""
         if (n, is_dt) not in self._block_pos:
             raise CertificateError("nonzero coefficient beyond the exact t-cap")
         off, pb = self._block_pos[(n, is_dt)]
-        nums, den = _numerators(vec)
-        return {off + k: coef * Fraction(x, pb.q * den) for k, x in pb.coords(nums).items()}
+        nums, den = linalg.numerators(vec)
+        return {off + k: Fraction(x, pb.q * den) for k, x in pb.coords(nums).items()}
 
     def evaluate(self, s) -> DgAlgebraMorphism:
         """Evaluation morphism e_s: t ↦ s, dt ↦ 0, read off each block
@@ -1082,23 +1062,6 @@ class DeRhamAlgebra:
                 cols[off + k] = {j: c * Fraction(x, pb.den) for j, x in v.items()}
         m = GradedMap.from_columns(self.algebra.space, self.base.space, 0, cols)
         return DgAlgebraMorphism(self.algebra, self.base, m, check=False)
-
-    def reverse(self) -> DgAlgebraMorphism:
-        """The reparametrization t ↦ 1 - t, dt ↦ -dt (an automorphism)."""
-        from math import comb
-        space = self.algebra.space
-        cols: List[SparseVec] = []
-        for n, is_dt, v in self._elems:
-            # t^n -> (1-t)^n; t^(n-1)dt -> -(1-t)^(n-1)dt, whose t^k dt term
-            # lies in block (k+1, dt), so the terms never share an entry
-            top, sgn = (n - 1, -1) if is_dt else (n, 1)
-            col: SparseVec = {}
-            for k in range(top + 1):
-                coef = Fraction(sgn * comb(top, k) * (-1) ** k)
-                col.update(self.element(k + is_dt, is_dt, v, coef))
-            cols.append(col)
-        m = GradedMap.from_columns(space, space, 0, cols)
-        return DgAlgebraMorphism(self.algebra, self.algebra, m, check=False)
 
 
 def de_rham_truncation(a: NilpotentDgAlgebra, epsilon) -> DeRhamAlgebra:
@@ -1129,7 +1092,7 @@ def check_homotopy(h: Homotopy, f: DgAlgebraMorphism, g: DgAlgebraMorphism) -> b
     return h.endpoint(0) == f.map and h.endpoint(1) == g.map
 
 
-def constant_homotopy(f: DgAlgebraMorphism, eps=1) -> Homotopy:
-    dr = de_rham_truncation(f.target, eps)
+def constant_homotopy(f: DgAlgebraMorphism) -> Homotopy:
+    dr = de_rham_truncation(f.target, 1)
     return Homotopy(f.source, f.target, dr, dr.include.map.compose(f.map))
 

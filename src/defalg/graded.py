@@ -4,7 +4,7 @@ Graded vector spaces with a finite homogeneous basis, degree-shifting linear
 maps, Koszul signs, unshuffles, shifts, the word basis of a truncated
 graded-symmetric algebra ⊕_{k≤n} ⊙^k V (one position per word, for every
 length), complexes and their cohomology with an explicit contraction
-(homotopy) datum, quasi-isomorphism tests and connecting homomorphisms.
+(homotopy) datum, and quasi-isomorphism tests.
 
 Grading convention: a single cohomological integer degree; the differential
 always has degree +1; the shift V[n] puts a degree-k element in degree k-n
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
@@ -27,9 +26,9 @@ from . import linalg
 from .linalg import ONE, ZERO, SparseVec, add_into
 
 __all__ = [
-    "GradedSpace", "GradedMap", "Complex", "Splitting", "Contraction", "ShortExactSequence",
-    "koszul_sign", "unshuffles", "shift", "WordBasis", "MAX_WORDS", "word_count", "cohomology",
-    "solve_homotopy", "is_quasiiso", "connecting_hom",
+    "GradedSpace", "GradedMap", "Complex", "Splitting", "Contraction", "koszul_sign",
+    "unshuffles", "shift", "WordBasis", "MAX_WORDS", "word_count", "cohomology",
+    "solve_homotopy", "is_quasiiso",
 ]
 
 
@@ -420,9 +419,14 @@ def _words_of_length(odd: Sequence[int], k: int) -> List[Tuple[int, ...]]:
     """The canonical monomials of length k on letters of the parities
     ``odd``: the sorted letter tuples that repeat no odd letter (a sorted
     tuple is zero iff it does), in ``combinations_with_replacement``
-    order."""
-    return [t for t in itertools.combinations_with_replacement(range(len(odd)), k)
-            if not any(a == b and odd[a] for a, b in zip(t, t[1:]))]
+    order.  They are formed one letter at a time, each letter at least the
+    one before it and greater when that one is odd, so no word that would
+    be dropped is formed."""
+    n = len(odd)
+    words: List[Tuple[int, ...]] = [()]
+    for _ in range(k):
+        words = [w + (a,) for w in words for a in range(w[-1] + odd[w[-1]] if w else 0, n)]
+    return words
 
 
 class WordBasis:
@@ -725,53 +729,3 @@ def is_quasiiso(f: GradedMap, source: Complex, target: Complex) -> bool:
     induced = ht.project.compose(f).compose(hs.include)
     return induced.rank() == hs.total_dim()
 
-
-@dataclass
-class ShortExactSequence:
-    """0 -> sub -> total -> quotient -> 0 of complexes, degreewise exact."""
-    sub: Complex
-    total: Complex
-    quotient: Complex
-    include: GradedMap   # sub -> total, degree 0 chain map
-    project: GradedMap   # total -> quotient, degree 0 chain map
-
-    def validate(self) -> List[str]:
-        errs = []
-        if not is_chain_map(self.include, self.sub, self.total):
-            errs.append("inclusion is not a chain map")
-        if not is_chain_map(self.project, self.total, self.quotient):
-            errs.append("projection is not a chain map")
-        if self.include.rank() != self.sub.space.dim:
-            errs.append("inclusion is not injective")
-        if self.project.rank() != self.quotient.space.dim:
-            errs.append("projection is not surjective")
-        if not self.project.compose(self.include).is_zero():
-            errs.append("projection ∘ inclusion != 0")
-        # exactness in the middle: rank-nullity
-        if self.total.space.dim != self.sub.space.dim + self.quotient.space.dim:
-            errs.append("dimensions do not add up (not exact in the middle)")
-        return errs
-
-
-def connecting_hom(ses: ShortExactSequence) -> GradedMap:
-    """Snake-lemma connecting map H(quotient) -> H(sub) of degree +1."""
-    errs = ses.validate()
-    if errs:
-        raise ValueError("not a short exact sequence: " + "; ".join(errs))
-    hq = cohomology(ses.quotient)
-    hs = cohomology(ses.sub)
-    out: Dict[int, SparseVec] = {}
-    pech = linalg.echelon(ses.project.columns())
-    iech = linalg.echelon(ses.include.columns())
-    for c in range(hq.harmonic_space.dim):
-        y = pech.coords(hq.representative(c))
-        if y is None:
-            raise linalg.CertificateError("projection not surjective on the representative")
-        z = iech.coords(ses.total.d.apply(y))
-        if z is None:
-            raise linalg.CertificateError("d(lift) is not in the image of the inclusion")
-        cls = hs.class_of(z)
-        if cls is None:
-            raise linalg.CertificateError("snake output is not a cocycle")
-        out[c] = cls
-    return GradedMap.from_columns(hq.harmonic_space, hs.harmonic_space, 1, out)

@@ -42,6 +42,13 @@ def frac(x) -> Fraction:
     return Fraction(x)
 
 
+def numerators(v: SparseVec) -> Tuple[Dict[int, int], int]:
+    """The nonzero entries of v as Python-int numerators over the lcm of
+    their denominators, and that lcm."""
+    den = lcm(*(c.denominator for c in v.values() if c))
+    return {k: c.numerator * (den // c.denominator) for k, c in v.items() if c}, den
+
+
 def add_into(acc: SparseVec, v: SparseVec, c: Fraction = ONE) -> SparseVec:
     """acc += c·v in place, dropping the entries that cancel; returns acc."""
     for k, x in v.items():
@@ -86,9 +93,7 @@ class Echelon:
         """The residual of v after elimination as ints over a denominator,
         the (row, c, D) triples subtracted and that denominator:
         v = residual / den + sum of c / D * row."""
-        src = [(j, x) for j, x in v.items() if x]
-        den = lcm(*(x.denominator for _, x in src))
-        r = {j: x.numerator * (den // x.denominator) for j, x in src}
+        r, den = numerators(v)
         used = []
         pivot_row, rows = self._pivot_row, self._rows
         todo = [pivot_row[j] for j in r if j in pivot_row] if pivot_row else []

@@ -21,8 +21,7 @@ from . import linalg
 from .algebras import (DgAlgebraMorphism, Homotopy, NilpotentDgAlgebra, Row, SparseVec,
                        _LazyRows, check_homotopy, constant_homotopy, de_rham_truncation)
 from .dgla import Dgla, TensorDgla, mc_defect, tensor_dgla
-from .graded import (Complex, Contraction, GradedMap, GradedSpace, WordBasis,
-                     cohomology)
+from .graded import Complex, GradedMap, GradedSpace, WordBasis, cohomology
 from .linalg import ONE, ZERO, CertificateError, add_into
 
 Word = Tuple[int, ...]
@@ -459,8 +458,7 @@ class VersalElement:
         return mc_defect(self.tensor, self.xi)
 
 
-def kuranishi_prorepresent(l: Dgla, contraction: Optional[Contraction] = None,
-                           order: int = 3) -> Tuple[QuasismoothTrunc, VersalElement]:
+def kuranishi_prorepresent(l: Dgla, order: int = 3) -> Tuple[QuasismoothTrunc, VersalElement]:
     """A minimal prorepresenting truncation for the deformation functor of L.
 
     Generators are dual to the tangent classes: one v_c of degree
@@ -471,8 +469,7 @@ def kuranishi_prorepresent(l: Dgla, contraction: Optional[Contraction] = None,
     into ξ through the homotopy σ.  The result has d₁ = 0, d² = 0 on the
     truncation, and MC defect zero modulo order + 1.
     """
-    if contraction is None:
-        contraction = cohomology(l.complex())
+    contraction = cohomology(l.complex())
     h = contraction.harmonic_space
     reps = [contraction.representative(c) for c in range(h.dim)]
     v = GradedSpace([("x_" + h.names[c].replace("^", ""), 1 - h.degrees[c])

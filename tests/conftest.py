@@ -3,6 +3,7 @@
 import itertools
 import os
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from types import SimpleNamespace
@@ -12,7 +13,8 @@ import pytest
 from defalg import linalg
 from defalg.algebras import NilpotentDgAlgebra, ValidationReport
 from defalg.dgla import Dgla, tensor_dgla
-from defalg.graded import Complex, GradedMap, GradedSpace, solve_homotopy
+from defalg.graded import (Complex, GradedMap, GradedSpace, cohomology, is_chain_map,
+                           solve_homotopy)
 from defalg.models import QuasismoothTrunc
 
 F = Fraction
@@ -1272,6 +1274,56 @@ def chain_homotopic(f, g):
         raise ValueError("decision requires trivial multiplications")
     sigma = solve_homotopy(f.source.d, f.target.d, f.map - g.map)
     return sigma is not None, sigma
+
+
+# ---------------------------------------------------------------------------
+# the snake-lemma connecting homomorphism of a short exact sequence of
+# complexes, kept as the oracle for the obstruction map of an abelian DGLA
+
+@dataclass
+class ShortExactSequence:
+    """0 -> sub -> total -> quotient -> 0 of complexes, degreewise exact."""
+    sub: Complex
+    total: Complex
+    quotient: Complex
+    include: GradedMap   # sub -> total, degree 0 chain map
+    project: GradedMap   # total -> quotient, degree 0 chain map
+
+    def validate(self):
+        errs = []
+        if not is_chain_map(self.include, self.sub, self.total):
+            errs.append("inclusion is not a chain map")
+        if not is_chain_map(self.project, self.total, self.quotient):
+            errs.append("projection is not a chain map")
+        if self.include.rank() != self.sub.space.dim:
+            errs.append("inclusion is not injective")
+        if self.project.rank() != self.quotient.space.dim:
+            errs.append("projection is not surjective")
+        if not self.project.compose(self.include).is_zero():
+            errs.append("projection ∘ inclusion != 0")
+        # exactness in the middle: rank-nullity
+        if self.total.space.dim != self.sub.space.dim + self.quotient.space.dim:
+            errs.append("dimensions do not add up (not exact in the middle)")
+        return errs
+
+
+def connecting_hom(ses):
+    """Snake-lemma connecting map H(quotient) -> H(sub) of degree +1."""
+    assert not ses.validate()
+    hq = cohomology(ses.quotient)
+    hs = cohomology(ses.sub)
+    out = {}
+    pech = linalg.echelon(ses.project.columns())
+    iech = linalg.echelon(ses.include.columns())
+    for c in range(hq.harmonic_space.dim):
+        y = pech.coords(hq.representative(c))
+        assert y is not None, "projection not surjective on the representative"
+        z = iech.coords(ses.total.d.apply(y))
+        assert z is not None, "d(lift) is not in the image of the inclusion"
+        cls = hs.class_of(z)
+        assert cls is not None, "snake output is not a cocycle"
+        out[c] = cls
+    return GradedMap.from_columns(hq.harmonic_space, hs.harmonic_space, 1, out)
 
 
 def truncate(r, order):

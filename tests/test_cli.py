@@ -597,6 +597,42 @@ def test_src_reads_every_name_it_imports():
         assert not imported - read, (path.name, sorted(imported - read))
 
 
+# public names that neither src/ nor an acceptance criterion reads, each
+# kept for the roadmap item that names it
+KEEP = {
+    "fiber_product": "item 4: the Schlessinger-type conditions",
+    "derivations_dgla": "item 14: End(C) with [d, -] is Der of the trivial algebra on C",
+    **dict.fromkeys(["document_of_complex", "document_of_dgla", "document_of_small_extension"],
+                    "the writers behind the parse-print round trip that docs/format.md "
+                    "promises, which item 8's fuzz test reads"),
+    **dict.fromkeys(["coderivation_from_taylor", "check_coderivation",
+                     "coalgebra_morphism_from_linear", "check_coalgebra_morphism",
+                     "dual_coalgebra"], "item 5 keeps the coalgebra checkers and the dual"),
+    "prop_cone": "item 17: the paper's obstruction theory",
+}
+
+
+def test_every_public_name_in_src_has_a_reader():
+    # a module-level def or class is read (an ast.Name or ast.Attribute of
+    # its name) by src/ outside its own definition, or by an acceptance
+    # criterion, or it is kept for a named roadmap item
+    root = pathlib.Path(__file__).resolve().parent.parent
+    paths = [p for p in sorted((root / "src" / "defalg").glob("*.py")) if p.name != "__init__.py"]
+
+    def read(node):
+        return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))}
+    statements = [(stmt, read(stmt)) for path in paths
+                  for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+    acceptance = read(ast.parse((root / "tests" / "test_acceptance.py").read_text(encoding="utf-8")))
+    unread = sorted(stmt.name for stmt, _ in statements
+                    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and not stmt.name.startswith("_") and stmt.name not in acceptance
+                    and not any(stmt.name in names for other, names in statements
+                                if other is not stmt))
+    assert unread == sorted(KEEP), sorted(set(unread) ^ set(KEEP))
+
+
 @pytest.mark.parametrize("order", [3, 5])
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
 def test_prorepresent_exit_two_on_invalid_dgla(order, flags):

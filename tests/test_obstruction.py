@@ -10,8 +10,7 @@ from defalg.algebras import (DgAlgebraMorphism, NilpotentDgAlgebra,
                              kernel_extension, quotient_algebra)
 from defalg.dgla import (Dgla, def_tangent, mc_check, mc_lift, tensor_dgla,
                          trivial_algebra_of_complex)
-from defalg.graded import (Complex, GradedMap, GradedSpace,
-                           ShortExactSequence, cohomology, connecting_hom)
+from defalg.graded import Complex, GradedMap, GradedSpace, cohomology
 from defalg.linfty import check_linfty
 from defalg.obstruction import (cohomology_bracket,
                                 is_dg_morphism_to_shifted_kernel,
@@ -19,8 +18,9 @@ from defalg.obstruction import (cohomology_bracket,
                                 primary_obstruction,
                                 primary_obstruction_extension, prop_cone,
                                 tangent_bracket, twist_extension)
-from conftest import (UV_M3_EXT, counterexample_extension, direct_sum_dgla,
-                      heisenberg, make_rng, mat_mul, perturb_one_entry,
+from conftest import (UV_M3_EXT, ShortExactSequence, connecting_hom,
+                      counterexample_extension, direct_sum_dgla, heisenberg, make_rng,
+                      mat_mul, perturb_one_entry,
                       random_abelian_dgla, random_dgla, random_invertible_degree0,
                       random_section, rescaled,
                       reference_shifted_kernel_violations, sl2, sl2_odd, transported,
