@@ -222,6 +222,39 @@ def sl2_heisenberg():
     return Dgla(t.space, {(i, j): row for i, j, row in t.constants()}, t.d)
 
 
+def sl2_heisenberg_unital():
+    """L = sl2 ⊗ (ℚ1 ⊕ N) for N = ``heisenberg_cochains()``: dim 24, with
+    H⁰ = sl2 ⊗ 1 beside H(sl2 ⊗ N), so its hull has generators of degree 1
+    (the extended part of the functor).  Basis x_1, x_x, ..., x_xyz per
+    x in sl2, L-major.  sl2 sits in degree 0, so [x⊗a, y⊗b] = [x, y]⊗ab
+    and d(x⊗a) = x⊗da."""
+    g, n = sl2(), heisenberg_cochains().algebra()
+    na = n.dim + 1      # position 0 of each block is x⊗1
+    words = ["1"] + [w.replace("*", "") for w in n.space.names]
+    space = GradedSpace([(x + "_" + words[p], 0 if p == 0 else n.space.degrees[p - 1])
+                         for x in g.space.names for p in range(na)])
+    prod = {(0, q): {q: F(1)} for q in range(na)}
+    prod.update(((p, 0), {p: F(1)}) for p in range(1, na))
+    prod.update(((p + 1, q + 1), {r + 1: c for r, c in row.items()})
+                for p, q, row in n.constants())
+    br = {(i * na + p, j * na + q): {k * na + r: ck * cr
+                                     for k, ck in lrow.items() for r, cr in arow.items()}
+          for i, j, lrow in g.constants() for (p, q), arow in prod.items()}
+    dcols = {i * na + p + 1: {i * na + r + 1: c for r, c in col.items()}
+             for i in range(g.dim) for p, col in n.d.nonzero_columns()}
+    return Dgla(space, br, GradedMap.from_columns(space, space, 1, dcols))
+
+
+def plain_names(l):
+    """L with each basis name x@w1*w2 of a tensor DGLA written x_w1w2, a
+    name a document can hold."""
+    names = [name.replace("@", "_").replace("*", "") for name in l.space.names]
+    space = GradedSpace(list(zip(names, l.space.degrees)))
+    return Dgla(space, {(i, j): row for i, j, row in l.constants()},
+                GradedMap.from_columns(space, space, 1, dict(l.d.nonzero_columns())),
+                l.nilpotency_class)
+
+
 def counterexample_algebras():
     """The square-zero (not strictly small) extension with uv = uw = dw."""
     aspace = GradedSpace([("u", 1), ("v", 1), ("w", 1), ("dw", 2)])
