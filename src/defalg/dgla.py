@@ -74,14 +74,13 @@ class TensorDgla(Dgla):
     structure's own integer index, each product of an L-constant with an
     A-constant its own entry, is built from theirs only when read
     (validate(), and the ``table`` view); ``nilpotency_class`` is read off
-    A when first needed.  ``space`` may be given: the space of an L⊗A'
-    with A' on A's basis.
+    A when first needed.
     """
 
-    def __init__(self, l: Dgla, a: NilpotentDgAlgebra, space: Optional[GradedSpace] = None):
+    def __init__(self, l: Dgla, a: NilpotentDgAlgebra):
         self.l = l
         self.a = a
-        self.space = tensor_space(l.space, a.space) if space is None else space
+        self.space = tensor_space(l.space, a.space)
         self._odd_l = [deg % 2 for deg in l.space.degrees]
         self._odd_a = [deg % 2 for deg in a.space.degrees]
         self.den = l.den * a.den
@@ -198,9 +197,8 @@ def tensor_space(l: GradedSpace, a: GradedSpace) -> GradedSpace:
                               name, (l, a), "@", lookup)
 
 
-def tensor_dgla(l: Dgla, a: NilpotentDgAlgebra, space: Optional[GradedSpace] = None
-                ) -> TensorDgla:
-    return TensorDgla(l, a, space)
+def tensor_dgla(l: Dgla, a: NilpotentDgAlgebra) -> TensorDgla:
+    return TensorDgla(l, a)
 
 
 def trivial_algebra_of_complex(c: Complex) -> NilpotentDgAlgebra:

@@ -527,7 +527,10 @@ class Contraction:
     (the relations among those columns), the splitting C^k = B ⊕ H ⊕ W of
     a degree (``split``), the harmonic representatives, and the projection
     p onto H, the inclusion of H and the degree -1 homotopy sigma with
-    d sigma + sigma d = Id - incl p.
+    d sigma + sigma d = Id - incl p.  sigma's image is spanned by the
+    complement W, which it sends to 0, so the side conditions
+    sigma sigma = 0, sigma incl = 0 and p sigma = 0 hold: the transfer
+    recursion of ``models.kuranishi_prorepresent`` relies on them.
 
     ``eliminated`` maps degrees whose columns the caller has already
     eliminated to what ``linalg.relations`` returned for them; only the

@@ -5,8 +5,8 @@ Polynomial truncations R/R^{n+1} = ⊕_{1≤i≤n} ⊙^i V on the words of
 d_k: V → ⊙^k V, each a map into the words, minimality and
 smoothness tests, the minimalization algorithm with explicit projection,
 section and homotopy, staged lifting of morphisms through the order
-tower, and the order-by-order construction of a minimal prorepresenting
-algebra for the deformation functor of a DGLA.
+tower, and a minimal prorepresenting algebra for the deformation functor
+of a DGLA, built by the transfer recursion and certified once.
 """
 
 from __future__ import annotations
@@ -449,8 +449,6 @@ def morphism_lift(s: QuasismoothTrunc, r: QuasismoothTrunc,
 
 @dataclass
 class VersalElement:
-    l: Dgla
-    base: QuasismoothTrunc
     tensor: TensorDgla
     xi: SparseVec
 
@@ -462,57 +460,51 @@ def kuranishi_prorepresent(l: Dgla, order: int = 3) -> Tuple[QuasismoothTrunc, V
     """A minimal prorepresenting truncation for the deformation functor of L.
 
     Generators are dual to the tangent classes: one v_c of degree
-    1 - deg(c) per harmonic class c.  Starting from the tautological
-    element ξ₂ = Σ x_c ⊗ v_c, each order's Maurer-Cartan defect is split
-    by the contraction: its harmonic part dictates the next differential
-    component (with sign -(-1)^{deg x_c}) and its exact part is absorbed
-    into ξ through the homotopy σ.  The result has d₁ = 0, d² = 0 on the
-    truncation, and MC defect zero modulo order + 1.
+    1 - deg(c) per harmonic class c.  ξ and d come from the transfer
+    recursion (Kontsevich–Soibelman, Berglund) on L⊗R with R's products
+    alone: ξ₁ = Σ x_c ⊗ v_c; at order k the ⊙^k-part of the MC defect is
+    Q_k = ½Σ_{i+j=k} [ξ_i, ξ_j], d_k = p(Q_k) (sign -(-1)^{deg x_c} on
+    x_c's column) and ξ_k = -σ(Q_k).  R's derivation would add (1⊗d_R)ξ,
+    whose ⊙^k-part lies in σ's image, which p and σ kill (pσ = σσ = 0).
+    R's derivation is built once, for the certificate: MC defect zero
+    modulo order + 1, d² = 0 on the letters, and d₁ = 0.
     """
     contraction = cohomology(l.complex())
     h = contraction.harmonic_space
-    reps = [contraction.representative(c) for c in range(h.dim)]
     v = GradedSpace([("x_" + h.names[c].replace("^", ""), 1 - h.degrees[c])
                      for c in range(h.dim)])
-    comps: Dict[int, GradedMap] = {}
-    # one word basis, one product index and one space of L⊗R serve every
-    # order: an order that changes d rebuilds only d
+    # R's word basis and product index serve every order and the certificate
     r = QuasismoothTrunc(v, order, {}, check=False)
     t = tensor_dgla(l, r.algebra())
     # the word of length 1 on generator c is the c-th word
-    xi = {t.pair_index(i, c): cv for c in range(h.dim) for i, cv in reps[c].items()}
-    hvec = mc_defect(t, xi)
+    xi = {t.pair_index(i, c): cv for c in range(h.dim)
+          for i, cv in contraction.representative(c).items()}
+    comps: Dict[int, GradedMap] = {}
     na = r.basis.space.dim
     for k in range(2, order + 1):
-        # extract the ⊙^k-part: a cocycle of L per monomial
         span = r.basis.of_length(k)
-        parts: Dict[int, SparseVec] = {}
-        for key, c in hvec.items():
+        parts: Dict[int, SparseVec] = {}     # Q_k, an element of L per word
+        for key, c in mc_defect(t, xi).items():
             i, w = divmod(key, na)
             if w in span:
                 parts.setdefault(w, {})[i] = c
-        kcols: Dict[int, SparseVec] = {}    # d_k's columns; with none, d is unchanged
-        for w, hm in sorted(parts.items()):
-            if l.d.apply(hm):
-                raise CertificateError("the order-%d defect is not a cocycle" % k)
-            cls = contraction.class_of(hm)
-            for c, cc in sorted(cls.items()):
-                sgn = Fraction(-1 if (1 + h.degrees[c]) % 2 else 1)
-                kcols.setdefault(c, {})[w] = sgn * cc
-            exact = add_into(hm, contraction.include.apply(cls), -ONE)
+        kcols: Dict[int, SparseVec] = {}
+        for w, q in sorted(parts.items()):
+            for c, cc in sorted(contraction.project.apply(q).items()):
+                kcols.setdefault(c, {})[w] = -cc if (1 + h.degrees[c]) % 2 else cc
             add_into(xi, {t.pair_index(i, w): cv
-                          for i, cv in contraction.sigma.apply(exact).items()}, -ONE)
+                          for i, cv in contraction.sigma.apply(q).items()}, -ONE)
         if kcols:
             comps[k] = GradedMap.from_columns(v, r.basis.space, 1, kcols)
-            r = r.with_components(comps, check=False)
-            t = tensor_dgla(l, r.algebra(), t.space)
-        # the defect the next order starts from vanishes at this one
-        hvec = mc_defect(t, xi)
-        if any(key % na in span for key in hvec):
-            raise CertificateError("the Maurer-Cartan defect does not vanish "
-                                   "at order %d" % k)
+    del t       # L⊗R's space is as large as this one's: one lives at a time
+    r = r.with_components(comps, check=False)
+    t = tensor_dgla(l, r.algebra())
+    defect = mc_defect(t, xi)
+    if defect:
+        raise CertificateError("the Maurer-Cartan defect does not vanish at order %d"
+                               % min(len(r.basis.words[key % na]) for key in defect))
     if r.square_on_letters():
         raise CertificateError("the derivation does not square to zero on the truncation")
     if not is_minimal(r):
         raise CertificateError("the prorepresenting truncation is not minimal")
-    return r, VersalElement(l, r, t, xi)
+    return r, VersalElement(t, xi)

@@ -218,7 +218,12 @@ def sl2_heisenberg():
     """L = sl2 ⊗ N for N = ``heisenberg_cochains()``: a non-formal DGLA of
     dim 21 with H(L) of dims {1: 6, 2: 6, 3: 3}, whose Kuranishi map has
     no quadratic part on H¹ (Goldman–Millson, Nomizu)."""
-    t = tensor_dgla(sl2(), heisenberg_cochains().algebra())
+    return tensor_as_dgla(sl2(), heisenberg_cochains().algebra())
+
+
+def tensor_as_dgla(l, a):
+    """L⊗A built as a ``Dgla`` from its constants and its d."""
+    t = tensor_dgla(l, a)
     return Dgla(t.space, {(i, j): row for i, j, row in t.constants()}, t.d)
 
 
@@ -1873,3 +1878,54 @@ def reference_staged_witness(l, a, x, y):
         witness = bch(tj.bracket_vec, c_in_j, lift_w, max(tj.nilpotency_class, 1))
     assert gauge_act(t, witness, x) == y
     return witness, None
+
+
+# ---------------------------------------------------------------------------
+# the order-by-order hull construction on L⊗R with R's derivation as it
+# grows: the oracle for the transfer recursion of ``kuranishi_prorepresent``
+
+def reference_prorepresent(l, order):
+    """R and ξ built order by order on L⊗R with R's derivation: each order's
+    defect is a cocycle of L per word, split by ``class_of`` and the
+    inclusion into its class, which gives d_k, and an exact part, absorbed
+    into ξ through σ; R's derivation and L⊗R are rebuilt whenever d
+    changes."""
+    from defalg.dgla import mc_defect
+    from defalg.models import is_minimal
+    contraction = cohomology(l.complex())
+    h = contraction.harmonic_space
+    reps = [contraction.representative(c) for c in range(h.dim)]
+    v = GradedSpace([("x_" + h.names[c].replace("^", ""), 1 - h.degrees[c])
+                     for c in range(h.dim)])
+    comps = {}
+    r = QuasismoothTrunc(v, order, {}, check=False)
+    t = tensor_dgla(l, r.algebra())
+    xi = {t.pair_index(i, c): cv for c in range(h.dim) for i, cv in reps[c].items()}
+    hvec = mc_defect(t, xi)
+    na = r.basis.space.dim
+    for k in range(2, order + 1):
+        span = r.basis.of_length(k)
+        parts = {}
+        for key, c in hvec.items():
+            i, w = divmod(key, na)
+            if w in span:
+                parts.setdefault(w, {})[i] = c
+        kcols = {}
+        for w, hm in sorted(parts.items()):
+            assert not l.d.apply(hm), "the order-%d defect is not a cocycle" % k
+            cls = contraction.class_of(hm)
+            for c, cc in sorted(cls.items()):
+                sgn = F(-1 if (1 + h.degrees[c]) % 2 else 1)
+                kcols.setdefault(c, {})[w] = sgn * cc
+            exact = linalg.add_into(hm, contraction.include.apply(cls), F(-1))
+            linalg.add_into(xi, {t.pair_index(i, w): cv
+                                 for i, cv in contraction.sigma.apply(exact).items()}, F(-1))
+        if kcols:
+            comps[k] = GradedMap.from_columns(v, r.basis.space, 1, kcols)
+            r = r.with_components(comps, check=False)
+            t = tensor_dgla(l, r.algebra())
+        hvec = mc_defect(t, xi)
+        assert not any(key % na in span for key in hvec), \
+            "the Maurer-Cartan defect does not vanish at order %d" % k
+    assert not r.square_on_letters() and is_minimal(r)
+    return r, xi

@@ -402,6 +402,20 @@ def test_exit_two_on_invalid_algebra_in_extension(tmp_path, command, flags):
                            "graded commutativity fails on (u, w)\n")
 
 
+def test_mc_check_exit_two_on_invalid_algebra(capsys, tmp_path):
+    # mc-check validates its algebra, not only its DGLA, before computing:
+    # A is not graded commutative, and the element would pass as MC
+    text = (FIXTURES / "koszul4.alg").read_text(encoding="utf-8")
+    assert "r0 s0 -> 1 s0*r0" in text
+    bad = tmp_path / "bad.alg"
+    bad.write_text(text.replace("r0 s0 -> 1 s0*r0", "r0 s0 -> 2 s0*r0"), encoding="utf-8")
+    code, out, err = run(capsys, "mc-check", "--in", SL2, "--in", str(bad),
+                         "--in", str(FIXTURES / "koszul4_x.mc"))
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert err.startswith("error: invalid nilpotent_dg_algebra: "
+                          "graded commutativity fails on (s0, r0); ")
+
+
 def test_factor_extensions(capsys):
     code, data = run_json(capsys, "factor-extensions", "--in", EXT)
     assert code == 0

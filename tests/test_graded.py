@@ -129,6 +129,10 @@ def test_contraction_homotopy_identities():
             GradedMap.identity(c.harmonic_space)
         # harmonic representatives are cocycles
         assert cx.d.compose(c.include).is_zero()
+        # the side conditions the hull's transfer recursion relies on
+        assert c.sigma.compose(c.sigma).is_zero()
+        assert c.sigma.compose(c.include).is_zero()
+        assert c.project.compose(c.sigma).is_zero()
 
 
 def test_contraction_matches_dense_reference():

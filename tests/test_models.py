@@ -15,12 +15,22 @@ from defalg.models import (QuasismoothTrunc, h_r_tangent, is_minimal,
                            is_smooth_minimal, kuranishi_prorepresent,
                            minimalize, morphism_from_generators, morphism_lift)
 from defalg.obstruction import cohomology_bracket
-from conftest import (entries, koszul_truncation, make_rng, pairs_truncation, random_dgla,
-                      reference_differential, reference_truncation_rows, sl2, sl2_heisenberg,
-                      sl2_odd, truncate)
+from conftest import (direct_sum_dgla, entries, heisenberg, heisenberg_cochains,
+                      koszul_truncation, make_rng, pairs_truncation, plain_names,
+                      random_abelian_dgla, random_dgla, random_invertible_degree0,
+                      random_pair_truncation, reference_differential, reference_prorepresent,
+                      reference_truncation_rows, sl2, sl2_heisenberg, sl2_heisenberg_unital,
+                      sl2_odd, tensor_as_dgla, transported, truncate)
 
 F = Fraction
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "docs" / "fixtures"
+SL2_HEIS = FIXTURES / "sl2_heis.dgla"
+SL2_HEIS_UNITAL = pathlib.Path(__file__).resolve().parent / "golden" / "inputs" / \
+    "sl2_heis_unital.dgla"
+
+
+def _read_dgla(path):
+    return docio.build(docio.parse(path.read_text(encoding="utf-8")))
 
 
 def non_minimal_trunc(order=3):
@@ -524,6 +534,88 @@ def test_with_components_shares_the_product_table():
     assert a._left is a0._left and "table" not in vars(a)
     assert a.d == r.differential() and a0.d.is_zero()
     assert moved.basis is shell.basis and not shell.components
+
+
+def test_sl2_heis_documents_are_the_conftest_builders():
+    # docs/fixtures/sl2_heis.dgla is sl2 ⊗ N with plain names, and the
+    # unital file sl2 ⊗ (ℚ1 ⊕ N), whose H⁰ = sl2 gives degree-1 generators
+    for path, l, dims in ((SL2_HEIS, plain_names(sl2_heisenberg()), {1: 6, 2: 6, 3: 3}),
+                          (SL2_HEIS_UNITAL, sl2_heisenberg_unital(),
+                           {0: 3, 1: 6, 2: 6, 3: 3})):
+        doc = _read_dgla(path)
+        assert doc.space.basis == l.space.basis and doc.d == l.d
+        assert list(doc.constants()) == list(l.constants())
+        assert not any(c in name for name in doc.space.names for c in "@*")
+        assert doc.validate().ok and cohomology(doc.complex()).dims() == dims
+    assert sl2_heisenberg_unital().dim == 24
+
+
+def _random_hull_input(rng, kind):
+    """A DGLA for the hull oracle: sl2, the Heisenberg algebra, sl2_odd or
+    an abelian DGLA with d ≠ 0 (kind 0); one of them plus an abelian one
+    (1); sl2 or the Heisenberg algebra tensored with a truncation on
+    acyclic pairs (2) or with the cochains N of the Heisenberg algebra
+    (3, non-formal: sl2 ⊗ N has d₃ ≠ 0), half of these in a random basis."""
+    if kind == 0:
+        return random_dgla(rng)
+    if kind == 1:
+        return direct_sum_dgla(random_dgla(rng, max_dim=4), random_abelian_dgla(rng, max_dim=5))
+    a = heisenberg_cochains().algebra()
+    while kind == 2 and not 0 < a.dim <= 4:
+        a = random_pair_truncation(rng)
+    l = tensor_as_dgla(rng.choice([sl2, heisenberg])(), a)
+    return transported(l, random_invertible_degree0(rng, l.space)) if rng.random() < 0.5 else l
+
+
+def test_prorepresent_matches_the_order_by_order_oracle_on_random_dglas():
+    # the transfer recursion on R's products gives, exactly, the R and ξ
+    # of the construction that rebuilds R's derivation at each order
+    rng = make_rng(30)
+    with_d = with_d3 = 0
+    for case in range(160):
+        l = _random_hull_input(rng, [0, 0, 0, 1, 1, 2, 2, 3][case % 8])
+        order = rng.randint(2, 4) if l.dim < 15 else 3
+        r, ve = kuranishi_prorepresent(l, order=order)
+        ref, ref_xi = reference_prorepresent(l, order)
+        assert r.components == ref.components and ve.xi == ref_xi
+        with_d += not l.d.is_zero()
+        with_d3 += 3 in r.components
+    assert with_d >= 40 and with_d3 >= 10
+
+
+@pytest.mark.parametrize("build, orders", [(lambda: _read_dgla(SL2_HEIS), range(2, 6)),
+                                           (lambda: _read_dgla(SL2_HEIS_UNITAL), range(2, 5)),
+                                           (sl2_odd, range(3, 15))],
+                         ids=["sl2_heis", "sl2_heis_unital", "sl2_odd"])
+def test_prorepresent_matches_the_order_by_order_oracle_on_the_fixtures(build, orders):
+    l = build()
+    for order in orders:
+        r, ve = kuranishi_prorepresent(l, order=order)
+        ref, ref_xi = reference_prorepresent(l, order)
+        assert r.components == ref.components and ve.xi == ref_xi
+
+
+@pytest.mark.parametrize("l, order, comps", [(sl2_heisenberg(), 4, [2, 3]),
+                                             (sl2_heisenberg_unital(), 3, [2, 3]),
+                                             (sl2_odd(), 6, [2])],
+                         ids=["sl2_heis", "sl2_heis_unital", "sl2_odd"])
+def test_prorepresent_builds_r_derivation_once(monkeypatch, l, order, comps):
+    # every order runs on R's products alone, so R's derivation is built
+    # once, for the certificate, and L⊗R twice: on the shell without
+    # components, whose d is the empty map, and on R
+    import defalg.models as models
+    built, tensors = [], []
+    real_differential, real_tensor = QuasismoothTrunc.differential, models.tensor_dgla
+
+    def differential(self):
+        if self._differential is None:
+            built.append(self)
+        return real_differential(self)
+    monkeypatch.setattr(QuasismoothTrunc, "differential", differential)
+    monkeypatch.setattr(models, "tensor_dgla", lambda l, a: tensors.append(a) or real_tensor(l, a))
+    rk, ve = kuranishi_prorepresent(l, order=order)
+    assert [sorted(r.components) for r in built] == [[], comps] and built[-1] is rk
+    assert tensors == [built[0].algebra(), rk.algebra()] and ve.tensor.a is rk.algebra()
 
 
 def test_prorepresent_never_builds_the_table_view_of_r(monkeypatch):
