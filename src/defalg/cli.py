@@ -117,6 +117,9 @@ def cmd_validate(docs, args) -> Report:
         elif d.kind == "small_extension":      # the extension itself is checked on build
             errs = ["algebra %s: %s" % (side, err) for side, alg in (("a", obj.a), ("b", obj.b))
                     for err in alg.validate().errors]
+        elif d.kind == "linfty":
+            errs = ["generalized Jacobi fails at arity %d" % k
+                    for k in check_linfty(obj).defect_arities]
         else:
             errs = []      # construction already validated
         ok_all = ok_all and not errs
@@ -174,7 +177,7 @@ def cmd_mc_check(docs, args) -> Report:
 
 
 def _lift_from_inputs(docs):
-    l = docio.build(_take(docs, "dgla"))
+    l = _valid("dgla", docio.build(_take(docs, "dgla")))
     e = docio.build_small_extension(_take(docs, "small_extension"))
     x = docio.build_mc_element(_take(docs, "mc_element"),
                                tensor_space(l.space, e.b.space))

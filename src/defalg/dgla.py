@@ -239,8 +239,7 @@ def bch(bracket: Callable[[SparseVec, SparseVec], SparseVec], u: SparseVec, w: S
 
     def blocks(n_blocks: int, remaining: int, prefix: List[Tuple[int, int]]):
         if n_blocks == 0:
-            if prefix:
-                yield list(prefix)
+            yield list(prefix)
             return
         for r in range(remaining + 1):
             for s in range(remaining - r + 1):
@@ -252,8 +251,6 @@ def bch(bracket: Callable[[SparseVec, SparseVec], SparseVec], u: SparseVec, w: S
 
     for n in range(1, bound + 1):
         for comp in blocks(n, bound, []):
-            if len(comp) != n:
-                continue
             length = sum(r + s for r, s in comp)
             word: List[SparseVec] = []
             denom = n * length

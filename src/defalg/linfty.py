@@ -1,15 +1,13 @@
 """L-infinity structures on truncated reduced symmetric coalgebras.
 
-The coalgebra C(V) = ⊕_{1≤i≤n} ⊙^i(V[1]), read through its dual
+The coalgebra C(V) = ⊕_{1≤i≤n} ⊙^i(V[1]) is read through its dual
 truncation R/R^{n+1} on the dual letters: under the pairing of words with
-their monomials, the coproduct, the co-axioms, coderivations and
-coalgebra morphisms are the scaled transposes of the product, the
-algebra axioms, derivations and algebra morphisms there.  The
-Chevalley-Eilenberg truncation of a structure, through which its
-coderivation, the generalized Jacobi checker and the L-infinity
-Maurer-Cartan equation over nilpotent coefficients read the Taylor
-coefficients; the two-way dictionary with DGLAs, coalgebra morphisms from
-linear data, and dual coalgebras of nilpotent dg-algebras.
+their monomials the coproduct is the scaled transpose of the product, so
+cocommutativity and coassociativity are the algebra axioms there.  A
+structure is read through its Chevalley-Eilenberg truncation, on which
+the generalized Jacobi check and the L-infinity Maurer-Cartan equation
+over nilpotent coefficients read the Taylor coefficients.  The module also
+holds the two-way dictionary with DGLAs.
 """
 
 from __future__ import annotations
@@ -20,11 +18,11 @@ from functools import cached_property
 from math import factorial
 from typing import Dict, List, Optional, Tuple
 
-from .algebras import DgAlgebraMorphism, NilpotentDgAlgebra, SparseVec
+from .algebras import NilpotentDgAlgebra, SparseVec
 from .dgla import Dgla, tensor_space
 from .graded import GradedMap, GradedSpace, WordBasis, shift_space
 from .linalg import ZERO
-from .models import QuasismoothTrunc, _word_images, morphism_from_generators
+from .models import QuasismoothTrunc, _word_images
 
 Word = Tuple[int, ...]
 
@@ -41,12 +39,12 @@ class SymCoalgebra(WordBasis):
     """Reduced symmetric coalgebra on V[1], truncated at word length
     ``order``: the word basis on the letters of V[1].
 
-    Its structure is read off ``dual``, the truncation R/R^{n+1} with zero
-    differential on the dual letters (V[1])^∨, whose words are the
-    coalgebra's words in the same order.  Under the pairing
-    ⟨x^u, w⟩ = m(u)·δ_uw (m the symmetry factor) the coproduct is the
-    scaled transpose of the product, so each co-axiom is the matching
-    axiom of the dual algebra.
+    ``dual`` is the truncation R/R^{n+1} with zero differential on the
+    dual letters (V[1])^∨, whose words are the coalgebra's words in the
+    same order; a structure's CE truncation is ``dual`` with its
+    differential.  Under the pairing ⟨x^u, w⟩ = m(u)·δ_uw (m the symmetry
+    factor) the coproduct is the scaled transpose of the product, so each
+    co-axiom is read as the matching axiom of the dual algebra.
     """
 
     def __init__(self, v: GradedSpace, order: int):
@@ -56,32 +54,11 @@ class SymCoalgebra(WordBasis):
     def dual(self) -> QuasismoothTrunc:
         return QuasismoothTrunc(self.letters.dual(), self.order, {}, check=False)
 
-    def coproduct(self, pos: int) -> Dict[Tuple[int, int], Fraction]:
-        """Reduced coproduct of a monomial as {(left, right): coefficient}:
-        Δ(w)[(u, v)] is m(w)/(m(u)·m(v)) times the coefficient of x^w in
-        x^u·x^v (the Koszul-signed unshuffle sum)."""
-        words = self.words
-        mw = symmetry_factor(words[pos])
-        return {(u, v): row[pos] * mw / (symmetry_factor(words[u]) * symmetry_factor(words[v]))
-                for u, v, row in self.dual.algebra().constants() if pos in row}
-
     def check_cocommutative(self) -> bool:
         return not self.dual.algebra()._axiom_errors()[0]
 
     def check_coassociative(self) -> bool:
         return not self.dual.algebra()._axiom_errors()[1]
-
-
-def _transpose(f: GradedMap, source: WordBasis, target: WordBasis) -> GradedMap:
-    """The transpose source → target of f under the pairing
-    ⟨x^u, w⟩ = m(u)·δ_uw of words with their duals: f maps the words of
-    ``target`` to those of ``source``, and fᵀ[a, b] = f[b, a]·m(b)/m(a)."""
-    cols: Dict[int, SparseVec] = {}
-    for a, col in f.nonzero_columns():
-        for b, x in col.items():
-            cols.setdefault(b, {})[a] = \
-                x * symmetry_factor(source.words[b]) / symmetry_factor(target.words[a])
-    return GradedMap.from_columns(source.space, target.space, f.degree, cols)
 
 
 class LInftyStructure:
@@ -128,26 +105,6 @@ class LInftyStructure:
                     cols.setdefault(t, {})[u] = -x / symmetry_factor(words[u])
             comps[k] = GradedMap.from_columns(dual.v, dual.basis.space, 1, cols)
         return dual.with_components(comps, check=False)
-
-
-def coderivation_from_taylor(s: LInftyStructure) -> GradedMap:
-    """The coderivation Q on the truncated coalgebra induced by the Q¹_k.
-
-    Q(v₁⊙…⊙vₘ) = Σ_k Σ_{σ∈S(k,m-k)} ε(σ) Q¹_k(first k)⊙(rest), read off the
-    CE differential D as its scaled transpose Q[u, w] = −D[w, u]·m(w)/m(u):
-    the monomial x^w pairs with the word w to m(w).  The word-length
-    filtration is preserved and the coderivation identity
-    ΔQ = (Q⊗Id + Id⊗Q)Δ holds (checked by check_coderivation).
-    """
-    return -_transpose(s.ce.differential(), s.coalgebra, s.coalgebra)
-
-
-def check_coderivation(c: SymCoalgebra, q: GradedMap) -> bool:
-    """ΔQ = (Q⊗Id + Id⊗Q)Δ with the Koszul sign on Id⊗Q: read on the dual
-    truncation, where it says that the scaled transpose of Q is a
-    derivation (the Leibniz list of the dual algebra with it as d)."""
-    return not c.dual.algebra().with_differential(
-        _transpose(q, c.dual.basis, c.dual.basis))._axiom_errors()[2]
 
 
 @dataclass
@@ -219,33 +176,6 @@ def linfty_to_dgla(s: LInftyStructure) -> Dgla:
     return Dgla(space, bracket, d)
 
 
-def coalgebra_morphism_from_linear(c: SymCoalgebra, m: GradedMap,
-                                   d: SymCoalgebra) -> GradedMap:
-    """θ = Σ_n (1/n!) ⊙ⁿ(m) ∘ Δ^{n-1} : C → C(W) for linear m: C → W[1].
-
-    m must have degree 0; θ is a coalgebra morphism with π∘θ = m.  It is
-    the scaled transpose of the algebra morphism of the dual truncations
-    with x_t ↦ Σ_w m[t, w]/m(w)·x^w.
-    """
-    if m.source != c.space or m.target != d.letters or m.degree != 0:
-        raise ValueError("need a degree-0 map from the coalgebra to W[1]")
-    images: List[SparseVec] = [{} for _ in range(d.letters.dim)]
-    for w, col in m.nonzero_columns():
-        for t, x in col.items():
-            images[t][w] = x / symmetry_factor(c.words[w])
-    f = morphism_from_generators(d.dual, c.dual.algebra(), images, check=False)
-    return _transpose(f.map, c, d)
-
-
-def check_coalgebra_morphism(c: SymCoalgebra, d: SymCoalgebra,
-                             theta: GradedMap) -> bool:
-    """Δ_D θ = (θ⊗θ) Δ_C on every monomial, within the truncation: the
-    scaled transpose of θ is multiplicative on the dual truncations."""
-    f = DgAlgebraMorphism(d.dual.algebra(), c.dual.algebra(),
-                          _transpose(theta, d.dual.basis, c.dual.basis), check=False)
-    return not f.violations()
-
-
 def linfty_mc_check(s: LInftyStructure, a: NilpotentDgAlgebra,
                     m: SparseVec) -> Tuple[bool, SparseVec]:
     """The L-infinity Maurer-Cartan equation over nilpotent coefficients:
@@ -288,48 +218,3 @@ def linfty_mc_check(s: LInftyStructure, a: NilpotentDgAlgebra,
                     defect[t * na + r] = defect.get(t * na + r, ZERO) + sgn * y
     defect = {key: c for key, c in defect.items() if c}
     return not defect, defect
-
-
-# ---------------------------------------------------------------------------
-# dual coalgebras of nilpotent dg-algebras
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DualCoalgebra:
-    space: GradedSpace
-    coproduct: Dict[int, Dict[Tuple[int, int], Fraction]]
-    codifferential: GradedMap
-
-    def validate(self) -> List[str]:
-        """Cocommutativity, coassociativity and conilpotency, read as the
-        commutativity, associativity and nilpotency errors of the dual
-        algebra."""
-        a = dual_algebra(self)
-        comm, assoc, _, _ = a._axiom_errors()
-        return comm + assoc + (["not nilpotent"] if a.nilpotency_index() is None else [])
-
-
-def dual_coalgebra(a: NilpotentDgAlgebra) -> DualCoalgebra:
-    """Transpose multiplication and differential onto the dual space."""
-    space = a.space.dual()
-    cp: Dict[int, Dict[Tuple[int, int], Fraction]] = {}
-    for i, j, row in a.constants():
-        for k, c in row.items():
-            cp.setdefault(k, {})[(i, j)] = cp.get(k, {}).get((i, j), ZERO) + c
-    cod = a.d.transpose()
-    return DualCoalgebra(space, cp, cod)
-
-
-def dual_algebra(c: DualCoalgebra) -> NilpotentDgAlgebra:
-    """Inverse of dual_coalgebra; dualizing twice returns the input."""
-    basis = [(name[:-1] if name.endswith("^") else name + "^", -d)
-             for name, d in c.space.basis]
-    space = GradedSpace(basis)
-    mult: Dict[Tuple[int, int], SparseVec] = {}
-    for k, row in c.coproduct.items():
-        for (i, j), cv in row.items():
-            if cv:
-                mult.setdefault((i, j), {})[k] = \
-                    mult.get((i, j), {}).get(k, ZERO) + cv
-    d = c.codifferential.transpose()
-    return NilpotentDgAlgebra(space, mult, GradedMap.from_columns(space, space, 1, d.columns()))

@@ -209,15 +209,9 @@ def primary_obstruction(l: Dgla, i: int, j: int, x: SparseVec, y: SparseVec,
 
 @dataclass
 class TangentBracket:
-    l: Dgla
     cohomology: Contraction
-    t_space: GradedSpace                   # harmonic space of L
     structure: LInftyStructure             # arity-2 minimal structure on T
-    q2: GradedMap                          # Q¹₂: ⊙²(T[1]) → T[1]
     bracket_algebra: Dgla                  # the graded Lie algebra (T, [,])
-
-    def bracket(self, u: SparseVec, v: SparseVec) -> SparseVec:
-        return self.bracket_algebra.bracket_vec(u, v)
 
 
 JACOBI_ORDER = 3    # the arity at which check_linfty sees graded Jacobi
@@ -247,8 +241,7 @@ def tangent_bracket(l: Dgla) -> TangentBracket:
         cols[w] = {k: -sgn * ck for k, ck in po.items()}
     q2 = GradedMap.from_columns(c.space, c.letters, 1, cols)
     s = LInftyStructure(t, JACOBI_ORDER, {2: q2}, c)
-    bracket_algebra = linfty_to_dgla(s)
-    return TangentBracket(l, coh, t, s, q2, bracket_algebra)
+    return TangentBracket(coh, s, linfty_to_dgla(s))
 
 
 def cohomology_bracket(l: Dgla, coh: Optional[Contraction] = None) -> Dgla:

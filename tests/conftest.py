@@ -1568,11 +1568,9 @@ def reference_linfty_mc_check(s, a, m):
 
 # ---------------------------------------------------------------------------
 # reference coalgebra computations: the Koszul-signed unshuffle coproduct
-# and the loops over it that check the co-axioms, coderivations and
-# coalgebra morphisms, the axioms of a dual coalgebra read on its
-# coproduct, and the shifted-kernel check read on dense vectors, kept as
-# the oracles for their readings on dual algebras in ``defalg.linfty`` and
-# ``defalg.obstruction``
+# and the loops over it that check the co-axioms, and the shifted-kernel
+# check read on dense vectors, kept as the oracles for their readings on
+# dual algebras in ``defalg.linfty`` and ``defalg.obstruction``
 
 def _nonzero(d):
     return {k: c for k, c in d.items() if c}
@@ -1622,102 +1620,6 @@ def reference_coassociative(c):
         return reference_coproduct(c, pos)
     return all(lhs == rhs for lhs, rhs in
                (_coassociativity_sides(coproduct, pos) for pos in range(len(c.words))))
-
-
-def reference_iterated_coproduct(c, pos, n):
-    """Δ^{n-1}: the component of the monomial in C^{⊗n} (positions)."""
-    cur = {(pos,): F(1)}
-    for _ in range(n - 1):
-        nxt = {}
-        for tup, x in cur.items():
-            for (a, b), y in reference_coproduct(c, tup[0]).items():
-                key = (a, b) + tup[1:]
-                nxt[key] = nxt.get(key, F(0)) + x * y
-        cur = _nonzero(nxt)
-    return cur
-
-
-def reference_check_coderivation(c, q):
-    """ΔQ = (Q⊗Id + Id⊗Q)Δ with the Koszul sign on Id⊗Q, word by word."""
-    for pos in range(len(c.words)):
-        lhs = {}
-        for a, x in q.column(pos).items():
-            for key, y in reference_coproduct(c, a).items():
-                lhs[key] = lhs.get(key, F(0)) + x * y
-        rhs = {}
-        for (a, b), y in reference_coproduct(c, pos).items():
-            for t, x in q.column(a).items():
-                rhs[(t, b)] = rhs.get((t, b), F(0)) + y * x
-            sgn = -1 if c.space.degrees[a] % 2 else 1
-            for t, x in q.column(b).items():
-                rhs[(a, t)] = rhs.get((a, t), F(0)) + sgn * y * x
-        if _nonzero(lhs) != _nonzero(rhs):
-            return False
-    return True
-
-
-def reference_coalgebra_morphism_from_linear(c, m, d):
-    """θ = Σ_n (1/n!) ⊙ⁿ(m) ∘ Δ^{n-1}, the product m(w₁)⊙…⊙m(wₙ) expanded
-    multilinearly."""
-    from math import factorial
-    theta = GradedMap(c.space, d.space, 0)
-    for pos in range(len(c.words)):
-        acc = {}
-        for n in range(1, min(len(c.words[pos]), d.order) + 1):
-            for tup, x in reference_iterated_coproduct(c, pos, n).items():
-                terms = [((), x)]
-                for p in tup:
-                    col = sorted(m.column(p).items())
-                    terms = [(letters + (t,), y * ct) for letters, y in terms
-                             for t, ct in col]
-                for letters, y in terms:
-                    res = d.position(letters)
-                    if res is not None:
-                        acc[res[0]] = acc.get(res[0], F(0)) + F(res[1], factorial(n)) * y
-        for p, x in _nonzero(acc).items():
-            theta.set_entry(p, pos, x)
-    return theta
-
-
-def reference_check_coalgebra_morphism(c, d, theta):
-    """Δ_D θ = (θ⊗θ) Δ_C on every monomial, within the truncation."""
-    for pos in range(len(c.words)):
-        lhs = {}
-        for a, x in theta.column(pos).items():
-            for key, y in reference_coproduct(d, a).items():
-                lhs[key] = lhs.get(key, F(0)) + x * y
-        rhs = {}
-        for (a, b), y in reference_coproduct(c, pos).items():
-            for s, xs in theta.column(a).items():
-                for t, xt in theta.column(b).items():
-                    rhs[(s, t)] = rhs.get((s, t), F(0)) + y * xs * xt
-        if _nonzero(lhs) != _nonzero(rhs):
-            return False
-    return True
-
-
-def reference_dual_coalgebra_failures(dc):
-    """(cocommutative, coassociative, conilpotent) of a DualCoalgebra, read
-    on its coproduct."""
-    n = dc.space.dim
-    degs = dc.space.degrees
-
-    def coproduct(k):
-        return dc.coproduct.get(k, {})
-    cocomm = all(coproduct(k).get((j, i), F(0)) == (-1 if degs[i] % 2 and degs[j] % 2 else 1) * x
-                 for k in range(n) for (i, j), x in coproduct(k).items())
-    coassoc = all(lhs == rhs for lhs, rhs in (_coassociativity_sides(coproduct, k)
-                                              for k in range(n)))
-    # conilpotent: the coproduct iterated n times on the first factor vanishes
-    layer = {(k, (k,)): F(1) for k in range(n)}
-    for _ in range(n):
-        nxt = {}
-        for (k, tup), x in layer.items():
-            for (a, b), y in coproduct(tup[0]).items():
-                key = (k, (a, b) + tup[1:])
-                nxt[key] = nxt.get(key, F(0)) + x * y
-        layer = _nonzero(nxt)
-    return cocomm, coassoc, not layer
 
 
 def reference_shifted_kernel_violations(e, phi, shift):

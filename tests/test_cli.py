@@ -619,11 +619,14 @@ KEEP = {
     **dict.fromkeys(["document_of_complex", "document_of_dgla", "document_of_small_extension"],
                     "the writers behind the parse-print round trip that docs/format.md "
                     "promises, which item 8's fuzz test reads"),
-    **dict.fromkeys(["coderivation_from_taylor", "check_coderivation",
-                     "coalgebra_morphism_from_linear", "check_coalgebra_morphism",
-                     "dual_coalgebra"], "item 5 keeps the coalgebra checkers and the dual"),
-    "prop_cone": "item 17: the paper's obstruction theory",
+    "prop_cone": "item 4: the acyclic lifting property",
 }
+
+
+def names_read(node):
+    """The names a node reads: each ast.Name and ast.Attribute in it."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
 
 
 def test_every_public_name_in_src_has_a_reader():
@@ -632,19 +635,33 @@ def test_every_public_name_in_src_has_a_reader():
     # criterion, or it is kept for a named roadmap item
     root = pathlib.Path(__file__).resolve().parent.parent
     paths = [p for p in sorted((root / "src" / "defalg").glob("*.py")) if p.name != "__init__.py"]
-
-    def read(node):
-        return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-                if isinstance(n, (ast.Name, ast.Attribute))}
-    statements = [(stmt, read(stmt)) for path in paths
+    statements = [(stmt, names_read(stmt)) for path in paths
                   for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
-    acceptance = read(ast.parse((root / "tests" / "test_acceptance.py").read_text(encoding="utf-8")))
+    acceptance = names_read(ast.parse(
+        (root / "tests" / "test_acceptance.py").read_text(encoding="utf-8")))
     unread = sorted(stmt.name for stmt, _ in statements
                     if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
                     and not stmt.name.startswith("_") and stmt.name not in acceptance
                     and not any(stmt.name in names for other, names in statements
                                 if other is not stmt))
     assert unread == sorted(KEEP), sorted(set(unread) ^ set(KEEP))
+
+
+def test_every_conftest_helper_has_a_reader():
+    # a module-level def or class of conftest.py, other than a pytest hook
+    # or fixture, is read (an ast.Name or ast.Attribute of its name) by
+    # another top-level statement of the tests: an oracle whose code under
+    # test is gone leaves with it
+    tests = pathlib.Path(__file__).resolve().parent
+    statements = [(path.name, stmt, names_read(stmt)) for path in sorted(tests.glob("*.py"))
+                  for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+    unread = [stmt.name for name, stmt, _ in statements
+              if name == "conftest.py" and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+              and not stmt.name.startswith("pytest_")
+              and "fixture" not in {n for d in stmt.decorator_list for n in names_read(d)}
+              and not any(stmt.name in names for _, other, names in statements
+                          if other is not stmt)]
+    assert unread == []
 
 
 @pytest.mark.parametrize("order", [3, 5])
@@ -660,14 +677,21 @@ def test_prorepresent_exit_two_on_invalid_dgla(order, flags):
     assert proc.stderr.count("\n") == 1
 
 
+LIFT_INPUTS = ["--in", str(FIXTURES / "counterexample.ext"),
+               "--in", str(FIXTURES / "counterexample.mc")]
+
+
 @pytest.mark.parametrize("command", [["primary-bracket"], ["dgla-to-linfty", "--order", "3"],
-                                     ["prorepresent", "--order", "2"]],
-                         ids=["primary-bracket", "dgla-to-linfty", "prorepresent"])
+                                     ["prorepresent", "--order", "2"],
+                                     ["mc-lift", *LIFT_INPUTS], ["obstruction", *LIFT_INPUTS]],
+                         ids=["primary-bracket", "dgla-to-linfty", "prorepresent",
+                              "mc-lift", "obstruction"])
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
 def test_unguarded_commands_exit_two_on_invalid_dgla(command, flags):
     # no certificate guards these commands on sl2_scaled_broken (prorepresent
-    # at order 2 checks nothing that antisymmetry breaks), so the DGLA is
-    # validated before anything is computed
+    # at order 2 checks nothing that antisymmetry breaks, and the lift of
+    # counterexample.mc passes every check of mc-lift and obstruction), so
+    # the DGLA is validated before anything is computed
     proc = subprocess.run([sys.executable, *flags, "-m", "defalg.cli", *command,
                            "--in", str(FIXTURES / "sl2_scaled_broken.dgla")],
                           capture_output=True, text=True)

@@ -6,20 +6,13 @@ import pytest
 
 from defalg.dgla import Dgla, mc_check, tensor_dgla, tensor_space
 from defalg.graded import GradedMap, GradedSpace
-from defalg.linfty import (LInftyStructure, SymCoalgebra, check_coderivation,
-                           check_coalgebra_morphism, check_linfty,
-                           coalgebra_morphism_from_linear,
-                           coderivation_from_taylor, dgla_to_linfty,
-                           dual_algebra, dual_coalgebra, linfty_mc_check,
-                           linfty_to_dgla)
+from defalg.linfty import (LInftyStructure, SymCoalgebra, check_linfty, dgla_to_linfty,
+                           linfty_mc_check, linfty_to_dgla)
 from defalg.models import QuasismoothTrunc
 from conftest import (entries, heisenberg, make_rng, random_abelian_dgla, random_algebra,
-                      perturb_one_entry, random_dgla, reference_check_coalgebra_morphism,
-                      reference_check_coderivation, reference_check_linfty,
-                      reference_coalgebra_morphism_from_linear, reference_coassociative,
-                      reference_cocommutative, reference_coderivation,
-                      reference_coproduct, reference_dual_coalgebra_failures,
-                      reference_linfty_mc_check, sl2, sl2_odd, sparse)
+                      random_dgla, reference_check_linfty, reference_coassociative,
+                      reference_cocommutative, reference_linfty_mc_check, sl2, sl2_odd,
+                      sparse)
 
 F = Fraction
 
@@ -33,15 +26,6 @@ def test_coalgebra_axioms():
             c = SymCoalgebra(v, order)
             assert c.check_cocommutative()
             assert c.check_coassociative()
-
-
-def test_coderivation_identity():
-    rng = make_rng(51)
-    for _ in range(10):
-        l = random_dgla(rng, max_dim=5)
-        s = dgla_to_linfty(l, order=3)
-        q = coderivation_from_taylor(s)
-        assert check_coderivation(s.coalgebra, q)
 
 
 def test_dictionary_soundness():
@@ -141,42 +125,6 @@ def test_mc_agreement_on_genuine_solutions():
         done += 1
 
 
-def test_linear_map_extends_to_coalgebra_morphism():
-    rng = make_rng(56)
-    l = sl2()
-    s = dgla_to_linfty(l, order=3)
-    c = s.coalgebra
-    # a random degree-0 linear map C -> V[1] extends to θ with π∘θ = m
-    m = GradedMap(c.space, c.letters, 0)
-    for pos in range(c.space.dim):
-        for j in range(c.letters.dim):
-            if c.space.degrees[pos] == c.letters.degrees[j] and \
-                    rng.random() < 0.5:
-                m.set_entry(j, pos, F(rng.randint(-2, 2)))
-    theta = coalgebra_morphism_from_linear(c, m, c)
-    assert check_coalgebra_morphism(c, c, theta)
-    # corestriction to V[1] recovers m
-    for pos in range(c.space.dim):
-        img = theta.apply(c.space.basis_vector(pos))
-        assert c.component(img, 1) == m.apply(c.space.basis_vector(pos))
-
-
-def test_morphism_criterion_reduces_to_linear_data():
-    # for a linear map supported on word-length one, θ restricted to V[1]
-    # words is the map itself and the morphism property is automatic
-    l = sl2_odd()
-    s = dgla_to_linfty(l, order=2)
-    c = s.coalgebra
-    m = GradedMap(c.space, c.letters, 0)
-    for i in range(c.letters.dim):
-        m.set_entry(i, i, F(2))
-    theta = coalgebra_morphism_from_linear(c, m, c)
-    assert check_coalgebra_morphism(c, c, theta)
-    # on a length-2 word, θ is the induced ⊙²(m): here 4·Id
-    for w in c.of_length(2):
-        assert theta.apply(c.space.basis_vector(w)) == {w: F(4)}
-
-
 def test_taylor_coefficient_on_a_word_of_another_length_is_refused():
     # Q¹_k reads all the words of C(V[1]), so the length of each word it
     # reads is checked: in V[1], x has degree -1 and y degree 0, and Q¹_2
@@ -189,20 +137,6 @@ def test_taylor_coefficient_on_a_word_of_another_length_is_refused():
         with pytest.raises(ValueError) as err:
             LInftyStructure(v, 3, {2: GradedMap(c.space, c.letters, 1, {(1, word): F(1)})}, c)
         assert str(err.value) == "Q¹_2 has wrong source/target/degree"
-
-
-def test_dual_coalgebra_and_double_dual():
-    rng = make_rng(57)
-    for _ in range(6):
-        a = random_algebra(rng, max_dim=5)
-        c = dual_coalgebra(a)
-        assert not c.validate()
-        b = dual_algebra(c)
-        assert b.space == a.space
-        assert b.d == a.d
-        for i in range(a.dim):
-            for j in range(a.dim):
-                assert b.table_entry(i, j) == a.table_entry(i, j)
 
 
 def test_minimality_detection():
@@ -253,14 +187,13 @@ def random_linfty(rng):
 
 
 def test_ce_reading_matches_coalgebra_oracles():
-    """The coderivation and the Jacobi check read through the CE
-    truncation equal the unshuffle sum and Q∘Q, entry for entry."""
+    """The Jacobi check read through the CE truncation equals Q∘Q of the
+    unshuffle sum, entry for entry."""
     rng = make_rng(60)
     failing = repeated_even = 0
     for _ in range(120):
         s = random_linfty(rng)
         c = s.coalgebra
-        assert coderivation_from_taylor(s) == reference_coderivation(s)
         rep = check_linfty(s)
         ok, arities, defects = reference_check_linfty(s)
         assert (rep.ok, rep.defect_arities, rep.defects) == (ok, arities, defects)
@@ -304,90 +237,16 @@ def test_ce_truncation_is_the_kuranishi_model(l, order):
         assert entries(m) == entries(r.components[k])
 
 
-# ---------------------------------------------------------------------------
-# the coalgebra read through its dual truncation, against the unshuffle
-# oracles; half of the inputs of each check carry one perturbed entry
-
-
-def random_letters(rng, prefix, max_dim=4):
-    return GradedSpace([("%s%d" % (prefix, i), rng.randint(-1, 2))
-                        for i in range(rng.randint(1, max_dim))])
-
-
 def test_coproduct_and_coaxioms_match_unshuffle_oracles():
+    """The co-axioms read on the dual truncation agree with the loops over
+    the Koszul-signed unshuffle coproduct."""
     rng = make_rng(62)
     words = 0
     for _ in range(30):
-        v = random_letters(rng, "v")
+        v = GradedSpace([("v%d" % i, rng.randint(-1, 2)) for i in range(rng.randint(1, 4))])
         for order in (1, 2, 3, 4):
             c = SymCoalgebra(v, order)
-            for pos in range(len(c.words)):
-                assert c.coproduct(pos) == reference_coproduct(c, pos)
             words += len(c.words)
             assert c.check_cocommutative() == reference_cocommutative(c) is True
             assert c.check_coassociative() == reference_coassociative(c) is True
     assert words >= 600
-
-
-def test_coderivation_check_matches_unshuffle_oracle():
-    rng = make_rng(63)
-    verdicts = []
-    for case in range(120):
-        s = random_linfty(rng)
-        q = coderivation_from_taylor(s)
-        if case % 2:
-            q = perturb_one_entry(rng, q)
-            if q is None:
-                continue
-        got = check_coderivation(s.coalgebra, q)
-        assert got == reference_check_coderivation(s.coalgebra, q)
-        verdicts.append(got)
-    assert len(verdicts) >= 100
-    assert verdicts.count(True) >= 60 and verdicts.count(False) >= 10
-
-
-def test_coalgebra_morphism_matches_iterated_coproduct_oracle():
-    rng = make_rng(64)
-    verdicts = []
-    for case in range(120):
-        c = SymCoalgebra(random_letters(rng, "v", 3), rng.randint(1, 3))
-        d = c if case % 4 < 2 else SymCoalgebra(random_letters(rng, "w", 3), rng.randint(1, 3))
-        m = GradedMap(c.space, d.letters, 0)
-        for pos in range(c.space.dim):
-            for t in range(d.letters.dim):
-                if c.space.degrees[pos] == d.letters.degrees[t] and rng.random() < 0.5:
-                    m.set_entry(t, pos, F(rng.randint(-2, 2), rng.randint(1, 2)))
-        theta = coalgebra_morphism_from_linear(c, m, d)
-        assert theta == reference_coalgebra_morphism_from_linear(c, m, d)
-        if case % 2:
-            theta = perturb_one_entry(rng, theta)
-            if theta is None:
-                continue
-        got = check_coalgebra_morphism(c, d, theta)
-        assert got == reference_check_coalgebra_morphism(c, d, theta)
-        verdicts.append(got)
-    assert len(verdicts) >= 100
-    assert verdicts.count(True) >= 40 and verdicts.count(False) >= 10
-
-
-def test_dual_coalgebra_validate_matches_coproduct_oracle():
-    rng = make_rng(65)
-    verdicts = []
-    while len(verdicts) < 120:
-        c = dual_coalgebra(random_algebra(rng, max_dim=5))
-        if len(verdicts) % 2:
-            degs = c.space.degrees
-            slots = [(k, i, j) for k in range(len(degs)) for i in range(len(degs))
-                     for j in range(len(degs)) if degs[k] == degs[i] + degs[j]]
-            if not slots:
-                continue
-            k, i, j = rng.choice(slots)
-            row = c.coproduct.setdefault(k, {})
-            row[(i, j)] = row.get((i, j), F(0)) + rng.choice([-1, 1, F(1, 3)])
-        errs = c.validate()
-        cocomm, coassoc, conil = reference_dual_coalgebra_failures(c)
-        assert (not errs) == (cocomm and coassoc and conil)
-        assert any(e.startswith("graded commutativity") for e in errs) == (not cocomm)
-        assert any(e.startswith("associativity") for e in errs) == (not coassoc)
-        verdicts.append(not errs)
-    assert all(verdicts[::2]) and verdicts.count(False) >= 10

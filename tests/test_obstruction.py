@@ -583,9 +583,10 @@ def test_tangent_bracket_matches_cohomology_bracket():
     for l in cases:
         tb = tangent_bracket(l)
         cb = cohomology_bracket(l, tb.cohomology)
-        assert tb.t_space == cb.space
-        for p in range(tb.t_space.dim):
-            for q in range(tb.t_space.dim):
+        t = tb.cohomology.harmonic_space
+        assert t == cb.space
+        for p in range(t.dim):
+            for q in range(t.dim):
                 assert tb.bracket_algebra.table_entry(p, q) == cb.table_entry(p, q)
 
 
