@@ -517,21 +517,14 @@ def quotient_algebra(a: NilpotentDgAlgebra, ideal: Sequence[SparseVec]
     basis vectors it keeps span a complement, and a vector's coordinates
     on them are its image in A/J.  The projection is linear, so each basis
     vector is projected once and the quotient's constants and d are read
-    off A's integer index (over den) and d's columns.  A kept basis vector
-    projects to itself without a solve: it is one of the independent
-    vectors of the echelon, whose expression in them is unique, so its
-    coordinates are 1 at its own position.  Only the others are solved.
+    off A's integer index (over den) and d's columns.
     """
     span = linalg.echelon(ideal)
     nj = span.count
     compl_idx = [i for i in range(a.dim) if span.add({i: ONE})]
     pos = {i: n for n, i in enumerate(compl_idx)}
-    proj: List[SparseVec] = []
-    for k in range(a.dim):
-        if k in pos:
-            proj.append({pos[k]: ONE})
-        else:
-            proj.append({pos[t - nj]: c for t, c in span.coords({k: ONE}).items() if t >= nj})
+    proj = [{pos[t - nj]: c for t, c in span.coords({k: ONE}).items() if t >= nj}
+            for k in range(a.dim)]
 
     def project(v: Dict, den: int = 1) -> SparseVec:
         out: SparseVec = {}

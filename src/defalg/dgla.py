@@ -352,10 +352,9 @@ def mc_lift(e: SmallExtension, l: Dgla, x: SparseVec,
         if None in t_cols:
             raise CertificateError("the lift operator escaped L⊗I: the kernel is not an ideal")
     # one echelon over T's columns; its relations span ker T, all lift
-    # translations.  On a strictly small extension it is the contraction's
-    # echelon in degree 1, and only H² is read
+    # translations
     t_ech, kernel = linalg.relations(t_cols)
-    hcoh = cohomology(ti.complex(), {1: (t_ech, kernel)} if strict else None)
+    hcoh = cohomology(ti.complex())
     ccls = None
     if strict:
         ccls = hcoh.class_of(hi)

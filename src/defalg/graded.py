@@ -520,37 +520,31 @@ class Splitting(NamedTuple):
 class Contraction:
     """Cohomology of a complex with an explicit splitting, one degree at a time.
 
-    The constructor runs one echelon per degree k over the columns of d on
-    C^k.  Its independent columns are the basis vectors whose images are
-    the boundaries B^(k+1), and the ranks give dim H^k = dim Z^k - dim B^k.
-    Everything else is built the first time it is read: the cocycles Z^k
-    (the relations among those columns), the splitting C^k = B ⊕ H ⊕ W of
-    a degree (``split``), the harmonic representatives, and the projection
-    p onto H, the inclusion of H and the degree -1 homotopy sigma with
-    d sigma + sigma d = Id - incl p.  sigma's image is spanned by the
-    complement W, which it sends to 0, so the side conditions
-    sigma sigma = 0, sigma incl = 0 and p sigma = 0 hold: the transfer
-    recursion of ``models.kuranishi_prorepresent`` relies on them.
-
-    ``eliminated`` maps degrees whose columns the caller has already
-    eliminated to what ``linalg.relations`` returned for them; only the
-    echelon's independent columns and the relations are read, at once.
+    The constructor runs one ``linalg.relations`` per degree k over the
+    columns of d on C^k.  Its independent columns are the basis vectors
+    whose images are the boundaries B^(k+1), its relations are the
+    cocycles Z^k, and the ranks give dim H^k = dim Z^k - dim B^k.  The
+    first time degree k is read, one echelon is built over B^k, then Z^k,
+    then the unit vectors of the complement W of the cocycles, which d maps
+    onto B^(k+1): the cocycles it keeps are the harmonic representatives,
+    and it splits C^k = B ⊕ H ⊕ W (``split``).  ``class_of``,
+    ``is_boundary``, the projection p onto H and the degree -1 homotopy
+    sigma with d sigma + sigma d = Id - incl p all read a vector's
+    coordinates in that echelon.  sigma's image is spanned by W, which it
+    sends to 0, so the side conditions sigma sigma = 0, sigma incl = 0 and
+    p sigma = 0 hold: the transfer recursion of
+    ``models.kuranishi_prorepresent`` relies on them.
     """
 
-    def __init__(self, cx: Complex,
-                 eliminated: Optional[Dict[int, Tuple[linalg.Echelon, List[SparseVec]]]] = None):
+    def __init__(self, cx: Complex):
         self.complex = cx
         space = cx.space
         self._dcols = cx.d.columns()
         self._by_degree = {k: space.degree_indices(k) for k in sorted(set(space.degrees))}
         self._pivots: Dict[int, List[int]] = {}    # k -> i in C^k with d e_i spanning B^(k+1)
-        self._echelons: Dict[int, linalg.Echelon] = {}  # k -> echelon until Z^k is read
-        self._relations: Dict[int, List[SparseVec]] = {}  # k -> Z^k in C^k coordinates
+        self._cocycles: Dict[int, List[SparseVec]] = {}  # k -> Z^k until degree k is split
         for k, idx in self._by_degree.items():
-            if eliminated and k in eliminated:
-                ech, self._relations[k] = eliminated[k]
-            else:
-                ech = self._echelons[k] = linalg.echelon([self._dcols[i] for i in idx])
+            ech, self._cocycles[k] = linalg.relations([self._dcols[i] for i in idx])
             self._pivots[k] = [idx[c] for c in ech.independent]
         self._dims = {k: len(idx) - len(self._pivots[k]) - len(self._pivots.get(k - 1, ()))
                       for k, idx in self._by_degree.items()}
@@ -560,45 +554,33 @@ class Contraction:
             self._offsets[k] = len(basis)
             basis.extend(("H%d_%d" % (k, t), k) for t in range(n))
         self.harmonic_space = GradedSpace(basis)
-        self._harmonics: Dict[int, Tuple[linalg.Echelon, List[int],
-                                         List[Dict[int, Fraction]]]] = {}
-        self._splits: Dict[int, Splitting] = {}
+        self._splits: Dict[int, Tuple[Splitting, linalg.Echelon, Dict[int, int]]] = {}
 
-    def _cocycles(self, k: int) -> List[SparseVec]:
-        """Z^k in C^k coordinates, read off the degree's echelon when first
-        needed (empty off the degrees of C)."""
-        if k not in self._relations:
-            ech = self._echelons.pop(k, None)
-            self._relations[k] = [] if ech is None else ech.relations_of(
-                [self._dcols[i] for i in self._by_degree[k]])
-        return self._relations[k]
-
-    def _harmonic(self, k: int) -> Tuple[linalg.Echelon, List[int], List[Dict[int, Fraction]]]:
-        """The echelon over B^k then the cocycles Z^k, all sparse; the
-        positions in it of the cocycles it keeps, and those cocycles: the
-        harmonic representatives of H^k."""
-        if k not in self._harmonics:
+    def _split(self, k: int) -> Tuple[Splitting, linalg.Echelon, Dict[int, int]]:
+        """The splitting of C^k, its echelon over B^k, Z^k and W^k, and the
+        index in ``harmonic_space`` of each position of the echelon that
+        holds a harmonic representative."""
+        if k not in self._splits:
             idx = self._by_degree.get(k, [])
-            ech = linalg.echelon(self._dcols[i] for i in self._pivots.get(k - 1, ()))
-            positions, harmonics = [], []
-            for rel in self._cocycles(k):
+            bounding = self._pivots.get(k - 1, ())
+            boundaries = [self._dcols[i] for i in bounding]
+            ech = linalg.echelon(boundaries)
+            classes, harmonics = {}, []
+            for rel in self._cocycles.pop(k, ()):
                 z = {idx[pos]: x for pos, x in rel.items()}
                 if ech.add(z):
-                    positions.append(ech.count - 1)
+                    classes[ech.count - 1] = self._offsets[k] + len(harmonics)
                     harmonics.append(z)
-            self._harmonics[k] = (ech, positions, harmonics)
-        return self._harmonics[k]
+            complements = [{i: ONE} for i in self._pivots.get(k, ())]
+            for w in complements:
+                ech.add(w)
+            self._splits[k] = (Splitting(boundaries, [{i: ONE} for i in bounding], harmonics,
+                                         complements), ech, classes)
+        return self._splits[k]
 
     def split(self, k: int) -> Splitting:
         """The splitting of C^k (all lists empty off the degrees of C)."""
-        if k not in self._splits:
-            bounding = self._pivots.get(k - 1, ())
-            self._splits[k] = Splitting(
-                [self._dcols[i] for i in bounding],
-                [{i: ONE} for i in bounding],
-                self._harmonic(k)[2],
-                [{i: ONE} for i in self._pivots.get(k, ())])
-        return self._splits[k]
+        return self._split(k)[0]
 
     def dims(self) -> Dict[int, int]:
         return {k: v for k, v in self._dims.items() if v}
@@ -612,20 +594,16 @@ class Contraction:
 
     def class_of(self, v: SparseVec) -> Optional[SparseVec]:
         """[v] in the harmonic basis, a vector of ``harmonic_space``; None
-        if v is not a cocycle.
-
-        Each homogeneous component of a cocycle lies in Z^k = B^k ⊕ H^k,
-        where its coordinates are unique: they are read from the echelon
-        over B^k and the cocycles (``_harmonic``)."""
+        if v is not a cocycle: each homogeneous component of a cocycle lies
+        in Z^k = B^k ⊕ H^k, and its H-coordinates are the class."""
         if self.complex.d.apply(v):
             return None
         out: SparseVec = {}
         for k, part in self.complex.space.homogeneous_components(v).items():
-            ech, hpos, _ = self._harmonic(k)
-            coords = ech.coords(part)
-            for t, pos in enumerate(hpos):
-                if pos in coords:
-                    out[self._offsets[k] + t] = coords[pos]
+            _, ech, classes = self._split(k)
+            for pos, x in ech.coords(part).items():
+                if pos in classes:
+                    out[classes[pos]] = x
         return out
 
     def is_boundary(self, v: SparseVec) -> Optional[SparseVec]:
@@ -645,23 +623,21 @@ class Contraction:
 
     @cached_property
     def _project_sigma(self) -> Tuple[GradedMap, GradedMap]:
-        """p and sigma, read per degree off the inverse of the change of
-        basis [B | H | W]: p takes the H-coordinates, sigma sends the
-        B-coordinates back to the basis vectors they are the images of."""
+        """p and sigma, read per degree off each basis vector's coordinates
+        in the splitting echelon: p takes the H-coordinates, sigma sends
+        the B-coordinates back to the basis vectors they are the images of."""
         space = self.complex.space
         proj: Dict[int, SparseVec] = {}
         sigma: Dict[int, SparseVec] = {}
         for k, idx in self._by_degree.items():
-            bnd, _, harm, comp = self.split(k)
-            where = {i: pos for pos, i in enumerate(idx)}
-            inv = linalg.invert([{where[i]: x for i, x in c.items()} for c in bnd + harm + comp])
-            nb, nh, bounding = len(bnd), len(harm), self._pivots.get(k - 1, ())
-            for i, col in zip(idx, inv):
-                for t, c in col.items():
-                    if t < nb:
-                        sigma.setdefault(i, {})[bounding[t]] = c
-                    elif t < nb + nh:
-                        proj.setdefault(i, {})[self._offsets[k] + t - nb] = c
+            _, ech, classes = self._split(k)
+            bounding = self._pivots.get(k - 1, ())
+            for i in idx:
+                for pos, c in ech.coords({i: ONE}).items():
+                    if pos < len(bounding):
+                        sigma.setdefault(i, {})[bounding[pos]] = c
+                    elif pos in classes:
+                        proj.setdefault(i, {})[classes[pos]] = c
         return (GradedMap.from_columns(space, self.harmonic_space, 0, proj),
                 GradedMap.from_columns(space, space, -1, sigma))
 
@@ -674,11 +650,9 @@ class Contraction:
         return self._project_sigma[1]
 
 
-def cohomology(cx: Complex,
-               eliminated: Optional[Dict[int, Tuple[linalg.Echelon, List[SparseVec]]]] = None
-               ) -> Contraction:
+def cohomology(cx: Complex) -> Contraction:
     """Cohomology with a contraction datum (see Contraction)."""
-    return Contraction(cx, eliminated)
+    return Contraction(cx)
 
 
 def solve_homotopy(d_source: GradedMap, d_target: GradedMap, t: GradedMap

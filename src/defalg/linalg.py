@@ -9,8 +9,8 @@ elimination engine: an incremental sparse echelon form, its rows stored as
 Python ints over a row denominator.  Vectors are added one at a time, each
 is reduced against the rows stored so far, and the form answers
 independence and span coordinates without refactoring.
-``solve_in_span``, ``nullspace``, ``invert``, ``relations`` and
-``independent_subset`` are views of it; each answers what reduced row
+``echelon``, ``relations``, ``solve_in_span``, ``nullspace``, ``invert``
+and ``independent_subset`` are views of it; each answers what reduced row
 echelon form would (the greedy independent vectors as pivots, zeros off
 them).  Pivots are chosen by a smallest-denominator heuristic to limit
 coefficient growth; no result depends on the choice.
@@ -198,23 +198,6 @@ class Echelon:
         q = lcm(*(d for _, d in sums.values()))
         return {p: {t: x * (q // d) for t, x in acc.items() if x}
                 for p, (acc, d) in sums.items()}, q
-
-    def relations_of(self, vectors: Sequence[SparseVec]) -> List[SparseVec]:
-        """The relations among ``vectors``, which must be the vectors added,
-        in order: what ``relations`` gives, built after the fact.
-
-        A dependent vector reduces to zero on the rows stored before it, so
-        reducing it again on all rows takes the same steps as when it was
-        added and gives the same coordinates.
-        """
-        independent = set(self.independent)
-        out: List[SparseVec] = []
-        for f, v in enumerate(vectors):
-            if f not in independent:
-                rel = self._combine(self._reduce(v)[1], -1)
-                rel[f] = ONE
-                out.append(rel)
-        return out
 
 
 def echelon(vectors: Iterable[SparseVec]) -> Echelon:

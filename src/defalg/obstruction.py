@@ -244,10 +244,9 @@ def tangent_bracket(l: Dgla) -> TangentBracket:
     return TangentBracket(coh, s, linfty_to_dgla(s))
 
 
-def cohomology_bracket(l: Dgla, coh: Optional[Contraction] = None) -> Dgla:
+def cohomology_bracket(l: Dgla) -> Dgla:
     """The graded Lie algebra induced on H(L) by the bracket of L."""
-    if coh is None:
-        coh = def_tangent(l)
+    coh = def_tangent(l)
     t = coh.harmonic_space
     bracket: Dict[Tuple[int, int], SparseVec] = {}
     for p in range(t.dim):

@@ -402,15 +402,20 @@ def test_exit_two_on_invalid_algebra_in_extension(tmp_path, command, flags):
                            "graded commutativity fails on (u, w)\n")
 
 
-def test_mc_check_exit_two_on_invalid_algebra(capsys, tmp_path):
-    # mc-check validates its algebra, not only its DGLA, before computing:
-    # A is not graded commutative, and the element would pass as MC
+@pytest.mark.parametrize("command, elements", [
+    ("mc-check", ("koszul4_x.mc",)),
+    ("gauge", ("koszul4_x.mc", "koszul4_y.mc")),
+], ids=["mc-check", "gauge"])
+def test_mc_check_exit_two_on_invalid_algebra(capsys, tmp_path, command, elements):
+    # mc-check and gauge validate their algebra, not only their DGLA,
+    # before computing: A is not graded commutative, and the elements would
+    # pass as MC (and gauge would print YES with a witness)
     text = (FIXTURES / "koszul4.alg").read_text(encoding="utf-8")
     assert "r0 s0 -> 1 s0*r0" in text
     bad = tmp_path / "bad.alg"
     bad.write_text(text.replace("r0 s0 -> 1 s0*r0", "r0 s0 -> 2 s0*r0"), encoding="utf-8")
-    code, out, err = run(capsys, "mc-check", "--in", SL2, "--in", str(bad),
-                         "--in", str(FIXTURES / "koszul4_x.mc"))
+    args = [a for name in elements for a in ("--in", str(FIXTURES / name))]
+    code, out, err = run(capsys, command, "--in", SL2, "--in", str(bad), *args)
     assert (code, out) == (2, "") and err.count("\n") == 1
     assert err.startswith("error: invalid nilpotent_dg_algebra: "
                           "graded commutativity fails on (s0, r0); ")
@@ -732,16 +737,17 @@ def test_golden_output(capsys, case, fmt):
 def test_staged_gauge_computes_no_power_ideal(capsys, monkeypatch):
     # a chain of n strictly small stages gives A_j^(n-j+1) = 0, so the
     # staged search bounds the nilpotency class of each L⊗A_j by n - j and
-    # computes no power ideal of any A_j; the witness is the same
+    # computes no power ideal of any A_j; the witness is the same.  The one
+    # power ideal computation is the input check of A's nilpotency
     from defalg.algebras import NilpotentDgAlgebra
     calls = []
     real = NilpotentDgAlgebra.power_ideal_bases
     monkeypatch.setattr(NilpotentDgAlgebra, "power_ideal_bases",
-                        lambda self: calls.append(self.dim) or real(self))
+                        lambda self: calls.append(sys._getframe(1).f_code.co_name) or real(self))
     case = next(c for c in GOLDEN_CASES if c["name"] == "gauge-koszul4-staged")
     code, out, err = run(capsys, *[str(GOLDEN.parent.parent / a) if "/" in a else a
                                    for a in case["argv"]])
-    assert calls == []
+    assert calls == ["nilpotency_index"]
     assert (code, out, err) == (0, (GOLDEN / "gauge-koszul4-staged.txt").read_text(), "")
 
 

@@ -177,15 +177,6 @@ def test_independent_subset_and_extend_basis_match_rank(first, second):
     assert extend_basis(vecs, cands) == greedy_by_rank(vecs, cands)
 
 
-@given(vector_lists())
-@settings(max_examples=80, deadline=None)
-def test_relations_after_the_fact_match_relations(first):
-    vecs = [sparse(v) for v in first[1]]
-    ech, rels = linalg.relations(vecs)
-    assert linalg.echelon(vecs).relations_of(vecs) == rels
-    assert ech.relations_of(vecs) == rels
-
-
 @given(vector_lists(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_echelon_coords_match_solve_in_span(first, data):
@@ -261,8 +252,8 @@ def sparse_runs(draw):
 @settings(max_examples=150, deadline=None)
 def test_pivot_lookup_subtracts_the_rows_that_a_scan_does(run, data):
     """The echelon that finds its rows through the pivot -> row index
-    stores the rows, the independent vectors, the coordinates, the
-    relations and the pivot inverse of the one that scans every row."""
+    stores the rows, the independent vectors, the coordinates and the
+    pivot inverse of the one that scans every row."""
     n, vecs, target = run
     ech, scan = linalg.Echelon(), ScanEchelon()
     assert [ech.add(v) for v in vecs] == [scan.add(v) for v in vecs]
@@ -274,5 +265,4 @@ def test_pivot_lookup_subtracts_the_rows_that_a_scan_does(run, data):
         assert ech._reduce(v) == scan._reduce(v)
         assert ech.coords(v) == scan.coords(v)
     assert ech.coords(target) is not None
-    assert ech.relations_of(vecs) == scan.relations_of(vecs)
     assert ech.pivot_inverse() == scan.pivot_inverse()
